@@ -21,6 +21,7 @@ __all__ = [
     "log_star",
     "TetraLadder",
     "GeoLadder",
+    "pick_range",
     "atuq_quantize",
     "aguq_quantize",
     "AguqPlus",
@@ -54,8 +55,9 @@ def log_star(b: float) -> int:
 class TetraLadder:
     """Ranges M_i = sqrt(m * e^^i + m0), i = 0..h-1, strictly increasing.
 
-    Levels whose square exceeds float range are stored as inf: they accept
-    every real input, which is the only role a range that large can play.
+    Levels whose square exceeds float range are stored as inf.  A CUQ grid
+    over an infinite range has no finite spacing, so no encoder picks such a
+    level (see `pick_range`) and decoders reject an index that names one.
     """
 
     m: float
@@ -107,10 +109,11 @@ class GeoLadder:
         return math.ceil(math.log2(self.h_g))
 
 
-def _pick_range(value: float, ranges: np.ndarray) -> int:
-    """Smallest index whose range covers `value`; clamps to the top range."""
-    idx = int(np.searchsorted(ranges, value, side="left"))
-    return min(idx, len(ranges) - 1)
+def pick_range(values, ranges: np.ndarray):
+    """Index of the smallest range covering each value, clamped to the largest
+    finite range; values above it keep that range and overflow."""
+    top = np.count_nonzero(np.isfinite(ranges)) - 1
+    return np.minimum(np.searchsorted(ranges, values, side="left"), top)
 
 
 def atuq_quantize(
@@ -119,7 +122,7 @@ def atuq_quantize(
     """ATUQ one vector: returns (range index, symbols, reconstruction)."""
     y = np.asarray(y, dtype=float)
     ranges = ladder.ranges
-    j = _pick_range(float(np.max(np.abs(y))) if y.size else 0.0, ranges)
+    j = int(pick_range(float(np.max(np.abs(y))) if y.size else 0.0, ranges))
     grid = UniformGrid(ranges[j], k, "signed")
     sym = cuq_encode(y, grid, rng)
     return j, sym, cuq_decode(sym, grid)
@@ -135,7 +138,7 @@ def aguq_quantize(
     if g < 0:
         raise ValueError("gain must be nonnegative")
     ranges = ladder.ranges
-    j = _pick_range(g, ranges)
+    j = int(pick_range(g, ranges))
     if g > ranges[-1]:
         return ladder.h_g - 1, OVERFLOW, 0.0
     grid = UniformGrid(ranges[j], k_g, "nonneg")
@@ -172,7 +175,7 @@ class AguqPlus:
         if g < 0:
             raise ValueError("gain must be nonnegative")
         ranges = self.ladder.ranges
-        j = _pick_range(g, ranges)
+        j = int(pick_range(g, ranges))
         bits = BitString()
         bits.write_uint(((1 << j) - 1) << 1, j + 1)  # j ones, then the 0 terminator
         field_width = j + 1

@@ -190,13 +190,10 @@ def cmd_quantize_bench(args) -> int:
             bound = B * math.sqrt((9 + 3 * math.log(rcfg.s)) / (rcfg.k - 1) ** 2 + 1)
             bits = rcfg.bit_budget
         elif name == "simq":
-            y1 = y * (B / np.abs(y).sum())
-            probs = np.r_[np.abs(y1) / B, 1 - np.abs(y1).sum() / B]
-            idx = root.child("simq").stream().choice(d + 1, size=trials, p=probs / probs.sum())
-            recs = np.zeros((trials, d))
-            sel = idx < d
-            recs[np.nonzero(sel)[0], idx[sel]] = B * np.sign(y1[idx[sel]])
-            y = y1
+            y = y * (B / np.abs(y).sum())
+            # one SimQ draw at scale B is SimQ+ with k = 1 and p = inf
+            recs = simq_plus_sample(y, SimqPlusConfig(B, d, math.inf, 1), trials,
+                                    root.child("simq").stream())
             bound = B
             bits = math.ceil(math.log2(2 * d + 1))
         elif name == "simq_plus":

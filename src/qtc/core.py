@@ -14,7 +14,7 @@ Conventions used by every encoder/decoder pair in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,13 +24,29 @@ __all__ = [
     "SeedPath",
     "Quantizer",
     "TruncatedStreamError",
+    "check_finite",
 ]
 
 _MASK64 = (1 << 64) - 1
 
 
-class TruncatedStreamError(Exception):
-    """Raised when a read runs past the end of a BitString."""
+class TruncatedStreamError(ValueError):
+    """Raised when a read runs past the end of a BitString.
+
+    A ValueError like every other malformed-message error, so decoders raise
+    one documented type for truncated, over-long and out-of-range messages.
+    """
+
+
+def check_finite(x) -> np.ndarray:
+    """`x` as a float array; raises ValueError if any entry is NaN or infinite.
+
+    Encoders call this before their first draw.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite entries")
+    return x
 
 
 class BitString:
@@ -57,63 +73,55 @@ class BitString:
         if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
         used = self._len & 31
-        if used and self._words:
-            room = 32 - used
-            take = min(room, width)
-            hi = value >> (width - take)
-            self._words[-1] = (self._words[-1] << take) | hi
+        if used:  # top up the partial last word first
+            take = min(32 - used, width)
             width -= take
-            value &= (1 << width) - 1 if width else 0
+            self._words[-1] = (self._words[-1] << take) | (value >> width)
+            value &= (1 << width) - 1
             self._len += take
-        while width >= 32:
-            self._words.append(value >> (width - 32))
-            width -= 32
-            value &= (1 << width) - 1 if width else 0
-            self._len += 32
-        if width:
-            self._words.append(value)
-            self._len += width
+        full, rest = divmod(width, 32)
+        if full:
+            chunk = (value >> rest).to_bytes(4 * full, "big")
+            self._words.extend(np.frombuffer(chunk, dtype=">u4").tolist())
+        if rest:
+            self._words.append(value & ((1 << rest) - 1))
+        self._len += width
         return self
 
     def write_bit(self, bit: int) -> "BitString":
         return self.write_uint(bit, 1)
 
-    def write_bits(self, bits: Sequence[int]) -> "BitString":
-        for b in bits:
-            self.write_uint(int(b), 1)
-        return self
+    def write_fields(self, values, width: int) -> "BitString":
+        """Append each of `values` as a `width`-bit field, back to back."""
+        v = np.asarray(values, dtype=np.int64).ravel()
+        if not 1 <= width <= 63:
+            raise ValueError(f"field width must be in 1..63, got {width}")
+        if v.size == 0:
+            return self
+        if v.min() < 0 or int(v.max()) >> width:
+            bad = v[(v < 0) | (v >> width != 0)][0]
+            raise ValueError(f"value {bad} does not fit in {width} bits")
+        n = v.size * width
+        bits = ((v[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+        packed = int.from_bytes(np.packbits(bits).tobytes(), "big")
+        return self.write_uint(packed >> (-n % 8), n)
 
-    def _get_bit(self, pos: int) -> int:
-        word_idx, scanned = 0, 0
-        # Words are variable-width only at the tail; all but the last are 32 bits.
-        full = pos // 32
-        if full < len(self._words) - 1 or (self._len & 31) == 0:
-            word_idx, offset = full, pos & 31
-            word_width = 32
-        else:
-            word_idx = len(self._words) - 1
-            offset = pos - 32 * word_idx
-            word_width = self._len - 32 * word_idx
-        return (self._words[word_idx] >> (word_width - 1 - offset)) & 1
+    def _slice(self, pos: int, width: int) -> int:
+        """Bits [pos, pos + width) as one MSB-first integer."""
+        last = len(self._words) - 1
+        acc, end = 0, 0
+        for w in range(pos >> 5, ((pos + width - 1) >> 5) + 1):
+            # every word but the last holds 32 bits
+            bits = 32 if w < last or (self._len & 31) == 0 else self._len & 31
+            acc = (acc << bits) | self._words[w]
+            end = 32 * w + bits
+        return (acc >> (end - pos - width)) & ((1 << width) - 1)
 
     def to01(self) -> str:
-        return "".join(str(self._get_bit(i)) for i in range(self._len))
-
-    @classmethod
-    def from01(cls, s: str) -> "BitString":
-        bs = cls()
-        for ch in s:
-            bs.write_uint(int(ch), 1)
-        return bs
+        return format(self._slice(0, self._len), f"0{self._len}b") if self._len else ""
 
     def extend(self, other: "BitString") -> "BitString":
-        for w_idx in range(len(other._words)):
-            if w_idx < len(other._words) - 1 or (other._len & 31) == 0:
-                self.write_uint(other._words[w_idx], 32)
-            else:
-                tail = other._len - 32 * w_idx
-                self.write_uint(other._words[w_idx], tail)
-        return self
+        return self.write_uint(other._slice(0, other._len), other._len) if other._len else self
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -141,14 +149,29 @@ class BitReader:
             raise TruncatedStreamError(
                 f"read of {width} bits at {self.cursor} overruns length {self._bs.nbits}"
             )
-        value = 0
-        for i in range(width):
-            value = (value << 1) | self._bs._get_bit(self.cursor + i)
+        value = self._bs._slice(self.cursor, width)
         self.cursor += width
         return value
 
     def read_bit(self) -> int:
         return self.read_uint(1)
+
+    def read_fields(self, count: int, width: int) -> np.ndarray:
+        """Read `count` back-to-back `width`-bit fields as an int64 array."""
+        if not 1 <= width <= 63:
+            raise ValueError(f"field width must be in 1..63, got {width}")
+        if count == 0:
+            return np.zeros(0, dtype=np.int64)
+        n = count * width
+        raw = self.read_uint(n).to_bytes((n + 7) // 8, "big")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[-n:].reshape(count, width)
+        return bits @ (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
+
+    def finish(self) -> None:
+        """Raise ValueError unless every bit has been read: no decoder accepts
+        trailing bits."""
+        if self.remaining:
+            raise ValueError(f"malformed stream: {self.remaining} bits left over")
 
     @property
     def remaining(self) -> int:

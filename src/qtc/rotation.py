@@ -3,7 +3,8 @@
 The forward map multiplies by the random sign diagonal and then applies the
 fast Walsh-Hadamard butterfly; the inverse undoes both.  Rotation preserves
 the l2 norm exactly (up to float roundoff), which is what every bound built
-on top of it relies on.
+on top of it relies on.  The other shared draws of the rotated quantizers,
+sampled coordinate subsets, live here too.
 """
 
 from __future__ import annotations
@@ -12,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SignDiagonal", "sample_signs", "rotate", "unrotate", "pad_to_pow2", "fwht"]
+__all__ = [
+    "SignDiagonal",
+    "sample_signs",
+    "sample_subset",
+    "sample_subset_masks",
+    "rotate",
+    "unrotate",
+    "pad_to_pow2",
+    "fwht",
+]
 
 
 def _is_pow2(n: int) -> bool:
@@ -48,6 +58,18 @@ def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     if not _is_pow2(d):
         raise ValueError(f"dimension {d} is not a power of two")
     return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
+
+
+def sample_subset(rng: np.random.Generator, d: int, mu_d: int) -> np.ndarray:
+    """Shared uniformly random subset of range(d) of size mu_d, sorted."""
+    return np.sort(rng.permutation(d)[:mu_d])
+
+
+def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
+    """(n, d) boolean mask; row i marks an independent uniform mu_d-subset."""
+    keep = np.zeros((n, d), dtype=bool)
+    np.put_along_axis(keep, np.argsort(rng.random((n, d)), axis=1)[:, :mu_d], True, axis=1)
+    return keep
 
 
 def fwht(x: np.ndarray) -> np.ndarray:
@@ -104,11 +126,13 @@ def unrotate_batch(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def pad_to_pow2(y: np.ndarray) -> tuple[np.ndarray, int]:
-    """Zero-pad to the next power of two; returns (padded, original_length)."""
+    """Zero-pad the last axis to the next power of two; returns (padded,
+    original_length).  An input that needs no padding is returned uncopied."""
     y = np.asarray(y, dtype=float)
     n = y.shape[-1]
     d = next_pow2(n)
     if d == n:
-        return y.copy(), n
-    pad = [(0, 0)] * (y.ndim - 1) + [(0, d - n)]
-    return np.pad(y, pad), n
+        return y, n
+    out = np.zeros(y.shape[:-1] + (d,))
+    out[..., :n] = y
+    return out, n

@@ -16,6 +16,8 @@ __all__ = [
     "UniformGrid",
     "ModuloParams",
     "OVERFLOW",
+    "cuq_round",
+    "cuq_levels",
     "cuq_encode",
     "cuq_decode",
     "cuq_expected_decode",
@@ -23,10 +25,50 @@ __all__ = [
     "mq_encode",
     "mq_decode",
     "mq_quantize",
+    "write_cuq_symbols",
+    "read_cuq_symbols",
 ]
 
 # Overflow is a symbol, not an error; encoded as value k in a ceil(log2(k+1))-bit field.
 OVERFLOW = -1
+
+
+def _spacing(M, k: int, signed: bool):
+    return M * ((2.0 if signed else 1.0) / (k - 1))
+
+
+def cuq_round(y: np.ndarray, M, k: int, rng: np.random.Generator, signed: bool = True) -> np.ndarray:
+    """Randomized rounding onto the k-level CUQ grid over [-M, M] (signed) or
+    [0, M] (nonneg): the one implementation of the rule every CUQ-based
+    quantizer and sampler uses.
+
+    `y` is an array of one or more dimensions; `M` is finite and positive and
+    broadcasts against it, so the range may vary per coordinate.  With t the fractional level index, the symbol is
+    ceil(t) - 1 + (u < frac) for one uniform u per coordinate, clipped to
+    0..k-1: a value on a level B(l) belongs to the cell (B(l-1), B(l)] and is
+    emitted as l deterministically.  Coordinates outside the range get
+    OVERFLOW.  Returns float symbols; draws rng.random(y.shape) once.
+    """
+    t = y / _spacing(M, k, signed)
+    if signed:
+        t += (k - 1) / 2.0
+    sym = np.ceil(t)
+    sym -= 1.0
+    t -= sym  # rounding-up probability, in (0, 1]
+    sym += rng.random(t.shape) < t
+    del t
+    np.clip(sym, 0, k - 1, out=sym)
+    sym[(np.abs(y) > M) if signed else ((y > M) | (y < 0.0))] = OVERFLOW
+    return sym
+
+
+def cuq_levels(symbols: np.ndarray, M, k: int, signed: bool = True) -> np.ndarray:
+    """Level values of CUQ symbols on the grid of `cuq_round`; OVERFLOW decodes to 0."""
+    out = symbols * _spacing(M, k, signed)
+    if signed:
+        out -= M
+    out[symbols == OVERFLOW] = 0.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -36,34 +78,36 @@ class UniformGrid:
     Levels: signed  B(l) = -M + l * 2M/(k-1),  l = 0..k-1
             nonneg  B(l) = l * M/(k-1)
     A coordinate outside the range maps to the overflow symbol, decoded as 0.
+    M is a positive scalar or an array of per-coordinate ranges.
     """
 
-    M: float
+    M: float | np.ndarray
     k: int
     mode: str = "signed"  # "signed" | "nonneg"
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"level count k must be >= 2, got {self.k}")
-        if self.M <= 0:
+        if not np.all(np.asarray(self.M) > 0):
             raise ValueError(f"dynamic range M must be positive, got {self.M}")
         if self.mode not in ("signed", "nonneg"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
-    def lo(self) -> float:
-        return -self.M if self.mode == "signed" else 0.0
+    def signed(self) -> bool:
+        return self.mode == "signed"
 
     @property
-    def spacing(self) -> float:
-        width = 2 * self.M if self.mode == "signed" else self.M
-        return width / (self.k - 1)
+    def lo(self):
+        return -self.M if self.signed else 0.0
+
+    @property
+    def spacing(self):
+        return _spacing(self.M, self.k, self.signed)
 
     def level(self, symbols: np.ndarray) -> np.ndarray:
         """Level values for symbols; OVERFLOW decodes to 0."""
-        sym = np.asarray(symbols)
-        vals = self.lo + sym * self.spacing
-        return np.where(sym == OVERFLOW, 0.0, vals)
+        return cuq_levels(np.asarray(symbols, dtype=float), self.M, self.k, self.signed)
 
     @property
     def symbol_bits(self) -> int:
@@ -71,24 +115,10 @@ class UniformGrid:
 
 
 def cuq_encode(y: np.ndarray, grid: UniformGrid, rng: np.random.Generator) -> np.ndarray:
-    """Randomized-rounding encode; returns symbols in {0..k-1} or OVERFLOW.
-
-    A value equal to a level boundary B(l) belongs to the cell (B(l-1), B(l)]
-    and is emitted as l deterministically, so the exact-unbiasedness tests can
-    rely on endpoint behavior.
-    """
+    """Randomized-rounding encode (`cuq_round`); returns int symbols in
+    {0..k-1} or OVERFLOW."""
     y = np.asarray(y, dtype=float)
-    if grid.mode == "signed":
-        over = np.abs(y) > grid.M
-    else:
-        over = (y > grid.M) | (y < 0.0)
-    t = (y - grid.lo) / grid.spacing  # fractional level index in [0, k-1]
-    lower = np.ceil(t) - 1  # cell (B(l), B(l+1)] has index floor, endpoints up
-    frac = t - lower  # in (0, 1]; probability of rounding up
-    u = rng.random(size=y.shape)
-    sym = lower + (u < frac)
-    sym = np.clip(sym, 0, grid.k - 1)
-    return np.where(over, OVERFLOW, sym.astype(np.int64))
+    return cuq_round(y, grid.M, grid.k, rng, grid.signed).astype(np.int64)
 
 
 def cuq_decode(symbols: np.ndarray, grid: UniformGrid) -> np.ndarray:
@@ -123,21 +153,17 @@ def cuq_conditional_mse(y: np.ndarray, grid: UniformGrid) -> np.ndarray:
 
 
 def write_cuq_symbols(bits: BitString, symbols: np.ndarray, grid: UniformGrid) -> BitString:
-    width = grid.symbol_bits
-    for s in np.asarray(symbols).ravel():
-        bits.write_uint(grid.k if s == OVERFLOW else int(s), width)
-    return bits
+    """Pack symbols in symbol_bits-wide fields; OVERFLOW is sent as the value k."""
+    sym = np.asarray(symbols)
+    return bits.write_fields(np.where(sym == OVERFLOW, grid.k, sym), grid.symbol_bits)
 
 
 def read_cuq_symbols(reader: BitReader, n: int, grid: UniformGrid) -> np.ndarray:
-    width = grid.symbol_bits
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        v = reader.read_uint(width)
-        if v > grid.k:
-            raise ValueError("malformed stream: CUQ symbol out of range")
-        out[i] = OVERFLOW if v == grid.k else v
-    return out
+    v = reader.read_fields(n, grid.symbol_bits)
+    if np.any(v > grid.k):
+        raise ValueError("malformed stream: CUQ symbol out of range")
+    v[v == grid.k] = OVERFLOW
+    return v
 
 
 @dataclass(frozen=True)

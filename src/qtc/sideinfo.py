@@ -15,9 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import log_star, tetration
-from .core import BitReader, BitString, Quantizer
-from .rotation import next_pow2, rotate_batch, sample_signs, sample_signs_batch, unrotate_batch
+from .core import BitReader, BitString, Quantizer, check_finite
+from .rotation import (
+    next_pow2,
+    pad_to_pow2,
+    rotate_batch,
+    sample_signs,
+    sample_signs_batch,
+    sample_subset,
+    sample_subset_masks,
+    unrotate_batch,
+)
 from .scalar import ModuloParams, mq_decode, mq_encode
+from .vector import _chunks
 
 __all__ = [
     "RmqConfig",
@@ -80,10 +90,8 @@ class RmqConfig:
         return self.d_pad * self.symbol_bits
 
 
-def _pad(x: np.ndarray, d: int, d_pad: int) -> np.ndarray:
-    out = np.zeros(x.shape[:-1] + (d_pad,))
-    out[..., :d] = x
-    return out
+def _rotated(x, signs) -> np.ndarray:
+    return rotate_batch(pad_to_pow2(x)[0], signs)
 
 
 def rmq_quantizer(cfg: RmqConfig) -> Quantizer:
@@ -91,28 +99,31 @@ def rmq_quantizer(cfg: RmqConfig) -> Quantizer:
     params = cfg.mq
 
     def encode(x, side, rng):
+        x = check_finite(x)
         signs = sample_signs(rng, cfg.d_pad)
-        xr = rotate_batch(_pad(np.asarray(x, float), cfg.d, cfg.d_pad), signs.signs)
-        w = mq_encode(xr, params, rng)
-        bits = BitString()
-        for wi in w:
-            bits.write_uint(int(wi), cfg.symbol_bits)
-        return bits
+        w = mq_encode(_rotated(x, signs.signs), params, rng)
+        return BitString().write_fields(w, cfg.symbol_bits)
 
     def decode(bits, side, rng):
         if side is None:
             raise ValueError("RMQ decoding requires side information")
         signs = sample_signs(rng, cfg.d_pad)
-        yr = rotate_batch(_pad(np.asarray(side, float), cfg.d, cfg.d_pad), signs.signs)
-        reader = BitReader(bits)
-        w = np.array([reader.read_uint(cfg.symbol_bits) for _ in range(cfg.d_pad)])
-        if np.any(w >= cfg.k):
-            raise ValueError("malformed stream: coset symbol out of range")
-        vals = mq_decode(w, yr, params)
-        return unrotate_batch(vals, signs.signs)[: cfg.d]
+        yr = _rotated(side, signs.signs)
+        w = _read_cosets(bits, cfg.d_pad, cfg)
+        return unrotate_batch(mq_decode(w, yr, params), signs.signs)[: cfg.d]
 
     q = Quantizer(encode, decode, cfg.bit_budget, name=f"rmq(d={cfg.d})", uses_side_info=True)
     return q
+
+
+def _read_cosets(bits: BitString, n: int, cfg: RmqConfig) -> np.ndarray:
+    """The n coset symbols that make up a whole (subsampled) RMQ message."""
+    reader = BitReader(bits)
+    w = reader.read_fields(n, cfg.symbol_bits)
+    reader.finish()
+    if np.any(w >= cfg.k):
+        raise ValueError("malformed stream: coset symbol out of range")
+    return w
 
 
 def wz_known_quantizer(cfg: RmqConfig, mu_d: int) -> Quantizer:
@@ -125,28 +136,21 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: int) -> Quantizer:
 
     def _shared(rng):
         signs = sample_signs(rng, cfg.d_pad)
-        coords = np.sort(rng.permutation(cfg.d_pad)[:mu_d])
+        coords = sample_subset(rng, cfg.d_pad, mu_d)
         return signs, coords
 
     def encode(x, side, rng):
+        x = check_finite(x)
         signs, coords = _shared(rng)
-        xr = rotate_batch(_pad(np.asarray(x, float), cfg.d, cfg.d_pad), signs.signs)
-        w = mq_encode(xr[coords], params, rng)
-        bits = BitString()
-        for wi in w:
-            bits.write_uint(int(wi), cfg.symbol_bits)
-        return bits
+        w = mq_encode(_rotated(x, signs.signs)[coords], params, rng)
+        return BitString().write_fields(w, cfg.symbol_bits)
 
     def decode(bits, side, rng):
         if side is None:
             raise ValueError("subsampled RMQ decoding requires side information")
         signs, coords = _shared(rng)
-        yr = rotate_batch(_pad(np.asarray(side, float), cfg.d, cfg.d_pad), signs.signs)
-        reader = BitReader(bits)
-        w = np.array([reader.read_uint(cfg.symbol_bits) for _ in range(mu_d)])
-        if np.any(w >= cfg.k):
-            raise ValueError("malformed stream: coset symbol out of range")
-        vals = mq_decode(w, yr[coords], params)
+        yr = _rotated(side, signs.signs)
+        vals = mq_decode(_read_cosets(bits, mu_d, cfg), yr[coords], params)
         xr_hat = yr.copy()
         xr_hat[coords] += (vals - yr[coords]) / mu
         return unrotate_batch(xr_hat, signs.signs)[: cfg.d]
@@ -161,14 +165,11 @@ def daq_quantizer(d: int) -> Quantizer:
     """Distance-adaptive 1-bit-per-coordinate quantizer on the unit ball."""
 
     def encode(x, side, rng):
-        x = np.asarray(x, dtype=float)
+        x = check_finite(x)
         if np.linalg.norm(x) > _BALL_SLACK:
             raise ValueError("DAQ input must lie in the unit l2 ball")
         u = rng.uniform(-1.0, 1.0, size=d)
-        bits = BitString()
-        for i in range(d):
-            bits.write_uint(int(u[i] <= x[i]), 1)
-        return bits
+        return BitString().write_fields(u <= x, 1)
 
     def decode(bits, side, rng):
         if side is None:
@@ -178,7 +179,8 @@ def daq_quantizer(d: int) -> Quantizer:
             raise ValueError("DAQ side information must lie in the unit l2 ball")
         u = rng.uniform(-1.0, 1.0, size=d)
         reader = BitReader(bits)
-        w = np.array([reader.read_uint(1) for _ in range(d)], dtype=float)
+        w = reader.read_fields(d, 1)
+        reader.finish()
         y_ind = (u <= y).astype(float)
         return 2.0 * (w - y_ind) + y
 
@@ -262,23 +264,19 @@ def _scale_index(vals: np.ndarray, ranges: np.ndarray) -> np.ndarray:
 
 
 def _rdaq_encode(cfg: RdaqConfig, x, rng, coords=None) -> BitString:
-    x = np.asarray(x, dtype=float)
+    x = check_finite(x)
     if np.linalg.norm(x) > _BALL_SLACK:
         raise ValueError("RDAQ input must lie in the unit l2 ball")
     signs, u = _rdaq_shared(cfg, rng)
-    xr = rotate_batch(_pad(x, cfg.d, cfg.d_pad), signs.signs)
+    xr = _rotated(x, signs.signs)
     if coords is None:
         coords = np.arange(cfg.d_pad)
     z = _scale_index(xr[coords], cfg.ranges)
     counts = (u[coords] <= xr[coords, None, None]).sum(axis=2)  # (m, h)
     bits = BitString()
     if cfg.index_bits:
-        for zi in z:
-            bits.write_uint(int(zi), cfg.index_bits)
-    for j in range(cfg.h):  # plane-major
-        for i in range(len(coords)):
-            bits.write_uint(int(counts[i, j]), cfg.count_bits)
-    return bits
+        bits.write_fields(z, cfg.index_bits)
+    return bits.write_fields(counts.T, cfg.count_bits)  # plane-major
 
 
 def _rdaq_decode(cfg: RdaqConfig, bits, side, rng, coords=None, mu: float = 1.0) -> np.ndarray:
@@ -288,21 +286,19 @@ def _rdaq_decode(cfg: RdaqConfig, bits, side, rng, coords=None, mu: float = 1.0)
     if np.linalg.norm(y) > _BALL_SLACK:
         raise ValueError("RDAQ side information must lie in the unit l2 ball")
     signs, u = _rdaq_shared(cfg, rng)
-    yr = rotate_batch(_pad(y, cfg.d, cfg.d_pad), signs.signs)
+    yr = _rotated(y, signs.signs)
     if coords is None:
         coords = np.arange(cfg.d_pad)
     m = len(coords)
     reader = BitReader(bits)
     if cfg.index_bits:
-        z = np.array([reader.read_uint(cfg.index_bits) for _ in range(m)])
+        z = reader.read_fields(m, cfg.index_bits)
         if np.any(z >= cfg.h):
             raise ValueError("malformed stream: scale index out of range")
     else:
         z = np.zeros(m, dtype=int)
-    counts = np.empty((m, cfg.h), dtype=np.int64)
-    for j in range(cfg.h):
-        for i in range(m):
-            counts[i, j] = reader.read_uint(cfg.count_bits)
+    counts = reader.read_fields(m * cfg.h, cfg.count_bits).reshape(cfg.h, m).T
+    reader.finish()
     if np.any(counts > cfg.N):
         raise ValueError("malformed stream: count exceeds repetition budget")
     z_side = _scale_index(yr[coords], cfg.ranges)
@@ -336,16 +332,13 @@ def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
         raise ValueError(f"sample count {mu_d} outside 1..{cfg.d_pad}")
     mu = mu_d / cfg.d_pad
 
-    def _subset(rng):
-        # drawn before the signs/uniforms inside _rdaq_encode; decode mirrors this
-        return np.sort(rng.permutation(cfg.d_pad)[:mu_d])
-
+    # the subset is drawn before the signs/uniforms inside _rdaq_encode; decode mirrors this
     def encode(x, side, rng):
-        coords = _subset(rng)
-        return _rdaq_encode(cfg, x, rng, coords=coords)
+        x = check_finite(x)
+        return _rdaq_encode(cfg, x, rng, coords=sample_subset(rng, cfg.d_pad, mu_d))
 
     def decode(bits, side, rng):
-        coords = _subset(rng)
+        coords = sample_subset(rng, cfg.d_pad, mu_d)
         return _rdaq_decode(cfg, bits, side, rng, coords=coords, mu=mu)
 
     return Quantizer(
@@ -377,46 +370,26 @@ def boosted_rdaq_quantizer(cfg: RdaqConfig) -> Quantizer:
 # bit-exact codecs; used by benchmarks and statistical tests).
 
 
-def _mc_chunks(n: int, d: int, budget: int = 1 << 18):
-    step = max(1, budget // max(d, 1))
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
-
-
 def rmq_sample(x, y, cfg: RmqConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    return wz_known_sample(x, y, cfg, None, n, rng)
+
+
+def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draws of the subsampled-RMQ reconstruction; mu_d = None is plain RMQ."""
     params = cfg.mq
-    xp = _pad(np.asarray(x, float), cfg.d, cfg.d_pad)
-    yp = _pad(np.asarray(y, float), cfg.d, cfg.d_pad)
+    xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
     out = np.empty((n, cfg.d))
-    for lo, hi in _mc_chunks(n, cfg.d_pad):
+    for lo, hi in _chunks(n, cfg.d_pad):
         m = hi - lo
         signs = sample_signs_batch(rng, m, cfg.d_pad)
         xr = rotate_batch(xp[None, :], signs)
         yr = rotate_batch(yp[None, :], signs)
-        w = mq_encode(xr, params, rng)
-        vals = mq_decode(w, yr, params)
+        if mu_d is not None:
+            keep = sample_subset_masks(rng, m, cfg.d_pad, mu_d)
+        vals = mq_decode(mq_encode(xr, params, rng), yr, params)
+        if mu_d is not None:
+            vals = yr + np.where(keep, (vals - yr) / (mu_d / cfg.d_pad), 0.0)
         out[lo:hi] = unrotate_batch(vals, signs)[:, : cfg.d]
-    return out
-
-
-def wz_known_sample(x, y, cfg: RmqConfig, mu_d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    params = cfg.mq
-    mu = mu_d / cfg.d_pad
-    xp = _pad(np.asarray(x, float), cfg.d, cfg.d_pad)
-    yp = _pad(np.asarray(y, float), cfg.d, cfg.d_pad)
-    out = np.empty((n, cfg.d))
-    for lo, hi in _mc_chunks(n, cfg.d_pad):
-        m = hi - lo
-        signs = sample_signs_batch(rng, m, cfg.d_pad)
-        xr = rotate_batch(xp[None, :], signs)
-        yr = rotate_batch(yp[None, :], signs)
-        keep = np.zeros((m, cfg.d_pad), dtype=bool)
-        cols = np.argsort(rng.random((m, cfg.d_pad)), axis=1)[:, :mu_d]
-        np.put_along_axis(keep, cols, True, axis=1)
-        w = mq_encode(xr, params, rng)
-        vals = mq_decode(w, yr, params)
-        xr_hat = yr + np.where(keep, (vals - yr) / mu, 0.0)
-        out[lo:hi] = unrotate_batch(xr_hat, signs)[:, : cfg.d]
     return out
 
 
@@ -429,10 +402,9 @@ def daq_sample(x, y, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
     ranges = cfg.ranges
-    xp = _pad(np.asarray(x, float), cfg.d, cfg.d_pad)
-    yp = _pad(np.asarray(y, float), cfg.d, cfg.d_pad)
+    xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
     out = np.empty((n, cfg.d))
-    for lo, hi in _mc_chunks(n, cfg.d_pad * cfg.h * max(1, cfg.N)):
+    for lo, hi in _chunks(n, cfg.d_pad * cfg.h * max(1, cfg.N)):
         m = hi - lo
         signs = sample_signs_batch(rng, m, cfg.d_pad)
         xr = rotate_batch(xp[None, :], signs)
@@ -449,9 +421,7 @@ def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
         cy = (u <= yr[..., None]).sum(axis=2)
         corr = 2.0 * m_sel * (cx - cy) / cfg.N
         if mu_d is not None:
-            keep = np.zeros((m, cfg.d_pad), dtype=bool)
-            cols = np.argsort(rng.random((m, cfg.d_pad)), axis=1)[:, :mu_d]
-            np.put_along_axis(keep, cols, True, axis=1)
+            keep = sample_subset_masks(rng, m, cfg.d_pad, mu_d)
             corr = np.where(keep, corr / (mu_d / cfg.d_pad), 0.0)
         out[lo:hi] = unrotate_batch(yr + corr, signs)[:, : cfg.d]
     return out

@@ -14,16 +14,28 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_quantize, log_star
-from .core import BitReader, BitString, Quantizer
+from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_quantize, log_star, pick_range
+from .core import BitReader, BitString, Quantizer, check_finite
 from .rotation import (
+    fwht,
     next_pow2,
+    pad_to_pow2,
     rotate_batch,
     sample_signs,
     sample_signs_batch,
+    sample_subset,
+    sample_subset_masks,
     unrotate_batch,
 )
-from .scalar import OVERFLOW, UniformGrid, cuq_decode, cuq_encode
+from .scalar import (
+    UniformGrid,
+    cuq_decode,
+    cuq_encode,
+    cuq_levels,
+    cuq_round,
+    read_cuq_symbols,
+    write_cuq_symbols,
+)
 
 __all__ = [
     "RatqConfig",
@@ -94,76 +106,59 @@ class RatqConfig:
         return self.n_subvectors * self.ladder.index_bits + self.d_pad * self.symbol_bits
 
 
-def _subvector_ids(cfg: RatqConfig) -> np.ndarray:
-    return np.arange(cfg.d_pad) // cfg.s
-
-
-def _ratq_encode_rotated(
-    yr: np.ndarray, cfg: RatqConfig, rng: np.random.Generator, bits: BitString
-) -> None:
-    """Write ranges block then symbols block for one rotated vector."""
+def _atuq_ranges(absy: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
+    """ATUQ range choice for each row of |y| (m, width): the ladder index of
+    every length-s subvector, and the picked range of every coordinate."""
+    m, width = absy.shape
+    n_sub = -(-width // cfg.s)
+    if n_sub * cfg.s != width:
+        absy = np.concatenate([absy, np.zeros((m, n_sub * cfg.s - width))], axis=1)
     ranges = cfg.ladder.ranges
-    ids = _subvector_ids(cfg)
-    maxabs = np.zeros(cfg.n_subvectors)
-    np.maximum.at(maxabs, ids, np.abs(yr))
-    j = np.minimum(np.searchsorted(ranges, maxabs, side="left"), cfg.ladder.h - 1)
-    if cfg.ladder.index_bits:
-        for ji in j:
-            bits.write_uint(int(ji), cfg.ladder.index_bits)
-    width = cfg.symbol_bits
-    m_per_coord = ranges[j][ids]
-    finite = np.isfinite(m_per_coord)
-    safe_m = np.where(finite, m_per_coord, 1.0)
-    t = (yr + safe_m) * (cfg.k - 1) / (2.0 * safe_m)
-    lower = np.ceil(t) - 1
-    frac = t - lower
-    sym = np.clip(lower + (rng.random(cfg.d_pad) < frac), 0, cfg.k - 1).astype(int)
-    over = (np.abs(yr) > m_per_coord) | ~finite
-    for i in range(cfg.d_pad):
-        bits.write_uint(cfg.k if over[i] else int(sym[i]), width)
+    j = pick_range(absy.reshape(m, n_sub, cfg.s).max(axis=2), ranges)
+    return j, ranges[j][:, np.arange(width) // cfg.s]
 
 
-def _ratq_decode_rotated(reader: BitReader, cfg: RatqConfig) -> np.ndarray:
-    ranges = cfg.ladder.ranges
-    ids = _subvector_ids(cfg)
+def _atuq_encode(yr: np.ndarray, cfg: RatqConfig, rng: np.random.Generator, bits: BitString) -> None:
+    """Write the range-index block, then the symbol block, for one vector."""
+    j, m_coord = _atuq_ranges(np.abs(yr)[None, :], cfg)
     if cfg.ladder.index_bits:
-        j = np.array([reader.read_uint(cfg.ladder.index_bits) for _ in range(cfg.n_subvectors)])
-        if np.any(j >= cfg.ladder.h):
-            raise ValueError("malformed stream: range index out of ladder")
+        bits.write_fields(j, cfg.ladder.index_bits)
+    grid = UniformGrid(m_coord[0], cfg.k)
+    write_cuq_symbols(bits, cuq_encode(yr, grid, rng), grid)
+
+
+def _atuq_decode(reader: BitReader, cfg: RatqConfig, width: int) -> np.ndarray:
+    """Read back what `_atuq_encode` wrote for a vector of `width` coordinates."""
+    n_sub = -(-width // cfg.s)
+    if cfg.ladder.index_bits:
+        j = reader.read_fields(n_sub, cfg.ladder.index_bits)
     else:
-        j = np.zeros(cfg.n_subvectors, dtype=int)
-    width = cfg.symbol_bits
-    out = np.empty(cfg.d_pad)
-    m_per_coord = ranges[j][ids]
-    for i in range(cfg.d_pad):
-        v = reader.read_uint(width)
-        if v > cfg.k:
-            raise ValueError("malformed stream: CUQ symbol out of range")
-        if v == cfg.k or not np.isfinite(m_per_coord[i]):
-            out[i] = 0.0
-        else:
-            out[i] = -m_per_coord[i] + v * 2.0 * m_per_coord[i] / (cfg.k - 1)
-    return out
+        j = np.zeros(n_sub, dtype=np.int64)
+    ranges = cfg.ladder.ranges
+    # the largest index an encoder picks; above it lie inf levels or no level
+    if np.any(j > pick_range(np.inf, ranges)):
+        raise ValueError("malformed stream: range index out of ladder")
+    grid = UniformGrid(np.repeat(ranges[j], cfg.s)[:width], cfg.k)
+    return cuq_decode(read_cuq_symbols(reader, width, grid), grid)
 
 
 def ratq_quantizer(cfg: RatqConfig) -> Quantizer:
     """Unbiased fixed-length quantizer for the l2 ball of radius B."""
 
     def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
-        y = np.asarray(y, dtype=float)
+        y = check_finite(y)
         if np.linalg.norm(y) > cfg.B * _NORM_SLACK:
             raise ValueError(f"input norm {np.linalg.norm(y):.6g} exceeds bound B={cfg.B}")
         signs = sample_signs(rng, cfg.d_pad)
-        padded = np.zeros(cfg.d_pad)
-        padded[: cfg.d] = y
-        yr = rotate_batch(padded, signs.signs)
         bits = BitString()
-        _ratq_encode_rotated(yr, cfg, rng, bits)
+        _atuq_encode(rotate_batch(pad_to_pow2(y)[0], signs.signs), cfg, rng, bits)
         return bits
 
     def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
         signs = sample_signs(rng, cfg.d_pad)
-        yr_hat = _ratq_decode_rotated(BitReader(bits), cfg)
+        reader = BitReader(bits)
+        yr_hat = _atuq_decode(reader, cfg, cfg.d_pad)
+        reader.finish()
         return unrotate_batch(yr_hat, signs.signs)[: cfg.d]
 
     return Quantizer(encode, decode, cfg.bit_budget, name=f"ratq(d={cfg.d},B={cfg.B:g})")
@@ -175,59 +170,23 @@ def _chunks(n: int, d: int, budget: int = 1 << 18):
         yield lo, min(n, lo + step)
 
 
-def _atuq_batch(
-    yr: np.ndarray, cfg: RatqConfig, rng: np.random.Generator, width: int
-) -> np.ndarray:
+def _atuq_batch(yr: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
     """ATUQ each row of an already-transformed (m, width) batch."""
-    m = yr.shape[0]
-    ranges = np.minimum(cfg.ladder.ranges, 1e300)  # inf levels are unreachable
-    n_sub = math.ceil(width / cfg.s)
-    ids = np.arange(width) // cfg.s
-    pad_cols = n_sub * cfg.s - width
-    absr = np.abs(yr)
-    if pad_cols:
-        padded_abs = np.concatenate([absr, np.zeros((m, pad_cols))], axis=1)
-    else:
-        padded_abs = absr
-    maxabs = padded_abs.reshape(m, n_sub, cfg.s).max(axis=2)
-    j = np.minimum(np.searchsorted(ranges, maxabs.ravel(), side="left"), cfg.ladder.h - 1)
-    m_sub = ranges[j].reshape(m, n_sub)
-    m_coord = m_sub[:, ids]
-    spacing = m_coord * (2.0 / (cfg.k - 1))
-    t = yr / spacing
-    t += (cfg.k - 1) / 2.0
-    lower = np.ceil(t)
-    lower -= 1.0
-    t -= lower  # rounding-up probability, in (0, 1]
-    lower += rng.random((m, width)) < t
-    np.clip(lower, 0, cfg.k - 1, out=lower)
-    rec = lower * spacing
-    rec -= m_coord
-    over = absr > m_coord
-    if over.any():
-        rec[over] = 0.0
-    return rec
+    _, m_coord = _atuq_ranges(np.abs(yr), cfg)
+    return cuq_levels(cuq_round(yr, m_coord, cfg.k, rng), m_coord, cfg.k)
 
 
 def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
     """Quantize each row of (n, d) once with independent randomness: (n, d)."""
-    from .rotation import fwht  # local import keeps the hot path tight
-
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n = ys.shape[0]
     out = np.empty((n, cfg.d))
     root_scale = 1.0 / math.sqrt(cfg.d_pad)
     for lo, hi in _chunks(n, cfg.d_pad):
-        m = hi - lo
-        if cfg.d == cfg.d_pad:
-            padded = ys[lo:hi]
-        else:
-            padded = np.zeros((m, cfg.d_pad))
-            padded[:, : cfg.d] = ys[lo:hi]
-        signs = sample_signs_batch(rng, m, cfg.d_pad)
+        signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
         scaled = signs * root_scale  # folds the 1/sqrt(d) of both transforms
-        yr = fwht(padded * scaled)
-        rec = _atuq_batch(yr, cfg, rng, cfg.d_pad)
+        yr = fwht(pad_to_pow2(ys[lo:hi])[0] * scaled)
+        rec = _atuq_batch(yr, cfg, rng)
         out[lo:hi] = (fwht(rec) * scaled)[:, : cfg.d]
     return out
 
@@ -237,7 +196,7 @@ def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     out = np.empty_like(ys)
     for lo, hi in _chunks(ys.shape[0], cfg.d):
-        out[lo:hi] = _atuq_batch(ys[lo:hi], cfg, rng, ys.shape[1])
+        out[lo:hi] = _atuq_batch(ys[lo:hi], cfg, rng)
     return out
 
 
@@ -247,11 +206,6 @@ def ratq_sample(
     """Vectorized Monte-Carlo draws of the RATQ reconstruction: (n, d)."""
     tiled = np.broadcast_to(np.asarray(y, dtype=float), (n, cfg.d))
     return ratq_apply(tiled, cfg, rng)
-
-
-def _sample_subset(rng: np.random.Generator, d: int, mu_d: int) -> np.ndarray:
-    """Shared uniformly-random subset of [d] of size mu_d, in sorted order."""
-    return np.sort(rng.permutation(d)[:mu_d])
 
 
 def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
@@ -270,50 +224,28 @@ def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
         raise ValueError(f"unknown RCS mode {mode!r}")
     mu = mu_d / cfg.d_pad
     bits_per_coord = cfg.ladder.index_bits + cfg.symbol_bits
-    ranges = np.minimum(cfg.ladder.ranges, 1e300)
 
     def _shared(rng):
         signs = sample_signs(rng, cfg.d_pad)
-        coords = _sample_subset(rng, cfg.d_pad, mu_d)
+        coords = sample_subset(rng, cfg.d_pad, mu_d)
         return signs, coords
 
     def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
-        y = np.asarray(y, dtype=float)
+        y = check_finite(y)
         if np.linalg.norm(y) > cfg.B * _NORM_SLACK:
             raise ValueError(f"input norm {np.linalg.norm(y):.6g} exceeds bound B={cfg.B}")
         signs, coords = _shared(rng)
-        padded = np.zeros(cfg.d_pad)
-        padded[: cfg.d] = y
-        yr = rotate_batch(padded, signs.signs)[coords]
-        j = np.minimum(np.searchsorted(ranges, np.abs(yr), side="left"), cfg.ladder.h - 1)
         bits = BitString()
-        if cfg.ladder.index_bits:
-            for ji in j:
-                bits.write_uint(int(ji), cfg.ladder.index_bits)
-        m_sel = ranges[j]
-        t = (yr + m_sel) * (cfg.k - 1) / (2.0 * m_sel)
-        lower = np.ceil(t) - 1
-        sym = np.clip(lower + (rng.random(mu_d) < (t - lower)), 0, cfg.k - 1).astype(int)
-        for i in range(mu_d):
-            bits.write_uint(int(sym[i]), cfg.symbol_bits)
+        _atuq_encode(rotate_batch(pad_to_pow2(y)[0], signs.signs)[coords], cfg, rng, bits)
         return bits
 
     def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
         signs, coords = _shared(rng)
         reader = BitReader(bits)
-        if cfg.ladder.index_bits:
-            j = np.array([reader.read_uint(cfg.ladder.index_bits) for _ in range(mu_d)])
-        else:
-            j = np.zeros(mu_d, dtype=int)
-        m_sel = ranges[np.minimum(j, cfg.ladder.h - 1)]
-        vals = np.empty(mu_d)
-        for i in range(mu_d):
-            v = reader.read_uint(cfg.symbol_bits)
-            vals[i] = 0.0 if v == cfg.k else -m_sel[i] + v * 2.0 * m_sel[i] / (cfg.k - 1)
+        vals = _atuq_decode(reader, cfg, mu_d)
+        reader.finish()
         if mode == "center" and side is not None:
-            side_pad = np.zeros(cfg.d_pad)
-            side_pad[: cfg.d] = np.asarray(side, dtype=float)
-            side_rot = rotate_batch(side_pad, signs.signs)
+            side_rot = rotate_batch(pad_to_pow2(side)[0], signs.signs)
         else:
             side_rot = np.zeros(cfg.d_pad)
         xr = side_rot.copy()
@@ -333,27 +265,14 @@ def rcs_ratq_sample(
     y: np.ndarray, cfg: RatqConfig, mu_d: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized draws of the subsampled-RATQ reconstruction (zero-fill)."""
-    y = np.asarray(y, dtype=float)
-    padded = np.zeros(cfg.d_pad)
-    padded[: cfg.d] = y
+    padded = pad_to_pow2(y)[0]
     mu = mu_d / cfg.d_pad
-    ranges = np.minimum(cfg.ladder.ranges, 1e300)
     out = np.empty((n, cfg.d))
     for lo, hi in _chunks(n, cfg.d_pad):
-        m = hi - lo
-        signs = sample_signs_batch(rng, m, cfg.d_pad)
+        signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
         yr = rotate_batch(padded[None, :], signs)
-        keep = np.zeros((m, cfg.d_pad), dtype=bool)
-        cols = np.argsort(rng.random((m, cfg.d_pad)), axis=1)[:, :mu_d]
-        np.put_along_axis(keep, cols, True, axis=1)
-        j = np.minimum(np.searchsorted(ranges, np.abs(yr).ravel(), side="left"), cfg.ladder.h - 1)
-        m_coord = ranges[j].reshape(m, cfg.d_pad)
-        t = (yr + m_coord) * (cfg.k - 1) / (2.0 * m_coord)
-        lower = np.ceil(t) - 1
-        sym = np.clip(lower + (rng.random((m, cfg.d_pad)) < (t - lower)), 0, cfg.k - 1)
-        rec = -m_coord + sym * (2.0 * m_coord / (cfg.k - 1))
-        rec[np.abs(yr) > m_coord] = 0.0
-        rec = np.where(keep, rec / mu, 0.0)
+        keep = sample_subset_masks(rng, hi - lo, cfg.d_pad, mu_d)
+        rec = np.where(keep, _atuq_batch(yr, cfg, rng) / mu, 0.0)
         out[lo:hi] = unrotate_batch(rec, signs)[:, : cfg.d]
     return out
 
@@ -378,9 +297,12 @@ class AratqConfig:
         ladder = GeoLadder(B, 2.0, 1 << log_hg)
         return cls(B, d, ladder, k_g, RatqConfig.default(1.0, d), gain_mode, T)
 
+    def gain_grid(self, j: int) -> UniformGrid:
+        return UniformGrid(self.gain_ladder.ranges[j], self.k_g, "nonneg")
+
     @property
     def gain_bits(self) -> int:
-        return self.gain_ladder.index_bits + math.ceil(math.log2(self.k_g + 1))
+        return self.gain_ladder.index_bits + self.gain_grid(0).symbol_bits
 
     @property
     def bit_budget(self) -> Optional[int]:
@@ -394,7 +316,7 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
     plus = AguqPlus(cfg.B, cfg.T) if cfg.gain_mode == "aguq_plus" else None
 
     def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
-        y = np.asarray(y, dtype=float)
+        y = check_finite(y)
         gain = float(np.linalg.norm(y))
         shape = y / gain if gain > 0 else _e1(cfg.d)
         signs = sample_signs(rng, cfg.shape.d_pad)  # shared draw first
@@ -406,11 +328,8 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
             j, sym, _ = aguq_quantize(gain, cfg.gain_ladder, cfg.k_g, rng)
             if cfg.gain_ladder.index_bits:
                 bits.write_uint(j, cfg.gain_ladder.index_bits)
-            width = math.ceil(math.log2(cfg.k_g + 1))
-            bits.write_uint(cfg.k_g if sym == OVERFLOW else sym, width)
-        padded = np.zeros(cfg.shape.d_pad)
-        padded[: cfg.d] = shape
-        _ratq_encode_rotated(rotate_batch(padded, signs.signs), cfg.shape, rng, bits)
+            write_cuq_symbols(bits, [sym], cfg.gain_grid(j))
+        _atuq_encode(rotate_batch(pad_to_pow2(shape)[0], signs.signs), cfg.shape, rng, bits)
         return bits
 
     def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
@@ -420,14 +339,10 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
             gain_hat = plus.decode(reader)
         else:
             j = reader.read_uint(cfg.gain_ladder.index_bits) if cfg.gain_ladder.index_bits else 0
-            width = math.ceil(math.log2(cfg.k_g + 1))
-            v = reader.read_uint(width)
-            if v == cfg.k_g:
-                gain_hat = 0.0
-            else:
-                M = cfg.gain_ladder.ranges[j]
-                gain_hat = v * M / (cfg.k_g - 1)
-        shape_rot = _ratq_decode_rotated(reader, cfg.shape)
+            grid = cfg.gain_grid(j)
+            gain_hat = float(cuq_decode(read_cuq_symbols(reader, 1, grid), grid)[0])
+        shape_rot = _atuq_decode(reader, cfg.shape, cfg.shape.d_pad)
+        reader.finish()
         shape_hat = unrotate_batch(shape_rot, signs.signs)[: cfg.d]
         return gain_hat * shape_hat
 
@@ -448,7 +363,7 @@ def _e1(d: int) -> np.ndarray:
 
 def simq_encode(y: np.ndarray, B: float, rng: np.random.Generator) -> int:
     """Sample a signed corner index: +-i with prob |y(i)|/B, 0 otherwise."""
-    y = np.asarray(y, dtype=float)
+    y = check_finite(y)
     l1 = float(np.abs(y).sum())
     if l1 > B * _NORM_SLACK:
         raise ValueError(f"l1 norm {l1:.6g} exceeds bound B={B}")
@@ -478,11 +393,12 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
         return BitString().write_uint(code, width)
 
     def decode(bits, side, rng):
-        code = BitReader(bits).read_uint(width)
-        if code == 0:
-            return np.zeros(d)
-        s = code if code <= d else -(code - d)
-        return simq_decode(s, B, d)
+        reader = BitReader(bits)
+        code = reader.read_uint(width)
+        reader.finish()
+        if code > 2 * d:
+            raise ValueError(f"malformed stream: SimQ code {code} above 2d = {2 * d}")
+        return simq_decode(code if code <= d else d - code, B, d)
 
     return Quantizer(encode, decode, width, name=f"simq(d={d},B={B:g})")
 
@@ -507,6 +423,8 @@ def _rank_composition(counts: np.ndarray) -> int:
 def _unrank_composition(rank: int, k: int, parts: int) -> np.ndarray:
     n_slots = k + parts - 1
     n_bars = parts - 1
+    if rank >= math.comb(n_slots, n_bars):
+        raise ValueError(f"malformed stream: type rank {rank} out of range")
     pos = [0] * n_bars
     for j in range(n_bars - 1, -1, -1):
         # largest p with comb(p, j+1) <= rank
@@ -570,17 +488,16 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
             s = simq_encode(y, cfg.scale, rng)
             counts[abs(s)] += 1
         bits = BitString().write_uint(_rank_composition(counts), cfg.type_bits)
-        for i in np.nonzero(counts[1:])[0]:
-            bits.write_uint(1 if y[i] >= 0 else 0, 1)
-        return bits
+        return bits.write_fields(y[np.nonzero(counts[1:])[0]] >= 0, 1)
 
     def decode(bits, side, rng):
         reader = BitReader(bits)
         counts = _unrank_composition(reader.read_uint(cfg.type_bits), cfg.k, cfg.d + 1)
+        nz = np.nonzero(counts[1:])[0]
+        positive = reader.read_fields(len(nz), 1)
+        reader.finish()
         out = np.zeros(cfg.d)
-        for i in np.nonzero(counts[1:])[0]:
-            sign = 1.0 if reader.read_uint(1) else -1.0
-            out[i] = sign * counts[i + 1]
+        out[nz] = np.where(positive, 1.0, -1.0) * counts[nz + 1]
         return out * (cfg.scale / cfg.k)
 
     return Quantizer(encode, decode, cfg.bit_budget, name=f"simq+(d={cfg.d},k={cfg.k})")
@@ -675,43 +592,35 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     ratq_cfg = cfg.ratq_cfg
 
     def encode(y, side, rng):
-        y = np.asarray(y, dtype=float)
+        y = check_finite(y)
         q = cfg.q
         norm = np.max(np.abs(y)) if q == math.inf else np.sum(np.abs(y) ** q) ** (1 / q)
         if norm > cfg.B * _NORM_SLACK:
             raise ValueError(f"lq norm {norm:.6g} exceeds bound B={cfg.B}")
         signs = sample_signs(rng, ratq_cfg.d_pad)  # shared draw before any private one
         large = np.abs(y) > grid.M
-        y1 = np.where(large, 0.0, y)
         bits = BitString()
-        sym = cuq_encode(y1, grid, rng)
-        for s in sym:
-            bits.write_uint(grid.k if s == OVERFLOW else int(s), grid.symbol_bits)
-        for b in large:
-            bits.write_uint(int(b), 1)
-        restriction = np.zeros(ratq_cfg.d)
+        write_cuq_symbols(bits, cuq_encode(np.where(large, 0.0, y), grid, rng), grid)
+        bits.write_fields(large, 1)
         vals = y[large]
         if vals.size > ratq_cfg.d:
             raise AssertionError("more large coordinates than the lq bound allows")
+        restriction = np.zeros(ratq_cfg.d_pad)
         restriction[: vals.size] = vals
-        padded = np.zeros(ratq_cfg.d_pad)
-        padded[: ratq_cfg.d] = restriction
-        _ratq_encode_rotated(rotate_batch(padded, signs.signs), ratq_cfg, rng, bits)
+        _atuq_encode(rotate_batch(restriction, signs.signs), ratq_cfg, rng, bits)
         return bits
 
     def decode(bits, side, rng):
         signs = sample_signs(rng, ratq_cfg.d_pad)  # same shared draw as the encoder
         reader = BitReader(bits)
-        sym = np.empty(cfg.d, dtype=np.int64)
-        for i in range(cfg.d):
-            v = reader.read_uint(grid.symbol_bits)
-            sym[i] = OVERFLOW if v == grid.k else v
-        y1_hat = cuq_decode(sym, grid)
-        mask = np.array([reader.read_uint(1) for _ in range(cfg.d)], dtype=bool)
-        rot = _ratq_decode_rotated(reader, ratq_cfg)
-        restriction_hat = unrotate_batch(rot, signs.signs)[: ratq_cfg.d]
-        out = y1_hat.copy()
-        out[mask] += restriction_hat[: int(mask.sum())]
+        out = cuq_decode(read_cuq_symbols(reader, cfg.d, grid), grid)
+        mask = reader.read_fields(cfg.d, 1).astype(bool)
+        rot = _atuq_decode(reader, ratq_cfg, ratq_cfg.d_pad)
+        reader.finish()
+        n_large = int(mask.sum())
+        if n_large > ratq_cfg.d:
+            raise ValueError(f"malformed stream: {n_large} large coordinates, at most {ratq_cfg.d}")
+        out[mask] += unrotate_batch(rot, signs.signs)[:n_large]
         return out
 
     return Quantizer(encode, decode, cfg.bit_budget, name=f"lp-split(d={cfg.d},p={cfg.p:g})")

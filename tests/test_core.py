@@ -91,3 +91,34 @@ def test_uniform_real_mean():
     vals = SeedPath(5).stream().random(10**6)
     assert abs(vals.mean() - 0.5) < 0.002
     assert vals.min() >= 0.0 and vals.max() < 1.0
+
+
+def test_fields_match_per_field_writes_and_reads():
+    rng = np.random.default_rng(1)
+    fields = {w: rng.integers(0, 1 << w, size=37) for w in (1, 3, 7, 32, 33, 63)}
+    packed, looped = BitString().write_uint(5, 3), BitString().write_uint(5, 3)
+    for w, vals in fields.items():
+        packed.write_fields(vals, w)
+        for v in vals:
+            looped.write_uint(int(v), w)
+    assert packed == looped and packed.to01() == looped.to01()
+    reader = BitReader(packed)
+    assert reader.read_uint(3) == 5
+    for w, vals in fields.items():
+        assert np.array_equal(reader.read_fields(len(vals), w), vals)
+    reader.finish()
+    assert BitReader(BitString()).read_fields(0, 3).shape == (0,)
+
+
+def test_fields_reject_bad_values_and_leftovers():
+    with pytest.raises(ValueError, match="does not fit"):
+        BitString().write_fields([1, 8], 3)
+    with pytest.raises(ValueError, match="does not fit"):
+        BitString().write_fields([-1], 3)
+    reader = BitReader(BitString().write_fields([1, 2, 3], 2))
+    with pytest.raises(TruncatedStreamError):
+        reader.read_fields(4, 2)
+    reader.read_fields(2, 2)
+    with pytest.raises(ValueError, match="left over"):
+        reader.finish()
+    assert issubclass(TruncatedStreamError, ValueError)

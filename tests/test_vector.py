@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtc.core import SeedPath
+from qtc.core import BitString, SeedPath
 from qtc.vector import (
     AratqConfig,
     LpSplitConfig,
@@ -211,6 +211,20 @@ def test_composition_ranking_roundtrip():
         counts = rng.multinomial(k, np.ones(parts) / parts)
         rank = _rank_composition(counts)
         assert np.array_equal(_unrank_composition(rank, k, parts), counts)
+
+
+def test_simq_decoders_reject_out_of_range_codes():
+    d = 4
+    q = simq_quantizer(1.0, d)  # 4-bit codes; 9..15 name no corner
+    with pytest.raises(ValueError, match="malformed"):
+        q.decode(BitString().write_uint(2 * d + 1, 4), None, SeedPath(0).stream())
+    cfg = SimqPlusConfig(1.0, d, 2.0, 2)  # C(6, 2) = 15 types in 4 bits
+    assert cfg.type_bits == 4
+    with pytest.raises(ValueError, match="malformed"):
+        simq_plus_quantizer(cfg).decode(
+            BitString().write_uint(math.comb(6, 2), 4), None, SeedPath(0).stream())
+    with pytest.raises(ValueError, match="malformed"):
+        _unrank_composition(math.comb(6, 2) + 3, 2, 5)
 
 
 def test_simq_plus_exact_average_and_budget():
