@@ -198,7 +198,3 @@ class AguqPlus:
             return 0.0  # overflow
         grid = UniformGrid(self.ladder.ranges[j], self.levels(j), "nonneg")
         return float(cuq_decode(np.asarray([sym]), grid)[0])
-
-    def quantize(self, g: float, rng: np.random.Generator) -> tuple[BitString, float]:
-        bits, rec = self.encode(g, rng)
-        return bits, rec

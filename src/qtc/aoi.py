@@ -193,7 +193,6 @@ class SimResult:
     avg_age: float
     se: float  # renewal-cycle standard error of the average-age estimate
     cycles: int
-    slots: int
 
 
 def simulate_update_scheme(
@@ -204,7 +203,6 @@ def simulate_update_scheme(
     theta: Optional[Sequence[float]] = None,
     l_skip: Optional[int] = None,
     erasure: float = 0.0,
-    check_kraft: bool = True,
 ) -> SimResult:
     """Slot-exact simulation of the memoryless update scheme.
 
@@ -230,16 +228,15 @@ def simulate_update_scheme(
         if e_theta <= 0:
             raise ValueError("expected transmit probability must be positive")
         p_send = p * theta / e_theta
-        if check_kraft:
-            # the effective alphabet is the transmitted symbols plus the skip word
-            used = (p * theta) > 0
-            total = kraft_sum(lengths[used]) + (2.0 ** -l_skip if e_theta < 1 else 0.0)
-            if total > 1.0 + _EPS:
-                raise ValueError("effective lengths are not Kraft-feasible")
+        # the effective alphabet is the transmitted symbols plus the skip word
+        used = (p * theta) > 0
+        total = kraft_sum(lengths[used]) + (2.0 ** -l_skip if e_theta < 1 else 0.0)
+        if total > 1.0 + _EPS:
+            raise ValueError("effective lengths are not Kraft-feasible")
     else:
         e_theta = 1.0
         p_send = p
-        if check_kraft and kraft_sum(lengths[p > 0]) > 1.0 + _EPS:
+        if kraft_sum(lengths[p > 0]) > 1.0 + _EPS:
             raise ValueError("lengths are not Kraft-feasible")
 
     rng = seed.stream()
@@ -298,7 +295,7 @@ def simulate_update_scheme(
         se = math.sqrt(var_sum) / max(float(np.sum(y_arr)), 1.0)
     else:
         se = math.inf
-    return SimResult(avg, se, n_cycles, horizon)
+    return SimResult(avg, se, n_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -434,20 +431,21 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
+def _tilt_lengths(z, u, pc, nc, sign) -> np.ndarray:
+    """Class code lengths ell_i = log2(G / g_i) at (z, Q)."""
+    g = np.maximum(_g_weights(z, u / nc, pc, sign), 1e-300)
+    big_g = float(np.dot(nc, g))
+    return np.log2(np.maximum(big_g / g, 1e-300))
+
+
 def _q_gradient(z, u, pc, nc, sign) -> np.ndarray:
     """dc/du_i = ell_i * (z/2) * sqrt(p_i / q_i) with ell_i = log2(G / g_i)."""
-    q = u / nc
-    g = np.maximum(_g_weights(z, q, pc, sign), 1e-300)
-    big_g = float(np.dot(nc, g))
-    ell = np.log2(np.maximum(big_g / g, 1e-300))
-    return ell * 0.5 * z * np.sqrt(pc / np.maximum(q, 1e-300))
+    ell = _tilt_lengths(z, u, pc, nc, sign)
+    return ell * 0.5 * z * np.sqrt(pc / np.maximum(u / nc, 1e-300))
 
 
 def _q_fixed_point(z, u, pc, nc, sign) -> np.ndarray:
-    q = u / nc
-    g = np.maximum(_g_weights(z, q, pc, sign), 1e-300)
-    big_g = float(np.dot(nc, g))
-    ell = np.log2(np.maximum(big_g / g, 1e-300))
+    ell = _tilt_lengths(z, u, pc, nc, sign)
     prop = nc * pc * ell * ell
     total = prop.sum()
     return prop / total if total > 0 else u
@@ -526,10 +524,10 @@ def _solve_tilt(
     sign: float,
     z_pen: float,
     cost_fn,
-    restarts: int,
     tol: float,
-    seed: int,
 ) -> TiltSolution:
+    """One ascent from Q = P, polished by best responses.  An answer whose
+    certificate gap exceeds `tol` comes back with certified = False."""
     p_full = validate_pmf(p_full)
     support = p_full > 0
     p = p_full[support]
@@ -542,69 +540,48 @@ def _solve_tilt(
     kcap = (math.log2(p.size) / max(h_p, 1e-9)) * (1.0 / math.sqrt(pc.min()))
     kcap = max(kcap, 4.0)
 
-    rng = np.random.default_rng(seed)
-    m = len(pc)
-    # deterministic warm starts: Q = P, Q uniform over symbols, and the
-    # second-moment tilt of the Shannon lengths for P
-    shan = -np.log2(pc)
-    starts = [nc * pc, nc / nc.sum(), nc * pc * shan * shan]
-    starts = [s / s.sum() for s in starts]
-    while len(starts) < max(3, restarts):
-        starts.append(rng.dirichlet(np.ones(m)))
-
-    best: Optional[TiltSolution] = None
-    for u0 in starts:
-        z, u, val = _ascend(pc, nc, np.asarray(u0, float), sign, z_pen, kcap)
-        # best-response polish: the lengths log2(G/g) at the current point
-        # feed the closed-form best responses of z and Q back in
-        for _ in range(40):
-            g = np.maximum(_g_weights(z, u / nc, pc, sign), 1e-300)
-            big_g = float(np.dot(nc, g))
-            ell_c = np.log2(np.maximum(big_g / g, 1e-300))
-            el = float(np.dot(nc * pc, ell_c))
-            el2 = float(np.dot(nc * pc, ell_c**2))
-            if sign < 0:
-                z_br = math.sqrt(el2) / el if el > 0 else 0.0
-            else:
-                denom = z_pen - el
-                if denom <= 0:
-                    break
-                z_br = math.sqrt(el2) / denom
-            u_prop = nc * pc * ell_c * ell_c
-            if u_prop.sum() <= 0:
+    u0 = nc * pc
+    z, u, val = _ascend(pc, nc, u0 / u0.sum(), sign, z_pen, kcap)
+    # best-response polish: the lengths log2(G/g) at the current point
+    # feed the closed-form best responses of z and Q back in
+    for _ in range(40):
+        ell_c = _tilt_lengths(z, u, pc, nc, sign)
+        el = float(np.dot(nc * pc, ell_c))
+        el2 = float(np.dot(nc * pc, ell_c**2))
+        if sign < 0:
+            z_br = math.sqrt(el2) / el if el > 0 else 0.0
+        else:
+            denom = z_pen - el
+            if denom <= 0:
                 break
-            u_prop /= u_prop.sum()
-            cand_val = _objective(z_br, u_prop, pc, nc, sign) - z_pen * z_br**2 / 2.0
-            if cand_val > val + 1e-15:
-                z, u, val = z_br, u_prop, cand_val
-            else:
-                z2, u2, val2 = _ascend(pc, nc, u_prop, sign, z_pen, kcap, rounds=60)
-                if val2 > val + 1e-15:
-                    z, u, val = z2, u2, val2
-                else:
-                    break
-        q_sym = _expand(u, nc, inverse)
-        pstar = tilted_pmf(z, q_sym, p, sign)
-        if pstar is None:
-            continue
-        cost = cost_fn(-np.log2(np.maximum(pstar, 1e-300)), p)
-        gap = cost - val
-        sol_q = np.zeros_like(p_full)
-        sol_q[support] = q_sym
-        sol_p = np.zeros_like(p_full)
-        sol_p[support] = pstar
-        sol = TiltSolution(z, sol_q, sol_p, val, cost, gap, abs(gap) <= tol)
-        if best is None or (sol.certified and not best.certified) or (
-            sol.certified == best.certified and sol.certificate_gap < best.certificate_gap
-        ):
-            best = sol
-        if best.certified and best.certificate_gap <= tol * 0.1:
+            z_br = math.sqrt(el2) / denom
+        u_prop = nc * pc * ell_c * ell_c
+        if u_prop.sum() <= 0:
             break
-    assert best is not None
-    return best
+        u_prop /= u_prop.sum()
+        cand_val = _objective(z_br, u_prop, pc, nc, sign) - z_pen * z_br**2 / 2.0
+        if cand_val > val + 1e-15:
+            z, u, val = z_br, u_prop, cand_val
+        else:
+            z2, u2, val2 = _ascend(pc, nc, u_prop, sign, z_pen, kcap, rounds=60)
+            if val2 > val + 1e-15:
+                z, u, val = z2, u2, val2
+            else:
+                break
+    q_sym = _expand(u, nc, inverse)
+    pstar = tilted_pmf(z, q_sym, p, sign)
+    if pstar is None:
+        raise ValueError(f"ascent ended at an infeasible tilt (z = {z:.6g})")
+    cost = cost_fn(-np.log2(np.maximum(pstar, 1e-300)), p)
+    gap = cost - val
+    sol_q = np.zeros_like(p_full)
+    sol_q[support] = q_sym
+    sol_p = np.zeros_like(p_full)
+    sol_p[support] = pstar
+    return TiltSolution(z, sol_q, sol_p, val, cost, gap, abs(gap) <= tol)
 
 
-def optimize_age(p: Sequence[float], restarts: int = 8, tol: float = 1e-6, seed: int = 7) -> TiltSolution:
+def optimize_age(p: Sequence[float], tol: float = 1e-6) -> TiltSolution:
     """Maxmin tilted-code optimizer for the relaxed average-age cost.
 
     The certificate compares the maxmin value against the primal cost of the
@@ -615,15 +592,11 @@ def optimize_age(p: Sequence[float], restarts: int = 8, tol: float = 1e-6, seed:
         sign=-1.0,
         z_pen=0.0,
         cost_fn=lambda ell, pp: age_cost(ell, pp),
-        restarts=restarts,
         tol=tol,
-        seed=seed,
     )
 
 
-def optimize_delay(
-    p: Sequence[float], l_th: float, restarts: int = 8, tol: float = 1e-6, seed: int = 7
-) -> TiltSolution:
+def optimize_delay(p: Sequence[float], l_th: float, tol: float = 1e-6) -> TiltSolution:
     """Minimum average-waiting-time code via the same tilt machinery."""
     p = np.asarray(p, dtype=float)
     h = entropy(validate_pmf(p))
@@ -637,7 +610,5 @@ def optimize_delay(
         sign=+1.0,
         z_pen=l_th,
         cost_fn=lambda ell, pp: delay_cost(ell, pp, l_th),
-        restarts=restarts,
         tol=tol,
-        seed=seed,
     )

@@ -319,7 +319,7 @@ def cmd_rd_bench(args) -> int:
     return 0
 
 
-def _load_pmf(cfg, root: SeedPath) -> np.ndarray:
+def _load_pmf(cfg) -> np.ndarray:
     if cfg["pmf_file"]:
         rows = []
         with open(cfg["pmf_file"], "r", encoding="utf8") as fh:
@@ -335,17 +335,16 @@ def _load_pmf(cfg, root: SeedPath) -> np.ndarray:
 
 def cmd_aoi_solve(args) -> int:
     schema = {"zipf_s": float, "zipf_n": int, "pmf_file": str, "objective": str,
-              "l_th_offset": float, "restarts": int, "tol": float}
+              "l_th_offset": float, "tol": float}
     cfg = parse_config(args.config_text, schema,
                        {"zipf_s": 1.0, "zipf_n": 256, "pmf_file": "", "objective": "age",
-                        "l_th_offset": 2.0, "restarts": 6, "tol": 1e-6})
-    p = _load_pmf(cfg, SeedPath(args.seed))
+                        "l_th_offset": 2.0, "tol": 1e-6})
+    p = _load_pmf(cfg)
     h = entropy(p)
     if cfg["objective"] == "age":
-        sol = optimize_age(p, restarts=cfg["restarts"], tol=cfg["tol"], seed=args.seed)
+        sol = optimize_age(p, tol=cfg["tol"])
     elif cfg["objective"] == "delay":
-        sol = optimize_delay(p, 2 * h + cfg["l_th_offset"], restarts=cfg["restarts"],
-                             tol=cfg["tol"], seed=args.seed)
+        sol = optimize_delay(p, 2 * h + cfg["l_th_offset"], tol=cfg["tol"])
     else:
         raise ConfigError(f"unknown objective {cfg['objective']!r}")
     age_p_real = average_age(shannon_lengths(p, "real"), p)
@@ -368,11 +367,11 @@ def cmd_aoi_sim(args) -> int:
     cfg = parse_config(args.config_text, schema,
                        {"zipf_s": 1.0, "zipf_n": 64, "pmf_file": "", "horizon": 10**6,
                         "erasure": 0.0, "code": "shannon_p"})
-    p = _load_pmf(cfg, SeedPath(args.seed))
+    p = _load_pmf(cfg)
     if cfg["code"] == "shannon_p":
         lengths = shannon_lengths(p, "integer")
     elif cfg["code"] == "shannon_pstar":
-        sol = optimize_age(p, seed=args.seed)
+        sol = optimize_age(p)
         lengths = np.maximum(1, np.ceil(sol.lengths - 1e-9)).astype(int)
     else:
         raise ConfigError(f"unknown code {cfg['code']!r}")

@@ -88,9 +88,6 @@ class BitString:
         self._len += width
         return self
 
-    def write_bit(self, bit: int) -> "BitString":
-        return self.write_uint(bit, 1)
-
     def write_fields(self, values, width: int) -> "BitString":
         """Append each of `values` as a `width`-bit field, back to back."""
         v = np.asarray(values, dtype=np.int64).ravel()

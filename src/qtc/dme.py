@@ -81,7 +81,6 @@ def run_dme(
     root: SeedPath,
     trials: int,
     samplers: Optional[Sequence[Sampler]] = None,
-    enforce_budget: bool = True,
 ) -> DmeResult:
     """Estimate the protocol MSE over `trials` independent runs.
 
@@ -92,7 +91,7 @@ def run_dme(
     n, d = instance.n, instance.d
     bits = []
     for i, q in enumerate(quantizers):
-        if enforce_budget and q.bit_budget is not None and q.bit_budget > instance.r:
+        if q.bit_budget is not None and q.bit_budget > instance.r:
             raise ValueError(
                 f"client {i}: quantizer budget {q.bit_budget} exceeds precision r={instance.r}"
             )

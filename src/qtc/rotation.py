@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "SignDiagonal",
     "sample_signs",
+    "check_sample_count",
     "sample_subset",
     "sample_subset_masks",
     "rotate",
@@ -58,6 +59,13 @@ def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     if not _is_pow2(d):
         raise ValueError(f"dimension {d} is not a power of two")
     return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
+
+
+def check_sample_count(mu_d: int, d: int) -> None:
+    """Reject a subset size outside 1..d; subsampled codecs and samplers call
+    this before their first draw."""
+    if not 1 <= mu_d <= d:
+        raise ValueError(f"sample count {mu_d} outside 1..{d}")
 
 
 def sample_subset(rng: np.random.Generator, d: int, mu_d: int) -> np.ndarray:

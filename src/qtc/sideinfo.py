@@ -17,6 +17,7 @@ import numpy as np
 from .adaptive import log_star, tetration
 from .core import BitReader, BitString, Quantizer, check_finite
 from .rotation import (
+    check_sample_count,
     next_pow2,
     pad_to_pow2,
     rotate_batch,
@@ -129,8 +130,7 @@ def _read_cosets(bits: BitString, n: int, cfg: RmqConfig) -> np.ndarray:
 def wz_known_quantizer(cfg: RmqConfig, mu_d: int) -> Quantizer:
     """Subsampled RMQ: send coset symbols for a shared random subset only;
     unsampled coordinates fall back to the rotated side information."""
-    if not (1 <= mu_d <= cfg.d_pad):
-        raise ValueError(f"sample count {mu_d} outside 1..{cfg.d_pad}")
+    check_sample_count(mu_d, cfg.d_pad)
     params = cfg.mq
     mu = mu_d / cfg.d_pad
 
@@ -324,12 +324,15 @@ def rdaq_quantizer(cfg: RdaqConfig) -> Quantizer:
     return Quantizer(encode, decode, cfg.bit_budget, name=f"rdaq(d={cfg.d})", uses_side_info=True)
 
 
-def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
-    """Subsampled RDAQ with the 1/mu-scaled centered correction."""
+def _check_wz_unknown(cfg: RdaqConfig, mu_d: int) -> None:
     if cfg.N != 1:
         raise ValueError("subsampled RDAQ uses N = 1")
-    if not (1 <= mu_d <= cfg.d_pad):
-        raise ValueError(f"sample count {mu_d} outside 1..{cfg.d_pad}")
+    check_sample_count(mu_d, cfg.d_pad)
+
+
+def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
+    """Subsampled RDAQ with the 1/mu-scaled centered correction."""
+    _check_wz_unknown(cfg, mu_d)
     mu = mu_d / cfg.d_pad
 
     # the subset is drawn before the signs/uniforms inside _rdaq_encode; decode mirrors this
@@ -376,6 +379,8 @@ def rmq_sample(x, y, cfg: RmqConfig, n: int, rng: np.random.Generator) -> np.nda
 
 def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draws of the subsampled-RMQ reconstruction; mu_d = None is plain RMQ."""
+    if mu_d is not None:
+        check_sample_count(mu_d, cfg.d_pad)
     params = cfg.mq
     xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
     out = np.empty((n, cfg.d))
@@ -432,6 +437,7 @@ def rdaq_sample(x, y, cfg: RdaqConfig, n: int, rng: np.random.Generator) -> np.n
 
 
 def wz_unknown_sample(x, y, cfg: RdaqConfig, mu_d: int, n: int, rng) -> np.ndarray:
+    _check_wz_unknown(cfg, mu_d)
     return _rdaq_core_sample(x, y, cfg, n, rng, mu_d=mu_d)
 
 

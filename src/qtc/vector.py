@@ -17,6 +17,7 @@ import numpy as np
 from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_quantize, log_star, pick_range
 from .core import BitReader, BitString, Quantizer, check_finite
 from .rotation import (
+    check_sample_count,
     fwht,
     next_pow2,
     pad_to_pow2,
@@ -208,6 +209,12 @@ def ratq_sample(
     return ratq_apply(tiled, cfg, rng)
 
 
+def _check_rcs(cfg: RatqConfig, mu_d: int) -> None:
+    if cfg.s != 1:
+        raise ValueError("subsampling needs per-coordinate symbols: set s = 1")
+    check_sample_count(mu_d, cfg.d_pad)
+
+
 def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
     """Random coordinate sampling over a per-coordinate RATQ (s must be 1).
 
@@ -216,10 +223,7 @@ def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
     the rotated side-information value and sampled ones are centered on it;
     with side = 0 the two modes coincide.
     """
-    if cfg.s != 1:
-        raise ValueError("subsampling needs per-coordinate symbols: set s = 1")
-    if not (1 <= mu_d <= cfg.d_pad):
-        raise ValueError(f"sample count {mu_d} outside 1..{cfg.d_pad}")
+    _check_rcs(cfg, mu_d)
     if mode not in ("zero-fill", "center"):
         raise ValueError(f"unknown RCS mode {mode!r}")
     mu = mu_d / cfg.d_pad
@@ -265,6 +269,7 @@ def rcs_ratq_sample(
     y: np.ndarray, cfg: RatqConfig, mu_d: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized draws of the subsampled-RATQ reconstruction (zero-fill)."""
+    _check_rcs(cfg, mu_d)
     padded = pad_to_pow2(y)[0]
     mu = mu_d / cfg.d_pad
     out = np.empty((n, cfg.d))

@@ -327,7 +327,7 @@ def test_criterion_13_tilted_age_optimizer():
     for s10 in range(0, 51, 5):
         s = s10 / 10.0
         p = zipf_pmf(s, 256)
-        sol = optimize_age(p, restarts=6, tol=tol)
+        sol = optimize_age(p, tol=tol)
         assert sol.certified, f"s={s}: certificate gap {sol.certificate_gap:.2e}"
         age_p = average_age(shannon_lengths(p, "real"), p)
         age_star = average_age(sol.lengths, p)
@@ -345,7 +345,7 @@ def test_criterion_13_tilted_age_optimizer():
     assert abs(cost_p - target) / target <= 0.15
     q_alt = np.array([2.0 ** -math.sqrt(n)] + [(1 - 2.0 ** -math.sqrt(n)) / 2**n] * (2**n))
     cost_q = age_cost(-np.log2(q_alt), p)
-    sol = optimize_age(p, restarts=4, tol=tol)
+    sol = optimize_age(p, tol=tol)
     assert sol.certified
     assert sol.value <= cost_q + 0.5
     elapsed = time.time() - t0
@@ -378,7 +378,7 @@ def test_criterion_15_min_delay_optimizer():
         p = np.maximum(p, 1e-9)
         p /= p.sum()
         l_th = 2 * entropy(p) + 2
-        sol = optimize_delay(p, l_th, restarts=4)
+        sol = optimize_delay(p, l_th)
         assert sol.certified
         kl = kl_divergence(p, sol.p_star)
         assert kl <= kl_cap
@@ -417,7 +417,7 @@ def test_criterion_17_prefix_code_soundness():
     for s10 in range(0, 51, 10):
         p = zipf_pmf(s10 / 10.0, 64)
         assignments.append(shannon_lengths(p, "integer"))
-        sol = optimize_age(p, restarts=3)
+        sol = optimize_age(p)
         assignments.append(np.maximum(1, np.ceil(sol.lengths - 1e-9)).astype(int))
     for _ in range(10):
         p = rng.dirichlet(np.ones(int(rng.integers(2, 40))))

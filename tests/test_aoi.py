@@ -184,7 +184,7 @@ def test_optimize_age_point_mass():
 def test_optimize_age_zipf_certifies():
     for s in (0.0, 1.5, 4.0):
         p = zipf_pmf(s, 64)
-        sol = optimize_age(p, restarts=4)
+        sol = optimize_age(p)
         assert sol.certified, f"s={s}: gap {sol.certificate_gap}"
         assert age_cost(sol.lengths, p) <= age_cost(shannon_lengths(p, "real"), p) + 1e-9
 
@@ -192,7 +192,7 @@ def test_optimize_age_zipf_certifies():
 def test_optimizer_bounds_sandwich():
     for seed in range(5):
         p = random_pmf(40 + seed, int(np.random.default_rng(seed).integers(4, 32)))
-        sol = optimize_age(p, restarts=4)
+        sol = optimize_age(p)
         age_star = sol.value - 0.5
         assert 1.5 * entropy(p) - 0.5 <= age_star + 1e-6
         assert age_star <= 1.5 * math.log2(len(p)) + 1.0
@@ -201,7 +201,7 @@ def test_optimizer_bounds_sandwich():
 def test_rounding_loss():
     for seed in range(5):
         p = random_pmf(50 + seed, 12)
-        sol = optimize_age(p, restarts=3)
+        sol = optimize_age(p)
         real_age = average_age(sol.lengths, p)
         int_age = average_age(np.maximum(1, np.ceil(sol.lengths - 1e-9)), p)
         assert int_age <= real_age + 2.5
@@ -210,7 +210,7 @@ def test_rounding_loss():
 def test_equal_mass_symmetry():
     # two classes of equal-probability symbols: Q* must be constant per class
     p = np.array([0.3, 0.3, 0.1, 0.1, 0.1, 0.1])
-    sol = optimize_age(p, restarts=4)
+    sol = optimize_age(p)
     assert sol.certified
     assert abs(sol.q[0] - sol.q[1]) < 1e-9
     assert np.ptp(sol.q[2:]) < 1e-9
@@ -221,7 +221,7 @@ def test_optimize_delay_contract():
     for seed in range(4):
         p = random_pmf(60 + seed, int(np.random.default_rng(seed).integers(4, 24)))
         l_th = 2 * entropy(p) + 2
-        sol = optimize_delay(p, l_th, restarts=4)
+        sol = optimize_delay(p, l_th)
         assert sol.certified
         assert delay_cost(sol.lengths, p, l_th) == pytest.approx(sol.value, abs=1e-6)
         assert kl_divergence(p, sol.p_star) <= math.log2(1 + 1 / math.sqrt(2)) + 1e-6
@@ -229,7 +229,7 @@ def test_optimize_delay_contract():
 
 def test_optimize_delay_large_threshold_recovers_p():
     p = zipf_pmf(1.0, 16)
-    sol = optimize_delay(p, 1000 * entropy(p), restarts=3)
+    sol = optimize_delay(p, 1000 * entropy(p))
     assert sol.certified
     assert np.abs(sol.p_star - p).max() < 1e-3
 

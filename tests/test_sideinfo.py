@@ -21,6 +21,7 @@ from qtc.sideinfo import (
     wz_unknown_quantizer,
     wz_unknown_sample,
 )
+from qtc.vector import RatqConfig, rcs_ratq_sample, rcs_wrap
 
 
 def make_pair(seed, d, delta):
@@ -216,3 +217,32 @@ def test_unit_ball_precondition():
     q = rdaq_quantizer(cfg)
     with pytest.raises(ValueError):
         q.encode(np.full(8, 1.0), None, SeedPath(36).stream())
+
+
+
+_D = 64
+# codec factory, its sampler, a config and a sample count the codec rejects
+_REJECTED = {
+    "rcs-mu0": (rcs_wrap, rcs_ratq_sample, RatqConfig.for_subsampling(1.0, _D), 0),
+    "rcs-mu65": (rcs_wrap, rcs_ratq_sample, RatqConfig.for_subsampling(1.0, _D), 65),
+    "rcs-s2": (rcs_wrap, rcs_ratq_sample, RatqConfig.default(1.0, _D), 8),
+    "wz-known-mu0": (wz_known_quantizer, wz_known_sample, RmqConfig(_D, 0.5, 0.05, 16), 0),
+    "wz-known-mu70": (wz_known_quantizer, wz_known_sample, RmqConfig(_D, 0.5, 0.05, 16), 70),
+    "wz-unknown-mu0": (wz_unknown_quantizer, wz_unknown_sample, RdaqConfig(_D), 0),
+    "wz-unknown-mu65": (wz_unknown_quantizer, wz_unknown_sample, RdaqConfig(_D), 65),
+    "wz-unknown-N2": (wz_unknown_quantizer, wz_unknown_sample, RdaqConfig(_D, N=2), 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_samplers_reject_what_their_codecs_reject_before_drawing(case):
+    factory, sampler, cfg, mu_d = _REJECTED[case]
+    with pytest.raises(ValueError):
+        factory(cfg, mu_d)
+    x, y = make_pair(7, _D, 0.1)
+    side = () if sampler is rcs_ratq_sample else (y,)
+    rng = SeedPath(8).stream()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        sampler(x, *side, cfg, mu_d, 4, rng)
+    assert rng.bit_generator.state == state
