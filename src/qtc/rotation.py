@@ -1,14 +1,16 @@
 """Randomized Hadamard rotation: R = (1/sqrt(d)) * H * diag(signs).
 
 The forward map multiplies by the random sign diagonal and then applies the
-fast Walsh-Hadamard butterfly; the inverse undoes both.  Rotation preserves
-the l2 norm exactly (up to float roundoff), which is what every bound built
-on top of it relies on.  The other shared draws of the rotated quantizers,
-sampled coordinate subsets, live here too.
+Walsh-Hadamard transform, computed through a Kronecker factorization
+H_d = H_a kron H_b as two matrix products; the inverse undoes both.  Rotation
+preserves the l2 norm exactly (up to float roundoff), which is what every
+bound built on top of it relies on.  The other shared draws of the rotated
+quantizers, sampled coordinate subsets, live here too.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,34 +78,37 @@ def sample_subset(rng: np.random.Generator, d: int, mu_d: int) -> np.ndarray:
 def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
     """(n, d) boolean mask; row i marks an independent uniform mu_d-subset."""
     keep = np.zeros((n, d), dtype=bool)
-    np.put_along_axis(keep, np.argsort(rng.random((n, d)), axis=1)[:, :mu_d], True, axis=1)
+    picks = np.argpartition(rng.random((n, d)), mu_d - 1, axis=1)[:, :mu_d]
+    np.put_along_axis(keep, picks, True, axis=1)
     return keep
 
 
-def fwht(x: np.ndarray) -> np.ndarray:
-    """Iterative Walsh-Hadamard butterfly over the last axis.
+@functools.lru_cache(maxsize=None)
+def _hadamard(n: int) -> np.ndarray:
+    """Read-only Sylvester Hadamard matrix H_n (n a power of two)."""
+    h = np.ones((1, 1))
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
 
-    Returns H x (unnormalized) in O(d log d) operations per vector; works on
-    any leading batch shape.  Ping-pong buffers keep it to two passes per
-    butterfly stage.
+
+def fwht(x: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform H x (unnormalized) over the last axis.
+
+    With d = a * b, H_d = H_a kron H_b, so each length-d vector reshaped to an
+    (a, b) matrix X maps to H_a X H_b: two BLAS matmuls, O(d (a + b)) work per
+    vector with a and b near sqrt(d).  Works on any leading batch shape;
+    returns a new float array.
     """
+    x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     if not _is_pow2(d):
         raise ValueError(f"dimension {d} is not a power of two")
-    y = np.array(x, dtype=float, copy=True)
-    if d == 1:
-        return y
-    buf = np.empty_like(y)
-    h = 1
-    while h < d:
-        shape = y.shape[:-1] + (d // (2 * h), 2, h)
-        src = y.reshape(shape)
-        dst = buf.reshape(shape)
-        np.add(src[..., 0, :], src[..., 1, :], out=dst[..., 0, :])
-        np.subtract(src[..., 0, :], src[..., 1, :], out=dst[..., 1, :])
-        y, buf = buf, y
-        h *= 2
-    return y
+    p = d.bit_length() - 1
+    a, b = 1 << (p // 2), 1 << (p - p // 2)
+    y = x.reshape(-1, b) @ _hadamard(b)
+    return (_hadamard(a) @ y.reshape(-1, a, b)).reshape(x.shape)
 
 
 def rotate(y: np.ndarray, signs: SignDiagonal) -> np.ndarray:

@@ -203,19 +203,18 @@ def mq_encode(x: np.ndarray, params: ModuloParams, rng: np.random.Generator) -> 
 
 
 def mq_decode(w: np.ndarray, y_side: np.ndarray, params: ModuloParams) -> np.ndarray:
-    """Closest point of {(z k + w) eps} to y_side, ties to the smaller value."""
+    """Closest point of {(z k + w) eps} to y_side, ties to the smaller value.
+
+    In lattice units t = (y/eps - w)/k the closest z is the integer nearest
+    t, and z = ceil(t - 1/2) sends a tie t = n + 1/2 to n.  Rounding in t can
+    disagree with a comparison of distances in value space only when y lies
+    within an ulp of a midpoint between two candidates; either answer is
+    then one of the two nearest points.
+    """
     w = np.asarray(w, dtype=np.int64)
     y = np.asarray(y_side, dtype=float)
-    z0 = np.round((y / params.eps - w) / params.k)
-    candidates = np.stack([(z0 + dz) * params.k + w for dz in (-1.0, 0.0, 1.0)])
-    vals = candidates * params.eps
-    dist = np.abs(vals - y)
-    # ties broken toward the smaller value: among equal distances pick min val
-    order = np.argsort(vals, axis=0)
-    dist_sorted = np.take_along_axis(dist, order, axis=0)
-    vals_sorted = np.take_along_axis(vals, order, axis=0)
-    pick = np.argmin(dist_sorted, axis=0)
-    return np.take_along_axis(vals_sorted, pick[None, ...], axis=0)[0]
+    z = np.ceil((y / params.eps - w) / params.k - 0.5)
+    return (z * params.k + w) * params.eps
 
 
 def mq_quantize(

@@ -387,8 +387,7 @@ def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator
     for lo, hi in _chunks(n, cfg.d_pad):
         m = hi - lo
         signs = sample_signs_batch(rng, m, cfg.d_pad)
-        xr = rotate_batch(xp[None, :], signs)
-        yr = rotate_batch(yp[None, :], signs)
+        xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
         if mu_d is not None:
             keep = sample_subset_masks(rng, m, cfg.d_pad, mu_d)
         vals = mq_decode(mq_encode(xr, params, rng), yr, params)
@@ -412,8 +411,7 @@ def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
     for lo, hi in _chunks(n, cfg.d_pad * cfg.h * max(1, cfg.N)):
         m = hi - lo
         signs = sample_signs_batch(rng, m, cfg.d_pad)
-        xr = rotate_batch(xp[None, :], signs)
-        yr = rotate_batch(yp[None, :], signs)
+        xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
         zx = np.searchsorted(ranges, np.abs(xr).ravel(), side="left").reshape(m, cfg.d_pad)
         zy = np.searchsorted(ranges, np.abs(yr).ravel(), side="left").reshape(m, cfg.d_pad)
         if np.any(zx >= cfg.h) or np.any(zy >= cfg.h):

@@ -8,6 +8,7 @@ from qtc.rotation import (
     pad_to_pow2,
     rotate,
     sample_signs,
+    sample_subset_masks,
     unrotate,
 )
 
@@ -16,6 +17,51 @@ def naive_hadamard(d):
     return np.array(
         [[(-1.0) ** bin(i & j).count("1") for j in range(d)] for i in range(d)]
     )
+
+
+def test_fwht_matches_sylvester_kron_reference():
+    # p = 0..12; odd p splits d into unequal Kronecker factors a != b
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    h = np.ones((1, 1))
+    rng = SeedPath(20).stream()
+    for p in range(13):
+        d = 1 << p
+        if p:
+            h = np.kron(h2, h)
+        for lead in [(), (5,), (2, 3)]:
+            x = rng.normal(size=lead + (d,))
+            x_before = x.copy()
+            got = fwht(x)
+            assert got.shape == x.shape
+            np.testing.assert_allclose(got, x @ h, rtol=0, atol=1e-12 * d)
+            assert np.array_equal(x, x_before)
+            # small integers: every partial sum is exact, so the two agree bit for bit
+            xi = rng.integers(-5, 6, size=lead + (d,))
+            gi = fwht(xi)
+            assert gi.dtype == np.float64
+            assert np.array_equal(gi, xi @ h)
+
+
+def test_subset_masks_keep_exactly_mu_d():
+    n, d = 300, 64
+    for mu_d in (1, 7, d):
+        keep = sample_subset_masks(SeedPath(mu_d).stream(), n, d, mu_d)
+        assert keep.shape == (n, d) and np.all(keep.sum(axis=1) == mu_d)
+        # the same draw through a full argsort marks the same set
+        r = SeedPath(mu_d).stream().random((n, d))
+        ref = np.zeros((n, d), dtype=bool)
+        np.put_along_axis(ref, np.argsort(r, axis=1)[:, :mu_d], True, axis=1)
+        assert np.array_equal(keep, ref)
+
+
+def test_subset_masks_exact_count_under_tied_draws():
+    class TiedDraws:
+        def random(self, shape):
+            return np.floor(SeedPath(21).stream().random(shape) * 3) / 3
+
+    for mu_d in (1, 7, 64):
+        keep = sample_subset_masks(TiedDraws(), 50, 64, mu_d)
+        assert np.all(keep.sum(axis=1) == mu_d)
 
 
 def test_h2_rows():

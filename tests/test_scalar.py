@@ -27,6 +27,17 @@ def two_branch_expectation(y, grid):
     return p_up * (lo_val + grid.spacing) + (1 - p_up) * lo_val
 
 
+def mq_decode_three_candidates(w, y, params):
+    """Reference decoder: the nearest of three lattice candidates around the
+    rounded coset index, compared by distance in value space.  Candidates are
+    in increasing order, so argmin's first hit breaks ties to the smaller."""
+    w = np.asarray(w, dtype=np.int64)
+    z0 = np.round((y / params.eps - w) / params.k)
+    vals = np.stack([(z0 + dz) * params.k + w for dz in (-1.0, 0.0, 1.0)]) * params.eps
+    pick = np.argmin(np.abs(vals - y), axis=0)
+    return np.take_along_axis(vals, pick[None, ...], axis=0)[0]
+
+
 @pytest.mark.parametrize("M,k", [(1.0, 2), (1.0, 5), (2.0, 9)])
 def test_cuq_exact_unbiasedness(M, k):
     grid = UniformGrid(M, k)
@@ -148,3 +159,37 @@ def test_mq_tie_breaks_to_smaller():
     params = ModuloParams(4, 1.0, eps=1.0)
     rec = mq_decode(np.array([0]), np.array([2.0]), params)  # lattice {0, 4, 8...}
     assert rec[0] == 0.0
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 16, 33])
+@pytest.mark.parametrize("eps", [0.0, 0.37])
+def test_mq_decode_matches_three_candidate_reference(k, eps):
+    # 12 cases x 45k coordinates = 540k; eps = 0.0 selects the default rule
+    params = ModuloParams(k, 1.3, eps=eps)
+    rng = SeedPath(k).child("mq", int(eps * 100)).stream()
+    n = 45_000
+    w = rng.integers(0, k, size=n)
+    y = rng.uniform(-40.0, 40.0, size=n) * k * params.eps
+    assert np.array_equal(mq_decode(w, y, params), mq_decode_three_candidates(w, y, params))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 16, 33])
+def test_mq_decode_midpoints(k):
+    z = np.arange(-20, 20)[:, None]
+    w = np.arange(k)[None, :]
+    for eps in (1.0, 0.25):
+        # binary eps: the midpoint between z and z + 1 is exact, so it must go to z
+        params = ModuloParams(k, 1.0, eps=eps)
+        lower = (z * k + w) * eps
+        mid = ((z + 0.5) * k + w) * eps
+        assert np.array_equal(mq_decode(w, mid, params), lower)
+        assert np.array_equal(mq_decode_three_candidates(w, mid, params), lower)
+    for eps in (0.0, 0.1, 0.37):
+        # near a midpoint the result is one of the two nearest lattice points
+        params = ModuloParams(k, 1.3, eps=eps)
+        lower = (z * k + w) * params.eps
+        upper = ((z + 1) * k + w) * params.eps
+        mid = ((z + 0.5) * k + w) * params.eps
+        for y in (mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf)):
+            rec = mq_decode(w, y, params)
+            assert np.all((rec == lower) | (rec == upper))
