@@ -45,6 +45,8 @@ _EPS = 1e-12
 
 def validate_pmf(p: Sequence[float], tol: float = 1e-12) -> np.ndarray:
     p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
     if abs(p.sum() - 1.0) > tol:
@@ -208,29 +210,46 @@ def simulate_update_scheme(
 
     The channel moves one bit per slot (each bit independently erased and
     retransmitted with probability `erasure`); the decoder's age resets on
-    full-codeword reception.  Deliveries are generated cycle-by-cycle, which
-    reproduces the slot-level sample path exactly while letting the draws be
-    vectorized.
+    full-codeword reception.  A cycle is a delivered codeword plus the skip
+    words before it.  Cycles are drawn in blocks sized to cover the horizon
+    with a 10% margin, and each block is cut at the horizon with no per-cycle
+    Python work: `np.searchsorted(used + np.cumsum(y), horizon, side="right")`
+    counts the cycles that end by the horizon (one ending exactly at it
+    counts), and their age rewards come from one array expression over each
+    cycle's codeword slots and the previous cycle's.  A block that runs out
+    before the horizon carries the used slots and the last codeword's slots
+    into the next block.  This reproduces the slot-level sample path exactly;
+    the slots after the last full cycle add a partial tail.
     """
     if horizon < 1000:
         raise ValueError("simulate at least 1000 slots")
     p = validate_pmf(p)
     lengths = np.asarray(lengths)
+    if lengths.shape != p.shape:
+        raise ValueError(f"{lengths.size} codeword lengths for {p.size} symbols")
+    if not np.all(np.isfinite(lengths)) or np.any(lengths != np.floor(lengths)):
+        raise ValueError("codeword lengths must be whole numbers of bits")
     if np.any(lengths < 1):
         raise ValueError("codeword lengths must be >= 1")
     if not (0.0 <= erasure < 1.0):
         raise ValueError("erasure probability must lie in [0, 1)")
     if theta is not None:
         theta = np.asarray(theta, dtype=float)
+        if theta.shape != p.shape:
+            raise ValueError(f"{theta.size} transmit probabilities for {p.size} symbols")
+        if not np.all((theta >= 0) & (theta <= 1)):
+            raise ValueError("transmit probabilities must lie in [0, 1]")
         if l_skip is None:
             raise ValueError("randomized mode needs the skip codeword length")
+        if not float(l_skip).is_integer():
+            raise ValueError("the skip codeword length must be a whole number of bits")
         e_theta = float(np.dot(p, theta))
         if e_theta <= 0:
             raise ValueError("expected transmit probability must be positive")
         p_send = p * theta / e_theta
         # the effective alphabet is the transmitted symbols plus the skip word
-        used = (p * theta) > 0
-        total = kraft_sum(lengths[used]) + (2.0 ** -l_skip if e_theta < 1 else 0.0)
+        sent = (p * theta) > 0
+        total = kraft_sum(lengths[sent]) + (2.0 ** -l_skip if e_theta < 1 else 0.0)
         if total > 1.0 + _EPS:
             raise ValueError("effective lengths are not Kraft-feasible")
     else:
@@ -244,15 +263,11 @@ def simulate_update_scheme(
     mean_cycle = (mean_len + (1 / e_theta - 1) * (l_skip or 0)) / (1 - erasure)
     block = max(1024, int(horizon / max(mean_cycle, 1.0) * 1.1) + 64)
 
-    total_reward = 0.0
-    total_slots = 0
+    rewards: list[np.ndarray] = []
+    cycle_slots: list[np.ndarray] = []
+    used = 0.0  # slots taken by the cycles kept so far
     z_prev = 0.0
-    n_cycles = 0
-    # accumulators for the 1-dependent cycle statistics (R_k, Y_k), k >= 2
-    hist_r: list[np.ndarray] = []
-    hist_y: list[np.ndarray] = []
-    done = False
-    while not done:
+    while True:
         syms = rng.choice(len(p), size=block, p=p_send)
         z_block = lengths[syms].astype(float)
         if erasure > 0:
@@ -266,28 +281,28 @@ def simulate_update_scheme(
                 extra[nz] = rng.negative_binomial(skip_bits[nz], 1.0 - erasure)
             y_block = z_block + skip_bits + extra
         else:
-            y_block = z_block.copy()
-        for idx in range(block):
-            y, z = float(y_block[idx]), float(z_block[idx])
-            if total_slots + y > horizon:
-                done = True
-                break
-            r = 0.5 * y * y + y * (z_prev - 0.5) + z - z_prev
-            total_reward += r
-            total_slots += int(y)
-            n_cycles += 1
-            if n_cycles >= 2:
-                hist_r.append(np.array([r]))
-                hist_y.append(np.array([y]))
-            z_prev = z
+            y_block = z_block
+        ends = used + np.cumsum(y_block)
+        k = int(np.searchsorted(ends, horizon, side="right"))
+        y = y_block[:k]
+        z = np.concatenate(([z_prev], z_block[:k]))  # z[i] precedes cycle i
+        rewards.append(0.5 * y * y + y * (z[:-1] - 0.5) + z[1:] - z[:-1])
+        cycle_slots.append(y)
+        if k:
+            used, z_prev = float(ends[k - 1]), float(z[-1])
+        if k < block:
+            break
+    r_all = np.concatenate(rewards)
+    y_all = np.concatenate(cycle_slots)
+    total_reward = float(np.sum(r_all))
     # partial tail: ages keep growing linearly until the horizon
-    tail = horizon - total_slots
+    tail = horizon - int(used)
     total_reward += tail * (tail + 1) / 2.0 + z_prev * tail
     avg = total_reward / horizon
 
-    if len(hist_r) >= 8:
-        r_arr = np.concatenate(hist_r)
-        y_arr = np.concatenate(hist_y)
+    # 1-dependent renewal SE over the cycle statistics (R_k, Y_k), k >= 2
+    r_arr, y_arr = r_all[1:], y_all[1:]
+    if len(r_arr) >= 8:
         dvec = r_arr - avg * y_arr
         g0 = float(np.var(dvec, ddof=1))
         g1 = float(np.mean((dvec[:-1] - dvec.mean()) * (dvec[1:] - dvec.mean())))
@@ -295,7 +310,7 @@ def simulate_update_scheme(
         se = math.sqrt(var_sum) / max(float(np.sum(y_arr)), 1.0)
     else:
         se = math.inf
-    return SimResult(avg, se, n_cycles)
+    return SimResult(avg, se, len(r_all))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,37 @@ def test_simulator_input_validation():
         simulate_update_scheme([1, 1, 1], [0.4, 0.3, 0.3], 10**4, SeedPath(0))
 
 
+class FixedStream:
+    """Stands in for a SeedPath whose stream is the given generator."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def stream(self):
+        return self.rng
+
+
+_HALVES = dict(p=[0.5, 0.5], horizon=10**4)
+_BAD_SIM_INPUTS = {
+    # int() of a 1.5-slot cycle would drop half a slot per cycle
+    "fractional-lengths": dict(lengths=[1.5, 1.5], **_HALVES),
+    "lengths-size": dict(lengths=[1, 2, 2], **_HALVES),
+    "theta-size": dict(lengths=[2, 2], theta=[1.0, 1.0, 1.0], l_skip=2, **_HALVES),
+    "theta-above-one": dict(lengths=[2, 2], theta=[2.0, 0.0], l_skip=2, **_HALVES),
+    "theta-negative": dict(lengths=[2, 2], theta=[-0.5, 1.0], l_skip=2, **_HALVES),
+    "fractional-skip": dict(lengths=[2, 2], theta=[1.0, 0.5], l_skip=2.5, **_HALVES),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SIM_INPUTS))
+def test_simulator_rejects_bad_inputs_before_drawing(case):
+    rng = SeedPath(0).stream()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        simulate_update_scheme(seed=FixedStream(rng), **_BAD_SIM_INPUTS[case])
+    assert rng.bit_generator.state == state
+
+
 def test_variational_formula():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -247,3 +278,6 @@ def test_zipf_pmf_and_validate():
         validate_pmf([0.5, 0.4])
     with pytest.raises(ValueError):
         validate_pmf([-0.1, 1.1])
+    for bad in ([math.nan, 0.5], [math.inf, 0.5], [0.5, 0.5, math.nan]):
+        with pytest.raises(ValueError):
+            validate_pmf(bad)

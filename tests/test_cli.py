@@ -126,3 +126,6 @@ def test_cli_bad_pmf_file(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"pmf_file = {pmf}\n")
     assert main(["aoi-solve", "--config", str(cfg)]) == 1
+    pmf.write_text("a nan\nb 1.0\n")
+    for command in ("aoi-solve", "aoi-sim"):
+        assert main([command, "--config", str(cfg)]) == 1
