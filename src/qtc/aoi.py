@@ -2,8 +2,10 @@
 
 Closed-form average age of a memoryless update scheme, a cycle-exact
 simulator with renewal confidence intervals, the variational formula for
-p-norms, and the tilted-pmf optimizers whose certificate proves global
-optimality of the returned length assignment.
+p-norms, and the minimum-age and minimum-delay optimizers.  The relaxed
+costs are convex in the length vector, so one damped Newton solve under
+Kraft equality finds the optimum; a closed-form dual point of the tilted-pmf
+maxmin problem then certifies it, independently of the solver.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 _EPS = 1e-12
+_NEWTON_ITERS = 100  # iteration cap of the tilted-code Newton solve
+_FULL_STEP = 1e-10  # relative Newton decrement below which steps skip the line search
+_STEP_TOL = 1e-9  # longest whole step, in bits, that ends the solve
 
 
 def validate_pmf(p: Sequence[float], tol: float = 1e-12) -> np.ndarray:
@@ -92,11 +97,19 @@ def kraft_sum(lengths: Sequence[float]) -> float:
     return float(np.sum(2.0 ** (-np.asarray(lengths, dtype=float))))
 
 
-def build_prefix_code(lengths: Sequence[int]) -> list[BitString]:
-    """Canonical prefix-free codebook for integer lengths satisfying Kraft."""
+def _check_whole_lengths(lengths: Sequence[int]) -> np.ndarray:
+    """Codeword lengths must be whole numbers of bits, at least 1."""
     lengths = np.asarray(lengths)
+    if not np.all(np.isfinite(lengths)) or np.any(lengths != np.floor(lengths)):
+        raise ValueError("codeword lengths must be whole numbers of bits")
     if np.any(lengths < 1):
         raise ValueError("codeword lengths must be >= 1")
+    return lengths
+
+
+def build_prefix_code(lengths: Sequence[int]) -> list[BitString]:
+    """Canonical prefix-free codebook for integer lengths satisfying Kraft."""
+    lengths = _check_whole_lengths(lengths)
     if kraft_sum(lengths) > 1.0 + _EPS:
         raise ValueError(f"Kraft sum {kraft_sum(lengths):.6f} exceeds 1")
     order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
@@ -134,6 +147,20 @@ def average_age(lengths: Sequence[float], p: Sequence[float]) -> float:
     return age_cost(lengths, p) - 0.5
 
 
+def _check_randomized(theta: Sequence[float], l_skip: Optional[float], p: np.ndarray) -> np.ndarray:
+    """Transmit probabilities shaped like p and in [0, 1]; a finite, positive skip length."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != p.shape:
+        raise ValueError(f"{theta.size} transmit probabilities for {p.size} symbols")
+    if not np.all((theta >= 0) & (theta <= 1)):
+        raise ValueError("transmit probabilities must lie in [0, 1]")
+    if l_skip is None:
+        raise ValueError("randomized mode needs the skip codeword length")
+    if not (math.isfinite(l_skip) and l_skip > 0):
+        raise ValueError("the skip codeword length must be finite and positive")
+    return theta
+
+
 def average_age_randomized(
     lengths: Sequence[float],
     theta: Sequence[float],
@@ -143,9 +170,7 @@ def average_age_randomized(
     """Average age when symbol x is transmitted only with probability
     theta(x); a skip costs an l_skip-bit placeholder codeword."""
     p = validate_pmf(p)
-    theta = np.asarray(theta, dtype=float)
-    if np.any((theta < 0) | (theta > 1)):
-        raise ValueError("transmit probabilities must lie in [0, 1]")
+    theta = _check_randomized(theta, l_skip, p)
     lengths = np.asarray(lengths, dtype=float)
     p_send = p * theta
     e_theta = float(p_send.sum())
@@ -227,20 +252,11 @@ def simulate_update_scheme(
     lengths = np.asarray(lengths)
     if lengths.shape != p.shape:
         raise ValueError(f"{lengths.size} codeword lengths for {p.size} symbols")
-    if not np.all(np.isfinite(lengths)) or np.any(lengths != np.floor(lengths)):
-        raise ValueError("codeword lengths must be whole numbers of bits")
-    if np.any(lengths < 1):
-        raise ValueError("codeword lengths must be >= 1")
+    lengths = _check_whole_lengths(lengths)
     if not (0.0 <= erasure < 1.0):
         raise ValueError("erasure probability must lie in [0, 1)")
     if theta is not None:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != p.shape:
-            raise ValueError(f"{theta.size} transmit probabilities for {p.size} symbols")
-        if not np.all((theta >= 0) & (theta <= 1)):
-            raise ValueError("transmit probabilities must lie in [0, 1]")
-        if l_skip is None:
-            raise ValueError("randomized mode needs the skip codeword length")
+        theta = _check_randomized(theta, l_skip, p)
         if not float(l_skip).is_integer():
             raise ValueError("the skip codeword length must be a whole number of bits")
         e_theta = float(np.dot(p, theta))
@@ -325,7 +341,9 @@ def lp_norm_variational(
         raise ValueError("variational formula needs p > 1")
     x = np.abs(np.asarray(values, dtype=float))
     pr = validate_pmf(pmf)
-    q = np.asarray(q_pmf, dtype=float)
+    q = validate_pmf(q_pmf)
+    if q.shape != pr.shape:
+        raise ValueError(f"Q has {q.size} masses for {pr.size} symbols")
     if np.any((q > 0) & (pr <= 0)):
         raise ValueError("Q must be absolutely continuous wrt P")
     ratio = np.zeros_like(pr)
@@ -355,6 +373,8 @@ def tilted_pmf(z: float, q_pmf: Sequence[float], p: Sequence[float], sign: float
     """Normalized g-weights, or None when (z, Q) is infeasible (some g < 0)."""
     p = validate_pmf(p)
     q = np.asarray(q_pmf, dtype=float)
+    if q.shape != p.shape:
+        raise ValueError(f"Q has {q.size} masses for {p.size} symbols")
     g = _g_weights(z, q, p, sign)
     if np.any(g < -1e-12):
         return None
@@ -374,7 +394,7 @@ class TiltSolution:
     z: float
     q: np.ndarray  # maximizing pmf Q on the support of P
     p_star: np.ndarray  # tilted pmf whose Shannon lengths are optimal
-    value: float  # maxmin objective value
+    value: float  # maxmin objective at the dual point of the Newton lengths
     cost_at_shannon: float  # primal cost of Shannon lengths for p_star
     certificate_gap: float  # cost_at_shannon - value (>= 0; ~0 iff optimal)
     certified: bool
@@ -408,125 +428,70 @@ def _objective(z: float, u: np.ndarray, pc: np.ndarray, nc: np.ndarray, sign: fl
     return float(np.dot(nc[nz] * g[nz], np.log2(big_g / g[nz])))
 
 
-def _z_upper(u: np.ndarray, pc: np.ndarray, nc: np.ndarray, kcap: float) -> float:
-    """Feasibility boundary of z for the age objective given Q."""
-    a = np.sqrt((u / nc) / pc)
-    z_max = float(np.min(a + np.sqrt(a * a + 2.0)))
-    return min(kcap, z_max)
+def _relaxed_cost(ell: np.ndarray, p: np.ndarray, sign: float, z_pen: float) -> float:
+    """The age cost (sign -1) or the delay cost with L_th = z_pen (sign +1)."""
+    return age_cost(ell, p) if sign < 0 else delay_cost(ell, p, z_pen)
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12, iters: int = 200) -> float:
-    """Golden-section maximizer of a concave function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if b - a < tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+def _kraft_shift(ell: np.ndarray, nc: np.ndarray) -> np.ndarray:
+    """Shift all class lengths by one constant so that sum n_i 2^-ell_i = 1."""
+    m = float(ell.min())
+    return ell + (math.log2(float(np.dot(nc, np.exp2(m - ell)))) - m)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho_candidates = u + (1.0 - css) / np.arange(1, len(v) + 1)
-    rho = np.nonzero(rho_candidates > 0)[0][-1]
-    lam = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + lam, 0.0)
+def _newton_lengths(pc: np.ndarray, nc: np.ndarray, sign: float, z_pen: float):
+    """Minimize the relaxed cost over class lengths subject to sum n_i 2^-ell_i = 1.
 
-
-def _tilt_lengths(z, u, pc, nc, sign) -> np.ndarray:
-    """Class code lengths ell_i = log2(G / g_i) at (z, Q)."""
-    g = np.maximum(_g_weights(z, u / nc, pc, sign), 1e-300)
-    big_g = float(np.dot(nc, g))
-    return np.log2(np.maximum(big_g / g, 1e-300))
-
-
-def _q_gradient(z, u, pc, nc, sign) -> np.ndarray:
-    """dc/du_i = ell_i * (z/2) * sqrt(p_i / q_i) with ell_i = log2(G / g_i)."""
-    ell = _tilt_lengths(z, u, pc, nc, sign)
-    return ell * 0.5 * z * np.sqrt(pc / np.maximum(u / nc, 1e-300))
-
-
-def _q_fixed_point(z, u, pc, nc, sign) -> np.ndarray:
-    ell = _tilt_lengths(z, u, pc, nc, sign)
-    prop = nc * pc * ell * ell
-    total = prop.sum()
-    return prop / total if total > 0 else u
-
-
-def _ascend(
-    pc: np.ndarray,
-    nc: np.ndarray,
-    u0: np.ndarray,
-    sign: float,
-    z_pen: float,
-    kcap: float,
-    rounds: int = 240,
-) -> tuple[float, np.ndarray, float]:
-    """Alternating ascent: golden-section over z, fixed-point/projected-gradient
-    over Q with backtracking.  Returns (z, u, value)."""
-
-    def value(z, u):
-        return _objective(z, u, pc, nc, sign) - z_pen * z * z / 2.0
-
-    u = u0.copy()
-    z = 1.0
-    best = -math.inf
-    for it in range(rounds):
-        # z-step
-        if sign < 0:
-            hi = _z_upper(u, pc, nc, kcap)
-        else:
-            hi = 1.0
-            while value(2 * hi, u) > value(hi, u) and hi < 1e6:
-                hi *= 2.0
-            hi *= 2.0
-        z = _golden_max(lambda zz: value(zz, u), 0.0, hi)
-        cur = value(z, u)
-        # Q-step: try the stationarity fixed point, fall back to projected gradient
-        prop = _q_fixed_point(z, u, pc, nc, sign)
-        step = 1.0
-        improved = False
-        for _ in range(30):
-            cand = _project_simplex(u + step * (prop - u))
-            cv = value(z, cand)
-            if cv > cur + 1e-15:
-                u, cur, improved = cand, cv, True
+    Damped equality-constrained Newton from the Shannon lengths, with D = E[L]
+    (age) or L_th - E[L] (delay).  The Hessian of the Lagrangian is
+    diag(w/D + lam ln^2 2 n 2^-ell) plus a rank-2 term in span{w, w ell}
+    (w = n p), so bordering it with the Kraft normal leaves a 3x3 solve per
+    step.  The multiplier estimate is clipped at 0, which keeps every step a
+    descent direction.  Each step is shifted back to Kraft equality and
+    backtracked on the cost until the Newton decrement falls below
+    _FULL_STEP |F|.  From there the cost cannot resolve the decrease, and
+    steps are taken whole until the longest is under _STEP_TOL bits: classes
+    of tiny mass converge there, unseen by the cost and the decrement.
+    Returns (lengths, iterations).
+    """
+    w = nc * pc
+    ell = -np.log2(pc)
+    if ell.size == 1:
+        return ell, 0
+    cost = _relaxed_cost(ell, w, sign, z_pen)
+    ln2 = math.log(2.0)
+    lam = None
+    for it in range(1, _NEWTON_ITERS + 1):
+        el, el2 = _moments(ell, w)
+        dd = z_pen - sign * el
+        grad = w * (1.0 + ell / dd + sign * el2 / (2.0 * dd * dd))
+        kraft = nc * np.exp2(-ell)
+        if lam is None:  # least-squares multiplier of grad = lam ln2 n 2^-ell
+            lam = max(0.0, float(np.dot(kraft, grad)) / (ln2 * float(np.dot(kraft, kraft))))
+        diag = w / dd + lam * ln2 * ln2 * kraft
+        basis = np.stack((w, w * ell, kraft))
+        scaled = basis / diag
+        small = scaled @ basis.T
+        # the inverse of the rank-2 term's 2x2 core, in the basis (w, w ell)
+        small[:2, :2] += [[0.0, sign * dd * dd], [sign * dd * dd, -el2 * dd]]
+        coef = np.linalg.solve(small, -(scaled @ grad))
+        step = -(grad + coef @ basis) / diag
+        lam = max(0.0, -float(coef[2]) / ln2)
+        dec = -float(np.dot(grad, step))
+        full = dec <= _FULL_STEP * cost
+        t = 1.0
+        for _ in range(60):
+            cand = _kraft_shift(ell + t * step, nc)
+            cand_cost = _relaxed_cost(cand, w, sign, z_pen)
+            if cand_cost <= cost - 0.25 * t * dec or (full and cand_cost < math.inf):
                 break
-            step *= 0.5
-        if not improved:
-            grad = _q_gradient(z, u, pc, nc, sign)
-            gstep = 1.0
-            for _ in range(40):
-                cand = _project_simplex(u + gstep * grad)
-                cv = value(z, cand)
-                if cv > cur + 1e-15:
-                    u, cur, improved = cand, cv, True
-                    break
-                gstep *= 0.5
-        if cur <= best + 1e-14 and it > 4:
-            best = max(best, cur)
+            t *= 0.5
+        else:
             break
-        best = max(best, cur)
-    # final z polish
-    if sign < 0:
-        hi = _z_upper(u, pc, nc, kcap)
-    else:
-        hi = max(4.0, 4 * z)
-    z = _golden_max(lambda zz: value(zz, u), 0.0, hi)
-    return z, u, value(z, u)
+        ell, cost = cand, cand_cost
+        if full and float(np.abs(step).max()) <= _STEP_TOL:
+            break
+    return ell, it
 
 
 def _expand(u: np.ndarray, nc: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -534,15 +499,11 @@ def _expand(u: np.ndarray, nc: np.ndarray, inverse: np.ndarray) -> np.ndarray:
     return per_symbol[inverse]
 
 
-def _solve_tilt(
-    p_full: np.ndarray,
-    sign: float,
-    z_pen: float,
-    cost_fn,
-    tol: float,
-) -> TiltSolution:
-    """One ascent from Q = P, polished by best responses.  An answer whose
-    certificate gap exceeds `tol` comes back with certified = False."""
+def _solve_tilt(p_full: np.ndarray, sign: float, z_pen: float, tol: float) -> TiltSolution:
+    """Newton-solve the class lengths, then certify them through the closed-form
+    dual point: z = sqrt(E L^2)/D and Q proportional to p ell^2.  The returned
+    p_star comes from that dual point, not from the lengths, so a wrong answer
+    cannot certify itself; one whose gap exceeds `tol` has certified = False."""
     p_full = validate_pmf(p_full)
     support = p_full > 0
     p = p_full[support]
@@ -551,43 +512,18 @@ def _solve_tilt(
         ps[support] = 1.0
         return TiltSolution(0.0, ps.copy(), ps, 0.0, 0.0, 0.0, True, degenerate=True)
     pc, nc, inverse = _reduce_classes(p)
-    h_p = entropy(p)
-    kcap = (math.log2(p.size) / max(h_p, 1e-9)) * (1.0 / math.sqrt(pc.min()))
-    kcap = max(kcap, 4.0)
-
-    u0 = nc * pc
-    z, u, val = _ascend(pc, nc, u0 / u0.sum(), sign, z_pen, kcap)
-    # best-response polish: the lengths log2(G/g) at the current point
-    # feed the closed-form best responses of z and Q back in
-    for _ in range(40):
-        ell_c = _tilt_lengths(z, u, pc, nc, sign)
-        el = float(np.dot(nc * pc, ell_c))
-        el2 = float(np.dot(nc * pc, ell_c**2))
-        if sign < 0:
-            z_br = math.sqrt(el2) / el if el > 0 else 0.0
-        else:
-            denom = z_pen - el
-            if denom <= 0:
-                break
-            z_br = math.sqrt(el2) / denom
-        u_prop = nc * pc * ell_c * ell_c
-        if u_prop.sum() <= 0:
-            break
-        u_prop /= u_prop.sum()
-        cand_val = _objective(z_br, u_prop, pc, nc, sign) - z_pen * z_br**2 / 2.0
-        if cand_val > val + 1e-15:
-            z, u, val = z_br, u_prop, cand_val
-        else:
-            z2, u2, val2 = _ascend(pc, nc, u_prop, sign, z_pen, kcap, rounds=60)
-            if val2 > val + 1e-15:
-                z, u, val = z2, u2, val2
-            else:
-                break
+    ell, _ = _newton_lengths(pc, nc, sign, z_pen)
+    w = nc * pc
+    el, el2 = _moments(ell, w)
+    z = math.sqrt(el2) / (z_pen - sign * el)
+    u = w * ell * ell
+    u /= u.sum()
+    val = _objective(z, u, pc, nc, sign) - z_pen * z * z / 2.0
     q_sym = _expand(u, nc, inverse)
     pstar = tilted_pmf(z, q_sym, p, sign)
     if pstar is None:
-        raise ValueError(f"ascent ended at an infeasible tilt (z = {z:.6g})")
-    cost = cost_fn(-np.log2(np.maximum(pstar, 1e-300)), p)
+        raise ValueError(f"Newton solve ended at an infeasible tilt (z = {z:.6g})")
+    cost = _relaxed_cost(-np.log2(np.maximum(pstar, 1e-300)), p, sign, z_pen)
     gap = cost - val
     sol_q = np.zeros_like(p_full)
     sol_q[support] = q_sym
@@ -597,18 +533,15 @@ def _solve_tilt(
 
 
 def optimize_age(p: Sequence[float], tol: float = 1e-6) -> TiltSolution:
-    """Maxmin tilted-code optimizer for the relaxed average-age cost.
+    """Minimum relaxed average-age code: a Newton solve of the convex cost
+    E[L] + E[L^2]/(2 E[L]) under Kraft equality.
 
-    The certificate compares the maxmin value against the primal cost of the
-    Shannon lengths for the tilted pmf; a gap below `tol` proves optimality.
+    The certificate evaluates the maxmin objective at the closed-form dual
+    point of the solved lengths and compares it against the primal cost of
+    the Shannon lengths for the tilted pmf; a gap below `tol` proves
+    optimality.
     """
-    return _solve_tilt(
-        np.asarray(p, dtype=float),
-        sign=-1.0,
-        z_pen=0.0,
-        cost_fn=lambda ell, pp: age_cost(ell, pp),
-        tol=tol,
-    )
+    return _solve_tilt(np.asarray(p, dtype=float), sign=-1.0, z_pen=0.0, tol=tol)
 
 
 def optimize_delay(p: Sequence[float], l_th: float, tol: float = 1e-6) -> TiltSolution:
@@ -620,10 +553,4 @@ def optimize_delay(p: Sequence[float], l_th: float, tol: float = 1e-6) -> TiltSo
             f"infeasible threshold: need H(X) + log2(1+1/sqrt(2)) = "
             f"{h + math.log2(1 + 1 / math.sqrt(2)):.4f} < L_th = {l_th}"
         )
-    return _solve_tilt(
-        p,
-        sign=+1.0,
-        z_pen=l_th,
-        cost_fn=lambda ell, pp: delay_cost(ell, pp, l_th),
-        tol=tol,
-    )
+    return _solve_tilt(p, sign=+1.0, z_pen=l_th, tol=tol)

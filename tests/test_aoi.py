@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qtc.aoi as aoi
 from qtc.aoi import (
     age_cost,
     average_age,
@@ -26,6 +27,8 @@ from qtc.aoi import (
 )
 from qtc.core import SeedPath
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def random_pmf(seed, m, floor=1e-6):
     p = np.random.default_rng(seed).dirichlet(np.ones(m))
@@ -44,10 +47,9 @@ def test_shannon_lengths():
 def test_prefix_code_canonical():
     assert [c.to01() for c in build_prefix_code([1, 2, 2])] == ["0", "10", "11"]
     assert [c.to01() for c in build_prefix_code([2, 2, 2, 2])] == ["00", "01", "10", "11"]
-    with pytest.raises(ValueError):
-        build_prefix_code([1, 1, 2])
-    with pytest.raises(ValueError):
-        build_prefix_code([0, 2])
+    for bad in ([1, 1, 2], [0, 2], [1.5, 1.5], [1, 2.5, 2.5]):
+        with pytest.raises(ValueError):
+            build_prefix_code(bad)
 
 
 def test_prefix_code_is_prefix_free():
@@ -82,6 +84,18 @@ def test_randomized_reduces_to_deterministic():
     assert full == pytest.approx(average_age(ell, p))
     with pytest.raises(ValueError):
         average_age_randomized(ell, np.zeros(6), 1.0, p)
+
+
+@pytest.mark.parametrize("theta,l_skip", [
+    ([1.0], 2.0),  # broadcast against p
+    ([math.nan, 1.0], 2.0),
+    ([1.0, 0.5], math.nan),
+    ([1.0, 0.5], math.inf),
+    ([1.0, 0.5], -1.0),
+], ids=["theta-broadcast", "theta-nan", "skip-nan", "skip-inf", "skip-negative"])
+def test_randomized_formula_rejects_out_of_domain(theta, l_skip):
+    with pytest.raises(ValueError):
+        average_age_randomized([2.0, 2.0], theta, l_skip, [0.5, 0.5])
 
 
 def test_randomized_example_64():
@@ -184,6 +198,12 @@ def test_variational_formula():
                 assert lp_norm_variational(x, p, pe, q) <= norm + 1e-9
 
 
+def test_variational_formula_rejects_bad_q():
+    for q in ([-0.2, 1.2], [0.5, 0.25, 0.25], [1.0]):
+        with pytest.raises(ValueError):
+            lp_norm_variational([1.0, 2.0], [0.5, 0.5], 2.0, q)
+
+
 def test_variational_example_and_constant():
     val = lp_norm_variational([1.0, 2.0], [0.5, 0.5], 2.0, [0.2, 0.8])
     assert val == pytest.approx(math.sqrt(2.5), abs=1e-12)
@@ -197,6 +217,8 @@ def test_tilted_pmf_cases():
     assert tilted_pmf(2.0, [0.0, 1.0], p) is None  # g < 0 at the zero-Q symbol
     u = np.full(4, 0.25)
     assert np.allclose(tilted_pmf(1.0, u, u), u)
+    with pytest.raises(ValueError):
+        tilted_pmf(0.5, [0.3], p)  # would broadcast
 
 
 def test_optimize_age_uniform():
@@ -281,3 +303,67 @@ def test_zipf_pmf_and_validate():
     for bad in ([math.nan, 0.5], [math.inf, 0.5], [0.5, 0.5, math.nan]):
         with pytest.raises(ValueError):
             validate_pmf(bad)
+
+
+def kkt_residual(lengths, p, l_th=None):
+    """Relative spread of dF/dl_i / (ln2 2^-l_i) over the support, with F the
+    age cost (l_th None) or the delay cost; 0 at the constrained optimum."""
+    p = np.asarray(p, dtype=float)
+    ell, p = np.asarray(lengths, dtype=float)[p > 0], p[p > 0]
+    el, el2 = float(p @ ell), float(p @ ell**2)
+    if l_th is None:
+        grad = p * (1.0 + ell / el - el2 / (2 * el * el))
+    else:
+        room = l_th - el
+        grad = p * (1.0 + ell / room + el2 / (2 * room * room))
+    ratio = grad / (math.log(2) * np.exp2(-ell))
+    return float(np.ptp(ratio) / abs(ratio.mean()))
+
+
+def check_newton_solve(p, objective, tol=1e-10):
+    """Solve, then check the certificate, the KKT residual, Kraft equality and
+    the iteration count; returns (solution, iterations)."""
+    l_th = 2 * entropy(p) + 2 if objective == "delay" else None
+    sol = optimize_age(p) if l_th is None else optimize_delay(p, l_th)
+    pc, nc, _ = aoi._reduce_classes(p[p > 0])
+    sign, z_pen = (-1.0, 0.0) if l_th is None else (1.0, l_th)
+    _, iterations = aoi._newton_lengths(pc, nc, sign, z_pen)
+    assert sol.certified and abs(sol.certificate_gap) <= tol
+    assert kkt_residual(sol.lengths, p, l_th) <= tol
+    assert abs(kraft_sum(sol.lengths) - 1.0) <= 1e-12
+    if l_th is not None:
+        assert float(p @ sol.lengths) < l_th
+    assert iterations < aoi._NEWTON_ITERS
+    return sol, iterations
+
+
+def test_newton_solve_sweep():
+    rng = np.random.default_rng(2020)
+    pmfs = [zipf_pmf(s100 / 100, 256) for s100 in range(30, 321, 5)]
+    for _ in range(100):
+        m = int(rng.integers(2, 301))
+        pmfs.append(rng.dirichlet(np.full(m, rng.uniform(0.1, 5.0))))
+    for p in pmfs:
+        for objective in ("age", "delay"):
+            check_newton_solve(p, objective)
+
+
+def test_newton_solve_two_level_age():
+    # at the Shannon start the least-squares multiplier is negative; unclipped,
+    # it leaves the KKT system singular
+    n = 16
+    p = np.array([1 - 1 / n] + [1 / (n * 2**n)] * (2**n))
+    sol, _ = check_newton_solve(p, "age")
+    assert sol.value == pytest.approx(6.3928, abs=1e-4)
+
+
+def test_newton_solve_zipf_delay_ends():
+    # the cost stops resolving the decrease after a few steps; without whole
+    # steps from there on the solve runs to the iteration cap
+    check_newton_solve(zipf_pmf(1.5, 64), "delay")
+
+
+@pytest.mark.parametrize("objective", ["age", "delay"])
+def test_newton_solve_single_class(objective):
+    sol, iterations = check_newton_solve(np.full(8, 1 / 8), objective)
+    assert iterations == 0 and np.array_equal(sol.lengths, np.full(8, 3.0))
