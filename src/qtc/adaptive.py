@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BitReader, BitString
+from .core import BitReader, BitString, MalformedStreamError
 from .scalar import OVERFLOW, UniformGrid, cuq_decode, cuq_encode
 
 __all__ = [
@@ -192,7 +192,7 @@ class AguqPlus:
         while reader.read_bit() == 1:
             j += 1
             if j >= self.h_g:
-                raise ValueError("malformed stream: unary range overruns ladder")
+                raise MalformedStreamError("malformed stream: unary range overruns ladder")
         sym = reader.read_uint(j + 1)
         if j == self.h_g - 1 and sym == (1 << (j + 1)) - 1:
             return 0.0  # overflow

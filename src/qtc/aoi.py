@@ -132,12 +132,18 @@ def _moments(lengths: np.ndarray, p: np.ndarray) -> tuple[float, float]:
     return el, el2
 
 
+def _sent_lengths(lengths: Sequence[float], p: np.ndarray) -> np.ndarray:
+    """Lengths as floats, 0 where p is 0: a symbol of probability 0 adds
+    nothing to a moment, whatever its length (inf included)."""
+    return np.where(p > 0, np.asarray(lengths, dtype=float), 0.0)
+
+
 def age_cost(lengths: Sequence[float], p: Sequence[float]) -> float:
     """E[L] + E[L^2]/(2 E[L]): the relaxed cost the optimizer minimizes.
 
     The on-channel average age is this minus 1/2 (see average_age)."""
     p = validate_pmf(p)
-    el, el2 = _moments(np.asarray(lengths, dtype=float), p)
+    el, el2 = _moments(_sent_lengths(lengths, p), p)
     if el <= 0:
         raise ValueError("expected length must be positive")
     return el + el2 / (2 * el)
@@ -205,7 +211,7 @@ def average_age_erasure_exact(lengths: Sequence[float], p: Sequence[float], eps:
 def delay_cost(lengths: Sequence[float], p: Sequence[float], l_th: float) -> float:
     """Average M/G/1 waiting time E[L] + E[L^2]/(2(L_th - E[L]))."""
     p = validate_pmf(p)
-    el, el2 = _moments(np.asarray(lengths, dtype=float), p)
+    el, el2 = _moments(_sent_lengths(lengths, p), p)
     if el >= l_th:
         return math.inf
     return el + el2 / (2.0 * (l_th - el))
@@ -333,14 +339,23 @@ def simulate_update_scheme(
 # Variational formula and tilted pmfs
 
 
+def _values_for(values: Sequence[float], pr: np.ndarray) -> np.ndarray:
+    """|X| as a float array; raises ValueError unless it has one value per
+    symbol of the pmf."""
+    x = np.abs(np.asarray(values, dtype=float))
+    if x.shape != pr.shape:
+        raise ValueError(f"{x.size} values for {pr.size} symbols")
+    return x
+
+
 def lp_norm_variational(
     values: Sequence[float], pmf: Sequence[float], p: float, q_pmf: Sequence[float]
 ) -> float:
     """E_P[(dQ/dP)^(1/p') |X|] with p' the Hoelder conjugate; always <= ||X||_p."""
     if p <= 1:
         raise ValueError("variational formula needs p > 1")
-    x = np.abs(np.asarray(values, dtype=float))
     pr = validate_pmf(pmf)
+    x = _values_for(values, pr)
     q = validate_pmf(q_pmf)
     if q.shape != pr.shape:
         raise ValueError(f"Q has {q.size} masses for {pr.size} symbols")
@@ -355,9 +370,8 @@ def lp_norm_variational(
 
 def variational_maximizer(values: Sequence[float], pmf: Sequence[float], p: float) -> np.ndarray:
     """The tilt dQ/dP = |X|^p / E|X|^p that attains ||X||_p."""
-    x = np.abs(np.asarray(values, dtype=float)) ** p
     pr = validate_pmf(pmf)
-    w = pr * x
+    w = pr * _values_for(values, pr) ** p
     total = w.sum()
     if total <= 0:
         raise ValueError("||X||_p is zero; maximizer undefined")
@@ -402,7 +416,12 @@ class TiltSolution:
 
     @property
     def lengths(self) -> np.ndarray:
-        return -np.log2(self.p_star)
+        """Shannon lengths -log2 p_star; inf exactly where p_star is 0 (a
+        symbol of probability 0 gets no codeword)."""
+        out = np.full(self.p_star.shape, np.inf)
+        sent = self.p_star > 0
+        out[sent] = -np.log2(self.p_star[sent])
+        return out
 
 
 def _reduce_classes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,6 +23,7 @@ __all__ = [
     "BitReader",
     "SeedPath",
     "Quantizer",
+    "MalformedStreamError",
     "TruncatedStreamError",
     "check_finite",
 ]
@@ -30,12 +31,16 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-class TruncatedStreamError(ValueError):
-    """Raised when a read runs past the end of a BitString.
+class MalformedStreamError(ValueError):
+    """Raised by every decoder for a message it cannot have been sent:
+    truncated, over-long, or carrying a field value out of range.
 
-    A ValueError like every other malformed-message error, so decoders raise
-    one documented type for truncated, over-long and out-of-range messages.
+    A ValueError, so callers that catch ValueError keep working.
     """
+
+
+class TruncatedStreamError(MalformedStreamError):
+    """Raised when a read runs past the end of a BitString."""
 
 
 def check_finite(x) -> np.ndarray:
@@ -165,10 +170,10 @@ class BitReader:
         return bits @ (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
 
     def finish(self) -> None:
-        """Raise ValueError unless every bit has been read: no decoder accepts
-        trailing bits."""
+        """Raise MalformedStreamError unless every bit has been read: no
+        decoder accepts trailing bits."""
         if self.remaining:
-            raise ValueError(f"malformed stream: {self.remaining} bits left over")
+            raise MalformedStreamError(f"malformed stream: {self.remaining} bits left over")
 
     @property
     def remaining(self) -> int:

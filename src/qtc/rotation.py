@@ -76,10 +76,21 @@ def sample_subset(rng: np.random.Generator, d: int, mu_d: int) -> np.ndarray:
 
 
 def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
-    """(n, d) boolean mask; row i marks an independent uniform mu_d-subset."""
-    keep = np.zeros((n, d), dtype=bool)
-    picks = np.argpartition(rng.random((n, d)), mu_d - 1, axis=1)[:, :mu_d]
-    np.put_along_axis(keep, picks, True, axis=1)
+    """(n, d) boolean mask; row i marks an independent uniform mu_d-subset.
+
+    One uniform per entry is drawn, rng.random((n, d)), and each row keeps
+    its mu_d smallest draws: the entries at or below the row's mu_d-th
+    smallest value.  A row tied at that cut would keep more than mu_d; only
+    such rows are re-picked, by argpartition, so every row keeps exactly
+    mu_d.
+    """
+    r = rng.random((n, d))
+    keep = r <= np.partition(r, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
+    if np.count_nonzero(keep) != n * mu_d:  # every row keeps >= mu_d
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) != mu_d)
+        picks = np.argpartition(r[tied], mu_d - 1, axis=1)[:, :mu_d]
+        keep[tied] = False
+        keep[tied[:, None], picks] = True
     return keep
 
 

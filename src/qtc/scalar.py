@@ -10,19 +10,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BitReader, BitString
+from .core import BitReader, BitString, MalformedStreamError
 
 __all__ = [
     "UniformGrid",
     "ModuloParams",
     "OVERFLOW",
     "cuq_round",
+    "cuq_round_with",
     "cuq_levels",
     "cuq_encode",
     "cuq_decode",
     "cuq_expected_decode",
     "cuq_conditional_mse",
     "mq_encode",
+    "mq_encode_with",
     "mq_decode",
     "mq_quantize",
     "write_cuq_symbols",
@@ -38,16 +40,24 @@ def _spacing(M, k: int, signed: bool):
 
 
 def cuq_round(y: np.ndarray, M, k: int, rng: np.random.Generator, signed: bool = True) -> np.ndarray:
+    """`cuq_round_with` on one fresh uniform per coordinate: draws
+    rng.random(y.shape) once and passes the draws on."""
+    return cuq_round_with(y, M, k, rng.random(np.shape(y)), signed)
+
+
+def cuq_round_with(y: np.ndarray, M, k: int, u: np.ndarray, signed: bool = True) -> np.ndarray:
     """Randomized rounding onto the k-level CUQ grid over [-M, M] (signed) or
     [0, M] (nonneg): the one implementation of the rule every CUQ-based
     quantizer and sampler uses.
 
     `y` is an array of one or more dimensions; `M` is finite and positive and
-    broadcasts against it, so the range may vary per coordinate.  With t the fractional level index, the symbol is
-    ceil(t) - 1 + (u < frac) for one uniform u per coordinate, clipped to
-    0..k-1: a value on a level B(l) belongs to the cell (B(l-1), B(l)] and is
-    emitted as l deterministically.  Coordinates outside the range get
-    OVERFLOW.  Returns float symbols; draws rng.random(y.shape) once.
+    broadcasts against it, so the range may vary per coordinate.  `u` holds
+    one uniform in [0, 1) per coordinate of `y`.  With t the fractional level
+    index, the symbol is ceil(t) - 1 + (u < frac), clipped to 0..k-1: a value
+    on a level B(l) belongs to the cell (B(l-1), B(l)] and is emitted as l
+    deterministically.  Coordinates outside the range get OVERFLOW.  Returns
+    float symbols.  A sampler that keeps only some coordinates draws the
+    uniforms of all of them and rounds the kept ones with their own draws.
     """
     t = y / _spacing(M, k, signed)
     if signed:
@@ -55,7 +65,7 @@ def cuq_round(y: np.ndarray, M, k: int, rng: np.random.Generator, signed: bool =
     sym = np.ceil(t)
     sym -= 1.0
     t -= sym  # rounding-up probability, in (0, 1]
-    sym += rng.random(t.shape) < t
+    sym += u < t
     del t
     np.clip(sym, 0, k - 1, out=sym)
     sym[(np.abs(y) > M) if signed else ((y > M) | (y < 0.0))] = OVERFLOW
@@ -124,7 +134,7 @@ def cuq_encode(y: np.ndarray, grid: UniformGrid, rng: np.random.Generator) -> np
 def cuq_decode(symbols: np.ndarray, grid: UniformGrid) -> np.ndarray:
     sym = np.asarray(symbols)
     if np.any(sym >= grid.k):
-        raise ValueError("malformed stream: symbol out of range")
+        raise MalformedStreamError("malformed stream: symbol out of range")
     return grid.level(sym)
 
 
@@ -161,7 +171,7 @@ def write_cuq_symbols(bits: BitString, symbols: np.ndarray, grid: UniformGrid) -
 def read_cuq_symbols(reader: BitReader, n: int, grid: UniformGrid) -> np.ndarray:
     v = reader.read_fields(n, grid.symbol_bits)
     if np.any(v > grid.k):
-        raise ValueError("malformed stream: CUQ symbol out of range")
+        raise MalformedStreamError("malformed stream: CUQ symbol out of range")
     v[v == grid.k] = OVERFLOW
     return v
 
@@ -192,12 +202,24 @@ class ModuloParams:
 
 
 def mq_encode(x: np.ndarray, params: ModuloParams, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased dither to the integer lattice, transmitted modulo k."""
+    """`mq_encode_with` on one fresh uniform per coordinate: draws
+    rng.random(x.shape) once and passes the draws on."""
     x = np.asarray(x, dtype=float)
-    t = x / params.eps
+    return mq_encode_with(x, params, rng.random(x.shape))
+
+
+def mq_encode_with(x: np.ndarray, params: ModuloParams, u: np.ndarray) -> np.ndarray:
+    """Unbiased dither to the integer lattice, transmitted modulo k: the one
+    implementation of the MQ encoding rule.
+
+    `u` holds one uniform in [0, 1) per coordinate of `x`; the lattice point
+    above x/eps is taken when u falls below the fractional part.  A sampler
+    that keeps only some coordinates draws the dither of all of them and
+    encodes the kept ones with their own draws.
+    """
+    t = np.asarray(x, dtype=float) / params.eps
     z_lo = np.floor(t)
     frac = t - z_lo  # P(round up); exactly 0 on lattice points
-    u = rng.random(size=x.shape)
     z_tilde = z_lo + (u < frac)
     return np.mod(z_tilde, params.k).astype(np.int64)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import log_star, tetration
-from .core import BitReader, BitString, Quantizer, check_finite
+from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_finite
 from .rotation import (
     check_sample_count,
     next_pow2,
@@ -27,7 +27,7 @@ from .rotation import (
     sample_subset_masks,
     unrotate_batch,
 )
-from .scalar import ModuloParams, mq_decode, mq_encode
+from .scalar import ModuloParams, mq_decode, mq_encode, mq_encode_with
 from .vector import _chunks
 
 __all__ = [
@@ -123,7 +123,7 @@ def _read_cosets(bits: BitString, n: int, cfg: RmqConfig) -> np.ndarray:
     w = reader.read_fields(n, cfg.symbol_bits)
     reader.finish()
     if np.any(w >= cfg.k):
-        raise ValueError("malformed stream: coset symbol out of range")
+        raise MalformedStreamError("malformed stream: coset symbol out of range")
     return w
 
 
@@ -294,13 +294,13 @@ def _rdaq_decode(cfg: RdaqConfig, bits, side, rng, coords=None, mu: float = 1.0)
     if cfg.index_bits:
         z = reader.read_fields(m, cfg.index_bits)
         if np.any(z >= cfg.h):
-            raise ValueError("malformed stream: scale index out of range")
+            raise MalformedStreamError("malformed stream: scale index out of range")
     else:
         z = np.zeros(m, dtype=int)
     counts = reader.read_fields(m * cfg.h, cfg.count_bits).reshape(cfg.h, m).T
     reader.finish()
     if np.any(counts > cfg.N):
-        raise ValueError("malformed stream: count exceeds repetition budget")
+        raise MalformedStreamError("malformed stream: count exceeds repetition budget")
     z_side = _scale_index(yr[coords], cfg.ranges)
     z_star = np.maximum(z, z_side)
     rows = np.arange(m)
@@ -378,7 +378,14 @@ def rmq_sample(x, y, cfg: RmqConfig, n: int, rng: np.random.Generator) -> np.nda
 
 
 def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draws of the subsampled-RMQ reconstruction; mu_d = None is plain RMQ."""
+    """Draws of the subsampled-RMQ reconstruction; mu_d = None is plain RMQ.
+
+    Each chunk draws, in order, the signs, the subset masks (subsampled only)
+    and one dither uniform per rotated coordinate, kept or not.  MQ encode
+    and decode run on the kept coordinates only, each with its own dither;
+    the reconstruction is the rotated side information with the kept entries
+    replaced by their scaled corrections.
+    """
     if mu_d is not None:
         check_sample_count(mu_d, cfg.d_pad)
     params = cfg.mq
@@ -388,12 +395,15 @@ def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator
         m = hi - lo
         signs = sample_signs_batch(rng, m, cfg.d_pad)
         xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
-        if mu_d is not None:
-            keep = sample_subset_masks(rng, m, cfg.d_pad, mu_d)
-        vals = mq_decode(mq_encode(xr, params, rng), yr, params)
-        if mu_d is not None:
-            vals = yr + np.where(keep, (vals - yr) / (mu_d / cfg.d_pad), 0.0)
-        out[lo:hi] = unrotate_batch(vals, signs)[:, : cfg.d]
+        if mu_d is None:
+            yr = mq_decode(mq_encode_with(xr, params, rng.random(xr.shape)), yr, params)
+        else:
+            kept = np.flatnonzero(sample_subset_masks(rng, m, cfg.d_pad, mu_d))
+            u = rng.random(xr.shape).ravel()[kept]
+            yk = yr.ravel()[kept]
+            vals = mq_decode(mq_encode_with(xr.ravel()[kept], params, u), yk, params)
+            yr.ravel()[kept] = yk + (vals - yk) / (mu_d / cfg.d_pad)
+        out[lo:hi] = unrotate_batch(yr, signs)[:, : cfg.d]
     return out
 
 
@@ -405,6 +415,13 @@ def daq_sample(x, y, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
+    """Draws of the (boosted, or with mu_d subsampled) RDAQ reconstruction.
+
+    Each chunk draws, in order, the signs, N uniforms per rotated coordinate
+    at its scale z* and, with mu_d, the subset masks.  The check that no
+    coordinate escapes the top scale covers all of them; scales and counts
+    are worked out for the kept coordinates only.
+    """
     ranges = cfg.ranges
     xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
     out = np.empty((n, cfg.d))
@@ -412,21 +429,31 @@ def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
         m = hi - lo
         signs = sample_signs_batch(rng, m, cfg.d_pad)
         xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
-        zx = np.searchsorted(ranges, np.abs(xr).ravel(), side="left").reshape(m, cfg.d_pad)
-        zy = np.searchsorted(ranges, np.abs(yr).ravel(), side="left").reshape(m, cfg.d_pad)
-        if np.any(zx >= cfg.h) or np.any(zy >= cfg.h):
+        # z* = max(z(x), z(y)) = z(max(|x|, |y|)), since the scale index is monotone
+        a = np.maximum(np.abs(xr), np.abs(yr)).ravel()
+        if not np.all(a <= ranges[-1]):
             raise ValueError("value escapes the top scale; inputs must be unit-ball")
-        z_star = np.maximum(zx, zy)
-        m_sel = ranges[z_star]
         # only the z* scale matters for the estimate; draw N uniforms there
-        u = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N)) * m_sel[..., None]
-        cx = (u <= xr[..., None]).sum(axis=2)
-        cy = (u <= yr[..., None]).sum(axis=2)
-        corr = 2.0 * m_sel * (cx - cy) / cfg.N
-        if mu_d is not None:
-            keep = sample_subset_masks(rng, m, cfg.d_pad, mu_d)
-            corr = np.where(keep, corr / (mu_d / cfg.d_pad), 0.0)
-        out[lo:hi] = unrotate_batch(yr + corr, signs)[:, : cfg.d]
+        v = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N)).reshape(-1, cfg.N)
+        if mu_d is None:
+            kept, mu = slice(None), 1.0
+        else:
+            kept = np.flatnonzero(sample_subset_masks(rng, m, cfg.d_pad, mu_d))
+            mu = mu_d / cfg.d_pad
+        xk, yk, ak = xr.ravel()[kept], yr.ravel()[kept], a[kept]
+        # the index of the smallest range >= |value|: a count of <= h - 1 compares
+        z_star = np.zeros(ak.shape, dtype=np.intp)
+        for r in ranges[:-1]:
+            z_star += ak > r
+        m_sel = ranges[z_star]
+        u = v[kept] * m_sel[:, None]
+        diff = np.zeros(ak.shape, dtype=np.int64)  # count over x minus count over y
+        for i in range(cfg.N):
+            diff += u[:, i] <= xk
+            diff -= u[:, i] <= yk
+        corr = 2.0 * m_sel * diff / cfg.N
+        yr.ravel()[kept] = yk + corr / mu
+        out[lo:hi] = unrotate_batch(yr, signs)[:, : cfg.d]
     return out
 
 

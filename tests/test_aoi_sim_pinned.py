@@ -17,8 +17,6 @@ from qtc.aoi import shannon_lengths, simulate_update_scheme, zipf_pmf
 from qtc.cli import main
 from qtc.core import SeedPath
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def pmf32():
     p = np.random.default_rng(32).dirichlet(np.ones(32))

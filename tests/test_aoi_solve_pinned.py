@@ -17,8 +17,6 @@ import qtc.aoi as aoi
 from qtc.cli import main
 from test_aoi import kkt_residual
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # (zipf_s, zipf_n); n <= 64 also prints p_star into the CSV
 ZIPF = [(0.3, 256), (1.0, 256), (3.2, 256), (0.5, 64), (1.5, 64), (2.5, 16)]
 # (symbols, concentration, numpy seed)
