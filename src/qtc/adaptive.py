@@ -8,6 +8,7 @@ gain variant (unary range code + per-range level field).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -72,12 +73,14 @@ class TetraLadder:
         if self.m <= 0 or self.m0 < 0:
             raise ValueError("require m > 0 and m0 >= 0")
 
-    @property
+    @functools.cached_property
     def ranges(self) -> np.ndarray:
+        """The h ranges, worked out once per ladder; read-only."""
         out = np.empty(self.h)
         for i in range(self.h):
             t = tetration(i) if i <= 5 else math.inf
             out[i] = math.sqrt(self.m * t + self.m0) if math.isfinite(t) else math.inf
+        out.flags.writeable = False
         return out
 
     @property

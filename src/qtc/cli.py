@@ -43,6 +43,22 @@ from .vector import (
     simq_plus_sample,
 )
 
+__all__ = [
+    "gaussian_rd_config",
+    "gaussian_rd_run",
+    "gaussian_wz_params",
+    "gaussian_wz_run",
+    "ConfigError",
+    "parse_config",
+    "cmd_quantize_bench",
+    "cmd_dme_bench",
+    "cmd_opt_bench",
+    "cmd_rd_bench",
+    "cmd_aoi_solve",
+    "cmd_aoi_sim",
+    "main",
+]
+
 # ---------------------------------------------------------------------------
 # Gaussian rate-distortion / Wyner-Ziv benchmark configurations
 

@@ -26,6 +26,7 @@ __all__ = [
     "MalformedStreamError",
     "TruncatedStreamError",
     "check_finite",
+    "check_vector",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -51,6 +52,21 @@ def check_finite(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("input has non-finite entries")
+    return x
+
+
+def check_vector(x, d: int, what: str = "input") -> np.ndarray:
+    """`x` as a float vector of length d; raises ValueError if it has another
+    shape or a NaN or infinite entry.
+
+    Encoders call this on their input before their first draw, and decoders
+    with side information on the side vector.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"{what} has shape {x.shape}, expected ({d},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} has non-finite entries")
     return x
 
 

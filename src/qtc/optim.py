@@ -24,6 +24,8 @@ __all__ = [
     "RunResult",
     "psgd_run",
     "mirror_descent_run",
+    "mirror_exponent",
+    "one_bit_sign_quantize",
     "l1_phase_scheme",
 ]
 

@@ -4,25 +4,29 @@ The forward map multiplies by the random sign diagonal and then applies the
 Walsh-Hadamard transform, computed through a Kronecker factorization
 H_d = H_a kron H_b as two matrix products; the inverse undoes both.  Rotation
 preserves the l2 norm exactly (up to float roundoff), which is what every
-bound built on top of it relies on.  The other shared draws of the rotated
-quantizers, sampled coordinate subsets, live here too.
+bound built on top of it relies on.  Every function works on batches: row i
+of an (n, d) array is repetition i, and a codec is the case n = 1.  The other
+shared draws of the rotated quantizers, sampled coordinate subsets, live here
+too, with the gather and scatter of the kept coordinates.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "SignDiagonal",
-    "sample_signs",
+    "next_pow2",
+    "sample_signs_batch",
     "check_sample_count",
-    "sample_subset",
     "sample_subset_masks",
-    "rotate",
-    "unrotate",
+    "sample_shared",
+    "gather_kept",
+    "sparse_correction",
+    "rotate_batch",
+    "unrotate_batch",
     "pad_to_pow2",
     "fwht",
 ]
@@ -34,26 +38,6 @@ def _is_pow2(n: int) -> bool:
 
 def next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
-
-@dataclass(frozen=True)
-class SignDiagonal:
-    signs: np.ndarray  # entries in {-1.0, +1.0}
-    d: int
-
-    def __post_init__(self):
-        if not _is_pow2(self.d):
-            raise ValueError(f"dimension {self.d} is not a power of two")
-        if self.signs.shape != (self.d,):
-            raise ValueError("sign vector length does not match d")
-
-
-def sample_signs(rng: np.random.Generator, d: int) -> SignDiagonal:
-    """Draw d iid uniform signs from the stream (shared randomness)."""
-    if not _is_pow2(d):
-        raise ValueError(f"dimension {d} is not a power of two")
-    signs = rng.integers(0, 2, size=d).astype(float) * 2.0 - 1.0
-    return SignDiagonal(signs, d)
 
 
 def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -68,11 +52,6 @@ def check_sample_count(mu_d: int, d: int) -> None:
     this before their first draw."""
     if not 1 <= mu_d <= d:
         raise ValueError(f"sample count {mu_d} outside 1..{d}")
-
-
-def sample_subset(rng: np.random.Generator, d: int, mu_d: int) -> np.ndarray:
-    """Shared uniformly random subset of range(d) of size mu_d, sorted."""
-    return np.sort(rng.permutation(d)[:mu_d])
 
 
 def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
@@ -92,6 +71,40 @@ def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> 
         keep[tied] = False
         keep[tied[:, None], picks] = True
     return keep
+
+
+def sample_shared(
+    rng: np.random.Generator, n: int, d: int, mu_d: Optional[int]
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The shared draws of n repetitions of a rotated code, in the one order
+    that codecs and samplers use: (n, d) signs, then (with mu_d) n subset
+    masks.  Returns (signs, kept): kept holds the flat indices of the kept
+    entries of an (n, d) array, row by row, and is None without mu_d."""
+    signs = sample_signs_batch(rng, n, d)
+    if mu_d is None:
+        return signs, None
+    return signs, np.flatnonzero(sample_subset_masks(rng, n, d, mu_d))
+
+
+def gather_kept(a: np.ndarray, kept: Optional[np.ndarray]) -> np.ndarray:
+    """The kept entries of the (n, d) array `a` as an (n, mu_d) array, in
+    coordinate order; `a` itself when kept is None."""
+    if kept is None:
+        return a
+    return a.ravel()[kept].reshape(a.shape[0], -1)
+
+
+def sparse_correction(side_rot: np.ndarray, vals: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The subsampled estimate of a rotated input: the rotated side
+    information, each kept entry s moved to s + (v - s) / mu, with v its entry
+    of the (n, mu_d) `vals` and mu = mu_d / d.
+
+    Writes into `side_rot`, a C-contiguous (n, d) array, and returns it.
+    """
+    flat = side_rot.ravel()
+    s = flat[kept]
+    flat[kept] = s + (vals.ravel() - s) / (vals.shape[-1] / side_rot.shape[-1])
+    return side_rot
 
 
 @functools.lru_cache(maxsize=None)
@@ -122,29 +135,15 @@ def fwht(x: np.ndarray) -> np.ndarray:
     return (_hadamard(a) @ y.reshape(-1, a, b)).reshape(x.shape)
 
 
-def rotate(y: np.ndarray, signs: SignDiagonal) -> np.ndarray:
-    """(1/sqrt(d)) H (signs * y); last axis must have length signs.d."""
-    y = np.asarray(y, dtype=float)
-    if y.shape[-1] != signs.d:
-        raise ValueError(f"vector length {y.shape[-1]} != d {signs.d}")
-    return fwht(y * signs.signs) / np.sqrt(signs.d)
-
-
-def unrotate(z: np.ndarray, signs: SignDiagonal) -> np.ndarray:
-    """Exact inverse of rotate: signs * H z / sqrt(d)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != signs.d:
-        raise ValueError(f"vector length {z.shape[-1]} != d {signs.d}")
-    return signs.signs * (fwht(z) / np.sqrt(signs.d))
-
-
 def rotate_batch(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Batched rotate with per-row sign diagonals (shapes broadcast on rows)."""
+    """(1/sqrt(d)) H (signs * y) for each row, with per-row sign diagonals
+    (shapes broadcast on rows)."""
     d = signs.shape[-1]
     return fwht(y * signs) / np.sqrt(d)
 
 
 def unrotate_batch(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Exact inverse of rotate_batch: signs * H z / sqrt(d)."""
     d = signs.shape[-1]
     return signs * (fwht(z) / np.sqrt(d))
 

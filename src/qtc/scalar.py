@@ -163,12 +163,17 @@ def cuq_conditional_mse(y: np.ndarray, grid: UniformGrid) -> np.ndarray:
 
 
 def write_cuq_symbols(bits: BitString, symbols: np.ndarray, grid: UniformGrid) -> BitString:
-    """Pack symbols in symbol_bits-wide fields; OVERFLOW is sent as the value k."""
+    """Pack symbols in symbol_bits-wide fields; OVERFLOW is sent as the value k.
+
+    Only `grid.k` and `grid.symbol_bits` are read, so any object with the
+    grid's level count and field width will do (RATQ passes its config).
+    """
     sym = np.asarray(symbols)
     return bits.write_fields(np.where(sym == OVERFLOW, grid.k, sym), grid.symbol_bits)
 
 
 def read_cuq_symbols(reader: BitReader, n: int, grid: UniformGrid) -> np.ndarray:
+    """Read back n symbols written by `write_cuq_symbols` with the same `grid`."""
     v = reader.read_fields(n, grid.symbol_bits)
     if np.any(v > grid.k):
         raise MalformedStreamError("malformed stream: CUQ symbol out of range")

@@ -9,41 +9,40 @@ anyone knowing it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .adaptive import log_star, tetration
-from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_finite
+from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_vector
 from .rotation import (
     check_sample_count,
+    gather_kept,
     next_pow2,
     pad_to_pow2,
     rotate_batch,
-    sample_signs,
+    sample_shared,
     sample_signs_batch,
-    sample_subset,
     sample_subset_masks,
+    sparse_correction,
     unrotate_batch,
 )
-from .scalar import ModuloParams, mq_decode, mq_encode, mq_encode_with
+from .scalar import ModuloParams, mq_decode, mq_encode_with
 from .vector import _chunks
 
 __all__ = [
     "RmqConfig",
-    "rmq_quantizer",
     "wz_known_quantizer",
     "daq_quantizer",
     "daq_exact_mse",
     "RdaqConfig",
     "rdaq_quantizer",
     "wz_unknown_quantizer",
-    "boosted_rdaq_quantizer",
-    "rmq_sample",
     "wz_known_sample",
     "daq_sample",
-    "rdaq_sample",
     "wz_unknown_sample",
     "boosted_rdaq_sample",
 ]
@@ -78,7 +77,7 @@ class RmqConfig:
     def delta_prime(self) -> float:
         return math.sqrt(6.0 * (self.delta**2 / self.d) * math.log(self.delta / self.delta_small))
 
-    @property
+    @functools.cached_property
     def mq(self) -> ModuloParams:
         return ModuloParams(self.k, self.delta_prime)
 
@@ -91,90 +90,73 @@ class RmqConfig:
         return self.d_pad * self.symbol_bits
 
 
-def _rotated(x, signs) -> np.ndarray:
-    return rotate_batch(pad_to_pow2(x)[0], signs)
+def _rmq_encode(cfg: RmqConfig, rows, signs, kept, u) -> np.ndarray:
+    """The RMQ kernel: the coset symbols of each row of `rows` (or of one
+    vector for all of them), rotated by its row of `signs` and restricted to
+    the `kept` coordinates (`rotation.sample_shared`; None keeps all).  `u`
+    holds one dither uniform per rotated coordinate, kept or not."""
+    xr = rotate_batch(pad_to_pow2(rows)[0], signs)
+    return mq_encode_with(gather_kept(xr, kept), cfg.mq, gather_kept(u, kept))
 
 
-def rmq_quantizer(cfg: RmqConfig) -> Quantizer:
-    """Rotate x and y with the same shared signs, MQ each rotated coordinate."""
-    params = cfg.mq
+def _rmq_decode(cfg: RmqConfig, w, side, signs, kept) -> np.ndarray:
+    """Inverse of `_rmq_encode` against the side information: the (m, d)
+    reconstructions.  With `kept`, unkept coordinates fall back to the
+    rotated side information and kept ones get the 1/mu-scaled correction."""
+    yr = rotate_batch(pad_to_pow2(side)[0], signs)
+    vals = mq_decode(w, gather_kept(yr, kept), cfg.mq)
+    if kept is not None:
+        vals = sparse_correction(yr, vals, kept)
+    return unrotate_batch(vals, signs)[:, : cfg.d]
+
+
+def _check_side(side, d: int, name: str) -> np.ndarray:
+    if side is None:
+        raise ValueError(f"{name} decoding requires side information")
+    return check_vector(side, d, "side information")
+
+
+def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
+    """Rotated modulo quantizer: rotate x and y with the same shared signs and
+    MQ each rotated coordinate.  mu_d = None is plain RMQ; otherwise
+    (subsampled RMQ) coset symbols go out for a shared random subset only,
+    and unsampled coordinates fall back to the rotated side information."""
+    if mu_d is not None:
+        check_sample_count(mu_d, cfg.d_pad)
+    width = cfg.d_pad if mu_d is None else mu_d
 
     def encode(x, side, rng):
-        x = check_finite(x)
-        signs = sample_signs(rng, cfg.d_pad)
-        w = mq_encode(_rotated(x, signs.signs), params, rng)
+        x = check_vector(x, cfg.d)
+        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
+        w = _rmq_encode(cfg, x, signs, kept, rng.random(signs.shape))
         return BitString().write_fields(w, cfg.symbol_bits)
 
     def decode(bits, side, rng):
-        if side is None:
-            raise ValueError("RMQ decoding requires side information")
-        signs = sample_signs(rng, cfg.d_pad)
-        yr = _rotated(side, signs.signs)
-        w = _read_cosets(bits, cfg.d_pad, cfg)
-        return unrotate_batch(mq_decode(w, yr, params), signs.signs)[: cfg.d]
+        side = _check_side(side, cfg.d, "RMQ")
+        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
+        reader = BitReader(bits)
+        w = reader.read_fields(width, cfg.symbol_bits)
+        reader.finish()
+        if np.any(w >= cfg.k):
+            raise MalformedStreamError("malformed stream: coset symbol out of range")
+        return _rmq_decode(cfg, w[None], side, signs, kept)[0]
 
-    q = Quantizer(encode, decode, cfg.bit_budget, name=f"rmq(d={cfg.d})", uses_side_info=True)
-    return q
-
-
-def _read_cosets(bits: BitString, n: int, cfg: RmqConfig) -> np.ndarray:
-    """The n coset symbols that make up a whole (subsampled) RMQ message."""
-    reader = BitReader(bits)
-    w = reader.read_fields(n, cfg.symbol_bits)
-    reader.finish()
-    if np.any(w >= cfg.k):
-        raise MalformedStreamError("malformed stream: coset symbol out of range")
-    return w
-
-
-def wz_known_quantizer(cfg: RmqConfig, mu_d: int) -> Quantizer:
-    """Subsampled RMQ: send coset symbols for a shared random subset only;
-    unsampled coordinates fall back to the rotated side information."""
-    check_sample_count(mu_d, cfg.d_pad)
-    params = cfg.mq
-    mu = mu_d / cfg.d_pad
-
-    def _shared(rng):
-        signs = sample_signs(rng, cfg.d_pad)
-        coords = sample_subset(rng, cfg.d_pad, mu_d)
-        return signs, coords
-
-    def encode(x, side, rng):
-        x = check_finite(x)
-        signs, coords = _shared(rng)
-        w = mq_encode(_rotated(x, signs.signs)[coords], params, rng)
-        return BitString().write_fields(w, cfg.symbol_bits)
-
-    def decode(bits, side, rng):
-        if side is None:
-            raise ValueError("subsampled RMQ decoding requires side information")
-        signs, coords = _shared(rng)
-        yr = _rotated(side, signs.signs)
-        vals = mq_decode(_read_cosets(bits, mu_d, cfg), yr[coords], params)
-        xr_hat = yr.copy()
-        xr_hat[coords] += (vals - yr[coords]) / mu
-        return unrotate_batch(xr_hat, signs.signs)[: cfg.d]
-
-    return Quantizer(
-        encode, decode, mu_d * cfg.symbol_bits, name=f"wz-known(d={cfg.d},mu_d={mu_d})",
-        uses_side_info=True,
-    )
+    name = f"rmq(d={cfg.d})" if mu_d is None else f"wz-known(d={cfg.d},mu_d={mu_d})"
+    return Quantizer(encode, decode, width * cfg.symbol_bits, name=name, uses_side_info=True)
 
 
 def daq_quantizer(d: int) -> Quantizer:
     """Distance-adaptive 1-bit-per-coordinate quantizer on the unit ball."""
 
     def encode(x, side, rng):
-        x = check_finite(x)
+        x = check_vector(x, d)
         if np.linalg.norm(x) > _BALL_SLACK:
             raise ValueError("DAQ input must lie in the unit l2 ball")
         u = rng.uniform(-1.0, 1.0, size=d)
         return BitString().write_fields(u <= x, 1)
 
     def decode(bits, side, rng):
-        if side is None:
-            raise ValueError("DAQ decoding requires side information")
-        y = np.asarray(side, dtype=float)
+        y = _check_side(side, d, "DAQ")
         if np.linalg.norm(y) > _BALL_SLACK:
             raise ValueError("DAQ side information must lie in the unit l2 ball")
         u = rng.uniform(-1.0, 1.0, size=d)
@@ -248,12 +230,14 @@ class RdaqConfig:
         return self.d_pad * (self.index_bits + self.h * self.count_bits)
 
 
-def _rdaq_shared(cfg: RdaqConfig, rng: np.random.Generator):
-    """Shared draws, same order on both sides: signs, then scaled uniforms."""
-    signs = sample_signs(rng, cfg.d_pad)
+def _rdaq_shared(cfg: RdaqConfig, rng: np.random.Generator, mu_d: Optional[int]):
+    """Shared draws, same order on both sides: signs, then (with mu_d) the
+    subset mask, then the scaled uniforms.  Returns (signs, kept coordinates,
+    uniforms)."""
+    signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
     v = rng.uniform(-1.0, 1.0, size=(cfg.d_pad, cfg.h, cfg.N))
     u = v * cfg.ranges[None, :, None]
-    return signs, u
+    return signs, np.arange(cfg.d_pad) if kept is None else kept, u
 
 
 def _scale_index(vals: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -263,14 +247,12 @@ def _scale_index(vals: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _rdaq_encode(cfg: RdaqConfig, x, rng, coords=None) -> BitString:
-    x = check_finite(x)
+def _rdaq_encode(cfg: RdaqConfig, x, rng, mu_d=None) -> BitString:
+    x = check_vector(x, cfg.d)
     if np.linalg.norm(x) > _BALL_SLACK:
         raise ValueError("RDAQ input must lie in the unit l2 ball")
-    signs, u = _rdaq_shared(cfg, rng)
-    xr = _rotated(x, signs.signs)
-    if coords is None:
-        coords = np.arange(cfg.d_pad)
+    signs, coords, u = _rdaq_shared(cfg, rng, mu_d)
+    xr = rotate_batch(pad_to_pow2(x)[0], signs)[0]
     z = _scale_index(xr[coords], cfg.ranges)
     counts = (u[coords] <= xr[coords, None, None]).sum(axis=2)  # (m, h)
     bits = BitString()
@@ -279,16 +261,12 @@ def _rdaq_encode(cfg: RdaqConfig, x, rng, coords=None) -> BitString:
     return bits.write_fields(counts.T, cfg.count_bits)  # plane-major
 
 
-def _rdaq_decode(cfg: RdaqConfig, bits, side, rng, coords=None, mu: float = 1.0) -> np.ndarray:
-    if side is None:
-        raise ValueError("RDAQ decoding requires side information")
-    y = np.asarray(side, dtype=float)
+def _rdaq_decode(cfg: RdaqConfig, bits, side, rng, mu_d=None) -> np.ndarray:
+    y = _check_side(side, cfg.d, "RDAQ")
     if np.linalg.norm(y) > _BALL_SLACK:
         raise ValueError("RDAQ side information must lie in the unit l2 ball")
-    signs, u = _rdaq_shared(cfg, rng)
-    yr = _rotated(y, signs.signs)
-    if coords is None:
-        coords = np.arange(cfg.d_pad)
+    signs, coords, u = _rdaq_shared(cfg, rng, mu_d)
+    yr = rotate_batch(pad_to_pow2(y)[0], signs)[0]
     m = len(coords)
     reader = BitReader(bits)
     if cfg.index_bits:
@@ -306,14 +284,15 @@ def _rdaq_decode(cfg: RdaqConfig, bits, side, rng, coords=None, mu: float = 1.0)
     rows = np.arange(m)
     y_counts = (u[coords, z_star, :] <= yr[coords, None]).sum(axis=1)
     diff = counts[rows, z_star] - y_counts
+    mu = m / cfg.d_pad
     xr_hat = yr.copy()
     xr_hat[coords] += (2.0 * cfg.ranges[z_star] * diff / cfg.N) / mu
-    return unrotate_batch(xr_hat, signs.signs)[: cfg.d]
+    return unrotate_batch(xr_hat, signs)[0, : cfg.d]
 
 
 def rdaq_quantizer(cfg: RdaqConfig) -> Quantizer:
-    if cfg.N != 1:
-        raise ValueError("plain RDAQ has N = 1; use boosted_rdaq_quantizer")
+    """RDAQ with N indicator draws per (coordinate, scale), N = 1 being plain
+    RDAQ; counts are sent raw in ceil(log2(N+1))-bit fields."""
 
     def encode(x, side, rng):
         return _rdaq_encode(cfg, x, rng)
@@ -321,7 +300,8 @@ def rdaq_quantizer(cfg: RdaqConfig) -> Quantizer:
     def decode(bits, side, rng):
         return _rdaq_decode(cfg, bits, side, rng)
 
-    return Quantizer(encode, decode, cfg.bit_budget, name=f"rdaq(d={cfg.d})", uses_side_info=True)
+    name = f"rdaq(d={cfg.d})" if cfg.N == 1 else f"brdaq(d={cfg.d},N={cfg.N})"
+    return Quantizer(encode, decode, cfg.bit_budget, name=name, uses_side_info=True)
 
 
 def _check_wz_unknown(cfg: RdaqConfig, mu_d: int) -> None:
@@ -333,16 +313,12 @@ def _check_wz_unknown(cfg: RdaqConfig, mu_d: int) -> None:
 def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
     """Subsampled RDAQ with the 1/mu-scaled centered correction."""
     _check_wz_unknown(cfg, mu_d)
-    mu = mu_d / cfg.d_pad
 
-    # the subset is drawn before the signs/uniforms inside _rdaq_encode; decode mirrors this
     def encode(x, side, rng):
-        x = check_finite(x)
-        return _rdaq_encode(cfg, x, rng, coords=sample_subset(rng, cfg.d_pad, mu_d))
+        return _rdaq_encode(cfg, x, rng, mu_d)
 
     def decode(bits, side, rng):
-        coords = sample_subset(rng, cfg.d_pad, mu_d)
-        return _rdaq_decode(cfg, bits, side, rng, coords=coords, mu=mu)
+        return _rdaq_decode(cfg, bits, side, rng, mu_d)
 
     return Quantizer(
         encode,
@@ -353,63 +329,34 @@ def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
     )
 
 
-def boosted_rdaq_quantizer(cfg: RdaqConfig) -> Quantizer:
-    """RDAQ with N indicator draws per (coordinate, scale); counts are sent
-    raw in ceil(log2(N+1))-bit fields."""
-
-    def encode(x, side, rng):
-        return _rdaq_encode(cfg, x, rng)
-
-    def decode(bits, side, rng):
-        return _rdaq_decode(cfg, bits, side, rng)
-
-    return Quantizer(
-        encode, decode, cfg.bit_budget, name=f"brdaq(d={cfg.d},N={cfg.N})", uses_side_info=True
-    )
-
-
 # ---------------------------------------------------------------------------
 # Vectorized Monte-Carlo reconstruction paths (same distributions as the
 # bit-exact codecs; used by benchmarks and statistical tests).
 
 
-def rmq_sample(x, y, cfg: RmqConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    return wz_known_sample(x, y, cfg, None, n, rng)
-
-
 def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draws of the subsampled-RMQ reconstruction; mu_d = None is plain RMQ.
 
-    Each chunk draws, in order, the signs, the subset masks (subsampled only)
-    and one dither uniform per rotated coordinate, kept or not.  MQ encode
-    and decode run on the kept coordinates only, each with its own dither;
-    the reconstruction is the rotated side information with the kept entries
-    replaced by their scaled corrections.
+    The `wz_known_quantizer` codec's kernel on n rows: each chunk draws, in
+    order, the signs, the subset masks (subsampled only) and one dither
+    uniform per rotated coordinate, kept or not.  MQ encode and decode run on
+    the kept coordinates only, each with its own dither.
     """
     if mu_d is not None:
         check_sample_count(mu_d, cfg.d_pad)
-    params = cfg.mq
-    xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
+    xp = pad_to_pow2(check_vector(x, cfg.d))[0]
+    yp = pad_to_pow2(check_vector(y, cfg.d, "side information"))[0]
     out = np.empty((n, cfg.d))
     for lo, hi in _chunks(n, cfg.d_pad):
-        m = hi - lo
-        signs = sample_signs_batch(rng, m, cfg.d_pad)
-        xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
-        if mu_d is None:
-            yr = mq_decode(mq_encode_with(xr, params, rng.random(xr.shape)), yr, params)
-        else:
-            kept = np.flatnonzero(sample_subset_masks(rng, m, cfg.d_pad, mu_d))
-            u = rng.random(xr.shape).ravel()[kept]
-            yk = yr.ravel()[kept]
-            vals = mq_decode(mq_encode_with(xr.ravel()[kept], params, u), yk, params)
-            yr.ravel()[kept] = yk + (vals - yk) / (mu_d / cfg.d_pad)
-        out[lo:hi] = unrotate_batch(yr, signs)[:, : cfg.d]
+        signs, kept = sample_shared(rng, hi - lo, cfg.d_pad, mu_d)
+        w = _rmq_encode(cfg, xp, signs, kept, rng.random(signs.shape))
+        out[lo:hi] = _rmq_decode(cfg, w, yp, signs, kept)
     return out
 
 
 def daq_sample(x, y, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = check_vector(x, d)
+    y = check_vector(y, d, "side information")
     u = rng.uniform(-1.0, 1.0, size=(n, d))
     return 2.0 * ((u <= x).astype(float) - (u <= y).astype(float)) + y
 
@@ -423,7 +370,8 @@ def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
     are worked out for the kept coordinates only.
     """
     ranges = cfg.ranges
-    xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
+    xp = pad_to_pow2(check_vector(x, cfg.d))[0]
+    yp = pad_to_pow2(check_vector(y, cfg.d, "side information"))[0]
     out = np.empty((n, cfg.d))
     for lo, hi in _chunks(n, cfg.d_pad * cfg.h * max(1, cfg.N)):
         m = hi - lo
@@ -455,10 +403,6 @@ def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
         yr.ravel()[kept] = yk + corr / mu
         out[lo:hi] = unrotate_batch(yr, signs)[:, : cfg.d]
     return out
-
-
-def rdaq_sample(x, y, cfg: RdaqConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    return _rdaq_core_sample(x, y, cfg, n, rng)
 
 
 def wz_unknown_sample(x, y, cfg: RdaqConfig, mu_d: int, n: int, rng) -> np.ndarray:

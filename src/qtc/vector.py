@@ -16,17 +16,16 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_quantize, log_star, pick_range
-from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_finite
+from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_finite, check_vector
 from .rotation import (
     check_sample_count,
-    fwht,
+    gather_kept,
     next_pow2,
     pad_to_pow2,
     rotate_batch,
-    sample_signs,
+    sample_shared,
     sample_signs_batch,
-    sample_subset,
-    sample_subset_masks,
+    sparse_correction,
     unrotate_batch,
 )
 from .scalar import (
@@ -125,50 +124,88 @@ def _atuq_ranges(absy: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndar
     return j, ranges[j][:, np.arange(width) // cfg.s]
 
 
-def _atuq_encode(yr: np.ndarray, cfg: RatqConfig, rng: np.random.Generator, bits: BitString) -> None:
-    """Write the range-index block, then the symbol block, for one vector."""
-    j, m_coord = _atuq_ranges(np.abs(yr)[None, :], cfg)
+def _atuq_fields(yr: np.ndarray, u: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
+    """ATUQ each row of an (m, width) batch, rounding with the uniforms `u`
+    (one per coordinate): the ladder index of every subvector and the CUQ
+    symbol (OVERFLOW outside its range) of every coordinate."""
+    j, m_coord = _atuq_ranges(np.abs(yr), cfg)
+    return j, cuq_round_with(yr, m_coord, cfg.k, u)
+
+
+def _atuq_levels(fields: tuple[np.ndarray, np.ndarray], cfg: RatqConfig) -> np.ndarray:
+    """The values that `_atuq_fields` output stands for, (m, width)."""
+    j, sym = fields
+    return cuq_levels(sym, cfg.ladder.ranges[j][:, np.arange(sym.shape[1]) // cfg.s], cfg.k)
+
+
+def _ratq_encode(cfg: RatqConfig, rows, signs, kept, u) -> tuple[np.ndarray, np.ndarray]:
+    """The RATQ kernel: the fields of each row of `rows` (or of one vector
+    for all of them), rotated by its row of `signs` and restricted to the
+    `kept` coordinates (`rotation.sample_shared`; None keeps all).  `u` holds
+    one rounding uniform per rotated coordinate, kept or not."""
+    yr = rotate_batch(pad_to_pow2(rows)[0], signs)
+    return _atuq_fields(gather_kept(yr, kept), gather_kept(u, kept), cfg)
+
+
+def _ratq_decode(cfg: RatqConfig, fields, side, signs, kept) -> np.ndarray:
+    """Inverse of `_ratq_encode`: the (m, d) reconstructions.  With `kept`,
+    the kept values are scaled by 1/mu and centered on the rotated side
+    information, or on 0 when `side` is None."""
+    vals = _atuq_levels(fields, cfg)
+    if kept is not None:
+        side_rot = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
+        vals = sparse_correction(side_rot, vals, kept)
+    return unrotate_batch(vals, signs)[:, : cfg.d]
+
+
+def _write_atuq(bits: BitString, fields, cfg: RatqConfig) -> BitString:
+    """Append one row of fields: the range-index block, then the symbol block."""
+    j, sym = fields
     if cfg.ladder.index_bits:
         bits.write_fields(j, cfg.ladder.index_bits)
-    grid = UniformGrid(m_coord[0], cfg.k)
-    write_cuq_symbols(bits, cuq_encode(yr, grid, rng), grid)
+    return write_cuq_symbols(bits, sym, cfg)
 
 
-def _atuq_decode(reader: BitReader, cfg: RatqConfig, width: int) -> np.ndarray:
-    """Read back what `_atuq_encode` wrote for a vector of `width` coordinates."""
+def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read back what `_write_atuq` wrote for `width` coordinates, as one row."""
     n_sub = -(-width // cfg.s)
     if cfg.ladder.index_bits:
         j = reader.read_fields(n_sub, cfg.ladder.index_bits)
     else:
         j = np.zeros(n_sub, dtype=np.int64)
-    ranges = cfg.ladder.ranges
     # the largest index an encoder picks; above it lie inf levels or no level
-    if np.any(j > pick_range(np.inf, ranges)):
+    if np.any(j > pick_range(np.inf, cfg.ladder.ranges)):
         raise MalformedStreamError("malformed stream: range index out of ladder")
-    grid = UniformGrid(np.repeat(ranges[j], cfg.s)[:width], cfg.k)
-    return cuq_decode(read_cuq_symbols(reader, width, grid), grid)
+    return j[None], read_cuq_symbols(reader, width, cfg)[None]
+
+
+def _ratq_codec(cfg: RatqConfig, mu_d: Optional[int], center: bool, name: str) -> Quantizer:
+    """The RATQ kernel on one row, with the fields packed into the message."""
+    width = cfg.d_pad if mu_d is None else mu_d
+
+    def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
+        y = check_vector(y, cfg.d)
+        if np.linalg.norm(y) > cfg.B * _NORM_SLACK:
+            raise ValueError(f"input norm {np.linalg.norm(y):.6g} exceeds bound B={cfg.B}")
+        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
+        return _write_atuq(BitString(), _ratq_encode(cfg, y, signs, kept, rng.random(signs.shape)), cfg)
+
+    def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
+        if center and side is not None:
+            side = check_vector(side, cfg.d, "side information")
+        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
+        reader = BitReader(bits)
+        fields = _read_atuq(reader, cfg, width)
+        reader.finish()
+        return _ratq_decode(cfg, fields, side if center else None, signs, kept)[0]
+
+    budget = -(-width // cfg.s) * cfg.ladder.index_bits + width * cfg.symbol_bits
+    return Quantizer(encode, decode, budget, name=name, uses_side_info=center)
 
 
 def ratq_quantizer(cfg: RatqConfig) -> Quantizer:
     """Unbiased fixed-length quantizer for the l2 ball of radius B."""
-
-    def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
-        y = check_finite(y)
-        if np.linalg.norm(y) > cfg.B * _NORM_SLACK:
-            raise ValueError(f"input norm {np.linalg.norm(y):.6g} exceeds bound B={cfg.B}")
-        signs = sample_signs(rng, cfg.d_pad)
-        bits = BitString()
-        _atuq_encode(rotate_batch(pad_to_pow2(y)[0], signs.signs), cfg, rng, bits)
-        return bits
-
-    def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
-        signs = sample_signs(rng, cfg.d_pad)
-        reader = BitReader(bits)
-        yr_hat = _atuq_decode(reader, cfg, cfg.d_pad)
-        reader.finish()
-        return unrotate_batch(yr_hat, signs.signs)[: cfg.d]
-
-    return Quantizer(encode, decode, cfg.bit_budget, name=f"ratq(d={cfg.d},B={cfg.B:g})")
+    return _ratq_codec(cfg, None, False, f"ratq(d={cfg.d},B={cfg.B:g})")
 
 
 def _chunks(n: int, d: int, budget: int = 1 << 18):
@@ -177,34 +214,34 @@ def _chunks(n: int, d: int, budget: int = 1 << 18):
         yield lo, min(n, lo + step)
 
 
-def _atuq_batch(yr: np.ndarray, cfg: RatqConfig, u: np.ndarray) -> np.ndarray:
-    """ATUQ each row of an already-transformed (m, width) batch, rounding with
-    the uniforms `u` (one per coordinate)."""
-    _, m_coord = _atuq_ranges(np.abs(yr), cfg)
-    return cuq_levels(cuq_round_with(yr, m_coord, cfg.k, u), m_coord, cfg.k)
+def _ratq_rows(cfg: RatqConfig, ys: np.ndarray, mu_d: Optional[int], rng) -> np.ndarray:
+    """The RATQ codec's kernel on each row of the (n, d) `ys`, subsampled
+    (zero-fill) with mu_d: (n, d).  Each chunk draws, in order, the signs,
+    the subset masks (subsampled only) and one rounding uniform per rotated
+    coordinate, kept or not; ranges and CUQ rounding run on the kept
+    coordinates only, each with its own uniform."""
+    out = np.empty((ys.shape[0], cfg.d))
+    for lo, hi in _chunks(ys.shape[0], cfg.d_pad):
+        signs, kept = sample_shared(rng, hi - lo, cfg.d_pad, mu_d)
+        fields = _ratq_encode(cfg, ys[lo:hi], signs, kept, rng.random(signs.shape))
+        out[lo:hi] = _ratq_decode(cfg, fields, None, signs, kept)
+    return out
 
 
 def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
     """Quantize each row of (n, d) once with independent randomness: (n, d)."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    n = ys.shape[0]
-    out = np.empty((n, cfg.d))
-    root_scale = 1.0 / math.sqrt(cfg.d_pad)
-    for lo, hi in _chunks(n, cfg.d_pad):
-        signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
-        scaled = signs * root_scale  # folds the 1/sqrt(d) of both transforms
-        yr = fwht(pad_to_pow2(ys[lo:hi])[0] * scaled)
-        rec = _atuq_batch(yr, cfg, rng.random(yr.shape))
-        out[lo:hi] = (fwht(rec) * scaled)[:, : cfg.d]
-    return out
+    ys = check_finite(np.atleast_2d(ys))
+    if ys.shape[1] != cfg.d:
+        raise ValueError(f"input rows have length {ys.shape[1]}, expected {cfg.d}")
+    return _ratq_rows(cfg, ys, None, rng)
 
 
 def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
     """ATUQ without the rotation step (identity transform), row by row."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
+    ys = check_finite(np.atleast_2d(ys))
     out = np.empty_like(ys)
     for lo, hi in _chunks(ys.shape[0], cfg.d):
-        out[lo:hi] = _atuq_batch(ys[lo:hi], cfg, rng.random(out[lo:hi].shape))
+        out[lo:hi] = _atuq_levels(_atuq_fields(ys[lo:hi], rng.random(out[lo:hi].shape), cfg), cfg)
     return out
 
 
@@ -212,8 +249,7 @@ def ratq_sample(
     y: np.ndarray, cfg: RatqConfig, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized Monte-Carlo draws of the RATQ reconstruction: (n, d)."""
-    tiled = np.broadcast_to(np.asarray(y, dtype=float), (n, cfg.d))
-    return ratq_apply(tiled, cfg, rng)
+    return _ratq_rows(cfg, np.broadcast_to(check_vector(y, cfg.d), (n, cfg.d)), None, rng)
 
 
 def _check_rcs(cfg: RatqConfig, mu_d: int) -> None:
@@ -228,74 +264,21 @@ def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
     zero-fill: decoder outputs (1/mu) * decoded(i) on the sampled coordinates
     and 0 elsewhere (before unrotation).  center: unsampled coordinates take
     the rotated side-information value and sampled ones are centered on it;
-    with side = 0 the two modes coincide.
+    with side = 0 (or None) the two modes coincide.
     """
     _check_rcs(cfg, mu_d)
     if mode not in ("zero-fill", "center"):
         raise ValueError(f"unknown RCS mode {mode!r}")
-    mu = mu_d / cfg.d_pad
-    bits_per_coord = cfg.ladder.index_bits + cfg.symbol_bits
-
-    def _shared(rng):
-        signs = sample_signs(rng, cfg.d_pad)
-        coords = sample_subset(rng, cfg.d_pad, mu_d)
-        return signs, coords
-
-    def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
-        y = check_finite(y)
-        if np.linalg.norm(y) > cfg.B * _NORM_SLACK:
-            raise ValueError(f"input norm {np.linalg.norm(y):.6g} exceeds bound B={cfg.B}")
-        signs, coords = _shared(rng)
-        bits = BitString()
-        _atuq_encode(rotate_batch(pad_to_pow2(y)[0], signs.signs)[coords], cfg, rng, bits)
-        return bits
-
-    def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
-        signs, coords = _shared(rng)
-        reader = BitReader(bits)
-        vals = _atuq_decode(reader, cfg, mu_d)
-        reader.finish()
-        if mode == "center" and side is not None:
-            side_rot = rotate_batch(pad_to_pow2(side)[0], signs.signs)
-        else:
-            side_rot = np.zeros(cfg.d_pad)
-        xr = side_rot.copy()
-        xr[coords] += (vals - side_rot[coords]) / mu
-        return unrotate_batch(xr, signs.signs)[: cfg.d]
-
-    return Quantizer(
-        encode,
-        decode,
-        mu_d * bits_per_coord,
-        name=f"rcs-ratq(d={cfg.d},mu_d={mu_d})",
-        uses_side_info=(mode == "center"),
-    )
+    return _ratq_codec(cfg, mu_d, mode == "center", f"rcs-ratq(d={cfg.d},mu_d={mu_d})")
 
 
 def rcs_ratq_sample(
     y: np.ndarray, cfg: RatqConfig, mu_d: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized draws of the subsampled-RATQ reconstruction (zero-fill).
-
-    Each chunk draws, in order, the signs, the subset masks and one rounding
-    uniform per rotated coordinate, kept or not; ranges and CUQ rounding run
-    on the kept coordinates only, each with its own uniform.
-    """
+    """Vectorized draws of the subsampled-RATQ reconstruction (zero-fill):
+    the `rcs_wrap` codec's kernel on n rows."""
     _check_rcs(cfg, mu_d)
-    padded = pad_to_pow2(y)[0]
-    mu = mu_d / cfg.d_pad
-    out = np.empty((n, cfg.d))
-    for lo, hi in _chunks(n, cfg.d_pad):
-        signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
-        yr = rotate_batch(padded[None, :], signs)
-        kept = np.flatnonzero(sample_subset_masks(rng, hi - lo, cfg.d_pad, mu_d))
-        u = rng.random(yr.shape)
-        # s = 1: every coordinate picks its own range, so the kept ones form one row
-        vals = _atuq_batch(yr.ravel()[kept][None, :], cfg, u.ravel()[kept][None, :])
-        rec = np.zeros_like(yr)
-        rec.ravel()[kept] = vals[0] / mu
-        out[lo:hi] = unrotate_batch(rec, signs)[:, : cfg.d]
-    return out
+    return _ratq_rows(cfg, np.broadcast_to(check_vector(y, cfg.d), (n, cfg.d)), mu_d, rng)
 
 
 @dataclass(frozen=True)
@@ -333,14 +316,14 @@ class AratqConfig:
 
 
 def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
-    shape_q = ratq_quantizer(cfg.shape)
+    shape_cfg = cfg.shape
     plus = AguqPlus(cfg.B, cfg.T) if cfg.gain_mode == "aguq_plus" else None
 
     def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
-        y = check_finite(y)
+        y = check_vector(y, cfg.d)
         gain = float(np.linalg.norm(y))
         shape = y / gain if gain > 0 else _e1(cfg.d)
-        signs = sample_signs(rng, cfg.shape.d_pad)  # shared draw first
+        signs = sample_signs_batch(rng, 1, shape_cfg.d_pad)  # shared draw first
         bits = BitString()
         if plus is not None:
             gbits, _ = plus.encode(gain, rng)
@@ -350,11 +333,11 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
             if cfg.gain_ladder.index_bits:
                 bits.write_uint(j, cfg.gain_ladder.index_bits)
             write_cuq_symbols(bits, [sym], cfg.gain_grid(j))
-        _atuq_encode(rotate_batch(pad_to_pow2(shape)[0], signs.signs), cfg.shape, rng, bits)
-        return bits
+        fields = _ratq_encode(shape_cfg, shape, signs, None, rng.random(signs.shape))
+        return _write_atuq(bits, fields, shape_cfg)
 
     def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
-        signs = sample_signs(rng, cfg.shape.d_pad)
+        signs = sample_signs_batch(rng, 1, shape_cfg.d_pad)
         reader = BitReader(bits)
         if plus is not None:
             gain_hat = plus.decode(reader)
@@ -362,10 +345,9 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
             j = reader.read_uint(cfg.gain_ladder.index_bits) if cfg.gain_ladder.index_bits else 0
             grid = cfg.gain_grid(j)
             gain_hat = float(cuq_decode(read_cuq_symbols(reader, 1, grid), grid)[0])
-        shape_rot = _atuq_decode(reader, cfg.shape, cfg.shape.d_pad)
+        fields = _read_atuq(reader, shape_cfg, shape_cfg.d_pad)
         reader.finish()
-        shape_hat = unrotate_batch(shape_rot, signs.signs)[: cfg.d]
-        return gain_hat * shape_hat
+        return gain_hat * _ratq_decode(shape_cfg, fields, None, signs, None)[0]
 
     return Quantizer(
         encode, decode, cfg.bit_budget, name=f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})"
@@ -409,7 +391,7 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
     width = math.ceil(math.log2(2 * d + 1))
 
     def encode(y, side, rng):
-        s = simq_encode(y, B, rng)
+        s = simq_encode(check_vector(y, d), B, rng)
         code = 0 if s == 0 else (s if s > 0 else d + (-s))
         return BitString().write_uint(code, width)
 
@@ -503,7 +485,7 @@ class SimqPlusConfig:
 
 def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
     def encode(y, side, rng):
-        y = np.asarray(y, dtype=float)
+        y = check_vector(y, cfg.d)
         counts = np.zeros(cfg.d + 1, dtype=np.int64)
         for _ in range(cfg.k):
             s = simq_encode(y, cfg.scale, rng)
@@ -528,7 +510,7 @@ def simq_plus_sample(
     y: np.ndarray, cfg: SimqPlusConfig, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized reconstructions: multinomial type draws, (n, d)."""
-    y = np.asarray(y, dtype=float)
+    y = check_vector(y, cfg.d)
     probs = np.empty(cfg.d + 1)
     probs[1:] = np.abs(y) / cfg.scale
     probs[0] = max(0.0, 1.0 - probs[1:].sum())
@@ -613,12 +595,12 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     ratq_cfg = cfg.ratq_cfg
 
     def encode(y, side, rng):
-        y = check_finite(y)
+        y = check_vector(y, cfg.d)
         q = cfg.q
         norm = np.max(np.abs(y)) if q == math.inf else np.sum(np.abs(y) ** q) ** (1 / q)
         if norm > cfg.B * _NORM_SLACK:
             raise ValueError(f"lq norm {norm:.6g} exceeds bound B={cfg.B}")
-        signs = sample_signs(rng, ratq_cfg.d_pad)  # shared draw before any private one
+        signs = sample_signs_batch(rng, 1, ratq_cfg.d_pad)  # shared draw before any private one
         large = np.abs(y) > grid.M
         bits = BitString()
         write_cuq_symbols(bits, cuq_encode(np.where(large, 0.0, y), grid, rng), grid)
@@ -626,24 +608,24 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
         vals = y[large]
         if vals.size > ratq_cfg.d:
             raise AssertionError("more large coordinates than the lq bound allows")
-        restriction = np.zeros(ratq_cfg.d_pad)
+        restriction = np.zeros(ratq_cfg.d)
         restriction[: vals.size] = vals
-        _atuq_encode(rotate_batch(restriction, signs.signs), ratq_cfg, rng, bits)
-        return bits
+        fields = _ratq_encode(ratq_cfg, restriction, signs, None, rng.random(signs.shape))
+        return _write_atuq(bits, fields, ratq_cfg)
 
     def decode(bits, side, rng):
-        signs = sample_signs(rng, ratq_cfg.d_pad)  # same shared draw as the encoder
+        signs = sample_signs_batch(rng, 1, ratq_cfg.d_pad)  # same shared draw as the encoder
         reader = BitReader(bits)
         out = cuq_decode(read_cuq_symbols(reader, cfg.d, grid), grid)
         mask = reader.read_fields(cfg.d, 1).astype(bool)
-        rot = _atuq_decode(reader, ratq_cfg, ratq_cfg.d_pad)
+        fields = _read_atuq(reader, ratq_cfg, ratq_cfg.d_pad)
         reader.finish()
         n_large = int(mask.sum())
         if n_large > ratq_cfg.d:
             raise MalformedStreamError(
                 f"malformed stream: {n_large} large coordinates, at most {ratq_cfg.d}"
             )
-        out[mask] += unrotate_batch(rot, signs.signs)[:n_large]
+        out[mask] += _ratq_decode(ratq_cfg, fields, None, signs, None)[0, :n_large]
         return out
 
     return Quantizer(encode, decode, cfg.bit_budget, name=f"lp-split(d={cfg.d},p={cfg.p:g})")

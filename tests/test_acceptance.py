@@ -28,7 +28,7 @@ from qtc.core import SeedPath
 from qtc.dme import DmeInstance, configure_known_delta, configure_no_side_info, run_dme, theoretical_bound
 from qtc.optim import Domain, psgd_run, quadratic_oracle
 from qtc.scalar import ModuloParams, UniformGrid, mq_decode
-from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample, rdaq_sample, wz_known_quantizer, wz_known_sample
+from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample, wz_known_quantizer, wz_known_sample
 from qtc.vector import (
     RatqConfig,
     SimqPlusConfig,
@@ -194,7 +194,7 @@ def test_criterion_07_rdaq_adaptivity_and_boosting():
         if np.linalg.norm(y) > 1:  # keep both points inside the unit ball
             x = x * 0.0
             y = delta * u
-        recs = rdaq_sample(x, y, cfg, trials, SeedPath(7200 + i).stream())
+        recs = boosted_rdaq_sample(x, y, cfg, trials, SeedPath(7200 + i).stream())
         err = np.einsum("td,td->t", recs - x, recs - x)
         mse, sigma = err.mean(), err.std(ddof=1) / math.sqrt(trials)
         assert mse <= 16 * math.sqrt(3) * delta + 3 * sigma

@@ -34,3 +34,25 @@ def test_malformed_messages_raise_malformed_stream_error(name):
             q.decode(ones, side, path.stream())
     else:
         assert np.all(np.isfinite(q.decode(ones, side, path.stream())))
+
+
+FLIPPED_MESSAGES = 300
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flipped_bits_decode_or_raise_malformed_stream_error(name):
+    """Valid messages with 1-3 bits flipped decode to a finite vector of the
+    input's shape or raise MalformedStreamError, never anything else."""
+    factory, x, side = CASES[name]
+    q = factory()
+    rng = SeedPath(12).child(name).stream()
+    for t in range(FLIPPED_MESSAGES):
+        path = SeedPath(12).child(name, t)
+        bits = np.array([int(c) for c in q.encode(x, side, path.stream()).to01()], dtype=np.int64)
+        flip = rng.choice(bits.size, size=min(bits.size, int(rng.integers(1, 4))), replace=False)
+        bits[flip] ^= 1
+        try:
+            rec = q.decode(BitString().write_fields(bits, 1), side, path.stream())
+        except MalformedStreamError:
+            continue
+        assert rec.shape == x.shape and np.all(np.isfinite(rec))

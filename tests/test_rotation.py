@@ -3,13 +3,12 @@ import pytest
 
 from qtc.core import SeedPath
 from qtc.rotation import (
-    SignDiagonal,
     fwht,
     pad_to_pow2,
-    rotate,
-    sample_signs,
+    rotate_batch,
+    sample_signs_batch,
     sample_subset_masks,
-    unrotate,
+    unrotate_batch,
 )
 
 
@@ -65,23 +64,23 @@ def test_subset_masks_exact_count_under_tied_draws():
 
 
 def test_h2_rows():
-    sd = SignDiagonal(np.ones(2), 2)
-    assert np.allclose(rotate(np.array([1.0, 0.0]), sd), [1 / np.sqrt(2)] * 2)
-    assert np.allclose(rotate(np.array([1.0, 1.0]), sd), [np.sqrt(2), 0.0])
+    sd = np.ones((1, 2))
+    assert np.allclose(rotate_batch(np.array([1.0, 0.0]), sd), [1 / np.sqrt(2)] * 2)
+    assert np.allclose(rotate_batch(np.array([1.0, 1.0]), sd), [np.sqrt(2), 0.0])
 
 
 def test_non_pow2_rejected():
     rng = SeedPath(0).stream()
     with pytest.raises(ValueError):
-        sample_signs(rng, 3)
+        sample_signs_batch(rng, 1, 3)
     with pytest.raises(ValueError):
-        SignDiagonal(np.ones(5), 5)
+        rotate_batch(np.ones(5), np.ones((1, 5)))
 
 
 def test_double_application_is_identity():
-    sd = sample_signs(SeedPath(1).stream(), 16)
+    sd = sample_signs_batch(SeedPath(1).stream(), 1, 16)
     y = SeedPath(2).stream().normal(size=16)
-    assert np.allclose(sd.signs * (sd.signs * y), y)
+    assert np.allclose(sd * (sd * y), y)
 
 
 def test_sign_mean():
@@ -92,34 +91,34 @@ def test_sign_mean():
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_matches_naive_matrix(d):
-    sd = sample_signs(SeedPath(d).stream(), d)
-    R = naive_hadamard(d) @ np.diag(sd.signs) / np.sqrt(d)
+    sd = sample_signs_batch(SeedPath(d).stream(), 1, d)
+    R = naive_hadamard(d) @ np.diag(sd[0]) / np.sqrt(d)
     y = SeedPath(d + 100).stream().normal(size=d)
-    assert np.allclose(rotate(y, sd), R @ y, atol=1e-12)
-    assert np.allclose(unrotate(rotate(y, sd), sd), np.linalg.solve(R, R @ y), atol=1e-9)
+    assert np.allclose(rotate_batch(y, sd)[0], R @ y, atol=1e-12)
+    assert np.allclose(unrotate_batch(rotate_batch(y, sd), sd)[0], np.linalg.solve(R, R @ y), atol=1e-9)
 
 
 def test_norm_preserved_d256():
-    sd = sample_signs(SeedPath(7).stream(), 256)
+    sd = sample_signs_batch(SeedPath(7).stream(), 1, 256)
     y = SeedPath(8).stream().normal(size=256)
-    assert abs(np.linalg.norm(rotate(y, sd)) - np.linalg.norm(y)) < 1e-9 * np.linalg.norm(y)
+    assert abs(np.linalg.norm(rotate_batch(y, sd)) - np.linalg.norm(y)) < 1e-9 * np.linalg.norm(y)
 
 
 def test_unrotate_inverts():
-    sd = sample_signs(SeedPath(9).stream(), 8)
+    sd = sample_signs_batch(SeedPath(9).stream(), 1, 8)
     y = SeedPath(10).stream().normal(size=8)
-    assert np.allclose(unrotate(rotate(y, sd), sd), y, atol=1e-9)
+    assert np.allclose(unrotate_batch(rotate_batch(y, sd), sd), y, atol=1e-9)
     e1 = np.zeros(8)
     e1[0] = 1.0
-    assert np.allclose(unrotate(rotate(e1, sd), sd), e1, atol=1e-12)
+    assert np.allclose(unrotate_batch(rotate_batch(e1, sd), sd), e1, atol=1e-12)
 
 
 def test_dimension_mismatch():
-    sd = sample_signs(SeedPath(11).stream(), 8)
+    sd = sample_signs_batch(SeedPath(11).stream(), 1, 8)
     with pytest.raises(ValueError):
-        rotate(np.ones(4), sd)
+        rotate_batch(np.ones(4), sd)
     with pytest.raises(ValueError):
-        unrotate(np.ones(16), sd)
+        unrotate_batch(np.ones(16), sd)
 
 
 def test_pad_to_pow2():

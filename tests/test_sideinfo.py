@@ -7,21 +7,28 @@ from qtc.core import SeedPath
 from qtc.sideinfo import (
     RdaqConfig,
     RmqConfig,
-    boosted_rdaq_quantizer,
     boosted_rdaq_sample,
     daq_exact_mse,
     daq_quantizer,
     daq_sample,
     rdaq_quantizer,
-    rdaq_sample,
-    rmq_quantizer,
-    rmq_sample,
     wz_known_quantizer,
     wz_known_sample,
     wz_unknown_quantizer,
     wz_unknown_sample,
 )
-from qtc.vector import RatqConfig, rcs_ratq_sample, rcs_wrap
+from qtc.vector import (
+    RatqConfig,
+    SimqPlusConfig,
+    atuq_vector_apply,
+    ratq_apply,
+    ratq_quantizer,
+    ratq_sample,
+    rcs_ratq_sample,
+    rcs_wrap,
+    simq_plus_quantizer,
+    simq_plus_sample,
+)
 
 
 def make_pair(seed, d, delta):
@@ -44,7 +51,7 @@ def test_rmq_config_validation():
 
 def test_rmq_equal_inputs_within_eps_ball():
     cfg = RmqConfig(64, 0.5, 0.05, 16)
-    q = rmq_quantizer(cfg)
+    q = wz_known_quantizer(cfg, None)
     x, _ = make_pair(0, 64, 0.5)
     _, rec = q.roundtrip(x, x, SeedPath(1))
     assert np.linalg.norm(rec - x) <= cfg.mq.eps * math.sqrt(cfg.d_pad) + 1e-9
@@ -54,7 +61,7 @@ def test_rmq_mse_and_bias_bound():
     d, delta, n_mc = 64, 0.5, 20_000
     cfg = RmqConfig(d, delta, delta / math.sqrt(100), 16)
     x, y = make_pair(2, d, delta)
-    recs = rmq_sample(x, y, cfg, n_mc, SeedPath(3).stream())
+    recs = wz_known_sample(x, y, cfg, None, n_mc, SeedPath(3).stream())
     mse = ((recs - x) ** 2).sum(axis=1).mean()
     bound = 24 * delta**2 / (cfg.k - 2) ** 2 * math.log(delta / cfg.delta_small) + 154 * cfg.delta_small**2
     assert mse <= bound
@@ -63,7 +70,7 @@ def test_rmq_mse_and_bias_bound():
 
 def test_rmq_budget_and_decode_needs_side():
     cfg = RmqConfig(64, 0.5, 0.05, 16)
-    q = rmq_quantizer(cfg)
+    q = wz_known_quantizer(cfg, None)
     x, y = make_pair(4, 64, 0.5)
     msg, _ = q.roundtrip(x, y, SeedPath(5))
     assert msg.nbits == 64 * 4 == cfg.bit_budget
@@ -79,7 +86,7 @@ def test_wz_known_budget_and_full_sampling():
     assert msg.nbits == 8 * 4 == q.bit_budget
     # mu = 1 reproduces plain RMQ statistics
     full = wz_known_sample(x, y, cfg, 64, 15_000, SeedPath(8).stream())
-    plain = rmq_sample(x, y, cfg, 15_000, SeedPath(9).stream())
+    plain = wz_known_sample(x, y, cfg, None, 15_000, SeedPath(9).stream())
     assert abs(((full - x) ** 2).sum(1).mean() - ((plain - x) ** 2).sum(1).mean()) < 0.01
 
 
@@ -153,7 +160,7 @@ def test_rdaq_identity_recovery():
 def test_rdaq_unbiased():
     cfg = RdaqConfig(32)
     x, y = make_pair(20, 32, 0.3)
-    recs = rdaq_sample(x, y, cfg, 40_000, SeedPath(21).stream())
+    recs = boosted_rdaq_sample(x, y, cfg, 40_000, SeedPath(21).stream())
     se = recs.std(axis=0) / math.sqrt(len(recs))
     assert np.all(np.abs(recs.mean(axis=0) - x) <= 5 * se + 1e-9)
 
@@ -163,7 +170,7 @@ def test_rdaq_delta_adaptive():
     mses = {}
     for i, delta in enumerate((0.01, 1.0)):
         x, y = make_pair(22 + i, 64, delta)
-        recs = rdaq_sample(x, y, cfg, 30_000, SeedPath(24 + i).stream())
+        recs = boosted_rdaq_sample(x, y, cfg, 30_000, SeedPath(24 + i).stream())
         mses[delta] = ((recs - x) ** 2).sum(axis=1).mean()
         assert mses[delta] <= 16 * math.sqrt(3) * delta
     assert mses[0.01] <= 0.03 * mses[1.0]
@@ -185,7 +192,7 @@ def test_wz_unknown_unbiased_and_scaling():
     sub = wz_unknown_sample(x, y, cfg, mu_d, 40_000, SeedPath(29).stream())
     se = sub.std(axis=0) / math.sqrt(len(sub))
     assert np.all(np.abs(sub.mean(axis=0) - x) <= 5 * se + 1e-9)
-    full = rdaq_sample(x, y, cfg, 40_000, SeedPath(30).stream())
+    full = boosted_rdaq_sample(x, y, cfg, 40_000, SeedPath(30).stream())
     mse_ratio = ((sub - x) ** 2).sum(1).mean() / ((full - x) ** 2).sum(1).mean()
     assert mse_ratio <= 32 / mu_d * 1.25  # alpha scales by at most 1/mu
 
@@ -203,7 +210,7 @@ def test_boosted_rdaq_halving():
 
 def test_boosted_rdaq_bit_path():
     cfg = RdaqConfig(16, N=4)
-    q = boosted_rdaq_quantizer(cfg)
+    q = rdaq_quantizer(cfg)
     x, y = make_pair(33, 16, 0.2)
     msg, rec = q.roundtrip(x, y, SeedPath(34))
     assert msg.nbits == cfg.bit_budget == 16 * (cfg.index_bits + cfg.h * 3)
@@ -221,28 +228,73 @@ def test_unit_ball_precondition():
 
 
 _D = 64
-# codec factory, its sampler, a config and a sample count the codec rejects
+_X, _Y = make_pair(7, _D, 0.1)
+_X_NAN = np.where(np.arange(_D) == 1, np.nan, _X)
+_RCS = RatqConfig.for_subsampling(1.0, _D)
+_RATQ = RatqConfig.default(1.0, _D)
+_RMQ = RmqConfig(_D, 0.5, 0.05, 16)
+
+
+def _encode(q, x, side=None):
+    return lambda: q.encode(x, side, SeedPath(0).stream())
+
+
+def _decode(q, x, side):
+    return lambda: q.decode(q.encode(x, None, SeedPath(0).stream()), side, SeedPath(0).stream())
+
+
+# case -> (a call the codec rejects, or None for a sampler without a codec;
+#          the sampler's call on the same input, given a stream)
 _REJECTED = {
-    "rcs-mu0": (rcs_wrap, rcs_ratq_sample, RatqConfig.for_subsampling(1.0, _D), 0),
-    "rcs-mu65": (rcs_wrap, rcs_ratq_sample, RatqConfig.for_subsampling(1.0, _D), 65),
-    "rcs-s2": (rcs_wrap, rcs_ratq_sample, RatqConfig.default(1.0, _D), 8),
-    "wz-known-mu0": (wz_known_quantizer, wz_known_sample, RmqConfig(_D, 0.5, 0.05, 16), 0),
-    "wz-known-mu70": (wz_known_quantizer, wz_known_sample, RmqConfig(_D, 0.5, 0.05, 16), 70),
-    "wz-unknown-mu0": (wz_unknown_quantizer, wz_unknown_sample, RdaqConfig(_D), 0),
-    "wz-unknown-mu65": (wz_unknown_quantizer, wz_unknown_sample, RdaqConfig(_D), 65),
-    "wz-unknown-N2": (wz_unknown_quantizer, wz_unknown_sample, RdaqConfig(_D, N=2), 8),
+    "rcs-mu0": (lambda: rcs_wrap(_RCS, 0), lambda g: rcs_ratq_sample(_X, _RCS, 0, 4, g)),
+    "rcs-mu65": (lambda: rcs_wrap(_RCS, 65), lambda g: rcs_ratq_sample(_X, _RCS, 65, 4, g)),
+    "rcs-s2": (lambda: rcs_wrap(_RATQ, 8), lambda g: rcs_ratq_sample(_X, _RATQ, 8, 4, g)),
+    "wz-known-mu0": (lambda: wz_known_quantizer(_RMQ, 0),
+                     lambda g: wz_known_sample(_X, _Y, _RMQ, 0, 4, g)),
+    "wz-known-mu70": (lambda: wz_known_quantizer(_RMQ, 70),
+                      lambda g: wz_known_sample(_X, _Y, _RMQ, 70, 4, g)),
+    "wz-unknown-mu0": (lambda: wz_unknown_quantizer(RdaqConfig(_D), 0),
+                       lambda g: wz_unknown_sample(_X, _Y, RdaqConfig(_D), 0, 4, g)),
+    "wz-unknown-mu65": (lambda: wz_unknown_quantizer(RdaqConfig(_D), 65),
+                        lambda g: wz_unknown_sample(_X, _Y, RdaqConfig(_D), 65, 4, g)),
+    "wz-unknown-N2": (lambda: wz_unknown_quantizer(RdaqConfig(_D, N=2), 8),
+                      lambda g: wz_unknown_sample(_X, _Y, RdaqConfig(_D, N=2), 8, 4, g)),
+    # input the codec rejects: non-finite entries, or (ratq-apply-shape) a
+    # row one short, which pads to the same power of two
+    "ratq-apply-nan": (_encode(ratq_quantizer(_RATQ), _X_NAN),
+                       lambda g: ratq_apply(np.stack([_X, _X_NAN]), _RATQ, g)),
+    "ratq-sample-nan": (_encode(ratq_quantizer(_RATQ), _X_NAN),
+                        lambda g: ratq_sample(_X_NAN, _RATQ, 4, g)),
+    "ratq-apply-shape": (_encode(ratq_quantizer(_RATQ), _X[:-1]),
+                         lambda g: ratq_apply(np.stack([_X[:-1], _X[:-1]]), _RATQ, g)),
+    "atuq-apply-nan": (None, lambda g: atuq_vector_apply(np.stack([_X, _X_NAN]), _RATQ, g)),
+    "rcs-nan": (_encode(rcs_wrap(_RCS, 8), _X_NAN), lambda g: rcs_ratq_sample(_X_NAN, _RCS, 8, 4, g)),
+    "rmq-nan-x": (_encode(wz_known_quantizer(_RMQ, None), _X_NAN),
+                  lambda g: wz_known_sample(_X_NAN, _Y, _RMQ, None, 4, g)),
+    "rmq-nan-y": (_decode(wz_known_quantizer(_RMQ, None), _X, _X_NAN),
+                  lambda g: wz_known_sample(_X, _X_NAN, _RMQ, None, 4, g)),
+    "wz-known-nan-x": (_encode(wz_known_quantizer(_RMQ, 8), _X_NAN),
+                       lambda g: wz_known_sample(_X_NAN, _Y, _RMQ, 8, 4, g)),
+    "wz-known-nan-y": (_decode(wz_known_quantizer(_RMQ, 8), _X, _X_NAN),
+                       lambda g: wz_known_sample(_X, _X_NAN, _RMQ, 8, 4, g)),
+    "daq-nan-y": (_decode(daq_quantizer(_D), _X, _X_NAN), lambda g: daq_sample(_X, _X_NAN, _D, 4, g)),
+    "rdaq-nan-y": (_decode(rdaq_quantizer(RdaqConfig(_D, N=2)), _X, _X_NAN),
+                   lambda g: boosted_rdaq_sample(_X, _X_NAN, RdaqConfig(_D, N=2), 4, g)),
+    "wz-unknown-nan-x": (_encode(wz_unknown_quantizer(RdaqConfig(_D), 8), _X_NAN),
+                         lambda g: wz_unknown_sample(_X_NAN, _X, RdaqConfig(_D), 8, 4, g)),
+    "simq-plus-nan": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, _D, 2.0)), _X_NAN),
+                      lambda g: simq_plus_sample(_X_NAN, SimqPlusConfig(1.0, _D, 2.0), 4, g)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REJECTED))
 def test_samplers_reject_what_their_codecs_reject_before_drawing(case):
-    factory, sampler, cfg, mu_d = _REJECTED[case]
-    with pytest.raises(ValueError):
-        factory(cfg, mu_d)
-    x, y = make_pair(7, _D, 0.1)
-    side = () if sampler is rcs_ratq_sample else (y,)
+    codec, sampler = _REJECTED[case]
+    if codec is not None:
+        with pytest.raises(ValueError):
+            codec()
     rng = SeedPath(8).stream()
     state = rng.bit_generator.state
-    with pytest.raises(ValueError):
-        sampler(x, *side, cfg, mu_d, 4, rng)
+    with pytest.raises(ValueError, match="non-finite" if "nan" in case else None):
+        sampler(rng)
     assert rng.bit_generator.state == state

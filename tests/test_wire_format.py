@@ -15,14 +15,10 @@ from qtc.core import BitString, SeedPath
 from qtc.sideinfo import (
     RdaqConfig,
     RmqConfig,
-    boosted_rdaq_quantizer,
     boosted_rdaq_sample,
     daq_quantizer,
     daq_sample,
     rdaq_quantizer,
-    rdaq_sample,
-    rmq_quantizer,
-    rmq_sample,
     wz_known_quantizer,
     wz_known_sample,
     wz_unknown_quantizer,
@@ -85,12 +81,12 @@ CASES = {
     "simq": (lambda: simq_quantizer(1.0, 8), _vec(9, 8, 0.9, ord=1), None),
     "simq_plus": (lambda: simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0, 16)), _vec(10, 16), None),
     "lp_split": (lambda: lp_split_quantizer(LpSplitConfig(1.0, 64, 1.5)), _lp_input(64), None),
-    "rmq": (lambda: rmq_quantizer(RmqConfig(64, 0.5, 0.05, 16)), *_pair(20, 64, 0.4)),
+    "rmq": (lambda: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 16), None), *_pair(20, 64, 0.4)),
     "wz_known": (lambda: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 16), 8), *_pair(22, 64, 0.4)),
     "daq": (lambda: daq_quantizer(32), *_pair(24, 32, 0.3)),
     "rdaq": (lambda: rdaq_quantizer(RdaqConfig(32)), *_pair(26, 32, 0.3)),
     "wz_unknown": (lambda: wz_unknown_quantizer(RdaqConfig(32), 5), *_pair(28, 32, 0.3)),
-    "boosted_rdaq": (lambda: boosted_rdaq_quantizer(RdaqConfig(16, N=4)), *_pair(30, 16, 0.2)),
+    "boosted_rdaq": (lambda: rdaq_quantizer(RdaqConfig(16, N=4)), *_pair(30, 16, 0.2)),
 }
 
 MESSAGES = {
@@ -102,14 +98,14 @@ MESSAGES = {
     "lp_split": ("98ff929af7a5f8b7912b0fc99ebfd43999d06502992302a458ddfb998389c64b", 3.980941846041133, 1.8172352595795889),
     "ratq": ("85416be8ab8a32aad3ea60007c4572212ae4b577ab164f37837272077c41a278", 2.3389721119911515, 3.9054181718508447),
     "ratq_d64": ("f27dc16b45d45798f4c03a255f3fbf28fe324fc12a228ed297e4bfd0283a9e21", 4.856588208369141, 4.425149035309666),
-    "rcs_wrap": ("96cf55ea8af6505b28157112a23138fed6d6437b344f0158c83167c5402eb48d", 0.2996315202142048, 81.13827703265277),
-    "rcs_wrap_center": ("9c2a9d117897f5dd89c2670c7d6b69302520109b55b3835e65125293096ae6a6", 8.794168178360202, 35.68835546612014),
+    "rcs_wrap": ("6f48c7c1576eb76dad6db88ea21fe2416d942af6f65e6dfbe04cb514875a7750", -3.089872484741184, 55.99520592342062),
+    "rcs_wrap_center": ("e3abb33e071e12e4abc7eb73dcd14edbb5db90251afc5c0584019b212fbcd8cc", 0.11893639328454686, 28.143499335153486),
     "rdaq": ("d1c009d5b846650a62927844e541129ce2583a8711ec68d7881cc0288f169a3a", 2.535061856978915, 5.319570582769954),
     "rmq": ("626ab3b31594c9996db84e4d108891b4300b26dc697ceed62388c9b138f16f80", -0.5309888841214054, 2.594813685791122),
     "simq": ("df8ece93975593f1c67f0874a8b89c4e4f0d116497edfaa42e8f818dd6d4346f", 0.0, 4.0),
     "simq_plus": ("def8cfd038d2ad46a87e8e236f1ad996662e0053ad3eef4c1d8cae077912b5e4", -1.75, 6.4375),
-    "wz_known": ("997b8e2f333b437343c712d96f0bbf069172a686696053a49a0820e41649be4d", -1.5352813646613868, 8.754991710010453),
-    "wz_unknown": ("4f9d63f82ffd569db6330dbd84d6aab504bee86c5fb283a8ce210612840a04ea", -0.1534794109124178, 33.668510233988016),
+    "wz_known": ("b331c1177914efd9809e3164a919f48927c4e59768d8e2dde0646bcf247e3fa3", -1.5064348693620657, 6.084031245737847),
+    "wz_unknown": ("287ac4b86f0c37b1f66cba8805a5e43ceb613be42235929e8947002e94d63016", -2.113071205138959, 2.180934897965516),
 }
 
 SAMPLERS = {
@@ -123,11 +119,12 @@ SAMPLERS = {
         _vec(43, 64), RatqConfig.for_subsampling(1.0, 64), 8, 300, rng),
     "simq_plus_sample": lambda rng: simq_plus_sample(
         _vec(44, 64), SimqPlusConfig(1.0, 64, 2.0, 64), 300, rng),
-    "rmq_sample": lambda rng: rmq_sample(*_pair(45, 48, 0.5), RmqConfig(48, 0.5, 0.05, 16), 300, rng),
+    "rmq_sample": lambda rng: wz_known_sample(
+        *_pair(45, 48, 0.5), RmqConfig(48, 0.5, 0.05, 16), None, 300, rng),
     "wz_known_sample": lambda rng: wz_known_sample(
         *_pair(46, 64, 0.5), RmqConfig(64, 0.5, 0.05, 16), 8, 300, rng),
     "daq_sample": lambda rng: daq_sample(*_pair(47, 16, 0.4), 16, 300, rng),
-    "rdaq_sample": lambda rng: rdaq_sample(*_pair(48, 32, 0.3), RdaqConfig(32), 300, rng),
+    "rdaq_sample": lambda rng: boosted_rdaq_sample(*_pair(48, 32, 0.3), RdaqConfig(32), 300, rng),
     "wz_unknown_sample": lambda rng: wz_unknown_sample(*_pair(49, 32, 0.3), RdaqConfig(32), 8, 300, rng),
     "boosted_rdaq_sample": lambda rng: boosted_rdaq_sample(
         *_pair(50, 64, 0.3), RdaqConfig(64, N=4), 300, rng),
@@ -196,3 +193,59 @@ def test_non_finite_input_rejected_before_any_draw(name, bad):
     with pytest.raises(ValueError, match="non-finite"):
         factory().encode(x, side, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_wrong_shape_input_rejected_before_any_draw(name):
+    factory, x, side = CASES[name]
+    rng = SeedPath(10).stream()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="shape"):
+        factory().encode(x[:-1], side, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0]().uses_side_info))
+def test_bad_side_information_rejected(name):
+    factory, x, side = CASES[name]
+    q = factory()
+    path = SeedPath(13).child(name)
+    msg = q.encode(x, side, path.stream())
+    nan_side = side.copy()
+    nan_side[1] = np.nan
+    for bad in (nan_side, side[:-1], np.stack([side, side])):
+        with pytest.raises(ValueError, match="side information"):
+            q.decode(msg, bad, path.stream())
+
+
+# SimQ+ sends one sign bit per distinct index drawn, so its budget is a
+# worst case; every other fixed-budget format fills its budget exactly.
+BUDGET_IS_WORST_CASE = {"simq_plus"}
+
+
+def _signed_permutation(rng, x, side):
+    """The inputs under one random coordinate permutation and sign flip: every
+    lp norm of x, of the side information and of their distance is kept, so
+    the pair stays in the case's domain."""
+    perm = rng.permutation(x.size)
+    flip = rng.choice([-1.0, 1.0], size=x.size)
+    return x[perm] * flip, None if side is None else side[perm] * flip
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_budget_exact_and_deterministic_on_random_inputs(name):
+    factory, x0, side0 = CASES[name]
+    q = factory()
+    rng = SeedPath(14).child(name).stream()
+    for t in range(20):
+        x, side = _signed_permutation(rng, x0, side0)
+        path = SeedPath(15).child(name, t)
+        msg = q.encode(x, side, path.stream())
+        if name in BUDGET_IS_WORST_CASE:
+            assert msg.nbits <= q.bit_budget
+        elif q.bit_budget is not None:
+            assert msg.nbits == q.bit_budget
+        assert q.encode(x, side, path.stream()) == msg
+        rec = q.decode(msg, side, path.stream())
+        assert rec.shape == x.shape and np.all(np.isfinite(rec))
+        assert np.array_equal(q.decode(msg, side, path.stream()), rec)
