@@ -87,23 +87,23 @@ def sample_shared(
 
 
 def gather_kept(a: np.ndarray, kept: Optional[np.ndarray]) -> np.ndarray:
-    """The kept entries of the (n, d) array `a` as an (n, mu_d) array, in
-    coordinate order; `a` itself when kept is None."""
+    """The kept entries of the (n, d, ...) array `a` as an (n, mu_d, ...)
+    array, in coordinate order; `a` itself when kept is None."""
     if kept is None:
         return a
-    return a.ravel()[kept].reshape(a.shape[0], -1)
+    n, d, *rest = a.shape
+    return a.reshape(n * d, *rest)[kept].reshape(n, -1, *rest)
 
 
-def sparse_correction(side_rot: np.ndarray, vals: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def sparse_correction(side_rot: np.ndarray, corr: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """The subsampled estimate of a rotated input: the rotated side
-    information, each kept entry s moved to s + (v - s) / mu, with v its entry
-    of the (n, mu_d) `vals` and mu = mu_d / d.
+    information, each kept entry s moved to s + c / mu, with c its entry of
+    the (n, mu_d) correction `corr` and mu = mu_d / d.
 
     Writes into `side_rot`, a C-contiguous (n, d) array, and returns it.
     """
     flat = side_rot.ravel()
-    s = flat[kept]
-    flat[kept] = s + (vals.ravel() - s) / (vals.shape[-1] / side_rot.shape[-1])
+    flat[kept] += corr.ravel() / (corr.shape[-1] / side_rot.shape[-1])
     return side_rot
 
 

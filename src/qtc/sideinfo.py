@@ -4,7 +4,8 @@ Known-distance route: rotate, then per-coordinate modulo quantization (RMQ),
 optionally subsampled.  Unknown-distance route: correlated-sampling indicator
 quantizers (DAQ, rotated multiscale RDAQ, subsampled RDAQ, boosted RDAQ)
 whose error scales with the actual input/side-information distance without
-anyone knowing it.
+anyone knowing it.  Each quantizer is one encode/decode kernel pair, run on
+one row by its bit-exact codec and on n rows by its sampler.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import log_star, tetration
+from .adaptive import TetraLadder, log_star
 from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_vector
 from .rotation import (
     check_sample_count,
@@ -104,9 +105,10 @@ def _rmq_decode(cfg: RmqConfig, w, side, signs, kept) -> np.ndarray:
     reconstructions.  With `kept`, unkept coordinates fall back to the
     rotated side information and kept ones get the 1/mu-scaled correction."""
     yr = rotate_batch(pad_to_pow2(side)[0], signs)
-    vals = mq_decode(w, gather_kept(yr, kept), cfg.mq)
+    yk = gather_kept(yr, kept)
+    vals = mq_decode(w, yk, cfg.mq)
     if kept is not None:
-        vals = sparse_correction(yr, vals, kept)
+        vals = sparse_correction(yr, vals - yk, kept)
     return unrotate_batch(vals, signs)[:, : cfg.d]
 
 
@@ -145,6 +147,16 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
     return Quantizer(encode, decode, width * cfg.symbol_bits, name=name, uses_side_info=True)
 
 
+def _daq_encode(x, u) -> np.ndarray:
+    """The DAQ kernel: the bits u <= x for the (n, d) uniforms u on [-1, 1]."""
+    return u <= x
+
+
+def _daq_decode(w, side, u) -> np.ndarray:
+    """Inverse of `_daq_encode` against the side information y: 2 (w - [u <= y]) + y."""
+    return 2.0 * (w - (u <= side).astype(float)) + side
+
+
 def daq_quantizer(d: int) -> Quantizer:
     """Distance-adaptive 1-bit-per-coordinate quantizer on the unit ball."""
 
@@ -152,19 +164,17 @@ def daq_quantizer(d: int) -> Quantizer:
         x = check_vector(x, d)
         if np.linalg.norm(x) > _BALL_SLACK:
             raise ValueError("DAQ input must lie in the unit l2 ball")
-        u = rng.uniform(-1.0, 1.0, size=d)
-        return BitString().write_fields(u <= x, 1)
+        return BitString().write_fields(_daq_encode(x, rng.uniform(-1.0, 1.0, size=(1, d)))[0], 1)
 
     def decode(bits, side, rng):
         y = _check_side(side, d, "DAQ")
         if np.linalg.norm(y) > _BALL_SLACK:
             raise ValueError("DAQ side information must lie in the unit l2 ball")
-        u = rng.uniform(-1.0, 1.0, size=d)
+        u = rng.uniform(-1.0, 1.0, size=(1, d))
         reader = BitReader(bits)
         w = reader.read_fields(d, 1)
         reader.finish()
-        y_ind = (u <= y).astype(float)
-        return 2.0 * (w - y_ind) + y
+        return _daq_decode(w, y, u)[0]
 
     return Quantizer(encode, decode, d, name=f"daq(d={d})", uses_side_info=True)
 
@@ -208,14 +218,14 @@ class RdaqConfig:
     def d_pad(self) -> int:
         return next_pow2(self.d)
 
-    @property
+    @functools.cached_property
     def h(self) -> int:
         return 1 << max(0, math.ceil(math.log2(1 + log_star(self.d / 6.0))))
 
-    @property
+    @functools.cached_property
     def ranges(self) -> np.ndarray:
-        tet = [tetration(j) if j <= 5 else math.inf for j in range(self.h)]
-        return np.sqrt((6.0 / self.d) * np.array(tet))
+        """The h scales M_j, worked out once per config; read-only."""
+        return TetraLadder(6 / self.d, 0.0, self.h).ranges
 
     @property
     def index_bits(self) -> int:
@@ -230,78 +240,105 @@ class RdaqConfig:
         return self.d_pad * (self.index_bits + self.h * self.count_bits)
 
 
-def _rdaq_shared(cfg: RdaqConfig, rng: np.random.Generator, mu_d: Optional[int]):
-    """Shared draws, same order on both sides: signs, then (with mu_d) the
-    subset mask, then the scaled uniforms.  Returns (signs, kept coordinates,
-    uniforms)."""
-    signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
-    v = rng.uniform(-1.0, 1.0, size=(cfg.d_pad, cfg.h, cfg.N))
-    u = v * cfg.ranges[None, :, None]
-    return signs, np.arange(cfg.d_pad) if kept is None else kept, u
+def _rdaq_draws(cfg: RdaqConfig, rng: np.random.Generator, m: int, mu_d: Optional[int]):
+    """The shared draws of m repetitions, in the one order of codecs and
+    samplers: (m, d_pad) signs, then v, N uniforms on [-1, 1] per rotated
+    coordinate shared by all h scales, then (with mu_d) the subset masks.
+    Returns (signs, kept, v), kept as in `sample_shared`."""
+    signs = sample_signs_batch(rng, m, cfg.d_pad)
+    v = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N))
+    kept = None if mu_d is None else np.flatnonzero(sample_subset_masks(rng, m, cfg.d_pad, mu_d))
+    return signs, kept, v
 
 
-def _scale_index(vals: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(ranges, np.abs(vals), side="left")
-    if np.any(idx >= len(ranges)):
+def _scale_index(rot: np.ndarray, kept, ranges: np.ndarray) -> np.ndarray:
+    """The scale of each kept entry of the rotated `rot`, the index of the
+    smallest range >= |value|; every entry, kept or not, must fit the top one."""
+    a = np.abs(rot)
+    if not np.all(a <= ranges[-1]):
         raise ValueError("value escapes the top scale; inputs must be unit-ball")
-    return idx
+    a = gather_kept(a, kept)
+    z = np.zeros(a.shape, dtype=np.intp)
+    for r in ranges[:-1]:
+        z += a > r
+    return z
 
 
-def _rdaq_encode(cfg: RdaqConfig, x, rng, mu_d=None) -> BitString:
-    x = check_vector(x, cfg.d)
-    if np.linalg.norm(x) > _BALL_SLACK:
-        raise ValueError("RDAQ input must lie in the unit l2 ball")
-    signs, coords, u = _rdaq_shared(cfg, rng, mu_d)
-    xr = rotate_batch(pad_to_pow2(x)[0], signs)[0]
-    z = _scale_index(xr[coords], cfg.ranges)
-    counts = (u[coords] <= xr[coords, None, None]).sum(axis=2)  # (m, h)
-    bits = BitString()
-    if cfg.index_bits:
-        bits.write_fields(z, cfg.index_bits)
-    return bits.write_fields(counts.T, cfg.count_bits)  # plane-major
+def _rdaq_encode(cfg: RdaqConfig, rows, signs, kept, v) -> tuple[np.ndarray, np.ndarray]:
+    """The RDAQ kernel: each row of `rows` (or one vector for all of them) is
+    rotated by its row of `signs` and restricted to the `kept` coordinates;
+    returns their scale indices z, (m, width), and their counts at every
+    scale j, (h, m, width): how many of their N uniforms v have v M_j <= value."""
+    xr = rotate_batch(pad_to_pow2(rows)[0], signs)
+    z = _scale_index(xr, kept, cfg.ranges)
+    xk, vk = gather_kept(xr, kept), gather_kept(v, kept)
+    counts = np.zeros((cfg.h,) + xk.shape, dtype=np.min_scalar_type(cfg.N))
+    for c, r in zip(counts, cfg.ranges):
+        for i in range(cfg.N):
+            c += vk[..., i] * r <= xk
+    return z, counts
 
 
-def _rdaq_decode(cfg: RdaqConfig, bits, side, rng, mu_d=None) -> np.ndarray:
-    y = _check_side(side, cfg.d, "RDAQ")
-    if np.linalg.norm(y) > _BALL_SLACK:
-        raise ValueError("RDAQ side information must lie in the unit l2 ball")
-    signs, coords, u = _rdaq_shared(cfg, rng, mu_d)
-    yr = rotate_batch(pad_to_pow2(y)[0], signs)[0]
-    m = len(coords)
-    reader = BitReader(bits)
-    if cfg.index_bits:
-        z = reader.read_fields(m, cfg.index_bits)
+def _rdaq_decode(cfg: RdaqConfig, fields, side, signs, kept, v) -> np.ndarray:
+    """Inverse of `_rdaq_encode` against the side information y: the (m, d)
+    reconstructions.  Each coordinate moves from y by 2 M_z* (count -
+    count(y)) / N at z* = max(z, z(y)), by 1/mu times that with `kept`."""
+    z, counts = fields
+    yr = rotate_batch(pad_to_pow2(side)[0], signs)
+    z_star = np.maximum(z, _scale_index(yr, kept, cfg.ranges))
+    m_sel = cfg.ranges[z_star]
+    yk, vk = gather_kept(yr, kept), gather_kept(v, kept)
+    diff = counts[0].astype(np.intp)
+    for j in range(1, cfg.h):
+        np.copyto(diff, counts[j], where=z_star == j)
+    for i in range(cfg.N):
+        diff -= vk[..., i] * m_sel <= yk
+    corr = 2.0 * m_sel * diff / cfg.N
+    vals = yr + corr if kept is None else sparse_correction(yr, corr, kept)
+    return unrotate_batch(vals, signs)[:, : cfg.d]
+
+
+def _rdaq_codec(cfg: RdaqConfig, mu_d: Optional[int], name: str) -> Quantizer:
+    """The RDAQ kernel on one row: the scale-index block, then the counts
+    scale by scale (plane-major), packed into the message."""
+    width = cfg.d_pad if mu_d is None else mu_d
+
+    def encode(x, side, rng):
+        x = check_vector(x, cfg.d)
+        if np.linalg.norm(x) > _BALL_SLACK:
+            raise ValueError("RDAQ input must lie in the unit l2 ball")
+        signs, kept, v = _rdaq_draws(cfg, rng, 1, mu_d)
+        z, counts = _rdaq_encode(cfg, x, signs, kept, v)
+        bits = BitString()
+        if cfg.index_bits:
+            bits.write_fields(z, cfg.index_bits)
+        return bits.write_fields(counts, cfg.count_bits)
+
+    def decode(bits, side, rng):
+        y = _check_side(side, cfg.d, "RDAQ")
+        if np.linalg.norm(y) > _BALL_SLACK:
+            raise ValueError("RDAQ side information must lie in the unit l2 ball")
+        signs, kept, v = _rdaq_draws(cfg, rng, 1, mu_d)
+        reader = BitReader(bits)
+        z = reader.read_fields(width, cfg.index_bits) if cfg.index_bits else np.zeros(width, int)
         if np.any(z >= cfg.h):
             raise MalformedStreamError("malformed stream: scale index out of range")
-    else:
-        z = np.zeros(m, dtype=int)
-    counts = reader.read_fields(m * cfg.h, cfg.count_bits).reshape(cfg.h, m).T
-    reader.finish()
-    if np.any(counts > cfg.N):
-        raise MalformedStreamError("malformed stream: count exceeds repetition budget")
-    z_side = _scale_index(yr[coords], cfg.ranges)
-    z_star = np.maximum(z, z_side)
-    rows = np.arange(m)
-    y_counts = (u[coords, z_star, :] <= yr[coords, None]).sum(axis=1)
-    diff = counts[rows, z_star] - y_counts
-    mu = m / cfg.d_pad
-    xr_hat = yr.copy()
-    xr_hat[coords] += (2.0 * cfg.ranges[z_star] * diff / cfg.N) / mu
-    return unrotate_batch(xr_hat, signs)[0, : cfg.d]
+        counts = reader.read_fields(cfg.h * width, cfg.count_bits)
+        reader.finish()
+        if np.any(counts > cfg.N):
+            raise MalformedStreamError("malformed stream: count exceeds repetition budget")
+        fields = (z[None], counts.reshape(cfg.h, 1, width))
+        return _rdaq_decode(cfg, fields, y, signs, kept, v)[0]
+
+    budget = width * (cfg.index_bits + cfg.h * cfg.count_bits)
+    return Quantizer(encode, decode, budget, name=name, uses_side_info=True)
 
 
 def rdaq_quantizer(cfg: RdaqConfig) -> Quantizer:
     """RDAQ with N indicator draws per (coordinate, scale), N = 1 being plain
     RDAQ; counts are sent raw in ceil(log2(N+1))-bit fields."""
-
-    def encode(x, side, rng):
-        return _rdaq_encode(cfg, x, rng)
-
-    def decode(bits, side, rng):
-        return _rdaq_decode(cfg, bits, side, rng)
-
     name = f"rdaq(d={cfg.d})" if cfg.N == 1 else f"brdaq(d={cfg.d},N={cfg.N})"
-    return Quantizer(encode, decode, cfg.bit_budget, name=name, uses_side_info=True)
+    return _rdaq_codec(cfg, None, name)
 
 
 def _check_wz_unknown(cfg: RdaqConfig, mu_d: int) -> None:
@@ -313,25 +350,12 @@ def _check_wz_unknown(cfg: RdaqConfig, mu_d: int) -> None:
 def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
     """Subsampled RDAQ with the 1/mu-scaled centered correction."""
     _check_wz_unknown(cfg, mu_d)
-
-    def encode(x, side, rng):
-        return _rdaq_encode(cfg, x, rng, mu_d)
-
-    def decode(bits, side, rng):
-        return _rdaq_decode(cfg, bits, side, rng, mu_d)
-
-    return Quantizer(
-        encode,
-        decode,
-        mu_d * (cfg.index_bits + cfg.h * cfg.count_bits),
-        name=f"wz-unknown(d={cfg.d},mu_d={mu_d})",
-        uses_side_info=True,
-    )
+    return _rdaq_codec(cfg, mu_d, f"wz-unknown(d={cfg.d},mu_d={mu_d})")
 
 
 # ---------------------------------------------------------------------------
-# Vectorized Monte-Carlo reconstruction paths (same distributions as the
-# bit-exact codecs; used by benchmarks and statistical tests).
+# Vectorized Monte-Carlo reconstructions for benchmarks and statistical
+# tests: the codecs' kernels on n rows, with the codecs' draws.
 
 
 def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -355,60 +379,29 @@ def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator
 
 
 def daq_sample(x, y, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The `daq_quantizer` codec's kernel on n rows, each with its own d uniforms."""
     x = check_vector(x, d)
     y = check_vector(y, d, "side information")
     u = rng.uniform(-1.0, 1.0, size=(n, d))
-    return 2.0 * ((u <= x).astype(float) - (u <= y).astype(float)) + y
+    return _daq_decode(_daq_encode(x, u), y, u)
 
 
-def _rdaq_core_sample(x, y, cfg: RdaqConfig, n, rng, mu_d=None) -> np.ndarray:
-    """Draws of the (boosted, or with mu_d subsampled) RDAQ reconstruction.
-
-    Each chunk draws, in order, the signs, N uniforms per rotated coordinate
-    at its scale z* and, with mu_d, the subset masks.  The check that no
-    coordinate escapes the top scale covers all of them; scales and counts
-    are worked out for the kept coordinates only.
-    """
-    ranges = cfg.ranges
+def _rdaq_sample(x, y, cfg: RdaqConfig, mu_d: Optional[int], n: int, rng) -> np.ndarray:
+    """The RDAQ codecs' kernel on n rows: boosted, or with mu_d subsampled."""
     xp = pad_to_pow2(check_vector(x, cfg.d))[0]
     yp = pad_to_pow2(check_vector(y, cfg.d, "side information"))[0]
     out = np.empty((n, cfg.d))
-    for lo, hi in _chunks(n, cfg.d_pad * cfg.h * max(1, cfg.N)):
-        m = hi - lo
-        signs = sample_signs_batch(rng, m, cfg.d_pad)
-        xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
-        # z* = max(z(x), z(y)) = z(max(|x|, |y|)), since the scale index is monotone
-        a = np.maximum(np.abs(xr), np.abs(yr)).ravel()
-        if not np.all(a <= ranges[-1]):
-            raise ValueError("value escapes the top scale; inputs must be unit-ball")
-        # only the z* scale matters for the estimate; draw N uniforms there
-        v = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N)).reshape(-1, cfg.N)
-        if mu_d is None:
-            kept, mu = slice(None), 1.0
-        else:
-            kept = np.flatnonzero(sample_subset_masks(rng, m, cfg.d_pad, mu_d))
-            mu = mu_d / cfg.d_pad
-        xk, yk, ak = xr.ravel()[kept], yr.ravel()[kept], a[kept]
-        # the index of the smallest range >= |value|: a count of <= h - 1 compares
-        z_star = np.zeros(ak.shape, dtype=np.intp)
-        for r in ranges[:-1]:
-            z_star += ak > r
-        m_sel = ranges[z_star]
-        u = v[kept] * m_sel[:, None]
-        diff = np.zeros(ak.shape, dtype=np.int64)  # count over x minus count over y
-        for i in range(cfg.N):
-            diff += u[:, i] <= xk
-            diff -= u[:, i] <= yk
-        corr = 2.0 * m_sel * diff / cfg.N
-        yr.ravel()[kept] = yk + corr / mu
-        out[lo:hi] = unrotate_batch(yr, signs)[:, : cfg.d]
+    for lo, hi in _chunks(n, cfg.d_pad * cfg.h * cfg.N):
+        signs, kept, v = _rdaq_draws(cfg, rng, hi - lo, mu_d)
+        fields = _rdaq_encode(cfg, xp, signs, kept, v)
+        out[lo:hi] = _rdaq_decode(cfg, fields, yp, signs, kept, v)
     return out
 
 
 def wz_unknown_sample(x, y, cfg: RdaqConfig, mu_d: int, n: int, rng) -> np.ndarray:
     _check_wz_unknown(cfg, mu_d)
-    return _rdaq_core_sample(x, y, cfg, n, rng, mu_d=mu_d)
+    return _rdaq_sample(x, y, cfg, mu_d, n, rng)
 
 
 def boosted_rdaq_sample(x, y, cfg: RdaqConfig, n: int, rng) -> np.ndarray:
-    return _rdaq_core_sample(x, y, cfg, n, rng)
+    return _rdaq_sample(x, y, cfg, None, n, rng)

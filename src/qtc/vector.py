@@ -154,7 +154,7 @@ def _ratq_decode(cfg: RatqConfig, fields, side, signs, kept) -> np.ndarray:
     vals = _atuq_levels(fields, cfg)
     if kept is not None:
         side_rot = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
-        vals = sparse_correction(side_rot, vals, kept)
+        vals = sparse_correction(side_rot, vals - gather_kept(side_rot, kept), kept)
     return unrotate_batch(vals, signs)[:, : cfg.d]
 
 
@@ -483,13 +483,23 @@ class SimqPlusConfig:
         return self.k * math.log2(math.e) + self.k * math.log2(self.d / self.k + 1) + self.k
 
 
+def _simq_plus_types(y: np.ndarray, cfg: SimqPlusConfig, n: int, rng) -> np.ndarray:
+    """The SimQ+ kernel: n types (n, d + 1) of the checked `y`, each the counts
+    of k SimQ draws over the indices 0 (no corner) and 1..d, as a multinomial."""
+    l1 = float(np.abs(y).sum())
+    if l1 > cfg.scale * _NORM_SLACK:
+        raise ValueError(f"l1 norm {l1:.6g} exceeds bound B={cfg.scale}")
+    probs = np.empty(cfg.d + 1)
+    probs[1:] = np.abs(y) / cfg.scale
+    probs[0] = max(0.0, 1.0 - probs[1:].sum())
+    probs /= probs.sum()
+    return rng.multinomial(cfg.k, probs, size=n)
+
+
 def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
     def encode(y, side, rng):
         y = check_vector(y, cfg.d)
-        counts = np.zeros(cfg.d + 1, dtype=np.int64)
-        for _ in range(cfg.k):
-            s = simq_encode(y, cfg.scale, rng)
-            counts[abs(s)] += 1
+        counts = _simq_plus_types(y, cfg, 1, rng)[0]
         bits = BitString().write_uint(_rank_composition(counts), cfg.type_bits)
         return bits.write_fields(y[np.nonzero(counts[1:])[0]] >= 0, 1)
 
@@ -509,13 +519,9 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
 def simq_plus_sample(
     y: np.ndarray, cfg: SimqPlusConfig, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized reconstructions: multinomial type draws, (n, d)."""
+    """The `simq_plus_quantizer` codec's type draw on n rows, each its type average."""
     y = check_vector(y, cfg.d)
-    probs = np.empty(cfg.d + 1)
-    probs[1:] = np.abs(y) / cfg.scale
-    probs[0] = max(0.0, 1.0 - probs[1:].sum())
-    probs /= probs.sum()
-    counts = rng.multinomial(cfg.k, probs, size=n)
+    counts = _simq_plus_types(y, cfg, n, rng)
     return counts[:, 1:] * np.sign(y)[None, :] * (cfg.scale / cfg.k)
 
 

@@ -284,6 +284,9 @@ _REJECTED = {
                          lambda g: wz_unknown_sample(_X_NAN, _X, RdaqConfig(_D), 8, 4, g)),
     "simq-plus-nan": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, _D, 2.0)), _X_NAN),
                       lambda g: simq_plus_sample(_X_NAN, SimqPlusConfig(1.0, _D, 2.0), 4, g)),
+    # l1 norm 16 above the scale B d^(1/p) = 4
+    "simq-plus-l1": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0)), np.ones(16)),
+                     lambda g: simq_plus_sample(np.ones(16), SimqPlusConfig(1.0, 16, 2.0), 4, g)),
 }
 
 

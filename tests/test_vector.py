@@ -233,13 +233,10 @@ def test_simq_plus_exact_average_and_budget():
     y = unit_vector(30, 64)
     msg, rec = q.roundtrip(y, None, SeedPath(31))
     assert msg.nbits <= cfg.bit_budget <= math.floor(cfg.analytic_budget()) + 1
-    # replay the encoder's k draws: decode must equal the exact average
-    rng = SeedPath(31).stream()
-    avg = np.zeros(64)
-    for _ in range(cfg.k):
-        s = simq_encode(y, cfg.scale, rng)
-        avg += simq_decode(s, cfg.scale, 64)
-    assert np.allclose(rec, avg / cfg.k, atol=1e-12)
+    # the encoder's type draw, scaled by the sampler: decode must equal the
+    # exact average of the k draws
+    avg = simq_plus_sample(y, cfg, 1, SeedPath(31).stream())[0]
+    assert np.allclose(rec, avg, atol=1e-12)
 
 
 def test_simq_plus_reduces_to_simq_at_k1():

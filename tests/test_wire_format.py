@@ -93,19 +93,19 @@ MESSAGES = {
     "aratq_aguq": ("36b9e5ea06a84146ee37f7b27fa8bd92a4c1b67864fc8a811b7c3c19b7f3b288", 1.3962321298758777, 1.7334105870066558),
     "aratq_aguq_overflow": ("0bdeec814619d66b833d13fdfef686ae7a5562ced59d3d60d8b2def45434292b", 0.0, 0.0),
     "aratq_aguq_plus": ("e30495b3ebdca718f889a59705c89e9cdac4455d0597d04c0b5ff501491b6981", 4.584836552545015, 13.14128991815061),
-    "boosted_rdaq": ("efc57635dd40f03e5d4363bb61322ae0a227593518d9cf13afa261865e48be33", -0.46800017280019424, 3.059000214776924),
+    "boosted_rdaq": ("6c93a3469cbfcf667163dc85924780d2a0574e7e0ff106eb59c43202e150a0df", -0.16181395495229667, 3.087634571023086),
     "daq": ("5a5d0f3038935279e28156b336099b244ab65f948bdeb9039bde72038822749a", -1.0476361926506588, 23.615852130775348),
     "lp_split": ("98ff929af7a5f8b7912b0fc99ebfd43999d06502992302a458ddfb998389c64b", 3.980941846041133, 1.8172352595795889),
     "ratq": ("85416be8ab8a32aad3ea60007c4572212ae4b577ab164f37837272077c41a278", 2.3389721119911515, 3.9054181718508447),
     "ratq_d64": ("f27dc16b45d45798f4c03a255f3fbf28fe324fc12a228ed297e4bfd0283a9e21", 4.856588208369141, 4.425149035309666),
     "rcs_wrap": ("6f48c7c1576eb76dad6db88ea21fe2416d942af6f65e6dfbe04cb514875a7750", -3.089872484741184, 55.99520592342062),
     "rcs_wrap_center": ("e3abb33e071e12e4abc7eb73dcd14edbb5db90251afc5c0584019b212fbcd8cc", 0.11893639328454686, 28.143499335153486),
-    "rdaq": ("d1c009d5b846650a62927844e541129ce2583a8711ec68d7881cc0288f169a3a", 2.535061856978915, 5.319570582769954),
+    "rdaq": ("9381ab7b6855ae75762ea8fa4c78f93b8e4640666d7ff10e58c078b7eee89768", -1.1391727571958508, 9.098716430650757),
     "rmq": ("626ab3b31594c9996db84e4d108891b4300b26dc697ceed62388c9b138f16f80", -0.5309888841214054, 2.594813685791122),
     "simq": ("df8ece93975593f1c67f0874a8b89c4e4f0d116497edfaa42e8f818dd6d4346f", 0.0, 4.0),
-    "simq_plus": ("def8cfd038d2ad46a87e8e236f1ad996662e0053ad3eef4c1d8cae077912b5e4", -1.75, 6.4375),
+    "simq_plus": ("9654f60b10427a59a0147779b49077bf90e64f381b69c94cc571509b55af78d1", -3.5, 8.0),
     "wz_known": ("b331c1177914efd9809e3164a919f48927c4e59768d8e2dde0646bcf247e3fa3", -1.5064348693620657, 6.084031245737847),
-    "wz_unknown": ("287ac4b86f0c37b1f66cba8805a5e43ceb613be42235929e8947002e94d63016", -2.113071205138959, 2.180934897965516),
+    "wz_unknown": ("37ec5b4f58cf10809e2946a3233e7cc699663019e7deee42bc984228094dd2d6", 1.8061123833141224, 61.098862451186335),
 }
 
 SAMPLERS = {
