@@ -228,6 +228,68 @@ class SimResult:
     cycles: int
 
 
+_LOG_TAIL = -64.0 * math.log(2.0)  # log of the largest tail mass the slot table drops
+
+
+def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: int):
+    """The law of a cycle's codeword slot count as a CDF table, and its draw.
+
+    The codeword of symbol x takes Z = L_x + NB(L_x, 1 - erasure) slots.
+    Without erasure the table is the symbol CDF that `Generator.choice` builds
+    over `lengths`, so the draws are choice's.  With erasure it is the exact
+    mixture P(Z = t) = sum_x p_x C(t-1, L_x-1) q^L_x eps^(t-L_x), q = 1 - eps,
+    built one distinct length at a time in log space (q^L cannot underflow).
+    A length's terms end at a k past its mode where the geometric bound
+    pmf(k) r/(1-r), r = eps (L+k)/(k+1), puts the rest of its law below 2^-64
+    (the ratios of later terms are at most r), and all mass above `horizon`
+    goes into one last entry of horizon + 1 slots: a cycle that long never
+    completes, so it acts like any longer one.  The table has at most
+    horizon + 1 entries.
+
+    Returns draw(rng, size): one uniform and one lookup per codeword.  The
+    table is kept as draw.slots and draw.cdf.
+    """
+    if erasure == 0:
+        slots, mass = lengths.astype(float), p
+    else:
+        log_q, log_e = math.log1p(-erasure), math.log(erasure)
+        sent = p > 0
+        ells, which = np.unique(lengths[sent].astype(int), return_inverse=True)
+        weights = np.bincount(which, weights=p[sent])
+        segments = []  # (length, pmf of t = length, length + 1, ...)
+        for ell, w in zip(ells.tolist(), weights.tolist()):
+            k_max = horizon - ell  # keep t = ell + k <= horizon
+            if k_max < 0:
+                continue
+            mean, sd = ell * erasure / (1 - erasure), math.sqrt(ell * erasure) / (1 - erasure)
+            n = min(k_max, int(mean + 10 * sd + _LOG_TAIL / log_e)) + 1  # terms k < n
+            while True:
+                k = np.arange(n, dtype=float)
+                log_pmf = k * log_e
+                log_pmf += ell * log_q
+                log_pmf[1:] += np.log1p((ell - 1) / k[1:]).cumsum()  # log C(ell+k-1, k)
+                r = erasure * (ell + n - 1) / n
+                if n > k_max or (r < 1 and log_pmf[-1] + math.log(r / (1 - r)) < _LOG_TAIL):
+                    break
+                n = min(k_max + 1, 2 * n)
+            segments.append((ell, w * np.exp(log_pmf)))
+        lo = min((ell for ell, _ in segments), default=horizon + 1)
+        top = max((ell + seg.size for ell, seg in segments), default=lo)
+        slots = np.append(np.arange(lo, top, dtype=float), horizon + 1)
+        mass = np.zeros(slots.size)
+        for ell, seg in segments:
+            mass[ell - lo : ell - lo + seg.size] += seg
+        mass[-1] = max(0.0, float(p.sum()) - float(mass.sum()))  # more than horizon slots
+    cdf = mass.cumsum()
+    cdf /= cdf[-1]
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        return slots[np.searchsorted(cdf, rng.random(size), side="right")]
+
+    draw.slots, draw.cdf = slots, cdf
+    return draw
+
+
 def simulate_update_scheme(
     lengths: Sequence[int],
     p: Sequence[float],
@@ -242,12 +304,20 @@ def simulate_update_scheme(
     The channel moves one bit per slot (each bit independently erased and
     retransmitted with probability `erasure`); the decoder's age resets on
     full-codeword reception.  A cycle is a delivered codeword plus the skip
-    words before it.  Cycles are drawn in blocks sized to cover the horizon
-    with a 10% margin, and each block is cut at the horizon with no per-cycle
-    Python work: `np.searchsorted(used + np.cumsum(y), horizon, side="right")`
-    counts the cycles that end by the horizon (one ending exactly at it
-    counts), and their age rewards come from one array expression over each
-    cycle's codeword slots and the previous cycle's.  A block that runs out
+    words before it.  A codeword of L bits takes L + NB(L, 1 - erasure)
+    slots.  `_slot_sampler` builds the exact law of that count once per call
+    as a CDF table (without erasure, the symbol CDF of `Generator.choice`, so
+    those draws are choice's), and each codeword's slot count is one uniform
+    looked up in it.  The table is exact: it drops only tail mass below
+    2^-64, and it lumps all counts above the horizon, which no completed
+    cycle can take, into one entry.  The randomized mode then draws the skip
+    words (`geometric`, and `negative_binomial` on their bits under erasure).
+    Cycles are drawn in blocks sized to cover the horizon with a 10% margin,
+    and each block is cut at the horizon with no per-cycle Python work:
+    `np.searchsorted(used + np.cumsum(y), horizon, side="right")` counts the
+    cycles that end by the horizon (one ending exactly at it counts), and
+    their age rewards come from one array expression over each cycle's
+    codeword slots and the previous cycle's.  A block that runs out
     before the horizon carries the used slots and the last codeword's slots
     into the next block.  This reproduces the slot-level sample path exactly;
     the slots after the last full cycle add a partial tail.
@@ -289,11 +359,9 @@ def simulate_update_scheme(
     cycle_slots: list[np.ndarray] = []
     used = 0.0  # slots taken by the cycles kept so far
     z_prev = 0.0
+    draw_slots = _slot_sampler(lengths, p_send, erasure, horizon)
     while True:
-        syms = rng.choice(len(p), size=block, p=p_send)
-        z_block = lengths[syms].astype(float)
-        if erasure > 0:
-            z_block = z_block + rng.negative_binomial(lengths[syms], 1.0 - erasure)
+        z_block = draw_slots(rng, block)
         if theta is not None:
             skips = rng.geometric(e_theta, size=block) - 1
             skip_bits = skips * int(l_skip)

@@ -9,6 +9,7 @@ deterministic CSV (comma-separated, LF, no quoting).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Optional, Sequence
@@ -414,14 +415,20 @@ _COMMANDS = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every `main` call."""
     parser = argparse.ArgumentParser(prog="qtc", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("--seed", type=int, default=0, help="root seed (u64)")
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     if args.config:
         try:
             with open(args.config, "r", encoding="utf8") as fh:

@@ -118,6 +118,13 @@ def _check_side(side, d: int, name: str) -> np.ndarray:
     return check_vector(side, d, "side information")
 
 
+def _check_ball(v: np.ndarray, name: str, what: str = "input") -> np.ndarray:
+    """The checked vector `v`, or ValueError unless it lies in the unit l2 ball."""
+    if np.linalg.norm(v) > _BALL_SLACK:
+        raise ValueError(f"{name} {what} must lie in the unit l2 ball")
+    return v
+
+
 def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
     """Rotated modulo quantizer: rotate x and y with the same shared signs and
     MQ each rotated coordinate.  mu_d = None is plain RMQ; otherwise
@@ -161,15 +168,11 @@ def daq_quantizer(d: int) -> Quantizer:
     """Distance-adaptive 1-bit-per-coordinate quantizer on the unit ball."""
 
     def encode(x, side, rng):
-        x = check_vector(x, d)
-        if np.linalg.norm(x) > _BALL_SLACK:
-            raise ValueError("DAQ input must lie in the unit l2 ball")
+        x = _check_ball(check_vector(x, d), "DAQ")
         return BitString().write_fields(_daq_encode(x, rng.uniform(-1.0, 1.0, size=(1, d)))[0], 1)
 
     def decode(bits, side, rng):
-        y = _check_side(side, d, "DAQ")
-        if np.linalg.norm(y) > _BALL_SLACK:
-            raise ValueError("DAQ side information must lie in the unit l2 ball")
+        y = _check_ball(_check_side(side, d, "DAQ"), "DAQ", "side information")
         u = rng.uniform(-1.0, 1.0, size=(1, d))
         reader = BitReader(bits)
         w = reader.read_fields(d, 1)
@@ -304,9 +307,7 @@ def _rdaq_codec(cfg: RdaqConfig, mu_d: Optional[int], name: str) -> Quantizer:
     width = cfg.d_pad if mu_d is None else mu_d
 
     def encode(x, side, rng):
-        x = check_vector(x, cfg.d)
-        if np.linalg.norm(x) > _BALL_SLACK:
-            raise ValueError("RDAQ input must lie in the unit l2 ball")
+        x = _check_ball(check_vector(x, cfg.d), "RDAQ")
         signs, kept, v = _rdaq_draws(cfg, rng, 1, mu_d)
         z, counts = _rdaq_encode(cfg, x, signs, kept, v)
         bits = BitString()
@@ -315,9 +316,7 @@ def _rdaq_codec(cfg: RdaqConfig, mu_d: Optional[int], name: str) -> Quantizer:
         return bits.write_fields(counts, cfg.count_bits)
 
     def decode(bits, side, rng):
-        y = _check_side(side, cfg.d, "RDAQ")
-        if np.linalg.norm(y) > _BALL_SLACK:
-            raise ValueError("RDAQ side information must lie in the unit l2 ball")
+        y = _check_ball(_check_side(side, cfg.d, "RDAQ"), "RDAQ", "side information")
         signs, kept, v = _rdaq_draws(cfg, rng, 1, mu_d)
         reader = BitReader(bits)
         z = reader.read_fields(width, cfg.index_bits) if cfg.index_bits else np.zeros(width, int)
@@ -380,16 +379,17 @@ def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator
 
 def daq_sample(x, y, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """The `daq_quantizer` codec's kernel on n rows, each with its own d uniforms."""
-    x = check_vector(x, d)
-    y = check_vector(y, d, "side information")
+    x = _check_ball(check_vector(x, d), "DAQ")
+    y = _check_ball(check_vector(y, d, "side information"), "DAQ", "side information")
     u = rng.uniform(-1.0, 1.0, size=(n, d))
     return _daq_decode(_daq_encode(x, u), y, u)
 
 
 def _rdaq_sample(x, y, cfg: RdaqConfig, mu_d: Optional[int], n: int, rng) -> np.ndarray:
     """The RDAQ codecs' kernel on n rows: boosted, or with mu_d subsampled."""
-    xp = pad_to_pow2(check_vector(x, cfg.d))[0]
-    yp = pad_to_pow2(check_vector(y, cfg.d, "side information"))[0]
+    x = _check_ball(check_vector(x, cfg.d), "RDAQ")
+    y = _check_ball(check_vector(y, cfg.d, "side information"), "RDAQ", "side information")
+    xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
     out = np.empty((n, cfg.d))
     for lo, hi in _chunks(n, cfg.d_pad * cfg.h * cfg.N):
         signs, kept, v = _rdaq_draws(cfg, rng, hi - lo, mu_d)

@@ -369,7 +369,7 @@ def simq_encode(y: np.ndarray, B: float, rng: np.random.Generator) -> int:
     y = check_finite(y)
     l1 = float(np.abs(y).sum())
     if l1 > B * _NORM_SLACK:
-        raise ValueError(f"l1 norm {l1:.6g} exceeds bound B={B}")
+        raise ValueError(f"l1 norm {l1:.6g} exceeds bound B = {B:.6g}")
     u = rng.random() * B
     csum = np.cumsum(np.abs(y))
     idx = int(np.searchsorted(csum, u, side="right"))
@@ -488,7 +488,7 @@ def _simq_plus_types(y: np.ndarray, cfg: SimqPlusConfig, n: int, rng) -> np.ndar
     of k SimQ draws over the indices 0 (no corner) and 1..d, as a multinomial."""
     l1 = float(np.abs(y).sum())
     if l1 > cfg.scale * _NORM_SLACK:
-        raise ValueError(f"l1 norm {l1:.6g} exceeds bound B={cfg.scale}")
+        raise ValueError(f"l1 norm {l1:.6g} exceeds bound B d^(1/p) = {cfg.scale:.6g} (B = {cfg.B:.6g})")
     probs = np.empty(cfg.d + 1)
     probs[1:] = np.abs(y) / cfg.scale
     probs[0] = max(0.0, 1.0 - probs[1:].sum())

@@ -150,6 +150,74 @@ def test_simulator_input_validation():
         simulate_update_scheme([1, 1, 1], [0.4, 0.3, 0.3], 10**4, SeedPath(0))
 
 
+# ---------------------------------------------------------------------------
+# The simulator's codeword slot table
+
+
+def exact_slot_pmf(lengths, p, eps, t):
+    """P(Z = t) for Z = L_X + NB(L_X, 1 - eps): sum_x p_x C(t-1, L_x-1) q^L_x eps^(t-L_x)."""
+    q = 1.0 - eps
+    return math.fsum(
+        px * math.comb(t - 1, int(ell) - 1) * q ** int(ell) * eps ** (t - int(ell))
+        for px, ell in zip(p, lengths)
+        if ell <= t
+    )
+
+
+@pytest.mark.parametrize("horizon", [60, 1000])
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.4, 0.9])
+def test_slot_table_is_the_exact_law(eps, horizon):
+    p = random_pmf(40, 32)
+    ell = shannon_lengths(p, "integer")
+    draw = aoi._slot_sampler(ell, p, eps, horizon)
+    assert draw.slots.size == draw.cdf.size <= horizon + 2
+    assert draw.cdf[-1] == 1.0 and np.all(np.diff(draw.cdf) >= 0)
+    pmf = np.diff(draw.cdf, prepend=0.0)
+    beyond = draw.slots > horizon
+    if eps > 0:
+        assert np.array_equal(draw.slots[beyond], [horizon + 1])  # the one "more than horizon" entry
+    table = np.bincount(draw.slots[~beyond].astype(int), weights=pmf[~beyond], minlength=horizon + 1)
+    exact = [exact_slot_pmf(ell, p, eps, t) for t in range(1, horizon + 1)]
+    np.testing.assert_allclose(table[1:], exact, rtol=0, atol=1e-15)
+    # the last entry is 1 - cdf[-2], a running sum of every other entry, so
+    # it carries that sum's rounding bound: entries x 2^-53
+    rest = 1.0 - math.fsum(exact)
+    assert pmf[beyond].sum() == pytest.approx(rest, rel=0, abs=draw.cdf.size * 2.0**-53)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.4, 0.9])
+def test_slot_table_draws_match_negative_binomial_draws(eps):
+    """Two-sample check against the draws the table replaced: a symbol by
+    `choice`, then its retransmissions by `negative_binomial`."""
+    n = 10**6
+    p = random_pmf(41, 32)
+    ell = shannon_lengths(p, "integer")
+    rng = np.random.default_rng(42)
+    lengths = ell[rng.choice(ell.size, size=n, p=p)]
+    old = lengths + rng.negative_binomial(lengths, 1.0 - eps)
+    new = aoi._slot_sampler(ell, p, eps, 10**9)(rng, n)
+    for a in (old, new):
+        assert a.max() < 10**9
+    mean_se = math.sqrt((old.var() + new.var()) / n)
+    assert abs(old.mean() - new.mean()) <= 5 * mean_se
+
+    def var_se2(a):  # squared SE of the sample variance
+        c = a - a.mean()
+        return (np.mean(c**4) - np.mean(c**2) ** 2) / n
+
+    assert abs(old.var() - new.var()) <= 5 * math.sqrt(var_se2(old) + var_se2(new))
+
+
+def test_slot_table_stays_bounded_as_erasure_nears_one():
+    p = random_pmf(43, 32)
+    ell = shannon_lengths(p, "integer")
+    draw = aoi._slot_sampler(ell, p, 0.999999, 1000)
+    assert draw.slots.size <= 1000 + 2
+    assert np.diff(draw.cdf, prepend=0.0)[-1] == pytest.approx(1.0, abs=1e-9)
+    res = simulate_update_scheme(ell, p, 1000, SeedPath(44), erasure=0.999999)
+    assert res.cycles == 0 and math.isfinite(res.avg_age)
+
+
 class FixedStream:
     """Stands in for a SeedPath whose stream is the given generator."""
 

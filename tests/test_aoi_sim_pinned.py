@@ -5,6 +5,15 @@ per-cycle simulator that `reference_simulate` keeps.  A change to
 `simulate_update_scheme` must reproduce every CSV byte, and it must return the
 same (avg_age, se, cycles) as the reference on the same draws, including
 horizons that need more than one draw block.
+
+Both simulators draw each codeword's slot count from the table that
+`qtc.aoi._slot_sampler` builds once per call: one uniform and one lookup per
+codeword.  Without erasure the table is the symbol CDF of `Generator.choice`,
+so the erasure-free pins are those of choice's draws.  With erasure it is the
+exact law of length plus negative-binomial retransmissions; the erasure pins
+(`pmf32-erasure-0.1`, `pmf32-erasure-0.3`, randomized 0.2) were recorded on
+its draws.  `ShortBlocks` zeroes the uniforms of the first blocks, which
+looks up the smallest slot count and forces further blocks.
 """
 
 import hashlib
@@ -13,7 +22,7 @@ import math
 import numpy as np
 import pytest
 
-from qtc.aoi import shannon_lengths, simulate_update_scheme, zipf_pmf
+from qtc.aoi import _slot_sampler, shannon_lengths, simulate_update_scheme, zipf_pmf
 from qtc.cli import main
 from qtc.core import SeedPath
 
@@ -38,15 +47,15 @@ PINNED_CSV = {
     "zipf-8": "fbb983f0e27b6c2a2d174ff454f443d2b2ce98bfe1a9d4bcda1bb3aba88aba0f",
     "zipf-64": "09b5bd7ea35b27cec4f8168158f847a095549b6f05c8d8410eab44fae87ce9d0",
     "pmf32-erasure-0": "e155c70b926730ca14a6917480868326ec8502a4bc3dd677a84454ce7a86c6e1",
-    "pmf32-erasure-0.1": "8ebcd77bfeb94cc41f92abae7b78b68bb2763981e672a36b108a07fe665310e3",
-    "pmf32-erasure-0.3": "a894dafe9aa686f80ab9db9f3d6a4f82b33c7aafb9d9a4f0a52eb7bdc96c46be",
+    "pmf32-erasure-0.1": "fb01326ae95fad5ae33bc21f430470ec16c5b5438add2fa7decf328f2cf7f3a3",
+    "pmf32-erasure-0.3": "ff74c1ac85e4077426f157b21b740d03c6f5615c1f55d2bf76cc6a8575c9c5af",
     "pstar": "e5757089c31df01d0669bc72208ebc810b3030026475c9fbfad3b31a25bdd789",
 }
 
 # erasure -> (avg_age, se, cycles) of randomized_case(erasure)
 PINNED_RANDOMIZED = {
     0.0: (6.56905, 0.010448333034908601, 42517),
-    0.2: (8.450015, 0.018617185439931325, 34097),
+    0.2: (8.46123, 0.01842998480885371, 34016),
 }
 
 
@@ -113,11 +122,9 @@ def reference_simulate(lengths, p, horizon, seed, theta=None, l_skip=None, erasu
     hist_r = []
     hist_y = []
     done = False
+    draw_slots = _slot_sampler(lengths, p_send, erasure, horizon)
     while not done:
-        syms = rng.choice(len(p), size=block, p=p_send)
-        z_block = lengths[syms].astype(float)
-        if erasure > 0:
-            z_block = z_block + rng.negative_binomial(lengths[syms], 1.0 - erasure)
+        z_block = draw_slots(rng, block)
         if theta is not None:
             skips = rng.geometric(e_theta, size=block) - 1
             skip_bits = skips * int(l_skip)
@@ -160,9 +167,10 @@ def reference_simulate(lengths, p, horizon, seed, theta=None, l_skip=None, erasu
 
 class ShortBlocks:
     """Stands in for a SeedPath: `stream()` returns this object, which draws
-    like `seed.stream()` except that its first `short` blocks send only the
-    likeliest symbol.  The block size assumes average cycles, so runs of short
-    codewords leave the horizon unreached and force further blocks."""
+    like `seed.stream()` except that in its first `short` blocks every
+    codeword's uniform is 0, which looks up the smallest slot count.  The
+    block size assumes average cycles, so runs of shortest codewords leave the
+    horizon unreached and force further blocks."""
 
     def __init__(self, seed, short):
         self.rng, self.short, self.blocks = seed.stream(), short, 0
@@ -170,12 +178,12 @@ class ShortBlocks:
     def stream(self):
         return self
 
-    def choice(self, n, size, p):
+    def random(self, size):
         self.blocks += 1
-        syms = self.rng.choice(n, size=size, p=p)
+        u = self.rng.random(size)
         if self.blocks <= self.short:
-            syms[:] = np.argmax(p)
-        return syms
+            u[:] = 0.0
+        return u
 
     def __getattr__(self, name):
         return getattr(self.rng, name)

@@ -4,6 +4,7 @@ import pytest
 
 from qtc.cli import (
     ConfigError,
+    _parser,
     gaussian_rd_config,
     gaussian_rd_run,
     gaussian_wz_params,
@@ -118,6 +119,31 @@ def test_cli_errors(tmp_path):
     badrd.write_text("D_frac = 2\n")  # D = v/2 > v/4
     assert main(["rd-bench", "--config", str(badrd)]) == 1
     assert main(["aoi-sim", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_parser_reuse_keeps_no_state(tmp_path):
+    """`main` reuses one parser: a rejected command line, then good ones with
+    other seeds and outputs, give the CSV bytes of runs on a fresh parser."""
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("zipf_n = 8\nhorizon = 10000\n")
+    runs = [("5", "a.csv"), ("6", "b.csv"), ("5", "c.csv")]
+
+    def run(seed, name):
+        out = tmp_path / name
+        assert main(["aoi-sim", "--config", str(cfg), "--seed", seed, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    for argv in (["aoi-sim", "--seed", "five"], ["no-such-command"], [], ["aoi-sim", "--bogus"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    reused = [run(seed, name) for seed, name in runs]
+    fresh = []
+    for seed, name in runs:
+        _parser.cache_clear()
+        fresh.append(run(seed, "fresh-" + name))
+    assert reused == fresh
+    assert reused[0] == reused[2] != reused[1]
+    assert _parser() is _parser()
 
 
 def test_cli_bad_pmf_file(tmp_path):

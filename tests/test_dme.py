@@ -19,6 +19,12 @@ def unit_rows(seed, n, d):
     return xs / np.linalg.norm(xs, axis=1, keepdims=True)
 
 
+def in_ball(ys):
+    """Rows projected onto the unit ball, the domain of DAQ; the projection
+    is nonexpansive, so no row moves farther from a unit-ball x."""
+    return ys / np.maximum(1.0, np.linalg.norm(ys, axis=1, keepdims=True))
+
+
 def test_identity_recovery_with_daq():
     n, d = 4, 16
     xs = unit_rows(0, n, d) * 0.5
@@ -32,7 +38,7 @@ def test_identity_recovery_with_daq():
 def test_single_client_matches_quantizer_mse():
     d = 32
     xs = unit_rows(2, 1, d)
-    ys = xs + 0.2 * unit_rows(3, 1, d)
+    ys = in_ball(xs + 0.2 * unit_rows(3, 1, d))
     inst = DmeInstance(xs, ys, np.array([0.2]), r=d)
     res = run_dme(
         inst,
@@ -50,7 +56,7 @@ def test_protocol_mse_decomposition():
     # for unbiased quantizers protocol MSE ~ (1/n) single-client MSE
     n, d, delta = 8, 32, 0.3
     xs = unit_rows(5, n, d)
-    ys = xs + delta * unit_rows(6, n, d)
+    ys = in_ball(xs + delta * unit_rows(6, n, d))
     inst = DmeInstance(xs, ys, np.full(n, delta), r=d)
     samplers = [lambda x, y, t, g: daq_sample(x, y, d, t, g) for _ in range(n)]
     res = run_dme(inst, [daq_quantizer(d) for _ in range(n)], SeedPath(7), 4000, samplers=samplers)

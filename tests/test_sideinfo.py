@@ -40,6 +40,13 @@ def make_pair(seed, d, delta):
     return x, x + delta * u
 
 
+def ball_pair(seed, d, delta):
+    """`make_pair` with y projected onto the unit ball, the domain of the DAQ
+    and RDAQ codecs; the projection is nonexpansive, so |x - y| <= delta."""
+    x, y = make_pair(seed, d, delta)
+    return x, y / max(1.0, np.linalg.norm(y))
+
+
 def test_rmq_config_validation():
     with pytest.raises(ValueError):
         RmqConfig(8, 1.0, 0.1, 3)  # k < 4
@@ -132,7 +139,7 @@ def test_daq_d1_example():
 
 
 def test_daq_monte_carlo_matches_formula():
-    x, y = make_pair(16, 16, 0.4)
+    x, y = ball_pair(16, 16, 0.4)
     recs = daq_sample(x, y, 16, 60_000, SeedPath(17).stream())
     emp = ((recs - x) ** 2).sum(axis=1).mean()
     formula = 2 * np.abs(x - y).sum() - ((x - y) ** 2).sum()
@@ -159,7 +166,7 @@ def test_rdaq_identity_recovery():
 
 def test_rdaq_unbiased():
     cfg = RdaqConfig(32)
-    x, y = make_pair(20, 32, 0.3)
+    x, y = ball_pair(20, 32, 0.3)
     recs = boosted_rdaq_sample(x, y, cfg, 40_000, SeedPath(21).stream())
     se = recs.std(axis=0) / math.sqrt(len(recs))
     assert np.all(np.abs(recs.mean(axis=0) - x) <= 5 * se + 1e-9)
@@ -169,7 +176,7 @@ def test_rdaq_delta_adaptive():
     cfg = RdaqConfig(64)
     mses = {}
     for i, delta in enumerate((0.01, 1.0)):
-        x, y = make_pair(22 + i, 64, delta)
+        x, y = ball_pair(22 + i, 64, delta)
         recs = boosted_rdaq_sample(x, y, cfg, 30_000, SeedPath(24 + i).stream())
         mses[delta] = ((recs - x) ** 2).sum(axis=1).mean()
         assert mses[delta] <= 16 * math.sqrt(3) * delta
@@ -187,7 +194,7 @@ def test_wz_unknown_identity_and_budget():
 
 def test_wz_unknown_unbiased_and_scaling():
     cfg = RdaqConfig(32)
-    x, y = make_pair(28, 32, 0.3)
+    x, y = ball_pair(28, 32, 0.3)
     mu_d = 8
     sub = wz_unknown_sample(x, y, cfg, mu_d, 40_000, SeedPath(29).stream())
     se = sub.std(axis=0) / math.sqrt(len(sub))
@@ -198,7 +205,7 @@ def test_wz_unknown_unbiased_and_scaling():
 
 
 def test_boosted_rdaq_halving():
-    x, y = make_pair(31, 64, 0.3)
+    x, y = ball_pair(31, 64, 0.3)
     mses = []
     for N in (1, 2, 4, 8):
         cfg = RdaqConfig(64, N=N)
@@ -230,6 +237,7 @@ def test_unit_ball_precondition():
 _D = 64
 _X, _Y = make_pair(7, _D, 0.1)
 _X_NAN = np.where(np.arange(_D) == 1, np.nan, _X)
+_X_OUT = 1.5 * _X / np.linalg.norm(_X)  # outside the unit ball, every coordinate finite
 _RCS = RatqConfig.for_subsampling(1.0, _D)
 _RATQ = RatqConfig.default(1.0, _D)
 _RMQ = RmqConfig(_D, 0.5, 0.05, 16)
@@ -284,6 +292,18 @@ _REJECTED = {
                          lambda g: wz_unknown_sample(_X_NAN, _X, RdaqConfig(_D), 8, 4, g)),
     "simq-plus-nan": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, _D, 2.0)), _X_NAN),
                       lambda g: simq_plus_sample(_X_NAN, SimqPlusConfig(1.0, _D, 2.0), 4, g)),
+    # x or y outside the unit ball, which the DAQ and RDAQ codecs reject
+    # (the other vector, _X, lies on the sphere)
+    "daq-ball-x": (_encode(daq_quantizer(_D), _X_OUT), lambda g: daq_sample(_X_OUT, _X, _D, 4, g)),
+    "daq-ball-y": (_decode(daq_quantizer(_D), _X, _X_OUT), lambda g: daq_sample(_X, _X_OUT, _D, 4, g)),
+    "rdaq-ball-x": (_encode(rdaq_quantizer(RdaqConfig(_D, N=2)), _X_OUT),
+                    lambda g: boosted_rdaq_sample(_X_OUT, _X, RdaqConfig(_D, N=2), 4, g)),
+    "rdaq-ball-y": (_decode(rdaq_quantizer(RdaqConfig(_D, N=2)), _X, _X_OUT),
+                    lambda g: boosted_rdaq_sample(_X, _X_OUT, RdaqConfig(_D, N=2), 4, g)),
+    "wz-unknown-ball-x": (_encode(wz_unknown_quantizer(RdaqConfig(_D), 8), _X_OUT),
+                          lambda g: wz_unknown_sample(_X_OUT, _X, RdaqConfig(_D), 8, 4, g)),
+    "wz-unknown-ball-y": (_decode(wz_unknown_quantizer(RdaqConfig(_D), 8), _X, _X_OUT),
+                          lambda g: wz_unknown_sample(_X, _X_OUT, RdaqConfig(_D), 8, 4, g)),
     # l1 norm 16 above the scale B d^(1/p) = 4
     "simq-plus-l1": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0)), np.ones(16)),
                      lambda g: simq_plus_sample(np.ones(16), SimqPlusConfig(1.0, 16, 2.0), 4, g)),

@@ -196,7 +196,7 @@ def test_simq_distribution_and_corners():
 
 def test_simq_rejects_and_budget():
     q = simq_quantizer(1.0, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^l1 norm 4 exceeds bound B = 1$"):
         q.encode(np.ones(4), None, SeedPath(28).stream())
     msg, rec = q.roundtrip(np.array([0.2, -0.1, 0.0, 0.05]), None, SeedPath(29))
     assert msg.nbits == math.ceil(math.log2(9))
@@ -225,6 +225,15 @@ def test_simq_decoders_reject_out_of_range_codes():
             BitString().write_uint(math.comb(6, 2), 4), None, SeedPath(0).stream())
     with pytest.raises(ValueError, match="malformed"):
         _unrank_composition(math.comb(6, 2) + 3, 2, 5)
+
+
+def test_simq_plus_l1_error_names_scale_and_b():
+    cfg = SimqPlusConfig(1.0, 16, 2.0)  # scale B d^(1/p) = 4
+    want = r"^l1 norm 16 exceeds bound B d\^\(1/p\) = 4 \(B = 1\)$"
+    with pytest.raises(ValueError, match=want):
+        simq_plus_quantizer(cfg).encode(np.ones(16), None, SeedPath(0).stream())
+    with pytest.raises(ValueError, match=want):
+        simq_plus_sample(np.ones(16), cfg, 4, SeedPath(0).stream())
 
 
 def test_simq_plus_exact_average_and_budget():
