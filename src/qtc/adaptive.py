@@ -1,9 +1,10 @@
 """Adaptive dynamic-range quantizers.
 
 ATUQ picks the smallest range out of a tetra-iterated ladder that contains
-the whole input vector and applies CUQ there; AGUQ does the same for a
-nonnegative scalar gain over a geometric ladder; AGUQ+ is the variable-length
-gain variant (unary range code + per-range level field).
+the whole input vector and applies CUQ there (the ladder is defined here, the
+quantizer in `qtc.vector`); AGUQ does the same for a nonnegative scalar gain
+over a geometric ladder; AGUQ+ is the variable-length gain variant (unary
+range code + per-range level field).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "TetraLadder",
     "GeoLadder",
     "pick_range",
-    "atuq_quantize",
     "aguq_quantize",
     "AguqPlus",
 ]
@@ -117,18 +117,6 @@ def pick_range(values, ranges: np.ndarray):
     finite range; values above it keep that range and overflow."""
     top = np.count_nonzero(np.isfinite(ranges)) - 1
     return np.minimum(np.searchsorted(ranges, values, side="left"), top)
-
-
-def atuq_quantize(
-    y: np.ndarray, ladder: TetraLadder, k: int, rng: np.random.Generator
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """ATUQ one vector: returns (range index, symbols, reconstruction)."""
-    y = np.asarray(y, dtype=float)
-    ranges = ladder.ranges
-    j = int(pick_range(float(np.max(np.abs(y))) if y.size else 0.0, ranges))
-    grid = UniformGrid(ranges[j], k, "signed")
-    sym = cuq_encode(y, grid, rng)
-    return j, sym, cuq_decode(sym, grid)
 
 
 def aguq_quantize(

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import TetraLadder, log_star
 from .aoi import (
     average_age,
     average_age_erasure_exact,
@@ -31,24 +30,19 @@ from .aoi import (
 from .core import SeedPath
 from .dme import DmeInstance, configure_known_delta, configure_no_side_info, run_dme, theoretical_bound
 from .optim import Domain, psgd_run, quadratic_oracle
-from .scalar import ModuloParams, mq_decode, mq_encode
-from .sideinfo import wz_known_quantizer, wz_known_sample
+from .scalar import gaussian_wz_run
+from .sideinfo import wz_known_quantizer
 from .vector import (
     RatqConfig,
     SimqPlusConfig,
-    atuq_vector_apply,
+    gaussian_rd_run,
     ratq_apply,
-    ratq_sample,
-    rcs_ratq_sample,
+    ratq_quantizer,
     rcs_wrap,
-    simq_plus_sample,
+    simq_plus_quantizer,
 )
 
 __all__ = [
-    "gaussian_rd_config",
-    "gaussian_rd_run",
-    "gaussian_wz_params",
-    "gaussian_wz_run",
     "ConfigError",
     "parse_config",
     "cmd_quantize_bench",
@@ -59,81 +53,6 @@ __all__ = [
     "cmd_aoi_sim",
     "main",
 ]
-
-# ---------------------------------------------------------------------------
-# Gaussian rate-distortion / Wyner-Ziv benchmark configurations
-
-
-def gaussian_rd_config(v: float, D: float, d: int) -> tuple[RatqConfig, float]:
-    """Unrotated ATUQ tuned for subgaussian inputs with variance factor v and
-    per-dimension distortion target D; returns (config, rate bits/dim)."""
-    if not D < v / 4:
-        raise ValueError("distortion target must satisfy D < v/4")
-    log_h = math.ceil(math.log2(1 + log_star(4.0 * math.log(8 * math.sqrt(2) * v / D) / 3.0)))
-    s = min(max(1, log_h), d)
-    k = (1 << math.ceil(math.log2(2 + math.sqrt((18 * v + 6 * v * math.log(s)) / D)))) - 1
-    ladder = TetraLadder(3 * v, 2 * v * math.log(s), 1 << log_h)
-    cfg = RatqConfig(math.sqrt(v * d), d, s, k, ladder)
-    rate = math.ceil(math.log2(k + 1)) + math.ceil(d / s) * max(1, log_h) / d
-    return cfg, rate
-
-
-def gaussian_rd_run(
-    v: float, D: float, d: int, blocks: int, rng: np.random.Generator, source: str = "gaussian"
-) -> tuple[float, float]:
-    """Returns (empirical per-dimension MSE, rate in bits/dim)."""
-    cfg, rate = gaussian_rd_config(v, D, d)
-    if source == "gaussian":
-        xs = rng.normal(scale=math.sqrt(v), size=(blocks, d))
-    elif source == "laplace":
-        # Laplace shape clipped to [-sqrt(v), sqrt(v)]: bounded, hence
-        # subgaussian with variance factor v, but with heavier near-tails
-        xs = np.clip(rng.laplace(scale=math.sqrt(v) / 2.0, size=(blocks, d)),
-                     -math.sqrt(v), math.sqrt(v))
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    rec = atuq_vector_apply(xs, cfg, rng)
-    mse = float(((rec - xs) ** 2).mean())
-    return mse, rate
-
-
-def gaussian_wz_params(sigma_z: float, D: float) -> tuple[ModuloParams, int]:
-    """Modulo-quantizer parameters for side-information rate distortion."""
-    if not D <= sigma_z**2 / 308:
-        raise ValueError("distortion target must satisfy D <= sigma_z^2/308")
-    delta_small = math.sqrt(D / 308.0)
-    log_k = math.ceil(
-        math.log2(2 + (sigma_z / math.sqrt(D)) * 4 * math.sqrt(
-            3 * math.log(2 * math.sqrt(77) * sigma_z / math.sqrt(D))))
-    )
-    delta_prime = math.sqrt(6 * sigma_z**2 * math.log(sigma_z / delta_small))
-    return ModuloParams(1 << log_k, delta_prime), log_k
-
-
-def gaussian_wz_run(
-    sigma_z: float,
-    D: float,
-    d: int,
-    blocks: int,
-    rng: np.random.Generator,
-    sigma_y: float = 1.0,
-    source: str = "gaussian",
-) -> tuple[float, int]:
-    """X = Y + Z per coordinate; MQ with decoder side information Y."""
-    params, log_k = gaussian_wz_params(sigma_z, D)
-    y = rng.normal(scale=sigma_y, size=(blocks, d))
-    if source == "gaussian":
-        z = rng.normal(scale=sigma_z, size=(blocks, d))
-    elif source == "laplace":
-        z = np.clip(rng.laplace(scale=sigma_z / 2.0, size=(blocks, d)), -sigma_z, sigma_z)
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    x = y + z
-    w = mq_encode(x, params, rng)
-    rec = mq_decode(w, y, params)
-    mse = float(((rec - x) ** 2).mean())
-    return mse, log_k
-
 
 # ---------------------------------------------------------------------------
 # Config file handling
@@ -203,20 +122,20 @@ def cmd_quantize_bench(args) -> int:
     for name in [q.strip() for q in cfg["quantizers"].split(",") if q.strip()]:
         if name == "ratq":
             rcfg = RatqConfig.default(B, d)
-            recs = ratq_sample(y, rcfg, trials, root.child("ratq").stream())
-            bound = B * math.sqrt((9 + 3 * math.log(rcfg.s)) / (rcfg.k - 1) ** 2 + 1)
+            recs = ratq_quantizer(rcfg).sample(y, None, trials, root.child("ratq").stream())
+            bound = rcfg.alpha2
             bits = rcfg.bit_budget
         elif name == "simq":
             y = y * (B / np.abs(y).sum())
             # one SimQ draw at scale B is SimQ+ with k = 1 and p = inf
-            recs = simq_plus_sample(y, SimqPlusConfig(B, d, math.inf, 1), trials,
-                                    root.child("simq").stream())
+            recs = simq_plus_quantizer(SimqPlusConfig(B, d, math.inf, 1)).sample(
+                y, None, trials, root.child("simq").stream())
             bound = B
             bits = math.ceil(math.log2(2 * d + 1))
         elif name == "simq_plus":
             pcfg = SimqPlusConfig(B, d, 2.0)
             yn = y * (B / np.linalg.norm(y))
-            recs = simq_plus_sample(yn, pcfg, trials, root.child("simq+").stream())
+            recs = simq_plus_quantizer(pcfg).sample(yn, None, trials, root.child("simq+").stream())
             y = yn
             bound = math.sqrt(B**2 * d ** (2.0 / pcfg.p) / pcfg.k + B**2)
             bits = pcfg.bit_budget
@@ -245,11 +164,7 @@ def cmd_dme_bench(args) -> int:
     for r in [int(x) for x in cfg["r_list"]]:
         if cfg["setting"] == "no-side-info":
             rcfg, mu_d = configure_no_side_info(n, d, r)
-            quants = [rcs_wrap(rcfg, mu_d) for _ in range(n)]
-            samplers = [
-                lambda x, y, t, g, c=rcfg, m=mu_d: rcs_ratq_sample(x, c, m, t, g)
-                for _ in range(n)
-            ]
+            quants = [rcs_wrap(rcfg, mu_d)] * n
             inst = DmeInstance(xs, None, None, r)
             bound = theoretical_bound("no-side-info", n, d, r)
         elif cfg["setting"] == "known-delta":
@@ -260,15 +175,11 @@ def cmd_dme_bench(args) -> int:
             deltas = [delta] * n
             rcfgs, mu_d = configure_known_delta(n, d, r, deltas)
             quants = [wz_known_quantizer(c, mu_d) for c in rcfgs]
-            samplers = [
-                lambda x, y, t, g, c=rcfgs[i], m=mu_d: wz_known_sample(x, y, c, m, t, g)
-                for i in range(n)
-            ]
             inst = DmeInstance(xs, ys, np.array(deltas), r)
             bound = theoretical_bound("known-delta", n, d, r, deltas)
         else:
             raise ConfigError(f"unknown setting {cfg['setting']!r}")
-        res = run_dme(inst, quants, root.child("run", r), trials, samplers=samplers)
+        res = run_dme(inst, quants, root.child("run", r), trials, sampled=True)
         rows.append([cfg["setting"], n, d, r, cfg["delta"], res.mse, res.band, bound,
                      max(b for b in res.bits_per_client)])
     _emit(rows, ["setting", "n", "d", "r_bits", "delta", "empirical_mse", "band_3sigma",
@@ -290,7 +201,6 @@ def cmd_opt_bench(args) -> int:
     x_init = np.zeros(d)
     x_init[min(1, d - 1)] = 0.9
     rcfg = RatqConfig.default(B, d)
-    alpha2 = B * math.sqrt((9 + 3 * math.log(rcfg.s)) / (rcfg.k - 1) ** 2 + 1)
     rows = []
     gaps_q = []
     for T in [int(t) for t in cfg["T_list"]]:
@@ -298,7 +208,7 @@ def cmd_opt_bench(args) -> int:
                         reps=cfg["reps"], x_init=x_init)
         qfun = lambda g, rng: ratq_apply(g, rcfg, rng)
         quant = psgd_run(oracle, qfun, dom, T, seed=SeedPath(args.seed).child("q", T),
-                         reps=cfg["reps"], x_init=x_init, alpha2=alpha2,
+                         reps=cfg["reps"], x_init=x_init, alpha2=rcfg.alpha2,
                          bits_per_step=rcfg.bit_budget)
         bound = math.sqrt(2) * dom.diameter * B / math.sqrt(T)
         rows.append([T, base.mean_final_gap, quant.mean_final_gap, bound,

@@ -9,12 +9,19 @@ Conventions used by every encoder/decoder pair in this package:
   decoder must regenerate) is always drawn *first* and in the same order on
   both sides; encoder-private randomness (randomized rounding) is drawn after
   all shared values, so the decoder never needs it.
+
+For a quantizer declared as a `Kernel`, the shared code enforces that order:
+the codec that `kernel_quantizer` builds and the batched sampler
+`Quantizer.sample` both check their input before any draw, then run the
+kernel's shared draw, its encode (which makes the private draws) and its
+decode.  So a codec round trip under a SeedPath is the first row the sampler
+draws from that path's stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +30,8 @@ __all__ = [
     "BitReader",
     "SeedPath",
     "Quantizer",
+    "Kernel",
+    "kernel_quantizer",
     "MalformedStreamError",
     "TruncatedStreamError",
     "check_finite",
@@ -245,12 +254,59 @@ EncodeFn = Callable[[np.ndarray, Optional[np.ndarray], np.random.Generator], Bit
 DecodeFn = Callable[[BitString, Optional[np.ndarray], np.random.Generator], np.ndarray]
 
 
+def _chunks(n: int, d: int, budget: int = 1 << 18):
+    """Consecutive [lo, hi) ranges of n rows, budget // d rows at a time."""
+    step = max(1, budget // max(d, 1))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """A quantizer declared once, for its codec and its sampler alike.
+
+    ``check_input(x)`` and ``check_side(side)`` return the checked input and
+    side information, or raise ValueError.  ``draw(rng, m)`` makes the shared
+    draws of m repetitions.  ``encode(rows, shared, rng)`` returns the fields
+    of one vector (for all m repetitions) or of m rows, making its private
+    draws after the shared ones; ``decode(fields, side, shared)`` returns the
+    (m, d) reconstructions.  ``write(bits, fields)`` packs the fields of one
+    repetition, and ``read(reader)`` reads them back as a batch of one,
+    raising MalformedStreamError on a value out of range.  ``row_elems``, the
+    elements of one repetition's largest array, sizes the sampler's chunks.
+    """
+
+    d: int
+    row_elems: int
+    check_input: Callable[[np.ndarray], np.ndarray]
+    check_side: Callable[[Optional[np.ndarray]], Optional[np.ndarray]]
+    draw: Callable[[np.random.Generator, int], Any]
+    encode: Callable[[np.ndarray, Any, np.random.Generator], Any]
+    decode: Callable[[Any, Optional[np.ndarray], Any], np.ndarray]
+    write: Callable[[BitString, Any], BitString]
+    read: Callable[[BitReader], Any]
+
+    def run(self, rows: np.ndarray, side: Optional[np.ndarray], n: int,
+            rng: np.random.Generator) -> np.ndarray:
+        """The draw, encode and decode steps on n repetitions, chunk by
+        chunk: (n, d).  `rows` is one checked vector for all of them, or n
+        checked rows, one per repetition."""
+        out = np.empty((n, self.d))
+        for lo, hi in _chunks(n, self.row_elems):
+            shared = self.draw(rng, hi - lo)
+            fields = self.encode(rows if rows.ndim == 1 else rows[lo:hi], shared, rng)
+            out[lo:hi] = self.decode(fields, side, shared)
+        return out
+
+
 @dataclass
 class Quantizer:
     """Encoder/decoder pair with a declared worst-case bit budget.
 
     ``bit_budget`` is the worst-case message length in bits; ``None`` marks a
     variable-length scheme whose guarantee is on expected length only.
+    ``kernel`` is set on quantizers built by `kernel_quantizer`, which can
+    also `sample`.
     """
 
     encode: EncodeFn
@@ -258,6 +314,7 @@ class Quantizer:
     bit_budget: Optional[int]
     name: str = "quantizer"
     uses_side_info: bool = False
+    kernel: Optional[Kernel] = None
 
     def roundtrip(
         self,
@@ -277,3 +334,37 @@ class Quantizer:
             )
         xhat = self.decode(msg, side, path.stream())
         return msg, xhat
+
+    def sample(
+        self, x: np.ndarray, side: Optional[np.ndarray], n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """n independent reconstructions of x, (n, d): the codec's checks,
+        draws and kernel without the packing.  Drawn from ``path.stream()``,
+        row 0 is the round trip's reconstruction under ``path``."""
+        k = self.kernel
+        if k is None:
+            raise TypeError(f"{self.name} has no batched kernel to sample")
+        return k.run(k.check_input(x), k.check_side(side), n, rng)
+
+
+def kernel_quantizer(
+    kernel: Kernel, bit_budget: int, name: str, uses_side_info: bool = False
+) -> Quantizer:
+    """The bit-exact codec of `kernel`.  Encode checks x, makes the shared
+    draws of one repetition, encodes and packs; decode checks the side
+    information, makes the same draws, reads every field and decodes."""
+
+    def encode(x, side, rng):
+        x = kernel.check_input(x)
+        shared = kernel.draw(rng, 1)
+        return kernel.write(BitString(), kernel.encode(x, shared, rng))
+
+    def decode(bits, side, rng):
+        side = kernel.check_side(side)
+        shared = kernel.draw(rng, 1)
+        reader = BitReader(bits)
+        fields = kernel.read(reader)
+        reader.finish()
+        return kernel.decode(fields, side, shared)[0]
+
+    return Quantizer(encode, decode, bit_budget, name, uses_side_info, kernel)

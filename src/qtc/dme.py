@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -41,12 +41,16 @@ class DmeInstance:
 
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
+        if self.xs.ndim != 2:
+            raise ValueError(f"client inputs have shape {self.xs.shape}, expected (n, d)")
         if self.ys is not None:
             self.ys = np.asarray(self.ys, dtype=float)
             if self.ys.shape != self.xs.shape:
                 raise ValueError("side information shape mismatch")
         if self.deltas is not None:
             self.deltas = np.asarray(self.deltas, dtype=float)
+            if self.deltas.shape != (self.n,):
+                raise ValueError(f"deltas have shape {self.deltas.shape}, expected ({self.n},)")
 
     @property
     def n(self) -> int:
@@ -70,25 +74,24 @@ class DmeResult:
     delta_violations: int = 0
 
 
-# A sampler draws `trials` independent reconstructions of one client's vector:
-# sampler(x, y, trials, rng) -> (trials, d)
-Sampler = Callable[[np.ndarray, Optional[np.ndarray], int, np.random.Generator], np.ndarray]
-
-
 def run_dme(
     instance: DmeInstance,
     quantizers: Sequence[Quantizer],
     root: SeedPath,
     trials: int,
-    samplers: Optional[Sequence[Sampler]] = None,
+    sampled: bool = False,
 ) -> DmeResult:
-    """Estimate the protocol MSE over `trials` independent runs.
+    """Estimate the protocol MSE over `trials` independent runs, client i
+    sending with `quantizers[i]`.
 
-    With `samplers` given, reconstructions come from the vectorized
-    Monte-Carlo paths; otherwise every (trial, client) pair runs the bit-exact
-    encode/decode roundtrip.
+    By default every (trial, client) pair runs the bit-exact encode/decode
+    round trip.  With `sampled`, client i's reconstructions are
+    `quantizers[i].sample` drawn from the client's stream: the same kernel
+    and draws without packing any message.
     """
     n, d = instance.n, instance.d
+    if len(quantizers) != n:
+        raise ValueError(f"{len(quantizers)} quantizers for {n} clients")
     bits = []
     for i, q in enumerate(quantizers):
         if q.bit_budget is not None and q.bit_budget > instance.r:
@@ -105,11 +108,10 @@ def run_dme(
     for i in range(n):
         x = instance.xs[i]
         y = instance.ys[i] if instance.ys is not None else None
-        rng = root.child("client", i).stream()
-        if samplers is not None:
-            acc += samplers[i](x, y, trials, rng)
+        q = quantizers[i]
+        if sampled:
+            acc += q.sample(x, y, trials, root.child("client", i).stream())
         else:
-            q = quantizers[i]
             for t in range(trials):
                 path = root.child("client", i).child("trial", t)
                 _, xhat = q.roundtrip(x, y, path)

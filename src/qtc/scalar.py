@@ -27,6 +27,8 @@ __all__ = [
     "mq_encode_with",
     "mq_decode",
     "mq_quantize",
+    "gaussian_wz_params",
+    "gaussian_wz_run",
     "write_cuq_symbols",
     "read_cuq_symbols",
 ]
@@ -251,3 +253,42 @@ def mq_quantize(
     w = mq_encode(np.asarray([x]), params, rng)
     rec = mq_decode(w, np.asarray([y_side]), params)
     return int(w[0]), float(rec[0])
+
+
+def gaussian_wz_params(sigma_z: float, D: float) -> tuple[ModuloParams, int]:
+    """Modulo-quantizer parameters for side-information rate distortion."""
+    if not D <= sigma_z**2 / 308:
+        raise ValueError("distortion target must satisfy D <= sigma_z^2/308")
+    delta_small = math.sqrt(D / 308.0)
+    log_k = math.ceil(
+        math.log2(2 + (sigma_z / math.sqrt(D)) * 4 * math.sqrt(
+            3 * math.log(2 * math.sqrt(77) * sigma_z / math.sqrt(D))))
+    )
+    delta_prime = math.sqrt(6 * sigma_z**2 * math.log(sigma_z / delta_small))
+    return ModuloParams(1 << log_k, delta_prime), log_k
+
+
+def gaussian_wz_run(
+    sigma_z: float,
+    D: float,
+    d: int,
+    blocks: int,
+    rng: np.random.Generator,
+    sigma_y: float = 1.0,
+    source: str = "gaussian",
+) -> tuple[float, int]:
+    """X = Y + Z per coordinate; MQ with decoder side information Y.
+    Returns (empirical per-dimension MSE, log2 k bits per dimension)."""
+    params, log_k = gaussian_wz_params(sigma_z, D)
+    y = rng.normal(scale=sigma_y, size=(blocks, d))
+    if source == "gaussian":
+        z = rng.normal(scale=sigma_z, size=(blocks, d))
+    elif source == "laplace":
+        z = np.clip(rng.laplace(scale=sigma_z / 2.0, size=(blocks, d)), -sigma_z, sigma_z)
+    else:
+        raise ValueError(f"unknown source {source!r}")
+    x = y + z
+    w = mq_encode(x, params, rng)
+    rec = mq_decode(w, y, params)
+    mse = float(((rec - x) ** 2).mean())
+    return mse, log_k

@@ -4,8 +4,8 @@ Known-distance route: rotate, then per-coordinate modulo quantization (RMQ),
 optionally subsampled.  Unknown-distance route: correlated-sampling indicator
 quantizers (DAQ, rotated multiscale RDAQ, subsampled RDAQ, boosted RDAQ)
 whose error scales with the actual input/side-information distance without
-anyone knowing it.  Each quantizer is one encode/decode kernel pair, run on
-one row by its bit-exact codec and on n rows by its sampler.
+anyone knowing it.  Each quantizer is declared once as a `core.Kernel`:
+its bit-exact codec runs the kernel on one row and `Quantizer.sample` on n.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import TetraLadder, log_star
-from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_vector
+from .core import Kernel, MalformedStreamError, Quantizer, check_vector, kernel_quantizer
 from .rotation import (
     check_sample_count,
     gather_kept,
@@ -32,7 +32,6 @@ from .rotation import (
     unrotate_batch,
 )
 from .scalar import ModuloParams, mq_decode, mq_encode_with
-from .vector import _chunks
 
 __all__ = [
     "RmqConfig",
@@ -42,9 +41,6 @@ __all__ = [
     "RdaqConfig",
     "rdaq_quantizer",
     "wz_unknown_quantizer",
-    "wz_known_sample",
-    "daq_sample",
-    "wz_unknown_sample",
     "boosted_rdaq_sample",
 ]
 
@@ -91,11 +87,13 @@ class RmqConfig:
         return self.d_pad * self.symbol_bits
 
 
-def _rmq_encode(cfg: RmqConfig, rows, signs, kept, u) -> np.ndarray:
+def _rmq_encode(cfg: RmqConfig, rows, signs, kept, rng) -> np.ndarray:
     """The RMQ kernel: the coset symbols of each row of `rows` (or of one
     vector for all of them), rotated by its row of `signs` and restricted to
-    the `kept` coordinates (`rotation.sample_shared`; None keeps all).  `u`
-    holds one dither uniform per rotated coordinate, kept or not."""
+    the `kept` coordinates (`rotation.sample_shared`; None keeps all).  It
+    draws one dither uniform per rotated coordinate, kept or not, and MQ
+    encodes the kept coordinates, each with its own dither."""
+    u = rng.random(signs.shape)
     xr = rotate_batch(pad_to_pow2(rows)[0], signs)
     return mq_encode_with(gather_kept(xr, kept), cfg.mq, gather_kept(u, kept))
 
@@ -129,57 +127,48 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
     """Rotated modulo quantizer: rotate x and y with the same shared signs and
     MQ each rotated coordinate.  mu_d = None is plain RMQ; otherwise
     (subsampled RMQ) coset symbols go out for a shared random subset only,
-    and unsampled coordinates fall back to the rotated side information."""
+    and unsampled coordinates fall back to the rotated side information.
+    The draws: the signs, then the subset masks (subsampled only), then the
+    dither of `_rmq_encode`."""
     if mu_d is not None:
         check_sample_count(mu_d, cfg.d_pad)
     width = cfg.d_pad if mu_d is None else mu_d
 
-    def encode(x, side, rng):
-        x = check_vector(x, cfg.d)
-        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
-        w = _rmq_encode(cfg, x, signs, kept, rng.random(signs.shape))
-        return BitString().write_fields(w, cfg.symbol_bits)
-
-    def decode(bits, side, rng):
-        side = _check_side(side, cfg.d, "RMQ")
-        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
-        reader = BitReader(bits)
+    def read(reader):
         w = reader.read_fields(width, cfg.symbol_bits)
-        reader.finish()
         if np.any(w >= cfg.k):
             raise MalformedStreamError("malformed stream: coset symbol out of range")
-        return _rmq_decode(cfg, w[None], side, signs, kept)[0]
+        return w[None]
 
+    kernel = Kernel(
+        cfg.d, cfg.d_pad,
+        check_input=lambda x: check_vector(x, cfg.d),
+        check_side=lambda side: _check_side(side, cfg.d, "RMQ"),
+        draw=lambda rng, m: sample_shared(rng, m, cfg.d_pad, mu_d),
+        encode=lambda rows, shared, rng: _rmq_encode(cfg, rows, *shared, rng),
+        decode=lambda w, side, shared: _rmq_decode(cfg, w, side, *shared),
+        write=lambda bits, w: bits.write_fields(w, cfg.symbol_bits),
+        read=read,
+    )
     name = f"rmq(d={cfg.d})" if mu_d is None else f"wz-known(d={cfg.d},mu_d={mu_d})"
-    return Quantizer(encode, decode, width * cfg.symbol_bits, name=name, uses_side_info=True)
-
-
-def _daq_encode(x, u) -> np.ndarray:
-    """The DAQ kernel: the bits u <= x for the (n, d) uniforms u on [-1, 1]."""
-    return u <= x
-
-
-def _daq_decode(w, side, u) -> np.ndarray:
-    """Inverse of `_daq_encode` against the side information y: 2 (w - [u <= y]) + y."""
-    return 2.0 * (w - (u <= side).astype(float)) + side
+    return kernel_quantizer(kernel, width * cfg.symbol_bits, name, uses_side_info=True)
 
 
 def daq_quantizer(d: int) -> Quantizer:
-    """Distance-adaptive 1-bit-per-coordinate quantizer on the unit ball."""
-
-    def encode(x, side, rng):
-        x = _check_ball(check_vector(x, d), "DAQ")
-        return BitString().write_fields(_daq_encode(x, rng.uniform(-1.0, 1.0, size=(1, d)))[0], 1)
-
-    def decode(bits, side, rng):
-        y = _check_ball(_check_side(side, d, "DAQ"), "DAQ", "side information")
-        u = rng.uniform(-1.0, 1.0, size=(1, d))
-        reader = BitReader(bits)
-        w = reader.read_fields(d, 1)
-        reader.finish()
-        return _daq_decode(w, y, u)[0]
-
-    return Quantizer(encode, decode, d, name=f"daq(d={d})", uses_side_info=True)
+    """Distance-adaptive 1-bit-per-coordinate quantizer on the unit ball: the
+    bits w = [u <= x] for d shared uniforms u on [-1, 1], decoded against the
+    side information y as 2 (w - [u <= y]) + y."""
+    kernel = Kernel(
+        d, d,
+        check_input=lambda x: _check_ball(check_vector(x, d), "DAQ"),
+        check_side=lambda side: _check_ball(_check_side(side, d, "DAQ"), "DAQ", "side information"),
+        draw=lambda rng, m: rng.uniform(-1.0, 1.0, size=(m, d)),
+        encode=lambda x, u, rng: u <= x,
+        decode=lambda w, y, u: 2.0 * (w - (u <= y).astype(float)) + y,
+        write=lambda bits, w: bits.write_fields(w, 1),
+        read=lambda reader: reader.read_fields(d, 1)[None],
+    )
+    return kernel_quantizer(kernel, d, f"daq(d={d})", uses_side_info=True)
 
 
 def daq_exact_mse(x: np.ndarray, y: np.ndarray) -> float:
@@ -301,107 +290,54 @@ def _rdaq_decode(cfg: RdaqConfig, fields, side, signs, kept, v) -> np.ndarray:
     return unrotate_batch(vals, signs)[:, : cfg.d]
 
 
-def _rdaq_codec(cfg: RdaqConfig, mu_d: Optional[int], name: str) -> Quantizer:
-    """The RDAQ kernel on one row: the scale-index block, then the counts
-    scale by scale (plane-major), packed into the message."""
+def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
+    """The RDAQ kernel pair, subsampled with mu_d.  Its message is the
+    scale-index block, then the counts scale by scale (plane-major)."""
     width = cfg.d_pad if mu_d is None else mu_d
 
-    def encode(x, side, rng):
-        x = _check_ball(check_vector(x, cfg.d), "RDAQ")
-        signs, kept, v = _rdaq_draws(cfg, rng, 1, mu_d)
-        z, counts = _rdaq_encode(cfg, x, signs, kept, v)
-        bits = BitString()
+    def write(bits, fields):
+        z, counts = fields
         if cfg.index_bits:
             bits.write_fields(z, cfg.index_bits)
         return bits.write_fields(counts, cfg.count_bits)
 
-    def decode(bits, side, rng):
-        y = _check_ball(_check_side(side, cfg.d, "RDAQ"), "RDAQ", "side information")
-        signs, kept, v = _rdaq_draws(cfg, rng, 1, mu_d)
-        reader = BitReader(bits)
+    def read(reader):
         z = reader.read_fields(width, cfg.index_bits) if cfg.index_bits else np.zeros(width, int)
         if np.any(z >= cfg.h):
             raise MalformedStreamError("malformed stream: scale index out of range")
         counts = reader.read_fields(cfg.h * width, cfg.count_bits)
-        reader.finish()
         if np.any(counts > cfg.N):
             raise MalformedStreamError("malformed stream: count exceeds repetition budget")
-        fields = (z[None], counts.reshape(cfg.h, 1, width))
-        return _rdaq_decode(cfg, fields, y, signs, kept, v)[0]
+        return z[None], counts.reshape(cfg.h, 1, width)
 
-    budget = width * (cfg.index_bits + cfg.h * cfg.count_bits)
-    return Quantizer(encode, decode, budget, name=name, uses_side_info=True)
+    return Kernel(
+        cfg.d, cfg.d_pad * cfg.h * cfg.N,
+        check_input=lambda x: _check_ball(check_vector(x, cfg.d), "RDAQ"),
+        check_side=lambda y: _check_ball(_check_side(y, cfg.d, "RDAQ"), "RDAQ", "side information"),
+        draw=lambda rng, m: _rdaq_draws(cfg, rng, m, mu_d),
+        encode=lambda rows, shared, rng: _rdaq_encode(cfg, rows, *shared),
+        decode=lambda fields, side, shared: _rdaq_decode(cfg, fields, side, *shared),
+        write=write,
+        read=read,
+    )
 
 
 def rdaq_quantizer(cfg: RdaqConfig) -> Quantizer:
     """RDAQ with N indicator draws per (coordinate, scale), N = 1 being plain
     RDAQ; counts are sent raw in ceil(log2(N+1))-bit fields."""
     name = f"rdaq(d={cfg.d})" if cfg.N == 1 else f"brdaq(d={cfg.d},N={cfg.N})"
-    return _rdaq_codec(cfg, None, name)
-
-
-def _check_wz_unknown(cfg: RdaqConfig, mu_d: int) -> None:
-    if cfg.N != 1:
-        raise ValueError("subsampled RDAQ uses N = 1")
-    check_sample_count(mu_d, cfg.d_pad)
+    return kernel_quantizer(_rdaq_kernel(cfg, None), cfg.bit_budget, name, uses_side_info=True)
 
 
 def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
     """Subsampled RDAQ with the 1/mu-scaled centered correction."""
-    _check_wz_unknown(cfg, mu_d)
-    return _rdaq_codec(cfg, mu_d, f"wz-unknown(d={cfg.d},mu_d={mu_d})")
+    if cfg.N != 1:
+        raise ValueError("subsampled RDAQ uses N = 1")
+    check_sample_count(mu_d, cfg.d_pad)
+    return kernel_quantizer(_rdaq_kernel(cfg, mu_d), mu_d * (cfg.index_bits + cfg.h),
+                            f"wz-unknown(d={cfg.d},mu_d={mu_d})", uses_side_info=True)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized Monte-Carlo reconstructions for benchmarks and statistical
-# tests: the codecs' kernels on n rows, with the codecs' draws.
-
-
-def wz_known_sample(x, y, cfg: RmqConfig, mu_d, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draws of the subsampled-RMQ reconstruction; mu_d = None is plain RMQ.
-
-    The `wz_known_quantizer` codec's kernel on n rows: each chunk draws, in
-    order, the signs, the subset masks (subsampled only) and one dither
-    uniform per rotated coordinate, kept or not.  MQ encode and decode run on
-    the kept coordinates only, each with its own dither.
-    """
-    if mu_d is not None:
-        check_sample_count(mu_d, cfg.d_pad)
-    xp = pad_to_pow2(check_vector(x, cfg.d))[0]
-    yp = pad_to_pow2(check_vector(y, cfg.d, "side information"))[0]
-    out = np.empty((n, cfg.d))
-    for lo, hi in _chunks(n, cfg.d_pad):
-        signs, kept = sample_shared(rng, hi - lo, cfg.d_pad, mu_d)
-        w = _rmq_encode(cfg, xp, signs, kept, rng.random(signs.shape))
-        out[lo:hi] = _rmq_decode(cfg, w, yp, signs, kept)
-    return out
-
-
-def daq_sample(x, y, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The `daq_quantizer` codec's kernel on n rows, each with its own d uniforms."""
-    x = _check_ball(check_vector(x, d), "DAQ")
-    y = _check_ball(check_vector(y, d, "side information"), "DAQ", "side information")
-    u = rng.uniform(-1.0, 1.0, size=(n, d))
-    return _daq_decode(_daq_encode(x, u), y, u)
-
-
-def _rdaq_sample(x, y, cfg: RdaqConfig, mu_d: Optional[int], n: int, rng) -> np.ndarray:
-    """The RDAQ codecs' kernel on n rows: boosted, or with mu_d subsampled."""
-    x = _check_ball(check_vector(x, cfg.d), "RDAQ")
-    y = _check_ball(check_vector(y, cfg.d, "side information"), "RDAQ", "side information")
-    xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
-    out = np.empty((n, cfg.d))
-    for lo, hi in _chunks(n, cfg.d_pad * cfg.h * cfg.N):
-        signs, kept, v = _rdaq_draws(cfg, rng, hi - lo, mu_d)
-        fields = _rdaq_encode(cfg, xp, signs, kept, v)
-        out[lo:hi] = _rdaq_decode(cfg, fields, yp, signs, kept, v)
-    return out
-
-
-def wz_unknown_sample(x, y, cfg: RdaqConfig, mu_d: int, n: int, rng) -> np.ndarray:
-    _check_wz_unknown(cfg, mu_d)
-    return _rdaq_sample(x, y, cfg, mu_d, n, rng)
-
-
-def boosted_rdaq_sample(x, y, cfg: RdaqConfig, n: int, rng) -> np.ndarray:
-    return _rdaq_sample(x, y, cfg, None, n, rng)
+def boosted_rdaq_sample(x, y, cfg: RdaqConfig, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of the `rdaq_quantizer` reconstruction of x against y: (n, d)."""
+    return rdaq_quantizer(cfg).sample(x, y, n, rng)

@@ -16,7 +16,17 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_quantize, log_star, pick_range
-from .core import BitReader, BitString, MalformedStreamError, Quantizer, check_finite, check_vector
+from .core import (
+    BitReader,
+    BitString,
+    Kernel,
+    MalformedStreamError,
+    Quantizer,
+    _chunks,
+    check_finite,
+    check_vector,
+    kernel_quantizer,
+)
 from .rotation import (
     check_sample_count,
     gather_kept,
@@ -43,9 +53,9 @@ __all__ = [
     "ratq_quantizer",
     "ratq_apply",
     "atuq_vector_apply",
-    "ratq_sample",
     "rcs_wrap",
-    "rcs_ratq_sample",
+    "gaussian_rd_config",
+    "gaussian_rd_run",
     "AratqConfig",
     "aratq_quantizer",
     "simq_encode",
@@ -53,7 +63,6 @@ __all__ = [
     "simq_quantizer",
     "SimqPlusConfig",
     "simq_plus_quantizer",
-    "simq_plus_sample",
     "LpSplitConfig",
     "lp_split_quantizer",
 ]
@@ -106,6 +115,12 @@ class RatqConfig:
     def bit_budget(self) -> int:
         return self.n_subvectors * self.ladder.index_bits + self.d_pad * self.symbol_bits
 
+    @property
+    def alpha2(self) -> float:
+        """The bound B sqrt((9 + 3 ln s) / (k - 1)^2 + 1) on the root second
+        moment of a RATQ output."""
+        return self.B * math.sqrt((9 + 3 * math.log(self.s)) / (self.k - 1) ** 2 + 1)
+
 
 def _atuq_ranges(absy: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
     """ATUQ range choice for each row of |y| (m, width): the ladder index of
@@ -138,11 +153,12 @@ def _atuq_levels(fields: tuple[np.ndarray, np.ndarray], cfg: RatqConfig) -> np.n
     return cuq_levels(sym, cfg.ladder.ranges[j][:, np.arange(sym.shape[1]) // cfg.s], cfg.k)
 
 
-def _ratq_encode(cfg: RatqConfig, rows, signs, kept, u) -> tuple[np.ndarray, np.ndarray]:
+def _ratq_encode(cfg: RatqConfig, rows, signs, kept, rng) -> tuple[np.ndarray, np.ndarray]:
     """The RATQ kernel: the fields of each row of `rows` (or of one vector
     for all of them), rotated by its row of `signs` and restricted to the
-    `kept` coordinates (`rotation.sample_shared`; None keeps all).  `u` holds
+    `kept` coordinates (`rotation.sample_shared`; None keeps all).  It draws
     one rounding uniform per rotated coordinate, kept or not."""
+    u = rng.random(signs.shape)
     yr = rotate_batch(pad_to_pow2(rows)[0], signs)
     return _atuq_fields(gather_kept(yr, kept), gather_kept(u, kept), cfg)
 
@@ -179,53 +195,35 @@ def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarr
     return j[None], read_cuq_symbols(reader, width, cfg)[None]
 
 
-def _ratq_codec(cfg: RatqConfig, mu_d: Optional[int], center: bool, name: str) -> Quantizer:
-    """The RATQ kernel on one row, with the fields packed into the message."""
+def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
+    """The RATQ kernel pair, subsampled with mu_d and, with `center`,
+    centered on the side information.  Its draws: the signs, the subset
+    masks (with mu_d) and one rounding uniform per rotated coordinate, kept
+    or not; ranges and CUQ rounding run on the kept coordinates only."""
     width = cfg.d_pad if mu_d is None else mu_d
 
-    def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
+    def check_input(y):
         y = check_vector(y, cfg.d)
         if np.linalg.norm(y) > cfg.B * _NORM_SLACK:
             raise ValueError(f"input norm {np.linalg.norm(y):.6g} exceeds bound B={cfg.B}")
-        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
-        return _write_atuq(BitString(), _ratq_encode(cfg, y, signs, kept, rng.random(signs.shape)), cfg)
+        return y
 
-    def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
-        if center and side is not None:
-            side = check_vector(side, cfg.d, "side information")
-        signs, kept = sample_shared(rng, 1, cfg.d_pad, mu_d)
-        reader = BitReader(bits)
-        fields = _read_atuq(reader, cfg, width)
-        reader.finish()
-        return _ratq_decode(cfg, fields, side if center else None, signs, kept)[0]
+    def check_side(side):
+        return check_vector(side, cfg.d, "side information") if center and side is not None else None
 
-    budget = -(-width // cfg.s) * cfg.ladder.index_bits + width * cfg.symbol_bits
-    return Quantizer(encode, decode, budget, name=name, uses_side_info=center)
+    return Kernel(
+        cfg.d, cfg.d_pad, check_input, check_side,
+        draw=lambda rng, m: sample_shared(rng, m, cfg.d_pad, mu_d),
+        encode=lambda rows, shared, rng: _ratq_encode(cfg, rows, *shared, rng),
+        decode=lambda fields, side, shared: _ratq_decode(cfg, fields, side, *shared),
+        write=lambda bits, fields: _write_atuq(bits, fields, cfg),
+        read=lambda reader: _read_atuq(reader, cfg, width),
+    )
 
 
 def ratq_quantizer(cfg: RatqConfig) -> Quantizer:
     """Unbiased fixed-length quantizer for the l2 ball of radius B."""
-    return _ratq_codec(cfg, None, False, f"ratq(d={cfg.d},B={cfg.B:g})")
-
-
-def _chunks(n: int, d: int, budget: int = 1 << 18):
-    step = max(1, budget // max(d, 1))
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
-
-
-def _ratq_rows(cfg: RatqConfig, ys: np.ndarray, mu_d: Optional[int], rng) -> np.ndarray:
-    """The RATQ codec's kernel on each row of the (n, d) `ys`, subsampled
-    (zero-fill) with mu_d: (n, d).  Each chunk draws, in order, the signs,
-    the subset masks (subsampled only) and one rounding uniform per rotated
-    coordinate, kept or not; ranges and CUQ rounding run on the kept
-    coordinates only, each with its own uniform."""
-    out = np.empty((ys.shape[0], cfg.d))
-    for lo, hi in _chunks(ys.shape[0], cfg.d_pad):
-        signs, kept = sample_shared(rng, hi - lo, cfg.d_pad, mu_d)
-        fields = _ratq_encode(cfg, ys[lo:hi], signs, kept, rng.random(signs.shape))
-        out[lo:hi] = _ratq_decode(cfg, fields, None, signs, kept)
-    return out
+    return kernel_quantizer(_ratq_kernel(cfg), cfg.bit_budget, f"ratq(d={cfg.d},B={cfg.B:g})")
 
 
 def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
@@ -233,7 +231,7 @@ def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.
     ys = check_finite(np.atleast_2d(ys))
     if ys.shape[1] != cfg.d:
         raise ValueError(f"input rows have length {ys.shape[1]}, expected {cfg.d}")
-    return _ratq_rows(cfg, ys, None, rng)
+    return _ratq_kernel(cfg).run(ys, None, ys.shape[0], rng)
 
 
 def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
@@ -245,19 +243,6 @@ def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator)
     return out
 
 
-def ratq_sample(
-    y: np.ndarray, cfg: RatqConfig, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized Monte-Carlo draws of the RATQ reconstruction: (n, d)."""
-    return _ratq_rows(cfg, np.broadcast_to(check_vector(y, cfg.d), (n, cfg.d)), None, rng)
-
-
-def _check_rcs(cfg: RatqConfig, mu_d: int) -> None:
-    if cfg.s != 1:
-        raise ValueError("subsampling needs per-coordinate symbols: set s = 1")
-    check_sample_count(mu_d, cfg.d_pad)
-
-
 def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
     """Random coordinate sampling over a per-coordinate RATQ (s must be 1).
 
@@ -266,19 +251,50 @@ def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
     the rotated side-information value and sampled ones are centered on it;
     with side = 0 (or None) the two modes coincide.
     """
-    _check_rcs(cfg, mu_d)
+    if cfg.s != 1:
+        raise ValueError("subsampling needs per-coordinate symbols: set s = 1")
+    check_sample_count(mu_d, cfg.d_pad)
     if mode not in ("zero-fill", "center"):
         raise ValueError(f"unknown RCS mode {mode!r}")
-    return _ratq_codec(cfg, mu_d, mode == "center", f"rcs-ratq(d={cfg.d},mu_d={mu_d})")
+    center = mode == "center"
+    return kernel_quantizer(
+        _ratq_kernel(cfg, mu_d, center), mu_d * (cfg.ladder.index_bits + cfg.symbol_bits),
+        f"rcs-ratq(d={cfg.d},mu_d={mu_d})", uses_side_info=center,
+    )
 
 
-def rcs_ratq_sample(
-    y: np.ndarray, cfg: RatqConfig, mu_d: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized draws of the subsampled-RATQ reconstruction (zero-fill):
-    the `rcs_wrap` codec's kernel on n rows."""
-    _check_rcs(cfg, mu_d)
-    return _ratq_rows(cfg, np.broadcast_to(check_vector(y, cfg.d), (n, cfg.d)), mu_d, rng)
+def gaussian_rd_config(v: float, D: float, d: int) -> tuple[RatqConfig, float]:
+    """Unrotated ATUQ tuned for subgaussian inputs with variance factor v and
+    per-dimension distortion target D; returns (config, rate bits/dim)."""
+    if not D < v / 4:
+        raise ValueError("distortion target must satisfy D < v/4")
+    log_h = math.ceil(math.log2(1 + log_star(4.0 * math.log(8 * math.sqrt(2) * v / D) / 3.0)))
+    s = min(max(1, log_h), d)
+    k = (1 << math.ceil(math.log2(2 + math.sqrt((18 * v + 6 * v * math.log(s)) / D)))) - 1
+    ladder = TetraLadder(3 * v, 2 * v * math.log(s), 1 << log_h)
+    cfg = RatqConfig(math.sqrt(v * d), d, s, k, ladder)
+    rate = math.ceil(math.log2(k + 1)) + math.ceil(d / s) * max(1, log_h) / d
+    return cfg, rate
+
+
+def gaussian_rd_run(
+    v: float, D: float, d: int, blocks: int, rng: np.random.Generator, source: str = "gaussian"
+) -> tuple[float, float]:
+    """`atuq_vector_apply` at `gaussian_rd_config` on blocks of d draws from
+    `source`; returns (empirical per-dimension MSE, rate in bits/dim)."""
+    cfg, rate = gaussian_rd_config(v, D, d)
+    if source == "gaussian":
+        xs = rng.normal(scale=math.sqrt(v), size=(blocks, d))
+    elif source == "laplace":
+        # Laplace shape clipped to [-sqrt(v), sqrt(v)]: bounded, hence
+        # subgaussian with variance factor v, but with heavier near-tails
+        xs = np.clip(rng.laplace(scale=math.sqrt(v) / 2.0, size=(blocks, d)),
+                     -math.sqrt(v), math.sqrt(v))
+    else:
+        raise ValueError(f"unknown source {source!r}")
+    rec = atuq_vector_apply(xs, cfg, rng)
+    mse = float(((rec - xs) ** 2).mean())
+    return mse, rate
 
 
 @dataclass(frozen=True)
@@ -333,7 +349,7 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
             if cfg.gain_ladder.index_bits:
                 bits.write_uint(j, cfg.gain_ladder.index_bits)
             write_cuq_symbols(bits, [sym], cfg.gain_grid(j))
-        fields = _ratq_encode(shape_cfg, shape, signs, None, rng.random(signs.shape))
+        fields = _ratq_encode(shape_cfg, shape, signs, None, rng)
         return _write_atuq(bits, fields, shape_cfg)
 
     def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
@@ -483,46 +499,46 @@ class SimqPlusConfig:
         return self.k * math.log2(math.e) + self.k * math.log2(self.d / self.k + 1) + self.k
 
 
-def _simq_plus_types(y: np.ndarray, cfg: SimqPlusConfig, n: int, rng) -> np.ndarray:
-    """The SimQ+ kernel: n types (n, d + 1) of the checked `y`, each the counts
-    of k SimQ draws over the indices 0 (no corner) and 1..d, as a multinomial."""
-    l1 = float(np.abs(y).sum())
-    if l1 > cfg.scale * _NORM_SLACK:
-        raise ValueError(f"l1 norm {l1:.6g} exceeds bound B d^(1/p) = {cfg.scale:.6g} (B = {cfg.B:.6g})")
-    probs = np.empty(cfg.d + 1)
-    probs[1:] = np.abs(y) / cfg.scale
-    probs[0] = max(0.0, 1.0 - probs[1:].sum())
-    probs /= probs.sum()
-    return rng.multinomial(cfg.k, probs, size=n)
-
-
 def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
-    def encode(y, side, rng):
+    """SimQ+ declared as a kernel.  It shares no draws, so `draw` passes the
+    repetition count on; encode draws each type, the counts of k SimQ draws
+    over the indices 0 (no corner) and 1..d, as one multinomial, and the
+    message carries the signs of the drawn indices."""
+
+    def check_input(y):
         y = check_vector(y, cfg.d)
-        counts = _simq_plus_types(y, cfg, 1, rng)[0]
-        bits = BitString().write_uint(_rank_composition(counts), cfg.type_bits)
-        return bits.write_fields(y[np.nonzero(counts[1:])[0]] >= 0, 1)
+        l1 = float(np.abs(y).sum())
+        if l1 > cfg.scale * _NORM_SLACK:
+            raise ValueError(
+                f"l1 norm {l1:.6g} exceeds bound B d^(1/p) = {cfg.scale:.6g} (B = {cfg.B:.6g})")
+        return y
 
-    def decode(bits, side, rng):
-        reader = BitReader(bits)
+    def encode(y, m, rng):
+        probs = np.empty(cfg.d + 1)
+        probs[1:] = np.abs(y) / cfg.scale
+        probs[0] = max(0.0, 1.0 - probs[1:].sum())
+        probs /= probs.sum()
+        return rng.multinomial(cfg.k, probs, size=m), y >= 0
+
+    def decode(fields, side, m):
+        counts, positive = fields
+        return np.where(positive, 1.0, -1.0) * counts[:, 1:] * (cfg.scale / cfg.k)
+
+    def write(bits, fields):
+        counts, positive = fields
+        bits.write_uint(_rank_composition(counts[0]), cfg.type_bits)
+        return bits.write_fields(positive[np.nonzero(counts[0, 1:])[0]], 1)
+
+    def read(reader):
         counts = _unrank_composition(reader.read_uint(cfg.type_bits), cfg.k, cfg.d + 1)
+        positive = np.ones(cfg.d, dtype=bool)
         nz = np.nonzero(counts[1:])[0]
-        positive = reader.read_fields(len(nz), 1)
-        reader.finish()
-        out = np.zeros(cfg.d)
-        out[nz] = np.where(positive, 1.0, -1.0) * counts[nz + 1]
-        return out * (cfg.scale / cfg.k)
+        positive[nz] = reader.read_fields(len(nz), 1)
+        return counts[None], positive
 
-    return Quantizer(encode, decode, cfg.bit_budget, name=f"simq+(d={cfg.d},k={cfg.k})")
-
-
-def simq_plus_sample(
-    y: np.ndarray, cfg: SimqPlusConfig, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """The `simq_plus_quantizer` codec's type draw on n rows, each its type average."""
-    y = check_vector(y, cfg.d)
-    counts = _simq_plus_types(y, cfg, n, rng)
-    return counts[:, 1:] * np.sign(y)[None, :] * (cfg.scale / cfg.k)
+    kernel = Kernel(cfg.d, cfg.d + 1, check_input, lambda side: None, lambda rng, m: m,
+                    encode, decode, write, read)
+    return kernel_quantizer(kernel, cfg.bit_budget, f"simq+(d={cfg.d},k={cfg.k})")
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +632,7 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
             raise AssertionError("more large coordinates than the lq bound allows")
         restriction = np.zeros(ratq_cfg.d)
         restriction[: vals.size] = vals
-        fields = _ratq_encode(ratq_cfg, restriction, signs, None, rng.random(signs.shape))
+        fields = _ratq_encode(ratq_cfg, restriction, signs, None, rng)
         return _write_atuq(bits, fields, ratq_cfg)
 
     def decode(bits, side, rng):

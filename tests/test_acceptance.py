@@ -23,23 +23,20 @@ from qtc.aoi import (
     variational_maximizer,
     zipf_pmf,
 )
-from qtc.cli import gaussian_rd_run, gaussian_wz_run
 from qtc.core import SeedPath
 from qtc.dme import DmeInstance, configure_known_delta, configure_no_side_info, run_dme, theoretical_bound
 from qtc.optim import Domain, psgd_run, quadratic_oracle
-from qtc.scalar import ModuloParams, UniformGrid, mq_decode
-from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample, wz_known_quantizer, wz_known_sample
+from qtc.scalar import ModuloParams, UniformGrid, gaussian_wz_run, mq_decode
+from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample, wz_known_quantizer
 from qtc.vector import (
     RatqConfig,
     SimqPlusConfig,
+    gaussian_rd_run,
     ratq_apply,
     ratq_quantizer,
-    ratq_sample,
-    rcs_ratq_sample,
     rcs_wrap,
     simq_decode,
     simq_plus_quantizer,
-    simq_plus_sample,
 )
 
 
@@ -96,11 +93,12 @@ def test_criterion_03_ratq_second_moment():
     t0 = time.time()
     d, B, trials = 128, 1.0, 100_000
     cfg = RatqConfig.default(B, d)
-    bound = B**2 * ((9 + 3 * math.log(cfg.s)) / (cfg.k - 1) ** 2 + 1)
+    q = ratq_quantizer(cfg)
+    bound = cfg.alpha2**2
     worst_ratio, worst_bias_ratio = 0.0, 0.0
     for i in range(20):
         y = unit_vector(1000 + i, d)
-        recs = ratq_sample(y, cfg, trials, SeedPath(2000 + i).stream())
+        recs = q.sample(y, None, trials, SeedPath(2000 + i).stream())
         sq = np.einsum("td,td->t", recs, recs)
         second = sq.mean()
         sigma = sq.std(ddof=1) / math.sqrt(trials)
@@ -142,12 +140,12 @@ def test_criterion_05_simq_and_simq_plus():
     # SimQ+: d = 64, p = 2, k = 64
     cfg = SimqPlusConfig(1.0, 64, 2.0, 64)
     yv = unit_vector(5000, 64)
-    recs = simq_plus_sample(yv, cfg, 10_000, SeedPath(5001).stream())
+    q = simq_plus_quantizer(cfg)
+    recs = q.sample(yv, None, 10_000, SeedPath(5001).stream())
     err = np.einsum("td,td->t", recs - yv, recs - yv)
     mse, sigma = err.mean(), err.std(ddof=1) / math.sqrt(len(err))
     mse_bound = cfg.d ** (2 / cfg.p) * 1.0 / cfg.k
     assert mse <= mse_bound + 3 * sigma
-    q = simq_plus_quantizer(cfg)
     budget = cfg.k * math.log2(math.e) + cfg.k * math.log2(cfg.d / cfg.k + 1) + cfg.k
     for t in range(50):
         msg, _ = q.roundtrip(yv, None, SeedPath(5002).child("t", t))
@@ -167,12 +165,8 @@ def test_criterion_06_wz_known_delta():
         ys = xs + delta * us
         cfgs, mu_d = configure_known_delta(n, d, r, [delta] * n)
         inst = DmeInstance(xs, ys, np.full(n, delta), r)
-        samplers = [
-            lambda x, y, t, g, c=cfgs[i]: wz_known_sample(x, y, c, mu_d, t, g)
-            for i in range(n)
-        ]
         res = run_dme(inst, [wz_known_quantizer(c, mu_d) for c in cfgs],
-                      SeedPath(6002), trials, samplers=samplers)
+                      SeedPath(6002), trials, sampled=True)
         bound = theoretical_bound("known-delta", n, d, r, [delta] * n)
         assert res.mse <= bound + res.band
         print(f"  delta={delta}: mse={res.mse:.5f} bound={bound:.5f}")
@@ -227,12 +221,8 @@ def test_criterion_08_dme_no_side_info():
     for r in (16, 32, 64):
         cfg, mu_d = configure_no_side_info(n, d, r)
         inst = DmeInstance(xs, None, None, r)
-        samplers = [
-            lambda x, y, t, g, c=cfg, m=mu_d: rcs_ratq_sample(x, c, m, t, g)
-            for _ in range(n)
-        ]
-        res = run_dme(inst, [rcs_wrap(cfg, mu_d) for _ in range(n)],
-                      SeedPath(8001).child("r", r), trials, samplers=samplers)
+        res = run_dme(inst, [rcs_wrap(cfg, mu_d)] * n,
+                      SeedPath(8001).child("r", r), trials, sampled=True)
         bound = theoretical_bound("no-side-info", n, d, r)
         assert res.mse <= bound + res.band
         results.append((r, res.mse, res.band, bound))
@@ -279,16 +269,15 @@ def test_criterion_11_quantized_psgd():
     oracle = quadratic_oracle(x0, 0.5, B)
     dom = Domain("l2_ball", 1.0)
     cfg = RatqConfig.default(B, d)
-    alpha2 = B * math.sqrt((9 + 3 * math.log(cfg.s)) / (cfg.k - 1) ** 2 + 1)
     qfun = lambda g, rng: ratq_apply(g, cfg, rng)
     x_init = np.zeros(d)
     x_init[1] = 0.9
     conv = psgd_run(oracle, qfun, dom, T, seed=SeedPath(11_000), reps=reps,
-                    x_init=x_init, alpha2=alpha2)
+                    x_init=x_init, alpha2=cfg.alpha2)
     conv_bound = math.sqrt(2) * dom.diameter * B / math.sqrt(T) * 1.2
     assert conv.mean_final_gap <= conv_bound
     sc = psgd_run(oracle, qfun, dom, T, gamma=1.0, seed=SeedPath(11_001), reps=reps,
-                  x_init=x_init, alpha2=alpha2)
+                  x_init=x_init, alpha2=cfg.alpha2)
     sc_bound = 2 * B**2 / T * 1.5
     assert sc.mean_final_gap <= sc_bound
     elapsed = time.time() - t0

@@ -8,12 +8,25 @@ from qtc.adaptive import (
     GeoLadder,
     TetraLadder,
     aguq_quantize,
-    atuq_quantize,
     log_star,
     tetration,
 )
 from qtc.core import BitReader, SeedPath
 from qtc.scalar import OVERFLOW
+from qtc.vector import RatqConfig, _atuq_fields, _atuq_levels, atuq_vector_apply
+
+
+def _atuq_cfg(ladder, k, d, s=None):
+    """ATUQ over `ladder` with k levels on length-s subvectors (s = d: the
+    whole vector is one subvector); B plays no part in ATUQ."""
+    return RatqConfig(1.0, d, s or d, k, ladder)
+
+
+def _atuq_one(y, ladder, k, rng):
+    """ATUQ one vector with the library kernel: (range index, symbols, reconstruction)."""
+    cfg = _atuq_cfg(ladder, k, len(y))
+    fields = _atuq_fields(np.asarray(y, dtype=float)[None], rng.random((1, len(y))), cfg)
+    return int(fields[0][0, 0]), fields[1][0], _atuq_levels(fields, cfg)[0]
 
 
 def test_tetration_values():
@@ -44,14 +57,14 @@ def test_tetra_ladder_monotone():
 def test_atuq_range_selection():
     lad = TetraLadder(1.0, 0.0, 4)  # M0 = 1
     rng = SeedPath(0).stream()
-    j, sym, rec = atuq_quantize(np.array([0.5, -0.3]), lad, 7, rng)
+    j, sym, rec = _atuq_one(np.array([0.5, -0.3]), lad, 7, rng)
     assert j == 0
     # between M0 and M1 picks index 1
     mid = (lad.ranges[0] + lad.ranges[1]) / 2
-    j, _, _ = atuq_quantize(np.array([mid, 0.0]), lad, 7, rng)
+    j, _, _ = _atuq_one(np.array([mid, 0.0]), lad, 7, rng)
     assert j == 1
     # beyond the ladder clamps to the top range and may overflow coordinates
-    j, sym, rec = atuq_quantize(np.array([lad.ranges[-1] * 2, 0.0]), lad, 7, rng)
+    j, sym, rec = _atuq_one(np.array([lad.ranges[-1] * 2, 0.0]), lad, 7, rng)
     assert j == lad.h - 1
     assert sym[0] == OVERFLOW and rec[0] == 0.0
 
@@ -59,7 +72,8 @@ def test_atuq_range_selection():
 def test_atuq_unbiased_within_ladder():
     lad = TetraLadder(1.0, 0.0, 4)
     y = np.array([0.4, -0.9, 0.1, 0.7])
-    recs = np.array([atuq_quantize(y, lad, 15, SeedPath(i).stream())[2] for i in range(4000)])
+    cfg = _atuq_cfg(lad, 15, y.size)
+    recs = np.concatenate([atuq_vector_apply(y, cfg, SeedPath(i).stream()) for i in range(4000)])
     assert np.abs(recs.mean(axis=0) - y).max() < 0.01
 
 
@@ -70,13 +84,9 @@ def test_atuq_subgaussian_mse_bound():
     lad = TetraLadder(3 * v, 2 * v * math.log(s), 4)
     rng = SeedPath(9).stream()
     y = rng.normal(scale=math.sqrt(v), size=d)
-    errs = []
-    for i in range(200):
-        rec = np.concatenate(
-            [atuq_quantize(y[j : j + s], lad, k, rng)[2] for j in range(0, d, s)]
-        )
-        errs.append(((rec - y) ** 2)[np.abs(y) <= lad.ranges[-1]])
-    mse = np.mean(np.concatenate(errs))
+    # 200 repetitions, each ATUQ on the d/s length-s subvectors of y
+    recs = atuq_vector_apply(np.broadcast_to(y, (200, d)), _atuq_cfg(lad, k, d, s), rng)
+    mse = np.mean(((recs - y) ** 2)[:, np.abs(y) <= lad.ranges[-1]])
     assert mse <= v * (9 + 3 * math.log(s)) / (k - 1) ** 2 * 1.05
 
 

@@ -2,17 +2,10 @@ import math
 
 import pytest
 
-from qtc.cli import (
-    ConfigError,
-    _parser,
-    gaussian_rd_config,
-    gaussian_rd_run,
-    gaussian_wz_params,
-    gaussian_wz_run,
-    main,
-    parse_config,
-)
+from qtc.cli import ConfigError, _parser, main, parse_config
 from qtc.core import SeedPath
+from qtc.scalar import gaussian_wz_params, gaussian_wz_run
+from qtc.vector import gaussian_rd_config, gaussian_rd_run
 
 
 def run_cli(tmp_path, *argv):

@@ -1,41 +1,43 @@
 """A codec's reconstruction is its sampler's first row, bit for bit.
 
-Every codec and its sampler run one kernel pair and draw from a stream in one
-order: for the rotated fixed-length codes (RATQ, RMQ and their subsampled
-forms) signs, then subset masks, then one private uniform per rotated
-coordinate; for the RDAQ family signs, then N uniforms per rotated
-coordinate shared by all scales, then subset masks; for DAQ one uniform per
-coordinate; for SimQ+ one multinomial type.  So a round trip under a
-SeedPath equals the sampler's single draw from that path's stream.
+Every quantizer declared as a `core.Kernel` runs the same steps both ways: the
+codec draws for one repetition and packs the fields, `Quantizer.sample`
+draws for n and skips the packing.  The draw order is the kernel's own: for
+the rotated fixed-length codes (RATQ, RMQ and their subsampled forms) signs,
+then subset masks, then one private uniform per rotated coordinate; for the
+RDAQ family signs, then N uniforms per rotated coordinate shared by all
+scales, then subset masks; for DAQ one uniform per coordinate; for SimQ+ one
+multinomial type.  So a round trip under a SeedPath equals the sampler's
+single draw from that path's stream.
 """
+
+import ast
+import importlib
+import inspect
+import pkgutil
 
 import numpy as np
 import pytest
 
-from qtc import sideinfo, vector
+import qtc
+from qtc import core, sideinfo, vector
 from qtc.core import SeedPath
 from qtc.sideinfo import (
     RdaqConfig,
     RmqConfig,
     boosted_rdaq_sample,
     daq_quantizer,
-    daq_sample,
     rdaq_quantizer,
     wz_known_quantizer,
-    wz_known_sample,
     wz_unknown_quantizer,
-    wz_unknown_sample,
 )
 from qtc.vector import (
     RatqConfig,
     SimqPlusConfig,
     ratq_apply,
     ratq_quantizer,
-    ratq_sample,
-    rcs_ratq_sample,
     rcs_wrap,
     simq_plus_quantizer,
-    simq_plus_sample,
 )
 
 INPUTS = 10
@@ -43,8 +45,7 @@ D_SUB = 40  # the subsampled cases pad it to 64
 
 
 def _ratq(d):
-    cfg = RatqConfig.default(1.0, d)
-    return ratq_quantizer(cfg), lambda x, y, n, g: ratq_sample(x, cfg, n, g), d, 0.9, None
+    return ratq_quantizer(RatqConfig.default(1.0, d)), None, d, 0.9, None
 
 
 def _ratq_apply(d):
@@ -53,71 +54,75 @@ def _ratq_apply(d):
     return ratq_quantizer(cfg), sampler, d, 0.9, None
 
 
-def _rcs(mu_d):
+def _rcs(mu_d, mode="zero-fill"):
     cfg = RatqConfig.for_subsampling(1.0, D_SUB)
-    mu_d = mu_d or cfg.d_pad
-    sampler = lambda x, y, n, g: rcs_ratq_sample(x, cfg, mu_d, n, g)  # noqa: E731
-    return rcs_wrap(cfg, mu_d), sampler, D_SUB, 0.9, None
+    delta = 0.4 if mode == "center" else None
+    return rcs_wrap(cfg, mu_d or cfg.d_pad, mode), None, D_SUB, 0.9, delta
 
 
 def _wz_known(mu_d):
     cfg = RmqConfig(D_SUB, 0.5, 0.05, 16)
     mu_d = cfg.d_pad if mu_d == "d_pad" else mu_d
-    sampler = lambda x, y, n, g: wz_known_sample(x, y, cfg, mu_d, n, g)  # noqa: E731
-    return wz_known_quantizer(cfg, mu_d), sampler, D_SUB, 0.9, 0.4
+    return wz_known_quantizer(cfg, mu_d), None, D_SUB, 0.9, 0.4
 
 
 def _rdaq(d, N=1):
     cfg = RdaqConfig(d, N=N)
-    return rdaq_quantizer(cfg), lambda x, y, n, g: boosted_rdaq_sample(x, y, cfg, n, g), d, 0.6, 0.3
+    sampler = lambda x, y, n, g: boosted_rdaq_sample(x, y, cfg, n, g)  # noqa: E731
+    return rdaq_quantizer(cfg), sampler, d, 0.6, 0.3
 
 
 def _wz_unknown(mu_d):
     cfg = RdaqConfig(D_SUB)
     mu_d = cfg.d_pad if mu_d == "d_pad" else mu_d
-    sampler = lambda x, y, n, g: wz_unknown_sample(x, y, cfg, mu_d, n, g)  # noqa: E731
-    return wz_unknown_quantizer(cfg, mu_d), sampler, D_SUB, 0.6, 0.3
-
-
-def _daq(d):
-    return daq_quantizer(d), lambda x, y, n, g: daq_sample(x, y, d, n, g), d, 0.6, 0.3
+    return wz_unknown_quantizer(cfg, mu_d), None, D_SUB, 0.6, 0.3
 
 
 def _simq_plus(k):
-    cfg = SimqPlusConfig(1.0, 16, 2.0, k)
-    sampler = lambda x, y, n, g: simq_plus_sample(x, cfg, n, g)  # noqa: E731
-    return simq_plus_quantizer(cfg), sampler, 16, 0.9, None
+    return simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0, k)), None, 16, 0.9, None
 
 
-# name -> (the public sampler, () -> (codec, sampler call, d, norm of the
-# input, distance of the side information or None)); the RDAQ family and DAQ
-# get unit-ball pairs
+# name -> () -> (codec, sampler call or None for the codec's own `sample`, d,
+# norm of the input, distance of the side information or None); the RDAQ
+# family and DAQ get unit-ball pairs
 CASES = {
-    "ratq-d24": (ratq_sample, lambda: _ratq(24)),
-    "ratq-d64": (ratq_sample, lambda: _ratq(64)),
-    "ratq-d256": (ratq_sample, lambda: _ratq(256)),
-    "ratq-apply-d64": (ratq_apply, lambda: _ratq_apply(64)),
-    "rcs-mu1": (rcs_ratq_sample, lambda: _rcs(1)),
-    "rcs-mu8": (rcs_ratq_sample, lambda: _rcs(8)),
-    "rcs-mu-dpad": (rcs_ratq_sample, lambda: _rcs(None)),
-    "rmq": (wz_known_sample, lambda: _wz_known(None)),
-    "wz-known-mu1": (wz_known_sample, lambda: _wz_known(1)),
-    "wz-known-mu8": (wz_known_sample, lambda: _wz_known(8)),
-    "wz-known-mu-dpad": (wz_known_sample, lambda: _wz_known("d_pad")),
-    "rdaq-d8": (boosted_rdaq_sample, lambda: _rdaq(8)),
-    "rdaq-d32": (boosted_rdaq_sample, lambda: _rdaq(32)),
-    "boosted-rdaq-N4": (boosted_rdaq_sample, lambda: _rdaq(D_SUB, N=4)),
-    "wz-unknown-mu1": (wz_unknown_sample, lambda: _wz_unknown(1)),
-    "wz-unknown-mu8": (wz_unknown_sample, lambda: _wz_unknown(8)),
-    "wz-unknown-mu-dpad": (wz_unknown_sample, lambda: _wz_unknown("d_pad")),
-    "daq": (daq_sample, lambda: _daq(D_SUB)),
-    "simq-plus-k16": (simq_plus_sample, lambda: _simq_plus(16)),
-    "simq-plus-k1": (simq_plus_sample, lambda: _simq_plus(1)),
+    "ratq-d24": lambda: _ratq(24),
+    "ratq-d64": lambda: _ratq(64),
+    "ratq-d256": lambda: _ratq(256),
+    "ratq-apply-d64": lambda: _ratq_apply(64),
+    "rcs-mu1": lambda: _rcs(1),
+    "rcs-mu8": lambda: _rcs(8),
+    "rcs-mu-dpad": lambda: _rcs(None),
+    "rcs-center-mu8": lambda: _rcs(8, "center"),
+    "rmq": lambda: _wz_known(None),
+    "wz-known-mu1": lambda: _wz_known(1),
+    "wz-known-mu8": lambda: _wz_known(8),
+    "wz-known-mu-dpad": lambda: _wz_known("d_pad"),
+    "rdaq-d8": lambda: _rdaq(8),
+    "rdaq-d32": lambda: _rdaq(32),
+    "boosted-rdaq-N4": lambda: _rdaq(D_SUB, N=4),
+    "wz-unknown-mu1": lambda: _wz_unknown(1),
+    "wz-unknown-mu8": lambda: _wz_unknown(8),
+    "wz-unknown-mu-dpad": lambda: _wz_unknown("d_pad"),
+    "daq": lambda: (daq_quantizer(D_SUB), None, D_SUB, 0.6, 0.3),
+    "simq-plus-k16": lambda: _simq_plus(16),
+    "simq-plus-k1": lambda: _simq_plus(1),
 }
 
-# Public samplers with no codec to match, and why.
-EXEMPT = {
-    "atuq_vector_apply",  # ATUQ without the rotation step: no codec sends it
+# The factories that build their quantizer with `core.kernel_quantizer`; the
+# cases above cover each of them.
+KERNEL_FACTORIES = {
+    "ratq_quantizer", "rcs_wrap", "wz_known_quantizer", "rdaq_quantizer",
+    "wz_unknown_quantizer", "daq_quantizer", "simq_plus_quantizer",
+}
+
+# The public samplers that are not a quantizer's `sample`: each runs a
+# kernel on rows of its own, and the case that checks it against a codec
+# (None: no codec sends it, and why).
+PUBLIC_SAMPLERS = {
+    "ratq_apply": "ratq-apply-d64",  # distinct rows per repetition (PSGD)
+    "boosted_rdaq_sample": "boosted-rdaq-N4",  # `rdaq_quantizer(cfg).sample`
+    "atuq_vector_apply": None,  # ATUQ without the rotation step
 }
 
 
@@ -128,7 +133,9 @@ def _vec(rng, d, norm):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_codec_reconstruction_is_the_first_sampler_row(name):
-    q, sampler, d, norm, delta = CASES[name][1]()
+    q, sampler, d, norm, delta = CASES[name]()
+    assert q.kernel is not None
+    sampler = sampler or q.sample
     rng = SeedPath(90).child(name).stream()
     for i in range(INPUTS):
         x = _vec(rng, d, norm)
@@ -139,9 +146,29 @@ def test_codec_reconstruction_is_the_first_sampler_row(name):
 
 
 def test_every_public_sampler_runs_a_codec_kernel():
-    samplers = [
-        n for mod in (vector, sideinfo) for n in mod.__all__ if n.endswith(("_sample", "_apply"))
+    public = [
+        n for mod in (core, vector, sideinfo) for n in mod.__all__ if n.endswith(("_sample", "_apply"))
     ]
-    covered = {fn.__name__ for fn, _ in CASES.values()}
-    assert [n for n in samplers if n not in covered and n not in EXEMPT] == []
-    assert sorted(EXEMPT - set(samplers)) == []
+    assert sorted(public) == sorted(PUBLIC_SAMPLERS)
+    assert all(case is None or case in CASES for case in PUBLIC_SAMPLERS.values())
+
+
+def _functions(mod):
+    return [n for n in ast.walk(ast.parse(inspect.getsource(mod))) if isinstance(n, ast.FunctionDef)]
+
+
+def test_every_kernel_factory_has_a_case():
+    built = {
+        f.name for mod in (vector, sideinfo) for f in _functions(mod)
+        if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "kernel_quantizer"
+               for c in ast.walk(f))
+    }
+    assert built == KERNEL_FACTORIES
+
+
+def test_no_sampler_twin_is_left():
+    """`Quantizer.sample` is the one sampler; `boosted_rdaq_sample` stays as a
+    one-line name for it."""
+    modules = [importlib.import_module(f"qtc.{m.name}") for m in pkgutil.iter_modules(qtc.__path__)]
+    names = {f.name for mod in modules for f in _functions(mod) if f.name.endswith("_sample")}
+    assert names == {"boosted_rdaq_sample"}

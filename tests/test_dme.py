@@ -10,8 +10,8 @@ from qtc.dme import (
     run_dme,
     theoretical_bound,
 )
-from qtc.sideinfo import daq_quantizer, daq_sample, wz_known_quantizer, wz_known_sample
-from qtc.vector import RatqConfig, rcs_ratq_sample, rcs_wrap
+from qtc.sideinfo import daq_quantizer, wz_known_quantizer
+from qtc.vector import RatqConfig, rcs_wrap, simq_quantizer
 
 
 def unit_rows(seed, n, d):
@@ -40,14 +40,9 @@ def test_single_client_matches_quantizer_mse():
     xs = unit_rows(2, 1, d)
     ys = in_ball(xs + 0.2 * unit_rows(3, 1, d))
     inst = DmeInstance(xs, ys, np.array([0.2]), r=d)
-    res = run_dme(
-        inst,
-        [daq_quantizer(d)],
-        SeedPath(4),
-        trials=4000,
-        samplers=[lambda x, y, t, g: daq_sample(x, y, d, t, g)],
-    )
-    direct = daq_sample(xs[0], ys[0], d, 4000, SeedPath(9).stream())
+    q = daq_quantizer(d)
+    res = run_dme(inst, [q], SeedPath(4), trials=4000, sampled=True)
+    direct = q.sample(xs[0], ys[0], 4000, SeedPath(9).stream())
     direct_mse = ((direct - xs[0]) ** 2).sum(axis=1).mean()
     assert res.mse == pytest.approx(direct_mse, rel=0.1)
 
@@ -58,10 +53,10 @@ def test_protocol_mse_decomposition():
     xs = unit_rows(5, n, d)
     ys = in_ball(xs + delta * unit_rows(6, n, d))
     inst = DmeInstance(xs, ys, np.full(n, delta), r=d)
-    samplers = [lambda x, y, t, g: daq_sample(x, y, d, t, g) for _ in range(n)]
-    res = run_dme(inst, [daq_quantizer(d) for _ in range(n)], SeedPath(7), 4000, samplers=samplers)
+    q = daq_quantizer(d)
+    res = run_dme(inst, [q] * n, SeedPath(7), 4000, sampled=True)
     singles = [
-        ((daq_sample(xs[i], ys[i], d, 2000, SeedPath(100 + i).stream()) - xs[i]) ** 2)
+        ((q.sample(xs[i], ys[i], 2000, SeedPath(100 + i).stream()) - xs[i]) ** 2)
         .sum(axis=1)
         .mean()
         for i in range(n)
@@ -133,10 +128,10 @@ def test_side_information_helps():
     cfg_ns, mu_ns = configure_no_side_info(n, d, r)
     res_ns = run_dme(
         DmeInstance(xs, None, None, r),
-        [rcs_wrap(cfg_ns, mu_ns) for _ in range(n)],
+        [rcs_wrap(cfg_ns, mu_ns)] * n,
         SeedPath(12),
         800,
-        samplers=[lambda x, y, t, g: rcs_ratq_sample(x, cfg_ns, mu_ns, t, g) for _ in range(n)],
+        sampled=True,
     )
     cfgs, mu_k = configure_known_delta(n, d, r, [delta] * n)
     res_k = run_dme(
@@ -144,10 +139,7 @@ def test_side_information_helps():
         [wz_known_quantizer(c, mu_k) for c in cfgs],
         SeedPath(13),
         800,
-        samplers=[
-            lambda x, y, t, g, c=cfgs[0]: wz_known_sample(x, y, c, mu_k, t, g)
-            for _ in range(n)
-        ],
+        sampled=True,
     )
     assert res_k.mse < res_ns.mse
 
@@ -159,3 +151,42 @@ def test_delta_violation_counter():
     inst = DmeInstance(xs, ys, np.array([0.4, 0.1, 0.4]), r=d)
     res = run_dme(inst, [daq_quantizer(d)] * n, SeedPath(16), 5)
     assert res.delta_violations == 1
+
+
+def test_sampled_run_draws_each_client_from_its_own_quantizer():
+    """Client i's reconstructions are quantizers[i].sample on the client's
+    stream, so swapping two clients' quantizers changes the estimate."""
+    n, d = 2, 16
+    xs = unit_rows(17, n, d) * 0.5
+    ys = in_ball(xs + 0.2 * unit_rows(18, n, d))
+    inst = DmeInstance(xs, ys, np.full(n, 0.2), r=64)
+    cfgs, mu_d = configure_known_delta(n, d, 64, [0.2] * n)
+    qs = [daq_quantizer(d), wz_known_quantizer(cfgs[1], mu_d)]
+    res = run_dme(inst, qs, SeedPath(19), 50, sampled=True)
+    acc = sum(q.sample(xs[i], ys[i], 50, SeedPath(19).child("client", i).stream())
+              for i, q in enumerate(qs))
+    err = acc / n - inst.true_mean
+    assert res.mse == pytest.approx(np.einsum("td,td->t", err, err).mean(), rel=1e-12)
+    assert run_dme(inst, qs[::-1], SeedPath(19), 50, sampled=True).mse != res.mse
+
+
+def test_sampled_run_needs_a_kernel():
+    d = 8
+    inst = DmeInstance(unit_rows(20, 1, d) * 0.5, None, None, r=d)
+    with pytest.raises(TypeError, match="no batched kernel"):
+        run_dme(inst, [simq_quantizer(1.0, d)], SeedPath(21), 5, sampled=True)
+
+
+def test_instance_and_quantizer_count_checked():
+    d = 8
+    xs = unit_rows(22, 3, d) * 0.5
+    with pytest.raises(ValueError, match="expected \\(n, d\\)"):
+        DmeInstance(xs[0], None, None, r=d)
+    with pytest.raises(ValueError, match="expected \\(3,\\)"):
+        DmeInstance(xs, xs, np.array([0.1]), r=d)
+    with pytest.raises(ValueError, match="expected \\(3,\\)"):
+        DmeInstance(xs, xs, np.full((3, 1), 0.1), r=d)
+    inst = DmeInstance(xs, xs, np.full(3, 0.1), r=d)
+    for count in (2, 4):
+        with pytest.raises(ValueError, match=f"{count} quantizers for 3 clients"):
+            run_dme(inst, [daq_quantizer(d)] * count, SeedPath(23), 5)

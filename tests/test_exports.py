@@ -1,8 +1,11 @@
-"""Every qtc module's `__all__` names exactly what the module defines in public."""
+"""Every qtc module's `__all__` names exactly what the module defines in
+public, and every name the benchmark imports from qtc exists."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +32,18 @@ def test_all_lists_every_public_definition(name):
 
 def test_package_exports_exist():
     assert [n for n in qtc.__all__ if not hasattr(qtc, n)] == []
+
+
+def test_benchmark_imports_exist():
+    """perfbench/workloads.py runs against every later version of the
+    library, so no change may drop a name it imports."""
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    imports = [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf8")))
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "qtc"
+        for alias in node.names
+    ]
+    assert len(imports) >= 10
+    missing = [(m, n) for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert missing == []

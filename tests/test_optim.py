@@ -44,9 +44,8 @@ def test_quantized_psgd_within_stated_bound():
     oracle = quadratic_oracle(x0, 0.5, B)
     dom = Domain("l2_ball", 1.0)
     cfg = RatqConfig.default(B, d)
-    alpha2 = B * math.sqrt((9 + 3 * math.log(cfg.s)) / (cfg.k - 1) ** 2 + 1)
     res = psgd_run(oracle, lambda g, rng: ratq_apply(g, cfg, rng), dom, T,
-                   seed=SeedPath(1), reps=8, x_init=np.eye(d)[1] * 0.9, alpha2=alpha2)
+                   seed=SeedPath(1), reps=8, x_init=np.eye(d)[1] * 0.9, alpha2=cfg.alpha2)
     assert res.mean_final_gap <= math.sqrt(2) * dom.diameter * B / math.sqrt(T)
 
 

@@ -1,4 +1,5 @@
-"""The samplers that work only on kept coordinates against full-width references.
+"""The kernels that work only on kept coordinates, sampled through
+`Quantizer.sample`, against full-width references.
 
 Each reference below dithers, rounds and counts every rotated coordinate and
 masks the unkept ones away afterwards, drawing from the stream in the same
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from qtc.adaptive import pick_range
-from qtc.core import SeedPath
+from qtc.core import SeedPath, _chunks
 from qtc.rotation import (
     pad_to_pow2,
     rotate_batch,
@@ -24,10 +25,10 @@ from qtc.sideinfo import (
     RdaqConfig,
     RmqConfig,
     boosted_rdaq_sample,
-    wz_known_sample,
-    wz_unknown_sample,
+    wz_known_quantizer,
+    wz_unknown_quantizer,
 )
-from qtc.vector import RatqConfig, _chunks, rcs_ratq_sample
+from qtc.vector import RatqConfig, rcs_wrap
 
 
 def _argpartition_masks(rng, n, d, mu_d):
@@ -116,7 +117,7 @@ def test_wz_known_sample_matches_full_width(mu_d):
     cfg = RmqConfig(48, 0.5, 0.05, 16)
     x, y = _pair(1, 48, 0.4)
     n = _past_one_chunk(cfg.d_pad)
-    _same(lambda g: wz_known_sample(x, y, cfg, mu_d, n, g),
+    _same(lambda g: wz_known_quantizer(cfg, mu_d).sample(x, y, n, g),
           lambda g: _wz_known_reference(x, y, cfg, mu_d, n, g), 100 + mu_d)
 
 
@@ -125,7 +126,7 @@ def test_rcs_ratq_sample_matches_full_width(mu_d):
     cfg = RatqConfig.for_subsampling(1.0, 48)
     y = _pair(2, 48, 0.1)[0]
     n = _past_one_chunk(cfg.d_pad)
-    _same(lambda g: rcs_ratq_sample(y, cfg, mu_d, n, g),
+    _same(lambda g: rcs_wrap(cfg, mu_d).sample(y, None, n, g),
           lambda g: _rcs_reference(y, cfg, mu_d, n, g), 200 + mu_d)
 
 
@@ -145,7 +146,7 @@ def test_wz_unknown_sample_matches_full_width(d, mu_d):
     cfg = RdaqConfig(d)
     x, y = _rdaq_pair(d)
     n = _past_one_chunk(cfg.d_pad * cfg.h)
-    _same(lambda g: wz_unknown_sample(x, y, cfg, mu_d, n, g),
+    _same(lambda g: wz_unknown_quantizer(cfg, mu_d).sample(x, y, n, g),
           lambda g: _rdaq_reference(x, y, cfg, n, g, mu_d), 300 + mu_d)
 
 

@@ -10,12 +10,9 @@ from qtc.sideinfo import (
     boosted_rdaq_sample,
     daq_exact_mse,
     daq_quantizer,
-    daq_sample,
     rdaq_quantizer,
     wz_known_quantizer,
-    wz_known_sample,
     wz_unknown_quantizer,
-    wz_unknown_sample,
 )
 from qtc.vector import (
     RatqConfig,
@@ -23,11 +20,8 @@ from qtc.vector import (
     atuq_vector_apply,
     ratq_apply,
     ratq_quantizer,
-    ratq_sample,
-    rcs_ratq_sample,
     rcs_wrap,
     simq_plus_quantizer,
-    simq_plus_sample,
 )
 
 
@@ -68,7 +62,7 @@ def test_rmq_mse_and_bias_bound():
     d, delta, n_mc = 64, 0.5, 20_000
     cfg = RmqConfig(d, delta, delta / math.sqrt(100), 16)
     x, y = make_pair(2, d, delta)
-    recs = wz_known_sample(x, y, cfg, None, n_mc, SeedPath(3).stream())
+    recs = wz_known_quantizer(cfg, None).sample(x, y, n_mc, SeedPath(3).stream())
     mse = ((recs - x) ** 2).sum(axis=1).mean()
     bound = 24 * delta**2 / (cfg.k - 2) ** 2 * math.log(delta / cfg.delta_small) + 154 * cfg.delta_small**2
     assert mse <= bound
@@ -92,15 +86,15 @@ def test_wz_known_budget_and_full_sampling():
     msg, _ = q.roundtrip(x, y, SeedPath(7))
     assert msg.nbits == 8 * 4 == q.bit_budget
     # mu = 1 reproduces plain RMQ statistics
-    full = wz_known_sample(x, y, cfg, 64, 15_000, SeedPath(8).stream())
-    plain = wz_known_sample(x, y, cfg, None, 15_000, SeedPath(9).stream())
+    full = wz_known_quantizer(cfg, 64).sample(x, y, 15_000, SeedPath(8).stream())
+    plain = wz_known_quantizer(cfg, None).sample(x, y, 15_000, SeedPath(9).stream())
     assert abs(((full - x) ** 2).sum(1).mean() - ((plain - x) ** 2).sum(1).mean()) < 0.01
 
 
 def test_wz_known_unbiased_up_to_rmq_bias():
     cfg = RmqConfig(64, 0.5, 0.01, 16)
     x, y = make_pair(10, 64, 0.5)
-    recs = wz_known_sample(x, y, cfg, 8, 40_000, SeedPath(11).stream())
+    recs = wz_known_quantizer(cfg, 8).sample(x, y, 40_000, SeedPath(11).stream())
     assert np.linalg.norm(recs.mean(axis=0) - x) < 0.05
 
 
@@ -140,7 +134,7 @@ def test_daq_d1_example():
 
 def test_daq_monte_carlo_matches_formula():
     x, y = ball_pair(16, 16, 0.4)
-    recs = daq_sample(x, y, 16, 60_000, SeedPath(17).stream())
+    recs = daq_quantizer(16).sample(x, y, 60_000, SeedPath(17).stream())
     emp = ((recs - x) ** 2).sum(axis=1).mean()
     formula = 2 * np.abs(x - y).sum() - ((x - y) ** 2).sum()
     assert emp == pytest.approx(formula, rel=0.05)
@@ -196,7 +190,7 @@ def test_wz_unknown_unbiased_and_scaling():
     cfg = RdaqConfig(32)
     x, y = ball_pair(28, 32, 0.3)
     mu_d = 8
-    sub = wz_unknown_sample(x, y, cfg, mu_d, 40_000, SeedPath(29).stream())
+    sub = wz_unknown_quantizer(cfg, mu_d).sample(x, y, 40_000, SeedPath(29).stream())
     se = sub.std(axis=0) / math.sqrt(len(sub))
     assert np.all(np.abs(sub.mean(axis=0) - x) <= 5 * se + 1e-9)
     full = boosted_rdaq_sample(x, y, cfg, 40_000, SeedPath(30).stream())
@@ -251,62 +245,69 @@ def _decode(q, x, side):
     return lambda: q.decode(q.encode(x, None, SeedPath(0).stream()), side, SeedPath(0).stream())
 
 
+def _sample(factory, x, side=None):
+    """`factory().sample` on x and side, given a stream; a factory that
+    rejects its config raises before any draw too."""
+    return lambda g: factory().sample(x, side, 4, g)
+
+
+_DAQ = lambda: daq_quantizer(_D)  # noqa: E731
+_RDAQ = lambda: rdaq_quantizer(RdaqConfig(_D, N=2))  # noqa: E731
+_WZ_UNKNOWN = lambda: wz_unknown_quantizer(RdaqConfig(_D), 8)  # noqa: E731
+_SIMQ_PLUS = lambda: simq_plus_quantizer(SimqPlusConfig(1.0, _D, 2.0))  # noqa: E731
+
 # case -> (a call the codec rejects, or None for a sampler without a codec;
 #          the sampler's call on the same input, given a stream)
 _REJECTED = {
-    "rcs-mu0": (lambda: rcs_wrap(_RCS, 0), lambda g: rcs_ratq_sample(_X, _RCS, 0, 4, g)),
-    "rcs-mu65": (lambda: rcs_wrap(_RCS, 65), lambda g: rcs_ratq_sample(_X, _RCS, 65, 4, g)),
-    "rcs-s2": (lambda: rcs_wrap(_RATQ, 8), lambda g: rcs_ratq_sample(_X, _RATQ, 8, 4, g)),
+    "rcs-mu0": (lambda: rcs_wrap(_RCS, 0), _sample(lambda: rcs_wrap(_RCS, 0), _X)),
+    "rcs-mu65": (lambda: rcs_wrap(_RCS, 65), _sample(lambda: rcs_wrap(_RCS, 65), _X)),
+    "rcs-s2": (lambda: rcs_wrap(_RATQ, 8), _sample(lambda: rcs_wrap(_RATQ, 8), _X)),
     "wz-known-mu0": (lambda: wz_known_quantizer(_RMQ, 0),
-                     lambda g: wz_known_sample(_X, _Y, _RMQ, 0, 4, g)),
+                     _sample(lambda: wz_known_quantizer(_RMQ, 0), _X, _Y)),
     "wz-known-mu70": (lambda: wz_known_quantizer(_RMQ, 70),
-                      lambda g: wz_known_sample(_X, _Y, _RMQ, 70, 4, g)),
+                      _sample(lambda: wz_known_quantizer(_RMQ, 70), _X, _Y)),
     "wz-unknown-mu0": (lambda: wz_unknown_quantizer(RdaqConfig(_D), 0),
-                       lambda g: wz_unknown_sample(_X, _Y, RdaqConfig(_D), 0, 4, g)),
+                       _sample(lambda: wz_unknown_quantizer(RdaqConfig(_D), 0), _X, _Y)),
     "wz-unknown-mu65": (lambda: wz_unknown_quantizer(RdaqConfig(_D), 65),
-                        lambda g: wz_unknown_sample(_X, _Y, RdaqConfig(_D), 65, 4, g)),
+                        _sample(lambda: wz_unknown_quantizer(RdaqConfig(_D), 65), _X, _Y)),
     "wz-unknown-N2": (lambda: wz_unknown_quantizer(RdaqConfig(_D, N=2), 8),
-                      lambda g: wz_unknown_sample(_X, _Y, RdaqConfig(_D, N=2), 8, 4, g)),
+                      _sample(lambda: wz_unknown_quantizer(RdaqConfig(_D, N=2), 8), _X, _Y)),
     # input the codec rejects: non-finite entries, or (ratq-apply-shape) a
     # row one short, which pads to the same power of two
     "ratq-apply-nan": (_encode(ratq_quantizer(_RATQ), _X_NAN),
                        lambda g: ratq_apply(np.stack([_X, _X_NAN]), _RATQ, g)),
     "ratq-sample-nan": (_encode(ratq_quantizer(_RATQ), _X_NAN),
-                        lambda g: ratq_sample(_X_NAN, _RATQ, 4, g)),
+                        _sample(lambda: ratq_quantizer(_RATQ), _X_NAN)),
     "ratq-apply-shape": (_encode(ratq_quantizer(_RATQ), _X[:-1]),
                          lambda g: ratq_apply(np.stack([_X[:-1], _X[:-1]]), _RATQ, g)),
     "atuq-apply-nan": (None, lambda g: atuq_vector_apply(np.stack([_X, _X_NAN]), _RATQ, g)),
-    "rcs-nan": (_encode(rcs_wrap(_RCS, 8), _X_NAN), lambda g: rcs_ratq_sample(_X_NAN, _RCS, 8, 4, g)),
+    "rcs-nan": (_encode(rcs_wrap(_RCS, 8), _X_NAN), _sample(lambda: rcs_wrap(_RCS, 8), _X_NAN)),
     "rmq-nan-x": (_encode(wz_known_quantizer(_RMQ, None), _X_NAN),
-                  lambda g: wz_known_sample(_X_NAN, _Y, _RMQ, None, 4, g)),
+                  _sample(lambda: wz_known_quantizer(_RMQ, None), _X_NAN, _Y)),
     "rmq-nan-y": (_decode(wz_known_quantizer(_RMQ, None), _X, _X_NAN),
-                  lambda g: wz_known_sample(_X, _X_NAN, _RMQ, None, 4, g)),
+                  _sample(lambda: wz_known_quantizer(_RMQ, None), _X, _X_NAN)),
     "wz-known-nan-x": (_encode(wz_known_quantizer(_RMQ, 8), _X_NAN),
-                       lambda g: wz_known_sample(_X_NAN, _Y, _RMQ, 8, 4, g)),
+                       _sample(lambda: wz_known_quantizer(_RMQ, 8), _X_NAN, _Y)),
     "wz-known-nan-y": (_decode(wz_known_quantizer(_RMQ, 8), _X, _X_NAN),
-                       lambda g: wz_known_sample(_X, _X_NAN, _RMQ, 8, 4, g)),
-    "daq-nan-y": (_decode(daq_quantizer(_D), _X, _X_NAN), lambda g: daq_sample(_X, _X_NAN, _D, 4, g)),
-    "rdaq-nan-y": (_decode(rdaq_quantizer(RdaqConfig(_D, N=2)), _X, _X_NAN),
+                       _sample(lambda: wz_known_quantizer(_RMQ, 8), _X, _X_NAN)),
+    "daq-nan-y": (_decode(daq_quantizer(_D), _X, _X_NAN), _sample(_DAQ, _X, _X_NAN)),
+    "rdaq-nan-y": (_decode(_RDAQ(), _X, _X_NAN),
                    lambda g: boosted_rdaq_sample(_X, _X_NAN, RdaqConfig(_D, N=2), 4, g)),
-    "wz-unknown-nan-x": (_encode(wz_unknown_quantizer(RdaqConfig(_D), 8), _X_NAN),
-                         lambda g: wz_unknown_sample(_X_NAN, _X, RdaqConfig(_D), 8, 4, g)),
-    "simq-plus-nan": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, _D, 2.0)), _X_NAN),
-                      lambda g: simq_plus_sample(_X_NAN, SimqPlusConfig(1.0, _D, 2.0), 4, g)),
+    "wz-unknown-nan-x": (_encode(_WZ_UNKNOWN(), _X_NAN), _sample(_WZ_UNKNOWN, _X_NAN, _X)),
+    "simq-plus-nan": (_encode(_SIMQ_PLUS(), _X_NAN), _sample(_SIMQ_PLUS, _X_NAN)),
     # x or y outside the unit ball, which the DAQ and RDAQ codecs reject
     # (the other vector, _X, lies on the sphere)
-    "daq-ball-x": (_encode(daq_quantizer(_D), _X_OUT), lambda g: daq_sample(_X_OUT, _X, _D, 4, g)),
-    "daq-ball-y": (_decode(daq_quantizer(_D), _X, _X_OUT), lambda g: daq_sample(_X, _X_OUT, _D, 4, g)),
-    "rdaq-ball-x": (_encode(rdaq_quantizer(RdaqConfig(_D, N=2)), _X_OUT),
+    "daq-ball-x": (_encode(daq_quantizer(_D), _X_OUT), _sample(_DAQ, _X_OUT, _X)),
+    "daq-ball-y": (_decode(daq_quantizer(_D), _X, _X_OUT), _sample(_DAQ, _X, _X_OUT)),
+    "rdaq-ball-x": (_encode(_RDAQ(), _X_OUT),
                     lambda g: boosted_rdaq_sample(_X_OUT, _X, RdaqConfig(_D, N=2), 4, g)),
-    "rdaq-ball-y": (_decode(rdaq_quantizer(RdaqConfig(_D, N=2)), _X, _X_OUT),
+    "rdaq-ball-y": (_decode(_RDAQ(), _X, _X_OUT),
                     lambda g: boosted_rdaq_sample(_X, _X_OUT, RdaqConfig(_D, N=2), 4, g)),
-    "wz-unknown-ball-x": (_encode(wz_unknown_quantizer(RdaqConfig(_D), 8), _X_OUT),
-                          lambda g: wz_unknown_sample(_X_OUT, _X, RdaqConfig(_D), 8, 4, g)),
-    "wz-unknown-ball-y": (_decode(wz_unknown_quantizer(RdaqConfig(_D), 8), _X, _X_OUT),
-                          lambda g: wz_unknown_sample(_X, _X_OUT, RdaqConfig(_D), 8, 4, g)),
+    "wz-unknown-ball-x": (_encode(_WZ_UNKNOWN(), _X_OUT), _sample(_WZ_UNKNOWN, _X_OUT, _X)),
+    "wz-unknown-ball-y": (_decode(_WZ_UNKNOWN(), _X, _X_OUT), _sample(_WZ_UNKNOWN, _X, _X_OUT)),
     # l1 norm 16 above the scale B d^(1/p) = 4
     "simq-plus-l1": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0)), np.ones(16)),
-                     lambda g: simq_plus_sample(np.ones(16), SimqPlusConfig(1.0, 16, 2.0), 4, g)),
+                     _sample(lambda: simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0)), np.ones(16))),
 }
 
 

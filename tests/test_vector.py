@@ -15,13 +15,10 @@ from qtc.vector import (
     atuq_vector_apply,
     lp_split_quantizer,
     ratq_quantizer,
-    ratq_sample,
-    rcs_ratq_sample,
     rcs_wrap,
     simq_decode,
     simq_encode,
     simq_plus_quantizer,
-    simq_plus_sample,
     simq_quantizer,
 )
 
@@ -60,7 +57,7 @@ def test_ratq_rejects_out_of_ball():
 def test_ratq_unbiased_and_bounded_second_moment():
     cfg = RatqConfig.default(1.0, 64)
     y = unit_vector(2, 64)
-    recs = ratq_sample(y, cfg, 50_000, SeedPath(3).stream())
+    recs = ratq_quantizer(cfg).sample(y, None, 50_000, SeedPath(3).stream())
     se = recs.std(axis=0) / math.sqrt(len(recs))
     assert np.all(np.abs(recs.mean(axis=0) - y) <= 5 * se + 1e-12)
     bound = (9 + 3 * math.log(cfg.s)) / (cfg.k - 1) ** 2 + 1
@@ -74,7 +71,7 @@ def test_ratq_bit_path_matches_sampler_distribution():
     bit_recs = np.array(
         [q.roundtrip(y, None, SeedPath(5).child("t", t))[1] for t in range(3000)]
     )
-    mc_recs = ratq_sample(y, cfg, 3000, SeedPath(6).stream())
+    mc_recs = ratq_quantizer(cfg).sample(y, None, 3000, SeedPath(6).stream())
     se = np.sqrt(bit_recs.var(axis=0) + mc_recs.var(axis=0)) / math.sqrt(3000)
     assert np.all(np.abs(bit_recs.mean(0) - mc_recs.mean(0)) <= 6 * se + 1e-9)
     assert abs((bit_recs**2).sum(1).mean() - (mc_recs**2).sum(1).mean()) < 0.05
@@ -86,7 +83,7 @@ def test_ratq_non_pow2_dimension():
     y = unit_vector(7, 24)
     msg, rec = q.roundtrip(y, None, SeedPath(8))
     assert msg.nbits == cfg.bit_budget and rec.shape == (24,)
-    recs = ratq_sample(y, cfg, 20_000, SeedPath(9).stream())
+    recs = ratq_quantizer(cfg).sample(y, None, 20_000, SeedPath(9).stream())
     assert np.linalg.norm(recs.mean(axis=0) - y) < 0.05
 
 
@@ -106,8 +103,8 @@ def test_rcs_full_sampling_matches_ratq_distribution():
     # mu = 1 keeps every coordinate: distributionally identical to RATQ s=1
     cfg = RatqConfig.for_subsampling(1.0, 16)
     y = unit_vector(10, 16)
-    full = rcs_ratq_sample(y, cfg, 16, 30_000, SeedPath(11).stream())
-    plain = ratq_sample(y, cfg, 30_000, SeedPath(12).stream())
+    full = rcs_wrap(cfg, 16).sample(y, None, 30_000, SeedPath(11).stream())
+    plain = ratq_quantizer(cfg).sample(y, None, 30_000, SeedPath(12).stream())
     assert abs((full**2).sum(1).mean() - (plain**2).sum(1).mean()) < 0.02
     assert np.linalg.norm(full.mean(0) - plain.mean(0)) < 0.05
 
@@ -116,8 +113,8 @@ def test_rcs_unbiased_and_second_moment_scaling():
     cfg = RatqConfig.for_subsampling(1.0, 64)
     y = unit_vector(13, 64)
     mu_d = 8
-    recs = ratq_sample(y, cfg, 40_000, SeedPath(14).stream())
-    sub = rcs_ratq_sample(y, cfg, mu_d, 40_000, SeedPath(15).stream())
+    recs = ratq_quantizer(cfg).sample(y, None, 40_000, SeedPath(14).stream())
+    sub = rcs_wrap(cfg, mu_d).sample(y, None, 40_000, SeedPath(15).stream())
     se = sub.std(axis=0) / math.sqrt(len(sub))
     assert np.all(np.abs(sub.mean(axis=0) - y) <= 5 * se + 1e-12)
     ratio = (sub**2).sum(1).mean() / (recs**2).sum(1).mean()
@@ -233,7 +230,7 @@ def test_simq_plus_l1_error_names_scale_and_b():
     with pytest.raises(ValueError, match=want):
         simq_plus_quantizer(cfg).encode(np.ones(16), None, SeedPath(0).stream())
     with pytest.raises(ValueError, match=want):
-        simq_plus_sample(np.ones(16), cfg, 4, SeedPath(0).stream())
+        simq_plus_quantizer(cfg).sample(np.ones(16), None, 4, SeedPath(0).stream())
 
 
 def test_simq_plus_exact_average_and_budget():
@@ -244,7 +241,7 @@ def test_simq_plus_exact_average_and_budget():
     assert msg.nbits <= cfg.bit_budget <= math.floor(cfg.analytic_budget()) + 1
     # the encoder's type draw, scaled by the sampler: decode must equal the
     # exact average of the k draws
-    avg = simq_plus_sample(y, cfg, 1, SeedPath(31).stream())[0]
+    avg = simq_plus_quantizer(cfg).sample(y, None, 1, SeedPath(31).stream())[0]
     assert np.allclose(rec, avg, atol=1e-12)
 
 
@@ -269,7 +266,7 @@ def test_simq_plus_zero_vector():
 def test_simq_plus_mse_bound():
     cfg = SimqPlusConfig(1.0, 64, 2.0, 64)
     y = unit_vector(35, 64)
-    recs = simq_plus_sample(y, cfg, 10_000, SeedPath(36).stream())
+    recs = simq_plus_quantizer(cfg).sample(y, None, 10_000, SeedPath(36).stream())
     mse = ((recs - y) ** 2).sum(axis=1).mean()
     assert mse <= cfg.d ** (2 / cfg.p) / cfg.k + 0.05
 

@@ -17,12 +17,9 @@ from qtc.sideinfo import (
     RmqConfig,
     boosted_rdaq_sample,
     daq_quantizer,
-    daq_sample,
     rdaq_quantizer,
     wz_known_quantizer,
-    wz_known_sample,
     wz_unknown_quantizer,
-    wz_unknown_sample,
 )
 from qtc.vector import (
     AratqConfig,
@@ -34,11 +31,8 @@ from qtc.vector import (
     lp_split_quantizer,
     ratq_apply,
     ratq_quantizer,
-    ratq_sample,
-    rcs_ratq_sample,
     rcs_wrap,
     simq_plus_quantizer,
-    simq_plus_sample,
     simq_quantizer,
 )
 
@@ -114,18 +108,20 @@ SAMPLERS = {
     "atuq_vector_apply": lambda rng: atuq_vector_apply(
         SeedPath(41).stream().normal(size=(50, 64)) * 0.05,
         RatqConfig(1.0, 64, 2, 7, RatqConfig.default(1.0, 64).ladder), rng),
-    "ratq_sample": lambda rng: ratq_sample(_vec(42, 40), RatqConfig.default(1.0, 40), 300, rng),
-    "rcs_ratq_sample": lambda rng: rcs_ratq_sample(
-        _vec(43, 64), RatqConfig.for_subsampling(1.0, 64), 8, 300, rng),
-    "simq_plus_sample": lambda rng: simq_plus_sample(
-        _vec(44, 64), SimqPlusConfig(1.0, 64, 2.0, 64), 300, rng),
-    "rmq_sample": lambda rng: wz_known_sample(
-        *_pair(45, 48, 0.5), RmqConfig(48, 0.5, 0.05, 16), None, 300, rng),
-    "wz_known_sample": lambda rng: wz_known_sample(
-        *_pair(46, 64, 0.5), RmqConfig(64, 0.5, 0.05, 16), 8, 300, rng),
-    "daq_sample": lambda rng: daq_sample(*_pair(47, 16, 0.4), 16, 300, rng),
+    "ratq_sample": lambda rng: ratq_quantizer(RatqConfig.default(1.0, 40)).sample(
+        _vec(42, 40), None, 300, rng),
+    "rcs_ratq_sample": lambda rng: rcs_wrap(RatqConfig.for_subsampling(1.0, 64), 8).sample(
+        _vec(43, 64), None, 300, rng),
+    "simq_plus_sample": lambda rng: simq_plus_quantizer(SimqPlusConfig(1.0, 64, 2.0, 64)).sample(
+        _vec(44, 64), None, 300, rng),
+    "rmq_sample": lambda rng: wz_known_quantizer(RmqConfig(48, 0.5, 0.05, 16), None).sample(
+        *_pair(45, 48, 0.5), 300, rng),
+    "wz_known_sample": lambda rng: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 16), 8).sample(
+        *_pair(46, 64, 0.5), 300, rng),
+    "daq_sample": lambda rng: daq_quantizer(16).sample(*_pair(47, 16, 0.4), 300, rng),
     "rdaq_sample": lambda rng: boosted_rdaq_sample(*_pair(48, 32, 0.3), RdaqConfig(32), 300, rng),
-    "wz_unknown_sample": lambda rng: wz_unknown_sample(*_pair(49, 32, 0.3), RdaqConfig(32), 8, 300, rng),
+    "wz_unknown_sample": lambda rng: wz_unknown_quantizer(RdaqConfig(32), 8).sample(
+        *_pair(49, 32, 0.3), 300, rng),
     "boosted_rdaq_sample": lambda rng: boosted_rdaq_sample(
         *_pair(50, 64, 0.3), RdaqConfig(64, N=4), 300, rng),
 }
