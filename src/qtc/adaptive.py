@@ -2,9 +2,10 @@
 
 ATUQ picks the smallest range out of a tetra-iterated ladder that contains
 the whole input vector and applies CUQ there (the ladder is defined here, the
-quantizer in `qtc.vector`); AGUQ does the same for a nonnegative scalar gain
-over a geometric ladder; AGUQ+ is the variable-length gain variant (unary
-range code + per-range level field).
+quantizer in `qtc.vector`).  AGUQ does the same for nonnegative gains over a
+geometric ladder (`aguq_fields`, batched); AGUQ+ is its variable-length
+variant (`AguqPlus`: unary range code + per-range level field).  The A-RATQ
+kernel in `qtc.vector` runs both and packs their fields.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BitReader, BitString, MalformedStreamError
-from .scalar import OVERFLOW, UniformGrid, cuq_decode, cuq_encode
+from .scalar import OVERFLOW, cuq_levels, cuq_round_with
 
 __all__ = [
     "tetration",
@@ -24,7 +25,8 @@ __all__ = [
     "TetraLadder",
     "GeoLadder",
     "pick_range",
-    "aguq_quantize",
+    "aguq_fields",
+    "aguq_levels",
     "AguqPlus",
 ]
 
@@ -119,32 +121,38 @@ def pick_range(values, ranges: np.ndarray):
     return np.minimum(np.searchsorted(ranges, values, side="left"), top)
 
 
-def aguq_quantize(
-    g: float, ladder: GeoLadder, k_g: int, rng: np.random.Generator
-) -> tuple[int, int, float]:
-    """AGUQ for a nonnegative gain: returns (range index, symbol, value).
-
-    Gains above the top range emit the overflow symbol and decode to 0.
-    """
-    if g < 0:
-        raise ValueError("gain must be nonnegative")
+def aguq_fields(g: np.ndarray, ladder: GeoLadder, levels: np.ndarray,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """AGUQ on nonnegative gains g: the index j of the smallest range of
+    `ladder` covering each gain, and its CUQ symbol on levels[j] levels over
+    [0, M_j].  A gain above the top range gets the top index and the
+    overflow symbol, which decodes to 0.  Draws one rounding uniform per
+    gain, or none when every gain overflows."""
+    if np.any(g < 0):
+        raise ValueError("gains must be nonnegative")
     ranges = ladder.ranges
-    j = int(pick_range(g, ranges))
-    if g > ranges[-1]:
-        return ladder.h_g - 1, OVERFLOW, 0.0
-    grid = UniformGrid(ranges[j], k_g, "nonneg")
-    sym = int(cuq_encode(np.asarray([g]), grid, rng)[0])
-    return j, sym, float(cuq_decode(np.asarray([sym]), grid)[0])
+    j = pick_range(g, ranges)
+    if np.all(g > ranges[-1]):
+        return j, np.full(np.shape(g), float(OVERFLOW))
+    return j, cuq_round_with(g, ranges[j], levels[j], rng.random(np.shape(g)), signed=False)
+
+
+def aguq_levels(fields: tuple[np.ndarray, np.ndarray], ladder: GeoLadder,
+                levels: np.ndarray) -> np.ndarray:
+    """The gains that `aguq_fields` output stands for."""
+    j, sym = fields
+    return cuq_levels(sym, ladder.ranges[j], levels[j], signed=False)
 
 
 class AguqPlus:
-    """Variable-length adaptive gain quantizer.
+    """The ladder and level counts of the variable-length gain quantizer.
 
     Ranges grow geometrically (a_g = 2, h_g = 1 + ceil(log2(T)/2)); range j is
     sent as unary (j ones, then a zero -- the Huffman lengths for a
     Geometric(1/2) range distribution), followed by a (j+1)-bit level field.
     Every range except the top uses all 2^(j+1) codes as levels; the top range
     reserves its highest code for the overflow symbol, which decodes to 0.
+    `levels[j]` is the level count of range j, so `aguq_fields` runs it.
     """
 
     def __init__(self, B: float, T: int):
@@ -156,36 +164,20 @@ class AguqPlus:
         self.T = T
         self.h_g = 1 + math.ceil(math.log2(T) / 2.0)
         self.ladder = GeoLadder(B, 2.0, self.h_g)
+        self.levels = 2 << np.arange(self.h_g)
+        self.levels[-1] -= 1
 
-    def levels(self, j: int) -> int:
-        n_codes = 1 << (j + 1)
-        return n_codes - 1 if j == self.h_g - 1 else n_codes
-
-    def encode(self, g: float, rng: np.random.Generator) -> tuple[BitString, float]:
-        """Returns (message, reconstruction seen by the decoder)."""
-        if g < 0:
-            raise ValueError("gain must be nonnegative")
-        ranges = self.ladder.ranges
-        j = int(pick_range(g, ranges))
-        bits = BitString()
+    def write(self, bits: BitString, j: int, sym: int) -> BitString:
+        """Append range j in unary and the (j+1)-bit level field of `sym`."""
         bits.write_uint(((1 << j) - 1) << 1, j + 1)  # j ones, then the 0 terminator
-        field_width = j + 1
-        if g > ranges[-1]:
-            bits.write_uint((1 << field_width) - 1, field_width)  # overflow code
-            return bits, 0.0
-        grid = UniformGrid(ranges[j], self.levels(j), "nonneg")
-        sym = int(cuq_encode(np.asarray([g]), grid, rng)[0])
-        bits.write_uint(sym, field_width)
-        return bits, float(cuq_decode(np.asarray([sym]), grid)[0])
+        return bits.write_uint(self.levels[j] if sym == OVERFLOW else sym, j + 1)
 
-    def decode(self, reader: BitReader) -> float:
+    def read(self, reader: BitReader) -> tuple[int, int]:
+        """Read back what `write` wrote: (j, sym)."""
         j = 0
         while reader.read_bit() == 1:
             j += 1
             if j >= self.h_g:
                 raise MalformedStreamError("malformed stream: unary range overruns ladder")
         sym = reader.read_uint(j + 1)
-        if j == self.h_g - 1 and sym == (1 << (j + 1)) - 1:
-            return 0.0  # overflow
-        grid = UniformGrid(self.ladder.ranges[j], self.levels(j), "nonneg")
-        return float(cuq_decode(np.asarray([sym]), grid)[0])
+        return j, OVERFLOW if sym == self.levels[j] else sym

@@ -40,6 +40,7 @@ from .vector import (
     ratq_quantizer,
     rcs_wrap,
     simq_plus_quantizer,
+    simq_quantizer,
 )
 
 __all__ = [
@@ -127,11 +128,10 @@ def cmd_quantize_bench(args) -> int:
             bits = rcfg.bit_budget
         elif name == "simq":
             y = y * (B / np.abs(y).sum())
-            # one SimQ draw at scale B is SimQ+ with k = 1 and p = inf
-            recs = simq_plus_quantizer(SimqPlusConfig(B, d, math.inf, 1)).sample(
-                y, None, trials, root.child("simq").stream())
+            q = simq_quantizer(B, d)
+            recs = q.sample(y, None, trials, root.child("simq").stream())
             bound = B
-            bits = math.ceil(math.log2(2 * d + 1))
+            bits = q.bit_budget
         elif name == "simq_plus":
             pcfg = SimqPlusConfig(B, d, 2.0)
             yn = y * (B / np.linalg.norm(y))
@@ -247,17 +247,28 @@ def cmd_rd_bench(args) -> int:
 
 
 def _load_pmf(cfg) -> np.ndarray:
-    if cfg["pmf_file"]:
-        rows = []
-        with open(cfg["pmf_file"], "r", encoding="utf8") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if line:
-                    sym, prob = line.split()
-                    rows.append((sym, float(prob)))
-        p = np.array([prob for _, prob in rows])
-        return validate_pmf(p)
-    return zipf_pmf(cfg["zipf_s"], cfg["zipf_n"])
+    """The pmf of `pmf_file` (one 'symbol probability' line per symbol, '#'
+    comments), or the Zipf pmf of `zipf_s` and `zipf_n` without one."""
+    path = cfg["pmf_file"]
+    if not path:
+        return zipf_pmf(cfg["zipf_s"], cfg["zipf_n"])
+    try:
+        with open(path, "r", encoding="utf8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read pmf file: {exc}") from None
+    probs = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            _, prob = line.split()
+            probs.append(float(prob))
+        except ValueError:
+            raise ConfigError(
+                f"{path} line {lineno}: expected 'symbol probability', got {line!r}") from None
+    return validate_pmf(probs)
 
 
 def cmd_aoi_solve(args) -> int:
@@ -295,13 +306,11 @@ def cmd_aoi_sim(args) -> int:
                        {"zipf_s": 1.0, "zipf_n": 64, "pmf_file": "", "horizon": 10**6,
                         "erasure": 0.0, "code": "shannon_p"})
     p = _load_pmf(cfg)
-    if cfg["code"] == "shannon_p":
-        lengths = shannon_lengths(p, "integer")
-    elif cfg["code"] == "shannon_pstar":
-        sol = optimize_age(p)
-        lengths = np.maximum(1, np.ceil(sol.lengths - 1e-9)).astype(int)
-    else:
+    if cfg["code"] not in ("shannon_p", "shannon_pstar"):
         raise ConfigError(f"unknown code {cfg['code']!r}")
+    lengths = shannon_lengths(p, "integer")  # also rejects zero-probability symbols
+    if cfg["code"] == "shannon_pstar":
+        lengths = np.maximum(1, np.ceil(optimize_age(p).lengths - 1e-9)).astype(int)
     res = simulate_update_scheme(lengths, p, cfg["horizon"], SeedPath(args.seed).child("sim"),
                                  erasure=cfg["erasure"])
     if cfg["erasure"] > 0:

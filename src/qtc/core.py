@@ -10,12 +10,12 @@ Conventions used by every encoder/decoder pair in this package:
   both sides; encoder-private randomness (randomized rounding) is drawn after
   all shared values, so the decoder never needs it.
 
-For a quantizer declared as a `Kernel`, the shared code enforces that order:
-the codec that `kernel_quantizer` builds and the batched sampler
-`Quantizer.sample` both check their input before any draw, then run the
-kernel's shared draw, its encode (which makes the private draws) and its
-decode.  So a codec round trip under a SeedPath is the first row the sampler
-draws from that path's stream.
+Every quantizer in this package is declared as a `Kernel`, and the shared
+code enforces that order: the codec that `kernel_quantizer` builds and the
+batched sampler `Quantizer.sample` both check their input before any draw,
+then run the kernel's shared draw, its encode (which makes the private
+draws) and its decode.  So a codec round trip under a SeedPath is the first
+row the sampler draws from that path's stream.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ class Kernel:
     ``check_input(x)`` and ``check_side(side)`` return the checked input and
     side information, or raise ValueError.  ``draw(rng, m)`` makes the shared
     draws of m repetitions.  ``encode(rows, shared, rng)`` returns the fields
-    of one vector (for all m repetitions) or of m rows, making its private
+    of one vector (for all m repetitions) or, where the kernel allows, of m
+    rows, making its private
     draws after the shared ones; ``decode(fields, side, shared)`` returns the
     (m, d) reconstructions.  ``write(bits, fields)`` packs the fields of one
     repetition, and ``read(reader)`` reads them back as a batch of one,
@@ -305,8 +306,9 @@ class Quantizer:
 
     ``bit_budget`` is the worst-case message length in bits; ``None`` marks a
     variable-length scheme whose guarantee is on expected length only.
-    ``kernel`` is set on quantizers built by `kernel_quantizer`, which can
-    also `sample`.
+    ``kernel`` is set by `kernel_quantizer`, which builds every quantizer in
+    this package; `sample` needs it.  A Quantizer built from a bare
+    encode/decode pair (a wrapper's, say) has none and cannot sample.
     """
 
     encode: EncodeFn

@@ -87,7 +87,8 @@ def run_dme(
     By default every (trial, client) pair runs the bit-exact encode/decode
     round trip.  With `sampled`, client i's reconstructions are
     `quantizers[i].sample` drawn from the client's stream: the same kernel
-    and draws without packing any message.
+    and draws without packing any message.  Every qtc quantizer can sample;
+    one built without a kernel makes `sample` raise TypeError.
     """
     n, d = instance.n, instance.d
     if len(quantizers) != n:

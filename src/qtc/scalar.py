@@ -19,8 +19,6 @@ __all__ = [
     "cuq_round",
     "cuq_round_with",
     "cuq_levels",
-    "cuq_encode",
-    "cuq_decode",
     "cuq_expected_decode",
     "cuq_conditional_mse",
     "mq_encode",
@@ -124,20 +122,6 @@ class UniformGrid:
     @property
     def symbol_bits(self) -> int:
         return math.ceil(math.log2(self.k + 1))
-
-
-def cuq_encode(y: np.ndarray, grid: UniformGrid, rng: np.random.Generator) -> np.ndarray:
-    """Randomized-rounding encode (`cuq_round`); returns int symbols in
-    {0..k-1} or OVERFLOW."""
-    y = np.asarray(y, dtype=float)
-    return cuq_round(y, grid.M, grid.k, rng, grid.signed).astype(np.int64)
-
-
-def cuq_decode(symbols: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    sym = np.asarray(symbols)
-    if np.any(sym >= grid.k):
-        raise MalformedStreamError("malformed stream: symbol out of range")
-    return grid.level(sym)
 
 
 def cuq_expected_decode(y: np.ndarray, grid: UniformGrid) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_quantize, log_star, pick_range
+from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_fields, aguq_levels, log_star, pick_range
 from .core import (
     BitReader,
     BitString,
@@ -34,14 +34,11 @@ from .rotation import (
     pad_to_pow2,
     rotate_batch,
     sample_shared,
-    sample_signs_batch,
     sparse_correction,
     unrotate_batch,
 )
 from .scalar import (
     UniformGrid,
-    cuq_decode,
-    cuq_encode,
     cuq_levels,
     cuq_round_with,
     read_cuq_symbols,
@@ -58,7 +55,6 @@ __all__ = [
     "gaussian_rd_run",
     "AratqConfig",
     "aratq_quantizer",
-    "simq_encode",
     "simq_decode",
     "simq_quantizer",
     "SimqPlusConfig",
@@ -226,17 +222,23 @@ def ratq_quantizer(cfg: RatqConfig) -> Quantizer:
     return kernel_quantizer(_ratq_kernel(cfg), cfg.bit_budget, f"ratq(d={cfg.d},B={cfg.B:g})")
 
 
-def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
-    """Quantize each row of (n, d) once with independent randomness: (n, d)."""
+def _check_rows(ys, cfg: RatqConfig) -> np.ndarray:
+    """`ys` as finite rows of length cfg.d, (n, d); raises ValueError otherwise."""
     ys = check_finite(np.atleast_2d(ys))
     if ys.shape[1] != cfg.d:
         raise ValueError(f"input rows have length {ys.shape[1]}, expected {cfg.d}")
+    return ys
+
+
+def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
+    """Quantize each row of (n, d) once with independent randomness: (n, d)."""
+    ys = _check_rows(ys, cfg)
     return _ratq_kernel(cfg).run(ys, None, ys.shape[0], rng)
 
 
 def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
     """ATUQ without the rotation step (identity transform), row by row."""
-    ys = check_finite(np.atleast_2d(ys))
+    ys = _check_rows(ys, cfg)
     out = np.empty_like(ys)
     for lo, hi in _chunks(ys.shape[0], cfg.d):
         out[lo:hi] = _atuq_levels(_atuq_fields(ys[lo:hi], rng.random(out[lo:hi].shape), cfg), cfg)
@@ -332,94 +334,92 @@ class AratqConfig:
 
 
 def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
-    shape_cfg = cfg.shape
+    """A-RATQ declared as a kernel: the gain |y| by AGUQ (or AGUQ+), the shape
+    y/|y| (e1 for y = 0) by the unit-ball RATQ kernel.  Its draws: the signs,
+    one gain-rounding uniform per repetition (none when every gain
+    overflows), then the shape's RATQ uniforms.  encode takes one vector."""
     plus = AguqPlus(cfg.B, cfg.T) if cfg.gain_mode == "aguq_plus" else None
+    ladder = cfg.gain_ladder if plus is None else plus.ladder
+    levels = np.full(ladder.h_g, cfg.k_g) if plus is None else plus.levels
+    grid = cfg.gain_grid(0)  # the level count and field width of every range
+    shape = _ratq_kernel(cfg.shape)
 
-    def encode(y: np.ndarray, side, rng: np.random.Generator) -> BitString:
-        y = check_vector(y, cfg.d)
+    def encode(y, shared, rng):
         gain = float(np.linalg.norm(y))
-        shape = y / gain if gain > 0 else _e1(cfg.d)
-        signs = sample_signs_batch(rng, 1, shape_cfg.d_pad)  # shared draw first
-        bits = BitString()
+        fields = aguq_fields(np.full(len(shared[0]), gain), ladder, levels, rng)
+        return fields, shape.encode(y / gain if gain > 0 else np.eye(1, cfg.d)[0], shared, rng)
+
+    def decode(fields, side, shared):
+        return aguq_levels(fields[0], ladder, levels)[:, None] * shape.decode(fields[1], None, shared)
+
+    def write(bits, fields):
+        j, sym = int(fields[0][0][0]), int(fields[0][1][0])
         if plus is not None:
-            gbits, _ = plus.encode(gain, rng)
-            bits.extend(gbits)
+            plus.write(bits, j, sym)
         else:
-            j, sym, _ = aguq_quantize(gain, cfg.gain_ladder, cfg.k_g, rng)
-            if cfg.gain_ladder.index_bits:
-                bits.write_uint(j, cfg.gain_ladder.index_bits)
-            write_cuq_symbols(bits, [sym], cfg.gain_grid(j))
-        fields = _ratq_encode(shape_cfg, shape, signs, None, rng)
-        return _write_atuq(bits, fields, shape_cfg)
+            if ladder.index_bits:
+                bits.write_uint(j, ladder.index_bits)
+            write_cuq_symbols(bits, [sym], grid)
+        return shape.write(bits, fields[1])
 
-    def decode(bits: BitString, side, rng: np.random.Generator) -> np.ndarray:
-        signs = sample_signs_batch(rng, 1, shape_cfg.d_pad)
-        reader = BitReader(bits)
+    def read(reader):
         if plus is not None:
-            gain_hat = plus.decode(reader)
+            j, sym = plus.read(reader)
         else:
-            j = reader.read_uint(cfg.gain_ladder.index_bits) if cfg.gain_ladder.index_bits else 0
-            grid = cfg.gain_grid(j)
-            gain_hat = float(cuq_decode(read_cuq_symbols(reader, 1, grid), grid)[0])
-        fields = _read_atuq(reader, shape_cfg, shape_cfg.d_pad)
-        reader.finish()
-        return gain_hat * _ratq_decode(shape_cfg, fields, None, signs, None)[0]
+            j = reader.read_uint(ladder.index_bits) if ladder.index_bits else 0
+            if j >= ladder.h_g:
+                raise MalformedStreamError("malformed stream: gain range index out of ladder")
+            sym = int(read_cuq_symbols(reader, 1, grid)[0])
+        return (np.array([j]), np.array([sym])), shape.read(reader)
 
-    return Quantizer(
-        encode, decode, cfg.bit_budget, name=f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})"
-    )
-
-
-def _e1(d: int) -> np.ndarray:
-    e = np.zeros(d)
-    e[0] = 1.0
-    return e
+    kernel = Kernel(cfg.d, cfg.shape.d_pad, lambda y: check_vector(y, cfg.d), lambda side: None,
+                    shape.draw, encode, decode, write, read)
+    return kernel_quantizer(kernel, cfg.bit_budget, f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})")
 
 
 # ---------------------------------------------------------------------------
 # SimQ / SimQ+
 
 
-def simq_encode(y: np.ndarray, B: float, rng: np.random.Generator) -> int:
-    """Sample a signed corner index: +-i with prob |y(i)|/B, 0 otherwise."""
-    y = check_finite(y)
-    l1 = float(np.abs(y).sum())
-    if l1 > B * _NORM_SLACK:
-        raise ValueError(f"l1 norm {l1:.6g} exceeds bound B = {B:.6g}")
-    u = rng.random() * B
-    csum = np.cumsum(np.abs(y))
-    idx = int(np.searchsorted(csum, u, side="right"))
-    if idx >= y.size:
-        return 0
-    return (idx + 1) * (1 if y[idx] >= 0 else -1)
-
-
-def simq_decode(symbol: int, B: float, d: int) -> np.ndarray:
-    if symbol == 0:
-        return np.zeros(d)
-    i = abs(symbol) - 1
-    out = np.zeros(d)
-    out[i] = B * (1 if symbol > 0 else -1)
-    return out
+def simq_decode(symbols, B: float, d: int) -> np.ndarray:
+    """The corners that signed corner indices stand for: B e_i for i, -B e_i
+    for -i and 0 for 0, one length-d row per symbol."""
+    s = np.asarray(symbols)[..., None]
+    return np.where(np.arange(1, d + 1) == np.abs(s), B * np.sign(s), 0.0)
 
 
 def simq_quantizer(B: float, d: int) -> Quantizer:
+    """SimQ declared as a kernel.  It shares no draws, so `draw` passes the
+    repetition count on; encode draws one uniform per repetition and picks
+    the signed corner index +-i with probability |y(i)|/B, 0 otherwise.  The
+    message sends i as i and -i as d + i."""
     width = math.ceil(math.log2(2 * d + 1))
 
-    def encode(y, side, rng):
-        s = simq_encode(check_vector(y, d), B, rng)
-        code = 0 if s == 0 else (s if s > 0 else d + (-s))
-        return BitString().write_uint(code, width)
+    def check_input(y):
+        y = check_vector(y, d)
+        l1 = float(np.abs(y).sum())
+        if l1 > B * _NORM_SLACK:
+            raise ValueError(f"l1 norm {l1:.6g} exceeds bound B = {B:.6g}")
+        return y
 
-    def decode(bits, side, rng):
-        reader = BitReader(bits)
+    def encode(y, m, rng):
+        idx = np.searchsorted(np.cumsum(np.abs(y)), rng.random(m) * B, side="right")
+        hit = idx < d
+        return np.where(hit, idx + 1, 0) * np.where(y[np.where(hit, idx, 0)] >= 0, 1, -1)
+
+    def write(bits, symbols):
+        s = int(symbols[0])
+        return bits.write_uint(s if s >= 0 else d - s, width)
+
+    def read(reader):
         code = reader.read_uint(width)
-        reader.finish()
         if code > 2 * d:
             raise MalformedStreamError(f"malformed stream: SimQ code {code} above 2d = {2 * d}")
-        return simq_decode(code if code <= d else d - code, B, d)
+        return np.array([code if code <= d else d - code])
 
-    return Quantizer(encode, decode, width, name=f"simq(d={d},B={B:g})")
+    kernel = Kernel(d, d, check_input, lambda side: None, lambda rng, m: m, encode,
+                    lambda symbols, side, m: simq_decode(symbols, B, d), write, read)
+    return kernel_quantizer(kernel, width, f"simq(d={d},B={B:g})")
 
 
 def _bar_positions(counts: np.ndarray) -> list[int]:
@@ -613,41 +613,50 @@ class LpSplitConfig:
 
 
 def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
+    """The split quantizer declared as a kernel.  Its draws: the RATQ signs,
+    one CUQ uniform per coordinate, then the RATQ uniforms of the zero-filled
+    restriction to the large coordinates.  encode takes one vector."""
     grid = cfg.cuq_grid
     ratq_cfg = cfg.ratq_cfg
+    ratq = _ratq_kernel(ratq_cfg)
 
-    def encode(y, side, rng):
+    def check_input(y):
         y = check_vector(y, cfg.d)
         q = cfg.q
         norm = np.max(np.abs(y)) if q == math.inf else np.sum(np.abs(y) ** q) ** (1 / q)
         if norm > cfg.B * _NORM_SLACK:
             raise ValueError(f"lq norm {norm:.6g} exceeds bound B={cfg.B}")
-        signs = sample_signs_batch(rng, 1, ratq_cfg.d_pad)  # shared draw before any private one
-        large = np.abs(y) > grid.M
-        bits = BitString()
-        write_cuq_symbols(bits, cuq_encode(np.where(large, 0.0, y), grid, rng), grid)
-        bits.write_fields(large, 1)
-        vals = y[large]
-        if vals.size > ratq_cfg.d:
-            raise AssertionError("more large coordinates than the lq bound allows")
-        restriction = np.zeros(ratq_cfg.d)
-        restriction[: vals.size] = vals
-        fields = _ratq_encode(ratq_cfg, restriction, signs, None, rng)
-        return _write_atuq(bits, fields, ratq_cfg)
+        if np.count_nonzero(np.abs(y) > grid.M) > ratq_cfg.d:
+            raise ValueError(f"more than {ratq_cfg.d} coordinates above the threshold {grid.M:.6g}")
+        return y
 
-    def decode(bits, side, rng):
-        signs = sample_signs_batch(rng, 1, ratq_cfg.d_pad)  # same shared draw as the encoder
-        reader = BitReader(bits)
-        out = cuq_decode(read_cuq_symbols(reader, cfg.d, grid), grid)
-        mask = reader.read_fields(cfg.d, 1).astype(bool)
-        fields = _read_atuq(reader, ratq_cfg, ratq_cfg.d_pad)
-        reader.finish()
-        n_large = int(mask.sum())
-        if n_large > ratq_cfg.d:
-            raise MalformedStreamError(
-                f"malformed stream: {n_large} large coordinates, at most {ratq_cfg.d}"
-            )
-        out[mask] += _ratq_decode(ratq_cfg, fields, None, signs, None)[0, :n_large]
+    def encode(y, shared, rng):
+        large = np.abs(y) > grid.M
+        u = rng.random((len(shared[0]), cfg.d))
+        sym = cuq_round_with(np.broadcast_to(np.where(large, 0.0, y), u.shape), grid.M, grid.k, u)
+        restriction = np.zeros(ratq_cfg.d)
+        restriction[: large.sum()] = y[large]
+        return sym, large, ratq.encode(restriction, shared, rng)
+
+    def decode(fields, side, shared):
+        sym, large, ratq_fields = fields
+        out = grid.level(sym)
+        out[:, large] += ratq.decode(ratq_fields, None, shared)[:, : large.sum()]
         return out
 
-    return Quantizer(encode, decode, cfg.bit_budget, name=f"lp-split(d={cfg.d},p={cfg.p:g})")
+    def write(bits, fields):
+        sym, large, ratq_fields = fields
+        write_cuq_symbols(bits, sym[0], grid)
+        return ratq.write(bits.write_fields(large, 1), ratq_fields)
+
+    def read(reader):
+        sym = read_cuq_symbols(reader, cfg.d, grid)
+        large = reader.read_fields(cfg.d, 1).astype(bool)
+        if large.sum() > ratq_cfg.d:
+            raise MalformedStreamError(
+                f"malformed stream: {large.sum()} large coordinates, at most {ratq_cfg.d}")
+        return sym[None], large, ratq.read(reader)
+
+    kernel = Kernel(cfg.d, max(cfg.d, ratq_cfg.d_pad), check_input, lambda side: None,
+                    ratq.draw, encode, decode, write, read)
+    return kernel_quantizer(kernel, cfg.bit_budget, f"lp-split(d={cfg.d},p={cfg.p:g})")

@@ -7,11 +7,12 @@ from qtc.adaptive import (
     AguqPlus,
     GeoLadder,
     TetraLadder,
-    aguq_quantize,
+    aguq_fields,
+    aguq_levels,
     log_star,
     tetration,
 )
-from qtc.core import BitReader, SeedPath
+from qtc.core import BitReader, BitString, SeedPath
 from qtc.scalar import OVERFLOW
 from qtc.vector import RatqConfig, _atuq_fields, _atuq_levels, atuq_vector_apply
 
@@ -90,16 +91,26 @@ def test_atuq_subgaussian_mse_bound():
     assert mse <= v * (9 + 3 * math.log(s)) / (k - 1) ** 2 * 1.05
 
 
+def _aguq(gains, ladder, levels, rng):
+    """AGUQ on a batch of gains: (range indices, symbols, reconstructions)."""
+    j, sym = aguq_fields(np.asarray(gains, dtype=float), ladder, levels, rng)
+    return j, sym, aguq_levels((j, sym), ladder, levels)
+
+
 def test_geo_ladder_and_aguq():
     lad = GeoLadder(1.0, 2.0, 3)
     assert np.allclose(lad.ranges**2, [1.0, 2.0, 4.0])
+    j, sym, rec = _aguq([0.0, 1.5, 5.0], lad, np.full(3, 4), SeedPath(1).stream())
+    assert (j[0], sym[0], rec[0]) == (0, 0, 0.0)
+    assert j[1] == 2  # M0=1 < M1=sqrt2 < 1.5 <= M2=2
+    assert sym[2] == OVERFLOW and rec[2] == 0.0 and j[2] == lad.h_g - 1
+    with pytest.raises(ValueError, match="nonnegative"):
+        _aguq([0.5, -0.1], lad, np.full(3, 4), SeedPath(1).stream())
+    # a batch that overflows throughout draws nothing
     rng = SeedPath(1).stream()
-    j, sym, rec = aguq_quantize(0.0, lad, 4, rng)
-    assert (j, sym, rec) == (0, 0, 0.0)
-    j, _, _ = aguq_quantize(1.5, lad, 4, rng)
-    assert j == 2  # M0=1 < M1=sqrt2 < 1.5 <= M2=2
-    j, sym, rec = aguq_quantize(5.0, lad, 4, rng)
-    assert sym == OVERFLOW and rec == 0.0 and j == lad.h_g - 1
+    state = rng.bit_generator.state
+    assert np.all(_aguq([5.0, 9.0], lad, np.full(3, 4), rng)[1] == OVERFLOW)
+    assert rng.bit_generator.state == state
 
 
 def test_aguq_second_moment_and_bias():
@@ -110,7 +121,7 @@ def test_aguq_second_moment_and_bias():
     tall = lad.ranges[-1] * 2.0
     p_tall = B**2 / tall**2
     gains = np.where(rng.random(40_000) < p_tall, tall, 0.0)
-    recs = np.array([aguq_quantize(g, lad, k_g, rng)[2] for g in gains])
+    recs = _aguq(gains, lad, np.full(h_g, k_g), rng)[2]
     second = (recs**2).mean()
     bound = B**2 * (1 / (4 * (k_g - 1) ** 2) + a_g * (h_g - 1) / (4 * (k_g - 1) ** 2) + 1)
     assert second <= bound * 1.1
@@ -118,33 +129,43 @@ def test_aguq_second_moment_and_bias():
     assert bias <= B**2 / lad.ranges[-1] * 1.15
 
 
+def _aguq_plus_message(ap, j, sym):
+    return ap.write(BitString(), int(j), int(sym))
+
+
 def test_aguq_plus_examples():
     ap = AguqPlus(1.0, 16)
     assert ap.h_g == 3
-    rng = SeedPath(3).stream()
-    bits, rec = ap.encode(0.0, rng)
-    assert bits.nbits == 2 and rec == 0.0  # unary "0" + one level bit
-    bits, _ = ap.encode(1.2, rng)
+    j, sym, rec = _aguq([0.0, 1.2], ap.ladder, ap.levels, SeedPath(3).stream())
+    bits = _aguq_plus_message(ap, j[0], sym[0])
+    assert bits.nbits == 2 and rec[0] == 0.0  # unary "0" + one level bit
+    bits = _aguq_plus_message(ap, j[1], sym[1])
     assert bits.to01()[:2] == "10" and bits.nbits == 4  # j=1: "10" + 2 level bits
 
 
 def test_aguq_plus_roundtrip_and_mean_length():
     ap = AguqPlus(1.0, 4096)
     rng = SeedPath(4).stream()
-    total = 0
     n = 20_000
-    for g in np.abs(rng.normal(size=n)):
-        bits, rec = ap.encode(g, rng)
-        assert ap.decode(BitReader(bits)) == rec
-        total += bits.nbits
-    assert total / n <= 20.0
+    j, sym, rec = _aguq(np.abs(rng.normal(size=n)), ap.ladder, ap.levels, rng)
+    bits = BitString()
+    for jj, ss in zip(j, sym):
+        ap.write(bits, int(jj), int(ss))
+    reader = BitReader(bits)
+    back = np.array([ap.read(reader) for _ in range(n)]).T
+    reader.finish()
+    assert np.array_equal(back, [j, sym])
+    assert np.array_equal(aguq_levels(back, ap.ladder, ap.levels), rec)
+    assert bits.nbits / n <= 20.0
 
 
 def test_aguq_plus_overflow():
     ap = AguqPlus(1.0, 16)
-    bits, rec = ap.encode(1e9, SeedPath(5).stream())
-    assert rec == 0.0
-    assert ap.decode(BitReader(bits)) == 0.0
+    j, sym, rec = _aguq([1e9], ap.ladder, ap.levels, SeedPath(5).stream())
+    assert rec[0] == 0.0
+    back = ap.read(BitReader(_aguq_plus_message(ap, j[0], sym[0])))
+    assert back == (ap.h_g - 1, OVERFLOW)
+    assert aguq_levels(np.array([back]).T, ap.ladder, ap.levels)[0] == 0.0
 
 
 def test_budget_formulas():

@@ -76,6 +76,9 @@ def test_cli_quantize_bench(tmp_path):
     assert code == 0
     lines = text.strip().splitlines()
     assert len(lines) == 3 and lines[1].startswith("ratq,32,")
+    simq = lines[2].split(",")  # the row of simq_quantizer(B, d).sample
+    assert simq[:4] == ["simq", "32", "1", str(math.ceil(math.log2(2 * 32 + 1)))]
+    assert float(simq[4]) == pytest.approx(1.0)  # every draw is a corner of the l1 sphere
 
 
 def test_cli_dme_bench_monotone(tmp_path):
@@ -148,3 +151,32 @@ def test_cli_bad_pmf_file(tmp_path):
     pmf.write_text("a nan\nb 1.0\n")
     for command in ("aoi-solve", "aoi-sim"):
         assert main([command, "--config", str(cfg)]) == 1
+
+
+def test_cli_pmf_file_errors_name_the_file_and_line(tmp_path, capsys):
+    pmf = tmp_path / "p.txt"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"pmf_file = {pmf}\n")
+    for text, bad in (("a 0.5\n# note\nb 0.25 x\nc 0.25\n", "'b 0.25 x'"),
+                      ("a 0.5\n\nb half\n", "'b half'"),
+                      ("a 0.5\n# note\n0.5\n", "'0.5'")):
+        pmf.write_text(text)
+        for command in ("aoi-solve", "aoi-sim"):
+            assert main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"qtc: {pmf} line 3: expected 'symbol probability', got {bad}\n"
+    pmf.unlink()
+    assert main(["aoi-solve", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("qtc: cannot read pmf file: ")
+
+
+def test_cli_aoi_sim_rejects_zero_probability_symbols_for_every_code(tmp_path, capsys):
+    pmf = tmp_path / "p.txt"
+    pmf.write_text("a 0.5\nb 0.5\nc 0\n")
+    for code in ("shannon_p", "shannon_pstar"):
+        cfg = tmp_path / f"{code}.cfg"
+        cfg.write_text(f"pmf_file = {pmf}\nhorizon = 1000\ncode = {code}\n")
+        assert main(["aoi-sim", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "qtc: drop zero-probability symbols before assigning lengths\n")
+

@@ -7,8 +7,11 @@ the rotated fixed-length codes (RATQ, RMQ and their subsampled forms) signs,
 then subset masks, then one private uniform per rotated coordinate; for the
 RDAQ family signs, then N uniforms per rotated coordinate shared by all
 scales, then subset masks; for DAQ one uniform per coordinate; for SimQ+ one
-multinomial type.  So a round trip under a SeedPath equals the sampler's
-single draw from that path's stream.
+multinomial type; for SimQ one uniform.  A-RATQ draws signs, one gain
+uniform (none when the gain overflows), then the shape's RATQ uniforms; the
+split quantizer signs, one CUQ uniform per coordinate, then the RATQ
+uniforms of its large part.  So a round trip under a SeedPath equals the
+sampler's single draw from that path's stream.
 """
 
 import ast
@@ -32,12 +35,17 @@ from qtc.sideinfo import (
     wz_unknown_quantizer,
 )
 from qtc.vector import (
+    AratqConfig,
+    LpSplitConfig,
     RatqConfig,
     SimqPlusConfig,
+    aratq_quantizer,
+    lp_split_quantizer,
     ratq_apply,
     ratq_quantizer,
     rcs_wrap,
     simq_plus_quantizer,
+    simq_quantizer,
 )
 
 INPUTS = 10
@@ -82,9 +90,27 @@ def _simq_plus(k):
     return simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0, k)), None, 16, 0.9, None
 
 
+def _aratq(norm, gain_mode="aguq"):
+    cfg = AratqConfig.default(1.0, 32, T=1024, gain_mode=gain_mode)
+    return aratq_quantizer(cfg), None, 32, norm, None
+
+
+def _spiky(rng, d):
+    """An input of l3 norm below 1 with two coordinates of 0.6, above the
+    p = 1.5 split threshold at d = 64 (about 0.4)."""
+    v = _vec(rng, d, 0.3)
+    v[rng.integers(d, size=2)] = 0.6
+    return v
+
+
+def _l1(rng, d):
+    v = rng.normal(size=d)
+    return v * (0.9 / np.abs(v).sum())
+
+
 # name -> () -> (codec, sampler call or None for the codec's own `sample`, d,
-# norm of the input, distance of the side information or None); the RDAQ
-# family and DAQ get unit-ball pairs
+# norm of the input or a function (rng, d) -> input, distance of the side
+# information or None); the RDAQ family and DAQ get unit-ball pairs
 CASES = {
     "ratq-d24": lambda: _ratq(24),
     "ratq-d64": lambda: _ratq(64),
@@ -107,13 +133,20 @@ CASES = {
     "daq": lambda: (daq_quantizer(D_SUB), None, D_SUB, 0.6, 0.3),
     "simq-plus-k16": lambda: _simq_plus(16),
     "simq-plus-k1": lambda: _simq_plus(1),
+    "aratq-aguq": lambda: _aratq(0.7),
+    "aratq-aguq-overflow": lambda: _aratq(40.0),  # above the top gain range
+    "aratq-aguq-plus": lambda: _aratq(1.5, "aguq_plus"),
+    "lp-split-p1.5": lambda: (lp_split_quantizer(LpSplitConfig(1.0, 64, 1.5)), None, 64, _spiky, None),
+    "lp-split-p1": lambda: (lp_split_quantizer(LpSplitConfig(1.0, 16, 1.0)), None, 16, 0.9, None),
+    "simq": lambda: (simq_quantizer(1.0, 16), None, 16, _l1, None),
 }
 
 # The factories that build their quantizer with `core.kernel_quantizer`; the
 # cases above cover each of them.
 KERNEL_FACTORIES = {
     "ratq_quantizer", "rcs_wrap", "wz_known_quantizer", "rdaq_quantizer",
-    "wz_unknown_quantizer", "daq_quantizer", "simq_plus_quantizer",
+    "wz_unknown_quantizer", "daq_quantizer", "simq_plus_quantizer", "aratq_quantizer",
+    "lp_split_quantizer", "simq_quantizer",
 }
 
 # The public samplers that are not a quantizer's `sample`: each runs a
@@ -138,7 +171,7 @@ def test_codec_reconstruction_is_the_first_sampler_row(name):
     sampler = sampler or q.sample
     rng = SeedPath(90).child(name).stream()
     for i in range(INPUTS):
-        x = _vec(rng, d, norm)
+        x = norm(rng, d) if callable(norm) else _vec(rng, d, norm)
         side = None if delta is None else x + _vec(rng, d, delta)
         path = SeedPath(91).child(name, i)
         rec = q.roundtrip(x, side, path)[1]
@@ -172,3 +205,17 @@ def test_no_sampler_twin_is_left():
     modules = [importlib.import_module(f"qtc.{m.name}") for m in pkgutil.iter_modules(qtc.__path__)]
     names = {f.name for mod in modules for f in _functions(mod) if f.name.endswith("_sample")}
     assert names == {"boosted_rdaq_sample"}
+
+
+def _quantizer_calls(node):
+    return [c for c in ast.walk(node) if isinstance(c, ast.Call)
+            and "Quantizer" in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+
+
+def test_every_quantizer_is_built_by_kernel_quantizer():
+    """No `Quantizer(...)` call in the library but the one in
+    `core.kernel_quantizer`, so every codec runs a kernel and can `sample`."""
+    modules = [importlib.import_module(f"qtc.{m.name}") for m in pkgutil.iter_modules(qtc.__path__)]
+    calls = sum(len(_quantizer_calls(ast.parse(inspect.getsource(mod)))) for mod in modules)
+    (factory,) = [f for f in _functions(core) if f.name == "kernel_quantizer"]
+    assert calls == len(_quantizer_calls(factory)) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtc.core import SeedPath
+from qtc.core import Quantizer, SeedPath
 from qtc.dme import (
     DmeInstance,
     configure_known_delta,
@@ -173,8 +173,10 @@ def test_sampled_run_draws_each_client_from_its_own_quantizer():
 def test_sampled_run_needs_a_kernel():
     d = 8
     inst = DmeInstance(unit_rows(20, 1, d) * 0.5, None, None, r=d)
+    q = simq_quantizer(1.0, d)
+    stand_in = Quantizer(q.encode, q.decode, q.bit_budget)  # a codec built without a kernel
     with pytest.raises(TypeError, match="no batched kernel"):
-        run_dme(inst, [simq_quantizer(1.0, d)], SeedPath(21), 5, sampled=True)
+        run_dme(inst, [stand_in], SeedPath(21), 5, sampled=True)
 
 
 def test_instance_and_quantizer_count_checked():

@@ -7,9 +7,8 @@ from qtc.scalar import (
     ModuloParams,
     UniformGrid,
     cuq_conditional_mse,
-    cuq_decode,
-    cuq_encode,
     cuq_expected_decode,
+    cuq_round,
     mq_decode,
     mq_encode,
     mq_quantize,
@@ -49,32 +48,33 @@ def test_cuq_exact_unbiasedness(M, k):
 def test_cuq_sampling_law():
     grid = UniformGrid(1.0, 2)
     rng = SeedPath(0).stream()
-    sym = cuq_encode(np.full(200_000, 0.5), grid, rng)
+    sym = cuq_round(np.full(200_000, 0.5), grid.M, grid.k, rng)
     assert abs((sym == 1).mean() - 0.75) < 0.01
 
 
 def test_cuq_endpoints_deterministic():
     grid = UniformGrid(1.0, 5)
     rng = SeedPath(1).stream()
-    assert np.all(cuq_encode(np.full(100, -1.0), grid, rng) == 0)
-    assert np.all(cuq_encode(np.full(100, 1.0), grid, rng) == 4)
+    assert np.all(cuq_round(np.full(100, -1.0), grid.M, grid.k, rng) == 0)
+    assert np.all(cuq_round(np.full(100, 1.0), grid.M, grid.k, rng) == 4)
     # an interior level is emitted exactly (half-open cells)
     level1 = -1.0 + grid.spacing
-    assert np.all(cuq_encode(np.full(100, level1), grid, rng) == 1)
+    assert np.all(cuq_round(np.full(100, level1), grid.M, grid.k, rng) == 1)
 
 
 def test_cuq_overflow_symbol():
     grid = UniformGrid(1.0, 2)
     rng = SeedPath(2).stream()
-    assert np.all(cuq_encode(np.array([1.5, -2.0]), grid, rng) == OVERFLOW)
-    assert cuq_decode(np.array([OVERFLOW]), grid)[0] == 0.0
+    assert np.all(cuq_round(np.array([1.5, -2.0]), grid.M, grid.k, rng) == OVERFLOW)
+    assert grid.level(np.array([OVERFLOW]))[0] == 0.0
 
 
 def test_cuq_decode_values():
-    assert cuq_decode(np.array([1]), UniformGrid(1.0, 2))[0] == 1.0
-    assert cuq_decode(np.array([2]), UniformGrid(2.0, 5))[0] == 0.0
+    assert UniformGrid(1.0, 2).level(np.array([1]))[0] == 1.0
+    assert UniformGrid(2.0, 5).level(np.array([2]))[0] == 0.0
+    # a field above k (the overflow code) names no symbol
     with pytest.raises(ValueError):
-        cuq_decode(np.array([5]), UniformGrid(1.0, 5))
+        read_cuq_symbols(BitReader(BitString().write_uint(6, 3)), 1, UniformGrid(1.0, 5))
 
 
 def test_cuq_cell_error_bounds():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qtc.core import BitString, SeedPath
+from qtc.adaptive import GeoLadder
+from qtc.core import BitString, MalformedStreamError, SeedPath
 from qtc.vector import (
     AratqConfig,
     LpSplitConfig,
@@ -17,7 +18,6 @@ from qtc.vector import (
     ratq_quantizer,
     rcs_wrap,
     simq_decode,
-    simq_encode,
     simq_plus_quantizer,
     simq_quantizer,
 )
@@ -148,7 +148,7 @@ def test_aratq_unbiased_in_range():
     cfg = AratqConfig.default(1.0, 32, T=1024)
     q = aratq_quantizer(cfg)
     y = unit_vector(21, 32) * 0.7
-    recs = np.array([q.roundtrip(y, None, SeedPath(22).child("t", t))[1] for t in range(4000)])
+    recs = q.sample(y, None, 4000, SeedPath(22).stream())
     se = recs.std(axis=0) / math.sqrt(len(recs))
     assert np.all(np.abs(recs.mean(axis=0) - y) <= 6 * se + 0.01)
 
@@ -166,6 +166,18 @@ def test_aratq_budget_and_plus_mode():
     assert rec.shape == (32,)
 
 
+def test_aratq_rejects_a_gain_index_past_the_ladder():
+    # three gain ranges take a 2-bit index, so index 3 names no range
+    base = AratqConfig.default(1.0, 32, T=1024)
+    cfg = AratqConfig(1.0, 32, GeoLadder(1.0, 2.0, 3), base.k_g, base.shape)
+    q = aratq_quantizer(cfg)
+    msg = q.encode(unit_vector(27, 32) * 0.5, None, SeedPath(28).stream())
+    bits = msg.to01()
+    bad = BitString().write_fields([1, 1] + [int(b) for b in bits[2:]], 1)
+    with pytest.raises(MalformedStreamError, match="gain range index"):
+        q.decode(bad, None, SeedPath(28).stream())
+
+
 def test_simq_enumeration_exact():
     # analytic 3-outcome enumeration: E[decode] = y to 1e-12
     y = np.array([0.3, -0.2, 0.0])
@@ -178,17 +190,18 @@ def test_simq_enumeration_exact():
 
 def test_simq_distribution_and_corners():
     y = np.array([0.3, -0.2, 0.0])
+    q = simq_quantizer(1.0, 3)
     rng = SeedPath(27).stream()
-    counts = {0: 0, 1: 0, -2: 0}
     n = 50_000
-    for _ in range(n):
-        counts[simq_encode(y, 1.0, rng)] += 1
-    assert abs(counts[1] / n - 0.3) < 0.01
-    assert abs(counts[-2] / n - 0.2) < 0.01
-    assert abs(counts[0] / n - 0.5) < 0.01
-    assert simq_encode(np.zeros(3), 1.0, rng) == 0
+    recs = q.sample(y, None, n, rng)
+    corners = {1: recs[:, 0] == 1.0, -2: recs[:, 1] == -1.0, 0: ~recs.any(axis=1)}
+    assert sum(hit.sum() for hit in corners.values()) == n
+    assert abs(corners[1].mean() - 0.3) < 0.01
+    assert abs(corners[-2].mean() - 0.2) < 0.01
+    assert abs(corners[0].mean() - 0.5) < 0.01
+    assert not q.sample(np.zeros(3), None, 1, rng).any()
     corner = np.array([1.0, 0.0, 0.0])
-    assert all(simq_encode(corner, 1.0, rng) == 1 for _ in range(50))
+    assert np.all(q.sample(corner, None, 50, rng) == corner)
 
 
 def test_simq_rejects_and_budget():
@@ -282,11 +295,7 @@ def test_lp_split_routing_and_unbiasedness():
     big = np.zeros(64)
     big[5] = 1.0
     assert 1.0 > cfg.threshold
-    recs = []
-    for t in range(3000):
-        _, rec = q.roundtrip(big, None, SeedPath(38).child("t", t))
-        recs.append(rec)
-    recs = np.array(recs)
+    recs = q.sample(big, None, 3000, SeedPath(38).stream())
     se = recs.std(axis=0) / math.sqrt(len(recs))
     assert np.all(np.abs(recs.mean(axis=0) - big) <= 6 * se + 0.01)
 
@@ -322,3 +331,12 @@ def test_atuq_vector_apply_matches_variance_contract():
     rec = atuq_vector_apply(xs, cfg, SeedPath(45).stream())
     assert rec.shape == xs.shape
     assert ((rec - xs) ** 2).mean() < 0.01
+
+
+def test_atuq_vector_apply_rejects_rows_of_another_length():
+    cfg = RatqConfig.default(1.0, 64)
+    rng = SeedPath(46).stream()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^input rows have length 40, expected 64$"):
+        atuq_vector_apply(np.zeros((2, 40)), cfg, rng)
+    assert rng.bit_generator.state == state
