@@ -208,8 +208,7 @@ def cmd_opt_bench(args) -> int:
                         reps=cfg["reps"], x_init=x_init)
         qfun = lambda g, rng: ratq_apply(g, rcfg, rng)
         quant = psgd_run(oracle, qfun, dom, T, seed=SeedPath(args.seed).child("q", T),
-                         reps=cfg["reps"], x_init=x_init, alpha2=rcfg.alpha2,
-                         bits_per_step=rcfg.bit_budget)
+                         reps=cfg["reps"], x_init=x_init, alpha2=rcfg.alpha2)
         bound = math.sqrt(2) * dom.diameter * B / math.sqrt(T)
         rows.append([T, base.mean_final_gap, quant.mean_final_gap, bound,
                      rcfg.bit_budget * T])

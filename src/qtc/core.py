@@ -80,12 +80,16 @@ def check_vector(x, d: int, what: str = "input") -> np.ndarray:
 
 
 class BitString:
-    """Append-only bit sequence with exact length accounting."""
+    """Append-only bit sequence with exact length accounting.
 
-    __slots__ = ("_words", "_len")
+    The bits are one MSB-first Python int plus their count; leading zero
+    bits exist only in the count.
+    """
+
+    __slots__ = ("_value", "_len")
 
     def __init__(self) -> None:
-        self._words: list[int] = []  # 32-bit chunks, MSB-first within a chunk
+        self._value = 0
         self._len = 0
 
     @property
@@ -102,19 +106,7 @@ class BitString:
         value = int(value)
         if value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        used = self._len & 31
-        if used:  # top up the partial last word first
-            take = min(32 - used, width)
-            width -= take
-            self._words[-1] = (self._words[-1] << take) | (value >> width)
-            value &= (1 << width) - 1
-            self._len += take
-        full, rest = divmod(width, 32)
-        if full:
-            chunk = (value >> rest).to_bytes(4 * full, "big")
-            self._words.extend(np.frombuffer(chunk, dtype=">u4").tolist())
-        if rest:
-            self._words.append(value & ((1 << rest) - 1))
+        self._value = (self._value << width) | value
         self._len += width
         return self
 
@@ -133,28 +125,17 @@ class BitString:
         packed = int.from_bytes(np.packbits(bits).tobytes(), "big")
         return self.write_uint(packed >> (-n % 8), n)
 
-    def _slice(self, pos: int, width: int) -> int:
-        """Bits [pos, pos + width) as one MSB-first integer."""
-        last = len(self._words) - 1
-        acc, end = 0, 0
-        for w in range(pos >> 5, ((pos + width - 1) >> 5) + 1):
-            # every word but the last holds 32 bits
-            bits = 32 if w < last or (self._len & 31) == 0 else self._len & 31
-            acc = (acc << bits) | self._words[w]
-            end = 32 * w + bits
-        return (acc >> (end - pos - width)) & ((1 << width) - 1)
-
     def to01(self) -> str:
-        return format(self._slice(0, self._len), f"0{self._len}b") if self._len else ""
+        return format(self._value, f"0{self._len}b") if self._len else ""
 
     def extend(self, other: "BitString") -> "BitString":
-        return self.write_uint(other._slice(0, other._len), other._len) if other._len else self
+        return self.write_uint(other._value, other._len) if other._len else self
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitString)
             and self._len == other._len
-            and self._words == other._words
+            and self._value == other._value
         )
 
     def __repr__(self) -> str:
@@ -172,13 +153,13 @@ class BitReader:
     def read_uint(self, width: int) -> int:
         if width < 1:
             raise ValueError(f"width must be >= 1, got {width}")
-        if self.cursor + width > self._bs.nbits:
+        bs, end = self._bs, self.cursor + width
+        if end > bs._len:
             raise TruncatedStreamError(
-                f"read of {width} bits at {self.cursor} overruns length {self._bs.nbits}"
+                f"read of {width} bits at {self.cursor} overruns length {bs._len}"
             )
-        value = self._bs._slice(self.cursor, width)
-        self.cursor += width
-        return value
+        self.cursor = end
+        return (bs._value >> (bs._len - end)) & ((1 << width) - 1)
 
     def read_bit(self) -> int:
         return self.read_uint(1)

@@ -1,15 +1,17 @@
 """Quantized first-order optimization harnesses.
 
-Projected SGD and stochastic mirror descent share one engine (the mirror map
-||x||_a^2 / (2(a-1)) reduces to 0.5 ||x||_2^2 at a = 2, so PSGD is literally
-the a = 2 trajectory).  Runs are batched over independent replications; all
-oracles operate on (reps, d) arrays.
+Projected SGD, stochastic mirror descent and the l1 phase scheme share one
+engine (the mirror map ||x||_a^2 / (2(a-1)) reduces to 0.5 ||x||_2^2 at
+a = 2, so PSGD is literally the a = 2 trajectory, and a phase of the phase
+scheme is one engine step whose oracle query is the phase estimate).  Runs
+are batched over independent replications; all oracles operate on (reps, d)
+arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,11 +34,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Domain:
-    """l2 ball or l-infinity box, with Euclidean projection."""
+    """l2 ball or l-infinity box centred at the origin, with Euclidean projection."""
 
     kind: str  # "l2_ball" | "linf_box"
     radius: float
-    center: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in ("l2_ball", "linf_box"):
@@ -44,28 +45,22 @@ class Domain:
         if self.radius <= 0:
             raise ValueError("domain radius must be positive")
 
-    def _c(self, d: int) -> np.ndarray:
-        return np.zeros(d) if self.center is None else self.center
-
     @property
     def diameter(self) -> float:
         return 2.0 * self.radius  # l2 diameter for the ball; box edge for linf
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        c = self._c(x.shape[-1])
-        z = x - c
         if self.kind == "l2_ball":
-            norms = np.linalg.norm(z, axis=-1, keepdims=True)
-            scale = np.minimum(1.0, self.radius / np.maximum(norms, 1e-300))
-            return c + z * scale
-        return c + np.clip(z, -self.radius, self.radius)
+            norms = np.linalg.norm(x, axis=-1, keepdims=True)
+            return x * np.minimum(1.0, self.radius / np.maximum(norms, 1e-300))
+        return np.clip(x, -self.radius, self.radius)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        z = np.atleast_2d(x) - self._c(np.atleast_2d(x).shape[-1])
+        x = np.atleast_2d(x)
         if self.kind == "l2_ball":
-            return bool(np.all(np.linalg.norm(z, axis=-1) <= self.radius + tol))
-        return bool(np.all(np.abs(z) <= self.radius + tol))
+            return bool(np.all(np.linalg.norm(x, axis=-1) <= self.radius + tol))
+        return bool(np.all(np.abs(x) <= self.radius + tol))
 
 
 @dataclass
@@ -157,7 +152,6 @@ class RunResult:
     avg_iterate: np.ndarray  # (reps, d) averaged iterates
     gap_trace: np.ndarray  # (T,) mean per-step f-gap across reps
     final_gaps: np.ndarray  # (reps,) f-gap of each replication's averaged iterate
-    bits_per_step: Optional[int]
 
     @property
     def mean_final_gap(self) -> float:
@@ -175,7 +169,6 @@ def _descent_engine(
     seed: SeedPath,
     reps: int,
     x_init: Optional[np.ndarray],
-    bits_per_step: Optional[int],
 ) -> RunResult:
     if T < 1:
         raise ValueError("need at least one step")
@@ -201,7 +194,7 @@ def _descent_engine(
         trace[t] = float(np.mean(oracle.f(x)) - oracle.f_min)
     avg = sum_x / T
     final = oracle.f(avg) - oracle.f_min
-    return RunResult(avg, trace, np.atleast_1d(final), bits_per_step)
+    return RunResult(avg, trace, np.atleast_1d(final))
 
 
 def psgd_run(
@@ -214,7 +207,6 @@ def psgd_run(
     reps: int = 1,
     x_init: Optional[np.ndarray] = None,
     alpha2: Optional[float] = None,
-    bits_per_step: Optional[int] = None,
 ) -> RunResult:
     """Projected SGD with quantized gradients.
 
@@ -224,9 +216,7 @@ def psgd_run(
     """
     alpha2 = oracle.B if alpha2 is None else alpha2
     eta = domain.diameter / (alpha2 * math.sqrt(T))
-    return _descent_engine(
-        oracle, qfun, domain, T, 2.0, eta, gamma, seed, reps, x_init, bits_per_step
-    )
+    return _descent_engine(oracle, qfun, domain, T, 2.0, eta, gamma, seed, reps, x_init)
 
 
 def mirror_exponent(p: float, d: int) -> float:
@@ -250,7 +240,6 @@ def mirror_descent_run(
     x_init: Optional[np.ndarray] = None,
     alpha_p: Optional[float] = None,
     eta: Optional[float] = None,
-    bits_per_step: Optional[int] = None,
 ) -> RunResult:
     """Stochastic mirror descent with the ||x||_a^2/(2(a-1)) mirror map.
 
@@ -266,9 +255,7 @@ def mirror_descent_run(
     alpha_p = oracle.B if alpha_p is None else alpha_p
     if eta is None:
         eta = domain.diameter / (alpha_p * math.sqrt(T))
-    return _descent_engine(
-        oracle, qfun, domain, T, a, eta, 0.0, seed, reps, x_init, bits_per_step
-    )
+    return _descent_engine(oracle, qfun, domain, T, a, eta, 0.0, seed, reps, x_init)
 
 
 def one_bit_sign_quantize(g: np.ndarray, B: float, rng: np.random.Generator) -> np.ndarray:
@@ -296,34 +283,28 @@ def l1_phase_scheme(
     The horizon splits into T*r/d phases; within a phase the same point is
     queried ceil(d/r) times and each query contributes r coordinates (chosen
     through a fresh shared permutation) quantized to one bit each.  The summed
-    phase estimate drives one mirror-descent step with the log-d mirror map.
+    phase estimate is the query of an oracle that wraps `oracle`, and the
+    descent engine takes one mirror-descent step per phase with the log-d
+    mirror map (`mirror_exponent(1, d)`).
     """
-    if x_init is None:
-        raise ValueError("x_init is required")
     if r < 1 or r > d:
         raise ValueError("per-query budget r must lie in 1..d")
     B = oracle.B
     phases = max(1, (T * r) // d)
     queries = math.ceil(d / r)
-    a = 2 * math.log2(max(d, 2)) / (2 * math.log2(max(d, 2)) - 1.0)
     if eta is None:
         eta = domain.diameter / (B * math.sqrt(phases))
-    rng = seed.stream()
-    x = np.tile(np.asarray(x_init, dtype=float), (reps, 1))
-    x = domain.project(x)
-    sum_x = np.zeros_like(x)
-    trace = np.empty(phases)
-    for t in range(phases):
+
+    def phase_estimate(x, rng):
         sigma = rng.permutation(d)  # shared randomness, fresh per phase
         est = np.zeros_like(x)
         for i in range(queries):
             g = oracle.query(x, rng)
             coords = sigma[i * r : min((i + 1) * r, d)]
             est[:, coords] = one_bit_sign_quantize(g[:, coords], B, rng)
-        theta = _grad_map(x, a) - eta * est
-        x = domain.project(_grad_map_inv(theta, a))
-        sum_x += x
-        trace[t] = float(np.mean(oracle.f(x)) - oracle.f_min)
-    avg = sum_x / phases
-    final = oracle.f(avg) - oracle.f_min
-    return RunResult(avg, trace, np.atleast_1d(final), r)
+        return est
+
+    return _descent_engine(
+        replace(oracle, query=phase_estimate), None, domain, phases, mirror_exponent(1.0, d),
+        eta, 0.0, seed, reps, x_init,
+    )

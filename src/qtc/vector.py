@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -566,13 +566,13 @@ class LpSplitConfig:
 
     @property
     def delta2(self) -> int:
-        return math.ceil(math.log2(1 + log_star(self.d / 3.0)))
+        return RatqConfig._log_h(self.d)
 
     @property
     def delta1(self) -> int:
         exp = 0.5 - (0.0 if self.q == math.inf else 1.0 / self.q)
         return math.ceil(
-            math.log2(2 + math.sqrt(18 + 6 * math.log(self.delta2)) * self.d**exp)
+            math.log2(2 + math.sqrt(18 + 6 * math.log(max(1, self.delta2))) * self.d**exp)
         )
 
     @property
@@ -595,12 +595,7 @@ class LpSplitConfig:
     def ratq_cfg(self) -> RatqConfig:
         inv_q = 0.0 if self.q == math.inf else 1.0 / self.q
         B2 = self.B * self.d ** (0.5 - inv_q)
-        d2 = self.d_large
-        log_h = math.ceil(math.log2(1 + log_star(d2 / 3.0))) if d2 >= 1 else 0
-        s = max(1, log_h)
-        k = (1 << self.delta1) - 1
-        ladder = TetraLadder(3 * B2 * B2 / d2, (2 * B2 * B2 / d2) * math.log(s), 1 << log_h)
-        return RatqConfig(B2, d2, s, k, ladder)
+        return replace(RatqConfig.default(B2, self.d_large), k=(1 << self.delta1) - 1)
 
     @property
     def bit_budget(self) -> int:

@@ -64,6 +64,24 @@ def test_extend_concatenates():
     assert a.to01() == "10101"
 
 
+def test_leading_zeros_live_in_the_length():
+    # the bits are one integer, so a message's leading zeros exist only in nbits
+    fields = [(0, 40), (0, 3), (1, 1), (0, 17), (5, 3), (0, 9)]
+    bs = BitString()
+    for value, width in fields:
+        bs.write_uint(value, width)
+    assert bs.nbits == 73
+    assert bs.to01() == "0" * 43 + "1" + "0" * 17 + "101" + "0" * 9
+    reader = BitReader(bs)
+    assert [reader.read_uint(width) for _, width in fields] == [v for v, _ in fields]
+    reader.finish()
+    zeros = BitString().write_uint(0, 40)
+    assert zeros.extend(BitString().write_uint(0, 30)).to01() == "0" * 70
+    assert BitString().write_uint(0, 3) != BitString().write_uint(0, 4)
+    assert BitString().write_uint(1, 3) != BitString().write_uint(1, 4)
+    assert BitString().write_uint(0, 3) == BitString().write_uint(0, 1).write_uint(0, 2)
+
+
 def test_seedpath_determinism():
     p = SeedPath(42).child("client", 3).child("round", 7)
     first = p.stream().integers(0, 1 << 63, size=100)

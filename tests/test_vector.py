@@ -325,6 +325,21 @@ def test_lp_split_p1_pure_cuq():
     assert msg.nbits == cfg.bit_budget
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_lp_split_tiny_dimensions(d, p):
+    # log h = 0 below d = 4; the split's RATQ depth clamps it to 1 as RATQ does
+    cfg = LpSplitConfig(1.0, d, p)
+    assert cfg.delta2 == 0
+    q = lp_split_quantizer(cfg)
+    y = np.zeros(d)
+    y[0] = 0.9
+    for t in range(5):
+        msg, rec = q.roundtrip(y, None, SeedPath(44).child("t", t))
+        assert msg.nbits == cfg.bit_budget
+        assert rec.shape == (d,) and np.all(np.isfinite(rec))
+
+
 def test_atuq_vector_apply_matches_variance_contract():
     cfg = RatqConfig(1.0, 64, 2, 7, RatqConfig.default(1.0, 64).ladder)
     xs = SeedPath(44).stream().normal(size=(200, 64)) * 0.05
