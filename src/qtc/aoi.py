@@ -48,13 +48,13 @@ _FULL_STEP = 1e-10  # relative Newton decrement below which steps skip the line 
 _STEP_TOL = 1e-9  # longest whole step, in bits, that ends the solve
 
 
-def validate_pmf(p: Sequence[float], tol: float = 1e-12) -> np.ndarray:
+def validate_pmf(p: Sequence[float]) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    if abs(p.sum() - 1.0) > tol:
+    if abs(p.sum() - 1.0) > _EPS:
         raise ValueError(f"pmf sums to {p.sum():.15f}, not 1")
     return p
 

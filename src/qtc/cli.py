@@ -63,8 +63,14 @@ class ConfigError(Exception):
     pass
 
 
-def parse_config(text: str, schema: dict[str, type], defaults: dict) -> dict:
-    """Flat key = value lines; '#' comments; unknown keys rejected."""
+def parse_config(text: str, defaults: dict) -> dict:
+    """Flat `key = value` lines with '#' comments, over `defaults`.
+
+    The keys of `defaults` are the only keys accepted, and each value is
+    read as the type of its default: a list key as whitespace-separated
+    values of its default's element type.  Every int, alone or in a list,
+    must be at least 1.
+    """
     values = dict(defaults)
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -73,18 +79,19 @@ def parse_config(text: str, schema: dict[str, type], defaults: dict) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in schema:
+        if key not in defaults:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        typ = schema[key]
+        default = defaults[key]
         try:
-            if typ is bool:
-                values[key] = val.lower() in ("1", "true", "yes")
-            elif typ is list:
-                values[key] = [float(tok) for tok in val.split()]
+            if isinstance(default, list):
+                values[key] = [type(default[0])(tok) for tok in val.split()]
             else:
-                values[key] = typ(val)
+                values[key] = type(default)(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        items = values[key] if isinstance(default, list) else [values[key]]
+        if any(isinstance(v, int) and v < 1 for v in items):
+            raise ConfigError(f"line {lineno}: {key} must be at least 1, got {val!r}")
     return values
 
 
@@ -111,8 +118,7 @@ def _fmt(v) -> str:
 
 
 def cmd_quantize_bench(args) -> int:
-    schema = {"d": int, "B": float, "quantizers": str}
-    cfg = parse_config(args.config_text, schema, {"d": 256, "B": 1.0, "quantizers": "ratq,simq,simq_plus"})
+    cfg = parse_config(args.config_text, {"d": 256, "B": 1.0, "quantizers": "ratq,simq,simq_plus"})
     d, B = cfg["d"], cfg["B"]
     trials = args.trials or 2000
     rows = []
@@ -120,29 +126,30 @@ def cmd_quantize_bench(args) -> int:
     rng = root.child("input").stream()
     y = rng.normal(size=d)
     y *= B / np.linalg.norm(y)
+    y_l1 = y * (B / np.abs(y).sum())  # SimQ's input; SimQ+ takes its l2 rescaling
     for name in [q.strip() for q in cfg["quantizers"].split(",") if q.strip()]:
         if name == "ratq":
+            x = y
             rcfg = RatqConfig.default(B, d)
-            recs = ratq_quantizer(rcfg).sample(y, None, trials, root.child("ratq").stream())
+            recs = ratq_quantizer(rcfg).sample(x, None, trials, root.child("ratq").stream())
             bound = rcfg.alpha2
             bits = rcfg.bit_budget
         elif name == "simq":
-            y = y * (B / np.abs(y).sum())
+            x = y_l1
             q = simq_quantizer(B, d)
-            recs = q.sample(y, None, trials, root.child("simq").stream())
+            recs = q.sample(x, None, trials, root.child("simq").stream())
             bound = B
             bits = q.bit_budget
         elif name == "simq_plus":
+            x = y_l1 * (B / np.linalg.norm(y_l1))
             pcfg = SimqPlusConfig(B, d, 2.0)
-            yn = y * (B / np.linalg.norm(y))
-            recs = simq_plus_quantizer(pcfg).sample(yn, None, trials, root.child("simq+").stream())
-            y = yn
+            recs = simq_plus_quantizer(pcfg).sample(x, None, trials, root.child("simq+").stream())
             bound = math.sqrt(B**2 * d ** (2.0 / pcfg.p) / pcfg.k + B**2)
             bits = pcfg.bit_budget
         else:
             raise ConfigError(f"unknown quantizer {name!r}")
         second = float((recs**2).sum(axis=1).mean())
-        bias = float(np.linalg.norm(recs.mean(axis=0) - y))
+        bias = float(np.linalg.norm(recs.mean(axis=0) - x))
         rows.append([name, d, B, bits, second, bound**2, bias])
     _emit(rows, ["quantizer", "d", "B", "r_bits", "empirical_second_moment",
                  "theoretical_bound", "empirical_bias_norm"], args.out)
@@ -150,8 +157,7 @@ def cmd_quantize_bench(args) -> int:
 
 
 def cmd_dme_bench(args) -> int:
-    schema = {"setting": str, "n": int, "d": int, "r_list": list, "delta": float}
-    cfg = parse_config(args.config_text, schema,
+    cfg = parse_config(args.config_text,
                        {"setting": "no-side-info", "n": 10, "d": 256, "r_list": [16, 32, 64],
                         "delta": 0.1})
     n, d = cfg["n"], cfg["d"]
@@ -161,7 +167,7 @@ def cmd_dme_bench(args) -> int:
     xs = rng.normal(size=(n, d))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     rows = []
-    for r in [int(x) for x in cfg["r_list"]]:
+    for r in cfg["r_list"]:
         if cfg["setting"] == "no-side-info":
             rcfg, mu_d = configure_no_side_info(n, d, r)
             quants = [rcs_wrap(rcfg, mu_d)] * n
@@ -188,12 +194,9 @@ def cmd_dme_bench(args) -> int:
 
 
 def cmd_opt_bench(args) -> int:
-    schema = {"d": int, "T_list": list, "B": float, "noise": float, "reps": int}
-    cfg = parse_config(args.config_text, schema,
+    cfg = parse_config(args.config_text,
                        {"d": 32, "T_list": [256, 1024, 4096], "B": 2.0, "noise": 0.5, "reps": 8})
     d, B = cfg["d"], cfg["B"]
-    if any(t < 1 for t in cfg["T_list"]):
-        raise ConfigError("every horizon in T_list must be >= 1")
     x0 = np.zeros(d)
     x0[0] = 0.5
     oracle = quadratic_oracle(x0, cfg["noise"], B)
@@ -203,7 +206,7 @@ def cmd_opt_bench(args) -> int:
     rcfg = RatqConfig.default(B, d)
     rows = []
     gaps_q = []
-    for T in [int(t) for t in cfg["T_list"]]:
+    for T in cfg["T_list"]:
         base = psgd_run(oracle, None, dom, T, seed=SeedPath(args.seed).child("id", T),
                         reps=cfg["reps"], x_init=x_init)
         qfun = lambda g, rng: ratq_apply(g, rcfg, rng)
@@ -213,7 +216,7 @@ def cmd_opt_bench(args) -> int:
         rows.append([T, base.mean_final_gap, quant.mean_final_gap, bound,
                      rcfg.bit_budget * T])
         gaps_q.append(quant.mean_final_gap)
-    ts = np.log2([float(t) for t in cfg["T_list"]])
+    ts = np.log2(cfg["T_list"])
     slope = float(np.polyfit(ts, np.log2(gaps_q), 1)[0]) if len(ts) > 1 else float("nan")
     rows.append(["slope", slope, "", "", ""])
     _emit(rows, ["T", "identity_gap", "ratq_gap", "gap_bound", "bits_cumulative"], args.out)
@@ -221,9 +224,7 @@ def cmd_opt_bench(args) -> int:
 
 
 def cmd_rd_bench(args) -> int:
-    schema = {"mode": str, "v": float, "D_frac": float, "sigma_z": float, "d": int,
-              "blocks": int, "source": str}
-    cfg = parse_config(args.config_text, schema,
+    cfg = parse_config(args.config_text,
                        {"mode": "rd", "v": 1.0, "D_frac": 16.0, "sigma_z": 0.1, "d": 4096,
                         "blocks": 200, "source": "gaussian"})
     rng = SeedPath(args.seed).child("rd").stream()
@@ -271,9 +272,7 @@ def _load_pmf(cfg) -> np.ndarray:
 
 
 def cmd_aoi_solve(args) -> int:
-    schema = {"zipf_s": float, "zipf_n": int, "pmf_file": str, "objective": str,
-              "l_th_offset": float, "tol": float}
-    cfg = parse_config(args.config_text, schema,
+    cfg = parse_config(args.config_text,
                        {"zipf_s": 1.0, "zipf_n": 256, "pmf_file": "", "objective": "age",
                         "l_th_offset": 2.0, "tol": 1e-6})
     p = _load_pmf(cfg)
@@ -299,9 +298,7 @@ def cmd_aoi_solve(args) -> int:
 
 
 def cmd_aoi_sim(args) -> int:
-    schema = {"zipf_s": float, "zipf_n": int, "pmf_file": str, "horizon": int,
-              "erasure": float, "code": str}
-    cfg = parse_config(args.config_text, schema,
+    cfg = parse_config(args.config_text,
                        {"zipf_s": 1.0, "zipf_n": 64, "pmf_file": "", "horizon": 10**6,
                         "erasure": 0.0, "code": "shannon_p"})
     p = _load_pmf(cfg)
@@ -357,6 +354,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         args.config_text = ""
     try:
+        if args.trials is not None and args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError) as exc:
         print(f"qtc: {exc}", file=sys.stderr)

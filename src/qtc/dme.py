@@ -18,6 +18,7 @@ import numpy as np
 
 from .adaptive import log_star
 from .core import Quantizer, SeedPath
+from .rotation import next_pow2
 from .sideinfo import RdaqConfig, RmqConfig
 from .vector import RatqConfig
 
@@ -124,14 +125,36 @@ def run_dme(
     return DmeResult(mse, band, bits, trials, violations)
 
 
-def configure_no_side_info(n: int, d: int, r: int) -> tuple[RatqConfig, int]:
-    """Subsampled unit-ball RATQ: s = 1, log(k+1) = 3, mu_d = floor(r / (3 + log h))."""
-    cfg = RatqConfig.for_subsampling(1.0, d)
-    per_coord = 3 + cfg.ladder.index_bits
+def _known_delta_log_k(n: int) -> int:
+    """log k = ceil(log2(2 + sqrt(12 ln n))) of small-precision known-distance RMQ."""
+    return math.ceil(math.log2(2 + math.sqrt(12 * math.log(n))))
+
+
+def _subsample_count(cfg, r: int) -> int:
+    """mu_d = floor(r / c) for a config sending c = bit_budget / d_pad bits per
+    kept coordinate; ValueError when r is below 2c."""
+    per_coord = cfg.bit_budget // cfg.d_pad
     if r < 2 * per_coord:
         raise ValueError(f"precision r={r} below the minimum {2 * per_coord}")
-    mu_d = min(cfg.d_pad, r // per_coord)
-    return cfg, mu_d
+    return min(cfg.d_pad, r // per_coord)
+
+
+def _large_precision_m(d: int, r: int) -> int:
+    """m = r/d of the large-precision regime, which sends all d_pad rotated
+    coordinates: d must be a power of two and r a multiple of d."""
+    d_pad = next_pow2(d)
+    if d != d_pad:
+        raise ValueError(f"large-precision mode needs d a power of two (d={d}, d_pad={d_pad})")
+    if r % d != 0:
+        raise ValueError("large-precision mode needs r = m*d with integer m >= 2")
+    return r // d
+
+
+def configure_no_side_info(n: int, d: int, r: int) -> tuple[RatqConfig, int]:
+    """Subsampled unit-ball RATQ: s = 1, log(k+1) = 3, and mu_d = floor(r / c)
+    for the config's c = 3 + log h bits per kept coordinate."""
+    cfg = RatqConfig.for_subsampling(1.0, d)
+    return cfg, _subsample_count(cfg, r)
 
 
 def configure_known_delta(
@@ -141,25 +164,18 @@ def configure_known_delta(
 
     Small precision (r <= d): delta_small = Delta_i / sqrt(n), log k =
     ceil(log2(2 + sqrt(12 ln n))), mu_d = floor(r / log k).  Large precision
-    (r = m d, integer m >= 2): log k = r/d, delta_small = Delta_i / (sqrt(n)
-    (2^(r/d) - 2)), no subsampling.
+    (r = m d, integer m >= 2, d a power of two): log k = m, delta_small =
+    Delta_i / (sqrt(n) (2^m - 2)), no subsampling.  Every client's budget is
+    at most r.
     """
     if n < 2:
         raise ValueError("known-distance configuration needs n >= 2")
     deltas = [float(x) for x in deltas]
     if r <= d:
-        log_k = math.ceil(math.log2(2 + math.sqrt(12 * math.log(n))))
-        if r < 2 * log_k:
-            raise ValueError(
-                f"precision r={r} below the minimum 2*log k = {2 * log_k} for n={n}"
-            )
-        cfgs = [RmqConfig(d, delta, delta / math.sqrt(n), 1 << log_k) for delta in deltas]
-        mu_d = r // log_k
-        return cfgs, min(mu_d, cfgs[0].d_pad)
-    if r % d != 0 or r // d < 2:
-        raise ValueError("large-precision mode needs r = m*d with integer m >= 2")
-    log_k = r // d
-    k = 1 << log_k
+        k = 1 << _known_delta_log_k(n)
+        cfgs = [RmqConfig(d, delta, delta / math.sqrt(n), k) for delta in deltas]
+        return cfgs, _subsample_count(cfgs[0], r)
+    k = 1 << _large_precision_m(d, r)
     cfgs = [
         RmqConfig(d, delta, delta / (math.sqrt(n) * (k - 2)), k) for delta in deltas
     ]
@@ -170,23 +186,18 @@ def configure_unknown_delta(d: int, r: int) -> tuple[RdaqConfig, int]:
     """Unknown-distance parameters.
 
     Small precision: subsampled RDAQ with mu_d = floor(r / (h + log h)).
-    Large precision (r = m d with m >= h + log h): boosted RDAQ with
-    N = 2^floor((m - log h)/h) repetitions, no subsampling.
+    Large precision (r = m d with m >= h + log h, d a power of two): boosted
+    RDAQ with the most repetitions N = 2^b - 1, b = floor((m - log h)/h),
+    whose b-bit counts fit the budget r; no subsampling.
     """
     probe = RdaqConfig(d)
-    h, log_h = probe.h, probe.index_bits
     if r <= d:
-        if r < 2 * (h + log_h):
-            raise ValueError(f"precision r={r} below the minimum {2 * (h + log_h)}")
-        mu_d = min(probe.d_pad, r // (h + log_h))
-        return probe, mu_d
-    if r % d != 0:
-        raise ValueError("large-precision mode needs r = m*d with integer m")
-    m = r // d
+        return probe, _subsample_count(probe, r)
+    m = _large_precision_m(d, r)
+    h, log_h = probe.h, probe.index_bits
     if m < h + log_h:
         raise ValueError(f"per-dimension budget m={m} below h + log h = {h + log_h}")
-    N = 1 << ((m - log_h) // h)
-    return RdaqConfig(d, N=max(1, N)), probe.d_pad
+    return RdaqConfig(d, N=(1 << ((m - log_h) // h)) - 1), probe.d_pad
 
 
 def theoretical_bound(
@@ -206,7 +217,7 @@ def theoretical_bound(
     if len(deltas) != n:
         raise ValueError("need one delta per client")
     if setting == "known-delta":
-        c = 79 * math.ceil(math.log2(2 + math.sqrt(12 * math.log(n)))) + 26
+        c = 79 * _known_delta_log_k(n) + 26
         return c * sum((delta**2 / n) * (d / (n * r)) for delta in deltas)
     if setting == "unknown-delta":
         c = 128 * math.sqrt(3) * (1 + log_star(d / 6.0))

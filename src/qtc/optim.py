@@ -56,28 +56,20 @@ class Domain:
             return x * np.minimum(1.0, self.radius / np.maximum(norms, 1e-300))
         return np.clip(x, -self.radius, self.radius)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        x = np.atleast_2d(x)
-        if self.kind == "l2_ball":
-            return bool(np.all(np.linalg.norm(x, axis=-1) <= self.radius + tol))
-        return bool(np.all(np.abs(x) <= self.radius + tol))
-
 
 @dataclass
 class GradientOracle:
     """Stochastic subgradient source.
 
     query(x, rng) takes (reps, d) points and returns (reps, d) subgradient
-    estimates; the declared bound B holds almost surely in the lq norm
-    (model "as_lq") or in mean square for the l2 norm (model "ms_l2").
+    estimates; B is their declared norm bound, from which every run sets its
+    step size and the phase scheme its 1-bit range [-B, B].
     """
 
     query: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     B: float
     f: Callable[[np.ndarray], np.ndarray]
     f_min: float
-    model: str = "as_lq"
-    q: float = 2.0
 
 
 def quadratic_oracle(x0: np.ndarray, noise: float, B: float) -> GradientOracle:
@@ -94,7 +86,7 @@ def quadratic_oracle(x0: np.ndarray, noise: float, B: float) -> GradientOracle:
         z = np.atleast_2d(x) - x0
         return 0.5 * np.einsum("...d,...d->...", z, z)
 
-    return GradientOracle(query, B, f, 0.0, "as_lq", 2.0)
+    return GradientOracle(query, B, f, 0.0)
 
 
 def hard_instance_oracle(
@@ -125,7 +117,7 @@ def hard_instance_oracle(
         x = np.atleast_2d(x)
         return a * np.abs(x - v * b).sum(axis=-1)
 
-    return GradientOracle(query, B, f, 0.0, "as_lq", q)
+    return GradientOracle(query, B, f, 0.0)
 
 
 def _grad_map(x: np.ndarray, a: float) -> np.ndarray:
@@ -164,17 +156,15 @@ def _descent_engine(
     domain: Domain,
     T: int,
     a: float,
-    eta: float | None,
+    eta: float,
     gamma: float,
     seed: SeedPath,
     reps: int,
-    x_init: Optional[np.ndarray],
+    x_init: np.ndarray,
 ) -> RunResult:
     if T < 1:
         raise ValueError("need at least one step")
     rng = seed.stream()
-    if x_init is None:
-        raise ValueError("x_init is required")
     x = np.tile(np.asarray(x_init, dtype=float), (reps, 1))
     x = domain.project(x)
     sum_x = np.zeros_like(x)
@@ -205,7 +195,8 @@ def psgd_run(
     gamma: float = 0.0,
     seed: SeedPath = SeedPath(0),
     reps: int = 1,
-    x_init: Optional[np.ndarray] = None,
+    *,
+    x_init: np.ndarray,
     alpha2: Optional[float] = None,
 ) -> RunResult:
     """Projected SGD with quantized gradients.
@@ -237,9 +228,8 @@ def mirror_descent_run(
     p: float,
     seed: SeedPath = SeedPath(0),
     reps: int = 1,
-    x_init: Optional[np.ndarray] = None,
-    alpha_p: Optional[float] = None,
-    eta: Optional[float] = None,
+    *,
+    x_init: np.ndarray,
 ) -> RunResult:
     """Stochastic mirror descent with the ||x||_a^2/(2(a-1)) mirror map.
 
@@ -249,12 +239,8 @@ def mirror_descent_run(
     """
     if not (1.0 <= p <= 2.0):
         raise ValueError("mirror descent harness covers p in [1, 2]")
-    if x_init is None:
-        raise ValueError("x_init is required")
     a = mirror_exponent(p, np.asarray(x_init).size)
-    alpha_p = oracle.B if alpha_p is None else alpha_p
-    if eta is None:
-        eta = domain.diameter / (alpha_p * math.sqrt(T))
+    eta = domain.diameter / (oracle.B * math.sqrt(T))
     return _descent_engine(oracle, qfun, domain, T, a, eta, 0.0, seed, reps, x_init)
 
 
@@ -269,16 +255,16 @@ def one_bit_sign_quantize(g: np.ndarray, B: float, rng: np.random.Generator) -> 
 
 def l1_phase_scheme(
     oracle: GradientOracle,
-    d: int,
     r: int,
     T: int,
     domain: Domain,
     seed: SeedPath = SeedPath(0),
     reps: int = 1,
-    x_init: Optional[np.ndarray] = None,
-    eta: Optional[float] = None,
+    *,
+    x_init: np.ndarray,
 ) -> RunResult:
-    """Phase scheme for l-infinity-bounded gradients under an r-bit budget.
+    """Phase scheme for l-infinity-bounded gradients under an r-bit budget
+    in the dimension d of `x_init`.
 
     The horizon splits into T*r/d phases; within a phase the same point is
     queried ceil(d/r) times and each query contributes r coordinates (chosen
@@ -287,13 +273,13 @@ def l1_phase_scheme(
     descent engine takes one mirror-descent step per phase with the log-d
     mirror map (`mirror_exponent(1, d)`).
     """
+    d = np.asarray(x_init).size
     if r < 1 or r > d:
         raise ValueError("per-query budget r must lie in 1..d")
     B = oracle.B
     phases = max(1, (T * r) // d)
     queries = math.ceil(d / r)
-    if eta is None:
-        eta = domain.diameter / (B * math.sqrt(phases))
+    eta = domain.diameter / (B * math.sqrt(phases))
 
     def phase_estimate(x, rng):
         sigma = rng.permutation(d)  # shared randomness, fresh per phase

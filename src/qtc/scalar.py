@@ -258,13 +258,13 @@ def gaussian_wz_run(
     d: int,
     blocks: int,
     rng: np.random.Generator,
-    sigma_y: float = 1.0,
     source: str = "gaussian",
 ) -> tuple[float, int]:
-    """X = Y + Z per coordinate; MQ with decoder side information Y.
-    Returns (empirical per-dimension MSE, log2 k bits per dimension)."""
+    """X = Y + Z per coordinate, Y standard normal; MQ with decoder side
+    information Y.  Returns (empirical per-dimension MSE, log2 k bits per
+    dimension)."""
     params, log_k = gaussian_wz_params(sigma_z, D)
-    y = rng.normal(scale=sigma_y, size=(blocks, d))
+    y = rng.normal(size=(blocks, d))
     if source == "gaussian":
         z = rng.normal(scale=sigma_z, size=(blocks, d))
     elif source == "laplace":

@@ -312,6 +312,10 @@ class AratqConfig:
     gain_mode: str = "aguq"  # "aguq" | "aguq_plus"
     T: int = 0  # horizon, only used by aguq_plus
 
+    def __post_init__(self):
+        if self.gain_mode not in ("aguq", "aguq_plus"):
+            raise ValueError(f"unknown gain mode {self.gain_mode!r}")
+
     @classmethod
     def default(cls, B: float, d: int, T: int, gain_mode: str = "aguq") -> "AratqConfig":
         log_hg = math.ceil(math.log2(1 + 0.5 * math.log2(T)))

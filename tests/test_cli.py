@@ -15,15 +15,26 @@ def run_cli(tmp_path, *argv):
 
 
 def test_parse_config_rejects_unknown_and_bad_values():
-    schema = {"a": int, "b": float, "c": list}
-    vals = parse_config("a = 3\n# comment\nb = 1.5\nc = 1 2 3\n", schema, {"a": 0, "b": 0.0, "c": []})
-    assert vals == {"a": 3, "b": 1.5, "c": [1.0, 2.0, 3.0]}
+    defaults = {"a": 1, "b": 0.0, "c": [0.5], "n": [1]}
+    vals = parse_config("a = 3\n# comment\nb = 1.5\nc = 1 2 3\nn = 4 5\n", defaults)
+    assert vals == {"a": 3, "b": 1.5, "c": [1.0, 2.0, 3.0], "n": [4, 5]}
+    assert [type(v) for v in vals["c"] + vals["n"]] == [float] * 3 + [int] * 2
     with pytest.raises(ConfigError):
-        parse_config("zzz = 1", schema, {})
+        parse_config("zzz = 1", defaults)
     with pytest.raises(ConfigError):
-        parse_config("a = not_an_int", schema, {})
+        parse_config("a = not_an_int", defaults)
     with pytest.raises(ConfigError):
-        parse_config("just a line", schema, {})
+        parse_config("just a line", defaults)
+    with pytest.raises(ConfigError, match="line 2: bad value for n: "):
+        parse_config("b = 2\nn = 16.7", defaults)
+
+
+def test_parse_config_rejects_ints_below_one():
+    defaults = {"a": 1, "b": 0.0, "n": [1]}
+    assert parse_config("b = 0\nb = -1.5\n", defaults)["b"] == -1.5
+    for bad in ("a = 0", "a = -2", "n = 4 0"):
+        with pytest.raises(ConfigError, match=f"^line 2: {bad[0]} must be at least 1, got "):
+            parse_config("b = 2\n" + bad, defaults)
 
 
 def test_gaussian_rd_parameters():
@@ -115,6 +126,38 @@ def test_cli_errors(tmp_path):
     badrd.write_text("D_frac = 2\n")  # D = v/2 > v/4
     assert main(["rd-bench", "--config", str(badrd)]) == 1
     assert main(["aoi-sim", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_rejects_counts_below_one_naming_the_key(tmp_path, capsys):
+    cases = [("dme-bench", "n = 4\nr_list = 16.7\n", "line 2: bad value for r_list: "),
+             ("quantize-bench", "d = 0\n", "line 1: d must be at least 1, got '0'"),
+             ("dme-bench", "d = 0\n", "line 1: d must be at least 1, got '0'"),
+             ("opt-bench", "reps = 0\n", "line 1: reps must be at least 1, got '0'"),
+             ("opt-bench", "T_list = 64 -1\n", "line 1: T_list must be at least 1, got '64 -1'"),
+             ("rd-bench", "blocks = 0\n", "line 1: blocks must be at least 1, got '0'"),
+             ("aoi-sim", "horizon = 0\n", "line 1: horizon must be at least 1, got '0'")]
+    cfg = tmp_path / "c.cfg"
+    for command, text, message in cases:
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"qtc: {message}")
+    for trials in ("0", "-3"):
+        assert main(["quantize-bench", "--trials", trials]) == 1
+        assert capsys.readouterr().err == f"qtc: --trials must be at least 1, got {trials}\n"
+
+
+def test_cli_quantize_bench_rows_do_not_depend_on_order(tmp_path):
+    def rows(quantizers):
+        cfg = tmp_path / "q.cfg"
+        cfg.write_text(f"d = 16\nquantizers = {quantizers}\n")
+        code, text = run_cli(tmp_path, "quantize-bench", "--config", str(cfg),
+                             "--seed", "3", "--trials", "200")
+        assert code == 0
+        return {line.split(",")[0]: line for line in text.strip().splitlines()[1:]}
+
+    default = rows("ratq,simq,simq_plus")
+    assert rows("simq,ratq") == {k: default[k] for k in ("simq", "ratq")}
+    assert rows("simq_plus,ratq") == {k: default[k] for k in ("simq_plus", "ratq")}
 
 
 def test_cli_parser_reuse_keeps_no_state(tmp_path):

@@ -10,7 +10,7 @@ from qtc.dme import (
     run_dme,
     theoretical_bound,
 )
-from qtc.sideinfo import daq_quantizer, wz_known_quantizer
+from qtc.sideinfo import daq_quantizer, rdaq_quantizer, wz_known_quantizer, wz_unknown_quantizer
 from qtc.vector import RatqConfig, rcs_wrap, simq_quantizer
 
 
@@ -103,7 +103,43 @@ def test_configure_unknown_delta():
     with pytest.raises(ValueError):
         configure_unknown_delta(64, 8)
     boosted, mu_full = configure_unknown_delta(64, 64 * 10)  # m = 10
-    assert boosted.N == 2 ** ((10 - 2) // 4) and mu_full == 64
+    assert boosted.N == 2 ** ((10 - 2) // 4) - 1 and mu_full == 64
+    assert boosted.bit_budget <= 640
+
+
+def test_configurations_fit_the_precision_they_are_given():
+    """Every configure_* call either raises ValueError or returns quantizers
+    whose budget fits r and that run_dme accepts, small or large precision."""
+    n = 2
+
+    def no_side_info(d, r):
+        return rcs_wrap(*configure_no_side_info(n, d, r))
+
+    def known(d, r):
+        cfgs, mu_d = configure_known_delta(n, d, r, [0.2] * n)
+        return wz_known_quantizer(cfgs[0], mu_d)
+
+    def unknown(d, r):
+        cfg, mu_d = configure_unknown_delta(d, r)
+        return rdaq_quantizer(cfg) if cfg.N > 1 else wz_unknown_quantizer(cfg, mu_d)
+
+    for d in (16, 64, 100, 256):
+        xs = unit_rows(22, n, d) * 0.5
+        ys = xs + 0.2 * unit_rows(23, n, d)
+        for r in sorted({4, 8, 12, 16, 24, 30, 48, 64, 100, 128, 200, 300}
+                        | {m * d for m in range(1, 21)}):
+            for configure in (no_side_info, known, unknown):
+                try:
+                    q = configure(d, r)
+                except ValueError:
+                    continue
+                assert q.bit_budget <= r, (d, r, q.name)
+                inst = DmeInstance(xs, ys, np.full(n, 0.2), r)
+                run_dme(inst, [q] * n, SeedPath(24), 2, sampled=True)
+    with pytest.raises(ValueError, match="d_pad=128"):
+        configure_known_delta(n, 100, 300, [0.2] * n)
+    with pytest.raises(ValueError, match="d_pad=128"):
+        configure_unknown_delta(100, 1200)
 
 
 def test_bounds_evaluate():

@@ -165,7 +165,7 @@ def test_phase_scheme_runs_and_improves():
     v = np.ones(d)
     oracle = hard_instance_oracle(v, 1 / 6, B, 1.0, D=1.0)
     dom = Domain("linf_box", 1.0 / (2 * d))
-    res = l1_phase_scheme(oracle, d, 4, 2048, dom, seed=SeedPath(13), reps=4,
+    res = l1_phase_scheme(oracle, 4, 2048, dom, seed=SeedPath(13), reps=4,
                           x_init=np.zeros(d))
     assert res.gap_trace[-1] <= res.gap_trace[0] + 1e-9
     assert res.final_gaps.mean() < oracle.f(np.zeros((1, d)))[0] - oracle.f_min + 1e-9

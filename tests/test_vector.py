@@ -166,6 +166,11 @@ def test_aratq_budget_and_plus_mode():
     assert rec.shape == (32,)
 
 
+def test_aratq_rejects_an_unknown_gain_mode():
+    with pytest.raises(ValueError, match="unknown gain mode 'bogus'"):
+        AratqConfig.default(1.0, 16, T=64, gain_mode="bogus")
+
+
 def test_aratq_rejects_a_gain_index_past_the_ladder():
     # three gain ranges take a 2-bit index, so index 3 names no range
     base = AratqConfig.default(1.0, 32, T=1024)
