@@ -63,13 +63,20 @@ class ConfigError(Exception):
     pass
 
 
+# Float keys with a sign constraint; a key means the same in every command
+# that has it (B is the norm bound of quantize-bench and opt-bench alike).
+_POSITIVE = frozenset({"B", "tol", "v", "D_frac", "sigma_z"})
+_NONNEGATIVE = frozenset({"noise"})
+
+
 def parse_config(text: str, defaults: dict) -> dict:
     """Flat `key = value` lines with '#' comments, over `defaults`.
 
     The keys of `defaults` are the only keys accepted, and each value is
     read as the type of its default: a list key as whitespace-separated
-    values of its default's element type.  Every int, alone or in a list,
-    must be at least 1.
+    values of its default's element type, at least one.  Every int, alone
+    or in a list, must be at least 1, and every float finite; B, tol, v,
+    D_frac and sigma_z must be positive and noise non-negative.
     """
     values = dict(defaults)
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -90,8 +97,16 @@ def parse_config(text: str, defaults: dict) -> dict:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
         items = values[key] if isinstance(default, list) else [values[key]]
+        if not items:
+            raise ConfigError(f"line {lineno}: {key} needs at least one value")
         if any(isinstance(v, int) and v < 1 for v in items):
             raise ConfigError(f"line {lineno}: {key} must be at least 1, got {val!r}")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"line {lineno}: {key} must be finite, got {val!r}")
+        if key in _POSITIVE and not values[key] > 0:
+            raise ConfigError(f"line {lineno}: {key} must be positive, got {val!r}")
+        if key in _NONNEGATIVE and not values[key] >= 0:
+            raise ConfigError(f"line {lineno}: {key} must be non-negative, got {val!r}")
     return values
 
 

@@ -3,8 +3,12 @@
 Conventions used by every encoder/decoder pair in this package:
 
 * Bit fields are MSB-first and packed back to back with no alignment padding,
-  so every bit-budget assertion is exact.
+  so every bit-budget assertion is exact.  A block of equal-width fields is
+  packed into int64 words, `63 // width` fields to a word, and the words are
+  joined into the message; the bits are the same as field by field.
 * Encoder and decoder are driven by streams derived from the same SeedPath.
+  A path's 64-bit key is derived once, when the path is made (a child's from
+  its parent's key), so seeding a stream costs the same at any depth.
   Shared randomness (rotation signs, sampled subsets, dither uniforms that the
   decoder must regenerate) is always drawn *first* and in the same order on
   both sides; encoder-private randomness (randomized rounding) is drawn after
@@ -20,7 +24,8 @@ row the sampler draws from that path's stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
@@ -39,6 +44,13 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+# The 63 // w fields of a w-bit word, first field in the highest bits: the
+# right shift of each (_FIELD_SHIFTS[w]) and its weight 2^shift
+# (_FIELD_WEIGHTS[w]).
+_FIELD_SHIFTS = [None] + [np.arange(63 // w - 1, -1, -1, dtype=np.int64) * w
+                          for w in range(1, 64)]
+_FIELD_WEIGHTS = [None] + [np.int64(1) << shifts for shifts in _FIELD_SHIFTS[1:]]
 
 
 class MalformedStreamError(ValueError):
@@ -111,19 +123,27 @@ class BitString:
         return self
 
     def write_fields(self, values, width: int) -> "BitString":
-        """Append each of `values` as a `width`-bit field, back to back."""
+        """Append each of `values` as a `width`-bit field, back to back.
+
+        The fields are packed `63 // width` to an int64 word, as one product
+        with the fields' weights, and the words are joined into the message
+        int.  Zero fields pad the first word; they add nothing to the int."""
         v = np.asarray(values, dtype=np.int64).ravel()
         if not 1 <= width <= 63:
             raise ValueError(f"field width must be in 1..63, got {width}")
         if v.size == 0:
             return self
-        if v.min() < 0 or int(v.max()) >> width:
+        if np.bitwise_or.reduce(v) >> width:  # a negative value or one too wide
             bad = v[(v < 0) | (v >> width != 0)][0]
             raise ValueError(f"value {bad} does not fit in {width} bits")
-        n = v.size * width
-        bits = ((v[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
-        packed = int.from_bytes(np.packbits(bits).tobytes(), "big")
-        return self.write_uint(packed >> (-n % 8), n)
+        weights = _FIELD_WEIGHTS[width]
+        fields = np.zeros(-(-v.size // weights.size) * weights.size, dtype=np.int64)
+        fields[fields.size - v.size:] = v
+        step = weights.size * width
+        packed = 0
+        for word in (fields.reshape(-1, weights.size) @ weights).tolist():
+            packed = (packed << step) | word
+        return self.write_uint(packed, v.size * width)
 
     def to01(self) -> str:
         return format(self._value, f"0{self._len}b") if self._len else ""
@@ -165,15 +185,24 @@ class BitReader:
         return self.read_uint(1)
 
     def read_fields(self, count: int, width: int) -> np.ndarray:
-        """Read `count` back-to-back `width`-bit fields as an int64 array."""
+        """Read `count` back-to-back `width`-bit fields as an int64 array.
+
+        The bits are split into words of `63 // width` fields, the first
+        word padded with leading zero fields as `write_fields` packs it, and
+        each word into its fields with one shift-and-mask."""
         if not 1 <= width <= 63:
             raise ValueError(f"field width must be in 1..63, got {width}")
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-        n = count * width
-        raw = self.read_uint(n).to_bytes((n + 7) // 8, "big")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[-n:].reshape(count, width)
-        return bits @ (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
+        shifts = _FIELD_SHIFTS[width]
+        packed = self.read_uint(count * width)
+        pad = -count % shifts.size
+        step = shifts.size * width
+        mask = (1 << step) - 1
+        words = np.array([(packed >> lo) & mask
+                          for lo in range((count + pad) * width - step, -1, -step)],
+                         dtype=np.int64)
+        return ((words[:, None] >> shifts) & ((1 << width) - 1)).ravel()[pad:]
 
     def finish(self) -> None:
         """Raise MalformedStreamError unless every bit has been read: no
@@ -193,11 +222,17 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+@functools.lru_cache(maxsize=1024)
 def _fnv64(s: str) -> int:
     h = 0xCBF29CE484222325
     for byte in s.encode("utf8"):
         h = ((h ^ byte) * 0x100000001B3) & _MASK64
     return h
+
+
+def _mix_label(h: int, role: str, index: int) -> int:
+    """The key of a path whose parent has key `h`, one (role, index) down."""
+    return _splitmix64(_splitmix64(h ^ _fnv64(role)) ^ (index & _MASK64))
 
 
 Label = Tuple[str, int]
@@ -210,25 +245,39 @@ class SeedPath:
     The same (root_seed, labels) always yields the same stream on every
     platform; distinct label lists yield streams that are independent for all
     practical purposes (64-bit keyed mixing, no cryptographic claim).
+
+    The 64-bit key that seeds the stream is derived once, when the path is
+    made: `child` derives it from its parent's key with two SplitMix64 steps,
+    so it costs the same at any depth.  The key takes no part in equality,
+    hashing or the repr, which stay those of (root_seed, labels).
     """
 
     root_seed: int
     labels: Tuple[Label, ...] = ()
+    _key: int = field(init=False, repr=False, compare=False)
 
-    def child(self, role: str, index: int = 0) -> "SeedPath":
-        return SeedPath(self.root_seed, self.labels + ((role, int(index)),))
-
-    def mixed(self) -> int:
+    def __post_init__(self) -> None:
         h = _splitmix64(self.root_seed & _MASK64)
         for role, index in self.labels:
-            h = _splitmix64(h ^ _fnv64(role))
-            h = _splitmix64(h ^ (index & _MASK64))
-        return h
+            h = _mix_label(h, role, index)
+        object.__setattr__(self, "_key", h)
+
+    def child(self, role: str, index: int = 0) -> "SeedPath":
+        index = int(index)
+        path = object.__new__(SeedPath)
+        object.__setattr__(path, "root_seed", self.root_seed)
+        object.__setattr__(path, "labels", self.labels + ((role, index),))
+        object.__setattr__(path, "_key", _mix_label(self._key, role, index))
+        return path
+
+    def mixed(self) -> int:
+        """The path's 64-bit key."""
+        return self._key
 
     def stream(self) -> np.random.Generator:
         """Derive the random stream for this path (uniform 64-bit words; reals
         are 53-bit mantissa draws in [0, 1))."""
-        return np.random.Generator(np.random.PCG64(self.mixed()))
+        return np.random.Generator(np.random.PCG64(self._key))
 
 
 EncodeFn = Callable[[np.ndarray, Optional[np.ndarray], np.random.Generator], BitString]
@@ -308,14 +357,20 @@ class Quantizer:
     ) -> Tuple[BitString, np.ndarray]:
         """Encode then decode with identically derived streams.
 
+        One stream is seeded from `path`; its state is saved before the
+        encode and restored before the decode, so the decoder starts where a
+        fresh ``path.stream()`` would and makes every shared draw itself.
         Returns (message, reconstruction) and asserts the fixed-length budget.
         """
-        msg = self.encode(np.asarray(x, dtype=float), side, path.stream())
+        rng = path.stream()
+        start = rng.bit_generator.state
+        msg = self.encode(np.asarray(x, dtype=float), side, rng)
         if check_budget and self.bit_budget is not None and msg.nbits > self.bit_budget:
             raise AssertionError(
                 f"{self.name}: emitted {msg.nbits} bits > budget {self.bit_budget}"
             )
-        xhat = self.decode(msg, side, path.stream())
+        rng.bit_generator.state = start
+        xhat = self.decode(msg, side, rng)
         return msg, xhat
 
     def sample(

@@ -111,12 +111,12 @@ def run_dme(
         x = instance.xs[i]
         y = instance.ys[i] if instance.ys is not None else None
         q = quantizers[i]
+        client = root.child("client", i)
         if sampled:
-            acc += q.sample(x, y, trials, root.child("client", i).stream())
+            acc += q.sample(x, y, trials, client.stream())
         else:
             for t in range(trials):
-                path = root.child("client", i).child("trial", t)
-                _, xhat = q.roundtrip(x, y, path)
+                _, xhat = q.roundtrip(x, y, client.child("trial", t))
                 acc[t] += xhat
     err = acc / n - instance.true_mean[None, :]
     sq = np.einsum("td,td->t", err, err)

@@ -13,6 +13,7 @@ too, with the gather and scatter of the kept coordinates.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Optional
 
 import numpy as np
@@ -44,7 +45,7 @@ def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """(n, d) array of iid signs; row i is the sign diagonal of repetition i."""
     if not _is_pow2(d):
         raise ValueError(f"dimension {d} is not a power of two")
-    return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
+    return rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
 
 
 def check_sample_count(mu_d: int, d: int) -> None:
@@ -139,13 +140,13 @@ def rotate_batch(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """(1/sqrt(d)) H (signs * y) for each row, with per-row sign diagonals
     (shapes broadcast on rows)."""
     d = signs.shape[-1]
-    return fwht(y * signs) / np.sqrt(d)
+    return fwht(y * signs) / math.sqrt(d)
 
 
 def unrotate_batch(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Exact inverse of rotate_batch: signs * H z / sqrt(d)."""
     d = signs.shape[-1]
-    return signs * (fwht(z) / np.sqrt(d))
+    return signs * (fwht(z) / math.sqrt(d))
 
 
 def pad_to_pow2(y: np.ndarray) -> tuple[np.ndarray, int]:

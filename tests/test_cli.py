@@ -146,6 +146,27 @@ def test_cli_rejects_counts_below_one_naming_the_key(tmp_path, capsys):
         assert capsys.readouterr().err == f"qtc: --trials must be at least 1, got {trials}\n"
 
 
+def test_cli_rejects_empty_lists_and_floats_out_of_domain_naming_the_key(tmp_path, capsys):
+    cases = [("quantize-bench", "B = 0\n", "line 1: B must be positive, got '0'"),
+             ("quantize-bench", "B = nan\n", "line 1: B must be finite, got 'nan'"),
+             ("aoi-solve", "tol = -1\n", "line 1: tol must be positive, got '-1'"),
+             ("opt-bench", "noise = -1\n", "line 1: noise must be non-negative, got '-1'"),
+             ("opt-bench", "d = 4\nB = 0\n", "line 2: B must be positive, got '0'"),
+             ("opt-bench", "T_list =\n", "line 1: T_list needs at least one value"),
+             ("dme-bench", "r_list =   # none\n", "line 1: r_list needs at least one value"),
+             ("rd-bench", "D_frac = -1\n", "line 1: D_frac must be positive, got '-1'"),
+             ("rd-bench", "v = 0\n", "line 1: v must be positive, got '0'"),
+             ("rd-bench", "mode = wz\nsigma_z = 0\n", "line 2: sigma_z must be positive, got '0'"),
+             ("dme-bench", "delta = inf\n", "line 1: delta must be finite, got 'inf'")]
+    cfg = tmp_path / "c.cfg"
+    for command, text, message in cases:
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"qtc: {message}\n"
+    cfg.write_text("noise = 0\nd = 4\nT_list = 16 32\nreps = 1\n")  # noise may be zero
+    assert main(["opt-bench", "--config", str(cfg)]) == 0
+
+
 def test_cli_quantize_bench_rows_do_not_depend_on_order(tmp_path):
     def rows(quantizers):
         cfg = tmp_path / "q.cfg"

@@ -219,3 +219,21 @@ def test_every_quantizer_is_built_by_kernel_quantizer():
     calls = sum(len(_quantizer_calls(ast.parse(inspect.getsource(mod)))) for mod in modules)
     (factory,) = [f for f in _functions(core) if f.name == "kernel_quantizer"]
     assert calls == len(_quantizer_calls(factory)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_round_trip_equals_separate_encode_and_decode(name):
+    """`roundtrip` seeds one stream and rewinds it for the decoder; the result
+    is that of an encode and a decode each on a fresh ``path.stream()``.  The
+    cases include encoders with private draws after the shared ones (RATQ,
+    A-RATQ) and decoders with side information (subsampled RMQ and RDAQ)."""
+    q, _, d, norm, delta = CASES[name]()
+    rng = SeedPath(92).child(name).stream()
+    for i in range(INPUTS):
+        x = norm(rng, d) if callable(norm) else _vec(rng, d, norm)
+        side = None if delta is None else x + _vec(rng, d, delta)
+        path = SeedPath(93).child(name, i)
+        msg, rec = q.roundtrip(x, side, path)
+        alone = q.encode(x, side, path.stream())
+        assert msg == alone
+        assert np.array_equal(rec, q.decode(alone, side, path.stream()))

@@ -97,6 +97,67 @@ def test_seedpath_streams_distinct():
     assert len(seen) == 10_000  # no identical first words among 1e4 streams
 
 
+_M64 = (1 << 64) - 1
+
+
+def _reference_key(root_seed, labels):
+    """SeedPath's key from scratch: SplitMix64 of the root seed, then for each
+    label SplitMix64 of the key XOR the role's FNV-1a hash, then of the key
+    XOR the index, all mod 2^64."""
+
+    def splitmix(x):
+        x = (x + 0x9E3779B97F4A7C15) & _M64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
+        return x ^ (x >> 31)
+
+    h = splitmix(root_seed & _M64)
+    for role, index in labels:
+        fnv = 0xCBF29CE484222325
+        for byte in role.encode("utf8"):
+            fnv = ((fnv ^ byte) * 0x100000001B3) & _M64
+        h = splitmix(h ^ fnv)
+        h = splitmix(h ^ (index & _M64))
+    return h
+
+
+KEY_CASES = [
+    (0, ()),
+    (7, (("client", 3),)),
+    (41, (("bitexact", 0), ("known-delta", 0), ("client", 2), ("trial", 17))),
+    (-5, (("msg", -1), ("x", (1 << 64) + 9))),
+    ((1 << 70) + 3, (("été", 0),)),
+    (3, (("a", 1 << 63), ("a", -(1 << 63)), ("", 0), ("a", _M64), ("a", 1 << 200))),
+]
+
+
+@pytest.mark.parametrize("root_seed, labels", KEY_CASES)
+def test_seedpath_key_matches_the_reference_built_either_way(root_seed, labels):
+    direct = SeedPath(root_seed, labels)
+    chained = SeedPath(root_seed)
+    for role, index in labels:
+        chained = chained.child(role, index)
+    want = _reference_key(root_seed, labels)
+    assert direct.mixed() == chained.mixed() == want
+    assert direct == chained and hash(direct) == hash(chained)
+    assert direct.labels == chained.labels and repr(direct) == repr(chained)
+    assert np.array_equal(direct.stream().integers(0, 1 << 63, 4),
+                          np.random.Generator(np.random.PCG64(want)).integers(0, 1 << 63, 4))
+
+
+def test_seedpath_keys_are_pinned():
+    # recorded before the key was stored on the path
+    pinned = {
+        KEY_CASES[0]: 0xE220A8397B1DCDAF,
+        KEY_CASES[1]: 0xE97A08C1DF0A3E5B,
+        KEY_CASES[2]: 0xAF8C0F61849A5A89,
+        KEY_CASES[3]: 0x5DA7F580C64709D7,
+        KEY_CASES[4]: 0x29F8DD3BDFF313D7,
+    }
+    for (root_seed, labels), key in pinned.items():
+        assert SeedPath(root_seed, labels).mixed() == key
+
+
 def test_sibling_labels_differ():
     a = SeedPath(1).child("x", 0).stream().integers(0, 1 << 63, 2)
     b = SeedPath(1).child("x", 1).stream().integers(0, 1 << 63, 2)
@@ -126,6 +187,32 @@ def test_fields_match_per_field_writes_and_reads():
         assert np.array_equal(reader.read_fields(len(vals), w), vals)
     reader.finish()
     assert BitReader(BitString()).read_fields(0, 3).shape == (0,)
+
+
+def test_fields_match_a_string_reference_across_word_boundaries():
+    """Widths 1..63 and counts 0..130 cross every `63 // width` word
+    boundary; the fields sit between write_uint fields at odd bit offsets."""
+    rng = np.random.default_rng(2)
+    for w in range(1, 64):
+        top = (1 << w) - 1
+        vals = rng.integers(0, top, size=131, endpoint=True)
+        vals[::7], vals[3::7] = 0, top
+        for count in range(131):
+            v = vals[:count]
+            bs = BitString().write_uint(5, 3).write_fields(v, w).write_uint(1, 5)
+            want = "101" + "".join(format(int(f), f"0{w}b") for f in v) + "00001"
+            assert bs.to01() == want, (w, count)
+            reader = BitReader(bs)
+            assert reader.read_uint(3) == 5
+            got = reader.read_fields(count, w)
+            assert got.dtype == np.int64 and np.array_equal(got, v), (w, count)
+            assert reader.read_uint(5) == 1
+            reader.finish()
+            with pytest.raises(TruncatedStreamError):
+                BitReader(bs, cursor=3).read_fields(count + 6, w)
+        for bad in (top + 1, -1) if w < 63 else (-1,):  # 2^63 is no int64
+            with pytest.raises(ValueError, match="does not fit"):
+                BitString().write_fields(vals[:70].tolist() + [bad], w)
 
 
 def test_fields_reject_bad_values_and_leftovers():
