@@ -229,6 +229,7 @@ class SimResult:
 
 
 _LOG_TAIL = -64.0 * math.log(2.0)  # log of the largest tail mass the slot table drops
+_GUIDE_BITS = 14  # the slot table's guide has at most 2^14 buckets
 
 
 def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: int):
@@ -246,7 +247,12 @@ def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: i
     completes, so it acts like any longer one.  The table has at most
     horizon + 1 entries.
 
-    Returns draw(rng, size): one uniform and one lookup per codeword.  The
+    Returns draw(rng, size): one uniform per codeword, `rng.random(size)`,
+    and the slot count at searchsorted(cdf, u, side="right").  That index is
+    found through a guide table (Chen & Asau 1974; Devroye 1986, III.2.4),
+    built once with the table: the guide gives the index directly for most
+    uniforms, in O(1), and the few it places too low finish by binary
+    search.  The indices, and so the draws, are the binary search's.  The
     table is kept as draw.slots and draw.cdf.
     """
     if erasure == 0:
@@ -282,9 +288,23 @@ def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: i
         mass[-1] = max(0.0, float(p.sum()) - float(mass.sum()))  # more than horizon slots
     cdf = mass.cumsum()
     cdf /= cdf[-1]
+    # guide[j] counts the cdf entries <= j/m (an entry c is <= j/m exactly when
+    # ceil(c m) <= j).  As m is a power of two, c m and floor(u m) are exact, so
+    # guide[floor(u m)] is never above the index searchsorted finds for u.  It
+    # falls short only when u lands at or past an entry inside its bucket: with
+    # at least 8 buckets per entry, for at most 1/8 of the uniforms, and those
+    # finish by binary search.  Only tables of more than 2^11 entries (an
+    # erasure near 1) get fewer buckets per entry, and more binary searches.
+    m = 1 << min(int(8 * cdf.size - 1).bit_length(), _GUIDE_BITS)
+    guide = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1)[:m].cumsum()
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        return slots[np.searchsorted(cdf, rng.random(size), side="right")]
+        u = rng.random(size)
+        idx = guide[(u * m).astype(np.intp)]
+        short = np.flatnonzero(cdf[idx] <= u)
+        if short.size:
+            idx[short] = np.searchsorted(cdf, u[short], side="right")
+        return slots[idx]
 
     draw.slots, draw.cdf = slots, cdf
     return draw
@@ -308,12 +328,14 @@ def simulate_update_scheme(
     slots.  `_slot_sampler` builds the exact law of that count once per call
     as a CDF table (without erasure, the symbol CDF of `Generator.choice`, so
     those draws are choice's), and each codeword's slot count is one uniform
-    looked up in it.  The table is exact: it drops only tail mass below
-    2^-64, and it lumps all counts above the horizon, which no completed
-    cycle can take, into one entry.  The randomized mode then draws the skip
-    words (`geometric`, and `negative_binomial` on their bits under erasure).
-    Cycles are drawn in blocks sized to cover the horizon with a 10% margin,
-    and each block is cut at the horizon with no per-cycle Python work:
+    looked up in it: through a guide table, in O(1) for most uniforms, with
+    exactly the index a binary search finds.  The table is exact: it drops
+    only tail mass below 2^-64, and it lumps all counts above the horizon,
+    which no completed cycle can take, into one entry.  The randomized mode
+    then draws the skip words (`geometric`, and `negative_binomial` on their
+    bits under erasure).  Cycles are drawn in blocks sized to cover the
+    horizon with a 10% margin, and each block is cut at the horizon with no
+    per-cycle Python work:
     `np.searchsorted(used + np.cumsum(y), horizon, side="right")` counts the
     cycles that end by the horizon (one ending exactly at it counts), and
     their age rewards come from one array expression over each cycle's

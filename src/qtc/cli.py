@@ -65,18 +65,20 @@ class ConfigError(Exception):
 
 # Float keys with a sign constraint; a key means the same in every command
 # that has it (B is the norm bound of quantize-bench and opt-bench alike).
-_POSITIVE = frozenset({"B", "tol", "v", "D_frac", "sigma_z"})
-_NONNEGATIVE = frozenset({"noise"})
+_POSITIVE = frozenset({"B", "tol", "v", "D_frac", "sigma_z", "delta"})
+_NONNEGATIVE = frozenset({"noise", "erasure"})
+_BELOW_ONE = frozenset({"erasure"})
 
 
 def parse_config(text: str, defaults: dict) -> dict:
     """Flat `key = value` lines with '#' comments, over `defaults`.
 
     The keys of `defaults` are the only keys accepted, and each value is
-    read as the type of its default: a list key as whitespace-separated
-    values of its default's element type, at least one.  Every int, alone
-    or in a list, must be at least 1, and every float finite; B, tol, v,
-    D_frac and sigma_z must be positive and noise non-negative.
+    read as the type of its default: a list key as values of its default's
+    element type separated by commas or whitespace, at least one.  Every
+    int, alone or in a list, must be at least 1, and every float finite;
+    B, tol, v, D_frac, sigma_z and delta must be positive, noise
+    non-negative, and erasure in [0, 1).
     """
     values = dict(defaults)
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -91,7 +93,7 @@ def parse_config(text: str, defaults: dict) -> dict:
         default = defaults[key]
         try:
             if isinstance(default, list):
-                values[key] = [type(default[0])(tok) for tok in val.split()]
+                values[key] = [type(default[0])(tok) for tok in val.replace(",", " ").split()]
             else:
                 values[key] = type(default)(val)
         except ValueError as exc:
@@ -107,6 +109,8 @@ def parse_config(text: str, defaults: dict) -> dict:
             raise ConfigError(f"line {lineno}: {key} must be positive, got {val!r}")
         if key in _NONNEGATIVE and not values[key] >= 0:
             raise ConfigError(f"line {lineno}: {key} must be non-negative, got {val!r}")
+        if key in _BELOW_ONE and not values[key] < 1:
+            raise ConfigError(f"line {lineno}: {key} must be below 1, got {val!r}")
     return values
 
 
@@ -133,7 +137,8 @@ def _fmt(v) -> str:
 
 
 def cmd_quantize_bench(args) -> int:
-    cfg = parse_config(args.config_text, {"d": 256, "B": 1.0, "quantizers": "ratq,simq,simq_plus"})
+    cfg = parse_config(args.config_text,
+                       {"d": 256, "B": 1.0, "quantizers": ["ratq", "simq", "simq_plus"]})
     d, B = cfg["d"], cfg["B"]
     trials = args.trials or 2000
     rows = []
@@ -142,7 +147,7 @@ def cmd_quantize_bench(args) -> int:
     y = rng.normal(size=d)
     y *= B / np.linalg.norm(y)
     y_l1 = y * (B / np.abs(y).sum())  # SimQ's input; SimQ+ takes its l2 rescaling
-    for name in [q.strip() for q in cfg["quantizers"].split(",") if q.strip()]:
+    for name in cfg["quantizers"]:
         if name == "ratq":
             x = y
             rcfg = RatqConfig.default(B, d)

@@ -128,9 +128,14 @@ class BitString:
         The fields are packed `63 // width` to an int64 word, as one product
         with the fields' weights, and the words are joined into the message
         int.  Zero fields pad the first word; they add nothing to the int."""
-        v = np.asarray(values, dtype=np.int64).ravel()
         if not 1 <= width <= 63:
             raise ValueError(f"field width must be in 1..63, got {width}")
+        try:
+            v = np.asarray(values, dtype=np.int64).ravel()
+        except OverflowError:  # a value outside int64, so wider than any field
+            bad = next(x for x in np.ravel(np.asarray(values, dtype=object))
+                       if not -(1 << 63) <= x < 1 << 63)
+            raise ValueError(f"value {bad} does not fit in {width} bits") from None
         if v.size == 0:
             return self
         if np.bitwise_or.reduce(v) >> width:  # a negative value or one too wide

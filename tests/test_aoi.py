@@ -218,6 +218,59 @@ def test_slot_table_stays_bounded_as_erasure_nears_one():
     assert res.cycles == 0 and math.isfinite(res.avg_age)
 
 
+class GivenUniforms:
+    """Stands in for a Generator whose `random(size)` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def _tiny_masses():
+    """Two symbols share the mass; 62 of 1e-6 each crowd the CDF's steps."""
+    p = np.full(64, 1e-6)
+    p[[5, 40]] = (1.0 - 62e-6) / 2
+    return np.arange(1, 65), p
+
+
+# name -> (lengths, p, erasure, horizon) of a slot table
+_SLOT_TABLES = {
+    **{f"erasure-{eps}": (None, None, eps, 10**5) for eps in (0.0, 0.1, 0.3, 0.9)},
+    "erasure-0.999": (None, None, 0.999, 10**4),  # over 2^11 entries: a capped guide
+    "tiny-masses": (*_tiny_masses(), 0.0, 10**5),
+    "tiny-masses-erasure-0.3": (*_tiny_masses(), 0.3, 10**5),
+    # zero-mass entries repeat CDF values, 1.0 among them
+    "zero-masses": (np.arange(1, 8), np.array([0.3, 0, 0, 0.2, 0, 0.5, 0]), 0.0, 10**5),
+    "one-symbol": (np.array([3]), np.array([1.0]), 0.0, 10**5),
+}
+
+
+def edge_uniforms(cdf):
+    """0, the largest double below 1, each CDF value and its neighbours, and
+    every bucket edge j / 2^14 (the finest guide) and the double below it."""
+    grid = np.arange(1 << 14) / (1 << 14)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf, np.nextafter(cdf, 0.0),
+                        np.nextafter(cdf, 1.0), grid, np.nextafter(grid, 0.0)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@pytest.mark.parametrize("name", sorted(_SLOT_TABLES))
+def test_slot_draw_is_the_binary_search(name):
+    """The guide-table lookup gives exactly searchsorted(cdf, u, "right")."""
+    ell, p, eps, horizon = _SLOT_TABLES[name]
+    if p is None:
+        p = random_pmf(45, 32)
+        ell = shannon_lengths(p, "integer")
+    draw = aoi._slot_sampler(ell, p, eps, horizon)
+    assert eps < 0.999 or draw.cdf.size > 1 << 11
+    for u in (edge_uniforms(draw.cdf), np.random.default_rng(46).random(10**6)):
+        want = draw.slots[np.searchsorted(draw.cdf, u, side="right")]
+        assert np.array_equal(draw(GivenUniforms(u), u.size), want)
+
+
 class FixedStream:
     """Stands in for a SeedPath whose stream is the given generator."""
 

@@ -19,6 +19,8 @@ def test_parse_config_rejects_unknown_and_bad_values():
     vals = parse_config("a = 3\n# comment\nb = 1.5\nc = 1 2 3\nn = 4 5\n", defaults)
     assert vals == {"a": 3, "b": 1.5, "c": [1.0, 2.0, 3.0], "n": [4, 5]}
     assert [type(v) for v in vals["c"] + vals["n"]] == [float] * 3 + [int] * 2
+    commas = parse_config("c = 1,2 , 3\nn = 4,\n", defaults)
+    assert (commas["c"], commas["n"]) == ([1.0, 2.0, 3.0], [4])
     with pytest.raises(ConfigError):
         parse_config("zzz = 1", defaults)
     with pytest.raises(ConfigError):
@@ -157,7 +159,15 @@ def test_cli_rejects_empty_lists_and_floats_out_of_domain_naming_the_key(tmp_pat
              ("rd-bench", "D_frac = -1\n", "line 1: D_frac must be positive, got '-1'"),
              ("rd-bench", "v = 0\n", "line 1: v must be positive, got '0'"),
              ("rd-bench", "mode = wz\nsigma_z = 0\n", "line 2: sigma_z must be positive, got '0'"),
-             ("dme-bench", "delta = inf\n", "line 1: delta must be finite, got 'inf'")]
+             ("dme-bench", "delta = inf\n", "line 1: delta must be finite, got 'inf'"),
+             ("quantize-bench", "quantizers = ,\n", "line 1: quantizers needs at least one value"),
+             ("quantize-bench", "d = 8\nquantizers = , ,\n",
+              "line 2: quantizers needs at least one value"),
+             ("dme-bench", "delta = 0\n", "line 1: delta must be positive, got '0'"),
+             ("dme-bench", "setting = known-delta\ndelta = -0.1\n",
+              "line 2: delta must be positive, got '-0.1'"),
+             ("aoi-sim", "erasure = 1.0\n", "line 1: erasure must be below 1, got '1.0'"),
+             ("aoi-sim", "erasure = -0.1\n", "line 1: erasure must be non-negative, got '-0.1'")]
     cfg = tmp_path / "c.cfg"
     for command, text, message in cases:
         cfg.write_text(text)

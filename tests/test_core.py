@@ -220,6 +220,10 @@ def test_fields_reject_bad_values_and_leftovers():
         BitString().write_fields([1, 8], 3)
     with pytest.raises(ValueError, match="does not fit"):
         BitString().write_fields([-1], 3)
+    for w in (62, 63):  # values no int64 holds fail like any other misfit
+        for bad in (2**63, 2**64, -(2**63) - 1):
+            with pytest.raises(ValueError, match=f"value {bad} does not fit in {w} bits"):
+                BitString().write_fields([1, bad, 2], w)
     reader = BitReader(BitString().write_fields([1, 2, 3], 2))
     with pytest.raises(TruncatedStreamError):
         reader.read_fields(4, 2)
