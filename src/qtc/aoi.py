@@ -11,6 +11,7 @@ maxmin problem then certifies it, independently of the solver.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -232,6 +233,80 @@ _LOG_TAIL = -64.0 * math.log(2.0)  # log of the largest tail mass the slot table
 _GUIDE_BITS = 14  # the slot table's guide has at most 2^14 buckets
 
 
+class _Workspace(threading.local):
+    """One thread's work buffers, kept from one simulator call to the next.
+
+    A buffer grows to the largest size asked of it and never shrinks, so a
+    call no larger than an earlier one allocates no block-sized array.  No
+    view of a buffer may outlive the call that asked for it.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, size: int, dtype=np.float64, keep: int = 0) -> np.ndarray:
+        """Buffer `name` with room for `size` elements; growing it keeps its first `keep`."""
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            grown = np.empty(size, dtype)
+            if keep:
+                grown[:keep] = buf[:keep]
+            self.buffers[name] = buf = grown
+        return buf
+
+
+_WORK = _Workspace()
+
+
+def _erasure_law(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: int):
+    """(slots, mass) of Z = L_x + NB(L_x, 1 - erasure), as `_slot_sampler` describes.
+
+    Every distinct length is one row of a padded 2-D array: one log1p and one
+    row-wise cumsum give log C(ell+k-1, k), and one exp the terms.  Each row
+    computes exactly the floats of that length alone, so the row's term count
+    keeps its own doubling rule, and the array widens when a row outgrows it.
+    """
+    log_q, log_e = math.log1p(-erasure), math.log(erasure)
+    kept = (p > 0) & (lengths <= horizon)  # keep t = ell + k <= horizon
+    weights = np.bincount(lengths[kept].astype(np.intp), weights=p[kept])
+    ells = np.flatnonzero(weights)
+    weights = weights[ells]
+    rows = ells.tolist()
+    n = []  # terms k < n[i] of row i
+    for ell in rows:
+        mean, sd = ell * erasure / (1 - erasure), math.sqrt(ell * erasure) / (1 - erasure)
+        n.append(min(horizon - ell, int(mean + 10 * sd + _LOG_TAIL / log_e)) + 1)
+    done = [False] * len(rows)
+    while not all(done):
+        k = np.arange(max(n), dtype=float)
+        log_pmf = np.add.outer(ells * log_q, k * log_e)
+        log_binom = np.divide.outer(ells - 1, k[1:])
+        np.log1p(log_binom, out=log_binom)
+        log_pmf[:, 1:] += np.cumsum(log_binom, axis=1, out=log_binom)  # log C(ell+k-1, k)
+        del log_binom
+        for i, ell in enumerate(rows):
+            while not done[i] and n[i] <= k.size:
+                r = erasure * (ell + n[i] - 1) / n[i]
+                if n[i] > horizon - ell or (
+                    r < 1 and log_pmf[i, n[i] - 1] + math.log(r / (1 - r)) < _LOG_TAIL
+                ):
+                    done[i] = True
+                else:
+                    n[i] = min(horizon - ell + 1, 2 * n[i])
+    lo = rows[0] if rows else horizon + 1
+    top = max((ell + ni for ell, ni in zip(rows, n)), default=lo)
+    slots = np.arange(lo, top + 1, dtype=float)
+    slots[-1] = horizon + 1
+    mass = np.zeros(slots.size)
+    if rows:
+        terms = np.exp(log_pmf, out=log_pmf)
+        terms *= weights[:, None]
+        for i, ell in enumerate(rows):
+            mass[ell - lo : ell - lo + n[i]] += terms[i, : n[i]]
+    mass[-1] = max(0.0, float(p.sum()) - float(mass.sum()))  # more than horizon slots
+    return slots, mass
+
+
 def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: int):
     """The law of a cycle's codeword slot count as a CDF table, and its draw.
 
@@ -239,7 +314,8 @@ def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: i
     Without erasure the table is the symbol CDF that `Generator.choice` builds
     over `lengths`, so the draws are choice's.  With erasure it is the exact
     mixture P(Z = t) = sum_x p_x C(t-1, L_x-1) q^L_x eps^(t-L_x), q = 1 - eps,
-    built one distinct length at a time in log space (q^L cannot underflow).
+    built for all distinct lengths at once in log space (q^L cannot
+    underflow; see `_erasure_law`).
     A length's terms end at a k past its mode where the geometric bound
     pmf(k) r/(1-r), r = eps (L+k)/(k+1), puts the rest of its law below 2^-64
     (the ratios of later terms are at most r), and all mass above `horizon`
@@ -247,45 +323,20 @@ def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: i
     completes, so it acts like any longer one.  The table has at most
     horizon + 1 entries.
 
-    Returns draw(rng, size): one uniform per codeword, `rng.random(size)`,
-    and the slot count at searchsorted(cdf, u, side="right").  That index is
-    found through a guide table (Chen & Asau 1974; Devroye 1986, III.2.4),
-    built once with the table: the guide gives the index directly for most
-    uniforms, in O(1), and the few it places too low finish by binary
-    search.  The indices, and so the draws, are the binary search's.  The
+    Returns draw(rng, size, out=None): one uniform per codeword,
+    `rng.random(size)`, and the slot count at searchsorted(cdf, u,
+    side="right"), written into `out` when given, else into a new array.
+    That index is found through a guide table (Chen & Asau 1974; Devroye
+    1986, III.2.4), built once with the table: the guide gives the index
+    directly for most uniforms, in O(1), and the few it places too low finish
+    by binary search.  The indices, and so the draws, are the binary
+    search's.  The lookup works in the calling thread's reused buffers.  The
     table is kept as draw.slots and draw.cdf.
     """
     if erasure == 0:
         slots, mass = lengths.astype(float), p
     else:
-        log_q, log_e = math.log1p(-erasure), math.log(erasure)
-        sent = p > 0
-        ells, which = np.unique(lengths[sent].astype(int), return_inverse=True)
-        weights = np.bincount(which, weights=p[sent])
-        segments = []  # (length, pmf of t = length, length + 1, ...)
-        for ell, w in zip(ells.tolist(), weights.tolist()):
-            k_max = horizon - ell  # keep t = ell + k <= horizon
-            if k_max < 0:
-                continue
-            mean, sd = ell * erasure / (1 - erasure), math.sqrt(ell * erasure) / (1 - erasure)
-            n = min(k_max, int(mean + 10 * sd + _LOG_TAIL / log_e)) + 1  # terms k < n
-            while True:
-                k = np.arange(n, dtype=float)
-                log_pmf = k * log_e
-                log_pmf += ell * log_q
-                log_pmf[1:] += np.log1p((ell - 1) / k[1:]).cumsum()  # log C(ell+k-1, k)
-                r = erasure * (ell + n - 1) / n
-                if n > k_max or (r < 1 and log_pmf[-1] + math.log(r / (1 - r)) < _LOG_TAIL):
-                    break
-                n = min(k_max + 1, 2 * n)
-            segments.append((ell, w * np.exp(log_pmf)))
-        lo = min((ell for ell, _ in segments), default=horizon + 1)
-        top = max((ell + seg.size for ell, seg in segments), default=lo)
-        slots = np.append(np.arange(lo, top, dtype=float), horizon + 1)
-        mass = np.zeros(slots.size)
-        for ell, seg in segments:
-            mass[ell - lo : ell - lo + seg.size] += seg
-        mass[-1] = max(0.0, float(p.sum()) - float(mass.sum()))  # more than horizon slots
+        slots, mass = _erasure_law(lengths, p, erasure, horizon)
     cdf = mass.cumsum()
     cdf /= cdf[-1]
     # guide[j] counts the cdf entries <= j/m (an entry c is <= j/m exactly when
@@ -298,13 +349,22 @@ def _slot_sampler(lengths: np.ndarray, p: np.ndarray, erasure: float, horizon: i
     m = 1 << min(int(8 * cdf.size - 1).bit_length(), _GUIDE_BITS)
     guide = np.bincount(np.ceil(cdf * m).astype(np.intp), minlength=m + 1)[:m].cumsum()
 
-    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(rng: np.random.Generator, size: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         u = rng.random(size)
-        idx = guide[(u * m).astype(np.intp)]
-        short = np.flatnonzero(cdf[idx] <= u)
-        if short.size:
-            idx[short] = np.searchsorted(cdf, u[short], side="right")
-        return slots[idx]
+        if out is None:
+            out = np.empty(size)
+        bucket = _WORK.get("draw.bucket", size, np.intp)[:size]
+        idx = _WORK.get("draw.idx", size, np.intp)[:size]
+        short = _WORK.get("draw.short", size, bool)[:size]
+        # `out` holds u m, then cdf[idx], before the slot counts
+        np.copyto(bucket, np.multiply(u, m, out=out), casting="unsafe")  # floor, as u m >= 0
+        # every index is in range; "clip" writes into out, where "raise" copies
+        np.take(guide, bucket, out=idx, mode="clip")
+        np.less_equal(np.take(cdf, idx, out=out, mode="clip"), u, out=short)
+        late = np.flatnonzero(short)
+        if late.size:
+            idx[late] = np.searchsorted(cdf, u[late], side="right")
+        return np.take(slots, idx, out=out, mode="clip")
 
     draw.slots, draw.cdf = slots, cdf
     return draw
@@ -338,12 +398,24 @@ def simulate_update_scheme(
     per-cycle Python work:
     `np.searchsorted(used + np.cumsum(y), horizon, side="right")` counts the
     cycles that end by the horizon (one ending exactly at it counts), and
-    their age rewards come from one array expression over each cycle's
-    codeword slots and the previous cycle's.  A block that runs out
-    before the horizon carries the used slots and the last codeword's slots
-    into the next block.  This reproduces the slot-level sample path exactly;
-    the slots after the last full cycle add a partial tail.
+    their age rewards come from a few in-place array operations over each
+    cycle's codeword slots and the previous cycle's.  A block that runs out
+    before the horizon appends the next block after the cycles kept.  This
+    reproduces the slot-level sample path exactly; the slots after the last
+    full cycle add a partial tail.
+
+    The block arrays live in six work buffers reused by every call in the
+    same thread (`_Workspace`), so a call no larger than an earlier one
+    allocates no block-sized array.  They grow to the largest call seen,
+    about one block of 8-byte elements each: 1.6 MB each at the CLI's
+    default of 10^6 slots of Zipf(1) over 64 symbols (a 5.4-bit mean
+    codeword).  The renewal SE makes exactly the sums and divisions of
+    `np.var(ddof=1)` and `np.mean`, on one centred buffer, so every float is
+    theirs.
     """
+    if not float(horizon).is_integer():
+        raise ValueError("horizon must be a whole number of slots")
+    horizon = int(horizon)
     if horizon < 1000:
         raise ValueError("simulate at least 1000 slots")
     p = validate_pmf(p)
@@ -377,52 +449,69 @@ def simulate_update_scheme(
     mean_cycle = (mean_len + (1 / e_theta - 1) * (l_skip or 0)) / (1 - erasure)
     block = max(1024, int(horizon / max(mean_cycle, 1.0) * 1.1) + 64)
 
-    rewards: list[np.ndarray] = []
-    cycle_slots: list[np.ndarray] = []
+    # Cycle i >= 1 takes y[i-1] slots, of which its codeword takes z[i]; z[0]
+    # precedes the first cycle.  r[i-1] is cycle i's age reward.  Blocks
+    # append after the n cycles kept so far.
+    n = 0
     used = 0.0  # slots taken by the cycles kept so far
-    z_prev = 0.0
+    _WORK.get("z", block + 1)[0] = 0.0
     draw_slots = _slot_sampler(lengths, p_send, erasure, horizon)
     while True:
-        z_block = draw_slots(rng, block)
+        z = _WORK.get("z", n + block + 1, keep=n + 1)
+        r = _WORK.get("r", n + block, keep=n)
+        t = _WORK.get("t", n + block)
+        z_block = draw_slots(rng, block, out=z[n + 1 : n + 1 + block])
         if theta is not None:
-            skips = rng.geometric(e_theta, size=block) - 1
-            skip_bits = skips * int(l_skip)
-            extra = np.zeros(block)
-            nz = skip_bits > 0
-            if erasure > 0 and np.any(nz):
-                extra[nz] = rng.negative_binomial(skip_bits[nz], 1.0 - erasure)
-            y_block = z_block + skip_bits + extra
+            y = _WORK.get("y", n + block, keep=n)
+            y_block = y[n : n + block]
+            skip_bits = rng.geometric(e_theta, size=block)
+            skip_bits -= 1
+            skip_bits *= int(l_skip)
+            np.add(z_block, skip_bits, out=y_block)
+            if erasure > 0:
+                nz = np.flatnonzero(skip_bits)
+                if nz.size:
+                    y_block[nz] += rng.negative_binomial(skip_bits[nz], 1.0 - erasure)
         else:
-            y_block = z_block
-        ends = used + np.cumsum(y_block)
+            y, y_block = z[1:], z_block
+        ends = np.cumsum(y_block, out=t[:block])
+        ends += used
         k = int(np.searchsorted(ends, horizon, side="right"))
-        y = y_block[:k]
-        z = np.concatenate(([z_prev], z_block[:k]))  # z[i] precedes cycle i
-        rewards.append(0.5 * y * y + y * (z[:-1] - 0.5) + z[1:] - z[:-1])
-        cycle_slots.append(y)
         if k:
-            used, z_prev = float(ends[k - 1]), float(z[-1])
+            used = float(ends[k - 1])
+        # 0.5 y y + y (z_prev - 0.5) + z - z_prev, in that order
+        y_k, z_prev, z_k, r_k, tmp = y_block[:k], z[n : n + k], z[n + 1 : n + 1 + k], r[n : n + k], t[:k]
+        np.multiply(y_k, 0.5, out=r_k)
+        r_k *= y_k
+        np.subtract(z_prev, 0.5, out=tmp)
+        tmp *= y_k
+        r_k += tmp
+        r_k += z_k
+        r_k -= z_prev
+        n += k
         if k < block:
             break
-    r_all = np.concatenate(rewards)
-    y_all = np.concatenate(cycle_slots)
-    total_reward = float(np.sum(r_all))
+    total_reward = float(np.sum(r[:n]))
     # partial tail: ages keep growing linearly until the horizon
     tail = horizon - int(used)
-    total_reward += tail * (tail + 1) / 2.0 + z_prev * tail
+    total_reward += tail * (tail + 1) / 2.0 + float(z[n]) * tail
     avg = total_reward / horizon
 
     # 1-dependent renewal SE over the cycle statistics (R_k, Y_k), k >= 2
-    r_arr, y_arr = r_all[1:], y_all[1:]
-    if len(r_arr) >= 8:
-        dvec = r_arr - avg * y_arr
-        g0 = float(np.var(dvec, ddof=1))
-        g1 = float(np.mean((dvec[:-1] - dvec.mean()) * (dvec[1:] - dvec.mean())))
-        var_sum = max(0.0, len(dvec) * (g0 + 2.0 * g1))
+    m = n - 1  # cycles k >= 2
+    if m >= 8:
+        y_arr = y[1:n]
+        d = np.multiply(y_arr, avg, out=t[:m])
+        np.subtract(r[1:n], d, out=d)
+        d -= np.add.reduce(d) / m  # centred about its mean
+        sq = r[:m]
+        g0 = float(np.add.reduce(np.multiply(d, d, out=sq)) / (m - 1))
+        g1 = float(np.add.reduce(np.multiply(d[:-1], d[1:], out=sq[: m - 1])) / (m - 1))
+        var_sum = max(0.0, m * (g0 + 2.0 * g1))
         se = math.sqrt(var_sum) / max(float(np.sum(y_arr)), 1.0)
     else:
         se = math.inf
-    return SimResult(avg, se, len(r_all))
+    return SimResult(avg, se, n)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,8 @@ def run_dme(
     one built without a kernel makes `sample` raise TypeError.
     """
     n, d = instance.n, instance.d
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {trials}")
     if len(quantizers) != n:
         raise ValueError(f"{len(quantizers)} quantizers for {n} clients")
     bits = []

@@ -271,6 +271,74 @@ def test_slot_draw_is_the_binary_search(name):
         assert np.array_equal(draw(GivenUniforms(u), u.size), want)
 
 
+def loop_erasure_law(lengths, p, eps, horizon):
+    """The erasure table built one distinct length at a time, as a reference
+    for the batched `_erasure_law`: its (slots, mass) must be the same floats."""
+    log_q, log_e = math.log1p(-eps), math.log(eps)
+    sent = p > 0
+    ells, which = np.unique(lengths[sent].astype(int), return_inverse=True)
+    weights = np.bincount(which, weights=p[sent])
+    segments = []
+    for ell, w in zip(ells.tolist(), weights.tolist()):
+        k_max = horizon - ell
+        if k_max < 0:
+            continue
+        mean, sd = ell * eps / (1 - eps), math.sqrt(ell * eps) / (1 - eps)
+        n = min(k_max, int(mean + 10 * sd + aoi._LOG_TAIL / log_e)) + 1
+        while True:
+            k = np.arange(n, dtype=float)
+            log_pmf = k * log_e
+            log_pmf += ell * log_q
+            log_pmf[1:] += np.log1p((ell - 1) / k[1:]).cumsum()
+            r = eps * (ell + n - 1) / n
+            if n > k_max or (r < 1 and log_pmf[-1] + math.log(r / (1 - r)) < aoi._LOG_TAIL):
+                break
+            n = min(k_max + 1, 2 * n)
+        segments.append((ell, w * np.exp(log_pmf)))
+    lo = min((ell for ell, _ in segments), default=horizon + 1)
+    top = max((ell + seg.size for ell, seg in segments), default=lo)
+    slots = np.append(np.arange(lo, top, dtype=float), horizon + 1)
+    mass = np.zeros(slots.size)
+    for ell, seg in segments:
+        mass[ell - lo : ell - lo + seg.size] += seg
+    mass[-1] = max(0.0, float(p.sum()) - float(mass.sum()))
+    return slots, mass
+
+
+def _erasure_tables():
+    """name -> (lengths, p, erasure, horizon): the tables of
+    test_slot_table_is_the_exact_law and every _SLOT_TABLES case with erasure,
+    plus long codewords at a small erasure, whose term counts double past the
+    first width."""
+    p = random_pmf(40, 32)
+    cases = {f"exact-law-{eps}-{h}": (shannon_lengths(p, "integer"), p, eps, h)
+             for eps in (0.1, 0.4, 0.9) for h in (60, 1000)}
+    p = random_pmf(45, 32)
+    for name, (ell, q, eps, horizon) in _SLOT_TABLES.items():
+        if eps > 0:
+            cases[name] = (shannon_lengths(p, "integer"), p, eps, horizon) if q is None else (ell, q, eps, horizon)
+    cases["tiny-masses-erasure-0.001"] = (*_tiny_masses(), 0.001, 10**5)
+    cases["tiny-masses-erasure-0.01-horizon-40"] = (*_tiny_masses(), 0.01, 40)
+    cases["all-beyond-horizon"] = (np.array([70, 80]), np.array([0.5, 0.5]), 0.3, 60)
+    return cases
+
+
+_ERASURE_TABLES = _erasure_tables()
+
+
+@pytest.mark.parametrize("name", sorted(_ERASURE_TABLES))
+def test_erasure_table_is_the_per_length_loop(name):
+    lengths, p, eps, horizon = _ERASURE_TABLES[name]
+    slots, mass = aoi._erasure_law(lengths, p, eps, horizon)
+    want_slots, want_mass = loop_erasure_law(lengths, p, eps, horizon)
+    assert np.array_equal(slots, want_slots)
+    assert mass.tobytes() == want_mass.tobytes()
+    draw = aoi._slot_sampler(lengths, p, eps, horizon)
+    want_cdf = want_mass.cumsum()
+    want_cdf /= want_cdf[-1]
+    assert np.array_equal(draw.slots, want_slots) and draw.cdf.tobytes() == want_cdf.tobytes()
+
+
 class FixedStream:
     """Stands in for a SeedPath whose stream is the given generator."""
 
@@ -290,6 +358,8 @@ _BAD_SIM_INPUTS = {
     "theta-above-one": dict(lengths=[2, 2], theta=[2.0, 0.0], l_skip=2, **_HALVES),
     "theta-negative": dict(lengths=[2, 2], theta=[-0.5, 1.0], l_skip=2, **_HALVES),
     "fractional-skip": dict(lengths=[2, 2], theta=[1.0, 0.5], l_skip=2.5, **_HALVES),
+    # 1000.5 slots would end in half a slot of age
+    "fractional-horizon": dict(lengths=[1, 1], p=[0.5, 0.5], horizon=1000.5),
 }
 
 
@@ -300,6 +370,13 @@ def test_simulator_rejects_bad_inputs_before_drawing(case):
     with pytest.raises(ValueError):
         simulate_update_scheme(seed=FixedStream(rng), **_BAD_SIM_INPUTS[case])
     assert rng.bit_generator.state == state
+
+
+def test_simulator_returns_python_scalars_for_a_numpy_horizon():
+    res = simulate_update_scheme([1, 1], [0.5, 0.5], np.int64(10**4), SeedPath(47))
+    want = simulate_update_scheme([1, 1], [0.5, 0.5], 10**4, SeedPath(47))
+    assert type(res.avg_age) is float and type(res.se) is float and type(res.cycles) is int
+    assert (res.avg_age, res.se, res.cycles) == (want.avg_age, want.se, want.cycles)
 
 
 def test_variational_formula():

@@ -14,14 +14,21 @@ exact law of length plus negative-binomial retransmissions; the erasure pins
 (`pmf32-erasure-0.1`, `pmf32-erasure-0.3`, randomized 0.2) were recorded on
 its draws.  `ShortBlocks` zeroes the uniforms of the first blocks, which
 looks up the smallest slot count and forces further blocks.
+
+The simulator keeps its block arrays in per-thread buffers from one call to
+the next; the last tests check that no call sees another's values, whether
+it came before it or runs beside it in another thread.
 """
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import qtc.aoi as aoi
 from qtc.aoi import _slot_sampler, shannon_lengths, simulate_update_scheme, zipf_pmf
 from qtc.cli import main
 from qtc.core import SeedPath
@@ -225,3 +232,67 @@ def test_matches_per_cycle_reference(name):
     assert (res.avg_age, res.se, res.cycles) == want
     assert new_seed.blocks == ref_seed.blocks > short
 
+
+# ---------------------------------------------------------------------------
+# Reused work buffers
+
+
+def reference_case_results(names, empty=False):
+    """(avg_age, se, cycles) of each case in turn; with `empty`, each starts
+    without work buffers, so a case of several blocks grows them mid-call."""
+    results = {}
+    for name in names:
+        if empty:
+            aoi._WORK.buffers.clear()
+        kwargs, seed, short = REFERENCE_CASES[name]
+        res = simulate_update_scheme(seed=ShortBlocks(SeedPath(seed), short), **kwargs)
+        results[name] = (res.avg_age, res.se, res.cycles)
+    return results
+
+
+def test_calls_leave_nothing_in_the_reused_buffers():
+    """A 10^6-slot randomized erasure call grows every buffer past any case's
+    size, and its values are then overwritten with NaN (or -1, or True): a
+    case that read a value it had not written would show it.  Each case gives
+    the same result after any other, and with buffers of its own."""
+    names = sorted(REFERENCE_CASES)
+    fresh = reference_case_results(names, empty=True)
+    simulate_update_scheme(seed=SeedPath(56), **{**randomized_case(0.3), "horizon": 10**6})
+    for buf in aoi._WORK.buffers.values():
+        buf.fill({"f": np.nan, "i": -1, "b": True}[buf.dtype.kind])
+    assert reference_case_results(names) == reference_case_results(names[::-1]) == fresh
+
+
+def test_threads_running_at_once_match_a_serial_run(tmp_path):
+    """More threads than cores, switching often, each run every pinned CSV
+    case three times in its own order; every CSV is the serial run's."""
+    names = sorted(CSV_CASES)
+    serial = {name: sim_csv(tmp_path, name) for name in names}
+    workers = 3
+    start = threading.Barrier(workers)
+    outputs, errors = [{} for _ in range(workers)], []
+
+    def worker(i):
+        try:
+            start.wait(timeout=60)
+            folder = tmp_path / f"thread{i}"
+            folder.mkdir()
+            for _ in range(3):
+                for name in names[i:] + names[:i]:
+                    outputs[i].setdefault(name, set()).add(sim_csv(folder, name))
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    for out in outputs:
+        assert out == {name: {serial[name]} for name in names}

@@ -228,3 +228,12 @@ def test_instance_and_quantizer_count_checked():
     for count in (2, 4):
         with pytest.raises(ValueError, match=f"{count} quantizers for 3 clients"):
             run_dme(inst, [daq_quantizer(d)] * count, SeedPath(23), 5)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_needs_a_trial(trials, sampled):
+    d = 8
+    inst = DmeInstance(unit_rows(24, 2, d) * 0.5, None, None, r=d)
+    with pytest.raises(ValueError, match="trials"):
+        run_dme(inst, [daq_quantizer(d)] * 2, SeedPath(25), trials, sampled=sampled)
