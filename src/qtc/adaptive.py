@@ -3,9 +3,10 @@
 ATUQ picks the smallest range out of a tetra-iterated ladder that contains
 the whole input vector and applies CUQ there (the ladder is defined here, the
 quantizer in `qtc.vector`).  AGUQ does the same for nonnegative gains over a
-geometric ladder (`aguq_fields`, batched); AGUQ+ is its variable-length
-variant (`AguqPlus`: unary range code + per-range level field).  The A-RATQ
-kernel in `qtc.vector` runs both and packs their fields.
+geometric ladder (batched: `aguq_uniforms` draws, `aguq_fields` rounds);
+AGUQ+ is its variable-length variant (`AguqPlus`: unary range code +
+per-range level field).  The A-RATQ kernel in `qtc.vector` runs both and
+packs their fields.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "TetraLadder",
     "GeoLadder",
     "pick_range",
+    "aguq_uniforms",
     "aguq_fields",
     "aguq_levels",
     "AguqPlus",
@@ -121,20 +123,25 @@ def pick_range(values, ranges: np.ndarray):
     return np.minimum(np.searchsorted(ranges, values, side="left"), top)
 
 
+def aguq_uniforms(g: np.ndarray, ladder: GeoLadder, rng: np.random.Generator):
+    """The rounding uniforms of AGUQ on the gains g: one per gain, drawn from
+    rng, or None, with no draw, when every gain is above the top range."""
+    return None if np.all(np.asarray(g) > ladder.ranges[-1]) else rng.random(np.shape(g))
+
+
 def aguq_fields(g: np.ndarray, ladder: GeoLadder, levels: np.ndarray,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """AGUQ on nonnegative gains g: the index j of the smallest range of
-    `ladder` covering each gain, and its CUQ symbol on levels[j] levels over
-    [0, M_j].  A gain above the top range gets the top index and the
-    overflow symbol, which decodes to 0.  Draws one rounding uniform per
-    gain, or none when every gain overflows."""
+                u) -> tuple[np.ndarray, np.ndarray]:
+    """AGUQ on nonnegative gains g, rounding with the `aguq_uniforms` draws
+    u: the index j of the smallest range of `ladder` covering each gain, and
+    its CUQ symbol on levels[j] levels over [0, M_j].  A gain above the top
+    range gets the top index and the overflow symbol, which decodes to 0."""
     if np.any(g < 0):
         raise ValueError("gains must be nonnegative")
     ranges = ladder.ranges
     j = pick_range(g, ranges)
-    if np.all(g > ranges[-1]):
+    if u is None:  # every gain overflows
         return j, np.full(np.shape(g), float(OVERFLOW))
-    return j, cuq_round_with(g, ranges[j], levels[j], rng.random(np.shape(g)), signed=False)
+    return j, cuq_round_with(g, ranges[j], levels[j], u, signed=False)
 
 
 def aguq_levels(fields: tuple[np.ndarray, np.ndarray], ladder: GeoLadder,

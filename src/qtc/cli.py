@@ -200,7 +200,7 @@ def cmd_dme_bench(args) -> int:
             ys = xs + delta * u
             deltas = [delta] * n
             rcfgs, mu_d = configure_known_delta(n, d, r, deltas)
-            quants = [wz_known_quantizer(c, mu_d) for c in rcfgs]
+            quants = [wz_known_quantizer(rcfgs[0], mu_d)] * n  # one delta, one quantizer
             inst = DmeInstance(xs, ys, np.array(deltas), r)
             bound = theoretical_bound("known-delta", n, d, r, deltas)
         else:

@@ -17,9 +17,13 @@ Conventions used by every encoder/decoder pair in this package:
 Every quantizer in this package is declared as a `Kernel`, and the shared
 code enforces that order: the codec that `kernel_quantizer` builds and the
 batched sampler `Quantizer.sample` both check their input before any draw,
-then run the kernel's shared draw, its encode (which makes the private
-draws) and its decode.  So a codec round trip under a SeedPath is the first
-row the sampler draws from that path's stream.
+then make the kernel's shared draws and its private ones (`draw`, then
+`noise`), and only then run its arithmetic (`derive`, `encode`, `decode`),
+which makes no draw.  So a codec round trip under a SeedPath is the first
+row the sampler draws from that path's stream.  The sampler draws in large
+chunks and does the arithmetic in blocks of at most `_BLOCK_ELEMS // d_pad`
+rows, which join the chunks of several clients or cut one chunk into
+several; every row comes out the same bits either way.
 """
 
 from __future__ import annotations
@@ -296,20 +300,70 @@ def _chunks(n: int, d: int, budget: int = 1 << 18):
         yield lo, min(n, lo + step)
 
 
+# The elements of one (rows, d_pad) float array in an arithmetic block: at
+# 128 KiB a block's temporaries are reused from the heap, where a chunk's
+# 2 MiB arrays are often mapped and zero-filled afresh.  On the perfbench
+# montecarlo shapes 1.5 * 2^13 and 2^14 were fastest: 2^13 cuts the 40-trial
+# no-side-info chunks, 1.5 * 2^14 (96 rows at d_pad = 256) is slower on the
+# 10-trial known-delta clients, and only 2^14 keeps the 256-row boosted RDAQ
+# N = 4 chunk at d_pad = 64 whole.
+_BLOCK_ELEMS = 1 << 14
+
+
+def _take(draws, lo: int, hi: int):
+    """Rows lo..hi of a kernel's draws: arrays with a leading row axis,
+    nested in tuples, or None."""
+    if isinstance(draws, tuple):
+        return tuple(_take(a, lo, hi) for a in draws)
+    return None if draws is None else draws[lo:hi]
+
+
+def _join(parts: list):
+    """The draws of consecutive pieces as the draws of one block."""
+    first = parts[0]
+    if len(parts) == 1 or first is None:
+        return first
+    if isinstance(first, tuple):
+        return tuple(_join(list(p)) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _block_input(pieces: list, col: int, m: int):
+    """The per-client input in column `col` of the m rows of pieces (rows or
+    side information) as one block: None, the one vector every piece
+    shares, or one row per repetition."""
+    first = pieces[0][col]
+    if first is None or (first.ndim == 1 and all(p[col] is first for p in pieces)):
+        return first
+    out = np.empty((m, first.shape[-1]))
+    at = 0
+    for p in pieces:
+        v, lo, hi = p[col], p[1], p[2]
+        out[at : at + hi - lo] = v if v.ndim == 1 else v[lo:hi]
+        at += hi - lo
+    return out
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A quantizer declared once, for its codec and its sampler alike.
 
     ``check_input(x)`` and ``check_side(side)`` return the checked input and
-    side information, or raise ValueError.  ``draw(rng, m)`` makes the shared
-    draws of m repetitions.  ``encode(rows, shared, rng)`` returns the fields
-    of one vector (for all m repetitions) or, where the kernel allows, of m
-    rows, making its private
-    draws after the shared ones; ``decode(fields, side, shared)`` returns the
-    (m, d) reconstructions.  ``write(bits, fields)`` packs the fields of one
-    repetition, and ``read(reader)`` reads them back as a batch of one,
-    raising MalformedStreamError on a value out of range.  ``row_elems``, the
-    elements of one repetition's largest array, sizes the sampler's chunks.
+    side information, or raise ValueError.  The randomness of m repetitions
+    is made by two steps that only call the Generator: ``draw(rng, m)``, the
+    shared draws, then ``noise(rng, x, m)``, the encoder's private draws for
+    input x.  Every draw is an array with a leading axis of m rows (or
+    tuples of such arrays, or None), so any run of rows can be taken or
+    joined.  The arithmetic makes no draw: ``derive(draws)`` works out the
+    shared values (signs, kept coordinates) from the shared draws of some
+    rows, ``encode(rows, shared, noise)`` returns their fields, and
+    ``decode(fields, side, shared)`` their (m, d) reconstructions.  ``rows``
+    is one vector for every repetition or, unless ``one_vector`` is set, one
+    row per repetition; ``side`` likewise.  ``write(bits, fields)`` packs
+    the fields of one repetition, and ``read(reader)`` reads them back as a
+    batch of one, raising MalformedStreamError on a value out of range.
+    ``row_elems``, the elements of one repetition's largest array, sizes the
+    sampler's draw chunks.
     """
 
     d: int
@@ -317,21 +371,68 @@ class Kernel:
     check_input: Callable[[np.ndarray], np.ndarray]
     check_side: Callable[[Optional[np.ndarray]], Optional[np.ndarray]]
     draw: Callable[[np.random.Generator, int], Any]
-    encode: Callable[[np.ndarray, Any, np.random.Generator], Any]
+    noise: Callable[[np.random.Generator, np.ndarray, int], Any]
+    derive: Callable[[Any], Any]
+    encode: Callable[[np.ndarray, Any, Any], Any]
     decode: Callable[[Any, Optional[np.ndarray], Any], np.ndarray]
     write: Callable[[BitString, Any], BitString]
     read: Callable[[BitReader], Any]
+    one_vector: bool = False
 
-    def run(self, rows: np.ndarray, side: Optional[np.ndarray], n: int,
-            rng: np.random.Generator) -> np.ndarray:
-        """The draw, encode and decode steps on n repetitions, chunk by
-        chunk: (n, d).  `rows` is one checked vector for all of them, or n
-        checked rows, one per repetition."""
+    def run(self, clients, n: int):
+        """The sampler: n repetitions of each client, yielding
+        (i, lo, hi, recs), the (hi - lo, d) reconstructions of client i's
+        repetitions lo..hi, in client order.
+
+        `clients` holds (rows, side, rng) triples: checked input (one vector
+        for all n repetitions, or n rows), checked side information (None
+        for every client or for none) and the client's own stream.  Each
+        client draws chunk by chunk (`_chunks` of `row_elems`): the shared
+        draws, then the noise.  The arithmetic runs on blocks of at most
+        `_BLOCK_ELEMS // d_pad` rows, filled in turn: a block joins the
+        chunks of consecutive clients (never two of one client), and a chunk
+        too large for one block is cut across several.  A ``one_vector``
+        kernel runs each chunk as its own block.  Each row is worked out the
+        same way in any block, so a client's rows are the same bits
+        whichever clients share its blocks.
+        """
+        d_pad = 1 << (self.d - 1).bit_length()
+        size = n if self.one_vector else max(1, _BLOCK_ELEMS // d_pad)
+        block, room = [], size
+        for i, (rows, side, rng) in enumerate(clients):
+            for lo, hi in _chunks(n, self.row_elems):
+                drawn = self.draw(rng, hi - lo), self.noise(rng, rows, hi - lo)
+                for at in range(lo, hi, size):
+                    end = min(hi, at + size)
+                    if block and (end - at > room or self.one_vector
+                                  or (at == lo and block[-1][0] == i)):
+                        yield from self._block(block)
+                        block, room = [], size
+                    part = drawn if end - at == hi - lo else _take(drawn, at - lo, end - lo)
+                    block.append((i, at, end, rows, side, part))
+                    room -= end - at
+        if block:
+            yield from self._block(block)
+
+    def _block(self, pieces: list):
+        """Derive, encode and decode one block of pieces
+        (i, lo, hi, rows, side, drawn); yield each piece's reconstructions."""
+        m = sum(p[2] - p[1] for p in pieces)
+        draws, noise = _join([p[5] for p in pieces])
+        shared = self.derive(draws)
+        recs = self.decode(self.encode(_block_input(pieces, 3, m), shared, noise),
+                           _block_input(pieces, 4, m), shared)
+        at = 0
+        for i, lo, hi, *_ in pieces:
+            yield i, lo, hi, recs[at : at + hi - lo]
+            at += hi - lo
+
+    def sample(self, rows: np.ndarray, side: Optional[np.ndarray], n: int,
+               rng: np.random.Generator) -> np.ndarray:
+        """`run` on one client: its n reconstructions, (n, d)."""
         out = np.empty((n, self.d))
-        for lo, hi in _chunks(n, self.row_elems):
-            shared = self.draw(rng, hi - lo)
-            fields = self.encode(rows if rows.ndim == 1 else rows[lo:hi], shared, rng)
-            out[lo:hi] = self.decode(fields, side, shared)
+        for _, lo, hi, recs in self.run([(rows, side, rng)], n):
+            out[lo:hi] = recs
         return out
 
 
@@ -378,33 +479,40 @@ class Quantizer:
         xhat = self.decode(msg, side, rng)
         return msg, xhat
 
+    def sampling_kernel(self) -> Kernel:
+        """The kernel that `sample` runs; TypeError if there is none."""
+        if self.kernel is None:
+            raise TypeError(f"{self.name} has no batched kernel to sample")
+        return self.kernel
+
     def sample(
         self, x: np.ndarray, side: Optional[np.ndarray], n: int, rng: np.random.Generator
     ) -> np.ndarray:
         """n independent reconstructions of x, (n, d): the codec's checks,
-        draws and kernel without the packing.  Drawn from ``path.stream()``,
-        row 0 is the round trip's reconstruction under ``path``."""
-        k = self.kernel
-        if k is None:
-            raise TypeError(f"{self.name} has no batched kernel to sample")
-        return k.run(k.check_input(x), k.check_side(side), n, rng)
+        draws and kernel without the packing, as `Kernel.run` on one client.
+        Drawn from ``path.stream()``, row 0 is the round trip's
+        reconstruction under ``path``."""
+        k = self.sampling_kernel()
+        return k.sample(k.check_input(x), k.check_side(side), n, rng)
 
 
 def kernel_quantizer(
     kernel: Kernel, bit_budget: int, name: str, uses_side_info: bool = False
 ) -> Quantizer:
     """The bit-exact codec of `kernel`.  Encode checks x, makes the shared
-    draws of one repetition, encodes and packs; decode checks the side
-    information, makes the same draws, reads every field and decodes."""
+    and private draws of one repetition, encodes and packs; decode checks
+    the side information, makes the same shared draws, reads every field and
+    decodes."""
 
     def encode(x, side, rng):
         x = kernel.check_input(x)
-        shared = kernel.draw(rng, 1)
-        return kernel.write(BitString(), kernel.encode(x, shared, rng))
+        draws = kernel.draw(rng, 1)
+        noise = kernel.noise(rng, x, 1)
+        return kernel.write(BitString(), kernel.encode(x, kernel.derive(draws), noise))
 
     def decode(bits, side, rng):
         side = kernel.check_side(side)
-        shared = kernel.draw(rng, 1)
+        shared = kernel.derive(kernel.draw(rng, 1))
         reader = BitReader(bits)
         fields = kernel.read(reader)
         reader.finish()

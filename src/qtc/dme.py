@@ -10,6 +10,7 @@ bound for benchmark overlays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -86,10 +87,14 @@ def run_dme(
     sending with `quantizers[i]`.
 
     By default every (trial, client) pair runs the bit-exact encode/decode
-    round trip.  With `sampled`, client i's reconstructions are
+    round trip.  With `sampled`, client i's reconstructions are those of
     `quantizers[i].sample` drawn from the client's stream: the same kernel
-    and draws without packing any message.  Every qtc quantizer can sample;
-    one built without a kernel makes `sample` raise TypeError.
+    and draws without packing any message.  Each run of consecutive clients
+    that share one quantizer object goes to one `Kernel.run`, which joins
+    few-trial clients into arithmetic blocks; their rows are added into the
+    sum in client order, so the result is the same bits as client by
+    client.  Every qtc quantizer can sample; one built without a kernel
+    raises TypeError.
     """
     n, d = instance.n, instance.d
     if trials < 1:
@@ -109,16 +114,20 @@ def run_dme(
         violations = int(np.sum(dist > instance.deltas * (1 + 1e-9)))
 
     acc = np.zeros((trials, d))
-    for i in range(n):
-        x = instance.xs[i]
-        y = instance.ys[i] if instance.ys is not None else None
-        q = quantizers[i]
-        client = root.child("client", i)
-        if sampled:
-            acc += q.sample(x, y, trials, client.stream())
-        else:
+    ys = instance.ys if instance.ys is not None else [None] * n
+    if sampled:
+        for _, run in itertools.groupby(range(n), key=lambda i: id(quantizers[i])):
+            run = list(run)
+            k = quantizers[run[0]].sampling_kernel()
+            clients = [(k.check_input(instance.xs[i]), k.check_side(ys[i]),
+                        root.child("client", i).stream()) for i in run]
+            for _, lo, hi, recs in k.run(clients, trials):
+                acc[lo:hi] += recs
+    else:
+        for i, q in enumerate(quantizers):
+            client = root.child("client", i)
             for t in range(trials):
-                _, xhat = q.roundtrip(x, y, client.child("trial", t))
+                _, xhat = q.roundtrip(instance.xs[i], ys[i], client.child("trial", t))
                 acc[t] += xhat
     err = acc / n - instance.true_mean[None, :]
     sq = np.einsum("td,td->t", err, err)

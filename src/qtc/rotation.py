@@ -7,7 +7,10 @@ preserves the l2 norm exactly (up to float roundoff), which is what every
 bound built on top of it relies on.  Every function works on batches: row i
 of an (n, d) array is repetition i, and a codec is the case n = 1.  The other
 shared draws of the rotated quantizers, sampled coordinate subsets, live here
-too, with the gather and scatter of the kept coordinates.
+too, with the gather and scatter of the kept coordinates.  Each shared draw
+is split into its Generator calls (`sign_words`, `draw_shared`) and the
+arithmetic on the drawn values (`derive_shared`), so a sampler can draw a
+large chunk and work through it in smaller blocks of rows.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import numpy as np
 
 __all__ = [
     "next_pow2",
+    "sign_words",
     "sample_signs_batch",
     "check_sample_count",
     "sample_subset_masks",
-    "sample_shared",
+    "draw_shared",
+    "derive_shared",
     "gather_kept",
     "sparse_correction",
     "rotate_batch",
@@ -41,11 +46,27 @@ def next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
-def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """(n, d) array of iid signs; row i is the sign diagonal of repetition i."""
+def sign_words(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """(n, d) int32 draws whose signs are the sign diagonals of n repetitions.
+
+    Each word is one 32-bit output of the generator, offset by -2^31, so it
+    is negative exactly when that output's top bit is 0.  numpy's draw of
+    `integers(0, 2)` is that same top bit, so the signs of these words
+    (`sample_signs_batch`) equal `rng.integers(0, 2, (n, d)) * 2.0 - 1.0`,
+    and the stream is left where that draw leaves it."""
     if not _is_pow2(d):
         raise ValueError(f"dimension {d} is not a power of two")
-    return rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
+    return rng.integers(-(1 << 31), 1 << 31, size=(n, d), dtype=np.int32)
+
+
+def _signs_of(words: np.ndarray) -> np.ndarray:
+    """The float signs of `sign_words` draws: -1.0 for a negative word, else 1.0."""
+    return np.copysign(1.0, words)
+
+
+def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """(n, d) array of iid signs; row i is the sign diagonal of repetition i."""
+    return _signs_of(sign_words(rng, n, d))
 
 
 def check_sample_count(mu_d: int, d: int) -> None:
@@ -55,18 +76,17 @@ def check_sample_count(mu_d: int, d: int) -> None:
         raise ValueError(f"sample count {mu_d} outside 1..{d}")
 
 
-def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
-    """(n, d) boolean mask; row i marks an independent uniform mu_d-subset.
+def _subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
+    """Boolean mask of the shape of the (n, d) uniforms `r`; row i marks the
+    entries of its mu_d smallest draws.
 
-    One uniform per entry is drawn, rng.random((n, d)), and each row keeps
-    its mu_d smallest draws: the entries at or below the row's mu_d-th
-    smallest value.  A row tied at that cut would keep more than mu_d; only
-    such rows are re-picked, by argpartition, so every row keeps exactly
-    mu_d.
+    The entries at or below the row's mu_d-th smallest value are kept.  A
+    row tied at that cut would keep more than mu_d; only such rows are
+    re-picked, by argpartition, so every row keeps exactly mu_d.  Each row's
+    mask depends on that row alone.
     """
-    r = rng.random((n, d))
     keep = r <= np.partition(r, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
-    if np.count_nonzero(keep) != n * mu_d:  # every row keeps >= mu_d
+    if np.count_nonzero(keep) != keep.shape[0] * mu_d:  # every row keeps >= mu_d
         tied = np.flatnonzero(np.count_nonzero(keep, axis=1) != mu_d)
         picks = np.argpartition(r[tied], mu_d - 1, axis=1)[:, :mu_d]
         keep[tied] = False
@@ -74,17 +94,27 @@ def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> 
     return keep
 
 
-def sample_shared(
-    rng: np.random.Generator, n: int, d: int, mu_d: Optional[int]
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
+    """(n, d) boolean mask; row i marks an independent uniform mu_d-subset:
+    the `_subset_masks` of one uniform per entry, rng.random((n, d))."""
+    return _subset_masks(rng.random((n, d)), mu_d)
+
+
+def draw_shared(rng: np.random.Generator, n: int, d: int, mu_d: Optional[int]):
     """The shared draws of n repetitions of a rotated code, in the one order
-    that codecs and samplers use: (n, d) signs, then (with mu_d) n subset
-    masks.  Returns (signs, kept): kept holds the flat indices of the kept
-    entries of an (n, d) array, row by row, and is None without mu_d."""
-    signs = sample_signs_batch(rng, n, d)
-    if mu_d is None:
-        return signs, None
-    return signs, np.flatnonzero(sample_subset_masks(rng, n, d, mu_d))
+    that codecs and samplers use: the (n, d) `sign_words`, then (with mu_d)
+    one uniform per entry for the subset masks, None without.  Generator
+    calls only; `derive_shared` works out what they stand for."""
+    words = sign_words(rng, n, d)
+    return words, None if mu_d is None else rng.random((n, d))
+
+
+def derive_shared(draws, mu_d: Optional[int]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(signs, kept) from the `draw_shared` draws of any rows, taken together
+    or block by block: kept holds the flat indices of the kept entries of an
+    (n, d) array, row by row, and is None without subset draws."""
+    words, r = draws
+    return _signs_of(words), None if r is None else np.flatnonzero(_subset_masks(r, mu_d))
 
 
 def gather_kept(a: np.ndarray, kept: Optional[np.ndarray]) -> np.ndarray:

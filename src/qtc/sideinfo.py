@@ -21,13 +21,13 @@ from .adaptive import TetraLadder, log_star
 from .core import Kernel, MalformedStreamError, Quantizer, check_vector, kernel_quantizer
 from .rotation import (
     check_sample_count,
+    derive_shared,
+    draw_shared,
     gather_kept,
     next_pow2,
     pad_to_pow2,
     rotate_batch,
-    sample_shared,
-    sample_signs_batch,
-    sample_subset_masks,
+    sign_words,
     sparse_correction,
     unrotate_batch,
 )
@@ -87,13 +87,12 @@ class RmqConfig:
         return self.d_pad * self.symbol_bits
 
 
-def _rmq_encode(cfg: RmqConfig, rows, signs, kept, rng) -> np.ndarray:
+def _rmq_encode(cfg: RmqConfig, rows, signs, kept, u) -> np.ndarray:
     """The RMQ kernel: the coset symbols of each row of `rows` (or of one
     vector for all of them), rotated by its row of `signs` and restricted to
-    the `kept` coordinates (`rotation.sample_shared`; None keeps all).  It
-    draws one dither uniform per rotated coordinate, kept or not, and MQ
-    encodes the kept coordinates, each with its own dither."""
-    u = rng.random(signs.shape)
+    the `kept` coordinates (`rotation.derive_shared`; None keeps all).  `u`
+    holds one dither uniform per rotated coordinate, kept or not; the kept
+    coordinates are MQ encoded, each with its own dither."""
     xr = rotate_batch(pad_to_pow2(rows)[0], signs)
     return mq_encode_with(gather_kept(xr, kept), cfg.mq, gather_kept(u, kept))
 
@@ -144,8 +143,10 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
         cfg.d, cfg.d_pad,
         check_input=lambda x: check_vector(x, cfg.d),
         check_side=lambda side: _check_side(side, cfg.d, "RMQ"),
-        draw=lambda rng, m: sample_shared(rng, m, cfg.d_pad, mu_d),
-        encode=lambda rows, shared, rng: _rmq_encode(cfg, rows, *shared, rng),
+        draw=lambda rng, m: draw_shared(rng, m, cfg.d_pad, mu_d),
+        noise=lambda rng, x, m: rng.random((m, cfg.d_pad)),
+        derive=lambda draws: derive_shared(draws, mu_d),
+        encode=lambda rows, shared, u: _rmq_encode(cfg, rows, *shared, u),
         decode=lambda w, side, shared: _rmq_decode(cfg, w, side, *shared),
         write=lambda bits, w: bits.write_fields(w, cfg.symbol_bits),
         read=read,
@@ -163,7 +164,9 @@ def daq_quantizer(d: int) -> Quantizer:
         check_input=lambda x: _check_ball(check_vector(x, d), "DAQ"),
         check_side=lambda side: _check_ball(_check_side(side, d, "DAQ"), "DAQ", "side information"),
         draw=lambda rng, m: rng.uniform(-1.0, 1.0, size=(m, d)),
-        encode=lambda x, u, rng: u <= x,
+        noise=lambda rng, x, m: None,
+        derive=lambda u: u,
+        encode=lambda x, u, noise: u <= x,
         decode=lambda w, y, u: 2.0 * (w - (u <= y).astype(float)) + y,
         write=lambda bits, w: bits.write_fields(w, 1),
         read=lambda reader: reader.read_fields(d, 1)[None],
@@ -234,13 +237,20 @@ class RdaqConfig:
 
 def _rdaq_draws(cfg: RdaqConfig, rng: np.random.Generator, m: int, mu_d: Optional[int]):
     """The shared draws of m repetitions, in the one order of codecs and
-    samplers: (m, d_pad) signs, then v, N uniforms on [-1, 1] per rotated
-    coordinate shared by all h scales, then (with mu_d) the subset masks.
-    Returns (signs, kept, v), kept as in `sample_shared`."""
-    signs = sample_signs_batch(rng, m, cfg.d_pad)
+    samplers: (m, d_pad) sign words, then v, N uniforms on [-1, 1] per
+    rotated coordinate shared by all h scales, then (with mu_d) one uniform
+    per rotated coordinate for the subset masks.  Returns (words, v, r);
+    `_rdaq_derive` turns them into (signs, kept, v)."""
+    words = sign_words(rng, m, cfg.d_pad)
     v = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N))
-    kept = None if mu_d is None else np.flatnonzero(sample_subset_masks(rng, m, cfg.d_pad, mu_d))
-    return signs, kept, v
+    return words, v, None if mu_d is None else rng.random((m, cfg.d_pad))
+
+
+def _rdaq_derive(draws, mu_d: Optional[int]):
+    """(signs, kept, v) from the `_rdaq_draws` draws of any rows, kept as in
+    `rotation.derive_shared`."""
+    words, v, r = draws
+    return (*derive_shared((words, r), mu_d), v)
 
 
 def _scale_index(rot: np.ndarray, kept, ranges: np.ndarray) -> np.ndarray:
@@ -315,7 +325,9 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
         check_input=lambda x: _check_ball(check_vector(x, cfg.d), "RDAQ"),
         check_side=lambda y: _check_ball(_check_side(y, cfg.d, "RDAQ"), "RDAQ", "side information"),
         draw=lambda rng, m: _rdaq_draws(cfg, rng, m, mu_d),
-        encode=lambda rows, shared, rng: _rdaq_encode(cfg, rows, *shared),
+        noise=lambda rng, x, m: None,
+        derive=lambda draws: _rdaq_derive(draws, mu_d),
+        encode=lambda rows, shared, noise: _rdaq_encode(cfg, rows, *shared),
         decode=lambda fields, side, shared: _rdaq_decode(cfg, fields, side, *shared),
         write=write,
         read=read,

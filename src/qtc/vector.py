@@ -15,7 +15,16 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import AguqPlus, GeoLadder, TetraLadder, aguq_fields, aguq_levels, log_star, pick_range
+from .adaptive import (
+    AguqPlus,
+    GeoLadder,
+    TetraLadder,
+    aguq_fields,
+    aguq_levels,
+    aguq_uniforms,
+    log_star,
+    pick_range,
+)
 from .core import (
     BitReader,
     BitString,
@@ -29,11 +38,12 @@ from .core import (
 )
 from .rotation import (
     check_sample_count,
+    derive_shared,
+    draw_shared,
     gather_kept,
     next_pow2,
     pad_to_pow2,
     rotate_batch,
-    sample_shared,
     sparse_correction,
     unrotate_batch,
 )
@@ -149,12 +159,12 @@ def _atuq_levels(fields: tuple[np.ndarray, np.ndarray], cfg: RatqConfig) -> np.n
     return cuq_levels(sym, cfg.ladder.ranges[j][:, np.arange(sym.shape[1]) // cfg.s], cfg.k)
 
 
-def _ratq_encode(cfg: RatqConfig, rows, signs, kept, rng) -> tuple[np.ndarray, np.ndarray]:
+def _ratq_encode(cfg: RatqConfig, rows, signs, kept, u) -> tuple[np.ndarray, np.ndarray]:
     """The RATQ kernel: the fields of each row of `rows` (or of one vector
     for all of them), rotated by its row of `signs` and restricted to the
-    `kept` coordinates (`rotation.sample_shared`; None keeps all).  It draws
-    one rounding uniform per rotated coordinate, kept or not."""
-    u = rng.random(signs.shape)
+    `kept` coordinates (`rotation.derive_shared`; None keeps all).  `u`
+    holds one rounding uniform per rotated coordinate, kept or not; the
+    kept ones round with their own."""
     yr = rotate_batch(pad_to_pow2(rows)[0], signs)
     return _atuq_fields(gather_kept(yr, kept), gather_kept(u, kept), cfg)
 
@@ -209,8 +219,10 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
 
     return Kernel(
         cfg.d, cfg.d_pad, check_input, check_side,
-        draw=lambda rng, m: sample_shared(rng, m, cfg.d_pad, mu_d),
-        encode=lambda rows, shared, rng: _ratq_encode(cfg, rows, *shared, rng),
+        draw=lambda rng, m: draw_shared(rng, m, cfg.d_pad, mu_d),
+        noise=lambda rng, y, m: rng.random((m, cfg.d_pad)),
+        derive=lambda draws: derive_shared(draws, mu_d),
+        encode=lambda rows, shared, u: _ratq_encode(cfg, rows, *shared, u),
         decode=lambda fields, side, shared: _ratq_decode(cfg, fields, side, *shared),
         write=lambda bits, fields: _write_atuq(bits, fields, cfg),
         read=lambda reader: _read_atuq(reader, cfg, width),
@@ -233,7 +245,7 @@ def _check_rows(ys, cfg: RatqConfig) -> np.ndarray:
 def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
     """Quantize each row of (n, d) once with independent randomness: (n, d)."""
     ys = _check_rows(ys, cfg)
-    return _ratq_kernel(cfg).run(ys, None, ys.shape[0], rng)
+    return _ratq_kernel(cfg).sample(ys, None, ys.shape[0], rng)
 
 
 def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
@@ -348,10 +360,13 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
     grid = cfg.gain_grid(0)  # the level count and field width of every range
     shape = _ratq_kernel(cfg.shape)
 
-    def encode(y, shared, rng):
+    def noise(rng, y, m):
+        return aguq_uniforms(np.full(m, np.linalg.norm(y)), ladder, rng), shape.noise(rng, y, m)
+
+    def encode(y, shared, noise):
         gain = float(np.linalg.norm(y))
-        fields = aguq_fields(np.full(len(shared[0]), gain), ladder, levels, rng)
-        return fields, shape.encode(y / gain if gain > 0 else np.eye(1, cfg.d)[0], shared, rng)
+        fields = aguq_fields(np.full(len(shared[0]), gain), ladder, levels, noise[0])
+        return fields, shape.encode(y / gain if gain > 0 else np.eye(1, cfg.d)[0], shared, noise[1])
 
     def decode(fields, side, shared):
         return aguq_levels(fields[0], ladder, levels)[:, None] * shape.decode(fields[1], None, shared)
@@ -377,7 +392,7 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
         return (np.array([j]), np.array([sym])), shape.read(reader)
 
     kernel = Kernel(cfg.d, cfg.shape.d_pad, lambda y: check_vector(y, cfg.d), lambda side: None,
-                    shape.draw, encode, decode, write, read)
+                    shape.draw, noise, shape.derive, encode, decode, write, read, one_vector=True)
     return kernel_quantizer(kernel, cfg.bit_budget, f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})")
 
 
@@ -393,10 +408,10 @@ def simq_decode(symbols, B: float, d: int) -> np.ndarray:
 
 
 def simq_quantizer(B: float, d: int) -> Quantizer:
-    """SimQ declared as a kernel.  It shares no draws, so `draw` passes the
-    repetition count on; encode draws one uniform per repetition and picks
-    the signed corner index +-i with probability |y(i)|/B, 0 otherwise.  The
-    message sends i as i and -i as d + i."""
+    """SimQ declared as a kernel.  It shares no draws; its noise is one
+    uniform per repetition, and encode picks the signed corner index +-i
+    with probability |y(i)|/B, 0 otherwise.  The message sends i as i and
+    -i as d + i."""
     width = math.ceil(math.log2(2 * d + 1))
 
     def check_input(y):
@@ -406,8 +421,8 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
             raise ValueError(f"l1 norm {l1:.6g} exceeds bound B = {B:.6g}")
         return y
 
-    def encode(y, m, rng):
-        idx = np.searchsorted(np.cumsum(np.abs(y)), rng.random(m) * B, side="right")
+    def encode(y, shared, u):
+        idx = np.searchsorted(np.cumsum(np.abs(y)), u * B, side="right")
         hit = idx < d
         return np.where(hit, idx + 1, 0) * np.where(y[np.where(hit, idx, 0)] >= 0, 1, -1)
 
@@ -421,8 +436,10 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
             raise MalformedStreamError(f"malformed stream: SimQ code {code} above 2d = {2 * d}")
         return np.array([code if code <= d else d - code])
 
-    kernel = Kernel(d, d, check_input, lambda side: None, lambda rng, m: m, encode,
-                    lambda symbols, side, m: simq_decode(symbols, B, d), write, read)
+    kernel = Kernel(d, d, check_input, lambda side: None, lambda rng, m: None,
+                    lambda rng, y, m: rng.random(m), lambda draws: None, encode,
+                    lambda symbols, side, shared: simq_decode(symbols, B, d), write, read,
+                    one_vector=True)
     return kernel_quantizer(kernel, width, f"simq(d={d},B={B:g})")
 
 
@@ -504,10 +521,10 @@ class SimqPlusConfig:
 
 
 def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
-    """SimQ+ declared as a kernel.  It shares no draws, so `draw` passes the
-    repetition count on; encode draws each type, the counts of k SimQ draws
-    over the indices 0 (no corner) and 1..d, as one multinomial, and the
-    message carries the signs of the drawn indices."""
+    """SimQ+ declared as a kernel.  It shares no draws; its noise is each
+    repetition's type, the counts of k SimQ draws over the indices 0 (no
+    corner) and 1..d, drawn as one multinomial, and the message carries the
+    signs of the drawn indices."""
 
     def check_input(y):
         y = check_vector(y, cfg.d)
@@ -517,14 +534,17 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
                 f"l1 norm {l1:.6g} exceeds bound B d^(1/p) = {cfg.scale:.6g} (B = {cfg.B:.6g})")
         return y
 
-    def encode(y, m, rng):
+    def noise(rng, y, m):
         probs = np.empty(cfg.d + 1)
         probs[1:] = np.abs(y) / cfg.scale
         probs[0] = max(0.0, 1.0 - probs[1:].sum())
         probs /= probs.sum()
-        return rng.multinomial(cfg.k, probs, size=m), y >= 0
+        return rng.multinomial(cfg.k, probs, size=m)
 
-    def decode(fields, side, m):
+    def encode(y, shared, counts):
+        return counts, y >= 0
+
+    def decode(fields, side, shared):
         counts, positive = fields
         return np.where(positive, 1.0, -1.0) * counts[:, 1:] * (cfg.scale / cfg.k)
 
@@ -540,8 +560,8 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
         positive[nz] = reader.read_fields(len(nz), 1)
         return counts[None], positive
 
-    kernel = Kernel(cfg.d, cfg.d + 1, check_input, lambda side: None, lambda rng, m: m,
-                    encode, decode, write, read)
+    kernel = Kernel(cfg.d, cfg.d + 1, check_input, lambda side: None, lambda rng, m: None,
+                    noise, lambda draws: None, encode, decode, write, read, one_vector=True)
     return kernel_quantizer(kernel, cfg.bit_budget, f"simq+(d={cfg.d},k={cfg.k})")
 
 
@@ -629,13 +649,16 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
             raise ValueError(f"more than {ratq_cfg.d} coordinates above the threshold {grid.M:.6g}")
         return y
 
-    def encode(y, shared, rng):
+    def noise(rng, y, m):
+        return rng.random((m, cfg.d)), ratq.noise(rng, None, m)
+
+    def encode(y, shared, noise):
+        u, ratq_u = noise
         large = np.abs(y) > grid.M
-        u = rng.random((len(shared[0]), cfg.d))
         sym = cuq_round_with(np.broadcast_to(np.where(large, 0.0, y), u.shape), grid.M, grid.k, u)
         restriction = np.zeros(ratq_cfg.d)
         restriction[: large.sum()] = y[large]
-        return sym, large, ratq.encode(restriction, shared, rng)
+        return sym, large, ratq.encode(restriction, shared, ratq_u)
 
     def decode(fields, side, shared):
         sym, large, ratq_fields = fields
@@ -657,5 +680,5 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
         return sym[None], large, ratq.read(reader)
 
     kernel = Kernel(cfg.d, max(cfg.d, ratq_cfg.d_pad), check_input, lambda side: None,
-                    ratq.draw, encode, decode, write, read)
+                    ratq.draw, noise, ratq.derive, encode, decode, write, read, one_vector=True)
     return kernel_quantizer(kernel, cfg.bit_budget, f"lp-split(d={cfg.d},p={cfg.p:g})")

@@ -9,6 +9,7 @@ from qtc.adaptive import (
     TetraLadder,
     aguq_fields,
     aguq_levels,
+    aguq_uniforms,
     log_star,
     tetration,
 )
@@ -93,7 +94,8 @@ def test_atuq_subgaussian_mse_bound():
 
 def _aguq(gains, ladder, levels, rng):
     """AGUQ on a batch of gains: (range indices, symbols, reconstructions)."""
-    j, sym = aguq_fields(np.asarray(gains, dtype=float), ladder, levels, rng)
+    g = np.asarray(gains, dtype=float)
+    j, sym = aguq_fields(g, ladder, levels, aguq_uniforms(g, ladder, rng))
     return j, sym, aguq_levels((j, sym), ladder, levels)
 
 

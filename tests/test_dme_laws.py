@@ -1,0 +1,70 @@
+"""The thesis's DME scaling laws as measured slopes (Mayekar, Suresh & Tyagi,
+"Wyner-Ziv estimators", AISTATS 2021).
+
+With n clients in d dimensions sending r bits each, the protocol MSE of all
+three settings falls as d / (n r): exponent -1 in r.  The configured codes
+subsample mu_d = floor(r / c) rotated coordinates, and subsampling adds a
+(d / mu_d - 1) factor, so over r = 16..256 the fitted slope bends away from
+-1 by up to about 0.15; the band is -1 +- 0.25.  Side information pays when
+the inputs are close to it: at delta = 0.05 both Wyner-Ziv schemes beat the
+scheme that ignores it.
+"""
+
+import numpy as np
+import pytest
+
+from qtc.core import SeedPath
+from qtc.dme import (
+    DmeInstance,
+    configure_known_delta,
+    configure_no_side_info,
+    configure_unknown_delta,
+    run_dme,
+)
+from qtc.sideinfo import wz_known_quantizer, wz_unknown_quantizer
+from qtc.vector import rcs_wrap
+
+N, D, TRIALS = 10, 256, 300
+R_LIST = [16, 32, 64, 128, 256]
+SLOPE_BAND = 0.25
+
+
+def _instance(setting, r, norm, delta, seed):
+    """Client inputs of l2 norm `norm`, side information at distance delta
+    (both inside the unit ball), and the setting's configured quantizer,
+    shared by all n clients."""
+    rng = SeedPath(seed).stream()
+    xs = rng.normal(size=(N, D))
+    xs *= norm / np.linalg.norm(xs, axis=1, keepdims=True)
+    us = rng.normal(size=(N, D))
+    ys = xs + delta * us / np.linalg.norm(us, axis=1, keepdims=True)
+    if setting == "no-side-info":
+        cfg, mu_d = configure_no_side_info(N, D, r)
+        return DmeInstance(xs, None, None, r), rcs_wrap(cfg, mu_d)
+    if setting == "known-delta":
+        cfgs, mu_d = configure_known_delta(N, D, r, [delta] * N)
+        q = wz_known_quantizer(cfgs[0], mu_d)
+    else:
+        cfg, mu_d = configure_unknown_delta(D, r)
+        q = wz_unknown_quantizer(cfg, mu_d)
+    return DmeInstance(xs, ys, np.full(N, delta), r), q
+
+
+def _mse(setting, r, norm, delta, seed):
+    inst, q = _instance(setting, r, norm, delta, seed)
+    return run_dme(inst, [q] * N, SeedPath(seed).child(setting).child("r", r), TRIALS,
+                   sampled=True).mse
+
+
+@pytest.mark.parametrize("setting", ["no-side-info", "known-delta", "unknown-delta"])
+def test_mse_falls_as_one_over_r(setting):
+    mses = [_mse(setting, r, 0.6, 0.3, 4100) for r in R_LIST]
+    slope = np.polyfit(np.log(R_LIST), np.log(mses), 1)[0]
+    assert abs(slope + 1.0) <= SLOPE_BAND, (slope, mses)
+
+
+def test_side_information_wins_at_small_delta():
+    r, delta = 64, 0.05
+    plain = _mse("no-side-info", r, 0.9, delta, 4200)
+    for setting in ("known-delta", "unknown-delta"):
+        assert _mse(setting, r, 0.9, delta, 4200) < 0.5 * plain, setting

@@ -8,6 +8,7 @@ from qtc.rotation import (
     rotate_batch,
     sample_signs_batch,
     sample_subset_masks,
+    sign_words,
     unrotate_batch,
 )
 
@@ -81,6 +82,30 @@ def test_double_application_is_identity():
     sd = sample_signs_batch(SeedPath(1).stream(), 1, 16)
     y = SeedPath(2).stream().normal(size=16)
     assert np.allclose(sd * (sd * y), y)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("half_buffered", [False, True])
+def test_signs_are_the_range_two_draw(bit_generator, half_buffered):
+    """The signs taken from the top bits of int32 words are numpy's
+    `integers(0, 2) * 2.0 - 1.0`, and leave the stream in the same place, on
+    every bit generator, at odd word counts, and also when the generator
+    holds a buffered 32-bit half of a 64-bit output."""
+    for n, d in [(1, 1), (3, 1), (1, 2), (3, 8), (5, 64), (7, 256), (1000, 64), (40, 256)]:
+        old, new = (np.random.Generator(bit_generator(n * 1000 + d)) for _ in range(2))
+        if half_buffered:  # one 32-bit draw leaves the other half of its output buffered
+            for g in (old, new):
+                g.integers(0, 1 << 32, size=1, dtype=np.uint32)
+            if bit_generator is np.random.PCG64:
+                assert new.bit_generator.state["has_uint32"] == 1
+        ref = old.integers(0, 2, size=(n, d)) * 2.0 - 1.0
+        got = sample_signs_batch(new, n, d)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), (n, d)
+        assert repr(new.bit_generator.state) == repr(old.bit_generator.state)
+        assert new.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
+            old.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+        assert sign_words(new, n, d).dtype == np.int32
 
 
 def test_sign_mean():
