@@ -6,7 +6,10 @@ quantizer in `qtc.vector`).  AGUQ does the same for nonnegative gains over a
 geometric ladder (batched: `aguq_uniforms` draws, `aguq_fields` rounds);
 AGUQ+ is its variable-length variant (`AguqPlus`: unary range code +
 per-range level field).  The A-RATQ kernel in `qtc.vector` runs both and
-packs their fields.
+packs their fields.  Each ladder works out its ranges and its `top`, the
+largest index an encoder picks, once; encoders clamp to that top and
+decoders pass it to `BitReader.read_fields` as the index block's largest
+legal value.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class TetraLadder:
 
     Levels whose square exceeds float range are stored as inf.  A CUQ grid
     over an infinite range has no finite spacing, so no encoder picks such a
-    level (see `pick_range`) and decoders reject an index that names one.
+    level (see `pick_range`) and decoders reject an index above `top`.
     """
 
     m: float
@@ -87,6 +90,11 @@ class TetraLadder:
         out.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def top(self) -> int:
+        """The index of the largest finite range: the largest an encoder picks."""
+        return _top(self.ranges)
+
     @property
     def index_bits(self) -> int:
         return math.ceil(math.log2(self.h))  # 0 when h == 1: index is constant
@@ -106,27 +114,43 @@ class GeoLadder:
         if self.h_g < 1:
             raise ValueError("need h_g >= 1")
 
-    @property
+    @functools.cached_property
     def ranges(self) -> np.ndarray:
-        j = np.arange(self.h_g)
-        return self.B * np.power(self.a_g, j / 2.0)
+        """The h_g ranges, worked out once per ladder; read-only."""
+        out = self.B * np.power(self.a_g, np.arange(self.h_g) / 2.0)
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def top(self) -> int:
+        """The index of the largest finite range: the largest an encoder picks."""
+        return _top(self.ranges)
 
     @property
     def index_bits(self) -> int:
         return math.ceil(math.log2(self.h_g))
 
 
-def pick_range(values, ranges: np.ndarray):
-    """Index of the smallest range covering each value, clamped to the largest
-    finite range; values above it keep that range and overflow."""
-    top = np.count_nonzero(np.isfinite(ranges)) - 1
+def _top(ranges: np.ndarray) -> int:
+    """The index of the largest finite entry of increasing `ranges`."""
+    return int(np.count_nonzero(np.isfinite(ranges))) - 1
+
+
+def pick_range(values, ranges: np.ndarray, top: int | None = None):
+    """Index of the smallest range covering each value, clamped to `top`, the
+    index of the largest finite range (the ladders' cached `top`; counted
+    from `ranges` when not given); values above it keep that range and
+    overflow."""
+    if top is None:
+        top = _top(ranges)
     return np.minimum(np.searchsorted(ranges, values, side="left"), top)
 
 
 def aguq_uniforms(g: np.ndarray, ladder: GeoLadder, rng: np.random.Generator):
     """The rounding uniforms of AGUQ on the gains g: one per gain, drawn from
     rng, or None, with no draw, when every gain is above the top range."""
-    return None if np.all(np.asarray(g) > ladder.ranges[-1]) else rng.random(np.shape(g))
+    g = np.asarray(g)
+    return None if (g > ladder.ranges[-1]).all() else rng.random(g.shape)
 
 
 def aguq_fields(g: np.ndarray, ladder: GeoLadder, levels: np.ndarray,
@@ -135,10 +159,10 @@ def aguq_fields(g: np.ndarray, ladder: GeoLadder, levels: np.ndarray,
     u: the index j of the smallest range of `ladder` covering each gain, and
     its CUQ symbol on levels[j] levels over [0, M_j].  A gain above the top
     range gets the top index and the overflow symbol, which decodes to 0."""
-    if np.any(g < 0):
+    if (g < 0).any():
         raise ValueError("gains must be nonnegative")
     ranges = ladder.ranges
-    j = pick_range(g, ranges)
+    j = pick_range(g, ranges, ladder.top)
     if u is None:  # every gain overflows
         return j, np.full(np.shape(g), float(OVERFLOW))
     return j, cuq_round_with(g, ranges[j], levels[j], u, signed=False)

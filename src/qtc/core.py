@@ -5,7 +5,9 @@ Conventions used by every encoder/decoder pair in this package:
 * Bit fields are MSB-first and packed back to back with no alignment padding,
   so every bit-budget assertion is exact.  A block of equal-width fields is
   packed into int64 words, `63 // width` fields to a word, and the words are
-  joined into the message; the bits are the same as field by field.
+  joined into the message; the bits are the same as field by field.  A
+  block read back is range-checked where it is read: `BitReader.read_fields`
+  takes the block's largest legal value and makes one `max` over it.
 * Encoder and decoder are driven by streams derived from the same SeedPath.
   A path's 64-bit key is derived once, when the path is made (a child's from
   its parent's key), so seeding a stream costs the same at any depth.
@@ -75,7 +77,7 @@ def check_finite(x) -> np.ndarray:
     Encoders call this before their first draw.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input has non-finite entries")
     return x
 
@@ -193,12 +195,16 @@ class BitReader:
     def read_bit(self) -> int:
         return self.read_uint(1)
 
-    def read_fields(self, count: int, width: int) -> np.ndarray:
+    def read_fields(self, count: int, width: int, top: Optional[int] = None) -> np.ndarray:
         """Read `count` back-to-back `width`-bit fields as an int64 array.
 
         The bits are split into words of `63 // width` fields, the first
         word padded with leading zero fields as `write_fields` packs it, and
-        each word into its fields with one shift-and-mask."""
+        each word into its fields with one shift-and-mask.  `top` is the
+        largest value the block's format allows: a larger field raises
+        MalformedStreamError, found by one `max` over the block.  Without
+        it (and when it is the largest `width`-bit value) every field is
+        legal and nothing is checked."""
         if not 1 <= width <= 63:
             raise ValueError(f"field width must be in 1..63, got {width}")
         if count == 0:
@@ -211,7 +217,13 @@ class BitReader:
         words = np.array([(packed >> lo) & mask
                           for lo in range((count + pad) * width - step, -1, -step)],
                          dtype=np.int64)
-        return ((words[:, None] >> shifts) & ((1 << width) - 1)).ravel()[pad:]
+        fields = ((words[:, None] >> shifts) & ((1 << width) - 1)).ravel()[pad:]
+        if top is not None and top < (1 << width) - 1:
+            high = fields.max()
+            if high > top:
+                raise MalformedStreamError(
+                    f"malformed stream: {width}-bit field value {high} above its top {top}")
+        return fields
 
     def finish(self) -> None:
         """Raise MalformedStreamError unless every bit has been read: no
@@ -361,7 +373,8 @@ class Kernel:
     is one vector for every repetition or, unless ``one_vector`` is set, one
     row per repetition; ``side`` likewise.  ``write(bits, fields)`` packs
     the fields of one repetition, and ``read(reader)`` reads them back as a
-    batch of one, raising MalformedStreamError on a value out of range.
+    batch of one, raising MalformedStreamError on a value out of range (a
+    fixed-width block by passing its top to `BitReader.read_fields`).
     ``row_elems``, the elements of one repetition's largest array, sizes the
     sampler's draw chunks.
     """

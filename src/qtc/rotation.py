@@ -10,7 +10,10 @@ shared draws of the rotated quantizers, sampled coordinate subsets, live here
 too, with the gather and scatter of the kept coordinates.  Each shared draw
 is split into its Generator calls (`sign_words`, `draw_shared`) and the
 arithmetic on the drawn values (`derive_shared`), so a sampler can draw a
-large chunk and work through it in smaller blocks of rows.
+large chunk and work through it in smaller blocks of rows.  The signs are
+float32 draws, one 32-bit word per coordinate, the cheapest Generator call
+that consumes the words `integers(0, 2)` would; the H_a, H_b pair of each
+dimension is built once.
 """
 
 from __future__ import annotations
@@ -47,21 +50,25 @@ def next_pow2(n: int) -> int:
 
 
 def sign_words(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """(n, d) int32 draws whose signs are the sign diagonals of n repetitions.
+    """(n, d) float32 draws whose signs are the sign diagonals of n repetitions.
 
-    Each word is one 32-bit output of the generator, offset by -2^31, so it
-    is negative exactly when that output's top bit is 0.  numpy's draw of
-    `integers(0, 2)` is that same top bit, so the signs of these words
-    (`sample_signs_batch`) equal `rng.integers(0, 2, (n, d)) * 2.0 - 1.0`,
-    and the stream is left where that draw leaves it."""
+    Each draw is one 32-bit output u of the generator, as (u >> 8) / 2^24,
+    so it is at least 0.5 exactly when u's top bit is 1.  numpy's draw of
+    `integers(0, 2)` is that same top bit from the same one output per
+    entry, so the signs of these draws (`sample_signs_batch`) equal
+    `rng.integers(0, 2, (n, d)) * 2.0 - 1.0`, and the stream is left where
+    that draw leaves it, a buffered 32-bit half included."""
     if not _is_pow2(d):
         raise ValueError(f"dimension {d} is not a power of two")
-    return rng.integers(-(1 << 31), 1 << 31, size=(n, d), dtype=np.int32)
+    return rng.random((n, d), dtype=np.float32)
 
 
 def _signs_of(words: np.ndarray) -> np.ndarray:
-    """The float signs of `sign_words` draws: -1.0 for a negative word, else 1.0."""
-    return np.copysign(1.0, words)
+    """The float64 signs of `sign_words` draws: -1.0 below 0.5, else 1.0.
+
+    The dtype is forced: a float32 operand would otherwise make the result
+    float32 under both numpy's value-based casting and NEP 50."""
+    return np.copysign(1.0, words - 0.5, dtype=np.float64)
 
 
 def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -148,6 +155,16 @@ def _hadamard(n: int) -> np.ndarray:
     return h
 
 
+@functools.lru_cache(maxsize=None)
+def _kron_factors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H_a, H_b) with H_d = H_a kron H_b, a = 2^(p // 2) and b =
+    2^(p - p // 2) for d = 2^p; ValueError unless d is a power of two."""
+    if not _is_pow2(d):
+        raise ValueError(f"dimension {d} is not a power of two")
+    p = d.bit_length() - 1
+    return _hadamard(1 << (p // 2)), _hadamard(1 << (p - p // 2))
+
+
 def fwht(x: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform H x (unnormalized) over the last axis.
 
@@ -157,26 +174,29 @@ def fwht(x: np.ndarray) -> np.ndarray:
     returns a new float array.
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[-1]
-    if not _is_pow2(d):
-        raise ValueError(f"dimension {d} is not a power of two")
-    p = d.bit_length() - 1
-    a, b = 1 << (p // 2), 1 << (p - p // 2)
-    y = x.reshape(-1, b) @ _hadamard(b)
-    return (_hadamard(a) @ y.reshape(-1, a, b)).reshape(x.shape)
+    h_a, h_b = _kron_factors(x.shape[-1])
+    a, b = len(h_a), len(h_b)
+    y = x.reshape(-1, b) @ h_b
+    return (h_a @ y.reshape(-1, a, b)).reshape(x.shape)
 
 
 def rotate_batch(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """(1/sqrt(d)) H (signs * y) for each row, with per-row sign diagonals
     (shapes broadcast on rows)."""
-    d = signs.shape[-1]
-    return fwht(y * signs) / math.sqrt(d)
+    out = fwht(y * signs)
+    out /= math.sqrt(signs.shape[-1])
+    return out
 
 
 def unrotate_batch(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Exact inverse of rotate_batch: signs * H z / sqrt(d)."""
-    d = signs.shape[-1]
-    return signs * (fwht(z) / math.sqrt(d))
+    """Exact inverse of rotate_batch: signs * H z / sqrt(d).  The product
+    is taken in place when z already has the shape of the result."""
+    out = fwht(z)
+    out /= math.sqrt(signs.shape[-1])
+    if out.shape != signs.shape:
+        return signs * out
+    out *= signs
+    return out
 
 
 def pad_to_pow2(y: np.ndarray) -> tuple[np.ndarray, int]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BitReader, BitString, MalformedStreamError
+from .core import BitReader, BitString
 
 __all__ = [
     "UniformGrid",
@@ -159,10 +159,9 @@ def write_cuq_symbols(bits: BitString, symbols: np.ndarray, grid: UniformGrid) -
 
 
 def read_cuq_symbols(reader: BitReader, n: int, grid: UniformGrid) -> np.ndarray:
-    """Read back n symbols written by `write_cuq_symbols` with the same `grid`."""
-    v = reader.read_fields(n, grid.symbol_bits)
-    if np.any(v > grid.k):
-        raise MalformedStreamError("malformed stream: CUQ symbol out of range")
+    """Read back n symbols written by `write_cuq_symbols` with the same `grid`;
+    a field above k (the overflow code) raises MalformedStreamError."""
+    v = reader.read_fields(n, grid.symbol_bits, grid.k)
     v[v == grid.k] = OVERFLOW
     return v
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import TetraLadder, log_star
-from .core import Kernel, MalformedStreamError, Quantizer, check_vector, kernel_quantizer
+from .core import Kernel, Quantizer, check_vector, kernel_quantizer
 from .rotation import (
     check_sample_count,
     derive_shared,
@@ -117,7 +117,7 @@ def _check_side(side, d: int, name: str) -> np.ndarray:
 
 def _check_ball(v: np.ndarray, name: str, what: str = "input") -> np.ndarray:
     """The checked vector `v`, or ValueError unless it lies in the unit l2 ball."""
-    if np.linalg.norm(v) > _BALL_SLACK:
+    if math.sqrt(v.dot(v)) > _BALL_SLACK:
         raise ValueError(f"{name} {what} must lie in the unit l2 ball")
     return v
 
@@ -133,12 +133,6 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
         check_sample_count(mu_d, cfg.d_pad)
     width = cfg.d_pad if mu_d is None else mu_d
 
-    def read(reader):
-        w = reader.read_fields(width, cfg.symbol_bits)
-        if np.any(w >= cfg.k):
-            raise MalformedStreamError("malformed stream: coset symbol out of range")
-        return w[None]
-
     kernel = Kernel(
         cfg.d, cfg.d_pad,
         check_input=lambda x: check_vector(x, cfg.d),
@@ -149,7 +143,7 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
         encode=lambda rows, shared, u: _rmq_encode(cfg, rows, *shared, u),
         decode=lambda w, side, shared: _rmq_decode(cfg, w, side, *shared),
         write=lambda bits, w: bits.write_fields(w, cfg.symbol_bits),
-        read=read,
+        read=lambda reader: reader.read_fields(width, cfg.symbol_bits, cfg.k - 1)[None],
     )
     name = f"rmq(d={cfg.d})" if mu_d is None else f"wz-known(d={cfg.d},mu_d={mu_d})"
     return kernel_quantizer(kernel, width * cfg.symbol_bits, name, uses_side_info=True)
@@ -257,7 +251,7 @@ def _scale_index(rot: np.ndarray, kept, ranges: np.ndarray) -> np.ndarray:
     """The scale of each kept entry of the rotated `rot`, the index of the
     smallest range >= |value|; every entry, kept or not, must fit the top one."""
     a = np.abs(rot)
-    if not np.all(a <= ranges[-1]):
+    if not (a <= ranges[-1]).all():
         raise ValueError("value escapes the top scale; inputs must be unit-ball")
     a = gather_kept(a, kept)
     z = np.zeros(a.shape, dtype=np.intp)
@@ -312,12 +306,11 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
         return bits.write_fields(counts, cfg.count_bits)
 
     def read(reader):
-        z = reader.read_fields(width, cfg.index_bits) if cfg.index_bits else np.zeros(width, int)
-        if np.any(z >= cfg.h):
-            raise MalformedStreamError("malformed stream: scale index out of range")
-        counts = reader.read_fields(cfg.h * width, cfg.count_bits)
-        if np.any(counts > cfg.N):
-            raise MalformedStreamError("malformed stream: count exceeds repetition budget")
+        if cfg.index_bits:
+            z = reader.read_fields(width, cfg.index_bits, cfg.h - 1)
+        else:
+            z = np.zeros(width, int)
+        counts = reader.read_fields(cfg.h * width, cfg.count_bits, cfg.N)
         return z[None], counts.reshape(cfg.h, 1, width)
 
     return Kernel(

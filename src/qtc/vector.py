@@ -128,12 +128,27 @@ class RatqConfig:
         return self.B * math.sqrt((9 + 3 * math.log(self.s)) / (self.k - 1) ** 2 + 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _subvector_of(width: int, s: int) -> np.ndarray:
+    """The subvector of each of `width` coordinates cut into length-s
+    subvectors, worked out once per shape; read-only."""
+    out = np.arange(width) // s
+    out.flags.writeable = False
+    return out
+
+
+def _coord_ranges(ranges: np.ndarray, j: np.ndarray, s: int, width: int) -> np.ndarray:
+    """The range of each of `width` coordinates, (m, width), from the ladder
+    index j of every length-s subvector, (m, n_sub)."""
+    return ranges[j] if s == 1 else ranges[j][:, _subvector_of(width, s)]
+
+
 def _atuq_ranges(absy: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
     """ATUQ range choice for each row of |y| (m, width): the ladder index of
     every length-s subvector, and the picked range of every coordinate."""
-    ranges = cfg.ladder.ranges
+    ranges, top = cfg.ladder.ranges, cfg.ladder.top
     if cfg.s == 1:
-        j = pick_range(absy, ranges)
+        j = pick_range(absy, ranges, top)
         return j, ranges[j]
     m, width = absy.shape
     n_sub = -(-width // cfg.s)
@@ -141,8 +156,8 @@ def _atuq_ranges(absy: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndar
         absy = np.concatenate([absy, np.zeros((m, n_sub * cfg.s - width))], axis=1)
     # max over the s strided slices: numpy's reduce over a short last axis is slow
     sub = absy.reshape(m, n_sub, cfg.s)
-    j = pick_range(functools.reduce(np.maximum, (sub[..., i] for i in range(cfg.s))), ranges)
-    return j, ranges[j][:, np.arange(width) // cfg.s]
+    j = pick_range(functools.reduce(np.maximum, (sub[..., i] for i in range(cfg.s))), ranges, top)
+    return j, _coord_ranges(ranges, j, cfg.s, width)
 
 
 def _atuq_fields(yr: np.ndarray, u: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +171,7 @@ def _atuq_fields(yr: np.ndarray, u: np.ndarray, cfg: RatqConfig) -> tuple[np.nda
 def _atuq_levels(fields: tuple[np.ndarray, np.ndarray], cfg: RatqConfig) -> np.ndarray:
     """The values that `_atuq_fields` output stands for, (m, width)."""
     j, sym = fields
-    return cuq_levels(sym, cfg.ladder.ranges[j][:, np.arange(sym.shape[1]) // cfg.s], cfg.k)
+    return cuq_levels(sym, _coord_ranges(cfg.ladder.ranges, j, cfg.s, sym.shape[1]), cfg.k)
 
 
 def _ratq_encode(cfg: RatqConfig, rows, signs, kept, u) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +207,10 @@ def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarr
     """Read back what `_write_atuq` wrote for `width` coordinates, as one row."""
     n_sub = -(-width // cfg.s)
     if cfg.ladder.index_bits:
-        j = reader.read_fields(n_sub, cfg.ladder.index_bits)
+        # above the ladder's top lie inf levels or no level
+        j = reader.read_fields(n_sub, cfg.ladder.index_bits, cfg.ladder.top)
     else:
         j = np.zeros(n_sub, dtype=np.int64)
-    # the largest index an encoder picks; above it lie inf levels or no level
-    if np.any(j > pick_range(np.inf, cfg.ladder.ranges)):
-        raise MalformedStreamError("malformed stream: range index out of ladder")
     return j[None], read_cuq_symbols(reader, width, cfg)[None]
 
 
@@ -210,8 +223,9 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
 
     def check_input(y):
         y = check_vector(y, cfg.d)
-        if np.linalg.norm(y) > cfg.B * _NORM_SLACK:
-            raise ValueError(f"input norm {np.linalg.norm(y):.6g} exceeds bound B={cfg.B}")
+        norm = math.sqrt(y.dot(y))
+        if norm > cfg.B * _NORM_SLACK:
+            raise ValueError(f"input norm {norm:.6g} exceeds bound B={cfg.B}")
         return y
 
     def check_side(side):
@@ -361,10 +375,10 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
     shape = _ratq_kernel(cfg.shape)
 
     def noise(rng, y, m):
-        return aguq_uniforms(np.full(m, np.linalg.norm(y)), ladder, rng), shape.noise(rng, y, m)
+        return aguq_uniforms(np.full(m, math.sqrt(y.dot(y))), ladder, rng), shape.noise(rng, y, m)
 
     def encode(y, shared, noise):
-        gain = float(np.linalg.norm(y))
+        gain = math.sqrt(y.dot(y))
         fields = aguq_fields(np.full(len(shared[0]), gain), ladder, levels, noise[0])
         return fields, shape.encode(y / gain if gain > 0 else np.eye(1, cfg.d)[0], shared, noise[1])
 

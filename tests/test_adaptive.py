@@ -11,11 +11,21 @@ from qtc.adaptive import (
     aguq_levels,
     aguq_uniforms,
     log_star,
+    pick_range,
     tetration,
 )
 from qtc.core import BitReader, BitString, SeedPath
 from qtc.scalar import OVERFLOW
-from qtc.vector import RatqConfig, _atuq_fields, _atuq_levels, atuq_vector_apply
+from qtc.sideinfo import RdaqConfig
+from qtc.vector import (
+    AratqConfig,
+    LpSplitConfig,
+    RatqConfig,
+    _atuq_fields,
+    _atuq_levels,
+    atuq_vector_apply,
+    gaussian_rd_config,
+)
 
 
 def _atuq_cfg(ladder, k, d, s=None):
@@ -175,3 +185,46 @@ def test_budget_formulas():
     assert lad.index_bits == 2
     assert TetraLadder(1.0, 0.0, 1).index_bits == 0
     assert GeoLadder(1.0, 2.0, 3).index_bits == 2
+
+
+def _built_ladders():
+    """Every ladder the configs build, and TetraLadders with inf ranges."""
+    for d in (1, 24, 64, 256, 4096, 10**6):
+        for B in (1.0, 2.0):
+            yield RatqConfig.default(B, d).ladder
+            yield RatqConfig.for_subsampling(B, d).ladder
+        yield TetraLadder(6 / d, 0.0, RdaqConfig(d).h)
+        yield LpSplitConfig(1.0, max(d, 4), 1.5).ratq_cfg.ladder
+        for T in (2, 1024, 10**6):
+            yield AratqConfig.default(2.0, d, T).gain_ladder
+            yield AguqPlus(2.0, T).ladder
+    yield gaussian_rd_config(1.0, 0.01, 64)[0].ladder
+    for h in (5, 6, 7, 8):  # e^^4 and above are inf
+        yield TetraLadder(3 / 16, 0.0, h)
+        yield TetraLadder(0.5, 0.3, h)
+
+
+def _old_ranges(ladder):
+    """The ranges as worked out on every access before they were cached."""
+    if isinstance(ladder, GeoLadder):
+        return ladder.B * np.power(ladder.a_g, np.arange(ladder.h_g) / 2.0)
+    out = np.empty(ladder.h)
+    for i in range(ladder.h):
+        t = tetration(i) if i <= 5 else math.inf
+        out[i] = math.sqrt(ladder.m * t + ladder.m0) if math.isfinite(t) else math.inf
+    return out
+
+
+def test_cached_ladder_constants_are_the_old_formulas():
+    seen_inf = False
+    for ladder in _built_ladders():
+        ranges = ladder.ranges
+        assert ranges is ladder.ranges and not ranges.flags.writeable
+        assert np.array_equal(ranges, _old_ranges(ladder)), ladder
+        assert ladder.top == np.count_nonzero(np.isfinite(ranges)) - 1
+        assert ladder.top == pick_range(np.inf, ranges)
+        assert np.isfinite(ranges[ladder.top])
+        seen_inf |= ladder.top < len(ranges) - 1
+        probe = np.concatenate([ranges[np.isfinite(ranges)] * f for f in (0.5, 1.0, 1.5)])
+        assert np.array_equal(pick_range(probe, ranges, ladder.top), pick_range(probe, ranges))
+    assert seen_inf

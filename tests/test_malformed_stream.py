@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from qtc.adaptive import TetraLadder
 from qtc.core import BitString, MalformedStreamError, SeedPath, TruncatedStreamError
-from test_wire_format import CASES, _resized
+from qtc.sideinfo import RdaqConfig, RmqConfig, rdaq_quantizer, wz_known_quantizer
+from qtc.vector import RatqConfig, ratq_quantizer
+from test_wire_format import CASES, _pair, _resized, _vec
 
 # Formats in which an all-ones message of the right length names a value
 # outside the code: a unary range past the ladder, a count above N, more
@@ -56,3 +59,47 @@ def test_flipped_bits_decode_or_raise_malformed_stream_error(name):
         except MalformedStreamError:
             continue
         assert rec.shape == x.shape and np.all(np.isfinite(rec))
+
+
+# Fixed-length formats with a field block whose largest legal value (its
+# top) is below its width's maximum, so the all-ones message above never
+# reaches the block's range check: (quantizer factory, input, side
+# information, bit offset of one field of the block, field width, top).
+FIELD_TOPS = {
+    # 3-bit cosets of k = 6: 6 and 7 name no coset
+    "rmq_k6_coset": (lambda: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 6), None),
+                     *_pair(20, 64, 0.4), 3 * 5, 3, 5),
+    # an 8-range ladder whose ranges 4..7 are inf: 3-bit index block first
+    "ratq_inf_ladder_index": (
+        lambda: ratq_quantizer(RatqConfig(1.0, 16, 1, 7, TetraLadder(3 / 16, 0.0, 8))),
+        _vec(1, 16, 0.9), None, 3 * 2, 3, 3),
+    # k = 5 levels and the overflow code 5 in 3-bit symbols, after 16 2-bit indices
+    "ratq_k5_symbol": (
+        lambda: ratq_quantizer(RatqConfig(1.0, 16, 1, 5, TetraLadder(3 / 16, 0.0, 4))),
+        _vec(1, 16, 0.9), None, 16 * 2 + 3 * 4, 3, 5),
+    # N = 2 draws per count in 2-bit fields, after 16 1-bit scale indices
+    "boosted_rdaq_n2_count": (lambda: rdaq_quantizer(RdaqConfig(16, N=2)),
+                              *_pair(30, 16, 0.2), 16 + 2 * 3, 2, 2),
+}
+
+
+def _with_field(msg: BitString, offset: int, width: int, value: int) -> BitString:
+    """`msg` with its `width`-bit field at bit `offset` set to `value`."""
+    bits = msg.to01()
+    bits = bits[:offset] + format(value, f"0{width}b") + bits[offset + width:]
+    return BitString().write_uint(int(bits, 2), len(bits))
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_TOPS))
+def test_field_above_its_top_raises_malformed_stream_error(name):
+    """A valid message with one field set to its block's top decodes; set to
+    any value above the top it raises MalformedStreamError."""
+    factory, x, side, offset, width, top = FIELD_TOPS[name]
+    q = factory()
+    path = SeedPath(13).child(name)
+    msg = q.encode(x, side, path.stream())
+    rec = q.decode(_with_field(msg, offset, width, top), side, path.stream())
+    assert rec.shape == x.shape and np.all(np.isfinite(rec))
+    for bad in range(top + 1, 1 << width):
+        with pytest.raises(MalformedStreamError, match="malformed stream"):
+            q.decode(_with_field(msg, offset, width, bad), side, path.stream())

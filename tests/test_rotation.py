@@ -88,11 +88,12 @@ def test_double_application_is_identity():
                                            np.random.Philox, np.random.SFC64])
 @pytest.mark.parametrize("half_buffered", [False, True])
 def test_signs_are_the_range_two_draw(bit_generator, half_buffered):
-    """The signs taken from the top bits of int32 words are numpy's
+    """The signs taken from the top bits of the 32-bit words are numpy's
     `integers(0, 2) * 2.0 - 1.0`, and leave the stream in the same place, on
     every bit generator, at odd word counts, and also when the generator
     holds a buffered 32-bit half of a 64-bit output."""
-    for n, d in [(1, 1), (3, 1), (1, 2), (3, 8), (5, 64), (7, 256), (1000, 64), (40, 256)]:
+    for n, d in [(1, 1), (3, 1), (1, 2), (3, 8), (5, 64), (7, 256), (10, 256), (1000, 64),
+                 (40, 256)]:
         old, new = (np.random.Generator(bit_generator(n * 1000 + d)) for _ in range(2))
         if half_buffered:  # one 32-bit draw leaves the other half of its output buffered
             for g in (old, new):
@@ -105,7 +106,30 @@ def test_signs_are_the_range_two_draw(bit_generator, half_buffered):
         assert repr(new.bit_generator.state) == repr(old.bit_generator.state)
         assert new.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
             old.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
-        assert sign_words(new, n, d).dtype == np.int32
+        assert sign_words(new, n, d).dtype == np.float32
+
+
+def test_signs_are_float64():
+    """float64 whatever the draw's dtype: numpy's value-based casting (1.x)
+    and NEP 50 (2.x) would both make signs of float32 draws float32."""
+    for n, d in [(1, 1), (1, 256), (64, 256)]:
+        signs = sample_signs_batch(SeedPath(14).stream(), n, d)
+        assert signs.dtype == np.float64 and signs.shape == (n, d)
+        assert np.all(np.abs(signs) == 1.0)
+
+
+@pytest.mark.parametrize("m", [1, 64])
+def test_rotation_is_the_unscaled_transform_bit_for_bit(m):
+    """`rotate_batch` and `unrotate_batch`, which scale in place, give the
+    bits of fwht(y * s) / sqrt(d) and s * (fwht(z) / sqrt(d)), for per-row
+    and shared inputs alike."""
+    rng = SeedPath(15).child("m", m).stream()
+    for p in range(13):
+        d = 1 << p
+        s = sample_signs_batch(rng, m, d)
+        for y in (rng.normal(size=(m, d)), rng.normal(size=d)):
+            assert np.array_equal(rotate_batch(y, s), fwht(y * s) / np.sqrt(d)), (d, y.shape)
+            assert np.array_equal(unrotate_batch(y, s), s * (fwht(y) / np.sqrt(d))), (d, y.shape)
 
 
 def test_sign_mean():
