@@ -14,7 +14,9 @@ Conventions used by every encoder/decoder pair in this package:
   Shared randomness (rotation signs, sampled subsets, dither uniforms that the
   decoder must regenerate) is always drawn *first* and in the same order on
   both sides; encoder-private randomness (randomized rounding) is drawn after
-  all shared values, so the decoder never needs it.
+  all shared values, so the decoder never needs it.  A kernel draws only
+  what its arithmetic reads: 32 signs to a draw, and a per-coordinate
+  uniform for each coordinate it sends, not for every coordinate.
 
 Every quantizer in this package is declared as a `Kernel`, and the shared
 code enforces that order: the codec that `kernel_quantizer` builds and the

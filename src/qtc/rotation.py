@@ -10,10 +10,11 @@ shared draws of the rotated quantizers, sampled coordinate subsets, live here
 too, with the gather and scatter of the kept coordinates.  Each shared draw
 is split into its Generator calls (`sign_words`, `draw_shared`) and the
 arithmetic on the drawn values (`derive_shared`), so a sampler can draw a
-large chunk and work through it in smaller blocks of rows.  The signs are
-float32 draws, one 32-bit word per coordinate, the cheapest Generator call
-that consumes the words `integers(0, 2)` would; the H_a, H_b pair of each
-dimension is built once.
+large chunk and work through it in smaller blocks of rows.  A sign draw
+carries 32 signs: the top 32 of the 53 bits of one uniform, so a sign
+diagonal of d entries costs ceil(d / 32) 64-bit outputs of the stream.  A
+subset of each row costs one uniform key per coordinate, cut on the keys'
+top 32 bits.  The H_a, H_b pair of each dimension is built once.
 """
 
 from __future__ import annotations
@@ -50,48 +51,53 @@ def next_pow2(n: int) -> int:
 
 
 def sign_words(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """(n, d) float32 draws whose signs are the sign diagonals of n repetitions.
+    """(n, ceil(d / 32)) uniforms that carry the sign diagonals of n
+    repetitions, 32 signs per draw (`_signs_of`).
 
-    Each draw is one 32-bit output u of the generator, as (u >> 8) / 2^24,
-    so it is at least 0.5 exactly when u's top bit is 1.  numpy's draw of
-    `integers(0, 2)` is that same top bit from the same one output per
-    entry, so the signs of these draws (`sample_signs_batch`) equal
-    `rng.integers(0, 2, (n, d)) * 2.0 - 1.0`, and the stream is left where
-    that draw leaves it, a buffered 32-bit half included."""
+    Each draw is one 64-bit output of the generator, a double of 53 random
+    bits; its top 32 bits are the signs."""
     if not _is_pow2(d):
         raise ValueError(f"dimension {d} is not a power of two")
-    return rng.random((n, d), dtype=np.float32)
+    return rng.random((n, -(-d // 32)))
 
 
-def _signs_of(words: np.ndarray) -> np.ndarray:
-    """The float64 signs of `sign_words` draws: -1.0 below 0.5, else 1.0.
+# The eight signs of each byte value b, least significant bit first: row b
+# is 1 - 2 * (the bits of b); read-only.
+_BYTE_SIGNS = 1.0 - 2.0 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                                         bitorder="little").astype(np.float64)
+_BYTE_SIGNS.flags.writeable = False
 
-    The dtype is forced: a float32 operand would otherwise make the result
-    float32 under both numpy's value-based casting and NEP 50."""
-    return np.copysign(1.0, words - 0.5, dtype=np.float64)
+
+def _signs_of(words: np.ndarray, d: int) -> np.ndarray:
+    """The (n, d) float64 signs of `sign_words` draws: sign j of a row is
+    -1.0 where bit j % 32 (least significant first) of floor(u * 2^32) is
+    1, u the row's draw j // 32, else 1.0.
+
+    floor(u * 2^32) is exactly the top 32 of the draw's 53 bits.  Its "<u4"
+    bytes are little-endian on every host, so the bit order does not
+    depend on the machine; each byte looks up its eight signs."""
+    octets = (words * 2.0**32).astype("<u4").view(np.uint8)
+    return _BYTE_SIGNS.take(octets, axis=0).reshape(len(words), -1)[:, :d]
 
 
 def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """(n, d) array of iid signs; row i is the sign diagonal of repetition i."""
-    return _signs_of(sign_words(rng, n, d))
+    return _signs_of(sign_words(rng, n, d), d)
 
 
 def check_sample_count(mu_d: int, d: int) -> None:
-    """Reject a subset size outside 1..d; subsampled codecs and samplers call
-    this before their first draw."""
+    """Reject a subset size that is not an integer in 1..d; subsampled codecs
+    and samplers call this before their first draw."""
+    if not isinstance(mu_d, (int, np.integer)):
+        raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
     if not 1 <= mu_d <= d:
-        raise ValueError(f"sample count {mu_d} outside 1..{d}")
+        raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d}")
 
 
-def _subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
-    """Boolean mask of the shape of the (n, d) uniforms `r`; row i marks the
-    entries of its mu_d smallest draws.
-
-    The entries at or below the row's mu_d-th smallest value are kept.  A
-    row tied at that cut would keep more than mu_d; only such rows are
-    re-picked, by argpartition, so every row keeps exactly mu_d.  Each row's
-    mask depends on that row alone.
-    """
+def _float_subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
+    """`_subset_masks` on the float64 keys themselves: the entries at or
+    below the row's mu_d-th smallest key, and for a row tied at that cut,
+    the mu_d that argpartition picks."""
     keep = r <= np.partition(r, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
     if np.count_nonzero(keep) != keep.shape[0] * mu_d:  # every row keeps >= mu_d
         tied = np.flatnonzero(np.count_nonzero(keep, axis=1) != mu_d)
@@ -101,36 +107,57 @@ def _subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
     return keep
 
 
+def _subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
+    """Boolean mask of the shape of the (n, d) uniform keys `r`; row i marks
+    the entries of its mu_d smallest keys, exactly mu_d of them.
+
+    The cut is made on the keys' top 32 bits, hi = floor(r * 2^32), whose
+    partition is cheaper than a float64 one: the entries with hi at or
+    below the row's mu_d-th smallest hi are kept.  hi is monotone in r, so
+    a row that keeps exactly mu_d keeps its mu_d smallest keys.  A row tied
+    on hi at the cut goes through `_float_subset_masks`, the same rule on
+    the full keys, so the mask is that rule's for every input.  Each row's
+    mask depends on that row alone.
+    """
+    hi = (r * 2.0**32).astype(np.uint32)
+    keep = hi <= np.partition(hi, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
+    if np.count_nonzero(keep) != keep.shape[0] * mu_d:  # every row keeps >= mu_d
+        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) != mu_d)
+        keep[tied] = _float_subset_masks(r[tied], mu_d)
+    return keep
+
+
 def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
     """(n, d) boolean mask; row i marks an independent uniform mu_d-subset:
-    the `_subset_masks` of one uniform per entry, rng.random((n, d))."""
+    the `_subset_masks` of one uniform key per entry, rng.random((n, d))."""
     return _subset_masks(rng.random((n, d)), mu_d)
 
 
 def draw_shared(rng: np.random.Generator, n: int, d: int, mu_d: Optional[int]):
     """The shared draws of n repetitions of a rotated code, in the one order
-    that codecs and samplers use: the (n, d) `sign_words`, then (with mu_d)
-    one uniform per entry for the subset masks, None without.  Generator
-    calls only; `derive_shared` works out what they stand for."""
+    that codecs and samplers use: the (n, ceil(d / 32)) `sign_words`, then
+    (with mu_d) one uniform key per entry for the subset masks, (n, d),
+    None without.  Generator calls only; `derive_shared` works out what
+    they stand for."""
     words = sign_words(rng, n, d)
     return words, None if mu_d is None else rng.random((n, d))
 
 
-def derive_shared(draws, mu_d: Optional[int]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(signs, kept) from the `draw_shared` draws of any rows, taken together
-    or block by block: kept holds the flat indices of the kept entries of an
-    (n, d) array, row by row, and is None without subset draws."""
+def derive_shared(draws, d: int, mu_d: Optional[int]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(signs, kept) from the `draw_shared` draws of any rows of dimension d,
+    taken together or block by block: kept holds the flat indices of the
+    kept entries of an (n, d) array, row by row, and is None without subset
+    draws."""
     words, r = draws
-    return _signs_of(words), None if r is None else np.flatnonzero(_subset_masks(r, mu_d))
+    return _signs_of(words, d), None if r is None else np.flatnonzero(_subset_masks(r, mu_d))
 
 
 def gather_kept(a: np.ndarray, kept: Optional[np.ndarray]) -> np.ndarray:
-    """The kept entries of the (n, d, ...) array `a` as an (n, mu_d, ...)
-    array, in coordinate order; `a` itself when kept is None."""
+    """The kept entries of the (n, d) array `a` as an (n, mu_d) array, in
+    coordinate order; `a` itself when kept is None."""
     if kept is None:
         return a
-    n, d, *rest = a.shape
-    return a.reshape(n * d, *rest)[kept].reshape(n, -1, *rest)
+    return a.reshape(-1)[kept].reshape(len(a), -1)
 
 
 def sparse_correction(side_rot: np.ndarray, corr: np.ndarray, kept: np.ndarray) -> np.ndarray:

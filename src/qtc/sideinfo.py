@@ -27,7 +27,6 @@ from .rotation import (
     next_pow2,
     pad_to_pow2,
     rotate_batch,
-    sign_words,
     sparse_correction,
     unrotate_batch,
 )
@@ -91,10 +90,10 @@ def _rmq_encode(cfg: RmqConfig, rows, signs, kept, u) -> np.ndarray:
     """The RMQ kernel: the coset symbols of each row of `rows` (or of one
     vector for all of them), rotated by its row of `signs` and restricted to
     the `kept` coordinates (`rotation.derive_shared`; None keeps all).  `u`
-    holds one dither uniform per rotated coordinate, kept or not; the kept
-    coordinates are MQ encoded, each with its own dither."""
+    holds one dither uniform per kept coordinate, (m, width); each kept
+    coordinate is MQ encoded with its own."""
     xr = rotate_batch(pad_to_pow2(rows)[0], signs)
-    return mq_encode_with(gather_kept(xr, kept), cfg.mq, gather_kept(u, kept))
+    return mq_encode_with(gather_kept(xr, kept), cfg.mq, u)
 
 
 def _rmq_decode(cfg: RmqConfig, w, side, signs, kept) -> np.ndarray:
@@ -127,8 +126,10 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
     MQ each rotated coordinate.  mu_d = None is plain RMQ; otherwise
     (subsampled RMQ) coset symbols go out for a shared random subset only,
     and unsampled coordinates fall back to the rotated side information.
-    The draws: the signs, then the subset masks (subsampled only), then the
-    dither of `_rmq_encode`."""
+    The draws: the signs, then the subset keys (subsampled only), then the
+    dither of `_rmq_encode`, one uniform per sent coordinate.  A message
+    takes ceil(d_pad / 32) 64-bit outputs of the stream for the signs, d_pad
+    for the subset keys (subsampled only) and width for the dither."""
     if mu_d is not None:
         check_sample_count(mu_d, cfg.d_pad)
     width = cfg.d_pad if mu_d is None else mu_d
@@ -138,8 +139,8 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
         check_input=lambda x: check_vector(x, cfg.d),
         check_side=lambda side: _check_side(side, cfg.d, "RMQ"),
         draw=lambda rng, m: draw_shared(rng, m, cfg.d_pad, mu_d),
-        noise=lambda rng, x, m: rng.random((m, cfg.d_pad)),
-        derive=lambda draws: derive_shared(draws, mu_d),
+        noise=lambda rng, x, m: rng.random((m, width)),
+        derive=lambda draws: derive_shared(draws, cfg.d_pad, mu_d),
         encode=lambda rows, shared, u: _rmq_encode(cfg, rows, *shared, u),
         decode=lambda w, side, shared: _rmq_decode(cfg, w, side, *shared),
         write=lambda bits, w: bits.write_fields(w, cfg.symbol_bits),
@@ -231,20 +232,20 @@ class RdaqConfig:
 
 def _rdaq_draws(cfg: RdaqConfig, rng: np.random.Generator, m: int, mu_d: Optional[int]):
     """The shared draws of m repetitions, in the one order of codecs and
-    samplers: (m, d_pad) sign words, then v, N uniforms on [-1, 1] per
-    rotated coordinate shared by all h scales, then (with mu_d) one uniform
-    per rotated coordinate for the subset masks.  Returns (words, v, r);
-    `_rdaq_derive` turns them into (signs, kept, v)."""
-    words = sign_words(rng, m, cfg.d_pad)
-    v = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N))
-    return words, v, None if mu_d is None else rng.random((m, cfg.d_pad))
+    samplers: the `rotation.draw_shared` sign words and (with mu_d) subset
+    keys, then v, N uniforms on [-1, 1] per sent coordinate shared by all h
+    scales, (m, width, N).  Returns (words, r, v); `_rdaq_derive` turns them
+    into (signs, kept, v)."""
+    words, r = draw_shared(rng, m, cfg.d_pad, mu_d)
+    width = cfg.d_pad if mu_d is None else mu_d
+    return words, r, rng.uniform(-1.0, 1.0, size=(m, width, cfg.N))
 
 
-def _rdaq_derive(draws, mu_d: Optional[int]):
+def _rdaq_derive(cfg: RdaqConfig, draws, mu_d: Optional[int]):
     """(signs, kept, v) from the `_rdaq_draws` draws of any rows, kept as in
     `rotation.derive_shared`."""
-    words, v, r = draws
-    return (*derive_shared((words, r), mu_d), v)
+    words, r, v = draws
+    return (*derive_shared((words, r), cfg.d_pad, mu_d), v)
 
 
 def _scale_index(rot: np.ndarray, kept, ranges: np.ndarray) -> np.ndarray:
@@ -264,14 +265,15 @@ def _rdaq_encode(cfg: RdaqConfig, rows, signs, kept, v) -> tuple[np.ndarray, np.
     """The RDAQ kernel: each row of `rows` (or one vector for all of them) is
     rotated by its row of `signs` and restricted to the `kept` coordinates;
     returns their scale indices z, (m, width), and their counts at every
-    scale j, (h, m, width): how many of their N uniforms v have v M_j <= value."""
+    scale j, (h, m, width): how many of their N uniforms v, (m, width, N),
+    have v M_j <= value."""
     xr = rotate_batch(pad_to_pow2(rows)[0], signs)
     z = _scale_index(xr, kept, cfg.ranges)
-    xk, vk = gather_kept(xr, kept), gather_kept(v, kept)
+    xk = gather_kept(xr, kept)
     counts = np.zeros((cfg.h,) + xk.shape, dtype=np.min_scalar_type(cfg.N))
     for c, r in zip(counts, cfg.ranges):
         for i in range(cfg.N):
-            c += vk[..., i] * r <= xk
+            c += v[..., i] * r <= xk
     return z, counts
 
 
@@ -283,12 +285,12 @@ def _rdaq_decode(cfg: RdaqConfig, fields, side, signs, kept, v) -> np.ndarray:
     yr = rotate_batch(pad_to_pow2(side)[0], signs)
     z_star = np.maximum(z, _scale_index(yr, kept, cfg.ranges))
     m_sel = cfg.ranges[z_star]
-    yk, vk = gather_kept(yr, kept), gather_kept(v, kept)
+    yk = gather_kept(yr, kept)
     diff = counts[0].astype(np.intp)
     for j in range(1, cfg.h):
         np.copyto(diff, counts[j], where=z_star == j)
     for i in range(cfg.N):
-        diff -= vk[..., i] * m_sel <= yk
+        diff -= v[..., i] * m_sel <= yk
     corr = 2.0 * m_sel * diff / cfg.N
     vals = yr + corr if kept is None else sparse_correction(yr, corr, kept)
     return unrotate_batch(vals, signs)[:, : cfg.d]
@@ -296,7 +298,9 @@ def _rdaq_decode(cfg: RdaqConfig, fields, side, signs, kept, v) -> np.ndarray:
 
 def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
     """The RDAQ kernel pair, subsampled with mu_d.  Its message is the
-    scale-index block, then the counts scale by scale (plane-major)."""
+    scale-index block, then the counts scale by scale (plane-major).  A
+    message takes ceil(d_pad / 32) 64-bit outputs of the stream for the
+    signs, d_pad for the subset keys (subsampled only) and N width for v."""
     width = cfg.d_pad if mu_d is None else mu_d
 
     def write(bits, fields):
@@ -319,7 +323,7 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
         check_side=lambda y: _check_ball(_check_side(y, cfg.d, "RDAQ"), "RDAQ", "side information"),
         draw=lambda rng, m: _rdaq_draws(cfg, rng, m, mu_d),
         noise=lambda rng, x, m: None,
-        derive=lambda draws: _rdaq_derive(draws, mu_d),
+        derive=lambda draws: _rdaq_derive(cfg, draws, mu_d),
         encode=lambda rows, shared, noise: _rdaq_encode(cfg, rows, *shared),
         decode=lambda fields, side, shared: _rdaq_decode(cfg, fields, side, *shared),
         write=write,

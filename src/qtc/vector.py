@@ -178,10 +178,10 @@ def _ratq_encode(cfg: RatqConfig, rows, signs, kept, u) -> tuple[np.ndarray, np.
     """The RATQ kernel: the fields of each row of `rows` (or of one vector
     for all of them), rotated by its row of `signs` and restricted to the
     `kept` coordinates (`rotation.derive_shared`; None keeps all).  `u`
-    holds one rounding uniform per rotated coordinate, kept or not; the
-    kept ones round with their own."""
+    holds one rounding uniform per kept coordinate, (m, width); each kept
+    coordinate rounds with its own."""
     yr = rotate_batch(pad_to_pow2(rows)[0], signs)
-    return _atuq_fields(gather_kept(yr, kept), gather_kept(u, kept), cfg)
+    return _atuq_fields(gather_kept(yr, kept), u, cfg)
 
 
 def _ratq_decode(cfg: RatqConfig, fields, side, signs, kept) -> np.ndarray:
@@ -217,8 +217,10 @@ def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarr
 def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
     """The RATQ kernel pair, subsampled with mu_d and, with `center`,
     centered on the side information.  Its draws: the signs, the subset
-    masks (with mu_d) and one rounding uniform per rotated coordinate, kept
-    or not; ranges and CUQ rounding run on the kept coordinates only."""
+    keys (with mu_d) and one rounding uniform per kept coordinate; ranges
+    and CUQ rounding run on the kept coordinates only.  A message takes
+    ceil(d_pad / 32) 64-bit outputs of the stream for the signs, d_pad for
+    the subset keys (subsampled only) and width for the rounding."""
     width = cfg.d_pad if mu_d is None else mu_d
 
     def check_input(y):
@@ -234,8 +236,8 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
     return Kernel(
         cfg.d, cfg.d_pad, check_input, check_side,
         draw=lambda rng, m: draw_shared(rng, m, cfg.d_pad, mu_d),
-        noise=lambda rng, y, m: rng.random((m, cfg.d_pad)),
-        derive=lambda draws: derive_shared(draws, mu_d),
+        noise=lambda rng, y, m: rng.random((m, width)),
+        derive=lambda draws: derive_shared(draws, cfg.d_pad, mu_d),
         encode=lambda rows, shared, u: _ratq_encode(cfg, rows, *shared, u),
         decode=lambda fields, side, shared: _ratq_decode(cfg, fields, side, *shared),
         write=lambda bits, fields: _write_atuq(bits, fields, cfg),

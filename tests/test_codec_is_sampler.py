@@ -4,14 +4,14 @@ Every quantizer declared as a `core.Kernel` runs the same steps both ways: the
 codec draws for one repetition and packs the fields, `Quantizer.sample`
 draws for n and skips the packing.  The draw order is the kernel's own: for
 the rotated fixed-length codes (RATQ, RMQ and their subsampled forms) signs,
-then subset masks, then one private uniform per rotated coordinate; for the
-RDAQ family signs, then N uniforms per rotated coordinate shared by all
-scales, then subset masks; for DAQ one uniform per coordinate; for SimQ+ one
-multinomial type; for SimQ one uniform.  A-RATQ draws signs, one gain
-uniform (none when the gain overflows), then the shape's RATQ uniforms; the
-split quantizer signs, one CUQ uniform per coordinate, then the RATQ
-uniforms of its large part.  So a round trip under a SeedPath equals the
-sampler's single draw from that path's stream.
+32 to a draw, then subset keys, then one private uniform per sent
+coordinate; for the RDAQ family signs, then subset keys, then N uniforms
+per sent coordinate shared by all scales; for DAQ one uniform per
+coordinate; for SimQ+ one multinomial type; for SimQ one uniform.  A-RATQ
+draws signs, one gain uniform (none when the gain overflows), then the
+shape's RATQ uniforms; the split quantizer signs, one CUQ uniform per
+coordinate, then the RATQ uniforms of its large part.  So a round trip
+under a SeedPath equals the sampler's single draw from that path's stream.
 """
 
 import ast

@@ -3,6 +3,7 @@ import pytest
 
 from qtc.core import SeedPath
 from qtc.rotation import (
+    _subset_masks,
     fwht,
     pad_to_pow2,
     rotate_batch,
@@ -64,6 +65,32 @@ def test_subset_masks_exact_count_under_tied_draws():
         assert np.all(keep.sum(axis=1) == mu_d)
 
 
+def _float_rule(r, mu_d):
+    """The float64 subset rule: keep the entries at or below the row's mu_d-th
+    smallest key; a row tied at that cut keeps the mu_d that argpartition
+    picks."""
+    keep = r <= np.partition(r, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
+    for i in np.flatnonzero(keep.sum(axis=1) != mu_d):
+        keep[i] = False
+        keep[i, np.argpartition(r[i], mu_d - 1)[:mu_d]] = True
+    return keep
+
+
+@pytest.mark.parametrize("low_values", [1 << 21, 3])
+@pytest.mark.parametrize("mu_d", [1, 7, 33, 64])
+def test_subset_cut_on_top_bits_is_the_float_rule(mu_d, low_values):
+    """Keys k / 2^53 whose top 32 bits take 3 values, so most rows are tied
+    on them at the cut; with 3 values of the low 21 bits too, many rows are
+    tied on the float64 keys themselves."""
+    rng = SeedPath(23).child("low", low_values).stream()
+    top = rng.integers(0, 3, size=(200, 64))
+    r = (top * (1 << 21) + rng.integers(0, low_values, size=top.shape)) / 2.0**53
+    assert np.array_equal((r * 2.0**32).astype(np.uint32), top)
+    keep = _subset_masks(r, mu_d)
+    assert np.all(keep.sum(axis=1) == mu_d)
+    assert np.array_equal(keep, _float_rule(r, mu_d))
+
+
 def test_h2_rows():
     sd = np.ones((1, 2))
     assert np.allclose(rotate_batch(np.array([1.0, 0.0]), sd), [1 / np.sqrt(2)] * 2)
@@ -84,29 +111,48 @@ def test_double_application_is_identity():
     assert np.allclose(sd * (sd * y), y)
 
 
+def _top32_of_doubles(bit_generator, seed, count):
+    """floor(u * 2^32) of the next `count` doubles u of a fresh generator,
+    worked out with Python ints from its integer outputs and the way it
+    makes a double of 53 bits: x >> 11 of one 64-bit output x for PCG64,
+    Philox and SFC64, (a >> 5) << 26 | b >> 6 of two 32-bit outputs a, b
+    for MT19937.  The top 32 of the 53 bits are k >> 21."""
+    g = np.random.Generator(bit_generator(seed))
+    if bit_generator is np.random.MT19937:
+        words = g.integers(0, 1 << 32, size=2 * count, dtype=np.uint32).tolist()
+        ks = [(a >> 5) << 26 | b >> 6 for a, b in zip(words[::2], words[1::2])]
+    else:
+        ks = [x >> 11 for x in g.integers(0, 1 << 64, size=count, dtype=np.uint64).tolist()]
+    return [k >> 21 for k in ks]
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937,
                                            np.random.Philox, np.random.SFC64])
-@pytest.mark.parametrize("half_buffered", [False, True])
-def test_signs_are_the_range_two_draw(bit_generator, half_buffered):
-    """The signs taken from the top bits of the 32-bit words are numpy's
-    `integers(0, 2) * 2.0 - 1.0`, and leave the stream in the same place, on
-    every bit generator, at odd word counts, and also when the generator
-    holds a buffered 32-bit half of a 64-bit output."""
-    for n, d in [(1, 1), (3, 1), (1, 2), (3, 8), (5, 64), (7, 256), (10, 256), (1000, 64),
-                 (40, 256)]:
-        old, new = (np.random.Generator(bit_generator(n * 1000 + d)) for _ in range(2))
-        if half_buffered:  # one 32-bit draw leaves the other half of its output buffered
-            for g in (old, new):
-                g.integers(0, 1 << 32, size=1, dtype=np.uint32)
-            if bit_generator is np.random.PCG64:
-                assert new.bit_generator.state["has_uint32"] == 1
-        ref = old.integers(0, 2, size=(n, d)) * 2.0 - 1.0
-        got = sample_signs_batch(new, n, d)
-        assert got.dtype == ref.dtype and np.array_equal(got, ref), (n, d)
-        assert repr(new.bit_generator.state) == repr(old.bit_generator.state)
-        assert new.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist() == \
-            old.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
-        assert sign_words(new, n, d).dtype == np.float32
+def test_signs_are_32_bits_of_each_draw(bit_generator):
+    """Sign j of a row is -1 where bit j % 32 (least significant first) of
+    the top 32 bits of the row's draw j // 32 is 1: a sign diagonal of d
+    entries takes ceil(d / 32) doubles and leaves the stream where that many
+    `random()` draws leave it, on every bit generator."""
+    for n, d in [(1, 1), (3, 2), (2, 8), (1, 32), (3, 64), (5, 256), (2, 1024)]:
+        seed = n * 1000 + d
+        words = -(-d // 32)
+        top = _top32_of_doubles(bit_generator, seed, n * words)
+        want = [[-1.0 if top[i * words + j // 32] >> (j % 32) & 1 else 1.0 for j in range(d)]
+                for i in range(n)]
+        assert sign_words(np.random.Generator(bit_generator(seed)), n, d).shape == (n, words)
+        g, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        got = sample_signs_batch(g, n, d)
+        assert got.dtype == np.float64 and got.tolist() == want, (n, d)
+        ref.random(n * words)
+        assert g.random(3).tolist() == ref.random(3).tolist()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_every_sign_position_is_random(bit_generator):
+    """Each of the 32 bit positions of a draw carries a fair sign, the high
+    ones too (a 32-bit generator's raw words would leave them all +1)."""
+    signs = sample_signs_batch(np.random.Generator(bit_generator(5)), 4000, 64)
+    assert np.all(np.abs(signs.mean(axis=0)) < 0.07)
 
 
 def test_signs_are_float64():

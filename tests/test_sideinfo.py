@@ -107,6 +107,16 @@ def test_daq_identity_and_budget():
     assert np.allclose(rec, x)
 
 
+@pytest.mark.parametrize("mu_d", [8.5, 8.0, 0, 65])
+def test_subsampled_codecs_reject_a_bad_sample_count(mu_d):
+    """A sample count must be an integer in 1..d_pad, checked when the codec
+    is built; a float would first fail in a round trip's partition."""
+    with pytest.raises(ValueError, match="mu_d"):
+        wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 16), mu_d)
+    with pytest.raises(ValueError, match="mu_d"):
+        wz_unknown_quantizer(RdaqConfig(64), mu_d)
+
+
 def test_daq_rejects_outside_ball():
     q = daq_quantizer(4)
     with pytest.raises(ValueError):

@@ -95,6 +95,9 @@ def test_rcs_wrap_contract():
         rcs_wrap(cfg, 0)
     with pytest.raises(ValueError):
         rcs_wrap(cfg, 65)
+    for mu_d in (8.5, 8.0):  # a float would first fail in a round trip's partition
+        with pytest.raises(ValueError, match="mu_d"):
+            rcs_wrap(cfg, mu_d)
     q = rcs_wrap(cfg, 4)
     assert q.bit_budget == 4 * (cfg.ladder.index_bits + 3)
 

@@ -84,22 +84,22 @@ CASES = {
 }
 
 MESSAGES = {
-    "aratq_aguq": ("36b9e5ea06a84146ee37f7b27fa8bd92a4c1b67864fc8a811b7c3c19b7f3b288", 1.3962321298758777, 1.7334105870066558),
-    "aratq_aguq_overflow": ("0bdeec814619d66b833d13fdfef686ae7a5562ced59d3d60d8b2def45434292b", 0.0, 0.0),
-    "aratq_aguq_plus": ("e30495b3ebdca718f889a59705c89e9cdac4455d0597d04c0b5ff501491b6981", 4.584836552545015, 13.14128991815061),
-    "boosted_rdaq": ("6c93a3469cbfcf667163dc85924780d2a0574e7e0ff106eb59c43202e150a0df", -0.16181395495229667, 3.087634571023086),
+    "aratq_aguq": ("a46347331493956d377df2b26193641cdb8b0572dc5738b64d30b4360bef95ae", 2.4109826909015126, 4.000607859810444),
+    "aratq_aguq_overflow": ("5a64a9d5c38d08fc6addfe183cad4597c3f5743124971167acdf1ca6b2674e22", 0.0, 0.0),
+    "aratq_aguq_plus": ("8cbe103e4c4c433098f25626f41122d6913ff9af20d54627fb9c75f1c06c9d7b", 3.863179422382868, 13.638221170611484),
+    "boosted_rdaq": ("b6d5c557bab436d01a35e6eb6f03f08f4fc12ca0554076c5402f933de703fbd0", 2.1345826789069324, 4.064520892502179),
     "daq": ("5a5d0f3038935279e28156b336099b244ab65f948bdeb9039bde72038822749a", -1.0476361926506588, 23.615852130775348),
-    "lp_split": ("98ff929af7a5f8b7912b0fc99ebfd43999d06502992302a458ddfb998389c64b", 3.980941846041133, 1.8172352595795889),
-    "ratq": ("85416be8ab8a32aad3ea60007c4572212ae4b577ab164f37837272077c41a278", 2.3389721119911515, 3.9054181718508447),
-    "ratq_d64": ("f27dc16b45d45798f4c03a255f3fbf28fe324fc12a228ed297e4bfd0283a9e21", 4.856588208369141, 4.425149035309666),
-    "rcs_wrap": ("6f48c7c1576eb76dad6db88ea21fe2416d942af6f65e6dfbe04cb514875a7750", -3.089872484741184, 55.99520592342062),
-    "rcs_wrap_center": ("e3abb33e071e12e4abc7eb73dcd14edbb5db90251afc5c0584019b212fbcd8cc", 0.11893639328454686, 28.143499335153486),
-    "rdaq": ("9381ab7b6855ae75762ea8fa4c78f93b8e4640666d7ff10e58c078b7eee89768", -1.1391727571958508, 9.098716430650757),
-    "rmq": ("626ab3b31594c9996db84e4d108891b4300b26dc697ceed62388c9b138f16f80", -0.5309888841214054, 2.594813685791122),
+    "lp_split": ("8bbacd725ab4f7f77fb3603527f38796ff6f092b9be9c447a5dd3c0c2727bfaa", 4.113225267038484, 2.114716618582545),
+    "ratq": ("b0547a373e6742639c9a08dc64c20532b6220a570c6d14d67527429eec8c7308", 2.5165762991190466, 3.5529709237775338),
+    "ratq_d64": ("a9d88be4e2767402131f4d1403695dd2a0b3d4756bf6eadb6221905dfb739184", 4.367979955421335, 4.2774710512634355),
+    "rcs_wrap": ("66d6fa05314bc47972606bd0ddb170b680a52bbab2cdebad2e569a4a20768b4b", 4.456553458379508, 34.02506864114021),
+    "rcs_wrap_center": ("ffa0cae6c4cd9885de43d4adc61ec4429af502813966b297794352d7cc59a000", 8.294543099195565, 43.01520672653249),
+    "rdaq": ("0e918d367c54217e4ffa9c30fce12c097dad9d231b695c0201acd4d4539b0dc5", -1.4453589750437494, 5.3066132415078915),
+    "rmq": ("7a39d12269dd211da864af940195c776da551e2609316c5d52c34d600d5c1efb", -0.754999819610124, 2.6014218700503524),
     "simq": ("df8ece93975593f1c67f0874a8b89c4e4f0d116497edfaa42e8f818dd6d4346f", 0.0, 4.0),
     "simq_plus": ("9654f60b10427a59a0147779b49077bf90e64f381b69c94cc571509b55af78d1", -3.5, 8.0),
-    "wz_known": ("b331c1177914efd9809e3164a919f48927c4e59768d8e2dde0646bcf247e3fa3", -1.5064348693620657, 6.084031245737847),
-    "wz_unknown": ("37ec5b4f58cf10809e2946a3233e7cc699663019e7deee42bc984228094dd2d6", 1.8061123833141224, 61.098862451186335),
+    "wz_known": ("6e62ccbc0529e0320317400cc8b9d4196797547e17f33dfe2e3dfc9122a6cdb1", -0.3071290506499299, 7.019708770730578),
+    "wz_unknown": ("b65e994ed462ec7567eb3a67a6eb15c72c77d7ade1ee124fccbc676ca060a7cc", 9.644479560220294, 65.43625167533995),
 }
 
 SAMPLERS = {
@@ -128,16 +128,16 @@ SAMPLERS = {
 
 SAMPLER_MOMENTS = {
     "atuq_vector_apply": (4.101431881510391, 12.465909495057748),
-    "boosted_rdaq_sample": (-75.18720434636509, 272.1570813577944),
+    "boosted_rdaq_sample": (-83.49250550548928, 272.5639038801666),
     "daq_sample": (302.58998085678354, 882.9201505176738),
-    "ratq_apply": (5.592422784993105, 3.91669687454166),
-    "ratq_sample": (214.66031318806395, 325.02718486302246),
-    "rcs_ratq_sample": (268.7861797695067, 2452.234878236709),
-    "rdaq_sample": (186.12979540654067, 523.9885288967866),
-    "rmq_sample": (326.04313291386325, 195.99397255125191),
+    "ratq_apply": (5.176699969523283, 3.901853648383449),
+    "ratq_sample": (217.99628519549847, 325.2316818277141),
+    "rcs_ratq_sample": (326.03538762519565, 2613.105786840348),
+    "rdaq_sample": (234.50721782650837, 510.583074165704),
+    "rmq_sample": (325.93775065364366, 195.58756921930927),
     "simq_plus_sample": (236.25, 538.75),
-    "wz_known_sample": (-169.55548478833776, 747.9657821784508),
-    "wz_unknown_sample": (-151.35032312149406, 1415.8104509736881),
+    "wz_known_sample": (-96.79331193427828, 744.1518616117022),
+    "wz_unknown_sample": (-189.31741413463328, 1659.3884977349503),
 }
 
 
@@ -157,6 +157,47 @@ def test_message_bits_pinned(name):
 def test_sampler_draws_pinned(name):
     out = SAMPLERS[name](SeedPath(8).child(name).stream())
     np.testing.assert_allclose([out.sum(), (out**2).sum()], SAMPLER_MOMENTS[name], rtol=1e-12)
+
+
+# The 64-bit outputs of the stream that one message's encode takes, by the
+# draws its kernel documents: ceil(d_pad / 32) for the signs of a rotated
+# code, d_pad subset keys when subsampled, then one uniform per sent
+# coordinate (RATQ rounding, RMQ dither; N of them for RDAQ's shared v).  The
+# A-RATQ cases draw a gain uniform or none by their input, and SimQ+ a
+# multinomial, so they have no fixed count.
+def _sign_draws(d_pad):
+    return -(-d_pad // 32)
+
+
+CONSUMED = {
+    "ratq": _sign_draws(32) + 32,
+    "ratq_d64": _sign_draws(64) + 64,
+    "rcs_wrap": _sign_draws(64) + 64 + 5,
+    "rcs_wrap_center": _sign_draws(64) + 64 + 5,
+    "lp_split": _sign_draws(16) + 64 + 16,  # signs of its 16-wide RATQ, 64 CUQ uniforms, its RATQ
+    "rmq": _sign_draws(64) + 64,
+    "wz_known": _sign_draws(64) + 64 + 8,
+    "wz_known_d256": _sign_draws(256) + 256 + 8,
+    "daq": 32,
+    "rdaq": _sign_draws(32) + 32,
+    "wz_unknown": _sign_draws(32) + 32 + 5,
+    "boosted_rdaq": _sign_draws(16) + 4 * 16,
+    "simq": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSUMED))
+def test_message_takes_its_documented_outputs(name):
+    if name == "wz_known_d256":
+        q, (x, side) = wz_known_quantizer(RmqConfig(256, 0.5, 0.05, 16), 8), _pair(32, 256, 0.4)
+    else:
+        factory, x, side = CASES[name]
+        q = factory()
+    rng, ref = (SeedPath(16).child(name).stream() for _ in range(2))
+    q.encode(x, side, rng)
+    ref.bit_generator.advance(CONSUMED[name])
+    # `state` alone: the 32-bit buffer of a fresh stream is stale, not drawn
+    assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
 
 
 def _resized(msg: BitString, extra: int) -> BitString:
