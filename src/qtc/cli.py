@@ -205,7 +205,7 @@ def cmd_dme_bench(args) -> int:
             bound = theoretical_bound("known-delta", n, d, r, deltas)
         else:
             raise ConfigError(f"unknown setting {cfg['setting']!r}")
-        res = run_dme(inst, quants, root.child("run", r), trials, sampled=True)
+        res = run_dme(inst, quants, root.child("run", r), trials)
         rows.append([cfg["setting"], n, d, r, cfg["delta"], res.mse, res.band, bound,
                      max(b for b in res.bits_per_client)])
     _emit(rows, ["setting", "n", "d", "r_bits", "delta", "empirical_mse", "band_3sigma",

@@ -307,13 +307,6 @@ EncodeFn = Callable[[np.ndarray, Optional[np.ndarray], np.random.Generator], Bit
 DecodeFn = Callable[[BitString, Optional[np.ndarray], np.random.Generator], np.ndarray]
 
 
-def _chunks(n: int, d: int, budget: int = 1 << 18):
-    """Consecutive [lo, hi) ranges of n rows, budget // d rows at a time."""
-    step = max(1, budget // max(d, 1))
-    for lo in range(0, n, step):
-        yield lo, min(n, lo + step)
-
-
 # The elements of one (rows, d_pad) float array in an arithmetic block: at
 # 128 KiB a block's temporaries are reused from the heap, where a chunk's
 # 2 MiB arrays are often mapped and zero-filled afresh.  On the perfbench
@@ -322,6 +315,14 @@ def _chunks(n: int, d: int, budget: int = 1 << 18):
 # 10-trial known-delta clients, and only 2^14 keeps the 256-row boosted RDAQ
 # N = 4 chunk at d_pad = 64 whole.
 _BLOCK_ELEMS = 1 << 14
+_CHUNK_ELEMS = 1 << 18  # the elements of one draw chunk, 2 MiB of float64
+
+
+def _chunks(n: int, d: int):
+    """Consecutive [lo, hi) ranges of n rows, _CHUNK_ELEMS // d rows at a time."""
+    step = max(1, _CHUNK_ELEMS // max(d, 1))
+    for lo in range(0, n, step):
+        yield lo, min(n, lo + step)
 
 
 def _take(draws, lo: int, hi: int):
@@ -458,8 +459,9 @@ class Quantizer:
     ``bit_budget`` is the worst-case message length in bits; ``None`` marks a
     variable-length scheme whose guarantee is on expected length only.
     ``kernel`` is set by `kernel_quantizer`, which builds every quantizer in
-    this package; `sample` needs it.  A Quantizer built from a bare
-    encode/decode pair (a wrapper's, say) has none and cannot sample.
+    this package; `sample` and `run_dme` run it.  A Quantizer built from a
+    bare encode/decode pair (a wrapper's, say) has none: it cannot sample,
+    and `run_dme` round-trips, so packs, its every message.
     """
 
     encode: EncodeFn
@@ -494,20 +496,16 @@ class Quantizer:
         xhat = self.decode(msg, side, rng)
         return msg, xhat
 
-    def sampling_kernel(self) -> Kernel:
-        """The kernel that `sample` runs; TypeError if there is none."""
-        if self.kernel is None:
-            raise TypeError(f"{self.name} has no batched kernel to sample")
-        return self.kernel
-
     def sample(
         self, x: np.ndarray, side: Optional[np.ndarray], n: int, rng: np.random.Generator
     ) -> np.ndarray:
         """n independent reconstructions of x, (n, d): the codec's checks,
         draws and kernel without the packing, as `Kernel.run` on one client.
         Drawn from ``path.stream()``, row 0 is the round trip's
-        reconstruction under ``path``."""
-        k = self.sampling_kernel()
+        reconstruction under ``path``.  TypeError without a kernel."""
+        k = self.kernel
+        if k is None:
+            raise TypeError(f"{self.name} has no batched kernel to sample")
         return k.sample(k.check_input(x), k.check_side(side), n, rng)
 
 

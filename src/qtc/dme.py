@@ -81,20 +81,20 @@ def run_dme(
     quantizers: Sequence[Quantizer],
     root: SeedPath,
     trials: int,
-    sampled: bool = False,
 ) -> DmeResult:
     """Estimate the protocol MSE over `trials` independent runs, client i
     sending with `quantizers[i]`.
 
-    By default every (trial, client) pair runs the bit-exact encode/decode
-    round trip.  With `sampled`, client i's reconstructions are those of
-    `quantizers[i].sample` drawn from the client's stream: the same kernel
-    and draws without packing any message.  Each run of consecutive clients
-    that share one quantizer object goes to one `Kernel.run`, which joins
-    few-trial clients into arithmetic blocks; their rows are added into the
-    sum in client order, so the result is the same bits as client by
-    client.  Every qtc quantizer can sample; one built without a kernel
-    raises TypeError.
+    Each run of consecutive clients that share one quantizer object takes
+    one path, chosen by the kind of quantizer.  With a kernel (every qtc
+    quantizer), the run goes to one `Kernel.run`, client i drawing from
+    ``root.child("client", i).stream()``: the codec's checks, draws and
+    arithmetic without packing any message, few-trial clients joined into
+    arithmetic blocks.  A codec built without a kernel is round-tripped
+    once per (client, trial), client by client, under
+    ``root.child("client", i).child("trial", t)``; a caller who wants every
+    message packed passes such codecs.  Rows are added into the sum in
+    client order, so the result is the same bits as client by client.
     """
     n, d = instance.n, instance.d
     if trials < 1:
@@ -115,20 +115,20 @@ def run_dme(
 
     acc = np.zeros((trials, d))
     ys = instance.ys if instance.ys is not None else [None] * n
-    if sampled:
-        for _, run in itertools.groupby(range(n), key=lambda i: id(quantizers[i])):
-            run = list(run)
-            k = quantizers[run[0]].sampling_kernel()
-            clients = [(k.check_input(instance.xs[i]), k.check_side(ys[i]),
-                        root.child("client", i).stream()) for i in run]
-            for _, lo, hi, recs in k.run(clients, trials):
-                acc[lo:hi] += recs
-    else:
-        for i, q in enumerate(quantizers):
-            client = root.child("client", i)
-            for t in range(trials):
-                _, xhat = q.roundtrip(instance.xs[i], ys[i], client.child("trial", t))
-                acc[t] += xhat
+    for _, run in itertools.groupby(range(n), key=lambda i: id(quantizers[i])):
+        run = list(run)
+        q = quantizers[run[0]]
+        k = q.kernel
+        if k is None:
+            for i in run:
+                client = root.child("client", i)
+                for t in range(trials):
+                    acc[t] += q.roundtrip(instance.xs[i], ys[i], client.child("trial", t))[1]
+            continue
+        clients = [(k.check_input(instance.xs[i]), k.check_side(ys[i]),
+                    root.child("client", i).stream()) for i in run]
+        for _, lo, hi, recs in k.run(clients, trials):
+            acc[lo:hi] += recs
     err = acc / n - instance.true_mean[None, :]
     sq = np.einsum("td,td->t", err, err)
     mse = float(sq.mean())

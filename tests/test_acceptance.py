@@ -166,7 +166,7 @@ def test_criterion_06_wz_known_delta():
         cfgs, mu_d = configure_known_delta(n, d, r, [delta] * n)
         inst = DmeInstance(xs, ys, np.full(n, delta), r)
         res = run_dme(inst, [wz_known_quantizer(c, mu_d) for c in cfgs],
-                      SeedPath(6002), trials, sampled=True)
+                      SeedPath(6002), trials)
         bound = theoretical_bound("known-delta", n, d, r, [delta] * n)
         assert res.mse <= bound + res.band
         print(f"  delta={delta}: mse={res.mse:.5f} bound={bound:.5f}")
@@ -222,7 +222,7 @@ def test_criterion_08_dme_no_side_info():
         cfg, mu_d = configure_no_side_info(n, d, r)
         inst = DmeInstance(xs, None, None, r)
         res = run_dme(inst, [rcs_wrap(cfg, mu_d)] * n,
-                      SeedPath(8001).child("r", r), trials, sampled=True)
+                      SeedPath(8001).child("r", r), trials)
         bound = theoretical_bound("no-side-info", n, d, r)
         assert res.mse <= bound + res.band
         results.append((r, res.mse, res.band, bound))

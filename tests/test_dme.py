@@ -41,7 +41,7 @@ def test_single_client_matches_quantizer_mse():
     ys = in_ball(xs + 0.2 * unit_rows(3, 1, d))
     inst = DmeInstance(xs, ys, np.array([0.2]), r=d)
     q = daq_quantizer(d)
-    res = run_dme(inst, [q], SeedPath(4), trials=4000, sampled=True)
+    res = run_dme(inst, [q], SeedPath(4), trials=4000)
     direct = q.sample(xs[0], ys[0], 4000, SeedPath(9).stream())
     direct_mse = ((direct - xs[0]) ** 2).sum(axis=1).mean()
     assert res.mse == pytest.approx(direct_mse, rel=0.1)
@@ -54,7 +54,7 @@ def test_protocol_mse_decomposition():
     ys = in_ball(xs + delta * unit_rows(6, n, d))
     inst = DmeInstance(xs, ys, np.full(n, delta), r=d)
     q = daq_quantizer(d)
-    res = run_dme(inst, [q] * n, SeedPath(7), 4000, sampled=True)
+    res = run_dme(inst, [q] * n, SeedPath(7), 4000)
     singles = [
         ((q.sample(xs[i], ys[i], 2000, SeedPath(100 + i).stream()) - xs[i]) ** 2)
         .sum(axis=1)
@@ -135,7 +135,7 @@ def test_configurations_fit_the_precision_they_are_given():
                     continue
                 assert q.bit_budget <= r, (d, r, q.name)
                 inst = DmeInstance(xs, ys, np.full(n, 0.2), r)
-                run_dme(inst, [q] * n, SeedPath(24), 2, sampled=True)
+                run_dme(inst, [q] * n, SeedPath(24), 2)
     with pytest.raises(ValueError, match="d_pad=128"):
         configure_known_delta(n, 100, 300, [0.2] * n)
     with pytest.raises(ValueError, match="d_pad=128"):
@@ -167,7 +167,6 @@ def test_side_information_helps():
         [rcs_wrap(cfg_ns, mu_ns)] * n,
         SeedPath(12),
         800,
-        sampled=True,
     )
     cfgs, mu_k = configure_known_delta(n, d, r, [delta] * n)
     res_k = run_dme(
@@ -175,7 +174,6 @@ def test_side_information_helps():
         [wz_known_quantizer(c, mu_k) for c in cfgs],
         SeedPath(13),
         800,
-        sampled=True,
     )
     assert res_k.mse < res_ns.mse
 
@@ -198,21 +196,80 @@ def test_sampled_run_draws_each_client_from_its_own_quantizer():
     inst = DmeInstance(xs, ys, np.full(n, 0.2), r=64)
     cfgs, mu_d = configure_known_delta(n, d, 64, [0.2] * n)
     qs = [daq_quantizer(d), wz_known_quantizer(cfgs[1], mu_d)]
-    res = run_dme(inst, qs, SeedPath(19), 50, sampled=True)
+    res = run_dme(inst, qs, SeedPath(19), 50)
     acc = sum(q.sample(xs[i], ys[i], 50, SeedPath(19).child("client", i).stream())
               for i, q in enumerate(qs))
     err = acc / n - inst.true_mean
     assert res.mse == pytest.approx(np.einsum("td,td->t", err, err).mean(), rel=1e-12)
-    assert run_dme(inst, qs[::-1], SeedPath(19), 50, sampled=True).mse != res.mse
+    assert run_dme(inst, qs[::-1], SeedPath(19), 50).mse != res.mse
 
 
-def test_sampled_run_needs_a_kernel():
-    d = 8
-    inst = DmeInstance(unit_rows(20, 1, d) * 0.5, None, None, r=d)
-    q = simq_quantizer(1.0, d)
-    stand_in = Quantizer(q.encode, q.decode, q.bit_budget)  # a codec built without a kernel
+def codec_only(q):
+    """The codec of q rebuilt without its kernel."""
+    return Quantizer(q.encode, q.decode, q.bit_budget, q.name, q.uses_side_info)
+
+
+class LoggedCodec(Quantizer):
+    """A kernel-less codec that logs the SeedPath of each round trip."""
+
+    def __init__(self, q, log):
+        super().__init__(q.encode, q.decode, q.bit_budget, q.name)
+        self.log = log
+
+    def roundtrip(self, x, side, path, check_budget=True):
+        self.log.append(path)
+        return super().roundtrip(x, side, path, check_budget)
+
+
+def test_kernel_less_codec_is_round_tripped_per_client_and_trial():
+    """A codec without a kernel cannot sample, so run_dme round-trips it
+    once per (client, trial), client-major, under root/client i/trial t,
+    and sums the reconstructions as by hand."""
+    n, d, trials = 3, 8, 5
+    xs = unit_rows(20, n, d)
+    xs *= 0.5 / np.abs(xs).sum(axis=1, keepdims=True)  # inside SimQ's l1 ball
+    inst = DmeInstance(xs, None, None, r=d)
+    log = []
+    shared = LoggedCodec(simq_quantizer(1.0, d), log)
+    qs = [shared, shared, LoggedCodec(simq_quantizer(1.0, d), log)]
     with pytest.raises(TypeError, match="no batched kernel"):
-        run_dme(inst, [stand_in], SeedPath(21), 5, sampled=True)
+        shared.sample(xs[0], None, 5, SeedPath(21).stream())
+    res = run_dme(inst, qs, SeedPath(21), trials)
+    root = SeedPath(21)
+    paths = [root.child("client", i).child("trial", t) for i in range(n) for t in range(trials)]
+    assert log == paths
+    acc = np.zeros((trials, d))
+    for i, q in enumerate(qs):
+        for t in range(trials):
+            acc[t] += codec_only(q).roundtrip(xs[i], None, paths[i * trials + t])[1]
+    sq = np.einsum("td,td->t", acc / n - inst.true_mean, acc / n - inst.true_mean)
+    assert res.mse == sq.mean()
+    assert res.band == 3.0 * sq.std(ddof=1) / np.sqrt(trials)
+
+
+@pytest.mark.parametrize("setting", ["rcs_wrap", "wz_known_quantizer", "wz_unknown_quantizer"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_round_trips_and_kernel_agree_in_law(setting, seed):
+    """run_dme on the kernels and on the same codecs rebuilt without them
+    (so round-tripped message by message) estimate one MSE: the two
+    estimates agree within the sum of their 3-sigma bands (at seeds 0-7 of
+    each setting, the gap was at most 0.46 of that sum)."""
+    n, d, r, delta, trials = 4, 64, 32, 0.2, 300
+    xs = unit_rows(30 + seed, n, d) * 0.6
+    ys = in_ball(xs + delta * unit_rows(40 + seed, n, d))
+    inst = DmeInstance(xs, ys, np.full(n, delta), r)
+    if setting == "rcs_wrap":
+        inst = DmeInstance(xs, None, None, r)
+        q = rcs_wrap(*configure_no_side_info(n, d, r))
+    elif setting == "wz_known_quantizer":
+        cfgs, mu_d = configure_known_delta(n, d, r, [delta] * n)
+        q = wz_known_quantizer(cfgs[0], mu_d)
+    else:
+        q = wz_unknown_quantizer(*configure_unknown_delta(d, r))
+    root = SeedPath(50 + seed).child(setting)
+    sampled = run_dme(inst, [q] * n, root.child("kernel"), trials)
+    packed = run_dme(inst, [codec_only(q)] * n, root.child("codec"), trials)
+    assert abs(sampled.mse - packed.mse) <= sampled.band + packed.band, (sampled, packed)
 
 
 def test_instance_and_quantizer_count_checked():
@@ -230,10 +287,11 @@ def test_instance_and_quantizer_count_checked():
             run_dme(inst, [daq_quantizer(d)] * count, SeedPath(23), 5)
 
 
-@pytest.mark.parametrize("sampled", [False, True])
+@pytest.mark.parametrize("kernel", [False, True])
 @pytest.mark.parametrize("trials", [0, -1])
-def test_run_needs_a_trial(trials, sampled):
+def test_run_needs_a_trial(trials, kernel):
     d = 8
     inst = DmeInstance(unit_rows(24, 2, d) * 0.5, None, None, r=d)
+    q = daq_quantizer(d) if kernel else codec_only(daq_quantizer(d))
     with pytest.raises(ValueError, match="trials"):
-        run_dme(inst, [daq_quantizer(d)] * 2, SeedPath(25), trials, sampled=sampled)
+        run_dme(inst, [q] * 2, SeedPath(25), trials)

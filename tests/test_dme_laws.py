@@ -56,8 +56,7 @@ def _instance(setting, r, norm, delta, seed):
 
 def _mse(setting, r, norm, delta, seed):
     inst, q = _instance(setting, r, norm, delta, seed)
-    return run_dme(inst, [q] * N, SeedPath(seed).child(setting).child("r", r), TRIALS,
-                   sampled=True).mse
+    return run_dme(inst, [q] * N, SeedPath(seed).child(setting).child("r", r), TRIALS).mse
 
 
 @pytest.mark.parametrize("setting", ["no-side-info", "known-delta", "unknown-delta"])

@@ -180,7 +180,7 @@ def test_rotation_is_the_unscaled_transform_bit_for_bit(m):
 
 def test_sign_mean():
     rng = SeedPath(3).stream()
-    signs = rng.integers(0, 2, size=10**6) * 2.0 - 1.0
+    signs = sample_signs_batch(rng, 10**6 // 64, 64)  # 10^6 signs
     assert abs(signs.mean()) < 0.01
 
 
@@ -233,7 +233,7 @@ def test_subgaussian_tail_witness():
     y = rng.normal(size=d)
     y /= np.linalg.norm(y)  # B = 1
     B = 1.0
-    signs = rng.integers(0, 2, size=(trials, d)) * 2.0 - 1.0
+    signs = sample_signs_batch(rng, trials, d)
     coord = fwht(signs * y)[:, 3] / np.sqrt(d)
     for mult in (1.0, 2.0, 3.0):
         M = mult * B / np.sqrt(d)

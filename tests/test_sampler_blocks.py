@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qtc.cli import main
-from qtc.core import _BLOCK_ELEMS, SeedPath, _chunks
+from qtc.core import _BLOCK_ELEMS, Quantizer, SeedPath, _chunks
 from qtc.dme import DmeInstance, run_dme
 from qtc.rotation import next_pow2
 from qtc.sideinfo import (
@@ -126,18 +126,25 @@ def test_clients_past_one_chunk(name):
 
 
 def test_mixed_quantizer_run_dme_is_client_by_client():
-    """Runs of clients that share a quantizer go to one Kernel.run; the
-    result equals the same quantizers built once per client, which join
-    nothing."""
-    names = ["wz_known", "wz_known", "wz_known", "daq", "wz_unknown", "wz_unknown",
-             "wz_known", "daq", "daq", "daq", "daq", "daq"]
+    """Runs of clients that share a quantizer take one path: a kernel's run
+    goes to one Kernel.run, and a run of the same codec rebuilt without
+    its kernel ("codec" below) is round-tripped.  The result equals the
+    same quantizers built once per client, which join nothing, including
+    where a kernel-less run is followed by a kernel run of one factory."""
+    names = ["wz_known", "wz_known", "wz_known", "codec daq", "daq", "wz_unknown",
+             "wz_unknown", "codec wz_unknown", "codec wz_unknown", "wz_unknown", "wz_known",
+             "codec wz_known", "daq", "daq", "daq", "daq", "daq"]
+
+    def build(name):
+        q = QUANTIZERS[name.split()[-1]]()
+        return Quantizer(q.encode, q.decode, q.bit_budget, q.name) if " " in name else q
+
     xs, ys = _inputs(6, len(names))
     inst = DmeInstance(xs, ys, np.full(len(names), 0.2), 10**6)
-    shared = {name: QUANTIZERS[name]() for name in set(names)}
+    shared = {name: build(name) for name in set(names)}
     for trials in (1, 7, 200):
-        joined = run_dme(inst, [shared[name] for name in names], SeedPath(7), trials, sampled=True)
-        alone = run_dme(inst, [QUANTIZERS[name]() for name in names], SeedPath(7), trials,
-                        sampled=True)
+        joined = run_dme(inst, [shared[name] for name in names], SeedPath(7), trials)
+        alone = run_dme(inst, [build(name) for name in names], SeedPath(7), trials)
         assert (joined.mse, joined.band) == (alone.mse, alone.band)
 
 
