@@ -244,9 +244,11 @@ def cmd_opt_bench(args) -> int:
 
 
 def cmd_rd_bench(args) -> int:
-    cfg = parse_config(args.config_text,
-                       {"mode": "rd", "v": 1.0, "D_frac": 16.0, "sigma_z": 0.1, "d": 4096,
-                        "blocks": 200, "source": "gaussian"})
+    defaults = {"mode": "rd", "v": 1.0, "D_frac": 16.0, "sigma_z": 0.1, "d": 4096,
+                "blocks": 200, "source": "gaussian"}
+    cfg = parse_config(args.config_text, defaults)
+    if cfg["mode"] == "wz":  # the Wyner-Ziv code needs D <= sigma_z^2 / 308
+        cfg = parse_config(args.config_text, {**defaults, "D_frac": 400.0})
     rng = SeedPath(args.seed).child("rd").stream()
     rows = []
     if cfg["mode"] == "rd":

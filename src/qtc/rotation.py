@@ -15,15 +15,20 @@ carries 32 signs: the top 32 of the 53 bits of one uniform, so a sign
 diagonal of d entries costs ceil(d / 32) 64-bit outputs of the stream.  A
 subset of each row costs one uniform key per coordinate, cut on the keys'
 top 32 bits.  The H_a, H_b pair of each dimension is built once.
+`rotated_kernel` is the one home of the rotate, subsample and correct steps
+of the rotated codes (RATQ, RMQ and the RDAQ family): each of them gives it
+only its rule on the sent rotated coordinates.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
+
+from .core import Kernel
 
 __all__ = [
     "next_pow2",
@@ -39,6 +44,7 @@ __all__ = [
     "unrotate_batch",
     "pad_to_pow2",
     "fwht",
+    "rotated_kernel",
 ]
 
 
@@ -237,3 +243,58 @@ def pad_to_pow2(y: np.ndarray) -> tuple[np.ndarray, int]:
     out = np.zeros(y.shape[:-1] + (d,))
     out[..., :n] = y
     return out, n
+
+
+def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, check_side,
+                   encode, decode, write, read,
+                   shared: Optional[Callable] = None, noise: Optional[Callable] = None) -> Kernel:
+    """The `core.Kernel` of a rotated code of dimension d: rotate by the
+    shared signs, send the kept coordinates (all d_pad of them when mu_d is
+    None, a shared mu_d-subset otherwise) and move the rotated side
+    information by a correction on the sent ones.  The code gives only its
+    rule on the rotated coordinates:
+
+    - ``encode(xr, xk, v, u)``: the fields of the rotated rows xr, (m,
+      d_pad), from their sent coordinates xk, (m, width);
+    - ``decode(fields, yr, yk, v)``: the correction of each sent coordinate,
+      (m, width), against the rotated side information yr (zeros when there
+      is none) and its sent coordinates yk.
+
+    The estimate is yr + correction, or with mu_d yr with each sent entry
+    moved by 1/mu times its correction (`sparse_correction`), unrotated and
+    cut to d.  The draws of m repetitions: the `draw_shared` signs and
+    subset keys, then ``v = shared(rng, (m, width))`` (None without
+    `shared`), then the encoder's private ``u = noise(rng, (m, width))``
+    (None without `noise`); width is d_pad or mu_d.  ``check_input``,
+    ``check_side``, ``write``, ``read`` and ``row_elems`` are the kernel's
+    own.  ValueError unless mu_d is None or an integer in 1..d_pad.
+    """
+    d_pad = next_pow2(d)
+    if mu_d is not None:
+        check_sample_count(mu_d, d_pad)
+    width = d_pad if mu_d is None else mu_d
+
+    def draw(rng, m):
+        return (*draw_shared(rng, m, d_pad, mu_d), None if shared is None else shared(rng, (m, width)))
+
+    def derive(draws):
+        words, r, v = draws
+        return (*derive_shared((words, r), d_pad, mu_d), v)
+
+    def encode_rows(rows, drawn, u):
+        signs, kept, v = drawn
+        xr = rotate_batch(pad_to_pow2(rows)[0], signs)
+        return encode(xr, gather_kept(xr, kept), v, u)
+
+    def decode_rows(fields, side, drawn):
+        signs, kept, v = drawn
+        yr = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
+        corr = decode(fields, yr, gather_kept(yr, kept), v)
+        est = yr + corr if kept is None else sparse_correction(yr, corr, kept)
+        return unrotate_batch(est, signs)[:, :d]
+
+    return Kernel(
+        d, row_elems, check_input, check_side, draw,
+        lambda rng, x, m: None if noise is None else noise(rng, (m, width)),
+        derive, encode_rows, decode_rows, write, read,
+    )

@@ -6,6 +6,9 @@ quantizers (DAQ, rotated multiscale RDAQ, subsampled RDAQ, boosted RDAQ)
 whose error scales with the actual input/side-information distance without
 anyone knowing it.  Each quantizer is declared once as a `core.Kernel`:
 its bit-exact codec runs the kernel on one row and `Quantizer.sample` on n.
+RMQ and the RDAQ family state only their rule on the sent rotated
+coordinates; `rotation.rotated_kernel` rotates, subsamples and moves the
+rotated side information by their correction.
 """
 
 from __future__ import annotations
@@ -19,17 +22,7 @@ import numpy as np
 
 from .adaptive import TetraLadder, log_star
 from .core import Kernel, Quantizer, check_vector, kernel_quantizer
-from .rotation import (
-    check_sample_count,
-    derive_shared,
-    draw_shared,
-    gather_kept,
-    next_pow2,
-    pad_to_pow2,
-    rotate_batch,
-    sparse_correction,
-    unrotate_batch,
-)
+from .rotation import next_pow2, rotated_kernel
 from .scalar import ModuloParams, mq_decode, mq_encode_with
 
 __all__ = [
@@ -86,28 +79,6 @@ class RmqConfig:
         return self.d_pad * self.symbol_bits
 
 
-def _rmq_encode(cfg: RmqConfig, rows, signs, kept, u) -> np.ndarray:
-    """The RMQ kernel: the coset symbols of each row of `rows` (or of one
-    vector for all of them), rotated by its row of `signs` and restricted to
-    the `kept` coordinates (`rotation.derive_shared`; None keeps all).  `u`
-    holds one dither uniform per kept coordinate, (m, width); each kept
-    coordinate is MQ encoded with its own."""
-    xr = rotate_batch(pad_to_pow2(rows)[0], signs)
-    return mq_encode_with(gather_kept(xr, kept), cfg.mq, u)
-
-
-def _rmq_decode(cfg: RmqConfig, w, side, signs, kept) -> np.ndarray:
-    """Inverse of `_rmq_encode` against the side information: the (m, d)
-    reconstructions.  With `kept`, unkept coordinates fall back to the
-    rotated side information and kept ones get the 1/mu-scaled correction."""
-    yr = rotate_batch(pad_to_pow2(side)[0], signs)
-    yk = gather_kept(yr, kept)
-    vals = mq_decode(w, yk, cfg.mq)
-    if kept is not None:
-        vals = sparse_correction(yr, vals - yk, kept)
-    return unrotate_batch(vals, signs)[:, : cfg.d]
-
-
 def _check_side(side, d: int, name: str) -> np.ndarray:
     if side is None:
         raise ValueError(f"{name} decoding requires side information")
@@ -126,25 +97,21 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
     MQ each rotated coordinate.  mu_d = None is plain RMQ; otherwise
     (subsampled RMQ) coset symbols go out for a shared random subset only,
     and unsampled coordinates fall back to the rotated side information.
-    The draws: the signs, then the subset keys (subsampled only), then the
-    dither of `_rmq_encode`, one uniform per sent coordinate.  A message
-    takes ceil(d_pad / 32) 64-bit outputs of the stream for the signs, d_pad
-    for the subset keys (subsampled only) and width for the dither."""
-    if mu_d is not None:
-        check_sample_count(mu_d, cfg.d_pad)
+    Each sent coordinate is MQ encoded with its own dither uniform, and its
+    correction is its MQ decode against the rotated side information minus
+    that side information (`rotation.rotated_kernel`).  A message takes
+    ceil(d_pad / 32) 64-bit outputs of the stream for the signs, d_pad for
+    the subset keys (subsampled only) and width for the dither."""
     width = cfg.d_pad if mu_d is None else mu_d
-
-    kernel = Kernel(
-        cfg.d, cfg.d_pad,
+    kernel = rotated_kernel(
+        cfg.d, mu_d, cfg.d_pad,
         check_input=lambda x: check_vector(x, cfg.d),
         check_side=lambda side: _check_side(side, cfg.d, "RMQ"),
-        draw=lambda rng, m: draw_shared(rng, m, cfg.d_pad, mu_d),
-        noise=lambda rng, x, m: rng.random((m, width)),
-        derive=lambda draws: derive_shared(draws, cfg.d_pad, mu_d),
-        encode=lambda rows, shared, u: _rmq_encode(cfg, rows, *shared, u),
-        decode=lambda w, side, shared: _rmq_decode(cfg, w, side, *shared),
+        encode=lambda xr, xk, v, u: mq_encode_with(xk, cfg.mq, u),
+        decode=lambda w, yr, yk, v: mq_decode(w, yk, cfg.mq) - yk,
         write=lambda bits, w: bits.write_fields(w, cfg.symbol_bits),
         read=lambda reader: reader.read_fields(width, cfg.symbol_bits, cfg.k - 1)[None],
+        noise=lambda rng, shape: rng.random(shape),
     )
     name = f"rmq(d={cfg.d})" if mu_d is None else f"wz-known(d={cfg.d},mu_d={mu_d})"
     return kernel_quantizer(kernel, width * cfg.symbol_bits, name, uses_side_info=True)
@@ -230,46 +197,25 @@ class RdaqConfig:
         return self.d_pad * (self.index_bits + self.h * self.count_bits)
 
 
-def _rdaq_draws(cfg: RdaqConfig, rng: np.random.Generator, m: int, mu_d: Optional[int]):
-    """The shared draws of m repetitions, in the one order of codecs and
-    samplers: the `rotation.draw_shared` sign words and (with mu_d) subset
-    keys, then v, N uniforms on [-1, 1] per sent coordinate shared by all h
-    scales, (m, width, N).  Returns (words, r, v); `_rdaq_derive` turns them
-    into (signs, kept, v)."""
-    words, r = draw_shared(rng, m, cfg.d_pad, mu_d)
-    width = cfg.d_pad if mu_d is None else mu_d
-    return words, r, rng.uniform(-1.0, 1.0, size=(m, width, cfg.N))
-
-
-def _rdaq_derive(cfg: RdaqConfig, draws, mu_d: Optional[int]):
-    """(signs, kept, v) from the `_rdaq_draws` draws of any rows, kept as in
-    `rotation.derive_shared`."""
-    words, r, v = draws
-    return (*derive_shared((words, r), cfg.d_pad, mu_d), v)
-
-
-def _scale_index(rot: np.ndarray, kept, ranges: np.ndarray) -> np.ndarray:
-    """The scale of each kept entry of the rotated `rot`, the index of the
-    smallest range >= |value|; every entry, kept or not, must fit the top one."""
-    a = np.abs(rot)
-    if not (a <= ranges[-1]).all():
+def _scale_index(rot: np.ndarray, sent: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """The scale of each `sent` entry of the rotated `rot`, the index of the
+    smallest range >= |value|; every entry of `rot`, sent or not, must fit
+    the top one."""
+    if not (np.abs(rot) <= ranges[-1]).all():
         raise ValueError("value escapes the top scale; inputs must be unit-ball")
-    a = gather_kept(a, kept)
+    a = np.abs(sent)
     z = np.zeros(a.shape, dtype=np.intp)
     for r in ranges[:-1]:
         z += a > r
     return z
 
 
-def _rdaq_encode(cfg: RdaqConfig, rows, signs, kept, v) -> tuple[np.ndarray, np.ndarray]:
-    """The RDAQ kernel: each row of `rows` (or one vector for all of them) is
-    rotated by its row of `signs` and restricted to the `kept` coordinates;
-    returns their scale indices z, (m, width), and their counts at every
-    scale j, (h, m, width): how many of their N uniforms v, (m, width, N),
-    have v M_j <= value."""
-    xr = rotate_batch(pad_to_pow2(rows)[0], signs)
-    z = _scale_index(xr, kept, cfg.ranges)
-    xk = gather_kept(xr, kept)
+def _rdaq_counts(cfg: RdaqConfig, xr, xk, v) -> tuple[np.ndarray, np.ndarray]:
+    """The RDAQ rule at the encoder: the scale indices z of the sent rotated
+    coordinates xk, (m, width), and their counts at every scale j, (h, m,
+    width): how many of their N uniforms v, (m, width, N), have v M_j <=
+    value."""
+    z = _scale_index(xr, xk, cfg.ranges)
     counts = np.zeros((cfg.h,) + xk.shape, dtype=np.min_scalar_type(cfg.N))
     for c, r in zip(counts, cfg.ranges):
         for i in range(cfg.N):
@@ -277,23 +223,19 @@ def _rdaq_encode(cfg: RdaqConfig, rows, signs, kept, v) -> tuple[np.ndarray, np.
     return z, counts
 
 
-def _rdaq_decode(cfg: RdaqConfig, fields, side, signs, kept, v) -> np.ndarray:
-    """Inverse of `_rdaq_encode` against the side information y: the (m, d)
-    reconstructions.  Each coordinate moves from y by 2 M_z* (count -
-    count(y)) / N at z* = max(z, z(y)), by 1/mu times that with `kept`."""
+def _rdaq_correction(cfg: RdaqConfig, fields, yr, yk, v) -> np.ndarray:
+    """The RDAQ rule at the decoder: each sent coordinate moves from the
+    rotated side information by 2 M_z* (count - count(y)) / N at z* =
+    max(z, z(y)), (m, width)."""
     z, counts = fields
-    yr = rotate_batch(pad_to_pow2(side)[0], signs)
-    z_star = np.maximum(z, _scale_index(yr, kept, cfg.ranges))
+    z_star = np.maximum(z, _scale_index(yr, yk, cfg.ranges))
     m_sel = cfg.ranges[z_star]
-    yk = gather_kept(yr, kept)
     diff = counts[0].astype(np.intp)
     for j in range(1, cfg.h):
         np.copyto(diff, counts[j], where=z_star == j)
     for i in range(cfg.N):
         diff -= v[..., i] * m_sel <= yk
-    corr = 2.0 * m_sel * diff / cfg.N
-    vals = yr + corr if kept is None else sparse_correction(yr, corr, kept)
-    return unrotate_batch(vals, signs)[:, : cfg.d]
+    return 2.0 * m_sel * diff / cfg.N
 
 
 def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
@@ -317,17 +259,15 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
         counts = reader.read_fields(cfg.h * width, cfg.count_bits, cfg.N)
         return z[None], counts.reshape(cfg.h, 1, width)
 
-    return Kernel(
-        cfg.d, cfg.d_pad * cfg.h * cfg.N,
+    return rotated_kernel(
+        cfg.d, mu_d, cfg.d_pad * cfg.h * cfg.N,
         check_input=lambda x: _check_ball(check_vector(x, cfg.d), "RDAQ"),
         check_side=lambda y: _check_ball(_check_side(y, cfg.d, "RDAQ"), "RDAQ", "side information"),
-        draw=lambda rng, m: _rdaq_draws(cfg, rng, m, mu_d),
-        noise=lambda rng, x, m: None,
-        derive=lambda draws: _rdaq_derive(cfg, draws, mu_d),
-        encode=lambda rows, shared, noise: _rdaq_encode(cfg, rows, *shared),
-        decode=lambda fields, side, shared: _rdaq_decode(cfg, fields, side, *shared),
+        encode=lambda xr, xk, v, u: _rdaq_counts(cfg, xr, xk, v),
+        decode=lambda fields, yr, yk, v: _rdaq_correction(cfg, fields, yr, yk, v),
         write=write,
         read=read,
+        shared=lambda rng, shape: rng.uniform(-1.0, 1.0, size=shape + (cfg.N,)),
     )
 
 
@@ -342,7 +282,6 @@ def wz_unknown_quantizer(cfg: RdaqConfig, mu_d: int) -> Quantizer:
     """Subsampled RDAQ with the 1/mu-scaled centered correction."""
     if cfg.N != 1:
         raise ValueError("subsampled RDAQ uses N = 1")
-    check_sample_count(mu_d, cfg.d_pad)
     return kernel_quantizer(_rdaq_kernel(cfg, mu_d), mu_d * (cfg.index_bits + cfg.h),
                             f"wz-unknown(d={cfg.d},mu_d={mu_d})", uses_side_info=True)
 

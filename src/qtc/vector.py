@@ -3,7 +3,9 @@
 RATQ (rotate, split into subvectors, ATUQ each), its subsampled variant for
 fixed low precision, the gain-shape A-RATQ for mean-square-bounded inputs,
 SimQ / SimQ+ over l1-ball corner points, and the small/large-coordinate split
-quantizer for lq-bounded inputs.
+quantizer for lq-bounded inputs.  RATQ and its subsampled variant state
+their ATUQ rule on the sent rotated coordinates and leave the rotation, the
+subset and the correction to `rotation.rotated_kernel`.
 """
 
 from __future__ import annotations
@@ -36,17 +38,7 @@ from .core import (
     check_vector,
     kernel_quantizer,
 )
-from .rotation import (
-    check_sample_count,
-    derive_shared,
-    draw_shared,
-    gather_kept,
-    next_pow2,
-    pad_to_pow2,
-    rotate_batch,
-    sparse_correction,
-    unrotate_batch,
-)
+from .rotation import next_pow2, rotated_kernel
 from .scalar import (
     UniformGrid,
     cuq_levels,
@@ -174,27 +166,6 @@ def _atuq_levels(fields: tuple[np.ndarray, np.ndarray], cfg: RatqConfig) -> np.n
     return cuq_levels(sym, _coord_ranges(cfg.ladder.ranges, j, cfg.s, sym.shape[1]), cfg.k)
 
 
-def _ratq_encode(cfg: RatqConfig, rows, signs, kept, u) -> tuple[np.ndarray, np.ndarray]:
-    """The RATQ kernel: the fields of each row of `rows` (or of one vector
-    for all of them), rotated by its row of `signs` and restricted to the
-    `kept` coordinates (`rotation.derive_shared`; None keeps all).  `u`
-    holds one rounding uniform per kept coordinate, (m, width); each kept
-    coordinate rounds with its own."""
-    yr = rotate_batch(pad_to_pow2(rows)[0], signs)
-    return _atuq_fields(gather_kept(yr, kept), u, cfg)
-
-
-def _ratq_decode(cfg: RatqConfig, fields, side, signs, kept) -> np.ndarray:
-    """Inverse of `_ratq_encode`: the (m, d) reconstructions.  With `kept`,
-    the kept values are scaled by 1/mu and centered on the rotated side
-    information, or on 0 when `side` is None."""
-    vals = _atuq_levels(fields, cfg)
-    if kept is not None:
-        side_rot = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
-        vals = sparse_correction(side_rot, vals - gather_kept(side_rot, kept), kept)
-    return unrotate_batch(vals, signs)[:, : cfg.d]
-
-
 def _write_atuq(bits: BitString, fields, cfg: RatqConfig) -> BitString:
     """Append one row of fields: the range-index block, then the symbol block."""
     j, sym = fields
@@ -216,9 +187,10 @@ def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarr
 
 def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
     """The RATQ kernel pair, subsampled with mu_d and, with `center`,
-    centered on the side information.  Its draws: the signs, the subset
-    keys (with mu_d) and one rounding uniform per kept coordinate; ranges
-    and CUQ rounding run on the kept coordinates only.  A message takes
+    centered on the side information (on 0 without).  Ranges and CUQ
+    rounding run on the sent rotated coordinates, each with its own
+    rounding uniform, and each one's correction is its level minus the
+    rotated side information (`rotation.rotated_kernel`).  A message takes
     ceil(d_pad / 32) 64-bit outputs of the stream for the signs, d_pad for
     the subset keys (subsampled only) and width for the rounding."""
     width = cfg.d_pad if mu_d is None else mu_d
@@ -233,15 +205,13 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
     def check_side(side):
         return check_vector(side, cfg.d, "side information") if center and side is not None else None
 
-    return Kernel(
-        cfg.d, cfg.d_pad, check_input, check_side,
-        draw=lambda rng, m: draw_shared(rng, m, cfg.d_pad, mu_d),
-        noise=lambda rng, y, m: rng.random((m, width)),
-        derive=lambda draws: derive_shared(draws, cfg.d_pad, mu_d),
-        encode=lambda rows, shared, u: _ratq_encode(cfg, rows, *shared, u),
-        decode=lambda fields, side, shared: _ratq_decode(cfg, fields, side, *shared),
+    return rotated_kernel(
+        cfg.d, mu_d, cfg.d_pad, check_input, check_side,
+        encode=lambda yr, yk, v, u: _atuq_fields(yk, u, cfg),
+        decode=lambda fields, sr, sk, v: _atuq_levels(fields, cfg) - sk,
         write=lambda bits, fields: _write_atuq(bits, fields, cfg),
         read=lambda reader: _read_atuq(reader, cfg, width),
+        noise=lambda rng, shape: rng.random(shape),
     )
 
 
@@ -283,7 +253,6 @@ def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
     """
     if cfg.s != 1:
         raise ValueError("subsampling needs per-coordinate symbols: set s = 1")
-    check_sample_count(mu_d, cfg.d_pad)
     if mode not in ("zero-fill", "center"):
         raise ValueError(f"unknown RCS mode {mode!r}")
     center = mode == "center"

@@ -117,6 +117,16 @@ def test_cli_rd_and_sim(tmp_path):
     assert abs(float(row[3]) - float(row[5])) < 0.5
 
 
+def test_cli_rd_bench_wz_alone_runs(tmp_path, capsys):
+    """A config of only `mode = wz` takes the wz default D_frac = 400, which
+    meets the D <= sigma_z^2 / 308 of `gaussian_wz_params`."""
+    cfg = tmp_path / "wz.cfg"
+    cfg.write_text("mode = wz\n")
+    assert main(["rd-bench", "--config", str(cfg), "--seed", "2"]) == 0
+    (row,) = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert row[0] == "wz" and float(row[3]) == pytest.approx(0.1**2 / 400)
+
+
 def test_cli_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 1\n")

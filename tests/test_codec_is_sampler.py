@@ -221,6 +221,30 @@ def test_every_quantizer_is_built_by_kernel_quantizer():
     assert calls == len(_quantizer_calls(factory)) == 1
 
 
+# The rotate, subsample and correct steps of the rotated codes.
+ROTATION_STEPS = {"rotate_batch", "unrotate_batch", "sparse_correction", "gather_kept",
+                  "draw_shared", "derive_shared"}
+
+
+def test_only_rotation_rotates():
+    """No library module but `rotation` calls or passes a rotation step, so
+    RATQ, RMQ and the RDAQ family state only their rule on the sent rotated
+    coordinates, and each of them is built by `rotation.rotated_kernel`."""
+    for m in pkgutil.iter_modules(qtc.__path__):
+        if m.name == "rotation":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"qtc.{m.name}")))
+        used = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+        assert not used & ROTATION_STEPS, m.name
+    built = {
+        f.name for mod in (vector, sideinfo) for f in _functions(mod)
+        if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "rotated_kernel"
+               for c in ast.walk(f))
+    }
+    assert built == {"_ratq_kernel", "wz_known_quantizer", "_rdaq_kernel"}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_round_trip_equals_separate_encode_and_decode(name):
     """`roundtrip` seeds one stream and rewinds it for the decoder; the result

@@ -24,11 +24,12 @@ from qtc.sideinfo import (
     wz_known_quantizer,
     wz_unknown_quantizer,
 )
-from qtc.vector import RatqConfig, rcs_wrap
+from qtc.vector import RatqConfig, ratq_quantizer, rcs_wrap
 
 D = 48  # d_pad = 64
 
 QUANTIZERS = {
+    "ratq": lambda: ratq_quantizer(RatqConfig.default(1.0, D)),  # s = 2, no side information
     "rcs_ratq": lambda: rcs_wrap(RatqConfig.for_subsampling(1.0, D), 8),
     "rcs_ratq_center": lambda: rcs_wrap(RatqConfig.for_subsampling(1.0, D), 8, "center"),
     "rmq": lambda: wz_known_quantizer(RmqConfig(D, 0.5, 0.05, 16), None),
