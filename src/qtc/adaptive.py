@@ -146,15 +146,16 @@ def pick_range(values, ranges: np.ndarray, top: int | None = None):
     return np.minimum(np.searchsorted(ranges, values, side="left"), top)
 
 
-def aguq_uniforms(g: np.ndarray, ladder: GeoLadder, rng: np.random.Generator):
+def aguq_uniforms(g: np.ndarray, ladder: GeoLadder, rng: np.random.Generator) -> np.ndarray:
     """The rounding uniforms of AGUQ on the gains g: one per gain, drawn from
-    rng, or None, with no draw, when every gain is above the top range."""
+    rng, or zeros, with no draw, when every gain is above the top range (the
+    overflow symbol of such a gain reads no uniform)."""
     g = np.asarray(g)
-    return None if (g > ladder.ranges[-1]).all() else rng.random(g.shape)
+    return np.zeros(g.shape) if (g > ladder.ranges[-1]).all() else rng.random(g.shape)
 
 
 def aguq_fields(g: np.ndarray, ladder: GeoLadder, levels: np.ndarray,
-                u) -> tuple[np.ndarray, np.ndarray]:
+                u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """AGUQ on nonnegative gains g, rounding with the `aguq_uniforms` draws
     u: the index j of the smallest range of `ladder` covering each gain, and
     its CUQ symbol on levels[j] levels over [0, M_j].  A gain above the top
@@ -163,8 +164,6 @@ def aguq_fields(g: np.ndarray, ladder: GeoLadder, levels: np.ndarray,
         raise ValueError("gains must be nonnegative")
     ranges = ladder.ranges
     j = pick_range(g, ranges, ladder.top)
-    if u is None:  # every gain overflows
-        return j, np.full(np.shape(g), float(OVERFLOW))
     return j, cuq_round_with(g, ranges[j], levels[j], u, signed=False)
 
 

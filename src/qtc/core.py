@@ -366,20 +366,20 @@ class Kernel:
     ``check_input(x)`` and ``check_side(side)`` return the checked input and
     side information, or raise ValueError.  The randomness of m repetitions
     is made by two steps that only call the Generator: ``draw(rng, m)``, the
-    shared draws, then ``noise(rng, x, m)``, the encoder's private draws for
-    input x.  Every draw is an array with a leading axis of m rows (or
-    tuples of such arrays, or None), so any run of rows can be taken or
+    shared draws, then ``noise(rng, rows, m)``, the encoder's private draws
+    for the input rows.  Every draw is an array with a leading axis of m rows
+    (or tuples of such arrays, or None), so any run of rows can be taken or
     joined.  The arithmetic makes no draw: ``derive(draws)`` works out the
     shared values (signs, kept coordinates) from the shared draws of some
     rows, ``encode(rows, shared, noise)`` returns their fields, and
     ``decode(fields, side, shared)`` their (m, d) reconstructions.  ``rows``
-    is one vector for every repetition or, unless ``one_vector`` is set, one
-    row per repetition; ``side`` likewise.  ``write(bits, fields)`` packs
-    the fields of one repetition, and ``read(reader)`` reads them back as a
-    batch of one, raising MalformedStreamError on a value out of range (a
-    fixed-width block by passing its top to `BitReader.read_fields`).
-    ``row_elems``, the elements of one repetition's largest array, sizes the
-    sampler's draw chunks.
+    is one vector for every repetition or one row per repetition, (m, d);
+    ``side`` likewise.  ``write(bits, fields)`` packs the fields of one
+    repetition, and ``read(reader)`` reads them back as a batch of one,
+    raising MalformedStreamError on a value out of range (a fixed-width
+    block by passing its top to `BitReader.read_fields`).  ``row_elems``,
+    the elements of one repetition's largest array, sizes the sampler's
+    draw chunks.
     """
 
     d: int
@@ -393,7 +393,6 @@ class Kernel:
     decode: Callable[[Any, Optional[np.ndarray], Any], np.ndarray]
     write: Callable[[BitString, Any], BitString]
     read: Callable[[BitReader], Any]
-    one_vector: bool = False
 
     def run(self, clients, n: int):
         """The sampler: n repetitions of each client, yielding
@@ -404,24 +403,23 @@ class Kernel:
         for all n repetitions, or n rows), checked side information (None
         for every client or for none) and the client's own stream.  Each
         client draws chunk by chunk (`_chunks` of `row_elems`): the shared
-        draws, then the noise.  The arithmetic runs on blocks of at most
-        `_BLOCK_ELEMS // d_pad` rows, filled in turn: a block joins the
-        chunks of consecutive clients (never two of one client), and a chunk
-        too large for one block is cut across several.  A ``one_vector``
-        kernel runs each chunk as its own block.  Each row is worked out the
-        same way in any block, so a client's rows are the same bits
-        whichever clients share its blocks.
+        draws, then the noise of the chunk's rows.  The arithmetic runs on
+        blocks of at most `_BLOCK_ELEMS // d_pad` rows, filled in turn: a
+        block joins the chunks of consecutive clients (never two of one
+        client), and a chunk too large for one block is cut across several.
+        Each row is worked out the same way in any block, so a client's rows
+        are the same bits whichever clients share its blocks.
         """
         d_pad = 1 << (self.d - 1).bit_length()
-        size = n if self.one_vector else max(1, _BLOCK_ELEMS // d_pad)
+        size = max(1, _BLOCK_ELEMS // d_pad)
         block, room = [], size
         for i, (rows, side, rng) in enumerate(clients):
             for lo, hi in _chunks(n, self.row_elems):
-                drawn = self.draw(rng, hi - lo), self.noise(rng, rows, hi - lo)
+                drawn = (self.draw(rng, hi - lo),
+                         self.noise(rng, rows if rows.ndim == 1 else rows[lo:hi], hi - lo))
                 for at in range(lo, hi, size):
                     end = min(hi, at + size)
-                    if block and (end - at > room or self.one_vector
-                                  or (at == lo and block[-1][0] == i)):
+                    if block and (end - at > room or (at == lo and block[-1][0] == i)):
                         yield from self._block(block)
                         block, room = [], size
                     part = drawn if end - at == hi - lo else _take(drawn, at - lo, end - lo)

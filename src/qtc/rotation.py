@@ -7,14 +7,14 @@ preserves the l2 norm exactly (up to float roundoff), which is what every
 bound built on top of it relies on.  Every function works on batches: row i
 of an (n, d) array is repetition i, and a codec is the case n = 1.  The other
 shared draws of the rotated quantizers, sampled coordinate subsets, live here
-too, with the gather and scatter of the kept coordinates.  Each shared draw
-is split into its Generator calls (`sign_words`, `draw_shared`) and the
-arithmetic on the drawn values (`derive_shared`), so a sampler can draw a
-large chunk and work through it in smaller blocks of rows.  A sign draw
-carries 32 signs: the top 32 of the 53 bits of one uniform, so a sign
-diagonal of d entries costs ceil(d / 32) 64-bit outputs of the stream.  A
-subset of each row costs one uniform key per coordinate, cut on the keys'
-top 32 bits.  The H_a, H_b pair of each dimension is built once.
+too.  Each shared draw is split into its Generator calls (`sign_words`, one
+uniform key per coordinate for a subset) and the arithmetic on the drawn
+values (`_signs_of`, `_subset_masks`), so a sampler can draw a large chunk
+and work through it in smaller blocks of rows.  A sign draw carries 32
+signs: the top 32 of the 53 bits of one uniform, so a sign diagonal of d
+entries costs ceil(d / 32) 64-bit outputs of the stream.  A subset of each
+row costs one uniform key per coordinate, cut on the keys' top 32 bits.
+The H_a, H_b pair of each dimension is built once.
 `rotated_kernel` is the one home of the rotate, subsample and correct steps
 of the rotated codes (RATQ, RMQ and the RDAQ family): each of them gives it
 only its rule on the sent rotated coordinates.
@@ -34,12 +34,7 @@ __all__ = [
     "next_pow2",
     "sign_words",
     "sample_signs_batch",
-    "check_sample_count",
     "sample_subset_masks",
-    "draw_shared",
-    "derive_shared",
-    "gather_kept",
-    "sparse_correction",
     "rotate_batch",
     "unrotate_batch",
     "pad_to_pow2",
@@ -91,15 +86,6 @@ def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return _signs_of(sign_words(rng, n, d), d)
 
 
-def check_sample_count(mu_d: int, d: int) -> None:
-    """Reject a subset size that is not an integer in 1..d; subsampled codecs
-    and samplers call this before their first draw."""
-    if not isinstance(mu_d, (int, np.integer)):
-        raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
-    if not 1 <= mu_d <= d:
-        raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d}")
-
-
 def _float_subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
     """`_subset_masks` on the float64 keys themselves: the entries at or
     below the row's mu_d-th smallest key, and for a row tied at that cut,
@@ -137,45 +123,6 @@ def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> 
     """(n, d) boolean mask; row i marks an independent uniform mu_d-subset:
     the `_subset_masks` of one uniform key per entry, rng.random((n, d))."""
     return _subset_masks(rng.random((n, d)), mu_d)
-
-
-def draw_shared(rng: np.random.Generator, n: int, d: int, mu_d: Optional[int]):
-    """The shared draws of n repetitions of a rotated code, in the one order
-    that codecs and samplers use: the (n, ceil(d / 32)) `sign_words`, then
-    (with mu_d) one uniform key per entry for the subset masks, (n, d),
-    None without.  Generator calls only; `derive_shared` works out what
-    they stand for."""
-    words = sign_words(rng, n, d)
-    return words, None if mu_d is None else rng.random((n, d))
-
-
-def derive_shared(draws, d: int, mu_d: Optional[int]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """(signs, kept) from the `draw_shared` draws of any rows of dimension d,
-    taken together or block by block: kept holds the flat indices of the
-    kept entries of an (n, d) array, row by row, and is None without subset
-    draws."""
-    words, r = draws
-    return _signs_of(words, d), None if r is None else np.flatnonzero(_subset_masks(r, mu_d))
-
-
-def gather_kept(a: np.ndarray, kept: Optional[np.ndarray]) -> np.ndarray:
-    """The kept entries of the (n, d) array `a` as an (n, mu_d) array, in
-    coordinate order; `a` itself when kept is None."""
-    if kept is None:
-        return a
-    return a.reshape(-1)[kept].reshape(len(a), -1)
-
-
-def sparse_correction(side_rot: np.ndarray, corr: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """The subsampled estimate of a rotated input: the rotated side
-    information, each kept entry s moved to s + c / mu, with c its entry of
-    the (n, mu_d) correction `corr` and mu = mu_d / d.
-
-    Writes into `side_rot`, a C-contiguous (n, d) array, and returns it.
-    """
-    flat = side_rot.ravel()
-    flat[kept] += corr.ravel() / (corr.shape[-1] / side_rot.shape[-1])
-    return side_rot
 
 
 @functools.lru_cache(maxsize=None)
@@ -261,37 +208,50 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
       is none) and its sent coordinates yk.
 
     The estimate is yr + correction, or with mu_d yr with each sent entry
-    moved by 1/mu times its correction (`sparse_correction`), unrotated and
-    cut to d.  The draws of m repetitions: the `draw_shared` signs and
-    subset keys, then ``v = shared(rng, (m, width))`` (None without
-    `shared`), then the encoder's private ``u = noise(rng, (m, width))``
-    (None without `noise`); width is d_pad or mu_d.  ``check_input``,
-    ``check_side``, ``write``, ``read`` and ``row_elems`` are the kernel's
-    own.  ValueError unless mu_d is None or an integer in 1..d_pad.
+    moved by 1/mu = d_pad / mu_d times its correction, unrotated and cut to
+    d.  The draws of m repetitions, in the one order that codecs and
+    samplers use: the (m, ceil(d_pad / 32)) `sign_words`, with mu_d one
+    uniform subset key per entry, (m, d_pad), then ``v = shared(rng, (m,
+    width))`` (None without `shared`), then the encoder's private ``u =
+    noise(rng, (m, width))`` (None without `noise`); width is d_pad or mu_d.
+    The sent coordinates of each row are gathered in coordinate order.
+    ``check_input``, ``check_side``, ``write``, ``read`` and ``row_elems``
+    are the kernel's own.  ValueError unless mu_d is None or an integer in
+    1..d_pad.
     """
     d_pad = next_pow2(d)
     if mu_d is not None:
-        check_sample_count(mu_d, d_pad)
+        if not isinstance(mu_d, (int, np.integer)):
+            raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
+        if not 1 <= mu_d <= d_pad:
+            raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d_pad}")
     width = d_pad if mu_d is None else mu_d
 
     def draw(rng, m):
-        return (*draw_shared(rng, m, d_pad, mu_d), None if shared is None else shared(rng, (m, width)))
+        return (sign_words(rng, m, d_pad), None if mu_d is None else rng.random((m, d_pad)),
+                None if shared is None else shared(rng, (m, width)))
 
     def derive(draws):
         words, r, v = draws
-        return (*derive_shared((words, r), d_pad, mu_d), v)
+        return _signs_of(words, d_pad), None if r is None else np.flatnonzero(_subset_masks(r, mu_d)), v
+
+    def sent(a, kept):
+        return a if kept is None else a.reshape(-1)[kept].reshape(len(a), -1)
 
     def encode_rows(rows, drawn, u):
         signs, kept, v = drawn
         xr = rotate_batch(pad_to_pow2(rows)[0], signs)
-        return encode(xr, gather_kept(xr, kept), v, u)
+        return encode(xr, sent(xr, kept), v, u)
 
     def decode_rows(fields, side, drawn):
         signs, kept, v = drawn
         yr = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
-        corr = decode(fields, yr, gather_kept(yr, kept), v)
-        est = yr + corr if kept is None else sparse_correction(yr, corr, kept)
-        return unrotate_batch(est, signs)[:, :d]
+        corr = decode(fields, yr, sent(yr, kept), v)
+        if kept is None:
+            yr += corr
+        else:
+            yr.ravel()[kept] += corr.ravel() / (width / d_pad)
+        return unrotate_batch(yr, signs)[:, :d]
 
     return Kernel(
         d, row_elems, check_input, check_side, draw,

@@ -185,6 +185,12 @@ def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarr
     return j[None], read_cuq_symbols(reader, width, cfg)[None]
 
 
+def _check_norm(norm: float, cfg: RatqConfig) -> None:
+    """ValueError if an input's l2 norm exceeds the bound B."""
+    if norm > cfg.B * _NORM_SLACK:
+        raise ValueError(f"input norm {norm:.6g} exceeds bound B={cfg.B}")
+
+
 def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
     """The RATQ kernel pair, subsampled with mu_d and, with `center`,
     centered on the side information (on 0 without).  Ranges and CUQ
@@ -197,9 +203,7 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
 
     def check_input(y):
         y = check_vector(y, cfg.d)
-        norm = math.sqrt(y.dot(y))
-        if norm > cfg.B * _NORM_SLACK:
-            raise ValueError(f"input norm {norm:.6g} exceeds bound B={cfg.B}")
+        _check_norm(math.sqrt(y.dot(y)), cfg)
         return y
 
     def check_side(side):
@@ -229,8 +233,10 @@ def _check_rows(ys, cfg: RatqConfig) -> np.ndarray:
 
 
 def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
-    """Quantize each row of (n, d) once with independent randomness: (n, d)."""
+    """Quantize each row of (n, d) once with independent randomness: (n, d).
+    ValueError, as the codec's, if a row lies outside the l2 ball of radius B."""
     ys = _check_rows(ys, cfg)
+    _check_norm(np.linalg.norm(ys, axis=1).max(initial=0.0), cfg)
     return _ratq_kernel(cfg).sample(ys, None, ys.shape[0], rng)
 
 
@@ -335,23 +341,30 @@ class AratqConfig:
 
 
 def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
-    """A-RATQ declared as a kernel: the gain |y| by AGUQ (or AGUQ+), the shape
-    y/|y| (e1 for y = 0) by the unit-ball RATQ kernel.  Its draws: the signs,
-    one gain-rounding uniform per repetition (none when every gain
-    overflows), then the shape's RATQ uniforms.  encode takes one vector."""
+    """A-RATQ declared as a kernel: the gain |y| of each row by AGUQ (or
+    AGUQ+), the shape y/|y| (e1 for y = 0) by the unit-ball RATQ kernel.
+    Its draws: the signs, one gain-rounding uniform per repetition (none
+    when every gain of the chunk overflows), then the shape's RATQ
+    uniforms."""
     plus = AguqPlus(cfg.B, cfg.T) if cfg.gain_mode == "aguq_plus" else None
     ladder = cfg.gain_ladder if plus is None else plus.ladder
     levels = np.full(ladder.h_g, cfg.k_g) if plus is None else plus.levels
     grid = cfg.gain_grid(0)  # the level count and field width of every range
     shape = _ratq_kernel(cfg.shape)
 
+    def gains(y, m):
+        """The gain of each of m repetitions of y, one vector or (m, d) rows."""
+        return np.full(m, np.sqrt((y * y).sum(axis=-1)))
+
     def noise(rng, y, m):
-        return aguq_uniforms(np.full(m, math.sqrt(y.dot(y))), ladder, rng), shape.noise(rng, y, m)
+        return aguq_uniforms(gains(y, m), ladder, rng), shape.noise(rng, y, m)
 
     def encode(y, shared, noise):
-        gain = math.sqrt(y.dot(y))
-        fields = aguq_fields(np.full(len(shared[0]), gain), ladder, levels, noise[0])
-        return fields, shape.encode(y / gain if gain > 0 else np.eye(1, cfg.d)[0], shared, noise[1])
+        g = gains(y, len(shared[0]))[:, None]
+        unit = np.zeros((len(g), cfg.d))
+        unit[:, 0] = 1.0
+        np.divide(y, g, out=unit, where=g > 0)
+        return aguq_fields(g[:, 0], ladder, levels, noise[0]), shape.encode(unit, shared, noise[1])
 
     def decode(fields, side, shared):
         return aguq_levels(fields[0], ladder, levels)[:, None] * shape.decode(fields[1], None, shared)
@@ -377,7 +390,7 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
         return (np.array([j]), np.array([sym])), shape.read(reader)
 
     kernel = Kernel(cfg.d, cfg.shape.d_pad, lambda y: check_vector(y, cfg.d), lambda side: None,
-                    shape.draw, noise, shape.derive, encode, decode, write, read, one_vector=True)
+                    shape.draw, noise, shape.derive, encode, decode, write, read)
     return kernel_quantizer(kernel, cfg.bit_budget, f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})")
 
 
@@ -407,9 +420,10 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
         return y
 
     def encode(y, shared, u):
-        idx = np.searchsorted(np.cumsum(np.abs(y)), u * B, side="right")
+        idx = np.count_nonzero(np.cumsum(np.abs(y), axis=-1) <= u[:, None] * B, axis=-1)
         hit = idx < d
-        return np.where(hit, idx + 1, 0) * np.where(y[np.where(hit, idx, 0)] >= 0, 1, -1)
+        sign = np.take_along_axis(np.atleast_2d(y), np.where(hit, idx, 0)[:, None], axis=-1)[:, 0]
+        return np.where(hit, idx + 1, 0) * np.where(sign >= 0, 1, -1)
 
     def write(bits, symbols):
         s = int(symbols[0])
@@ -423,8 +437,7 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
 
     kernel = Kernel(d, d, check_input, lambda side: None, lambda rng, m: None,
                     lambda rng, y, m: rng.random(m), lambda draws: None, encode,
-                    lambda symbols, side, shared: simq_decode(symbols, B, d), write, read,
-                    one_vector=True)
+                    lambda symbols, side, shared: simq_decode(symbols, B, d), write, read)
     return kernel_quantizer(kernel, width, f"simq(d={d},B={B:g})")
 
 
@@ -451,11 +464,12 @@ def _unrank_composition(rank: int, k: int, parts: int) -> np.ndarray:
     if rank >= math.comb(n_slots, n_bars):
         raise MalformedStreamError(f"malformed stream: type rank {rank} out of range")
     pos = [0] * n_bars
+    p = n_slots
     for j in range(n_bars - 1, -1, -1):
-        # largest p with comb(p, j+1) <= rank
-        p = j
-        while math.comb(p + 1, j + 1) <= rank:
-            p += 1
+        # largest p with comb(p, j+1) <= rank; it lies below the bar above
+        p -= 1
+        while math.comb(p, j + 1) > rank:
+            p -= 1
         pos[j] = p
         rank -= math.comb(p, j + 1)
     counts = np.empty(parts, dtype=np.int64)
@@ -520,10 +534,10 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
         return y
 
     def noise(rng, y, m):
-        probs = np.empty(cfg.d + 1)
-        probs[1:] = np.abs(y) / cfg.scale
-        probs[0] = max(0.0, 1.0 - probs[1:].sum())
-        probs /= probs.sum()
+        probs = np.empty(y.shape[:-1] + (cfg.d + 1,))
+        probs[..., 1:] = np.abs(y) / cfg.scale
+        probs[..., 0] = np.maximum(0.0, 1.0 - probs[..., 1:].sum(axis=-1))
+        probs /= probs.sum(axis=-1, keepdims=True)
         return rng.multinomial(cfg.k, probs, size=m)
 
     def encode(y, shared, counts):
@@ -546,7 +560,7 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
         return counts[None], positive
 
     kernel = Kernel(cfg.d, cfg.d + 1, check_input, lambda side: None, lambda rng, m: None,
-                    noise, lambda draws: None, encode, decode, write, read, one_vector=True)
+                    noise, lambda draws: None, encode, decode, write, read)
     return kernel_quantizer(kernel, cfg.bit_budget, f"simq+(d={cfg.d},k={cfg.k})")
 
 
@@ -619,7 +633,8 @@ class LpSplitConfig:
 def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     """The split quantizer declared as a kernel.  Its draws: the RATQ signs,
     one CUQ uniform per coordinate, then the RATQ uniforms of the zero-filled
-    restriction to the large coordinates.  encode takes one vector."""
+    restriction to the large coordinates.  Each row's large coordinates fill
+    the restriction in coordinate order, and go back from it the same way."""
     grid = cfg.cuq_grid
     ratq_cfg = cfg.ratq_cfg
     ratq = _ratq_kernel(ratq_cfg)
@@ -637,18 +652,28 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     def noise(rng, y, m):
         return rng.random((m, cfg.d)), ratq.noise(rng, None, m)
 
+    def slots(large):
+        """The coordinate in each slot of the restriction of each row of the
+        2-D `large`, (rows, d_large): the row's large coordinates first (a
+        stable sort), and whether each slot holds a large one."""
+        at = np.argsort(~large, axis=1, kind="stable")[:, : ratq_cfg.d]
+        return at, np.take_along_axis(large, at, axis=1)
+
     def encode(y, shared, noise):
         u, ratq_u = noise
+        y = np.atleast_2d(y)
         large = np.abs(y) > grid.M
         sym = cuq_round_with(np.broadcast_to(np.where(large, 0.0, y), u.shape), grid.M, grid.k, u)
-        restriction = np.zeros(ratq_cfg.d)
-        restriction[: large.sum()] = y[large]
+        at, held = slots(large)
+        restriction = np.where(held, np.take_along_axis(y, at, axis=1), 0.0)
         return sym, large, ratq.encode(restriction, shared, ratq_u)
 
     def decode(fields, side, shared):
         sym, large, ratq_fields = fields
         out = grid.level(sym)
-        out[:, large] += ratq.decode(ratq_fields, None, shared)[:, : large.sum()]
+        at, held = slots(np.broadcast_to(large, out.shape))
+        r, s = np.nonzero(held)
+        out[r, at[r, s]] += ratq.decode(ratq_fields, None, shared)[r, s]
         return out
 
     def write(bits, fields):
@@ -665,5 +690,5 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
         return sym[None], large, ratq.read(reader)
 
     kernel = Kernel(cfg.d, max(cfg.d, ratq_cfg.d_pad), check_input, lambda side: None,
-                    ratq.draw, noise, ratq.derive, encode, decode, write, read, one_vector=True)
+                    ratq.draw, noise, ratq.derive, encode, decode, write, read)
     return kernel_quantizer(kernel, cfg.bit_budget, f"lp-split(d={cfg.d},p={cfg.p:g})")

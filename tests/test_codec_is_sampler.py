@@ -24,7 +24,7 @@ import pytest
 
 import qtc
 from qtc import core, sideinfo, vector
-from qtc.core import SeedPath
+from qtc.core import SeedPath, _chunks
 from qtc.sideinfo import (
     RdaqConfig,
     RmqConfig,
@@ -221,9 +221,8 @@ def test_every_quantizer_is_built_by_kernel_quantizer():
     assert calls == len(_quantizer_calls(factory)) == 1
 
 
-# The rotate, subsample and correct steps of the rotated codes.
-ROTATION_STEPS = {"rotate_batch", "unrotate_batch", "sparse_correction", "gather_kept",
-                  "draw_shared", "derive_shared"}
+# The rotate and draw steps of the rotated codes.
+ROTATION_STEPS = {"rotate_batch", "unrotate_batch", "sign_words", "_signs_of", "_subset_masks"}
 
 
 def test_only_rotation_rotates():
@@ -243,6 +242,23 @@ def test_only_rotation_rotates():
                for c in ast.walk(f))
     }
     assert built == {"_ratq_kernel", "wz_known_quantizer", "_rdaq_kernel"}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rows_of_one_input_sample_as_that_input(name):
+    """Every kernel takes one row per repetition: n copies of x (and of the
+    side information) as rows, n past one draw chunk, give the same bits as
+    x as one vector."""
+    q, _, d, norm, delta = CASES[name]()
+    k = q.kernel
+    rng = SeedPath(94).child(name).stream()
+    x = k.check_input(norm(rng, d) if callable(norm) else _vec(rng, d, norm))
+    side = k.check_side(None if delta is None else x + _vec(rng, d, delta))
+    n = next(_chunks(1 << 30, k.row_elems))[1] + 3
+    path = SeedPath(95).child(name)
+    side_rows = None if side is None else np.tile(side, (n, 1))
+    rows = k.sample(np.tile(x, (n, 1)), side_rows, n, path.stream())
+    assert np.array_equal(rows, k.sample(x, side, n, path.stream()))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -24,7 +24,18 @@ from qtc.sideinfo import (
     wz_known_quantizer,
     wz_unknown_quantizer,
 )
-from qtc.vector import RatqConfig, ratq_quantizer, rcs_wrap
+from qtc.vector import (
+    AratqConfig,
+    LpSplitConfig,
+    RatqConfig,
+    SimqPlusConfig,
+    aratq_quantizer,
+    lp_split_quantizer,
+    ratq_quantizer,
+    rcs_wrap,
+    simq_plus_quantizer,
+    simq_quantizer,
+)
 
 D = 48  # d_pad = 64
 
@@ -37,7 +48,36 @@ QUANTIZERS = {
     "wz_unknown": lambda: wz_unknown_quantizer(RdaqConfig(D), 8),
     "boosted_rdaq": lambda: rdaq_quantizer(RdaqConfig(D, N=3)),
     "daq": lambda: daq_quantizer(D),
+    "aratq": lambda: aratq_quantizer(AratqConfig.default(1.0, D, T=1024)),
+    "simq": lambda: simq_quantizer(1.0, D),
+    "simq_plus": lambda: simq_plus_quantizer(SimqPlusConfig(1.0, D, 2.0)),  # l1 bound sqrt(D)
+    "lp_split": lambda: lp_split_quantizer(LpSplitConfig(1.0, D, 1.5)),  # threshold 0.44
 }
+
+
+def _gains(xs, rng):
+    """A-RATQ inputs whose gains cycle through in range (0.6), above the top
+    range of the ladder (40) and zero, so blocks join all three and some
+    start with an overflowing client."""
+    return xs * np.resize([1.0, 40.0 / 0.6, 0.0], len(xs))[:, None]
+
+
+def _l1(xs, rng):
+    return xs * (0.9 / np.abs(xs).sum(axis=1, keepdims=True))
+
+
+def _spiky(xs, rng):
+    """Rows of l3 norm below 1 with one to three coordinates at +-0.6, above
+    the split threshold, at different places in each row."""
+    xs = 0.5 * xs
+    for x in xs:
+        x[rng.choice(D, size=rng.integers(1, 4), replace=False)] = rng.choice([-0.6, 0.6])
+    return xs
+
+
+# The quantizers whose domain is not the ball of radius 0.6, and the map of
+# unit-ball inputs into it.
+DOMAINS = {"aratq": _gains, "simq": _l1, "lp_split": _spiky}
 
 
 def _block_rows(q) -> int:
@@ -48,13 +88,15 @@ def _chunk_rows(q) -> int:
     return next(_chunks(1 << 30, q.kernel.row_elems))[1]
 
 
-def _inputs(seed, clients):
-    """Client inputs and side information inside the unit ball."""
+def _inputs(seed, clients, name=None):
+    """Client inputs and side information inside the unit ball, the inputs
+    mapped into the domain of quantizer `name`."""
     rng = SeedPath(seed).stream()
     xs = rng.normal(size=(clients, D))
     xs *= 0.6 / np.linalg.norm(xs, axis=1, keepdims=True)
     us = rng.normal(size=(clients, D))
-    return xs, xs + 0.2 * us / np.linalg.norm(us, axis=1, keepdims=True)
+    ys = xs + 0.2 * us / np.linalg.norm(us, axis=1, keepdims=True)
+    return (DOMAINS[name](xs, rng) if name in DOMAINS else xs), ys
 
 
 def _whole_chunks(q, x, side, n, rng):
@@ -87,7 +129,7 @@ def test_cut_chunks_are_whole_chunks(name):
     """One client: a chunk cut into blocks, a partial last block, and trials
     past one chunk."""
     q = QUANTIZERS[name]()
-    x, y = (v[0] for v in _inputs(1, 1))
+    x, y = (v[0] for v in _inputs(1, 1, name))
     block, chunk = _block_rows(q), _chunk_rows(q)
     assert block < chunk  # so the larger counts cut a chunk
     for n in (1, block - 1, block, block + 1, 3 * block + 5, chunk + 3):
@@ -104,7 +146,7 @@ def test_joined_clients_are_one_by_one(name, trials):
     q = QUANTIZERS[name]()
     block = _block_rows(q)
     clients = 2 * (block // trials) + 3 if trials < block else 3
-    xs, ys = _inputs(2, clients)
+    xs, ys = _inputs(2, clients, name)
     root = SeedPath(3).child(name)
     got = _run(q, xs, ys, trials, root)
     for i in range(clients):

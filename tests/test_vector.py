@@ -15,6 +15,7 @@ from qtc.vector import (
     aratq_quantizer,
     atuq_vector_apply,
     lp_split_quantizer,
+    ratq_apply,
     ratq_quantizer,
     rcs_wrap,
     simq_decode,
@@ -49,9 +50,17 @@ def test_ratq_zero_vector():
 
 
 def test_ratq_rejects_out_of_ball():
-    q = ratq_quantizer(RatqConfig.default(1.0, 16))
-    with pytest.raises(ValueError):
-        q.encode(np.full(16, 1.0), None, SeedPath(1).stream())
+    """The codec and `ratq_apply`, on every row, with one message."""
+    cfg = RatqConfig.default(1.0, 16)
+    want = r"^input norm 4 exceeds bound B=1\.0$"
+    with pytest.raises(ValueError, match=want):
+        ratq_quantizer(cfg).encode(np.full(16, 1.0), None, SeedPath(1).stream())
+    with pytest.raises(ValueError, match=want):
+        ratq_apply(np.ones((3, 16)), cfg, SeedPath(1).stream())
+    ys = np.zeros((3, 16))
+    ys[2, 5] = 1.5  # the last row alone lies outside
+    with pytest.raises(ValueError, match=r"^input norm 1\.5 exceeds bound B=1\.0$"):
+        ratq_apply(ys, cfg, SeedPath(1).stream())
 
 
 def test_ratq_unbiased_and_bounded_second_moment():
@@ -228,6 +237,15 @@ def test_composition_ranking_roundtrip():
         k = int(rng.integers(1, 12))
         counts = rng.multinomial(k, np.ones(parts) / parts)
         rank = _rank_composition(counts)
+        assert np.array_equal(_unrank_composition(rank, k, parts), counts)
+    # SimQ+ types at d = k = 256: k draws over d + 1 cells, including the
+    # types with every draw in the first or in the last cell
+    k, parts = 256, 257
+    types = [rng.multinomial(k, rng.dirichlet(np.full(parts, a))) for a in (0.05, 1.0, 20.0)]
+    types += [np.eye(parts, dtype=np.int64)[i] * k for i in (0, parts - 1)]
+    for counts in types:
+        rank = _rank_composition(counts)
+        assert rank < math.comb(k + parts - 1, parts - 1)
         assert np.array_equal(_unrank_composition(rank, k, parts), counts)
 
 
