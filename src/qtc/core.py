@@ -20,19 +20,20 @@ Conventions used by every encoder/decoder pair in this package:
 
 Every quantizer in this package is declared as a `Kernel`, and the shared
 code enforces that order: the codec that `kernel_quantizer` builds and the
-batched sampler `Quantizer.sample` both check their input before any draw,
-then make the kernel's shared draws and its private ones (`draw`, then
-`noise`), and only then run its arithmetic (`derive`, `encode`, `decode`),
-which makes no draw.  So a codec round trip under a SeedPath is the first
-row the sampler draws from that path's stream.  The sampler draws in large
-chunks and does the arithmetic in blocks of at most `_BLOCK_ELEMS // d_pad`
-rows, which join the chunks of several clients or cut one chunk into
-several; every row comes out the same bits either way.
+sampler `Kernel.run` both check their input before any draw, then make the
+kernel's shared draws and its private ones (`draw`, then `noise`), and only
+then run its arithmetic (`derive`, `encode`, `decode`), which makes no
+draw.  So a codec round trip under a SeedPath is the first row the sampler
+draws from that path's stream.  The sampler draws in large chunks and does
+the arithmetic in blocks of at most `_BLOCK_ELEMS // d_pad` rows, which join
+the chunks of several clients or cut one chunk into several; every row
+comes out the same bits either way.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
@@ -47,7 +48,6 @@ __all__ = [
     "kernel_quantizer",
     "MalformedStreamError",
     "TruncatedStreamError",
-    "check_finite",
     "check_vector",
 ]
 
@@ -73,30 +73,31 @@ class TruncatedStreamError(MalformedStreamError):
     """Raised when a read runs past the end of a BitString."""
 
 
-def check_finite(x) -> np.ndarray:
-    """`x` as a float array; raises ValueError if any entry is NaN or infinite.
-
-    Encoders call this before their first draw.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("input has non-finite entries")
-    return x
-
-
 def check_vector(x, d: int, what: str = "input") -> np.ndarray:
-    """`x` as a float vector of length d; raises ValueError if it has another
-    shape or a NaN or infinite entry.
+    """`x` as a float vector of length d or as (m, d) rows; raises
+    ValueError if it has another shape or a NaN or infinite entry.
 
-    Encoders call this on their input before their first draw, and decoders
-    with side information on the side vector.
+    Kernels call this in their input and side-information checks, which
+    `Kernel.run` and the codec make before their first draw.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"{what} has shape {x.shape}, expected ({d},)")
+    if x.shape != (d,):  # a codec's one vector pays one comparison
+        if x.ndim != 2:
+            raise ValueError(f"{what} has shape {x.shape}, expected ({d},)")
+        if x.shape[1] != d:
+            raise ValueError(f"{what} rows have length {x.shape[1]}, expected {d}")
     if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
     return x
+
+
+def _l2_norm(x: np.ndarray) -> float:
+    """The l2 norm of one vector, or the largest of (m, d) rows (0 for no
+    rows).  A vector takes one `dot`: a codec checks one vector a message,
+    and a row reduction costs it three times as much."""
+    if x.ndim == 1:
+        return math.sqrt(x.dot(x))
+    return math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
 
 
 class BitString:
@@ -363,18 +364,20 @@ def _block_input(pieces: list, col: int, m: int):
 class Kernel:
     """A quantizer declared once, for its codec and its sampler alike.
 
-    ``check_input(x)`` and ``check_side(side)`` return the checked input and
-    side information, or raise ValueError.  The randomness of m repetitions
-    is made by two steps that only call the Generator: ``draw(rng, m)``, the
-    shared draws, then ``noise(rng, rows, m)``, the encoder's private draws
-    for the input rows.  Every draw is an array with a leading axis of m rows
-    (or tuples of such arrays, or None), so any run of rows can be taken or
-    joined.  The arithmetic makes no draw: ``derive(draws)`` works out the
-    shared values (signs, kept coordinates) from the shared draws of some
-    rows, ``encode(rows, shared, noise)`` returns their fields, and
-    ``decode(fields, side, shared)`` their (m, d) reconstructions.  ``rows``
-    is one vector for every repetition or one row per repetition, (m, d);
-    ``side`` likewise.  ``write(bits, fields)`` packs the fields of one
+    ``check_input(x)`` and ``check_side(side)`` return the input and side
+    information as float arrays, or raise ValueError for one outside the
+    quantizer's domain.  Each takes one vector or (m, d) rows and checks
+    every row; `run` and the codec call them, so no caller checks first.
+    The randomness of m repetitions is made by two steps that only call the
+    Generator: ``draw(rng, m)``, the shared draws, then ``noise(rng, rows,
+    m)``, the encoder's private draws for the input rows.  Every draw is an
+    array with a leading axis of m rows (or tuples of such arrays, or
+    None), so any run of rows can be taken or joined.  The arithmetic makes
+    no draw: ``derive(draws)`` works out the shared values (signs, kept
+    coordinates) from the shared draws of some rows, ``encode(rows, shared,
+    noise)`` returns their fields, and ``decode(fields, side, shared)``
+    their (m, d) reconstructions.  ``rows`` is one vector for every
+    repetition or one row per repetition, (m, d); ``side`` likewise.  ``write(bits, fields)`` packs the fields of one
     repetition, and ``read(reader)`` reads them back as a batch of one,
     raising MalformedStreamError on a value out of range (a fixed-width
     block by passing its top to `BitReader.read_fields`).  ``row_elems``,
@@ -399,17 +402,25 @@ class Kernel:
         (i, lo, hi, recs), the (hi - lo, d) reconstructions of client i's
         repetitions lo..hi, in client order.
 
-        `clients` holds (rows, side, rng) triples: checked input (one vector
-        for all n repetitions, or n rows), checked side information (None
-        for every client or for none) and the client's own stream.  Each
-        client draws chunk by chunk (`_chunks` of `row_elems`): the shared
-        draws, then the noise of the chunk's rows.  The arithmetic runs on
-        blocks of at most `_BLOCK_ELEMS // d_pad` rows, filled in turn: a
-        block joins the chunks of consecutive clients (never two of one
-        client), and a chunk too large for one block is cut across several.
-        Each row is worked out the same way in any block, so a client's rows
-        are the same bits whichever clients share its blocks.
+        `clients` holds (x, side, rng) triples: the input (one vector for
+        all n repetitions, or n rows), the side information (None for
+        every client or for none; likewise one vector or n rows) and the
+        client's own stream.  `run` checks every client's input and side
+        information (`check_input`, `check_side`, n rows each where rows
+        are given) before any client draws, so on a ValueError no stream
+        has moved.  Each client draws chunk by chunk (`_chunks` of
+        `row_elems`): the shared draws, then the noise of the chunk's rows.
+        The arithmetic runs on blocks of at most `_BLOCK_ELEMS // d_pad`
+        rows, filled in turn: a block joins the chunks of consecutive
+        clients (never two of one client), and a chunk too large for one
+        block is cut across several.  Each row is worked out the same way
+        in any block, so a client's rows are the same bits whichever
+        clients share its blocks.
         """
+        clients = [(self.check_input(x), self.check_side(side), rng) for x, side, rng in clients]
+        wrong = {len(v) for c in clients for v in c[:2] if v is not None and v.ndim == 2} - {n}
+        if wrong:
+            raise ValueError(f"{wrong.pop()} rows given for n = {n} repetitions")
         d_pad = 1 << (self.d - 1).bit_length()
         size = max(1, _BLOCK_ELEMS // d_pad)
         block, room = [], size
@@ -501,10 +512,9 @@ class Quantizer:
         draws and kernel without the packing, as `Kernel.run` on one client.
         Drawn from ``path.stream()``, row 0 is the round trip's
         reconstruction under ``path``.  TypeError without a kernel."""
-        k = self.kernel
-        if k is None:
+        if self.kernel is None:
             raise TypeError(f"{self.name} has no batched kernel to sample")
-        return k.sample(k.check_input(x), k.check_side(side), n, rng)
+        return self.kernel.sample(x, side, n, rng)
 
 
 def kernel_quantizer(
@@ -513,16 +523,21 @@ def kernel_quantizer(
     """The bit-exact codec of `kernel`.  Encode checks x, makes the shared
     and private draws of one repetition, encodes and packs; decode checks
     the side information, makes the same shared draws, reads every field and
-    decodes."""
+    decodes.  The kernel's checks take rows; the codec takes one vector."""
+
+    def one_vector(v, what):
+        if v is not None and v.ndim != 1:
+            raise ValueError(f"{what} has shape {v.shape}, expected ({kernel.d},)")
+        return v
 
     def encode(x, side, rng):
-        x = kernel.check_input(x)
+        x = one_vector(kernel.check_input(x), "input")
         draws = kernel.draw(rng, 1)
         noise = kernel.noise(rng, x, 1)
         return kernel.write(BitString(), kernel.encode(x, kernel.derive(draws), noise))
 
     def decode(bits, side, rng):
-        side = kernel.check_side(side)
+        side = one_vector(kernel.check_side(side), "side information")
         shared = kernel.derive(kernel.draw(rng, 1))
         reader = BitReader(bits)
         fields = kernel.read(reader)

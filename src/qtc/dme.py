@@ -125,8 +125,7 @@ def run_dme(
                 for t in range(trials):
                     acc[t] += q.roundtrip(instance.xs[i], ys[i], client.child("trial", t))[1]
             continue
-        clients = [(k.check_input(instance.xs[i]), k.check_side(ys[i]),
-                    root.child("client", i).stream()) for i in run]
+        clients = [(instance.xs[i], ys[i], root.child("client", i).stream()) for i in run]
         for _, lo, hi, recs in k.run(clients, trials):
             acc[lo:hi] += recs
     err = acc / n - instance.true_mean[None, :]

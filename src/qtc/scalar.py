@@ -16,15 +16,12 @@ __all__ = [
     "UniformGrid",
     "ModuloParams",
     "OVERFLOW",
-    "cuq_round",
     "cuq_round_with",
     "cuq_levels",
     "cuq_expected_decode",
     "cuq_conditional_mse",
-    "mq_encode",
     "mq_encode_with",
     "mq_decode",
-    "mq_quantize",
     "gaussian_wz_params",
     "gaussian_wz_run",
     "write_cuq_symbols",
@@ -37,12 +34,6 @@ OVERFLOW = -1
 
 def _spacing(M, k: int, signed: bool):
     return M * ((2.0 if signed else 1.0) / (k - 1))
-
-
-def cuq_round(y: np.ndarray, M, k: int, rng: np.random.Generator, signed: bool = True) -> np.ndarray:
-    """`cuq_round_with` on one fresh uniform per coordinate: draws
-    rng.random(y.shape) once and passes the draws on."""
-    return cuq_round_with(y, M, k, rng.random(np.shape(y)), signed)
 
 
 def cuq_round_with(y: np.ndarray, M, k: int, u: np.ndarray, signed: bool = True) -> np.ndarray:
@@ -73,7 +64,7 @@ def cuq_round_with(y: np.ndarray, M, k: int, u: np.ndarray, signed: bool = True)
 
 
 def cuq_levels(symbols: np.ndarray, M, k: int, signed: bool = True) -> np.ndarray:
-    """Level values of CUQ symbols on the grid of `cuq_round`; OVERFLOW decodes to 0."""
+    """Level values of CUQ symbols on the grid of `cuq_round_with`; OVERFLOW decodes to 0."""
     out = symbols * _spacing(M, k, signed)
     if signed:
         out -= M
@@ -191,13 +182,6 @@ class ModuloParams:
         return math.ceil(math.log2(self.k))
 
 
-def mq_encode(x: np.ndarray, params: ModuloParams, rng: np.random.Generator) -> np.ndarray:
-    """`mq_encode_with` on one fresh uniform per coordinate: draws
-    rng.random(x.shape) once and passes the draws on."""
-    x = np.asarray(x, dtype=float)
-    return mq_encode_with(x, params, rng.random(x.shape))
-
-
 def mq_encode_with(x: np.ndarray, params: ModuloParams, u: np.ndarray) -> np.ndarray:
     """Unbiased dither to the integer lattice, transmitted modulo k: the one
     implementation of the MQ encoding rule.
@@ -227,15 +211,6 @@ def mq_decode(w: np.ndarray, y_side: np.ndarray, params: ModuloParams) -> np.nda
     y = np.asarray(y_side, dtype=float)
     z = np.ceil((y / params.eps - w) / params.k - 0.5)
     return (z * params.k + w) * params.eps
-
-
-def mq_quantize(
-    x: float, y_side: float, params: ModuloParams, rng: np.random.Generator
-) -> tuple[int, float]:
-    """One-shot encode+decode; returns (coset symbol, reconstruction)."""
-    w = mq_encode(np.asarray([x]), params, rng)
-    rec = mq_decode(w, np.asarray([y_side]), params)
-    return int(w[0]), float(rec[0])
 
 
 def gaussian_wz_params(sigma_z: float, D: float) -> tuple[ModuloParams, int]:
@@ -271,7 +246,7 @@ def gaussian_wz_run(
     else:
         raise ValueError(f"unknown source {source!r}")
     x = y + z
-    w = mq_encode(x, params, rng)
+    w = mq_encode_with(x, params, rng.random(x.shape))
     rec = mq_decode(w, y, params)
     mse = float(((rec - x) ** 2).mean())
     return mse, log_k

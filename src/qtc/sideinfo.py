@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import TetraLadder, log_star
-from .core import Kernel, Quantizer, check_vector, kernel_quantizer
+from .core import Kernel, Quantizer, _l2_norm, check_vector, kernel_quantizer
 from .rotation import next_pow2, rotated_kernel
 from .scalar import ModuloParams, mq_decode, mq_encode_with
 
@@ -86,8 +86,9 @@ def _check_side(side, d: int, name: str) -> np.ndarray:
 
 
 def _check_ball(v: np.ndarray, name: str, what: str = "input") -> np.ndarray:
-    """The checked vector `v`, or ValueError unless it lies in the unit l2 ball."""
-    if math.sqrt(v.dot(v)) > _BALL_SLACK:
+    """The checked vector or rows `v`, or ValueError unless each lies in the
+    unit l2 ball."""
+    if _l2_norm(v) > _BALL_SLACK:
         raise ValueError(f"{name} {what} must lie in the unit l2 ball")
     return v
 

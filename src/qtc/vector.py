@@ -33,8 +33,7 @@ from .core import (
     Kernel,
     MalformedStreamError,
     Quantizer,
-    _chunks,
-    check_finite,
+    _l2_norm,
     check_vector,
     kernel_quantizer,
 )
@@ -185,12 +184,6 @@ def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarr
     return j[None], read_cuq_symbols(reader, width, cfg)[None]
 
 
-def _check_norm(norm: float, cfg: RatqConfig) -> None:
-    """ValueError if an input's l2 norm exceeds the bound B."""
-    if norm > cfg.B * _NORM_SLACK:
-        raise ValueError(f"input norm {norm:.6g} exceeds bound B={cfg.B}")
-
-
 def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
     """The RATQ kernel pair, subsampled with mu_d and, with `center`,
     centered on the side information (on 0 without).  Ranges and CUQ
@@ -203,7 +196,9 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
 
     def check_input(y):
         y = check_vector(y, cfg.d)
-        _check_norm(math.sqrt(y.dot(y)), cfg)
+        norm = _l2_norm(y)
+        if norm > cfg.B * _NORM_SLACK:
+            raise ValueError(f"input norm {norm:.6g} exceeds bound B={cfg.B}")
         return y
 
     def check_side(side):
@@ -224,29 +219,23 @@ def ratq_quantizer(cfg: RatqConfig) -> Quantizer:
     return kernel_quantizer(_ratq_kernel(cfg), cfg.bit_budget, f"ratq(d={cfg.d},B={cfg.B:g})")
 
 
-def _check_rows(ys, cfg: RatqConfig) -> np.ndarray:
-    """`ys` as finite rows of length cfg.d, (n, d); raises ValueError otherwise."""
-    ys = check_finite(np.atleast_2d(ys))
-    if ys.shape[1] != cfg.d:
-        raise ValueError(f"input rows have length {ys.shape[1]}, expected {cfg.d}")
-    return ys
-
-
 def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
     """Quantize each row of (n, d) once with independent randomness: (n, d).
     ValueError, as the codec's, if a row lies outside the l2 ball of radius B."""
-    ys = _check_rows(ys, cfg)
-    _check_norm(np.linalg.norm(ys, axis=1).max(initial=0.0), cfg)
-    return _ratq_kernel(cfg).sample(ys, None, ys.shape[0], rng)
+    ys = np.atleast_2d(ys)
+    return _ratq_kernel(cfg).sample(ys, None, len(ys), rng)
 
 
 def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
-    """ATUQ without the rotation step (identity transform), row by row."""
-    ys = _check_rows(ys, cfg)
-    out = np.empty_like(ys)
-    for lo, hi in _chunks(ys.shape[0], cfg.d):
-        out[lo:hi] = _atuq_levels(_atuq_fields(ys[lo:hi], rng.random(out[lo:hi].shape), cfg), cfg)
-    return out
+    """ATUQ without the rotation step (identity transform), row by row: a
+    kernel with no shared draws and no codec, whose noise is one rounding
+    uniform per coordinate."""
+    ys = np.atleast_2d(ys)
+    kernel = Kernel(cfg.d, cfg.d, lambda y: check_vector(y, cfg.d), lambda side: None,
+                    lambda rng, m: None, lambda rng, y, m: rng.random((m, cfg.d)),
+                    lambda draws: None, lambda y, shared, u: _atuq_fields(y, u, cfg),
+                    lambda fields, side, shared: _atuq_levels(fields, cfg), None, None)
+    return kernel.sample(ys, None, len(ys), rng)
 
 
 def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
@@ -389,7 +378,14 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
             sym = int(read_cuq_symbols(reader, 1, grid)[0])
         return (np.array([j]), np.array([sym])), shape.read(reader)
 
-    kernel = Kernel(cfg.d, cfg.shape.d_pad, lambda y: check_vector(y, cfg.d), lambda side: None,
+    def check_input(y):
+        y = check_vector(y, cfg.d)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(_l2_norm(y)):
+                raise ValueError("input norm overflows double precision")
+        return y
+
+    kernel = Kernel(cfg.d, cfg.shape.d_pad, check_input, lambda side: None,
                     shape.draw, noise, shape.derive, encode, decode, write, read)
     return kernel_quantizer(kernel, cfg.bit_budget, f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})")
 
@@ -414,7 +410,7 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
 
     def check_input(y):
         y = check_vector(y, d)
-        l1 = float(np.abs(y).sum())
+        l1 = np.max(np.abs(y).sum(axis=-1), initial=0.0)
         if l1 > B * _NORM_SLACK:
             raise ValueError(f"l1 norm {l1:.6g} exceeds bound B = {B:.6g}")
         return y
@@ -441,37 +437,44 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
     return kernel_quantizer(kernel, width, f"simq(d={d},B={B:g})")
 
 
-def _bar_positions(counts: np.ndarray) -> list[int]:
-    # stars-and-bars: composition of k into m parts <-> increasing bar slots
-    pos, acc = [], 0
-    for i, c in enumerate(counts[:-1]):
-        acc += int(c)
-        pos.append(acc + i)
-    return pos
-
-
 def _rank_composition(counts: np.ndarray) -> int:
-    """Combinadic rank of the stars-and-bars set; big-int safe."""
-    rank = 0
-    for j, p in enumerate(_bar_positions(counts)):
-        rank += math.comb(p, j + 1)
+    """Combinadic rank of the stars-and-bars set of `counts` (a composition
+    of k into parts <-> increasing bar slots): the sum over bars j of
+    C(p_j, j + 1), p_j the slot of bar j.  Slot by slot, c = C(p, j + 1)
+    steps from its neighbour by one multiply and one exact divide; it is 0
+    until the first star (p == j).  Big-int safe."""
+    rank, c, p = 0, 0, 0
+    for j, stars in enumerate(counts[:-1].tolist()):
+        for _ in range(stars):  # a star at slot p: C(p + 1, j + 1)
+            c = 1 if p == j else c * (p + 1) // (p - j)
+            p += 1
+        rank += c  # bar j at slot p, then C(p + 1, j + 2)
+        c = c * (p + 1) // (j + 2)
+        p += 1
     return rank
 
 
 def _unrank_composition(rank: int, k: int, parts: int) -> np.ndarray:
+    """The counts of combinadic `rank`; MalformedStreamError unless it is
+    below C(k + parts - 1, parts - 1).  Bar by bar from the last, the slot
+    p moves down to the largest with C(p, j + 1) <= rank, c = C(p, j + 1)
+    stepping from its neighbour by one multiply and one exact divide."""
     n_slots = k + parts - 1
     n_bars = parts - 1
-    if rank >= math.comb(n_slots, n_bars):
+    top = math.comb(n_slots, n_bars)
+    if rank >= top:
         raise MalformedStreamError(f"malformed stream: type rank {rank} out of range")
     pos = [0] * n_bars
-    p = n_slots
+    p, c = n_slots - 1, top * k // n_slots  # the last bar's first slot, C(p, n_bars)
     for j in range(n_bars - 1, -1, -1):
-        # largest p with comb(p, j+1) <= rank; it lies below the bar above
-        p -= 1
-        while math.comb(p, j + 1) > rank:
+        while c > rank:  # C(p - 1, j + 1)
+            c = c * (p - j - 1) // p
             p -= 1
         pos[j] = p
-        rank -= math.comb(p, j + 1)
+        rank -= c
+        if j:  # bar j - 1 lies below: C(p - 1, j)
+            c = c * (j + 1) // p
+            p -= 1
     counts = np.empty(parts, dtype=np.int64)
     prev = -1
     for j in range(n_bars):
@@ -527,7 +530,7 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
 
     def check_input(y):
         y = check_vector(y, cfg.d)
-        l1 = float(np.abs(y).sum())
+        l1 = np.max(np.abs(y).sum(axis=-1), initial=0.0)
         if l1 > cfg.scale * _NORM_SLACK:
             raise ValueError(
                 f"l1 norm {l1:.6g} exceeds bound B d^(1/p) = {cfg.scale:.6g} (B = {cfg.B:.6g})")
@@ -641,11 +644,12 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
 
     def check_input(y):
         y = check_vector(y, cfg.d)
-        q = cfg.q
-        norm = np.max(np.abs(y)) if q == math.inf else np.sum(np.abs(y) ** q) ** (1 / q)
+        a, q = np.abs(y), cfg.q
+        norm = np.max(a.max(axis=-1) if q == math.inf else (a**q).sum(axis=-1) ** (1 / q),
+                      initial=0.0)
         if norm > cfg.B * _NORM_SLACK:
             raise ValueError(f"lq norm {norm:.6g} exceeds bound B={cfg.B}")
-        if np.count_nonzero(np.abs(y) > grid.M) > ratq_cfg.d:
+        if np.max(np.count_nonzero(a > grid.M, axis=-1), initial=0) > ratq_cfg.d:
             raise ValueError(f"more than {ratq_cfg.d} coordinates above the threshold {grid.M:.6g}")
         return y
 

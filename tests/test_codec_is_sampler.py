@@ -261,6 +261,38 @@ def test_rows_of_one_input_sample_as_that_input(name):
     assert np.array_equal(rows, k.sample(x, side, n, path.stream()))
 
 
+# The cases whose codec takes every finite input of a finite norm: RMQ and
+# A-RATQ bound no norm.
+UNBOUNDED = {n for n in CASES if n.startswith(("rmq", "wz-known", "aratq"))}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_rejects_a_bad_row_before_any_draw(name):
+    """`Kernel.run` checks every row before any draw: n rows of one input,
+    n past one draw chunk, with one row in the middle that the codec
+    rejects (non-finite, or ten times the input, outside every bounded
+    domain) raise ValueError and leave the stream where it was, as do
+    n - 1 good rows for n repetitions."""
+    q, _, d, norm, delta = CASES[name]()
+    rng = SeedPath(96).child(name).stream()
+    x = norm(rng, d) if callable(norm) else _vec(rng, d, norm)
+    side = None if delta is None else x + _vec(rng, d, delta)
+    n = next(_chunks(1 << 30, q.kernel.row_elems))[1] + 3
+    rows = np.tile(x, (n, 1))
+    cases = [rows[:-1]]
+    for bad in [np.full(d, np.nan)] + ([] if name in UNBOUNDED else [10 * x]):
+        with pytest.raises(ValueError):
+            q.encode(bad, side, SeedPath(0).stream())
+        cases.append(rows.copy())
+        cases[-1][n // 2] = bad
+    for case in cases:
+        stream = SeedPath(97).child(name).stream()
+        state = stream.bit_generator.state
+        with pytest.raises(ValueError):
+            q.kernel.sample(case, side, n, stream)
+        assert stream.bit_generator.state == state
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_round_trip_equals_separate_encode_and_decode(name):
     """`roundtrip` seeds one stream and rewinds it for the decoder; the result

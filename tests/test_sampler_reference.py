@@ -23,7 +23,7 @@ from qtc.rotation import (
     sample_subset_masks,
     unrotate_batch,
 )
-from qtc.scalar import cuq_levels, cuq_round, mq_decode, mq_encode
+from qtc.scalar import cuq_levels, cuq_round_with, mq_decode, mq_encode_with
 from qtc.sideinfo import (
     RdaqConfig,
     RmqConfig,
@@ -39,17 +39,6 @@ def _argpartition_masks(rng, n, d, mu_d):
     picks = np.argpartition(rng.random((n, d)), mu_d - 1, axis=1)[:, :mu_d]
     np.put_along_axis(keep, picks, True, axis=1)
     return keep
-
-
-class _Spread:
-    """Stands in for the Generator of a full-width draw: hands out `full`."""
-
-    def __init__(self, full):
-        self.full = full
-
-    def random(self, shape):
-        assert shape == self.full.shape
-        return self.full
 
 
 def _spread(u, keep, fill=0.5):
@@ -70,8 +59,8 @@ def _wz_known_reference(x, y, cfg, mu_d, n, rng):
         signs = sample_signs_batch(rng, m, cfg.d_pad)
         xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
         keep = _argpartition_masks(rng, m, cfg.d_pad, mu_d)
-        dither = _Spread(_spread(rng.random((m, mu_d)), keep))
-        vals = mq_decode(mq_encode(xr, params, dither), yr, params)
+        dither = _spread(rng.random((m, mu_d)), keep)
+        vals = mq_decode(mq_encode_with(xr, params, dither), yr, params)
         vals = yr + np.where(keep, (vals - yr) / (mu_d / cfg.d_pad), 0.0)
         out[lo:hi] = unrotate_batch(vals, signs)[:, : cfg.d]
     return out
@@ -87,8 +76,8 @@ def _rcs_reference(y, cfg, mu_d, n, rng):
         yr = rotate_batch(padded[None, :], signs)
         keep = _argpartition_masks(rng, hi - lo, cfg.d_pad, mu_d)
         m_coord = ranges[pick_range(np.abs(yr), ranges)]  # s = 1
-        u = _Spread(_spread(rng.random((hi - lo, mu_d)), keep))
-        levels = cuq_levels(cuq_round(yr, m_coord, cfg.k, u), m_coord, cfg.k)
+        u = _spread(rng.random((hi - lo, mu_d)), keep)
+        levels = cuq_levels(cuq_round_with(yr, m_coord, cfg.k, u), m_coord, cfg.k)
         rec = np.where(keep, levels / mu, 0.0)
         out[lo:hi] = unrotate_batch(rec, signs)[:, : cfg.d]
     return out

@@ -8,10 +8,9 @@ from qtc.scalar import (
     UniformGrid,
     cuq_conditional_mse,
     cuq_expected_decode,
-    cuq_round,
+    cuq_round_with,
     mq_decode,
-    mq_encode,
-    mq_quantize,
+    mq_encode_with,
     read_cuq_symbols,
     write_cuq_symbols,
 )
@@ -48,24 +47,24 @@ def test_cuq_exact_unbiasedness(M, k):
 def test_cuq_sampling_law():
     grid = UniformGrid(1.0, 2)
     rng = SeedPath(0).stream()
-    sym = cuq_round(np.full(200_000, 0.5), grid.M, grid.k, rng)
+    sym = cuq_round_with(np.full(200_000, 0.5), grid.M, grid.k, rng.random(200_000))
     assert abs((sym == 1).mean() - 0.75) < 0.01
 
 
 def test_cuq_endpoints_deterministic():
     grid = UniformGrid(1.0, 5)
     rng = SeedPath(1).stream()
-    assert np.all(cuq_round(np.full(100, -1.0), grid.M, grid.k, rng) == 0)
-    assert np.all(cuq_round(np.full(100, 1.0), grid.M, grid.k, rng) == 4)
+    assert np.all(cuq_round_with(np.full(100, -1.0), grid.M, grid.k, rng.random(100)) == 0)
+    assert np.all(cuq_round_with(np.full(100, 1.0), grid.M, grid.k, rng.random(100)) == 4)
     # an interior level is emitted exactly (half-open cells)
     level1 = -1.0 + grid.spacing
-    assert np.all(cuq_round(np.full(100, level1), grid.M, grid.k, rng) == 1)
+    assert np.all(cuq_round_with(np.full(100, level1), grid.M, grid.k, rng.random(100)) == 1)
 
 
 def test_cuq_overflow_symbol():
     grid = UniformGrid(1.0, 2)
     rng = SeedPath(2).stream()
-    assert np.all(cuq_round(np.array([1.5, -2.0]), grid.M, grid.k, rng) == OVERFLOW)
+    assert np.all(cuq_round_with(np.array([1.5, -2.0]), grid.M, grid.k, rng.random(2)) == OVERFLOW)
     assert grid.level(np.array([OVERFLOW]))[0] == 0.0
 
 
@@ -101,7 +100,8 @@ def test_mq_example():
     params = ModuloParams(4, 1.0, eps=1.0)
     ups = downs = 0
     for i in range(4000):
-        w, rec = mq_quantize(2.3, 2.0, params, SeedPath(i).stream())
+        w = mq_encode_with(np.array([2.3]), params, SeedPath(i).stream().random(1))
+        rec = mq_decode(w, np.array([2.0]), params)[0]
         assert rec in (2.0, 3.0)
         ups += rec == 3.0
         downs += rec == 2.0
@@ -110,13 +110,14 @@ def test_mq_example():
 
 def test_mq_lattice_point_degenerate():
     params = ModuloParams(4, 1.0, eps=1.0)
-    w, rec = mq_quantize(5.0, 4.7, params, SeedPath(0).stream())
-    assert w == 1 and rec == 5.0
+    w = mq_encode_with(np.array([5.0]), params, SeedPath(0).stream().random(1))
+    assert w[0] == 1 and mq_decode(w, np.array([4.7]), params)[0] == 5.0
 
 
 def test_mq_zero():
-    w, rec = mq_quantize(0.0, 0.0, ModuloParams(4, 1.0), SeedPath(1).stream())
-    assert w == 0 and rec == 0.0
+    params = ModuloParams(4, 1.0)
+    w = mq_encode_with(np.array([0.0]), params, SeedPath(1).stream().random(1))
+    assert w[0] == 0 and mq_decode(w, np.array([0.0]), params)[0] == 0.0
 
 
 def test_mq_default_eps_rule():
@@ -149,7 +150,7 @@ def test_mq_boundedness_under_violation():
     rng = SeedPath(3).stream()
     xs = rng.uniform(-10, 10, size=500)
     ys = xs + rng.uniform(-5, 5, size=500)
-    w = mq_encode(xs, params, rng)
+    w = mq_encode_with(xs, params, rng.random(500))
     rec = mq_decode(w, ys, params)
     assert np.all(np.abs(rec - ys) <= params.k * params.eps + 1e-9)
 

@@ -15,8 +15,10 @@ from qtc.sideinfo import (
     wz_unknown_quantizer,
 )
 from qtc.vector import (
+    AratqConfig,
     RatqConfig,
     SimqPlusConfig,
+    aratq_quantizer,
     atuq_vector_apply,
     ratq_apply,
     ratq_quantizer,
@@ -265,6 +267,8 @@ _DAQ = lambda: daq_quantizer(_D)  # noqa: E731
 _RDAQ = lambda: rdaq_quantizer(RdaqConfig(_D, N=2))  # noqa: E731
 _WZ_UNKNOWN = lambda: wz_unknown_quantizer(RdaqConfig(_D), 8)  # noqa: E731
 _SIMQ_PLUS = lambda: simq_plus_quantizer(SimqPlusConfig(1.0, _D, 2.0))  # noqa: E731
+_ARATQ = lambda: aratq_quantizer(AratqConfig.default(1.0, _D, T=1024))  # noqa: E731
+_X_HUGE = np.full(_D, 1e160)  # every entry finite, its squared norm not
 
 # case -> (a call the codec rejects, or None for a sampler without a codec;
 #          the sampler's call on the same input, given a stream)
@@ -315,6 +319,9 @@ _REJECTED = {
                     lambda g: boosted_rdaq_sample(_X, _X_OUT, RdaqConfig(_D, N=2), 4, g)),
     "wz-unknown-ball-x": (_encode(_WZ_UNKNOWN(), _X_OUT), _sample(_WZ_UNKNOWN, _X_OUT, _X)),
     "wz-unknown-ball-y": (_decode(_WZ_UNKNOWN(), _X, _X_OUT), _sample(_WZ_UNKNOWN, _X, _X_OUT)),
+    # A-RATQ takes any norm but an infinite one; the sampler gets rows
+    "aratq-norm-overflow": (_encode(_ARATQ(), _X_HUGE),
+                            lambda g: _ARATQ().kernel.sample(np.stack([_X, _X_HUGE]), None, 2, g)),
     # l1 norm 16 above the scale B d^(1/p) = 4
     "simq-plus-l1": (_encode(simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0)), np.ones(16)),
                      _sample(lambda: simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0)), np.ones(16))),

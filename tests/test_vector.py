@@ -230,6 +230,13 @@ def test_simq_rejects_and_budget():
     assert np.linalg.norm(rec, ord=2) <= 1.0 + 1e-12
 
 
+def _comb_rank(counts):
+    """The combinadic rank by its definition: C(p_j, j + 1) summed over the
+    slots p_j of the bars."""
+    bars = np.cumsum(counts[:-1]) + np.arange(len(counts) - 1)
+    return sum(math.comb(int(p), j + 1) for j, p in enumerate(bars))
+
+
 def test_composition_ranking_roundtrip():
     rng = np.random.default_rng(0)
     for _ in range(200):
@@ -237,6 +244,7 @@ def test_composition_ranking_roundtrip():
         k = int(rng.integers(1, 12))
         counts = rng.multinomial(k, np.ones(parts) / parts)
         rank = _rank_composition(counts)
+        assert rank == _comb_rank(counts)
         assert np.array_equal(_unrank_composition(rank, k, parts), counts)
     # SimQ+ types at d = k = 256: k draws over d + 1 cells, including the
     # types with every draw in the first or in the last cell
@@ -245,6 +253,7 @@ def test_composition_ranking_roundtrip():
     types += [np.eye(parts, dtype=np.int64)[i] * k for i in (0, parts - 1)]
     for counts in types:
         rank = _rank_composition(counts)
+        assert rank == _comb_rank(counts)
         assert rank < math.comb(k + parts - 1, parts - 1)
         assert np.array_equal(_unrank_composition(rank, k, parts), counts)
 

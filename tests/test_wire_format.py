@@ -237,8 +237,9 @@ def test_wrong_shape_input_rejected_before_any_draw(name):
     factory, x, side = CASES[name]
     rng = SeedPath(10).stream()
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="shape"):
-        factory().encode(x[:-1], side, rng)
+    for bad in (x[:-1], np.stack([x, x])):  # the codec takes one vector
+        with pytest.raises(ValueError, match="shape"):
+            factory().encode(bad, side, rng)
     assert rng.bit_generator.state == state
 
 
