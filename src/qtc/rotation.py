@@ -14,7 +14,14 @@ and work through it in smaller blocks of rows.  A sign draw carries 32
 signs: the top 32 of the 53 bits of one uniform, so a sign diagonal of d
 entries costs ceil(d / 32) 64-bit outputs of the stream.  A subset of each
 row costs one uniform key per coordinate, cut on the keys' top 32 bits.
-The H_a, H_b pair of each dimension is built once.
+The H_a, H_b pair of each dimension is built once, and so is the scaled
+pair the rotation applies: it carries 2^-floor(p/2) of 1/sqrt(d), d = 2^p,
+so the rotation scales by multiplying inside its two matmuls instead of
+dividing the whole result (and for odd p divides once by sqrt(2)).  That
+gives the bits of fwht(x) / sqrt(d) whenever no intermediate is subnormal:
+a power-of-two scale is exact and commutes with every rounding of the
+matmuls, and fl(sqrt(2^p)) = 2^floor(p/2) * fl(sqrt(2)).  Subnormal
+intermediates may round differently.
 `rotated_kernel` is the one home of the rotate, subsample and correct steps
 of the rotated codes (RATQ, RMQ and the RDAQ family): each of them gives it
 only its rule on the sent rotated coordinates.
@@ -78,7 +85,7 @@ def _signs_of(words: np.ndarray, d: int) -> np.ndarray:
     bytes are little-endian on every host, so the bit order does not
     depend on the machine; each byte looks up its eight signs."""
     octets = (words * 2.0**32).astype("<u4").view(np.uint8)
-    return _BYTE_SIGNS.take(octets, axis=0).reshape(len(words), -1)[:, :d]
+    return _BYTE_SIGNS.take(octets, axis=0).reshape(len(words), 8 * octets.shape[1])[:, :d]
 
 
 def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -119,9 +126,19 @@ def _subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
     return keep
 
 
+def _check_mu_d(mu_d, d: int) -> None:
+    """ValueError unless the sample count mu_d is an integer in 1..d."""
+    if not isinstance(mu_d, (int, np.integer)):
+        raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
+    if not 1 <= mu_d <= d:
+        raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d}")
+
+
 def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
     """(n, d) boolean mask; row i marks an independent uniform mu_d-subset:
-    the `_subset_masks` of one uniform key per entry, rng.random((n, d))."""
+    the `_subset_masks` of one uniform key per entry, rng.random((n, d)).
+    ValueError, before any draw, unless mu_d is an integer in 1..d."""
+    _check_mu_d(mu_d, d)
     return _subset_masks(rng.random((n, d)), mu_d)
 
 
@@ -145,6 +162,26 @@ def _kron_factors(d: int) -> tuple[np.ndarray, np.ndarray]:
     return _hadamard(1 << (p // 2)), _hadamard(1 << (p - p // 2))
 
 
+@functools.lru_cache(maxsize=None)
+def _scaled_factors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `_kron_factors(d)` that carry 2^-(p // 2) between them, d =
+    2^p: H_a times 2^-(k // 2) and H_b times 2^-(k - k // 2), k = p // 2."""
+    h_a, h_b = _kron_factors(d)
+    k = (d.bit_length() - 1) // 2
+    scaled = h_a * 2.0 ** -(k // 2), h_b * 2.0 ** -(k - k // 2)
+    for h in scaled:
+        h.flags.writeable = False
+    return scaled
+
+
+def _kron_apply(x: np.ndarray, h_a: np.ndarray, h_b: np.ndarray) -> np.ndarray:
+    """(H_a kron H_b) x over the last axis of x, as two matmuls: each
+    length-d vector reshaped to an (a, b) matrix X maps to H_a X H_b."""
+    a, b = len(h_a), len(h_b)
+    y = x.reshape(-1, b) @ h_b
+    return (h_a @ y.reshape(-1, a, b)).reshape(x.shape)
+
+
 def fwht(x: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform H x (unnormalized) over the last axis.
 
@@ -154,25 +191,37 @@ def fwht(x: np.ndarray) -> np.ndarray:
     returns a new float array.
     """
     x = np.asarray(x, dtype=float)
-    h_a, h_b = _kron_factors(x.shape[-1])
-    a, b = len(h_a), len(h_b)
-    y = x.reshape(-1, b) @ h_b
-    return (h_a @ y.reshape(-1, a, b)).reshape(x.shape)
+    return _kron_apply(x, *_kron_factors(x.shape[-1]))
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _normalized_wht(x: np.ndarray) -> np.ndarray:
+    """H x / sqrt(d) over the last axis: the `_scaled_factors` transform,
+    then for odd p one division by sqrt(2).  The bits of fwht(x) /
+    math.sqrt(d) unless an intermediate is subnormal (module docstring)."""
+    d = x.shape[-1]
+    out = _kron_apply(x, *_scaled_factors(d))
+    if d.bit_length() % 2 == 0:  # odd p
+        out /= _SQRT2
+    return out
 
 
 def rotate_batch(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """(1/sqrt(d)) H (signs * y) for each row, with per-row sign diagonals
-    (shapes broadcast on rows)."""
-    out = fwht(y * signs)
-    out /= math.sqrt(signs.shape[-1])
-    return out
+    (shapes broadcast on rows).  The 1/sqrt(d) is applied inside the
+    transform's matmuls (`_normalized_wht`), with the bits of
+    fwht(signs * y) / sqrt(d) wherever no intermediate is subnormal."""
+    return _normalized_wht(y * signs)
 
 
 def unrotate_batch(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Exact inverse of rotate_batch: signs * H z / sqrt(d).  The product
-    is taken in place when z already has the shape of the result."""
-    out = fwht(z)
-    out /= math.sqrt(signs.shape[-1])
+    """Exact inverse of rotate_batch: signs * (H z / sqrt(d)), scaled inside
+    the transform as in rotate_batch, with the bits of signs * (fwht(z) /
+    sqrt(d)) wherever no intermediate is subnormal.  The product is taken
+    in place when z already has the shape of the result."""
+    out = _normalized_wht(np.asarray(z, dtype=float))
     if out.shape != signs.shape:
         return signs * out
     out *= signs
@@ -221,10 +270,7 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
     """
     d_pad = next_pow2(d)
     if mu_d is not None:
-        if not isinstance(mu_d, (int, np.integer)):
-            raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
-        if not 1 <= mu_d <= d_pad:
-            raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d_pad}")
+        _check_mu_d(mu_d, d_pad)
     width = d_pad if mu_d is None else mu_d
 
     def draw(rng, m):

@@ -3,6 +3,8 @@ import pytest
 
 from qtc.core import SeedPath
 from qtc.rotation import (
+    _hadamard,
+    _scaled_factors,
     _subset_masks,
     fwht,
     pad_to_pow2,
@@ -53,6 +55,22 @@ def test_subset_masks_keep_exactly_mu_d():
         ref = np.zeros((n, d), dtype=bool)
         np.put_along_axis(ref, np.argsort(r, axis=1)[:, :mu_d], True, axis=1)
         assert np.array_equal(keep, ref)
+
+
+@pytest.mark.parametrize("mu_d", [-1, 0, 65, 2.5])
+def test_subset_masks_reject_a_bad_count_before_any_draw(mu_d):
+    rng, ref = SeedPath(24).stream(), SeedPath(24).stream()
+    with pytest.raises(ValueError, match="sample count mu_d"):
+        sample_subset_masks(rng, 3, 64, mu_d)
+    assert rng.random(3).tolist() == ref.random(3).tolist()
+
+
+@pytest.mark.parametrize("d", [1, 8, 64, 256])
+def test_no_rows_of_signs_or_subsets(d):
+    rng = SeedPath(25).stream()
+    for out in (sample_signs_batch(rng, 0, d), sample_subset_masks(rng, 0, d, 1)):
+        assert out.shape == (0, d)
+    assert sample_signs_batch(rng, 0, d).dtype == np.float64
 
 
 def test_subset_masks_exact_count_under_tied_draws():
@@ -164,18 +182,24 @@ def test_signs_are_float64():
         assert np.all(np.abs(signs) == 1.0)
 
 
-@pytest.mark.parametrize("m", [1, 64])
+@pytest.mark.parametrize("m", [1, 3, 64])
 def test_rotation_is_the_unscaled_transform_bit_for_bit(m):
-    """`rotate_batch` and `unrotate_batch`, which scale in place, give the
-    bits of fwht(y * s) / sqrt(d) and s * (fwht(z) / sqrt(d)), for per-row
-    and shared inputs alike."""
+    """`rotate_batch` and `unrotate_batch`, which scale inside the transform,
+    give the bits of fwht(y * s) / sqrt(d) and s * (fwht(z) / sqrt(d)), for
+    per-row and shared inputs alike, odd and even p, and inputs far from 1
+    whose intermediates stay normal.  The scaled factors they apply are
+    cached read-only, as the Hadamard matrices are."""
     rng = SeedPath(15).child("m", m).stream()
-    for p in range(13):
+    for p in range(14):
         d = 1 << p
         s = sample_signs_batch(rng, m, d)
-        for y in (rng.normal(size=(m, d)), rng.normal(size=d)):
-            assert np.array_equal(rotate_batch(y, s), fwht(y * s) / np.sqrt(d)), (d, y.shape)
-            assert np.array_equal(unrotate_batch(y, s), s * (fwht(y) / np.sqrt(d))), (d, y.shape)
+        for scale in (1.0, 1e-150, 1e150):
+            for y in (rng.normal(size=(m, d)) * scale, rng.normal(size=d) * scale):
+                key = (d, scale, y.shape)
+                assert np.array_equal(rotate_batch(y, s), fwht(y * s) / np.sqrt(d)), key
+                assert np.array_equal(unrotate_batch(y, s), s * (fwht(y) / np.sqrt(d))), key
+        for h in (*_scaled_factors(d), _hadamard(d)):
+            assert not h.flags.writeable, d
 
 
 def test_sign_mean():
