@@ -11,7 +11,7 @@ Conventions used by every encoder/decoder pair in this package:
 * Encoder and decoder are driven by streams derived from the same SeedPath.
   A path's 64-bit key is derived once, when the path is made (a child's from
   its parent's key), so seeding a stream costs the same at any depth.
-  Shared randomness (rotation signs, sampled subsets, dither uniforms that the
+  Shared randomness (rotation signs, sampled windows, dither uniforms that the
   decoder must regenerate) is always drawn *first* and in the same order on
   both sides; encoder-private randomness (randomized rounding) is drawn after
   all shared values, so the decoder never needs it.  A kernel draws only
@@ -23,11 +23,11 @@ code enforces that order: the codec that `kernel_quantizer` builds and the
 sampler `Kernel.run` both check their input before any draw, then make the
 kernel's shared draws and its private ones (`draw`, then `noise`), and only
 then run its arithmetic (`derive`, `encode`, `decode`), which makes no
-draw.  So a codec round trip under a SeedPath is the first row the sampler
-draws from that path's stream.  The sampler draws in large chunks and does
-the arithmetic in blocks of at most `_BLOCK_ELEMS // d_pad` rows, which join
-the chunks of several clients or cut one chunk into several; every row
-comes out the same bits either way.
+draw.  So a codec round trip under a SeedPath is the one row the sampler
+draws for n = 1 from that path's stream.  The sampler draws in large chunks
+and does the arithmetic in blocks of at most `_BLOCK_ELEMS // d_pad` rows,
+which join the chunks of several clients or cut one chunk into several;
+every row comes out the same bits either way.
 """
 
 from __future__ import annotations
@@ -93,11 +93,13 @@ def check_vector(x, d: int, what: str = "input") -> np.ndarray:
 
 def _l2_norm(x: np.ndarray) -> float:
     """The l2 norm of one vector, or the largest of (m, d) rows (0 for no
-    rows).  A vector takes one `dot`: a codec checks one vector a message,
-    and a row reduction costs it three times as much."""
-    if x.ndim == 1:
-        return math.sqrt(x.dot(x))
-    return math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
+    rows); inf, without a warning, where the sum of squares overflows.  A
+    vector takes one `dot`: a codec checks one vector a message, and a row
+    reduction costs it three times as much."""
+    with np.errstate(over="ignore"):
+        if x.ndim == 1:
+            return math.sqrt(x.dot(x))
+        return math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
 
 
 class BitString:
@@ -510,8 +512,10 @@ class Quantizer:
     ) -> np.ndarray:
         """n independent reconstructions of x, (n, d): the codec's checks,
         draws and kernel without the packing, as `Kernel.run` on one client.
-        Drawn from ``path.stream()``, row 0 is the round trip's
-        reconstruction under ``path``.  TypeError without a kernel."""
+        With n = 1, drawn from ``path.stream()``, the one row is the round
+        trip's reconstruction under ``path``.  With n > 1 it is not in
+        general: each draw of m rows is one (m, ...) array, so row 0's later
+        draws sit further down the stream.  TypeError without a kernel."""
         if self.kernel is None:
             raise TypeError(f"{self.name} has no batched kernel to sample")
         return self.kernel.sample(x, side, n, rng)

@@ -5,15 +5,14 @@ Walsh-Hadamard transform, computed through a Kronecker factorization
 H_d = H_a kron H_b as two matrix products; the inverse undoes both.  Rotation
 preserves the l2 norm exactly (up to float roundoff), which is what every
 bound built on top of it relies on.  Every function works on batches: row i
-of an (n, d) array is repetition i, and a codec is the case n = 1.  The other
-shared draws of the rotated quantizers, sampled coordinate subsets, live here
-too.  Each shared draw is split into its Generator calls (`sign_words`, one
-uniform key per coordinate for a subset) and the arithmetic on the drawn
-values (`_signs_of`, `_subset_masks`), so a sampler can draw a large chunk
+of an (n, d) array is repetition i, and a codec is the case n = 1.  Each
+shared draw of the rotated quantizers is split into its Generator calls
+(`sign_words`; one uniform a row for the window of kept coordinates of a
+subsampled code) and the arithmetic on the drawn values (`_signs_of`; the
+window's indices in `rotated_kernel`), so a sampler can draw a large chunk
 and work through it in smaller blocks of rows.  A sign draw carries 32
 signs: the top 32 of the 53 bits of one uniform, so a sign diagonal of d
-entries costs ceil(d / 32) 64-bit outputs of the stream.  A subset of each
-row costs one uniform key per coordinate, cut on the keys' top 32 bits.
+entries costs ceil(d / 32) 64-bit outputs of the stream.
 The H_a, H_b pair of each dimension is built once, and so is the scaled
 pair the rotation applies: it carries 2^-floor(p/2) of 1/sqrt(d), d = 2^p,
 so the rotation scales by multiplying inside its two matmuls instead of
@@ -41,7 +40,6 @@ __all__ = [
     "next_pow2",
     "sign_words",
     "sample_signs_batch",
-    "sample_subset_masks",
     "rotate_batch",
     "unrotate_batch",
     "pad_to_pow2",
@@ -91,55 +89,6 @@ def _signs_of(words: np.ndarray, d: int) -> np.ndarray:
 def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """(n, d) array of iid signs; row i is the sign diagonal of repetition i."""
     return _signs_of(sign_words(rng, n, d), d)
-
-
-def _float_subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
-    """`_subset_masks` on the float64 keys themselves: the entries at or
-    below the row's mu_d-th smallest key, and for a row tied at that cut,
-    the mu_d that argpartition picks."""
-    keep = r <= np.partition(r, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
-    if np.count_nonzero(keep) != keep.shape[0] * mu_d:  # every row keeps >= mu_d
-        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) != mu_d)
-        picks = np.argpartition(r[tied], mu_d - 1, axis=1)[:, :mu_d]
-        keep[tied] = False
-        keep[tied[:, None], picks] = True
-    return keep
-
-
-def _subset_masks(r: np.ndarray, mu_d: int) -> np.ndarray:
-    """Boolean mask of the shape of the (n, d) uniform keys `r`; row i marks
-    the entries of its mu_d smallest keys, exactly mu_d of them.
-
-    The cut is made on the keys' top 32 bits, hi = floor(r * 2^32), whose
-    partition is cheaper than a float64 one: the entries with hi at or
-    below the row's mu_d-th smallest hi are kept.  hi is monotone in r, so
-    a row that keeps exactly mu_d keeps its mu_d smallest keys.  A row tied
-    on hi at the cut goes through `_float_subset_masks`, the same rule on
-    the full keys, so the mask is that rule's for every input.  Each row's
-    mask depends on that row alone.
-    """
-    hi = (r * 2.0**32).astype(np.uint32)
-    keep = hi <= np.partition(hi, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
-    if np.count_nonzero(keep) != keep.shape[0] * mu_d:  # every row keeps >= mu_d
-        tied = np.flatnonzero(np.count_nonzero(keep, axis=1) != mu_d)
-        keep[tied] = _float_subset_masks(r[tied], mu_d)
-    return keep
-
-
-def _check_mu_d(mu_d, d: int) -> None:
-    """ValueError unless the sample count mu_d is an integer in 1..d."""
-    if not isinstance(mu_d, (int, np.integer)):
-        raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
-    if not 1 <= mu_d <= d:
-        raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d}")
-
-
-def sample_subset_masks(rng: np.random.Generator, n: int, d: int, mu_d: int) -> np.ndarray:
-    """(n, d) boolean mask; row i marks an independent uniform mu_d-subset:
-    the `_subset_masks` of one uniform key per entry, rng.random((n, d)).
-    ValueError, before any draw, unless mu_d is an integer in 1..d."""
-    _check_mu_d(mu_d, d)
-    return _subset_masks(rng.random((n, d)), mu_d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,7 +195,7 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
                    shared: Optional[Callable] = None, noise: Optional[Callable] = None) -> Kernel:
     """The `core.Kernel` of a rotated code of dimension d: rotate by the
     shared signs, send the kept coordinates (all d_pad of them when mu_d is
-    None, a shared mu_d-subset otherwise) and move the rotated side
+    None, a shared window of mu_d otherwise) and move the rotated side
     information by a correction on the sent ones.  The code gives only its
     rule on the rotated coordinates:
 
@@ -260,29 +209,50 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
     moved by 1/mu = d_pad / mu_d times its correction, unrotated and cut to
     d.  The draws of m repetitions, in the one order that codecs and
     samplers use: the (m, ceil(d_pad / 32)) `sign_words`, with mu_d one
-    uniform subset key per entry, (m, d_pad), then ``v = shared(rng, (m,
-    width))`` (None without `shared`), then the encoder's private ``u =
-    noise(rng, (m, width))`` (None without `noise`); width is d_pad or mu_d.
-    The sent coordinates of each row are gathered in coordinate order.
+    window uniform per row, (m, 1), then ``v = shared(rng, (m, width))``
+    (None without `shared`), then the encoder's private ``u = noise(rng,
+    (m, width))`` (None without `noise`); width is d_pad or mu_d.
     ``check_input``, ``check_side``, ``write``, ``read`` and ``row_elems``
     are the kernel's own.  ValueError unless mu_d is None or an integer in
     1..d_pad.
+
+    A row with window uniform u keeps the cyclic window b, b + 1, ..., b +
+    mu_d - 1 (mod d_pad), b = floor(u d_pad) (exact: d_pad is a power of
+    two), and sends it in that order.  The thesis keeps a uniform
+    mu_d-subset instead; the window has the same guarantees.  Every
+    subsampled code here works out each sent coordinate's fields and
+    correction from that coordinate alone and its own uniforms (RATQ with
+    s = 1, `RatqConfig.for_subsampling`; RMQ and RDAQ per coordinate), and
+    those uniforms, like the signs, are iid and drawn independently of the
+    window.  So the squared error of the rotated estimate is a sum of
+    per-coordinate terms, each of which depends on the window only through
+    P(j kept) = mu_d / d_pad, the same for the window as for a uniform
+    subset: each client's unbiasedness and expected MSE are exactly the
+    subset's, and clients, drawing from their own streams, stay
+    independent.
     """
     d_pad = next_pow2(d)
     if mu_d is not None:
-        _check_mu_d(mu_d, d_pad)
+        if not isinstance(mu_d, (int, np.integer)):
+            raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
+        if not 1 <= mu_d <= d_pad:
+            raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d_pad}")
     width = d_pad if mu_d is None else mu_d
 
     def draw(rng, m):
-        return (sign_words(rng, m, d_pad), None if mu_d is None else rng.random((m, d_pad)),
+        return (sign_words(rng, m, d_pad), None if mu_d is None else rng.random((m, 1)),
                 None if shared is None else shared(rng, (m, width)))
 
     def derive(draws):
-        words, r, v = draws
-        return _signs_of(words, d_pad), None if r is None else np.flatnonzero(_subset_masks(r, mu_d)), v
+        words, u, v = draws
+        kept = None
+        if u is not None:  # flat indices of each row's window, in window order
+            b = (u * d_pad).astype(np.intp)
+            kept = ((b + np.arange(mu_d)) % d_pad + d_pad * np.arange(len(u))[:, None]).ravel()
+        return _signs_of(words, d_pad), kept, v
 
     def sent(a, kept):
-        return a if kept is None else a.reshape(-1)[kept].reshape(len(a), -1)
+        return a if kept is None else a.reshape(-1)[kept].reshape(len(a), width)
 
     def encode_rows(rows, drawn, u):
         signs, kept, v = drawn

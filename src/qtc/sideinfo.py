@@ -96,13 +96,14 @@ def _check_ball(v: np.ndarray, name: str, what: str = "input") -> np.ndarray:
 def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
     """Rotated modulo quantizer: rotate x and y with the same shared signs and
     MQ each rotated coordinate.  mu_d = None is plain RMQ; otherwise
-    (subsampled RMQ) coset symbols go out for a shared random subset only,
-    and unsampled coordinates fall back to the rotated side information.
-    Each sent coordinate is MQ encoded with its own dither uniform, and its
-    correction is its MQ decode against the rotated side information minus
-    that side information (`rotation.rotated_kernel`).  A message takes
-    ceil(d_pad / 32) 64-bit outputs of the stream for the signs, d_pad for
-    the subset keys (subsampled only) and width for the dither."""
+    (subsampled RMQ) coset symbols go out for a shared random window of
+    mu_d rotated coordinates only, and unsampled coordinates fall back to
+    the rotated side information.  Each sent coordinate is MQ encoded with
+    its own dither uniform, and its correction is its MQ decode against the
+    rotated side information minus that side information
+    (`rotation.rotated_kernel`).  A message takes
+    ceil(d_pad / 32) 64-bit outputs of the stream for the signs, one for
+    the window (subsampled only) and width for the dither."""
     width = cfg.d_pad if mu_d is None else mu_d
     kernel = rotated_kernel(
         cfg.d, mu_d, cfg.d_pad,
@@ -243,7 +244,7 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
     """The RDAQ kernel pair, subsampled with mu_d.  Its message is the
     scale-index block, then the counts scale by scale (plane-major).  A
     message takes ceil(d_pad / 32) 64-bit outputs of the stream for the
-    signs, d_pad for the subset keys (subsampled only) and N width for v."""
+    signs, one for the window (subsampled only) and N width for v."""
     width = cfg.d_pad if mu_d is None else mu_d
 
     def write(bits, fields):

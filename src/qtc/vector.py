@@ -5,7 +5,7 @@ fixed low precision, the gain-shape A-RATQ for mean-square-bounded inputs,
 SimQ / SimQ+ over l1-ball corner points, and the small/large-coordinate split
 quantizer for lq-bounded inputs.  RATQ and its subsampled variant state
 their ATUQ rule on the sent rotated coordinates and leave the rotation, the
-subset and the correction to `rotation.rotated_kernel`.
+window of kept coordinates and the correction to `rotation.rotated_kernel`.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
     rounding run on the sent rotated coordinates, each with its own
     rounding uniform, and each one's correction is its level minus the
     rotated side information (`rotation.rotated_kernel`).  A message takes
-    ceil(d_pad / 32) 64-bit outputs of the stream for the signs, d_pad for
-    the subset keys (subsampled only) and width for the rounding."""
+    ceil(d_pad / 32) 64-bit outputs of the stream for the signs, one for
+    the window (subsampled only) and width for the rounding."""
     width = cfg.d_pad if mu_d is None else mu_d
 
     def check_input(y):
@@ -380,9 +380,8 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
 
     def check_input(y):
         y = check_vector(y, cfg.d)
-        with np.errstate(over="ignore"):
-            if not math.isfinite(_l2_norm(y)):
-                raise ValueError("input norm overflows double precision")
+        if not math.isfinite(_l2_norm(y)):
+            raise ValueError("input norm overflows double precision")
         return y
 
     kernel = Kernel(cfg.d, cfg.shape.d_pad, check_input, lambda side: None,
@@ -645,8 +644,9 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     def check_input(y):
         y = check_vector(y, cfg.d)
         a, q = np.abs(y), cfg.q
-        norm = np.max(a.max(axis=-1) if q == math.inf else (a**q).sum(axis=-1) ** (1 / q),
-                      initial=0.0)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+            norm = np.max(a.max(axis=-1) if q == math.inf else (a**q).sum(axis=-1) ** (1 / q),
+                          initial=0.0)
         if norm > cfg.B * _NORM_SLACK:
             raise ValueError(f"lq norm {norm:.6g} exceeds bound B={cfg.B}")
         if np.max(np.count_nonzero(a > grid.M, axis=-1), initial=0) > ratq_cfg.d:

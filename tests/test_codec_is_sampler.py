@@ -4,9 +4,10 @@ Every quantizer declared as a `core.Kernel` runs the same steps both ways: the
 codec draws for one repetition and packs the fields, `Quantizer.sample`
 draws for n and skips the packing.  The draw order is the kernel's own: for
 the rotated fixed-length codes (RATQ, RMQ and their subsampled forms) signs,
-32 to a draw, then subset keys, then one private uniform per sent
-coordinate; for the RDAQ family signs, then subset keys, then N uniforms
-per sent coordinate shared by all scales; for DAQ one uniform per
+32 to a draw, then one window uniform (subsampled only), then one private
+uniform per sent coordinate; for the RDAQ family signs, then one window
+uniform (subsampled only), then N uniforms per sent coordinate shared by
+all scales; for DAQ one uniform per
 coordinate; for SimQ+ one multinomial type; for SimQ one uniform.  A-RATQ
 draws signs, one gain uniform (none when the gain overflows), then the
 shape's RATQ uniforms; the split quantizer signs, one CUQ uniform per
@@ -222,7 +223,7 @@ def test_every_quantizer_is_built_by_kernel_quantizer():
 
 
 # The rotate and draw steps of the rotated codes.
-ROTATION_STEPS = {"rotate_batch", "unrotate_batch", "sign_words", "_signs_of", "_subset_masks"}
+ROTATION_STEPS = {"rotate_batch", "unrotate_batch", "sign_words", "_signs_of"}
 
 
 def test_only_rotation_rotates():

@@ -5,15 +5,16 @@ from qtc.core import SeedPath
 from qtc.rotation import (
     _hadamard,
     _scaled_factors,
-    _subset_masks,
     fwht,
+    next_pow2,
     pad_to_pow2,
     rotate_batch,
+    rotated_kernel,
     sample_signs_batch,
-    sample_subset_masks,
     sign_words,
     unrotate_batch,
 )
+from qtc.vector import RatqConfig, rcs_wrap
 
 
 def naive_hadamard(d):
@@ -45,68 +46,61 @@ def test_fwht_matches_sylvester_kron_reference():
             assert np.array_equal(gi, xi @ h)
 
 
-def test_subset_masks_keep_exactly_mu_d():
-    n, d = 300, 64
-    for mu_d in (1, 7, d):
-        keep = sample_subset_masks(SeedPath(mu_d).stream(), n, d, mu_d)
-        assert keep.shape == (n, d) and np.all(keep.sum(axis=1) == mu_d)
-        # the same draw through a full argsort marks the same set
-        r = SeedPath(mu_d).stream().random((n, d))
-        ref = np.zeros((n, d), dtype=bool)
-        np.put_along_axis(ref, np.argsort(r, axis=1)[:, :mu_d], True, axis=1)
-        assert np.array_equal(keep, ref)
+def _windows(d_pad, mu_d, n, rng):
+    """The kept rotated coordinates of n rows of a subsampled kernel, (n,
+    mu_d), in the order they are sent."""
+    kernel = rotated_kernel(d_pad, mu_d, d_pad, *[None] * 6)
+    kept = kernel.derive(kernel.draw(rng, n))[1]
+    return kept.reshape(n, mu_d) - d_pad * np.arange(n)[:, None]
+
+
+WINDOW_SHAPES = [(d_pad, mu_d) for d_pad in (8, 64, 256) for mu_d in (1, 7, d_pad)]
+
+
+@pytest.mark.parametrize("d_pad,mu_d", WINDOW_SHAPES)
+def test_window_keeps_mu_d_cyclically_consecutive_coordinates(d_pad, mu_d):
+    kept = _windows(d_pad, mu_d, 2000, SeedPath(26).child("d", d_pad).stream())
+    assert kept.min() >= 0 and kept.max() < d_pad
+    assert np.all((kept[:, 1:] - kept[:, :-1]) % d_pad == 1)
+    assert all(len(set(row)) == mu_d for row in kept.tolist())
+
+
+@pytest.mark.parametrize("d_pad,mu_d", WINDOW_SHAPES)
+def test_window_keeps_each_coordinate_with_chance_mu_d_over_d_pad(d_pad, mu_d):
+    n, p = 20000, mu_d / d_pad
+    kept = _windows(d_pad, mu_d, n, SeedPath(27).child("d", d_pad).stream())
+    counts = np.bincount(kept.ravel(), minlength=d_pad)
+    assert np.all(np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
+
+
+def _rejects_when_built(d_pad, mu_d):
+    """Checked when the kernel or codec is built, before it has a stream to
+    draw from; `test_sideinfo.py` checks the Wyner-Ziv codecs the same way."""
+    with pytest.raises(ValueError, match="sample count mu_d"):
+        rotated_kernel(d_pad, mu_d, d_pad, *[None] * 6)
+    with pytest.raises(ValueError, match="sample count mu_d"):
+        rcs_wrap(RatqConfig.for_subsampling(1.0, d_pad), mu_d)
 
 
 @pytest.mark.parametrize("mu_d", [-1, 0, 65, 2.5])
 def test_subset_masks_reject_a_bad_count_before_any_draw(mu_d):
-    rng, ref = SeedPath(24).stream(), SeedPath(24).stream()
-    with pytest.raises(ValueError, match="sample count mu_d"):
-        sample_subset_masks(rng, 3, 64, mu_d)
-    assert rng.random(3).tolist() == ref.random(3).tolist()
+    _rejects_when_built(64, mu_d)
+
+
+@pytest.mark.parametrize("d_pad", [8, 256])
+def test_window_rejects_a_bad_count_when_built(d_pad):
+    for mu_d in (-1, 0, d_pad + 1, 2.5):
+        _rejects_when_built(d_pad, mu_d)
 
 
 @pytest.mark.parametrize("d", [1, 8, 64, 256])
 def test_no_rows_of_signs_or_subsets(d):
     rng = SeedPath(25).stream()
-    for out in (sample_signs_batch(rng, 0, d), sample_subset_masks(rng, 0, d, 1)):
-        assert out.shape == (0, d)
-    assert sample_signs_batch(rng, 0, d).dtype == np.float64
-
-
-def test_subset_masks_exact_count_under_tied_draws():
-    class TiedDraws:
-        def random(self, shape):
-            return np.floor(SeedPath(21).stream().random(shape) * 3) / 3
-
-    for mu_d in (1, 7, 64):
-        keep = sample_subset_masks(TiedDraws(), 50, 64, mu_d)
-        assert np.all(keep.sum(axis=1) == mu_d)
-
-
-def _float_rule(r, mu_d):
-    """The float64 subset rule: keep the entries at or below the row's mu_d-th
-    smallest key; a row tied at that cut keeps the mu_d that argpartition
-    picks."""
-    keep = r <= np.partition(r, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
-    for i in np.flatnonzero(keep.sum(axis=1) != mu_d):
-        keep[i] = False
-        keep[i, np.argpartition(r[i], mu_d - 1)[:mu_d]] = True
-    return keep
-
-
-@pytest.mark.parametrize("low_values", [1 << 21, 3])
-@pytest.mark.parametrize("mu_d", [1, 7, 33, 64])
-def test_subset_cut_on_top_bits_is_the_float_rule(mu_d, low_values):
-    """Keys k / 2^53 whose top 32 bits take 3 values, so most rows are tied
-    on them at the cut; with 3 values of the low 21 bits too, many rows are
-    tied on the float64 keys themselves."""
-    rng = SeedPath(23).child("low", low_values).stream()
-    top = rng.integers(0, 3, size=(200, 64))
-    r = (top * (1 << 21) + rng.integers(0, low_values, size=top.shape)) / 2.0**53
-    assert np.array_equal((r * 2.0**32).astype(np.uint32), top)
-    keep = _subset_masks(r, mu_d)
-    assert np.all(keep.sum(axis=1) == mu_d)
-    assert np.array_equal(keep, _float_rule(r, mu_d))
+    signs = sample_signs_batch(rng, 0, d)
+    assert signs.shape == (0, d) and signs.dtype == np.float64
+    subsampled = rcs_wrap(RatqConfig.for_subsampling(1.0, d), 1)
+    assert subsampled.sample(np.zeros(d), None, 0, rng).shape == (0, d)
+    assert _windows(next_pow2(d), 1, 0, rng).shape == (0, 1)
 
 
 def test_h2_rows():

@@ -196,11 +196,11 @@ def test_mixed_quantizer_run_dme_is_client_by_client():
 # `montecarlo` shapes.
 DME_BENCH_PINS = {
     "known-delta": ("setting = known-delta\nn = 100\nd = 256\nr_list = 32\ndelta = 0.13\n", 10,
-                    "ceab81963fad82e91006a86faa7514e16216b48a6ad3cb70a71cf70dd8feedb9"),
+                    "bdd35619a5941a07a6ab25c5a52586624877cfec76129ad3fc5d31063593ab8e"),
     "no-side-info": ("setting = no-side-info\nn = 10\nd = 256\nr_list = 16 32 64\n", 40,
-                     "43a321870cb2c7e31a1f6e8dc154fd2507e46664cae9d030d75659c020ed675b"),
+                     "c64962511f27238d67ab6468d13d949154ba3cc61143fd6001c7961dbb8b15de"),
     "known-delta-default": ("setting = known-delta\n", 200,
-                            "348c4f648403b3fe6a730102592454e50a68b21649342358bc2014e8b633b412"),
+                            "35347e6db4787a0ccb11d2a1fc4ffa469f47d89671f12600e4aff73c0366e6e2"),
 }
 
 

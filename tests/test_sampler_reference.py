@@ -3,12 +3,12 @@
 
 Each reference below dithers, rounds and counts every rotated coordinate and
 masks the unkept ones away afterwards, drawing from the stream in the same
-order and shapes as the library sampler: the signs, the subset keys, then
-one private or shared uniform per kept coordinate only.  The reference
-spreads those uniforms over a full-width array whose unkept entries hold a
-value the mask discards.  Reconstructions must agree exactly: the
-kept-coordinate arithmetic is the same per element, only the discarded work
-is gone.
+order and shapes as the library sampler: the signs, one window uniform per
+row, then one private or shared uniform per kept coordinate only.  The
+reference spreads those uniforms over a full-width array whose unkept
+entries hold a value the mask discards.  Reconstructions must agree
+exactly: the kept-coordinate arithmetic is the same per element, only the
+discarded work is gone.
 """
 
 import numpy as np
@@ -20,7 +20,6 @@ from qtc.rotation import (
     pad_to_pow2,
     rotate_batch,
     sample_signs_batch,
-    sample_subset_masks,
     unrotate_batch,
 )
 from qtc.scalar import cuq_levels, cuq_round_with, mq_decode, mq_encode_with
@@ -34,20 +33,23 @@ from qtc.sideinfo import (
 from qtc.vector import RatqConfig, rcs_wrap
 
 
-def _argpartition_masks(rng, n, d, mu_d):
-    keep = np.zeros((n, d), dtype=bool)
-    picks = np.argpartition(rng.random((n, d)), mu_d - 1, axis=1)[:, :mu_d]
-    np.put_along_axis(keep, picks, True, axis=1)
-    return keep
+def _window_slots(rng, n, d, mu_d):
+    """Where each row's kept coordinates sit in its message, worked out on
+    its own: a row draws one uniform u and sends coordinate (floor(u d) + j)
+    mod d j-th, j = 0..mu_d - 1.  (n, d); -1 marks the unkept ones."""
+    slot = np.full((n, d), -1)
+    for i, u in enumerate(rng.random(n)):
+        for j in range(mu_d):
+            slot[i, (int(u * d) + j) % d] = j
+    return slot
 
 
-def _spread(u, keep, fill=0.5):
+def _spread(u, slot, fill=0.5):
     """The uniforms `u` of the kept coordinates, (m, mu_d, ...), spread over
-    the full width of the (m, d) mask `keep`, in coordinate order; unkept
-    entries hold `fill`."""
-    full = np.full(keep.shape + u.shape[2:], fill)
-    full[keep] = u.reshape(-1, *u.shape[2:])
-    return full
+    the full width of the `_window_slots` array `slot`: a kept coordinate
+    holds its row's uniform slot; unkept entries hold `fill`."""
+    keep = (slot >= 0).reshape(slot.shape + (1,) * (u.ndim - 2))
+    return np.where(keep, u[np.arange(len(slot))[:, None], slot], fill)
 
 
 def _wz_known_reference(x, y, cfg, mu_d, n, rng):
@@ -58,10 +60,10 @@ def _wz_known_reference(x, y, cfg, mu_d, n, rng):
         m = hi - lo
         signs = sample_signs_batch(rng, m, cfg.d_pad)
         xr, yr = rotate_batch(np.stack([xp, yp])[:, None, :], signs)
-        keep = _argpartition_masks(rng, m, cfg.d_pad, mu_d)
-        dither = _spread(rng.random((m, mu_d)), keep)
+        slot = _window_slots(rng, m, cfg.d_pad, mu_d)
+        dither = _spread(rng.random((m, mu_d)), slot)
         vals = mq_decode(mq_encode_with(xr, params, dither), yr, params)
-        vals = yr + np.where(keep, (vals - yr) / (mu_d / cfg.d_pad), 0.0)
+        vals = yr + np.where(slot >= 0, (vals - yr) / (mu_d / cfg.d_pad), 0.0)
         out[lo:hi] = unrotate_batch(vals, signs)[:, : cfg.d]
     return out
 
@@ -74,11 +76,11 @@ def _rcs_reference(y, cfg, mu_d, n, rng):
     for lo, hi in _chunks(n, cfg.d_pad):
         signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
         yr = rotate_batch(padded[None, :], signs)
-        keep = _argpartition_masks(rng, hi - lo, cfg.d_pad, mu_d)
+        slot = _window_slots(rng, hi - lo, cfg.d_pad, mu_d)
         m_coord = ranges[pick_range(np.abs(yr), ranges)]  # s = 1
-        u = _spread(rng.random((hi - lo, mu_d)), keep)
+        u = _spread(rng.random((hi - lo, mu_d)), slot)
         levels = cuq_levels(cuq_round_with(yr, m_coord, cfg.k, u), m_coord, cfg.k)
-        rec = np.where(keep, levels / mu, 0.0)
+        rec = np.where(slot >= 0, levels / mu, 0.0)
         out[lo:hi] = unrotate_batch(rec, signs)[:, : cfg.d]
     return out
 
@@ -99,14 +101,14 @@ def _rdaq_reference(x, y, cfg, n, rng, mu_d=None):
         if mu_d is None:
             u = rng.uniform(-1.0, 1.0, size=(m, cfg.d_pad, cfg.N))
         else:
-            keep = _argpartition_masks(rng, m, cfg.d_pad, mu_d)
-            u = _spread(rng.uniform(-1.0, 1.0, size=(m, mu_d, cfg.N)), keep, fill=0.0)
+            slot = _window_slots(rng, m, cfg.d_pad, mu_d)
+            u = _spread(rng.uniform(-1.0, 1.0, size=(m, mu_d, cfg.N)), slot, fill=0.0)
         u = u * m_sel[..., None]
         cx = (u <= xr[..., None]).sum(axis=2)
         cy = (u <= yr[..., None]).sum(axis=2)
         corr = 2.0 * m_sel * (cx - cy) / cfg.N
         if mu_d is not None:
-            corr = np.where(keep, corr / (mu_d / cfg.d_pad), 0.0)
+            corr = np.where(slot >= 0, corr / (mu_d / cfg.d_pad), 0.0)
         out[lo:hi] = unrotate_batch(yr + corr, signs)[:, : cfg.d]
     return out
 
@@ -176,26 +178,3 @@ def test_boosted_rdaq_sample_matches_full_width(N, d):
     n = _past_one_chunk(cfg.d_pad * cfg.h * N)
     _same(lambda g: boosted_rdaq_sample(x, y, cfg, n, g),
           lambda g: _rdaq_reference(x, y, cfg, n, g), 400 + N)
-
-
-@pytest.mark.parametrize("mu_d", [1, 8, 100, 256])
-def test_subset_masks_match_argpartition(mu_d):
-    keep = sample_subset_masks(SeedPath(mu_d).stream(), 500, 256, mu_d)
-    ref = _argpartition_masks(SeedPath(mu_d).stream(), 500, 256, mu_d)
-    np.testing.assert_array_equal(keep, ref)
-
-
-@pytest.mark.parametrize("mu_d", [1, 7, 33, 64])
-def test_subset_masks_keep_mu_d_on_ties_at_the_cut(mu_d):
-    class ThreeValues:
-        def random(self, shape):
-            return np.floor(SeedPath(22).stream().random(shape) * 3) / 3
-
-    keep = sample_subset_masks(ThreeValues(), 50, 64, mu_d)
-    assert np.all(np.count_nonzero(keep, axis=1) == mu_d)
-    # rows with no tie at the cut keep what argpartition keeps
-    r = ThreeValues().random((50, 64))
-    kth = np.partition(r, mu_d - 1, axis=1)[:, mu_d - 1 : mu_d]
-    untied = np.count_nonzero(r <= kth, axis=1) == mu_d
-    ref = _argpartition_masks(ThreeValues(), 50, 64, mu_d)
-    np.testing.assert_array_equal(keep[untied], ref[untied])

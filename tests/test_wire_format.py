@@ -6,6 +6,7 @@ rounding code must reproduce them exactly (samplers to rtol 1e-12).  The same
 factory table drives the malformed-message and non-finite-input checks.
 """
 
+import contextlib
 import hashlib
 
 import numpy as np
@@ -92,14 +93,14 @@ MESSAGES = {
     "lp_split": ("8bbacd725ab4f7f77fb3603527f38796ff6f092b9be9c447a5dd3c0c2727bfaa", 4.113225267038484, 2.114716618582545),
     "ratq": ("b0547a373e6742639c9a08dc64c20532b6220a570c6d14d67527429eec8c7308", 2.5165762991190466, 3.5529709237775338),
     "ratq_d64": ("a9d88be4e2767402131f4d1403695dd2a0b3d4756bf6eadb6221905dfb739184", 4.367979955421335, 4.2774710512634355),
-    "rcs_wrap": ("66d6fa05314bc47972606bd0ddb170b680a52bbab2cdebad2e569a4a20768b4b", 4.456553458379508, 34.02506864114021),
-    "rcs_wrap_center": ("ffa0cae6c4cd9885de43d4adc61ec4429af502813966b297794352d7cc59a000", 8.294543099195565, 43.01520672653249),
+    "rcs_wrap": ("683426115155c8cf627146f2a9f84663f073ae98b8f370868fe6e17d62d1dd37", 7.421476053074379, 80.50147308370566),
+    "rcs_wrap_center": ("962e430d1603ec74b8da08d488dd8fdf0f1cbbb5bdb2fc183d1b3d78bf08c2d4", 2.8162346332502155, 18.719398730747333),
     "rdaq": ("0e918d367c54217e4ffa9c30fce12c097dad9d231b695c0201acd4d4539b0dc5", -1.4453589750437494, 5.3066132415078915),
     "rmq": ("7a39d12269dd211da864af940195c776da551e2609316c5d52c34d600d5c1efb", -0.754999819610124, 2.6014218700503524),
     "simq": ("df8ece93975593f1c67f0874a8b89c4e4f0d116497edfaa42e8f818dd6d4346f", 0.0, 4.0),
     "simq_plus": ("9654f60b10427a59a0147779b49077bf90e64f381b69c94cc571509b55af78d1", -3.5, 8.0),
-    "wz_known": ("6e62ccbc0529e0320317400cc8b9d4196797547e17f33dfe2e3dfc9122a6cdb1", -0.3071290506499299, 7.019708770730578),
-    "wz_unknown": ("b65e994ed462ec7567eb3a67a6eb15c72c77d7ade1ee124fccbc676ca060a7cc", 9.644479560220294, 65.43625167533995),
+    "wz_known": ("58173462d6f1a48c87f6b915ce24ccc22c53d2575f769bfab3ec0ebc0d805fa9", 0.5259546335185359, 7.650014212247694),
+    "wz_unknown": ("66272951d2ce8a63cd5175dc0148a606927f30787634a5a2873d7f0e8340b1db", -4.072662999365503, 32.468954775986546),
 }
 
 SAMPLERS = {
@@ -132,12 +133,12 @@ SAMPLER_MOMENTS = {
     "daq_sample": (302.58998085678354, 882.9201505176738),
     "ratq_apply": (5.176699969523283, 3.901853648383449),
     "ratq_sample": (217.99628519549847, 325.2316818277141),
-    "rcs_ratq_sample": (326.03538762519565, 2613.105786840348),
+    "rcs_ratq_sample": (389.5818704596685, 2639.1225521775086),
     "rdaq_sample": (234.50721782650837, 510.583074165704),
     "rmq_sample": (325.93775065364366, 195.58756921930927),
     "simq_plus_sample": (236.25, 538.75),
-    "wz_known_sample": (-96.79331193427828, 744.1518616117022),
-    "wz_unknown_sample": (-189.31741413463328, 1659.3884977349503),
+    "wz_known_sample": (-88.53724856946252, 730.2683696325405),
+    "wz_unknown_sample": (-151.35032312149403, 1621.3880079637627),
 }
 
 
@@ -161,7 +162,7 @@ def test_sampler_draws_pinned(name):
 
 # The 64-bit outputs of the stream that one message's encode takes, by the
 # draws its kernel documents: ceil(d_pad / 32) for the signs of a rotated
-# code, d_pad subset keys when subsampled, then one uniform per sent
+# code, one window uniform when subsampled, then one uniform per sent
 # coordinate (RATQ rounding, RMQ dither; N of them for RDAQ's shared v).  The
 # A-RATQ cases draw a gain uniform or none by their input, and SimQ+ a
 # multinomial, so they have no fixed count.
@@ -172,15 +173,15 @@ def _sign_draws(d_pad):
 CONSUMED = {
     "ratq": _sign_draws(32) + 32,
     "ratq_d64": _sign_draws(64) + 64,
-    "rcs_wrap": _sign_draws(64) + 64 + 5,
-    "rcs_wrap_center": _sign_draws(64) + 64 + 5,
+    "rcs_wrap": _sign_draws(64) + 1 + 5,
+    "rcs_wrap_center": _sign_draws(64) + 1 + 5,
     "lp_split": _sign_draws(16) + 64 + 16,  # signs of its 16-wide RATQ, 64 CUQ uniforms, its RATQ
     "rmq": _sign_draws(64) + 64,
-    "wz_known": _sign_draws(64) + 64 + 8,
-    "wz_known_d256": _sign_draws(256) + 256 + 8,
+    "wz_known": _sign_draws(64) + 1 + 8,
+    "wz_known_d256": _sign_draws(256) + 1 + 8,
     "daq": 32,
     "rdaq": _sign_draws(32) + 32,
-    "wz_unknown": _sign_draws(32) + 32 + 5,
+    "wz_unknown": _sign_draws(32) + 1 + 5,
     "boosted_rdaq": _sign_draws(16) + 4 * 16,
     "simq": 1,
 }
@@ -231,6 +232,22 @@ def test_non_finite_input_rejected_before_any_draw(name, bad):
         factory().encode(x, side, rng)
     assert rng.bit_generator.state == state
 
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_huge_inputs_encode_or_raise_without_a_warning(name):
+    """An input scaled by 1e160, whose sum of squares overflows, is encoded
+    or rejected with a ValueError, and so is side information scaled by
+    1e200 in a round trip; no overflow warning is printed on the way."""
+    factory, x, side = CASES[name]
+    q = factory()
+    path = SeedPath(17).child(name)
+    with contextlib.suppress(ValueError):
+        q.encode(x * 1e160, side, path.stream())
+    if side is not None:
+        with contextlib.suppress(ValueError):
+            q.roundtrip(x, side * 1e200, path)
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_wrong_shape_input_rejected_before_any_draw(name):
