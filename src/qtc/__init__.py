@@ -7,6 +7,7 @@ Modules:
     adaptive  tetra-iterated / geometric range ladders (ATUQ, AGUQ, AGUQ+)
     vector    RATQ, subsampled RATQ, A-RATQ, SimQ, SimQ+, split quantizer
     sideinfo  RMQ, DAQ, RDAQ families (decoder-side information)
+    catalog   the table of every code: domain, side information, error bound
     dme       distributed mean estimation protocol and bounds
     optim     quantized PSGD / mirror descent / phase scheme
     aoi       minimum-age and minimum-delay source codes

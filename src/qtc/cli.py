@@ -27,21 +27,13 @@ from .aoi import (
     validate_pmf,
     zipf_pmf,
 )
+from .catalog import CATALOG
 from .core import SeedPath
 from .dme import DmeInstance, configure_known_delta, configure_no_side_info, run_dme, theoretical_bound
 from .optim import Domain, psgd_run, quadratic_oracle
 from .scalar import gaussian_wz_run
 from .sideinfo import wz_known_quantizer
-from .vector import (
-    RatqConfig,
-    SimqPlusConfig,
-    gaussian_rd_run,
-    ratq_apply,
-    ratq_quantizer,
-    rcs_wrap,
-    simq_plus_quantizer,
-    simq_quantizer,
-)
+from .vector import RatqConfig, gaussian_rd_run, ratq_apply, rcs_wrap
 
 __all__ = [
     "ConfigError",
@@ -127,6 +119,8 @@ def _emit(rows: list[list], header: list[str], out: Optional[str]) -> None:
 
 
 def _fmt(v) -> str:
+    if v is None:  # a variable-length budget, or a bound the catalog does not state
+        return ""
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
@@ -137,40 +131,28 @@ def _fmt(v) -> str:
 
 
 def cmd_quantize_bench(args) -> int:
+    """A row per `quantizers` name, a `catalog.CATALOG` entry without side
+    information, built at (d, B): one Gaussian row mapped into its domain at
+    radius B, sampled from the stream of its codec's family name (`simq+`)."""
     cfg = parse_config(args.config_text,
                        {"d": 256, "B": 1.0, "quantizers": ["ratq", "simq", "simq_plus"]})
     d, B = cfg["d"], cfg["B"]
     trials = args.trials or 2000
     rows = []
     root = SeedPath(args.seed)
-    rng = root.child("input").stream()
-    y = rng.normal(size=d)
-    y *= B / np.linalg.norm(y)
-    y_l1 = y * (B / np.abs(y).sum())  # SimQ's input; SimQ+ takes its l2 rescaling
+    g = root.child("input").stream().normal(size=d)
     for name in cfg["quantizers"]:
-        if name == "ratq":
-            x = y
-            rcfg = RatqConfig.default(B, d)
-            recs = ratq_quantizer(rcfg).sample(x, None, trials, root.child("ratq").stream())
-            bound = rcfg.alpha2
-            bits = rcfg.bit_budget
-        elif name == "simq":
-            x = y_l1
-            q = simq_quantizer(B, d)
-            recs = q.sample(x, None, trials, root.child("simq").stream())
-            bound = B
-            bits = q.bit_budget
-        elif name == "simq_plus":
-            x = y_l1 * (B / np.linalg.norm(y_l1))
-            pcfg = SimqPlusConfig(B, d, 2.0)
-            recs = simq_plus_quantizer(pcfg).sample(x, None, trials, root.child("simq+").stream())
-            bound = math.sqrt(B**2 * d ** (2.0 / pcfg.p) / pcfg.k + B**2)
-            bits = pcfg.bit_budget
-        else:
+        entry = CATALOG.get(name)
+        if entry is None:
             raise ConfigError(f"unknown quantizer {name!r}")
+        if entry.distance is not None:
+            raise ConfigError(f"quantizer {name!r} decodes against side information, "
+                              "which quantize-bench does not draw")
+        (q, bound), x = entry.build(d, B), entry.domain(g, B)
+        recs = q.sample(x, None, trials, root.child(q.name.partition("(")[0]).stream())
         second = float((recs**2).sum(axis=1).mean())
         bias = float(np.linalg.norm(recs.mean(axis=0) - x))
-        rows.append([name, d, B, bits, second, bound**2, bias])
+        rows.append([name, d, B, q.bit_budget, second, bound(x, None) if bound else None, bias])
     _emit(rows, ["quantizer", "d", "B", "r_bits", "empirical_second_moment",
                  "theoretical_bound", "empirical_bias_norm"], args.out)
     return 0

@@ -49,6 +49,7 @@ __all__ = [
     "MalformedStreamError",
     "TruncatedStreamError",
     "check_vector",
+    "check_config",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -89,6 +90,15 @@ def check_vector(x, d: int, what: str = "input") -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
     return x
+
+
+def check_config(d, B: Optional[float] = None) -> None:
+    """ValueError, naming the parameter, unless the dimension d is an integer
+    >= 1 and the norm bound B (if given) finite and positive; for builders."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"dimension d must be an integer >= 1, got {d!r}")
+    if B is not None and not (math.isfinite(B) and B > 0):
+        raise ValueError(f"norm bound B must be finite and positive, got {B!r}")
 
 
 def _l2_norm(x: np.ndarray) -> float:

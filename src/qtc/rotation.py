@@ -233,7 +233,7 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
     """
     d_pad = next_pow2(d)
     if mu_d is not None:
-        if not isinstance(mu_d, (int, np.integer)):
+        if isinstance(mu_d, bool) or not isinstance(mu_d, (int, np.integer)):
             raise ValueError(f"sample count mu_d = {mu_d!r} is not an integer")
         if not 1 <= mu_d <= d_pad:
             raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d_pad}")

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import TetraLadder, log_star
-from .core import Kernel, Quantizer, _l2_norm, check_vector, kernel_quantizer
+from .core import Kernel, Quantizer, _l2_norm, check_config, check_vector, kernel_quantizer
 from .rotation import next_pow2, rotated_kernel
 from .scalar import ModuloParams, mq_decode, mq_encode_with
 
@@ -53,6 +53,7 @@ class RmqConfig:
     k: int
 
     def __post_init__(self):
+        check_config(self.d)
         if self.k < 4:
             raise ValueError("RMQ guarantees need k >= 4")
         if not (0 < self.delta_small < self.delta):
@@ -123,6 +124,7 @@ def daq_quantizer(d: int) -> Quantizer:
     """Distance-adaptive 1-bit-per-coordinate quantizer on the unit ball: the
     bits w = [u <= x] for d shared uniforms u on [-1, 1], decoded against the
     side information y as 2 (w - [u <= y]) + y."""
+    check_config(d)
     kernel = Kernel(
         d, d,
         check_input=lambda x: _check_ball(check_vector(x, d), "DAQ"),
@@ -168,6 +170,7 @@ class RdaqConfig:
     N: int = 1
 
     def __post_init__(self):
+        check_config(self.d)
         if self.N < 1:
             raise ValueError("repetition count N must be >= 1")
         if self.ranges[-1] < 1.0:

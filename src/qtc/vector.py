@@ -34,6 +34,7 @@ from .core import (
     MalformedStreamError,
     Quantizer,
     _l2_norm,
+    check_config,
     check_vector,
     kernel_quantizer,
 )
@@ -78,12 +79,16 @@ class RatqConfig:
     k: int
     ladder: TetraLadder
 
+    def __post_init__(self):
+        check_config(self.d, self.B)
+
     @staticmethod
     def _log_h(d: int) -> int:
         return max(0, math.ceil(math.log2(1 + log_star(max(d, 1) / 3.0))))
 
     @classmethod
     def default(cls, B: float, d: int) -> "RatqConfig":
+        check_config(d, B)
         log_h = cls._log_h(d)
         s = max(1, log_h)
         k = (1 << math.ceil(math.log2(2 + math.sqrt(9 + 3 * math.log(s))))) - 1
@@ -92,6 +97,7 @@ class RatqConfig:
 
     @classmethod
     def for_subsampling(cls, B: float, d: int) -> "RatqConfig":
+        check_config(d, B)
         log_h = cls._log_h(d)
         ladder = TetraLadder(3 * B * B / d, 0.0, 1 << log_h)
         return cls(B, d, 1, 7, ladder)  # log(k+1) = 3
@@ -305,6 +311,7 @@ class AratqConfig:
     T: int = 0  # horizon, only used by aguq_plus
 
     def __post_init__(self):
+        check_config(self.d, self.B)
         if self.gain_mode not in ("aguq", "aguq_plus"):
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
 
@@ -386,7 +393,8 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
 
     kernel = Kernel(cfg.d, cfg.shape.d_pad, check_input, lambda side: None,
                     shape.draw, noise, shape.derive, encode, decode, write, read)
-    return kernel_quantizer(kernel, cfg.bit_budget, f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})")
+    name = f"{'aratq' if plus is None else 'aratq+'}(d={cfg.d},B={cfg.B:g})"
+    return kernel_quantizer(kernel, cfg.bit_budget, name)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +413,7 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
     uniform per repetition, and encode picks the signed corner index +-i
     with probability |y(i)|/B, 0 otherwise.  The message sends i as i and
     -i as d + i."""
+    check_config(d, B)
     width = math.ceil(math.log2(2 * d + 1))
 
     def check_input(y):
@@ -494,6 +503,7 @@ class SimqPlusConfig:
     k: int = 0
 
     def __post_init__(self):
+        check_config(self.d, self.B)
         if self.p < 2:
             raise ValueError("SimQ+ covers p in [2, inf]")
         if self.k == 0:
@@ -582,6 +592,7 @@ class LpSplitConfig:
     p: float
 
     def __post_init__(self):
+        check_config(self.d, self.B)
         if not (1.0 <= self.p <= 2.0):
             raise ValueError("split quantizer covers p in [1, 2]")
 

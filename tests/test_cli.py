@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qtc.catalog import CATALOG
 from qtc.cli import ConfigError, _parser, main, parse_config
 from qtc.core import SeedPath
 from qtc.scalar import gaussian_wz_params, gaussian_wz_run
@@ -173,6 +174,9 @@ def test_cli_rejects_empty_lists_and_floats_out_of_domain_naming_the_key(tmp_pat
              ("quantize-bench", "quantizers = ,\n", "line 1: quantizers needs at least one value"),
              ("quantize-bench", "d = 8\nquantizers = , ,\n",
               "line 2: quantizers needs at least one value"),
+             ("quantize-bench", "quantizers = ratq bogus\n", "unknown quantizer 'bogus'"),
+             ("quantize-bench", "quantizers = ratq rmq\n", "quantizer 'rmq' decodes against "
+              "side information, which quantize-bench does not draw"),
              ("dme-bench", "delta = 0\n", "line 1: delta must be positive, got '0'"),
              ("dme-bench", "setting = known-delta\ndelta = -0.1\n",
               "line 2: delta must be positive, got '-0.1'"),
@@ -196,7 +200,7 @@ def test_cli_quantize_bench_rows_do_not_depend_on_order(tmp_path):
         assert code == 0
         return {line.split(",")[0]: line for line in text.strip().splitlines()[1:]}
 
-    default = rows("ratq,simq,simq_plus")
+    default = rows(" ".join(n for n, e in CATALOG.items() if e.distance is None))
     assert rows("simq,ratq") == {k: default[k] for k in ("simq", "ratq")}
     assert rows("simq_plus,ratq") == {k: default[k] for k in ("simq_plus", "ratq")}
 

@@ -18,136 +18,52 @@ under a SeedPath equals the sampler's single draw from that path's stream.
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 
 import numpy as np
 import pytest
 
 import qtc
-from qtc import core, sideinfo, vector
+from qtc import catalog, core, sideinfo, vector
+from qtc.catalog import CATALOG
 from qtc.core import SeedPath, _chunks
-from qtc.sideinfo import (
-    RdaqConfig,
-    RmqConfig,
-    boosted_rdaq_sample,
-    daq_quantizer,
-    rdaq_quantizer,
-    wz_known_quantizer,
-    wz_unknown_quantizer,
-)
-from qtc.vector import (
-    AratqConfig,
-    LpSplitConfig,
-    RatqConfig,
-    SimqPlusConfig,
-    aratq_quantizer,
-    lp_split_quantizer,
-    ratq_apply,
-    ratq_quantizer,
-    rcs_wrap,
-    simq_plus_quantizer,
-    simq_quantizer,
-)
+from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample
+from qtc.vector import RatqConfig, ratq_apply
 
 INPUTS = 10
 D_SUB = 40  # the subsampled cases pad it to 64
 
-
-def _ratq(d):
-    return ratq_quantizer(RatqConfig.default(1.0, d)), None, d, 0.9, None
-
-
-def _ratq_apply(d):
-    cfg = RatqConfig.default(1.0, d)
-    sampler = lambda x, y, n, g: ratq_apply(np.broadcast_to(x, (n, d)), cfg, g)  # noqa: E731
-    return ratq_quantizer(cfg), sampler, d, 0.9, None
-
-
-def _rcs(mu_d, mode="zero-fill"):
-    cfg = RatqConfig.for_subsampling(1.0, D_SUB)
-    delta = 0.4 if mode == "center" else None
-    return rcs_wrap(cfg, mu_d or cfg.d_pad, mode), None, D_SUB, 0.9, delta
-
-
-def _wz_known(mu_d):
-    cfg = RmqConfig(D_SUB, 0.5, 0.05, 16)
-    mu_d = cfg.d_pad if mu_d == "d_pad" else mu_d
-    return wz_known_quantizer(cfg, mu_d), None, D_SUB, 0.9, 0.4
-
-
-def _rdaq(d, N=1):
-    cfg = RdaqConfig(d, N=N)
-    sampler = lambda x, y, n, g: boosted_rdaq_sample(x, y, cfg, n, g)  # noqa: E731
-    return rdaq_quantizer(cfg), sampler, d, 0.6, 0.3
-
-
-def _wz_unknown(mu_d):
-    cfg = RdaqConfig(D_SUB)
-    mu_d = cfg.d_pad if mu_d == "d_pad" else mu_d
-    return wz_unknown_quantizer(cfg, mu_d), None, D_SUB, 0.6, 0.3
-
-
-def _simq_plus(k):
-    return simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0, k)), None, 16, 0.9, None
-
-
-def _aratq(norm, gain_mode="aguq"):
-    cfg = AratqConfig.default(1.0, 32, T=1024, gain_mode=gain_mode)
-    return aratq_quantizer(cfg), None, 32, norm, None
-
-
-def _spiky(rng, d):
-    """An input of l3 norm below 1 with two coordinates of 0.6, above the
-    p = 1.5 split threshold at d = 64 (about 0.4)."""
-    v = _vec(rng, d, 0.3)
-    v[rng.integers(d, size=2)] = 0.6
-    return v
-
-
-def _l1(rng, d):
-    v = rng.normal(size=d)
-    return v * (0.9 / np.abs(v).sum())
-
-
-# name -> () -> (codec, sampler call or None for the codec's own `sample`, d,
-# norm of the input or a function (rng, d) -> input, distance of the side
-# information or None); the RDAQ family and DAQ get unit-ball pairs
+# case -> (catalog entry, d, its parameter or None for the default, radius
+# of the input); the side information is at the entry's distance
 CASES = {
-    "ratq-d24": lambda: _ratq(24),
-    "ratq-d64": lambda: _ratq(64),
-    "ratq-d256": lambda: _ratq(256),
-    "ratq-apply-d64": lambda: _ratq_apply(64),
-    "rcs-mu1": lambda: _rcs(1),
-    "rcs-mu8": lambda: _rcs(8),
-    "rcs-mu-dpad": lambda: _rcs(None),
-    "rcs-center-mu8": lambda: _rcs(8, "center"),
-    "rmq": lambda: _wz_known(None),
-    "wz-known-mu1": lambda: _wz_known(1),
-    "wz-known-mu8": lambda: _wz_known(8),
-    "wz-known-mu-dpad": lambda: _wz_known("d_pad"),
-    "rdaq-d8": lambda: _rdaq(8),
-    "rdaq-d32": lambda: _rdaq(32),
-    "boosted-rdaq-N4": lambda: _rdaq(D_SUB, N=4),
-    "wz-unknown-mu1": lambda: _wz_unknown(1),
-    "wz-unknown-mu8": lambda: _wz_unknown(8),
-    "wz-unknown-mu-dpad": lambda: _wz_unknown("d_pad"),
-    "daq": lambda: (daq_quantizer(D_SUB), None, D_SUB, 0.6, 0.3),
-    "simq-plus-k16": lambda: _simq_plus(16),
-    "simq-plus-k1": lambda: _simq_plus(1),
-    "aratq-aguq": lambda: _aratq(0.7),
-    "aratq-aguq-overflow": lambda: _aratq(40.0),  # above the top gain range
-    "aratq-aguq-plus": lambda: _aratq(1.5, "aguq_plus"),
-    "lp-split-p1.5": lambda: (lp_split_quantizer(LpSplitConfig(1.0, 64, 1.5)), None, 64, _spiky, None),
-    "lp-split-p1": lambda: (lp_split_quantizer(LpSplitConfig(1.0, 16, 1.0)), None, 16, 0.9, None),
-    "simq": lambda: (simq_quantizer(1.0, 16), None, 16, _l1, None),
-}
-
-# The factories that build their quantizer with `core.kernel_quantizer`; the
-# cases above cover each of them.
-KERNEL_FACTORIES = {
-    "ratq_quantizer", "rcs_wrap", "wz_known_quantizer", "rdaq_quantizer",
-    "wz_unknown_quantizer", "daq_quantizer", "simq_plus_quantizer", "aratq_quantizer",
-    "lp_split_quantizer", "simq_quantizer",
+    "ratq-d24": ("ratq", 24, None, 0.9),
+    "ratq-d64": ("ratq", 64, None, 0.9),
+    "ratq-d256": ("ratq", 256, None, 0.9),
+    "ratq-apply-d64": ("ratq", 64, None, 0.9),  # sampled by `ratq_apply`
+    "rcs-mu1": ("rcs_ratq", D_SUB, 1, 0.9),
+    "rcs-mu8": ("rcs_ratq", D_SUB, 8, 0.9),
+    "rcs-mu-dpad": ("rcs_ratq", D_SUB, 64, 0.9),
+    "rcs-center-mu8": ("rcs_ratq_center", D_SUB, 8, 0.9),
+    "rmq": ("rmq", D_SUB, None, 0.9),
+    "wz-known-mu1": ("wz_known", D_SUB, 1, 0.9),
+    "wz-known-mu8": ("wz_known", D_SUB, 8, 0.9),
+    "wz-known-mu-dpad": ("wz_known", D_SUB, 64, 0.9),
+    "rdaq-d8": ("rdaq", 8, None, 0.6),
+    "rdaq-d32": ("rdaq", 32, None, 0.6),
+    "boosted-rdaq-N4": ("boosted_rdaq", D_SUB, 4, 0.6),
+    "wz-unknown-mu1": ("wz_unknown", D_SUB, 1, 0.6),
+    "wz-unknown-mu8": ("wz_unknown", D_SUB, 8, 0.6),
+    "wz-unknown-mu-dpad": ("wz_unknown", D_SUB, 64, 0.6),
+    "daq": ("daq", D_SUB, None, 0.6),
+    "simq-plus-k16": ("simq_plus", 16, 16, 0.9),
+    "simq-plus-k1": ("simq_plus", 16, 1, 0.9),
+    "aratq-aguq": ("aratq", 32, None, 0.7),
+    "aratq-aguq-overflow": ("aratq", 32, None, 40.0),  # above the top gain range
+    "aratq-aguq-plus": ("aratq_plus", 32, None, 1.5),
+    "lp-split-p1.5": ("lp_split", 64, 1.5, 1.0),
+    "lp-split-p1": ("lp_split", 16, 1.0, 0.9),
+    "simq": ("simq", 16, None, 0.9),
 }
 
 # The public samplers that are not a quantizer's `sample`: each runs a
@@ -160,20 +76,29 @@ PUBLIC_SAMPLERS = {
 }
 
 
-def _vec(rng, d, norm):
-    v = rng.normal(size=d)
-    return v * (norm / np.linalg.norm(v))
+def _case(name, rng):
+    """The codec of case `name`; its sampler call (x, side, n, rng), a
+    public sampler where one sends the case; and a draw from rng of an input
+    and its side information."""
+    entry, d, param, radius = CASES[name]
+    q = CATALOG[entry].build(d, 1.0, param)[0]
+    sampler = q.sample
+    if name == "ratq-apply-d64":
+        cfg = RatqConfig.default(1.0, d)
+        sampler = lambda x, y, n, g: ratq_apply(np.broadcast_to(x, (n, d)), cfg, g)  # noqa: E731
+    elif entry in ("rdaq", "boosted_rdaq"):
+        cfg = RdaqConfig(d, param or 1)
+        sampler = lambda x, y, n, g: boosted_rdaq_sample(x, y, cfg, n, g)  # noqa: E731
+    return q, sampler, lambda: CATALOG[entry].inputs(rng.normal(size=d), rng.normal(size=d), radius)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_codec_reconstruction_is_the_first_sampler_row(name):
-    q, sampler, d, norm, delta = CASES[name]()
-    assert q.kernel is not None
-    sampler = sampler or q.sample
     rng = SeedPath(90).child(name).stream()
+    q, sampler, draw = _case(name, rng)
+    assert q.kernel is not None
     for i in range(INPUTS):
-        x = norm(rng, d) if callable(norm) else _vec(rng, d, norm)
-        side = None if delta is None else x + _vec(rng, d, delta)
+        x, side = draw()
         path = SeedPath(91).child(name, i)
         rec = q.roundtrip(x, side, path)[1]
         assert np.array_equal(rec, sampler(x, side, 1, path.stream())[0])
@@ -192,12 +117,17 @@ def _functions(mod):
 
 
 def test_every_kernel_factory_has_a_case():
+    """Every function that builds a codec with `core.kernel_quantizer` is
+    called by the catalog, and every catalog entry has a case above."""
     built = {
         f.name for mod in (vector, sideinfo) for f in _functions(mod)
         if any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "kernel_quantizer"
                for c in ast.walk(f))
     }
-    assert built == KERNEL_FACTORIES
+    called = {getattr(c.func, "id", None) for c in ast.walk(ast.parse(inspect.getsource(catalog)))
+              if isinstance(c, ast.Call)}
+    assert built and built <= called
+    assert {case[0] for case in CASES.values()} == set(CATALOG)
 
 
 def test_no_sampler_twin_is_left():
@@ -250,21 +180,15 @@ def test_rows_of_one_input_sample_as_that_input(name):
     """Every kernel takes one row per repetition: n copies of x (and of the
     side information) as rows, n past one draw chunk, give the same bits as
     x as one vector."""
-    q, _, d, norm, delta = CASES[name]()
+    q, _, draw = _case(name, SeedPath(94).child(name).stream())
     k = q.kernel
-    rng = SeedPath(94).child(name).stream()
-    x = k.check_input(norm(rng, d) if callable(norm) else _vec(rng, d, norm))
-    side = k.check_side(None if delta is None else x + _vec(rng, d, delta))
+    x, side = draw()
+    x, side = k.check_input(x), k.check_side(side)
     n = next(_chunks(1 << 30, k.row_elems))[1] + 3
     path = SeedPath(95).child(name)
     side_rows = None if side is None else np.tile(side, (n, 1))
     rows = k.sample(np.tile(x, (n, 1)), side_rows, n, path.stream())
     assert np.array_equal(rows, k.sample(x, side, n, path.stream()))
-
-
-# The cases whose codec takes every finite input of a finite norm: RMQ and
-# A-RATQ bound no norm.
-UNBOUNDED = {n for n in CASES if n.startswith(("rmq", "wz-known", "aratq"))}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -274,14 +198,13 @@ def test_kernel_rejects_a_bad_row_before_any_draw(name):
     rejects (non-finite, or ten times the input, outside every bounded
     domain) raise ValueError and leave the stream where it was, as do
     n - 1 good rows for n repetitions."""
-    q, _, d, norm, delta = CASES[name]()
-    rng = SeedPath(96).child(name).stream()
-    x = norm(rng, d) if callable(norm) else _vec(rng, d, norm)
-    side = None if delta is None else x + _vec(rng, d, delta)
+    q, _, draw = _case(name, SeedPath(96).child(name).stream())
+    x, side = draw()
     n = next(_chunks(1 << 30, q.kernel.row_elems))[1] + 3
     rows = np.tile(x, (n, 1))
     cases = [rows[:-1]]
-    for bad in [np.full(d, np.nan)] + ([] if name in UNBOUNDED else [10 * x]):
+    bounded = CATALOG[CASES[name][0]].radius < math.inf  # RMQ and A-RATQ bound no norm
+    for bad in [np.full(x.size, np.nan)] + ([10 * x] if bounded else []):
         with pytest.raises(ValueError):
             q.encode(bad, side, SeedPath(0).stream())
         cases.append(rows.copy())
@@ -300,11 +223,9 @@ def test_round_trip_equals_separate_encode_and_decode(name):
     is that of an encode and a decode each on a fresh ``path.stream()``.  The
     cases include encoders with private draws after the shared ones (RATQ,
     A-RATQ) and decoders with side information (subsampled RMQ and RDAQ)."""
-    q, _, d, norm, delta = CASES[name]()
-    rng = SeedPath(92).child(name).stream()
+    q, _, draw = _case(name, SeedPath(92).child(name).stream())
     for i in range(INPUTS):
-        x = norm(rng, d) if callable(norm) else _vec(rng, d, norm)
-        side = None if delta is None else x + _vec(rng, d, delta)
+        x, side = draw()
         path = SeedPath(93).child(name, i)
         msg, rec = q.roundtrip(x, side, path)
         alone = q.encode(x, side, path.stream())

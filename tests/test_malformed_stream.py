@@ -5,9 +5,9 @@ import pytest
 
 from qtc.adaptive import TetraLadder
 from qtc.core import BitString, MalformedStreamError, SeedPath, TruncatedStreamError
-from qtc.sideinfo import RdaqConfig, RmqConfig, rdaq_quantizer, wz_known_quantizer
+from qtc.sideinfo import RmqConfig, wz_known_quantizer
 from qtc.vector import RatqConfig, ratq_quantizer
-from test_wire_format import CASES, _pair, _resized, _vec
+from test_wire_format import CASES, _case, _codec, _pair, _resized, _vec
 
 # Formats in which an all-ones message of the right length names a value
 # outside the code: a unary range past the ladder, a count above N, more
@@ -24,8 +24,7 @@ def test_error_types():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_malformed_messages_raise_malformed_stream_error(name):
-    factory, x, side = CASES[name]
-    q = factory()
+    q, x, side = _case(name)
     path = SeedPath(11).child(name)
     msg = q.encode(x, side, path.stream())
     for extra in (1, -1):
@@ -46,8 +45,7 @@ FLIPPED_MESSAGES = 300
 def test_flipped_bits_decode_or_raise_malformed_stream_error(name):
     """Valid messages with 1-3 bits flipped decode to a finite vector of the
     input's shape or raise MalformedStreamError, never anything else."""
-    factory, x, side = CASES[name]
-    q = factory()
+    q, x, side = _case(name)
     rng = SeedPath(12).child(name).stream()
     for t in range(FLIPPED_MESSAGES):
         path = SeedPath(12).child(name, t)
@@ -65,6 +63,8 @@ def test_flipped_bits_decode_or_raise_malformed_stream_error(name):
 # top) is below its width's maximum, so the all-ones message above never
 # reaches the block's range check: (quantizer factory, input, side
 # information, bit offset of one field of the block, field width, top).
+# Only boosted RDAQ at N = 2 is a catalog code: no entry builds an RMQ k
+# that is not a power of two, RATQ ladders with inf ranges, or k = 5.
 FIELD_TOPS = {
     # 3-bit cosets of k = 6: 6 and 7 name no coset
     "rmq_k6_coset": (lambda: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 6), None),
@@ -78,7 +78,7 @@ FIELD_TOPS = {
         lambda: ratq_quantizer(RatqConfig(1.0, 16, 1, 5, TetraLadder(3 / 16, 0.0, 4))),
         _vec(1, 16, 0.9), None, 16 * 2 + 3 * 4, 3, 5),
     # N = 2 draws per count in 2-bit fields, after 16 1-bit scale indices
-    "boosted_rdaq_n2_count": (lambda: rdaq_quantizer(RdaqConfig(16, N=2)),
+    "boosted_rdaq_n2_count": (lambda: _codec("boosted_rdaq", 16, 2),
                               *_pair(30, 16, 0.2), 16 + 2 * 3, 2, 2),
 }
 

@@ -12,72 +12,13 @@ import hashlib
 import numpy as np
 import pytest
 
+from qtc.catalog import CATALOG
 from qtc.cli import main
 from qtc.core import _BLOCK_ELEMS, Quantizer, SeedPath, _chunks
 from qtc.dme import DmeInstance, run_dme
 from qtc.rotation import next_pow2
-from qtc.sideinfo import (
-    RdaqConfig,
-    RmqConfig,
-    daq_quantizer,
-    rdaq_quantizer,
-    wz_known_quantizer,
-    wz_unknown_quantizer,
-)
-from qtc.vector import (
-    AratqConfig,
-    LpSplitConfig,
-    RatqConfig,
-    SimqPlusConfig,
-    aratq_quantizer,
-    lp_split_quantizer,
-    ratq_quantizer,
-    rcs_wrap,
-    simq_plus_quantizer,
-    simq_quantizer,
-)
 
 D = 48  # d_pad = 64
-
-QUANTIZERS = {
-    "ratq": lambda: ratq_quantizer(RatqConfig.default(1.0, D)),  # s = 2, no side information
-    "rcs_ratq": lambda: rcs_wrap(RatqConfig.for_subsampling(1.0, D), 8),
-    "rcs_ratq_center": lambda: rcs_wrap(RatqConfig.for_subsampling(1.0, D), 8, "center"),
-    "rmq": lambda: wz_known_quantizer(RmqConfig(D, 0.5, 0.05, 16), None),
-    "wz_known": lambda: wz_known_quantizer(RmqConfig(D, 0.5, 0.05, 16), 8),
-    "wz_unknown": lambda: wz_unknown_quantizer(RdaqConfig(D), 8),
-    "boosted_rdaq": lambda: rdaq_quantizer(RdaqConfig(D, N=3)),
-    "daq": lambda: daq_quantizer(D),
-    "aratq": lambda: aratq_quantizer(AratqConfig.default(1.0, D, T=1024)),
-    "simq": lambda: simq_quantizer(1.0, D),
-    "simq_plus": lambda: simq_plus_quantizer(SimqPlusConfig(1.0, D, 2.0)),  # l1 bound sqrt(D)
-    "lp_split": lambda: lp_split_quantizer(LpSplitConfig(1.0, D, 1.5)),  # threshold 0.44
-}
-
-
-def _gains(xs, rng):
-    """A-RATQ inputs whose gains cycle through in range (0.6), above the top
-    range of the ladder (40) and zero, so blocks join all three and some
-    start with an overflowing client."""
-    return xs * np.resize([1.0, 40.0 / 0.6, 0.0], len(xs))[:, None]
-
-
-def _l1(xs, rng):
-    return xs * (0.9 / np.abs(xs).sum(axis=1, keepdims=True))
-
-
-def _spiky(xs, rng):
-    """Rows of l3 norm below 1 with one to three coordinates at +-0.6, above
-    the split threshold, at different places in each row."""
-    xs = 0.5 * xs
-    for x in xs:
-        x[rng.choice(D, size=rng.integers(1, 4), replace=False)] = rng.choice([-0.6, 0.6])
-    return xs
-
-
-# The quantizers whose domain is not the ball of radius 0.6, and the map of
-# unit-ball inputs into it.
-DOMAINS = {"aratq": _gains, "simq": _l1, "lp_split": _spiky}
 
 
 def _block_rows(q) -> int:
@@ -88,15 +29,16 @@ def _chunk_rows(q) -> int:
     return next(_chunks(1 << 30, q.kernel.row_elems))[1]
 
 
-def _inputs(seed, clients, name=None):
-    """Client inputs and side information inside the unit ball, the inputs
-    mapped into the domain of quantizer `name`."""
+def _inputs(seed, clients, name):
+    """Client inputs of the domain of entry `name`, at radii that cycle
+    through 0.6, 40 and 0.3, cut to the domain's radius (40 is above the top
+    gain range of A-RATQ, so its blocks join overflowing clients), and
+    their side information."""
+    entry = CATALOG[name]
     rng = SeedPath(seed).stream()
-    xs = rng.normal(size=(clients, D))
-    xs *= 0.6 / np.linalg.norm(xs, axis=1, keepdims=True)
-    us = rng.normal(size=(clients, D))
-    ys = xs + 0.2 * us / np.linalg.norm(us, axis=1, keepdims=True)
-    return (DOMAINS[name](xs, rng) if name in DOMAINS else xs), ys
+    radii = np.minimum(np.resize([0.6, 40.0, 0.3], clients), entry.radius)[:, None]
+    xs, ys = entry.inputs(rng.normal(size=(clients, D)), rng.normal(size=(clients, D)), radii)
+    return xs, [None] * clients if ys is None else ys
 
 
 def _whole_chunks(q, x, side, n, rng):
@@ -124,11 +66,11 @@ def _run(q, xs, ys, n, root):
     return outs
 
 
-@pytest.mark.parametrize("name", sorted(QUANTIZERS))
+@pytest.mark.parametrize("name", sorted(CATALOG))
 def test_cut_chunks_are_whole_chunks(name):
     """One client: a chunk cut into blocks, a partial last block, and trials
     past one chunk."""
-    q = QUANTIZERS[name]()
+    q = CATALOG[name].build(D, 1.0)[0]
     x, y = (v[0] for v in _inputs(1, 1, name))
     block, chunk = _block_rows(q), _chunk_rows(q)
     assert block < chunk  # so the larger counts cut a chunk
@@ -138,12 +80,12 @@ def test_cut_chunks_are_whole_chunks(name):
         assert np.array_equal(got, ref), n
 
 
-@pytest.mark.parametrize("name", sorted(QUANTIZERS))
+@pytest.mark.parametrize("name", sorted(CATALOG))
 @pytest.mark.parametrize("trials", [1, 3, 10, 70])
 def test_joined_clients_are_one_by_one(name, trials):
     """Clients joined into blocks, with a client count that leaves a partial
     last block, equal each client sampled alone."""
-    q = QUANTIZERS[name]()
+    q = CATALOG[name].build(D, 1.0)[0]
     block = _block_rows(q)
     clients = 2 * (block // trials) + 3 if trials < block else 3
     xs, ys = _inputs(2, clients, name)
@@ -158,9 +100,9 @@ def test_joined_clients_are_one_by_one(name, trials):
 
 @pytest.mark.parametrize("name", ["wz_known", "boosted_rdaq"])
 def test_clients_past_one_chunk(name):
-    q = QUANTIZERS[name]()
+    q = CATALOG[name].build(D, 1.0)[0]
     n = _chunk_rows(q) + 3
-    xs, ys = _inputs(4, 3)
+    xs, ys = _inputs(4, 3, name)
     root = SeedPath(5)
     got = _run(q, xs, ys, n, root)
     for i in range(3):
@@ -179,10 +121,10 @@ def test_mixed_quantizer_run_dme_is_client_by_client():
              "codec wz_known", "daq", "daq", "daq", "daq", "daq"]
 
     def build(name):
-        q = QUANTIZERS[name.split()[-1]]()
+        q = CATALOG[name.split()[-1]].build(D, 1.0)[0]
         return Quantizer(q.encode, q.decode, q.bit_budget, q.name) if " " in name else q
 
-    xs, ys = _inputs(6, len(names))
+    xs, ys = _inputs(6, len(names), "daq")  # unit-ball pairs, in every domain here
     inst = DmeInstance(xs, ys, np.full(len(names), 0.2), 10**6)
     shared = {name: build(name) for name in set(names)}
     for trials in (1, 7, 200):

@@ -3,7 +3,8 @@
 Every message below was recorded as a SHA-256 of its bit string, and every
 sampler output as its sum and sum of squares; a refactor of the packing or
 rounding code must reproduce them exactly (samplers to rtol 1e-12).  The same
-factory table drives the malformed-message and non-finite-input checks.
+cases, each a `qtc.catalog` entry at a pinned config and input, drive the
+malformed-message and non-finite-input checks.
 """
 
 import contextlib
@@ -12,30 +13,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from qtc.catalog import CATALOG
 from qtc.core import BitString, SeedPath
-from qtc.sideinfo import (
-    RdaqConfig,
-    RmqConfig,
-    boosted_rdaq_sample,
-    daq_quantizer,
-    rdaq_quantizer,
-    wz_known_quantizer,
-    wz_unknown_quantizer,
-)
-from qtc.vector import (
-    AratqConfig,
-    LpSplitConfig,
-    RatqConfig,
-    SimqPlusConfig,
-    aratq_quantizer,
-    atuq_vector_apply,
-    lp_split_quantizer,
-    ratq_apply,
-    ratq_quantizer,
-    rcs_wrap,
-    simq_plus_quantizer,
-    simq_quantizer,
-)
+from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample
+from qtc.vector import RatqConfig, atuq_vector_apply, ratq_apply
 
 TRIALS = 4
 
@@ -56,33 +37,42 @@ def _lp_input(d):
     return y
 
 
-# name -> (quantizer factory, input x, side information or None)
+def _codec(name, d, param=None):
+    """The catalog entry `name` at dimension d and B = 1."""
+    return CATALOG[name].build(d, 1.0, param)[0]
+
+
+# name -> (catalog entry, d, its parameter or None, input x, side information
+# or None): every entry at pinned configs and inputs
 CASES = {
-    "ratq": (lambda: ratq_quantizer(RatqConfig.default(1.0, 24)), _vec(1, 24, 0.9), None),
-    "ratq_d64": (lambda: ratq_quantizer(RatqConfig.default(1.0, 64)), _vec(2, 64), None),
-    "rcs_wrap": (lambda: rcs_wrap(RatqConfig.for_subsampling(1.0, 64), 5), _vec(3, 64), None),
-    "rcs_wrap_center": (
-        lambda: rcs_wrap(RatqConfig.for_subsampling(1.0, 64), 5, mode="center"),
-        _vec(4, 64, 0.7), _vec(5, 64, 0.6),
-    ),
-    "aratq_aguq": (lambda: aratq_quantizer(AratqConfig.default(1.0, 32, T=1024)), _vec(6, 32, 0.7), None),
-    "aratq_aguq_overflow": (
-        lambda: aratq_quantizer(AratqConfig.default(1.0, 32, T=1024)), _vec(7, 32, 40.0), None,
-    ),
-    "aratq_aguq_plus": (
-        lambda: aratq_quantizer(AratqConfig.default(1.0, 32, T=1024, gain_mode="aguq_plus")),
-        _vec(8, 32, 1.7), None,
-    ),
-    "simq": (lambda: simq_quantizer(1.0, 8), _vec(9, 8, 0.9, ord=1), None),
-    "simq_plus": (lambda: simq_plus_quantizer(SimqPlusConfig(1.0, 16, 2.0, 16)), _vec(10, 16), None),
-    "lp_split": (lambda: lp_split_quantizer(LpSplitConfig(1.0, 64, 1.5)), _lp_input(64), None),
-    "rmq": (lambda: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 16), None), *_pair(20, 64, 0.4)),
-    "wz_known": (lambda: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 16), 8), *_pair(22, 64, 0.4)),
-    "daq": (lambda: daq_quantizer(32), *_pair(24, 32, 0.3)),
-    "rdaq": (lambda: rdaq_quantizer(RdaqConfig(32)), *_pair(26, 32, 0.3)),
-    "wz_unknown": (lambda: wz_unknown_quantizer(RdaqConfig(32), 5), *_pair(28, 32, 0.3)),
-    "boosted_rdaq": (lambda: rdaq_quantizer(RdaqConfig(16, N=4)), *_pair(30, 16, 0.2)),
+    "ratq": ("ratq", 24, None, _vec(1, 24, 0.9), None),
+    "ratq_d64": ("ratq", 64, None, _vec(2, 64), None),
+    "rcs_wrap": ("rcs_ratq", 64, 5, _vec(3, 64), None),
+    "rcs_wrap_center": ("rcs_ratq_center", 64, 5, _vec(4, 64, 0.7), _vec(5, 64, 0.6)),
+    "aratq_aguq": ("aratq", 32, None, _vec(6, 32, 0.7), None),
+    "aratq_aguq_overflow": ("aratq", 32, None, _vec(7, 32, 40.0), None),
+    "aratq_aguq_plus": ("aratq_plus", 32, None, _vec(8, 32, 1.7), None),
+    "simq": ("simq", 8, None, _vec(9, 8, 0.9, ord=1), None),
+    "simq_plus": ("simq_plus", 16, 16, _vec(10, 16), None),
+    "lp_split": ("lp_split", 64, 1.5, _lp_input(64), None),
+    "rmq": ("rmq", 64, None, *_pair(20, 64, 0.4)),
+    "wz_known": ("wz_known", 64, 8, *_pair(22, 64, 0.4)),
+    "daq": ("daq", 32, None, *_pair(24, 32, 0.3)),
+    "rdaq": ("rdaq", 32, None, *_pair(26, 32, 0.3)),
+    "wz_unknown": ("wz_unknown", 32, 5, *_pair(28, 32, 0.3)),
+    "boosted_rdaq": ("boosted_rdaq", 16, 4, *_pair(30, 16, 0.2)),
 }
+
+
+def _case(name):
+    """The codec, input and side information of case `name`."""
+    entry, d, param, x, side = CASES[name]
+    return _codec(entry, d, param), x, side
+
+
+def test_every_entry_has_a_case():
+    assert {case[0] for case in CASES.values()} == set(CATALOG)
+
 
 MESSAGES = {
     "aratq_aguq": ("a46347331493956d377df2b26193641cdb8b0572dc5738b64d30b4360bef95ae", 2.4109826909015126, 4.000607859810444),
@@ -109,19 +99,14 @@ SAMPLERS = {
     "atuq_vector_apply": lambda rng: atuq_vector_apply(
         SeedPath(41).stream().normal(size=(50, 64)) * 0.05,
         RatqConfig(1.0, 64, 2, 7, RatqConfig.default(1.0, 64).ladder), rng),
-    "ratq_sample": lambda rng: ratq_quantizer(RatqConfig.default(1.0, 40)).sample(
-        _vec(42, 40), None, 300, rng),
-    "rcs_ratq_sample": lambda rng: rcs_wrap(RatqConfig.for_subsampling(1.0, 64), 8).sample(
-        _vec(43, 64), None, 300, rng),
-    "simq_plus_sample": lambda rng: simq_plus_quantizer(SimqPlusConfig(1.0, 64, 2.0, 64)).sample(
-        _vec(44, 64), None, 300, rng),
-    "rmq_sample": lambda rng: wz_known_quantizer(RmqConfig(48, 0.5, 0.05, 16), None).sample(
-        *_pair(45, 48, 0.5), 300, rng),
-    "wz_known_sample": lambda rng: wz_known_quantizer(RmqConfig(64, 0.5, 0.05, 16), 8).sample(
-        *_pair(46, 64, 0.5), 300, rng),
-    "daq_sample": lambda rng: daq_quantizer(16).sample(*_pair(47, 16, 0.4), 300, rng),
+    "ratq_sample": lambda rng: _codec("ratq", 40).sample(_vec(42, 40), None, 300, rng),
+    "rcs_ratq_sample": lambda rng: _codec("rcs_ratq", 64, 8).sample(_vec(43, 64), None, 300, rng),
+    "simq_plus_sample": lambda rng: _codec("simq_plus", 64, 64).sample(_vec(44, 64), None, 300, rng),
+    "rmq_sample": lambda rng: _codec("rmq", 48).sample(*_pair(45, 48, 0.5), 300, rng),
+    "wz_known_sample": lambda rng: _codec("wz_known", 64, 8).sample(*_pair(46, 64, 0.5), 300, rng),
+    "daq_sample": lambda rng: _codec("daq", 16).sample(*_pair(47, 16, 0.4), 300, rng),
     "rdaq_sample": lambda rng: boosted_rdaq_sample(*_pair(48, 32, 0.3), RdaqConfig(32), 300, rng),
-    "wz_unknown_sample": lambda rng: wz_unknown_quantizer(RdaqConfig(32), 8).sample(
+    "wz_unknown_sample": lambda rng: _codec("wz_unknown", 32, 8).sample(
         *_pair(49, 32, 0.3), 300, rng),
     "boosted_rdaq_sample": lambda rng: boosted_rdaq_sample(
         *_pair(50, 64, 0.3), RdaqConfig(64, N=4), 300, rng),
@@ -144,8 +129,7 @@ SAMPLER_MOMENTS = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_message_bits_pinned(name):
-    factory, x, side = CASES[name]
-    q = factory()
+    q, x, side = _case(name)
     runs = [q.roundtrip(x, side, SeedPath(7).child(name, t)) for t in range(TRIALS)]
     text = "|".join(msg.to01() for msg, _ in runs)
     digest, rec_sum, rec_sq = MESSAGES[name]
@@ -190,10 +174,9 @@ CONSUMED = {
 @pytest.mark.parametrize("name", sorted(CONSUMED))
 def test_message_takes_its_documented_outputs(name):
     if name == "wz_known_d256":
-        q, (x, side) = wz_known_quantizer(RmqConfig(256, 0.5, 0.05, 16), 8), _pair(32, 256, 0.4)
+        q, (x, side) = _codec("wz_known", 256, 8), _pair(32, 256, 0.4)
     else:
-        factory, x, side = CASES[name]
-        q = factory()
+        q, x, side = _case(name)
     rng, ref = (SeedPath(16).child(name).stream() for _ in range(2))
     q.encode(x, side, rng)
     ref.bit_generator.advance(CONSUMED[name])
@@ -211,8 +194,7 @@ def _resized(msg: BitString, extra: int) -> BitString:
 @pytest.mark.parametrize("extra", [1, -1])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_wrong_length_message_rejected(name, extra):
-    factory, x, side = CASES[name]
-    q = factory()
+    q, x, side = _case(name)
     path = SeedPath(9).child(name)
     msg = q.encode(x, side, path.stream())
     q.decode(msg, side, path.stream())  # the exact message decodes
@@ -223,13 +205,13 @@ def test_wrong_length_message_rejected(name, extra):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_non_finite_input_rejected_before_any_draw(name, bad):
-    factory, x, side = CASES[name]
+    q, x, side = _case(name)
     x = x.copy()
     x[1] = bad
     rng = SeedPath(10).stream()
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="non-finite"):
-        factory().encode(x, side, rng)
+        q.encode(x, side, rng)
     assert rng.bit_generator.state == state
 
 
@@ -240,8 +222,7 @@ def test_huge_inputs_encode_or_raise_without_a_warning(name):
     """An input scaled by 1e160, whose sum of squares overflows, is encoded
     or rejected with a ValueError, and so is side information scaled by
     1e200 in a round trip; no overflow warning is printed on the way."""
-    factory, x, side = CASES[name]
-    q = factory()
+    q, x, side = _case(name)
     path = SeedPath(17).child(name)
     with contextlib.suppress(ValueError):
         q.encode(x * 1e160, side, path.stream())
@@ -251,19 +232,18 @@ def test_huge_inputs_encode_or_raise_without_a_warning(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_wrong_shape_input_rejected_before_any_draw(name):
-    factory, x, side = CASES[name]
+    q, x, side = _case(name)
     rng = SeedPath(10).stream()
     state = rng.bit_generator.state
     for bad in (x[:-1], np.stack([x, x])):  # the codec takes one vector
         with pytest.raises(ValueError, match="shape"):
-            factory().encode(bad, side, rng)
+            q.encode(bad, side, rng)
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0]().uses_side_info))
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][4] is not None))
 def test_bad_side_information_rejected(name):
-    factory, x, side = CASES[name]
-    q = factory()
+    q, x, side = _case(name)
     path = SeedPath(13).child(name)
     msg = q.encode(x, side, path.stream())
     nan_side = side.copy()
@@ -289,8 +269,7 @@ def _signed_permutation(rng, x, side):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_budget_exact_and_deterministic_on_random_inputs(name):
-    factory, x0, side0 = CASES[name]
-    q = factory()
+    q, x0, side0 = _case(name)
     rng = SeedPath(14).child(name).stream()
     for t in range(20):
         x, side = _signed_permutation(rng, x0, side0)
