@@ -68,10 +68,10 @@ class Entry:
 
 
 def _scaled(v: np.ndarray, r, ord=None) -> np.ndarray:
-    """v, one row or (m, d) rows, scaled to lp norm r (l2 for ord None)."""
-    if v.ndim == 1:
-        return v * (r / np.linalg.norm(v, ord))
-    return v * (r / np.linalg.norm(v, ord, axis=1, keepdims=True))
+    """v, one row or (m, d) rows, scaled to lp norm r (l2 for ord None); a
+    zero row stays zero."""
+    n = np.linalg.norm(v, ord) if v.ndim == 1 else np.linalg.norm(v, ord, axis=1, keepdims=True)
+    return v * np.divide(r, n, out=np.zeros(np.shape(n)), where=n > 0)
 
 
 def _l1(g, r):
@@ -80,11 +80,12 @@ def _l1(g, r):
 
 
 def _spiky(g, r):
-    """g at l2 norm 0.3 r with its two largest coordinates set to +-0.65 r:
-    l2 norm below r, so inside every lq ball of radius r, q >= 2, and from
-    d = 32 on the spikes lie above the split threshold."""
+    """g at l2 norm 0.3 r, its largest coordinate and its second and third
+    largest where positive set to +-0.65 r: l3 norm below r (the split's lq
+    ball, p <= 1.5), spikes above the p = 1.5 threshold from d = 32, r >= 0.8."""
     x = _scaled(g, 0.3 * r)
-    top = np.argsort(-np.abs(g), axis=-1)[..., :2]
+    top = np.argsort(-np.abs(g), axis=-1)[..., :3]
+    top = np.where(np.take_along_axis(g, top, axis=-1) > 0, top, top[..., :1])  # else the largest
     np.put_along_axis(x, top, 0.65 * r * np.sign(np.take_along_axis(g, top, axis=-1)), axis=-1)
     return x
 

@@ -131,9 +131,8 @@ def _fmt(v) -> str:
 
 
 def cmd_quantize_bench(args) -> int:
-    """A row per `quantizers` name, a `catalog.CATALOG` entry without side
-    information, built at (d, B): one Gaussian row mapped into its domain at
-    radius B, sampled from the stream of its codec's family name (`simq+`)."""
+    """A row per `quantizers` name, a `catalog.CATALOG` entry without side information: one
+    Gaussian row in its domain at radius B, sampled from the stream of its name (SimQ+'s `simq+`)."""
     cfg = parse_config(args.config_text,
                        {"d": 256, "B": 1.0, "quantizers": ["ratq", "simq", "simq_plus"]})
     d, B = cfg["d"], cfg["B"]
@@ -149,7 +148,7 @@ def cmd_quantize_bench(args) -> int:
             raise ConfigError(f"quantizer {name!r} decodes against side information, "
                               "which quantize-bench does not draw")
         (q, bound), x = entry.build(d, B), entry.domain(g, B)
-        recs = q.sample(x, None, trials, root.child(q.name.partition("(")[0]).stream())
+        recs = q.sample(x, None, trials, root.child("simq+" if name == "simq_plus" else name).stream())
         second = float((recs**2).sum(axis=1).mean())
         bias = float(np.linalg.norm(recs.mean(axis=0) - x))
         rows.append([name, d, B, q.bit_budget, second, bound(x, None) if bound else None, bias])

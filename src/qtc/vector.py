@@ -393,8 +393,7 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
 
     kernel = Kernel(cfg.d, cfg.shape.d_pad, check_input, lambda side: None,
                     shape.draw, noise, shape.derive, encode, decode, write, read)
-    name = f"{'aratq' if plus is None else 'aratq+'}(d={cfg.d},B={cfg.B:g})"
-    return kernel_quantizer(kernel, cfg.bit_budget, name)
+    return kernel_quantizer(kernel, cfg.bit_budget, f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})")
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ CASES = {
     "wz-known-mu1": ("wz_known", D_SUB, 1, 0.9),
     "wz-known-mu8": ("wz_known", D_SUB, 8, 0.9),
     "wz-known-mu-dpad": ("wz_known", D_SUB, 64, 0.9),
-    "rdaq-d8": ("rdaq", 8, None, 0.6),
-    "rdaq-d32": ("rdaq", 32, None, 0.6),
+    "rdaq-d8": ("rdaq", 8, 1, 0.6),
+    "rdaq-d32": ("rdaq", 32, 1, 0.6),
     "boosted-rdaq-N4": ("boosted_rdaq", D_SUB, 4, 0.6),
     "wz-unknown-mu1": ("wz_unknown", D_SUB, 1, 0.6),
     "wz-unknown-mu8": ("wz_unknown", D_SUB, 8, 0.6),
@@ -87,7 +87,7 @@ def _case(name, rng):
         cfg = RatqConfig.default(1.0, d)
         sampler = lambda x, y, n, g: ratq_apply(np.broadcast_to(x, (n, d)), cfg, g)  # noqa: E731
     elif entry in ("rdaq", "boosted_rdaq"):
-        cfg = RdaqConfig(d, param or 1)
+        cfg = RdaqConfig(d, param)  # so the RDAQ cases name N
         sampler = lambda x, y, n, g: boosted_rdaq_sample(x, y, cfg, n, g)  # noqa: E731
     return q, sampler, lambda: CATALOG[entry].inputs(rng.normal(size=d), rng.normal(size=d), radius)
 

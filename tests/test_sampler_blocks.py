@@ -30,13 +30,13 @@ def _chunk_rows(q) -> int:
 
 
 def _inputs(seed, clients, name):
-    """Client inputs of the domain of entry `name`, at radii that cycle
-    through 0.6, 40 and 0.3, cut to the domain's radius (40 is above the top
-    gain range of A-RATQ, so its blocks join overflowing clients), and
-    their side information."""
+    """Client inputs of the domain of entry `name` and their side information,
+    at radii cycling 0.9, 40, 0, 0.6 cut to the domain's radius: blocks join
+    zero rows, A-RATQ's clients above its top gain range (40), and split rows
+    with one to three spikes above the threshold (0.9, 1) and with none (0.6)."""
     entry = CATALOG[name]
     rng = SeedPath(seed).stream()
-    radii = np.minimum(np.resize([0.6, 40.0, 0.3], clients), entry.radius)[:, None]
+    radii = np.minimum(np.resize([0.9, 40.0, 0.0, 0.6], clients), entry.radius)[:, None]
     xs, ys = entry.inputs(rng.normal(size=(clients, D)), rng.normal(size=(clients, D)), radii)
     return xs, [None] * clients if ys is None else ys
 
