@@ -25,6 +25,7 @@ __all__ = [
     "entropy",
     "kl_divergence",
     "shannon_lengths",
+    "integer_lengths",
     "kraft_sum",
     "build_prefix_code",
     "average_age",
@@ -89,9 +90,16 @@ def shannon_lengths(p: Sequence[float], mode: str = "real") -> np.ndarray:
     if mode == "real":
         return raw
     if mode == "integer":
-        # epsilon shields exact powers of two from float fuzz in the ceiling
-        return np.maximum(1, np.ceil(raw - 1e-9)).astype(np.int64)
+        return integer_lengths(raw)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def integer_lengths(lengths: Sequence[float]) -> np.ndarray:
+    """Real codeword lengths rounded up to whole bits, at least 1 (int64).
+
+    An epsilon shields exact integers (-log2 of a power of two) from float
+    fuzz in the ceiling."""
+    return np.maximum(1, np.ceil(np.asarray(lengths) - 1e-9)).astype(np.int64)
 
 
 def kraft_sum(lengths: Sequence[float]) -> float:

@@ -20,6 +20,7 @@ from .aoi import (
     average_age,
     average_age_erasure_exact,
     entropy,
+    integer_lengths,
     optimize_age,
     optimize_delay,
     shannon_lengths,
@@ -290,7 +291,7 @@ def cmd_aoi_solve(args) -> int:
     age_p_int = average_age(shannon_lengths(p, "integer"), p)
     lengths = sol.lengths
     age_star_real = average_age(lengths, p)
-    age_star_int = average_age(np.maximum(1, np.ceil(lengths - 1e-9)), p)
+    age_star_int = average_age(integer_lengths(lengths), p)
     pstar = " ".join(f"{v:.8g}" for v in sol.p_star) if len(sol.p_star) <= 64 else "-"
     rows = [[cfg["objective"], h, age_p_real, age_p_int, age_star_real, age_star_int,
              sol.z, sol.value, sol.certificate_gap, int(sol.certified), pstar]]
@@ -309,7 +310,7 @@ def cmd_aoi_sim(args) -> int:
         raise ConfigError(f"unknown code {cfg['code']!r}")
     lengths = shannon_lengths(p, "integer")  # also rejects zero-probability symbols
     if cfg["code"] == "shannon_pstar":
-        lengths = np.maximum(1, np.ceil(optimize_age(p).lengths - 1e-9)).astype(int)
+        lengths = integer_lengths(optimize_age(p).lengths)
     res = simulate_update_scheme(lengths, p, cfg["horizon"], SeedPath(args.seed).child("sim"),
                                  erasure=cfg["erasure"])
     if cfg["erasure"] > 0:

@@ -139,21 +139,18 @@ def cuq_conditional_mse(y: np.ndarray, grid: UniformGrid) -> np.ndarray:
     return (y - lo_val) * (hi_val - y)
 
 
-def write_cuq_symbols(bits: BitString, symbols: np.ndarray, grid: UniformGrid) -> BitString:
-    """Pack symbols in symbol_bits-wide fields; OVERFLOW is sent as the value k.
-
-    Only `grid.k` and `grid.symbol_bits` are read, so any object with the
-    grid's level count and field width will do (RATQ passes its config).
-    """
+def write_cuq_symbols(bits: BitString, symbols: np.ndarray, k: int) -> BitString:
+    """Pack the symbols of a k-level CUQ in ceil(log2(k + 1))-bit fields;
+    OVERFLOW is sent as the value k."""
     sym = np.asarray(symbols)
-    return bits.write_fields(np.where(sym == OVERFLOW, grid.k, sym), grid.symbol_bits)
+    return bits.write_fields(np.where(sym == OVERFLOW, k, sym), math.ceil(math.log2(k + 1)))
 
 
-def read_cuq_symbols(reader: BitReader, n: int, grid: UniformGrid) -> np.ndarray:
-    """Read back n symbols written by `write_cuq_symbols` with the same `grid`;
+def read_cuq_symbols(reader: BitReader, n: int, k: int) -> np.ndarray:
+    """Read back n symbols written by `write_cuq_symbols` with the same k;
     a field above k (the overflow code) raises MalformedStreamError."""
-    v = reader.read_fields(n, grid.symbol_bits, grid.k)
-    v[v == grid.k] = OVERFLOW
+    v = reader.read_fields(n, math.ceil(math.log2(k + 1)), k)
+    v[v == k] = OVERFLOW
     return v
 
 
@@ -226,6 +223,17 @@ def gaussian_wz_params(sigma_z: float, D: float) -> tuple[ModuloParams, int]:
     return ModuloParams(1 << log_k, delta_prime), log_k
 
 
+def _draw_source(rng: np.random.Generator, source: str, scale: float, shape) -> np.ndarray:
+    """`shape` draws from `source`: normal with standard deviation `scale`,
+    or a Laplace shape of scale `scale`/2 clipped to [-scale, scale] (bounded,
+    hence subgaussian, but with heavier near-tails)."""
+    if source == "gaussian":
+        return rng.normal(scale=scale, size=shape)
+    if source == "laplace":
+        return np.clip(rng.laplace(scale=scale / 2.0, size=shape), -scale, scale)
+    raise ValueError(f"unknown source {source!r}")
+
+
 def gaussian_wz_run(
     sigma_z: float,
     D: float,
@@ -234,18 +242,12 @@ def gaussian_wz_run(
     rng: np.random.Generator,
     source: str = "gaussian",
 ) -> tuple[float, int]:
-    """X = Y + Z per coordinate, Y standard normal; MQ with decoder side
-    information Y.  Returns (empirical per-dimension MSE, log2 k bits per
-    dimension)."""
+    """X = Y + Z per coordinate, Y standard normal and Z from `source` at
+    scale sigma_z; MQ with decoder side information Y.  Returns (empirical
+    per-dimension MSE, log2 k bits per dimension)."""
     params, log_k = gaussian_wz_params(sigma_z, D)
     y = rng.normal(size=(blocks, d))
-    if source == "gaussian":
-        z = rng.normal(scale=sigma_z, size=(blocks, d))
-    elif source == "laplace":
-        z = np.clip(rng.laplace(scale=sigma_z / 2.0, size=(blocks, d)), -sigma_z, sigma_z)
-    else:
-        raise ValueError(f"unknown source {source!r}")
-    x = y + z
+    x = y + _draw_source(rng, source, sigma_z, (blocks, d))
     w = mq_encode_with(x, params, rng.random(x.shape))
     rec = mq_decode(w, y, params)
     mse = float(((rec - x) ** 2).mean())

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import TetraLadder, log_star
+from .adaptive import Ladder, log_star
 from .core import Kernel, Quantizer, _l2_norm, check_config, check_vector, kernel_quantizer
 from .rotation import next_pow2, rotated_kernel
 from .scalar import ModuloParams, mq_decode, mq_encode_with
@@ -187,7 +187,7 @@ class RdaqConfig:
     @functools.cached_property
     def ranges(self) -> np.ndarray:
         """The h scales M_j, worked out once per config; read-only."""
-        return TetraLadder(6 / self.d, 0.0, self.h).ranges
+        return Ladder.tetra(6 / self.d, 0.0, self.h).ranges
 
     @property
     def index_bits(self) -> int:

@@ -18,14 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import (
-    AguqPlus,
-    GeoLadder,
-    TetraLadder,
+    Ladder,
     aguq_fields,
     aguq_levels,
     aguq_uniforms,
     log_star,
-    pick_range,
 )
 from .core import (
     BitReader,
@@ -40,7 +37,9 @@ from .core import (
 )
 from .rotation import next_pow2, rotated_kernel
 from .scalar import (
+    OVERFLOW,
     UniformGrid,
+    _draw_source,
     cuq_levels,
     cuq_round_with,
     read_cuq_symbols,
@@ -77,7 +76,7 @@ class RatqConfig:
     d: int
     s: int
     k: int
-    ladder: TetraLadder
+    ladder: Ladder
 
     def __post_init__(self):
         check_config(self.d, self.B)
@@ -92,14 +91,14 @@ class RatqConfig:
         log_h = cls._log_h(d)
         s = max(1, log_h)
         k = (1 << math.ceil(math.log2(2 + math.sqrt(9 + 3 * math.log(s))))) - 1
-        ladder = TetraLadder(3 * B * B / d, (2 * B * B / d) * math.log(s), 1 << log_h)
+        ladder = Ladder.tetra(3 * B * B / d, (2 * B * B / d) * math.log(s), 1 << log_h)
         return cls(B, d, s, k, ladder)
 
     @classmethod
     def for_subsampling(cls, B: float, d: int) -> "RatqConfig":
         check_config(d, B)
         log_h = cls._log_h(d)
-        ladder = TetraLadder(3 * B * B / d, 0.0, 1 << log_h)
+        ladder = Ladder.tetra(3 * B * B / d, 0.0, 1 << log_h)
         return cls(B, d, 1, 7, ladder)  # log(k+1) = 3
 
     @property
@@ -143,18 +142,18 @@ def _coord_ranges(ranges: np.ndarray, j: np.ndarray, s: int, width: int) -> np.n
 def _atuq_ranges(absy: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
     """ATUQ range choice for each row of |y| (m, width): the ladder index of
     every length-s subvector, and the picked range of every coordinate."""
-    ranges, top = cfg.ladder.ranges, cfg.ladder.top
+    ladder = cfg.ladder
     if cfg.s == 1:
-        j = pick_range(absy, ranges, top)
-        return j, ranges[j]
+        j = ladder.pick(absy)
+        return j, ladder.ranges[j]
     m, width = absy.shape
     n_sub = -(-width // cfg.s)
     if n_sub * cfg.s != width:
         absy = np.concatenate([absy, np.zeros((m, n_sub * cfg.s - width))], axis=1)
     # max over the s strided slices: numpy's reduce over a short last axis is slow
     sub = absy.reshape(m, n_sub, cfg.s)
-    j = pick_range(functools.reduce(np.maximum, (sub[..., i] for i in range(cfg.s))), ranges, top)
-    return j, _coord_ranges(ranges, j, cfg.s, width)
+    j = ladder.pick(functools.reduce(np.maximum, (sub[..., i] for i in range(cfg.s))))
+    return j, _coord_ranges(ladder.ranges, j, cfg.s, width)
 
 
 def _atuq_fields(yr: np.ndarray, u: np.ndarray, cfg: RatqConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +175,7 @@ def _write_atuq(bits: BitString, fields, cfg: RatqConfig) -> BitString:
     j, sym = fields
     if cfg.ladder.index_bits:
         bits.write_fields(j, cfg.ladder.index_bits)
-    return write_cuq_symbols(bits, sym, cfg)
+    return write_cuq_symbols(bits, sym, cfg.k)
 
 
 def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +186,7 @@ def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarr
         j = reader.read_fields(n_sub, cfg.ladder.index_bits, cfg.ladder.top)
     else:
         j = np.zeros(n_sub, dtype=np.int64)
-    return j[None], read_cuq_symbols(reader, width, cfg)[None]
+    return j[None], read_cuq_symbols(reader, width, cfg.k)[None]
 
 
 def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
@@ -271,7 +270,7 @@ def gaussian_rd_config(v: float, D: float, d: int) -> tuple[RatqConfig, float]:
     log_h = math.ceil(math.log2(1 + log_star(4.0 * math.log(8 * math.sqrt(2) * v / D) / 3.0)))
     s = min(max(1, log_h), d)
     k = (1 << math.ceil(math.log2(2 + math.sqrt((18 * v + 6 * v * math.log(s)) / D)))) - 1
-    ladder = TetraLadder(3 * v, 2 * v * math.log(s), 1 << log_h)
+    ladder = Ladder.tetra(3 * v, 2 * v * math.log(s), 1 << log_h)
     cfg = RatqConfig(math.sqrt(v * d), d, s, k, ladder)
     rate = math.ceil(math.log2(k + 1)) + math.ceil(d / s) * max(1, log_h) / d
     return cfg, rate
@@ -283,57 +282,64 @@ def gaussian_rd_run(
     """`atuq_vector_apply` at `gaussian_rd_config` on blocks of d draws from
     `source`; returns (empirical per-dimension MSE, rate in bits/dim)."""
     cfg, rate = gaussian_rd_config(v, D, d)
-    if source == "gaussian":
-        xs = rng.normal(scale=math.sqrt(v), size=(blocks, d))
-    elif source == "laplace":
-        # Laplace shape clipped to [-sqrt(v), sqrt(v)]: bounded, hence
-        # subgaussian with variance factor v, but with heavier near-tails
-        xs = np.clip(rng.laplace(scale=math.sqrt(v) / 2.0, size=(blocks, d)),
-                     -math.sqrt(v), math.sqrt(v))
-    else:
-        raise ValueError(f"unknown source {source!r}")
+    xs = _draw_source(rng, source, math.sqrt(v), (blocks, d))
     rec = atuq_vector_apply(xs, cfg, rng)
     mse = float(((rec - xs) ** 2).mean())
     return mse, rate
 
 
+def _aguq_plus_levels(h: int) -> tuple[int, ...]:
+    """AGUQ+'s level counts on h gain ranges: range j sends a (j+1)-bit level
+    field and uses all 2^(j+1) codes as levels, except the top range, which
+    keeps its highest code for the overflow symbol."""
+    return tuple(2 << j for j in range(h - 1)) + ((2 << (h - 1)) - 1,)
+
+
 @dataclass(frozen=True)
 class AratqConfig:
     """Gain-shape quantizer: AGUQ (or AGUQ+) for the gain, unit-ball RATQ for
-    the shape. Gain above the top range decodes to 0."""
+    the shape.  Gain range j rounds on gain_levels[j] levels; a gain above
+    the top range decodes to 0.  AGUQ sends a fixed-width range index and a
+    CUQ symbol, with the same level count on every range.  AGUQ+ sends range
+    j in unary (j ones, then a zero -- the Huffman lengths for a
+    Geometric(1/2) range distribution) and a (j+1)-bit level field on
+    `_aguq_plus_levels`."""
 
     B: float
     d: int
-    gain_ladder: GeoLadder
-    k_g: int
+    gain_ladder: Ladder
+    gain_levels: tuple[int, ...]
     shape: RatqConfig
     gain_mode: str = "aguq"  # "aguq" | "aguq_plus"
-    T: int = 0  # horizon, only used by aguq_plus
 
     def __post_init__(self):
         check_config(self.d, self.B)
         if self.gain_mode not in ("aguq", "aguq_plus"):
             raise ValueError(f"unknown gain mode {self.gain_mode!r}")
+        h = self.gain_ladder.h
+        fit = tuple(self.gain_levels[:1]) * h if self.gain_mode == "aguq" else _aguq_plus_levels(h)
+        if tuple(self.gain_levels) != fit:
+            raise ValueError(f"gain_levels {self.gain_levels} do not fit {self.gain_mode} "
+                             f"on {h} gain ranges")
 
     @classmethod
     def default(cls, B: float, d: int, T: int, gain_mode: str = "aguq") -> "AratqConfig":
-        log_hg = math.ceil(math.log2(1 + 0.5 * math.log2(T)))
-        k_g = (1 << math.ceil(math.log2(2 + 0.5 * math.sqrt(math.log2(T) + 1)))) - 1
-        ladder = GeoLadder(B, 2.0, 1 << log_hg)
-        return cls(B, d, ladder, k_g, RatqConfig.default(1.0, d), gain_mode, T)
-
-    def gain_grid(self, j: int) -> UniformGrid:
-        return UniformGrid(self.gain_ladder.ranges[j], self.k_g, "nonneg")
-
-    @property
-    def gain_bits(self) -> int:
-        return self.gain_ladder.index_bits + self.gain_grid(0).symbol_bits
+        if T < 2:
+            raise ValueError(f"horizon T must be at least 2, got {T}")
+        if gain_mode == "aguq_plus":
+            h = 1 + math.ceil(math.log2(T) / 2.0)
+            levels = _aguq_plus_levels(h)
+        else:
+            h = 1 << math.ceil(math.log2(1 + 0.5 * math.log2(T)))
+            levels = ((1 << math.ceil(math.log2(2 + 0.5 * math.sqrt(math.log2(T) + 1)))) - 1,) * h
+        return cls(B, d, Ladder.geometric(B, 2.0, h), levels, RatqConfig.default(1.0, d), gain_mode)
 
     @property
     def bit_budget(self) -> Optional[int]:
         if self.gain_mode == "aguq_plus":
             return None  # variable-length gain field
-        return self.gain_bits + self.shape.bit_budget
+        symbol_bits = math.ceil(math.log2(self.gain_levels[0] + 1))
+        return self.gain_ladder.index_bits + symbol_bits + self.shape.bit_budget
 
 
 def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
@@ -342,10 +348,9 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
     Its draws: the signs, one gain-rounding uniform per repetition (none
     when every gain of the chunk overflows), then the shape's RATQ
     uniforms."""
-    plus = AguqPlus(cfg.B, cfg.T) if cfg.gain_mode == "aguq_plus" else None
-    ladder = cfg.gain_ladder if plus is None else plus.ladder
-    levels = np.full(ladder.h_g, cfg.k_g) if plus is None else plus.levels
-    grid = cfg.gain_grid(0)  # the level count and field width of every range
+    plus = cfg.gain_mode == "aguq_plus"
+    ladder, k = cfg.gain_ladder, cfg.gain_levels
+    levels = np.array(k)
     shape = _ratq_kernel(cfg.shape)
 
     def gains(y, m):
@@ -367,22 +372,29 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
 
     def write(bits, fields):
         j, sym = int(fields[0][0][0]), int(fields[0][1][0])
-        if plus is not None:
-            plus.write(bits, j, sym)
+        if plus:
+            bits.write_uint(((1 << j) - 1) << 1, j + 1)  # j ones, then the 0 terminator
+            bits.write_uint(k[j] if sym == OVERFLOW else sym, j + 1)
         else:
             if ladder.index_bits:
                 bits.write_uint(j, ladder.index_bits)
-            write_cuq_symbols(bits, [sym], grid)
+            write_cuq_symbols(bits, [sym], k[j])
         return shape.write(bits, fields[1])
 
     def read(reader):
-        if plus is not None:
-            j, sym = plus.read(reader)
+        if plus:
+            j = 0
+            while reader.read_bit() == 1:
+                j += 1
+                if j >= ladder.h:
+                    raise MalformedStreamError("malformed stream: unary range overruns ladder")
+            sym = reader.read_uint(j + 1)
+            sym = OVERFLOW if sym == k[j] else sym
         else:
             j = reader.read_uint(ladder.index_bits) if ladder.index_bits else 0
-            if j >= ladder.h_g:
+            if j >= ladder.h:
                 raise MalformedStreamError("malformed stream: gain range index out of ladder")
-            sym = int(read_cuq_symbols(reader, 1, grid)[0])
+            sym = int(read_cuq_symbols(reader, 1, k[j])[0])
         return (np.array([j]), np.array([sym])), shape.read(reader)
 
     def check_input(y):
@@ -505,6 +517,8 @@ class SimqPlusConfig:
         check_config(self.d, self.B)
         if self.p < 2:
             raise ValueError("SimQ+ covers p in [2, inf]")
+        if self.k < 0:
+            raise ValueError(f"SimQ+ draw count k must be >= 0 (0: d^(2/p)), got {self.k}")
         if self.k == 0:
             object.__setattr__(self, "k", max(1, round(self.d ** (2.0 / self.p))))
 
@@ -692,11 +706,11 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
 
     def write(bits, fields):
         sym, large, ratq_fields = fields
-        write_cuq_symbols(bits, sym[0], grid)
+        write_cuq_symbols(bits, sym[0], grid.k)
         return ratq.write(bits.write_fields(large, 1), ratq_fields)
 
     def read(reader):
-        sym = read_cuq_symbols(reader, cfg.d, grid)
+        sym = read_cuq_symbols(reader, cfg.d, grid.k)
         large = reader.read_fields(cfg.d, 1).astype(bool)
         if large.sum() > ratq_cfg.d:
             raise MalformedStreamError(

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 
 from qtc.adaptive import (
-    AguqPlus,
-    GeoLadder,
-    TetraLadder,
+    Ladder,
     aguq_fields,
     aguq_levels,
     aguq_uniforms,
     log_star,
-    pick_range,
     tetration,
 )
 from qtc.core import BitReader, BitString, SeedPath
@@ -23,6 +20,7 @@ from qtc.vector import (
     RatqConfig,
     _atuq_fields,
     _atuq_levels,
+    aratq_quantizer,
     atuq_vector_apply,
     gaussian_rd_config,
 )
@@ -58,16 +56,16 @@ def test_log_star_table():
 
 
 def test_tetra_ladder_monotone():
-    lad = TetraLadder(0.5, 0.3, 4)
+    lad = Ladder.tetra(0.5, 0.3, 4)
     r = lad.ranges
     assert np.all(np.diff(r) > 0)
     assert r[0] == pytest.approx(math.sqrt(0.5 + 0.3))
     with pytest.raises(ValueError):
-        TetraLadder(0.5, 0.0, 9)
+        Ladder.tetra(0.5, 0.0, 9)
 
 
 def test_atuq_range_selection():
-    lad = TetraLadder(1.0, 0.0, 4)  # M0 = 1
+    lad = Ladder.tetra(1.0, 0.0, 4)  # M0 = 1
     rng = SeedPath(0).stream()
     j, sym, rec = _atuq_one(np.array([0.5, -0.3]), lad, 7, rng)
     assert j == 0
@@ -82,7 +80,7 @@ def test_atuq_range_selection():
 
 
 def test_atuq_unbiased_within_ladder():
-    lad = TetraLadder(1.0, 0.0, 4)
+    lad = Ladder.tetra(1.0, 0.0, 4)
     y = np.array([0.4, -0.9, 0.1, 0.7])
     cfg = _atuq_cfg(lad, 15, y.size)
     recs = np.concatenate([atuq_vector_apply(y, cfg, SeedPath(i).stream()) for i in range(4000)])
@@ -93,7 +91,7 @@ def test_atuq_subgaussian_mse_bound():
     # per-coordinate MSE under no overflow <= v (9 + 3 ln s)/(k-1)^2 for
     # subgaussian inputs when m = 3v, m0 = 2 v ln s
     v, s, k, d = 0.25, 4, 7, 4096
-    lad = TetraLadder(3 * v, 2 * v * math.log(s), 4)
+    lad = Ladder.tetra(3 * v, 2 * v * math.log(s), 4)
     rng = SeedPath(9).stream()
     y = rng.normal(scale=math.sqrt(v), size=d)
     # 200 repetitions, each ATUQ on the d/s length-s subvectors of y
@@ -110,12 +108,12 @@ def _aguq(gains, ladder, levels, rng):
 
 
 def test_geo_ladder_and_aguq():
-    lad = GeoLadder(1.0, 2.0, 3)
+    lad = Ladder.geometric(1.0, 2.0, 3)
     assert np.allclose(lad.ranges**2, [1.0, 2.0, 4.0])
     j, sym, rec = _aguq([0.0, 1.5, 5.0], lad, np.full(3, 4), SeedPath(1).stream())
     assert (j[0], sym[0], rec[0]) == (0, 0, 0.0)
     assert j[1] == 2  # M0=1 < M1=sqrt2 < 1.5 <= M2=2
-    assert sym[2] == OVERFLOW and rec[2] == 0.0 and j[2] == lad.h_g - 1
+    assert sym[2] == OVERFLOW and rec[2] == 0.0 and j[2] == lad.h - 1
     with pytest.raises(ValueError, match="nonnegative"):
         _aguq([0.5, -0.1], lad, np.full(3, 4), SeedPath(1).stream())
     # a batch that overflows throughout draws nothing
@@ -127,7 +125,7 @@ def test_geo_ladder_and_aguq():
 
 def test_aguq_second_moment_and_bias():
     B, a_g, h_g, k_g = 1.0, 2.0, 3, 4
-    lad = GeoLadder(B, a_g, h_g)
+    lad = Ladder.geometric(B, a_g, h_g)
     rng = SeedPath(2).stream()
     # heavy-tailed gain achieving E[g^2] = B^2: mass at 0 and a tall point
     tall = lad.ranges[-1] * 2.0
@@ -141,90 +139,124 @@ def test_aguq_second_moment_and_bias():
     assert bias <= B**2 / lad.ranges[-1] * 1.15
 
 
-def _aguq_plus_message(ap, j, sym):
-    return ap.write(BitString(), int(j), int(sym))
+def _plus_codec(T, d=4):
+    """The A-RATQ codec with the AGUQ+ gain at horizon T."""
+    cfg = AratqConfig.default(1.0, d, T, gain_mode="aguq_plus")
+    return cfg, aratq_quantizer(cfg)
+
+
+def _gain_code(cfg, msg):
+    """The AGUQ+ gain code of an A-RATQ message: all but its fixed-length shape part."""
+    return msg.to01()[: msg.nbits - cfg.shape.bit_budget]
+
+
+def _row(fields, i):
+    """Row i of a batch of kernel fields, shaped as the codec's one-row fields."""
+    return tuple(_row(f, i) if isinstance(f, tuple) else f[i : i + 1] for f in fields)
 
 
 def test_aguq_plus_examples():
-    ap = AguqPlus(1.0, 16)
-    assert ap.h_g == 3
-    j, sym, rec = _aguq([0.0, 1.2], ap.ladder, ap.levels, SeedPath(3).stream())
-    bits = _aguq_plus_message(ap, j[0], sym[0])
-    assert bits.nbits == 2 and rec[0] == 0.0  # unary "0" + one level bit
-    bits = _aguq_plus_message(ap, j[1], sym[1])
-    assert bits.to01()[:2] == "10" and bits.nbits == 4  # j=1: "10" + 2 level bits
+    cfg, q = _plus_codec(16)
+    assert cfg.gain_ladder.h == 3
+    msg, rec = q.roundtrip(np.zeros(4), None, SeedPath(3))
+    assert len(_gain_code(cfg, msg)) == 2 and np.all(rec == 0.0)  # unary "0" + one level bit
+    msg, _ = q.roundtrip(np.array([1.2, 0.0, 0.0, 0.0]), None, SeedPath(3))
+    gain = _gain_code(cfg, msg)
+    assert gain[:2] == "10" and len(gain) == 4  # j=1: "10" + 2 level bits
 
 
 def test_aguq_plus_roundtrip_and_mean_length():
-    ap = AguqPlus(1.0, 4096)
+    cfg, q = _plus_codec(4096, d=1)
+    kernel = q.kernel
     rng = SeedPath(4).stream()
     n = 20_000
-    j, sym, rec = _aguq(np.abs(rng.normal(size=n)), ap.ladder, ap.levels, rng)
+    x = np.abs(rng.normal(size=(n, 1)))  # d = 1: each row's gain is its one coordinate
+    fields = kernel.encode(x, kernel.derive(kernel.draw(rng, n)), kernel.noise(rng, x, n))
     bits = BitString()
-    for jj, ss in zip(j, sym):
-        ap.write(bits, int(jj), int(ss))
+    for i in range(n):
+        kernel.write(bits, _row(fields, i))
     reader = BitReader(bits)
-    back = np.array([ap.read(reader) for _ in range(n)]).T
+    back = np.concatenate([kernel.read(reader)[0] for _ in range(n)], axis=1)
     reader.finish()
-    assert np.array_equal(back, [j, sym])
-    assert np.array_equal(aguq_levels(back, ap.ladder, ap.levels), rec)
-    assert bits.nbits / n <= 20.0
+    assert np.array_equal(back, fields[0])
+    levels = np.array(cfg.gain_levels)
+    rec = aguq_levels(fields[0], cfg.gain_ladder, levels)
+    assert np.array_equal(aguq_levels(back, cfg.gain_ladder, levels), rec)
+    assert bits.nbits / n - cfg.shape.bit_budget <= 20.0
 
 
 def test_aguq_plus_overflow():
-    ap = AguqPlus(1.0, 16)
-    j, sym, rec = _aguq([1e9], ap.ladder, ap.levels, SeedPath(5).stream())
-    assert rec[0] == 0.0
-    back = ap.read(BitReader(_aguq_plus_message(ap, j[0], sym[0])))
-    assert back == (ap.h_g - 1, OVERFLOW)
-    assert aguq_levels(np.array([back]).T, ap.ladder, ap.levels)[0] == 0.0
+    cfg, q = _plus_codec(16)
+    msg, rec = q.roundtrip(np.array([1e9, 0.0, 0.0, 0.0]), None, SeedPath(5))
+    assert np.all(rec == 0.0)
+    assert _gain_code(cfg, msg) == "110" + "111"  # the top range, then its overflow code
+    reader = BitReader(msg)
+    back = q.kernel.read(reader)[0]
+    reader.finish()
+    assert (back[0][0], back[1][0]) == (cfg.gain_ladder.h - 1, OVERFLOW)
+    assert aguq_levels(back, cfg.gain_ladder, np.array(cfg.gain_levels))[0] == 0.0
 
 
 def test_budget_formulas():
-    lad = TetraLadder(1.0, 0.0, 4)
+    lad = Ladder.tetra(1.0, 0.0, 4)
     assert lad.index_bits == 2
-    assert TetraLadder(1.0, 0.0, 1).index_bits == 0
-    assert GeoLadder(1.0, 2.0, 3).index_bits == 2
+    assert Ladder.tetra(1.0, 0.0, 1).index_bits == 0
+    assert Ladder.geometric(1.0, 2.0, 3).index_bits == 2
+
+
+def _ratq_params(cfg):
+    """What RATQ's ladder is built from: ("tetra", m, m0, h) with m = 3 B^2/d
+    and m0 = (2 B^2/d) ln s (0 at s = 1, the subsampling setting)."""
+    B, d = cfg.B, cfg.d
+    return "tetra", 3 * B * B / d, (2 * B * B / d) * math.log(cfg.s), cfg.ladder.h
 
 
 def _built_ladders():
-    """Every ladder the configs build, and TetraLadders with inf ranges."""
+    """Every ladder the configs build, and tetra ladders with inf ranges, each
+    with what it is built from: ("tetra", m, m0, h) or ("geometric", B, a, h)."""
     for d in (1, 24, 64, 256, 4096, 10**6):
         for B in (1.0, 2.0):
-            yield RatqConfig.default(B, d).ladder
-            yield RatqConfig.for_subsampling(B, d).ladder
-        yield TetraLadder(6 / d, 0.0, RdaqConfig(d).h)
-        yield LpSplitConfig(1.0, max(d, 4), 1.5).ratq_cfg.ladder
+            for cfg in (RatqConfig.default(B, d), RatqConfig.for_subsampling(B, d)):
+                yield cfg.ladder, _ratq_params(cfg)
+        h = RdaqConfig(d).h
+        yield Ladder.tetra(6 / d, 0.0, h), ("tetra", 6 / d, 0.0, h)
+        cfg = LpSplitConfig(1.0, max(d, 4), 1.5).ratq_cfg
+        yield cfg.ladder, _ratq_params(cfg)
         for T in (2, 1024, 10**6):
-            yield AratqConfig.default(2.0, d, T).gain_ladder
-            yield AguqPlus(2.0, T).ladder
-    yield gaussian_rd_config(1.0, 0.01, 64)[0].ladder
+            ladder = AratqConfig.default(2.0, d, T).gain_ladder
+            yield ladder, ("geometric", 2.0, 2.0, ladder.h)
+            h = 1 + math.ceil(math.log2(T) / 2.0)
+            yield AratqConfig.default(2.0, d, T, "aguq_plus").gain_ladder, ("geometric", 2.0, 2.0, h)
+    v = 1.0
+    cfg = gaussian_rd_config(v, 0.01, 64)[0]
+    yield cfg.ladder, ("tetra", 3 * v, 2 * v * math.log(cfg.s), cfg.ladder.h)
     for h in (5, 6, 7, 8):  # e^^4 and above are inf
-        yield TetraLadder(3 / 16, 0.0, h)
-        yield TetraLadder(0.5, 0.3, h)
+        yield Ladder.tetra(3 / 16, 0.0, h), ("tetra", 3 / 16, 0.0, h)
+        yield Ladder.tetra(0.5, 0.3, h), ("tetra", 0.5, 0.3, h)
 
 
-def _old_ranges(ladder):
+def _old_ranges(kind, a, b, h):
     """The ranges as worked out on every access before they were cached."""
-    if isinstance(ladder, GeoLadder):
-        return ladder.B * np.power(ladder.a_g, np.arange(ladder.h_g) / 2.0)
-    out = np.empty(ladder.h)
-    for i in range(ladder.h):
+    if kind == "geometric":
+        return a * np.power(b, np.arange(h) / 2.0)
+    out = np.empty(h)
+    for i in range(h):
         t = tetration(i) if i <= 5 else math.inf
-        out[i] = math.sqrt(ladder.m * t + ladder.m0) if math.isfinite(t) else math.inf
+        out[i] = math.sqrt(a * t + b) if math.isfinite(t) else math.inf
     return out
 
 
 def test_cached_ladder_constants_are_the_old_formulas():
     seen_inf = False
-    for ladder in _built_ladders():
+    for ladder, params in _built_ladders():
         ranges = ladder.ranges
         assert ranges is ladder.ranges and not ranges.flags.writeable
-        assert np.array_equal(ranges, _old_ranges(ladder)), ladder
-        assert ladder.top == np.count_nonzero(np.isfinite(ranges)) - 1
-        assert ladder.top == pick_range(np.inf, ranges)
+        assert np.array_equal(ranges, _old_ranges(*params)), params
+        top = np.count_nonzero(np.isfinite(ranges)) - 1
+        assert ladder.top == top == ladder.pick(np.inf)
         assert np.isfinite(ranges[ladder.top])
         seen_inf |= ladder.top < len(ranges) - 1
         probe = np.concatenate([ranges[np.isfinite(ranges)] * f for f in (0.5, 1.0, 1.5)])
-        assert np.array_equal(pick_range(probe, ranges, ladder.top), pick_range(probe, ranges))
+        assert np.array_equal(ladder.pick(probe),
+                              np.minimum(np.searchsorted(ranges, probe, side="left"), top))
     assert seen_inf

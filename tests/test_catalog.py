@@ -1,13 +1,14 @@
 """Every code of `qtc.catalog` meets what its entry states: its error bound,
 its bias and its bit budget, and decodes any bit string or rejects it.
-Configs and factories reject a meaningless dimension or norm bound when
-they are built."""
+Configs and factories reject a meaningless dimension, norm bound, SimQ+
+draw count, A-RATQ horizon or gain level counts when they are built."""
 
 import math
 
 import numpy as np
 import pytest
 
+from qtc.adaptive import Ladder
 from qtc.catalog import CATALOG
 from qtc.core import BitString, MalformedStreamError, SeedPath
 from qtc.sideinfo import RdaqConfig, RmqConfig, daq_quantizer, wz_known_quantizer
@@ -92,11 +93,13 @@ def test_tiny_code_decodes_every_string_or_raises(name):
 
 _RCS = RatqConfig.for_subsampling(1.0, 8)
 _RMQ = RmqConfig(8, 0.5, 0.05, 16)
+_GAINS = Ladder.geometric(1.0, 2.0, 3)
 
 # case -> (the build that must fail, the parameter its message names)
 _MEANINGLESS = {
     "simq-plus-B0": (lambda: SimqPlusConfig(0.0, 4, 2.0), "B"),
     "simq-plus-B-1": (lambda: SimqPlusConfig(-1.0, 4, 2.0), "B"),
+    "simq-plus-k-3": (lambda: SimqPlusConfig(1.0, 4, 2.0, -3), "k"),
     "ratq-B-1": (lambda: RatqConfig.default(-1.0, 4), "B"),
     "ratq-B-nan": (lambda: RatqConfig.for_subsampling(math.nan, 4), "B"),
     "ratq-d0": (lambda: RatqConfig.default(1.0, 0), "d"),
@@ -107,6 +110,12 @@ _MEANINGLESS = {
     "lp-split-d0": (lambda: LpSplitConfig(1.0, 0, 1.5), "d"),
     "aratq-B-inf": (lambda: AratqConfig.default(math.inf, 8, T=64), "B"),
     "aratq-d0": (lambda: AratqConfig.default(1.0, 0, T=64), "d"),
+    "aratq-T0": (lambda: AratqConfig.default(1.0, 8, T=0), "T"),
+    "aratq-T1": (lambda: AratqConfig.default(1.0, 8, T=1), "T"),
+    "aratq-plus-T1": (lambda: AratqConfig.default(1.0, 8, T=1, gain_mode="aguq_plus"), "T"),
+    "aratq-levels-short": (lambda: AratqConfig(1.0, 8, _GAINS, (7, 7), _RCS), "gain_levels"),
+    "aratq-plus-levels": (lambda: AratqConfig(1.0, 8, _GAINS, (7, 7, 7), _RCS, "aguq_plus"),
+                          "gain_levels"),
     "rmq-d0": (lambda: RmqConfig(0, 0.5, 0.05, 16), "d"),
     "rdaq-d0": (lambda: RdaqConfig(0), "d"),
     "rdaq-d-float": (lambda: RdaqConfig(8.0), "d"),

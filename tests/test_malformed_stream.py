@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from qtc.adaptive import TetraLadder
+from qtc.adaptive import Ladder
 from qtc.core import BitString, MalformedStreamError, SeedPath, TruncatedStreamError
 from qtc.sideinfo import RmqConfig, wz_known_quantizer
 from qtc.vector import RatqConfig, ratq_quantizer
-from test_wire_format import CASES, _case, _codec, _pair, _resized, _vec
+from test_wire_format import CASES, _case, _codec, _pair, _vec
 
 # Formats in which an all-ones message of the right length names a value
 # outside the code: a unary range past the ladder, a count above N, more
@@ -15,6 +15,14 @@ from test_wire_format import CASES, _case, _codec, _pair, _resized, _vec
 # past the last composition.  In the other formats every field value is
 # valid, so the all-ones message decodes.
 ALL_ONES_OUT_OF_RANGE = {"aratq_aguq_plus", "boosted_rdaq", "lp_split", "simq", "simq_plus"}
+
+
+def _resized(msg: BitString, extra: int) -> BitString:
+    """`msg` with `extra` zero bits appended, or its last -`extra` bits cut."""
+    bits = np.array([int(c) for c in msg.to01()], dtype=np.int64)
+    if extra < 0:
+        bits = bits[:extra]
+    return BitString().write_fields(np.concatenate([bits, np.zeros(max(extra, 0), np.int64)]), 1)
 
 
 def test_error_types():
@@ -27,6 +35,7 @@ def test_malformed_messages_raise_malformed_stream_error(name):
     q, x, side = _case(name)
     path = SeedPath(11).child(name)
     msg = q.encode(x, side, path.stream())
+    q.decode(msg, side, path.stream())  # the exact message decodes
     for extra in (1, -1):
         with pytest.raises(MalformedStreamError):
             q.decode(_resized(msg, extra), side, path.stream())
@@ -71,11 +80,11 @@ FIELD_TOPS = {
                      *_pair(20, 64, 0.4), 3 * 5, 3, 5),
     # an 8-range ladder whose ranges 4..7 are inf: 3-bit index block first
     "ratq_inf_ladder_index": (
-        lambda: ratq_quantizer(RatqConfig(1.0, 16, 1, 7, TetraLadder(3 / 16, 0.0, 8))),
+        lambda: ratq_quantizer(RatqConfig(1.0, 16, 1, 7, Ladder.tetra(3 / 16, 0.0, 8))),
         _vec(1, 16, 0.9), None, 3 * 2, 3, 3),
     # k = 5 levels and the overflow code 5 in 3-bit symbols, after 16 2-bit indices
     "ratq_k5_symbol": (
-        lambda: ratq_quantizer(RatqConfig(1.0, 16, 1, 5, TetraLadder(3 / 16, 0.0, 4))),
+        lambda: ratq_quantizer(RatqConfig(1.0, 16, 1, 5, Ladder.tetra(3 / 16, 0.0, 4))),
         _vec(1, 16, 0.9), None, 16 * 2 + 3 * 4, 3, 5),
     # N = 2 draws per count in 2-bit fields, after 16 1-bit scale indices
     "boosted_rdaq_n2_count": (lambda: _codec("boosted_rdaq", 16, 2),

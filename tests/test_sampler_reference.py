@@ -14,7 +14,6 @@ discarded work is gone.
 import numpy as np
 import pytest
 
-from qtc.adaptive import pick_range
 from qtc.core import SeedPath, _chunks
 from qtc.rotation import (
     pad_to_pow2,
@@ -77,7 +76,9 @@ def _rcs_reference(y, cfg, mu_d, n, rng):
         signs = sample_signs_batch(rng, hi - lo, cfg.d_pad)
         yr = rotate_batch(padded[None, :], signs)
         slot = _window_slots(rng, hi - lo, cfg.d_pad, mu_d)
-        m_coord = ranges[pick_range(np.abs(yr), ranges)]  # s = 1
+        # s = 1: the smallest range covering each coordinate, clamped at the top
+        j = np.searchsorted(ranges, np.abs(yr), side="left")
+        m_coord = ranges[np.minimum(j, np.count_nonzero(np.isfinite(ranges)) - 1)]
         u = _spread(rng.random((hi - lo, mu_d)), slot)
         levels = cuq_levels(cuq_round_with(yr, m_coord, cfg.k, u), m_coord, cfg.k)
         rec = np.where(slot >= 0, levels / mu, 0.0)

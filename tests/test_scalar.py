@@ -73,7 +73,7 @@ def test_cuq_decode_values():
     assert UniformGrid(2.0, 5).level(np.array([2]))[0] == 0.0
     # a field above k (the overflow code) names no symbol
     with pytest.raises(ValueError):
-        read_cuq_symbols(BitReader(BitString().write_uint(6, 3)), 1, UniformGrid(1.0, 5))
+        read_cuq_symbols(BitReader(BitString().write_uint(6, 3)), 1, 5)
 
 
 def test_cuq_cell_error_bounds():
@@ -90,9 +90,9 @@ def test_cuq_cell_error_bounds():
 def test_cuq_symbol_serialization():
     grid = UniformGrid(1.0, 5)  # 6 symbols -> 3-bit fields
     sym = np.array([0, 4, OVERFLOW, 2])
-    bits = write_cuq_symbols(BitString(), sym, grid)
+    bits = write_cuq_symbols(BitString(), sym, grid.k)
     assert bits.nbits == 4 * grid.symbol_bits
-    back = read_cuq_symbols(BitReader(bits), 4, grid)
+    back = read_cuq_symbols(BitReader(bits), 4, grid.k)
     assert np.array_equal(back, sym)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtc.adaptive import GeoLadder
+from qtc.adaptive import Ladder
 from qtc.core import BitString, MalformedStreamError, SeedPath
 from qtc.vector import (
     AratqConfig,
@@ -167,7 +167,8 @@ def test_aratq_unbiased_in_range():
 
 def test_aratq_budget_and_plus_mode():
     cfg = AratqConfig.default(1.0, 32, T=1024)
-    assert cfg.bit_budget == cfg.gain_bits + cfg.shape.bit_budget
+    gain_bits = cfg.gain_ladder.index_bits + math.ceil(math.log2(cfg.gain_levels[0] + 1))
+    assert cfg.bit_budget == gain_bits + cfg.shape.bit_budget
     q = aratq_quantizer(cfg)
     msg, _ = q.roundtrip(unit_vector(23, 32) * 0.5, None, SeedPath(24))
     assert msg.nbits == cfg.bit_budget
@@ -186,7 +187,7 @@ def test_aratq_rejects_an_unknown_gain_mode():
 def test_aratq_rejects_a_gain_index_past_the_ladder():
     # three gain ranges take a 2-bit index, so index 3 names no range
     base = AratqConfig.default(1.0, 32, T=1024)
-    cfg = AratqConfig(1.0, 32, GeoLadder(1.0, 2.0, 3), base.k_g, base.shape)
+    cfg = AratqConfig(1.0, 32, Ladder.geometric(1.0, 2.0, 3), base.gain_levels[:1] * 3, base.shape)
     q = aratq_quantizer(cfg)
     msg = q.encode(unit_vector(27, 32) * 0.5, None, SeedPath(28).stream())
     bits = msg.to01()
