@@ -184,6 +184,24 @@ def test_message_takes_its_documented_outputs(name):
     assert rng.bit_generator.state["state"] == ref.bit_generator.state["state"]
 
 
+def _resized(msg: BitString, extra: int) -> BitString:
+    bits = np.array([int(c) for c in msg.to01()], dtype=np.int64)
+    if extra < 0:
+        bits = bits[:extra]
+    return BitString().write_fields(np.concatenate([bits, np.zeros(max(extra, 0), np.int64)]), 1)
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_wrong_length_message_rejected(name, extra):
+    q, x, side = _case(name)
+    path = SeedPath(9).child(name)
+    msg = q.encode(x, side, path.stream())
+    q.decode(msg, side, path.stream())  # the exact message decodes
+    with pytest.raises(ValueError):
+        q.decode(_resized(msg, extra), side, path.stream())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_non_finite_input_rejected_before_any_draw(name, bad):
