@@ -92,11 +92,17 @@ def check_vector(x, d: int, what: str = "input") -> np.ndarray:
     return x
 
 
+def _check_int(value, name: str, least: int) -> None:
+    """ValueError, naming the field, unless `value` is an integer (not a
+    bool) >= least; for config builders."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_config(d, B: Optional[float] = None) -> None:
     """ValueError, naming the parameter, unless the dimension d is an integer
     >= 1 and the norm bound B (if given) finite and positive; for builders."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dimension d must be an integer >= 1, got {d!r}")
+    _check_int(d, "dimension d", 1)
     if B is not None and not (math.isfinite(B) and B > 0):
         raise ValueError(f"norm bound B must be finite and positive, got {B!r}")
 

@@ -128,8 +128,9 @@ def run_dme(
         clients = [(instance.xs[i], ys[i], root.child("client", i).stream()) for i in run]
         for _, lo, hi, recs in k.run(clients, trials):
             acc[lo:hi] += recs
-    err = acc / n - instance.true_mean[None, :]
-    sq = np.einsum("td,td->t", err, err)
+    acc /= n  # the error, in place: no (trials, d) temporaries
+    acc -= instance.true_mean
+    sq = np.einsum("td,td->t", acc, acc)
     mse = float(sq.mean())
     band = float(3.0 * sq.std(ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return DmeResult(mse, band, bits, trials, violations)

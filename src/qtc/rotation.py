@@ -23,7 +23,10 @@ matmuls, and fl(sqrt(2^p)) = 2^floor(p/2) * fl(sqrt(2)).  Subnormal
 intermediates may round differently.
 `rotated_kernel` is the one home of the rotate, subsample and correct steps
 of the rotated codes (RATQ, RMQ and the RDAQ family): each of them gives it
-only its rule on the sent rotated coordinates.
+only its rule on the sent rotated coordinates.  A kernel fixes every
+per-dimension constant of that frame when it is built (the transform and
+its scaled pair, the sign-word count, whether rows are padded, the window
+indices), so a message pays only for its own arithmetic.
 """
 
 from __future__ import annotations
@@ -146,15 +149,22 @@ def fwht(x: np.ndarray) -> np.ndarray:
 _SQRT2 = math.sqrt(2.0)
 
 
-def _normalized_wht(x: np.ndarray) -> np.ndarray:
-    """H x / sqrt(d) over the last axis: the `_scaled_factors` transform,
+@functools.lru_cache(maxsize=None)
+def _normalized_wht(d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map x -> H x / sqrt(d) over a last axis of length d, with its
+    constants fixed once per dimension: the `_scaled_factors` transform,
     then for odd p one division by sqrt(2).  The bits of fwht(x) /
     math.sqrt(d) unless an intermediate is subnormal (module docstring)."""
-    d = x.shape[-1]
-    out = _kron_apply(x, *_scaled_factors(d))
-    if d.bit_length() % 2 == 0:  # odd p
-        out /= _SQRT2
-    return out
+    h_a, h_b = _scaled_factors(d)
+    odd_p = d.bit_length() % 2 == 0
+
+    def transform(x: np.ndarray) -> np.ndarray:
+        out = _kron_apply(x, h_a, h_b)
+        if odd_p:
+            out /= _SQRT2
+        return out
+
+    return transform
 
 
 def rotate_batch(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -162,7 +172,8 @@ def rotate_batch(y: np.ndarray, signs: np.ndarray) -> np.ndarray:
     (shapes broadcast on rows).  The 1/sqrt(d) is applied inside the
     transform's matmuls (`_normalized_wht`), with the bits of
     fwht(signs * y) / sqrt(d) wherever no intermediate is subnormal."""
-    return _normalized_wht(y * signs)
+    x = y * signs
+    return _normalized_wht(x.shape[-1])(x)
 
 
 def unrotate_batch(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -170,7 +181,8 @@ def unrotate_batch(z: np.ndarray, signs: np.ndarray) -> np.ndarray:
     the transform as in rotate_batch, with the bits of signs * (fwht(z) /
     sqrt(d)) wherever no intermediate is subnormal.  The product is taken
     in place when z already has the shape of the result."""
-    out = _normalized_wht(np.asarray(z, dtype=float))
+    z = np.asarray(z, dtype=float)
+    out = _normalized_wht(z.shape[-1])(z)
     if out.shape != signs.shape:
         return signs * out
     out *= signs
@@ -188,6 +200,18 @@ def pad_to_pow2(y: np.ndarray) -> tuple[np.ndarray, int]:
     out = np.zeros(y.shape[:-1] + (d,))
     out[..., :n] = y
     return out, n
+
+
+@functools.lru_cache(maxsize=None)
+def _ring_windows(d_pad: int, mu_d: int) -> np.ndarray:
+    """Read-only (2 d_pad - mu_d + 1, mu_d) view whose row b holds the cyclic
+    window b, b + 1, ..., b + mu_d - 1 (mod d_pad) for every start b <
+    d_pad: the sliding windows of the ring 0..d_pad - 1, 0..d_pad - 1.  The
+    view shares the ring's 2 d_pad entries, so it takes O(d_pad) memory
+    where a table of the windows would take d_pad * mu_d."""
+    ring = np.arange(2 * d_pad, dtype=np.intp) % d_pad
+    ring.flags.writeable = False
+    return np.lib.stride_tricks.sliding_window_view(ring, mu_d)
 
 
 def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, check_side,
@@ -230,6 +254,14 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
     subset: each client's unbiasedness and expected MSE are exactly the
     subset's, and clients, drawing from their own streams, stay
     independent.
+
+    Every constant of the frame is fixed here, when the kernel is built,
+    not per message: d_pad, the sign-word count ceil(d_pad / 32), whether
+    rows need zero padding, the transform `_normalized_wht(d_pad)` (its
+    scaled Hadamard pair and whether an odd p divides by sqrt(2); the one
+    that `rotate_batch` and `unrotate_batch` use, so the same bits), and
+    with mu_d the `_ring_windows` view: a row's kept indices are row b of
+    it plus d_pad times the row's number.
     """
     d_pad = next_pow2(d)
     if mu_d is not None:
@@ -238,17 +270,28 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
         if not 1 <= mu_d <= d_pad:
             raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d_pad}")
     width = d_pad if mu_d is None else mu_d
+    mu = width / d_pad
+    n_words = -(-d_pad // 32)
+    padded = d != d_pad
+    transform = _normalized_wht(d_pad)
+    windows = None if mu_d is None else _ring_windows(d_pad, mu_d)
+
+    def rotate(rows, signs):
+        if padded:
+            rows = pad_to_pow2(rows)[0]
+        return transform(rows * signs)
 
     def draw(rng, m):
-        return (sign_words(rng, m, d_pad), None if mu_d is None else rng.random((m, 1)),
+        return (rng.random((m, n_words)), None if mu_d is None else rng.random((m, 1)),
                 None if shared is None else shared(rng, (m, width)))
 
     def derive(draws):
         words, u, v = draws
         kept = None
         if u is not None:  # flat indices of each row's window, in window order
-            b = (u * d_pad).astype(np.intp)
-            kept = ((b + np.arange(mu_d)) % d_pad + d_pad * np.arange(len(u))[:, None]).ravel()
+            kept = windows[(u[:, 0] * d_pad).astype(np.intp)]
+            kept += np.arange(0, d_pad * len(u), d_pad)[:, None]
+            kept = kept.ravel()
         return _signs_of(words, d_pad), kept, v
 
     def sent(a, kept):
@@ -256,18 +299,20 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
 
     def encode_rows(rows, drawn, u):
         signs, kept, v = drawn
-        xr = rotate_batch(pad_to_pow2(rows)[0], signs)
+        xr = rotate(rows, signs)
         return encode(xr, sent(xr, kept), v, u)
 
     def decode_rows(fields, side, drawn):
         signs, kept, v = drawn
-        yr = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
+        yr = np.zeros(signs.shape) if side is None else rotate(side, signs)
         corr = decode(fields, yr, sent(yr, kept), v)
         if kept is None:
             yr += corr
         else:
-            yr.ravel()[kept] += corr.ravel() / (width / d_pad)
-        return unrotate_batch(yr, signs)[:, :d]
+            yr.ravel()[kept] += corr.ravel() / mu
+        out = transform(yr)
+        out *= signs
+        return out[:, :d]
 
     return Kernel(
         d, row_elems, check_input, check_side, draw,

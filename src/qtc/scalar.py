@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BitReader, BitString
+from .core import BitReader, BitString, _check_int
 
 __all__ = [
     "UniformGrid",
@@ -167,12 +167,15 @@ class ModuloParams:
     eps: float = field(default=0.0)
 
     def __post_init__(self):
+        _check_int(self.k, "level count k", 2)
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"distance bound delta must be finite and >= 0, got {self.delta!r}")
         if self.eps == 0.0:
             if self.k < 3:
                 raise ValueError("default eps rule needs k >= 3")
             object.__setattr__(self, "eps", 2.0 * self.delta / (self.k - 2))
-        if self.eps <= 0:
-            raise ValueError("lattice spacing eps must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"lattice spacing eps must be finite and positive, got {self.eps!r}")
 
     @property
     def symbol_bits(self) -> int:

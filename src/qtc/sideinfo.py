@@ -8,7 +8,11 @@ anyone knowing it.  Each quantizer is declared once as a `core.Kernel`:
 its bit-exact codec runs the kernel on one row and `Quantizer.sample` on n.
 RMQ and the RDAQ family state only their rule on the sent rotated
 coordinates; `rotation.rotated_kernel` rotates, subsamples and moves the
-rotated side information by their correction.
+rotated side information by their correction.  Each kernel fixes, when it is
+built, the constants its messages need: the field widths and the largest
+legal values its reader checks (from `RmqConfig.symbol_bits` and the MQ
+parameters, or `RdaqConfig.index_bits`, `count_bits`, h and N), and the
+rotated frame's own constants (`rotation.rotated_kernel`).
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from typing import Optional
 import numpy as np
 
 from .adaptive import Ladder, log_star
-from .core import Kernel, Quantizer, _l2_norm, check_config, check_vector, kernel_quantizer
+from .core import (
+    Kernel,
+    Quantizer,
+    _check_int,
+    _l2_norm,
+    check_config,
+    check_vector,
+    kernel_quantizer,
+)
 from .rotation import next_pow2, rotated_kernel
 from .scalar import ModuloParams, mq_decode, mq_encode_with
 
@@ -54,8 +66,9 @@ class RmqConfig:
 
     def __post_init__(self):
         check_config(self.d)
-        if self.k < 4:
-            raise ValueError("RMQ guarantees need k >= 4")
+        _check_int(self.k, "RMQ level count k", 4)
+        if not math.isfinite(self.delta):
+            raise ValueError(f"distance bound delta must be finite, got {self.delta!r}")
         if not (0 < self.delta_small < self.delta):
             raise ValueError("need 0 < delta_small < delta")
 
@@ -106,14 +119,15 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
     ceil(d_pad / 32) 64-bit outputs of the stream for the signs, one for
     the window (subsampled only) and width for the dither."""
     width = cfg.d_pad if mu_d is None else mu_d
+    mq, symbol_bits = cfg.mq, cfg.symbol_bits
     kernel = rotated_kernel(
         cfg.d, mu_d, cfg.d_pad,
         check_input=lambda x: check_vector(x, cfg.d),
         check_side=lambda side: _check_side(side, cfg.d, "RMQ"),
-        encode=lambda xr, xk, v, u: mq_encode_with(xk, cfg.mq, u),
-        decode=lambda w, yr, yk, v: mq_decode(w, yk, cfg.mq) - yk,
-        write=lambda bits, w: bits.write_fields(w, cfg.symbol_bits),
-        read=lambda reader: reader.read_fields(width, cfg.symbol_bits, cfg.k - 1)[None],
+        encode=lambda xr, xk, v, u: mq_encode_with(xk, mq, u),
+        decode=lambda w, yr, yk, v: mq_decode(w, yk, mq) - yk,
+        write=lambda bits, w: bits.write_fields(w, symbol_bits),
+        read=lambda reader: reader.read_fields(width, symbol_bits, mq.k - 1)[None],
         noise=lambda rng, shape: rng.random(shape),
     )
     name = f"rmq(d={cfg.d})" if mu_d is None else f"wz-known(d={cfg.d},mu_d={mu_d})"
@@ -171,8 +185,7 @@ class RdaqConfig:
 
     def __post_init__(self):
         check_config(self.d)
-        if self.N < 1:
-            raise ValueError("repetition count N must be >= 1")
+        _check_int(self.N, "repetition count N", 1)
         if self.ranges[-1] < 1.0:
             raise AssertionError("top scale fails to cover the unit ball")
 
@@ -219,12 +232,14 @@ def _rdaq_counts(cfg: RdaqConfig, xr, xk, v) -> tuple[np.ndarray, np.ndarray]:
     """The RDAQ rule at the encoder: the scale indices z of the sent rotated
     coordinates xk, (m, width), and their counts at every scale j, (h, m,
     width): how many of their N uniforms v, (m, width, N), have v M_j <=
-    value."""
-    z = _scale_index(xr, xk, cfg.ranges)
-    counts = np.zeros((cfg.h,) + xk.shape, dtype=np.min_scalar_type(cfg.N))
-    for c, r in zip(counts, cfg.ranges):
-        for i in range(cfg.N):
-            c += v[..., i] * r <= xk
+    value.  Each repetition's products are compared against all h scales in
+    one broadcast: the same products and comparisons as scale by scale."""
+    ranges = cfg.ranges
+    z = _scale_index(xr, xk, ranges)
+    counts = np.zeros((len(ranges),) + xk.shape, dtype=np.min_scalar_type(cfg.N))
+    scales = ranges[:, None, None]
+    for i in range(cfg.N):  # repetition i against every scale at once
+        counts += v[..., i] * scales <= xk
     return z, counts
 
 
@@ -249,20 +264,21 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
     message takes ceil(d_pad / 32) 64-bit outputs of the stream for the
     signs, one for the window (subsampled only) and N width for v."""
     width = cfg.d_pad if mu_d is None else mu_d
+    h, index_bits, count_bits, N = cfg.h, cfg.index_bits, cfg.count_bits, cfg.N
 
     def write(bits, fields):
         z, counts = fields
-        if cfg.index_bits:
-            bits.write_fields(z, cfg.index_bits)
-        return bits.write_fields(counts, cfg.count_bits)
+        if index_bits:
+            bits.write_fields(z, index_bits)
+        return bits.write_fields(counts, count_bits)
 
     def read(reader):
-        if cfg.index_bits:
-            z = reader.read_fields(width, cfg.index_bits, cfg.h - 1)
+        if index_bits:
+            z = reader.read_fields(width, index_bits, h - 1)
         else:
             z = np.zeros(width, int)
-        counts = reader.read_fields(cfg.h * width, cfg.count_bits, cfg.N)
-        return z[None], counts.reshape(cfg.h, 1, width)
+        counts = reader.read_fields(h * width, count_bits, N)
+        return z[None], counts.reshape(h, 1, width)
 
     return rotated_kernel(
         cfg.d, mu_d, cfg.d_pad * cfg.h * cfg.N,

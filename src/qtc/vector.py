@@ -25,8 +25,6 @@ from .adaptive import (
     log_star,
 )
 from .core import (
-    BitReader,
-    BitString,
     Kernel,
     MalformedStreamError,
     Quantizer,
@@ -170,25 +168,6 @@ def _atuq_levels(fields: tuple[np.ndarray, np.ndarray], cfg: RatqConfig) -> np.n
     return cuq_levels(sym, _coord_ranges(cfg.ladder.ranges, j, cfg.s, sym.shape[1]), cfg.k)
 
 
-def _write_atuq(bits: BitString, fields, cfg: RatqConfig) -> BitString:
-    """Append one row of fields: the range-index block, then the symbol block."""
-    j, sym = fields
-    if cfg.ladder.index_bits:
-        bits.write_fields(j, cfg.ladder.index_bits)
-    return write_cuq_symbols(bits, sym, cfg.k)
-
-
-def _read_atuq(reader: BitReader, cfg: RatqConfig, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read back what `_write_atuq` wrote for `width` coordinates, as one row."""
-    n_sub = -(-width // cfg.s)
-    if cfg.ladder.index_bits:
-        # above the ladder's top lie inf levels or no level
-        j = reader.read_fields(n_sub, cfg.ladder.index_bits, cfg.ladder.top)
-    else:
-        j = np.zeros(n_sub, dtype=np.int64)
-    return j[None], read_cuq_symbols(reader, width, cfg.k)[None]
-
-
 def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
     """The RATQ kernel pair, subsampled with mu_d and, with `center`,
     centered on the side information (on 0 without).  Ranges and CUQ
@@ -198,6 +177,24 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
     ceil(d_pad / 32) 64-bit outputs of the stream for the signs, one for
     the window (subsampled only) and width for the rounding."""
     width = cfg.d_pad if mu_d is None else mu_d
+    n_sub = -(-width // cfg.s)
+    index_bits, top, k = cfg.ladder.index_bits, cfg.ladder.top, cfg.k
+
+    def write(bits, fields):
+        """One row of fields: the range-index block, then the symbol block."""
+        j, sym = fields
+        if index_bits:
+            bits.write_fields(j, index_bits)
+        return write_cuq_symbols(bits, sym, k)
+
+    def read(reader):
+        """What `write` wrote, as one row."""
+        if index_bits:
+            # above the ladder's top lie inf levels or no level
+            j = reader.read_fields(n_sub, index_bits, top)
+        else:
+            j = np.zeros(n_sub, dtype=np.int64)
+        return j[None], read_cuq_symbols(reader, width, k)[None]
 
     def check_input(y):
         y = check_vector(y, cfg.d)
@@ -213,8 +210,8 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
         cfg.d, mu_d, cfg.d_pad, check_input, check_side,
         encode=lambda yr, yk, v, u: _atuq_fields(yk, u, cfg),
         decode=lambda fields, sr, sk, v: _atuq_levels(fields, cfg) - sk,
-        write=lambda bits, fields: _write_atuq(bits, fields, cfg),
-        read=lambda reader: _read_atuq(reader, cfg, width),
+        write=write,
+        read=read,
         noise=lambda rng, shape: rng.random(shape),
     )
 

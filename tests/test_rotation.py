@@ -73,6 +73,25 @@ def test_window_keeps_each_coordinate_with_chance_mu_d_over_d_pad(d_pad, mu_d):
     assert np.all(np.abs(counts - n * p) <= 5 * np.sqrt(n * p * (1 - p)))
 
 
+@pytest.mark.parametrize("d_pad", [1, 2, 8, 256])
+@pytest.mark.parametrize("m", [0, 1, 3, 64])
+def test_window_indices_are_the_modular_formula_for_every_start(d_pad, m):
+    """`derive` reads each row's window off a fixed view of the ring; its
+    flat indices are (b + arange(mu_d)) % d_pad + d_pad * row, for every
+    start b and every row of the block."""
+    rng = SeedPath(28).child("d", d_pad).child("m", m).stream()
+    words = rng.random((m, -(-d_pad // 32)))
+    for mu_d in sorted({1, max(1, d_pad // 2), d_pad}):
+        kernel = rotated_kernel(d_pad, mu_d, d_pad, *[None] * 6)
+        for b in range(d_pad):
+            starts = (b + 7 * np.arange(m)) % d_pad  # row 0 starts at b
+            frac = np.where(np.arange(m) % 2, 0.0, rng.random(m) / 2)
+            u = ((starts + frac) / d_pad)[:, None]
+            kept = kernel.derive((words, u, None))[1]
+            ref = (starts[:, None] + np.arange(mu_d)) % d_pad + d_pad * np.arange(m)[:, None]
+            assert np.array_equal(kept, ref.ravel()), (mu_d, b)
+
+
 def _rejects_when_built(d_pad, mu_d):
     """Checked when the kernel or codec is built, before it has a stream to
     draw from; `test_sideinfo.py` checks the Wyner-Ziv codecs the same way."""

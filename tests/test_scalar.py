@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,26 @@ def test_mq_default_eps_rule():
     assert params.k * params.eps >= 2 * (params.eps + params.delta) - 1e-12
     with pytest.raises(ValueError):
         ModuloParams(2, 1.0)
+
+
+# case -> (the build that must fail, the field its message names)
+_BAD_MODULO = {
+    "delta-inf": (lambda: ModuloParams(8, math.inf), "delta"),
+    "delta-nan": (lambda: ModuloParams(8, math.nan), "delta"),
+    "k-float": (lambda: ModuloParams(5.5, 0.1), "k"),
+    "k-bool": (lambda: ModuloParams(True, 0.1, eps=0.5), "k"),
+    "eps-inf": (lambda: ModuloParams(8, 0.1, eps=math.inf), "eps"),
+    "eps-nan": (lambda: ModuloParams(8, 0.1, eps=math.nan), "eps"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_MODULO))
+def test_modulo_params_reject_a_bad_field_when_built(case):
+    """A non-finite distance bound or spacing, or a level count that is no
+    integer, would build and then decode to NaN or round on np.mod(z, k)."""
+    build, field = _BAD_MODULO[case]
+    with pytest.raises(ValueError, match=rf"(^|\s){field} "):
+        build()
 
 
 def test_mq_recovery_sweep_small():

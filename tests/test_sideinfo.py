@@ -7,6 +7,7 @@ from qtc.core import SeedPath
 from qtc.sideinfo import (
     RdaqConfig,
     RmqConfig,
+    _rdaq_counts,
     boosted_rdaq_sample,
     daq_exact_mse,
     daq_quantizer,
@@ -48,6 +49,26 @@ def test_rmq_config_validation():
         RmqConfig(8, 1.0, 2.0, 8)  # delta_small >= delta
     cfg = RmqConfig(64, 1.0, 0.1, 8)
     assert cfg.delta_prime == pytest.approx(math.sqrt(6 / 64 * math.log(10.0)))
+
+
+# case -> (the build that must fail, the field its message names)
+_BAD_CONFIGS = {
+    "rmq-delta-inf": (lambda: RmqConfig(16, math.inf, 0.01, 8), "delta"),
+    "rmq-delta-nan": (lambda: RmqConfig(16, math.nan, 0.01, 8), "delta"),
+    "rmq-k-float": (lambda: RmqConfig(16, 0.1, 0.01, 5.5), "k"),
+    "rdaq-N-float": (lambda: RdaqConfig(16, N=2.5), "N"),
+    "rdaq-N-bool": (lambda: RdaqConfig(16, N=True), "N"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONFIGS))
+def test_config_rejects_a_bad_field_when_built(case):
+    """An infinite delta would decode to NaN, a fractional k round on
+    np.mod(z, k), and a fractional or bool N fail at its first draw or pass
+    where a bool d is refused; each is refused when the config is built."""
+    build, field = _BAD_CONFIGS[case]
+    with pytest.raises(ValueError, match=rf"(^|\s){field} "):
+        build()
 
 
 def test_rmq_equal_inputs_within_eps_ball():
@@ -157,6 +178,31 @@ def test_rdaq_config_table():
     assert cfg.bit_budget == 64 * (2 + 4 * 1)
     with pytest.raises(ValueError):
         RdaqConfig(64, N=0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8])
+def test_rdaq_counts_equal_the_per_scale_per_repetition_loop(N):
+    """The encoder compares each repetition's products against every scale
+    in one broadcast; its counts are the h * N loop's, also where a value
+    equals v M_j exactly (counted: v M_j <= value)."""
+    cfg = RdaqConfig(64, N=N)
+    rng = SeedPath(29).child("N", N).stream()
+    m, width = 5, 40
+    v = rng.uniform(-1.0, 1.0, size=(m, width, N))
+    xk = rng.uniform(-1.0, 1.0, size=(m, width))
+    tie = rng.random((m, width)) < 0.5  # these equal one product exactly
+    i = rng.integers(N, size=(m, width))
+    j = rng.integers(cfg.h, size=(m, width))
+    products = np.take_along_axis(v, i[..., None], axis=2)[..., 0] * cfg.ranges[j]
+    xk[tie] = products[tie]
+    assert np.abs(xk).max() <= cfg.ranges[-1]
+    ref = np.zeros((cfg.h, m, width), dtype=np.int64)
+    for jj, r in enumerate(cfg.ranges):
+        for ii in range(N):
+            ref[jj] += v[..., ii] * r <= xk
+    counts = _rdaq_counts(cfg, xk, xk, v)[1]
+    assert counts.shape == ref.shape and np.array_equal(counts, ref)
+    assert ref[j[tie], np.nonzero(tie)[0], np.nonzero(tie)[1]].min() >= 1
 
 
 def test_rdaq_identity_recovery():
