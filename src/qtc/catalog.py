@@ -14,7 +14,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .rotation import next_pow2
+from .core import next_pow2
 from .sideinfo import (
     RdaqConfig,
     RmqConfig,

@@ -184,7 +184,8 @@ def cmd_dme_bench(args) -> int:
             rcfgs, mu_d = configure_known_delta(n, d, r, deltas)
             quants = [wz_known_quantizer(rcfgs[0], mu_d)] * n  # one delta, one quantizer
             inst = DmeInstance(xs, ys, np.array(deltas), r)
-            bound = theoretical_bound("known-delta", n, d, r, deltas)
+            bound = theoretical_bound("known-delta" if r <= d else "known-delta-large-r",
+                                      n, d, r, deltas)
         else:
             raise ConfigError(f"unknown setting {cfg['setting']!r}")
         res = run_dme(inst, quants, root.child("run", r), trials)

@@ -50,6 +50,7 @@ __all__ = [
     "TruncatedStreamError",
     "check_vector",
     "check_config",
+    "next_pow2",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -105,6 +106,15 @@ def check_config(d, B: Optional[float] = None) -> None:
     _check_int(d, "dimension d", 1)
     if B is not None and not (math.isfinite(B) and B > 0):
         raise ValueError(f"norm bound B must be finite and positive, got {B!r}")
+
+
+def next_pow2(n: int) -> int:
+    return 1 if n <= 1 else 1 << (n - 1).bit_length()
+
+
+# The relative slack every norm-bound check allows: a vector scaled to norm
+# exactly B may land a rounding step above it.
+_NORM_SLACK = 1.0 + 1e-9
 
 
 def _l2_norm(x: np.ndarray) -> float:
@@ -439,8 +449,7 @@ class Kernel:
         wrong = {len(v) for c in clients for v in c[:2] if v is not None and v.ndim == 2} - {n}
         if wrong:
             raise ValueError(f"{wrong.pop()} rows given for n = {n} repetitions")
-        d_pad = 1 << (self.d - 1).bit_length()
-        size = max(1, _BLOCK_ELEMS // d_pad)
+        size = max(1, _BLOCK_ELEMS // next_pow2(self.d))
         block, room = [], size
         for i, (rows, side, rng) in enumerate(clients):
             for lo, hi in _chunks(n, self.row_elems):

@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adaptive import log_star
-from .core import Quantizer, SeedPath
-from .rotation import next_pow2
+from .core import _NORM_SLACK, Quantizer, SeedPath, next_pow2
 from .sideinfo import RdaqConfig, RmqConfig
 from .vector import RatqConfig
 
@@ -111,7 +110,7 @@ def run_dme(
     violations = 0
     if instance.deltas is not None and instance.ys is not None:
         dist = np.linalg.norm(instance.xs - instance.ys, axis=1)
-        violations = int(np.sum(dist > instance.deltas * (1 + 1e-9)))
+        violations = int(np.sum(dist > instance.deltas * _NORM_SLACK))
 
     acc = np.zeros((trials, d))
     ys = instance.ys if instance.ys is not None else [None] * n

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import SeedPath
+from .core import _NORM_SLACK, SeedPath
+from .scalar import cuq_levels, cuq_round_with
 
 __all__ = [
     "Domain",
@@ -156,7 +157,7 @@ def _descent_engine(
     domain: Domain,
     T: int,
     a: float,
-    eta: float,
+    alpha2: float,
     gamma: float,
     seed: SeedPath,
     reps: int,
@@ -164,6 +165,7 @@ def _descent_engine(
 ) -> RunResult:
     if T < 1:
         raise ValueError("need at least one step")
+    eta = domain.diameter / (alpha2 * math.sqrt(T))
     rng = seed.stream()
     x = np.tile(np.asarray(x_init, dtype=float), (reps, 1))
     x = domain.project(x)
@@ -206,8 +208,7 @@ def psgd_run(
     when running unquantized); strongly convex mode uses 2/(gamma (t+1)).
     """
     alpha2 = oracle.B if alpha2 is None else alpha2
-    eta = domain.diameter / (alpha2 * math.sqrt(T))
-    return _descent_engine(oracle, qfun, domain, T, 2.0, eta, gamma, seed, reps, x_init)
+    return _descent_engine(oracle, qfun, domain, T, 2.0, alpha2, gamma, seed, reps, x_init)
 
 
 def mirror_exponent(p: float, d: int) -> float:
@@ -240,17 +241,17 @@ def mirror_descent_run(
     if not (1.0 <= p <= 2.0):
         raise ValueError("mirror descent harness covers p in [1, 2]")
     a = mirror_exponent(p, np.asarray(x_init).size)
-    eta = domain.diameter / (oracle.B * math.sqrt(T))
-    return _descent_engine(oracle, qfun, domain, T, a, eta, 0.0, seed, reps, x_init)
+    return _descent_engine(oracle, qfun, domain, T, a, oracle.B, 0.0, seed, reps, x_init)
 
 
 def one_bit_sign_quantize(g: np.ndarray, B: float, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased 1-bit quantizer on [-B, B]: +B with probability (g+B)/(2B)."""
+    """Unbiased 1-bit quantizer on [-B, B]: the 2-level CUQ, +B with
+    probability (g+B)/(2B).  Inputs within the norm slack above B count as
+    +-B."""
     g = np.asarray(g, dtype=float)
-    if np.any(np.abs(g) > B * (1 + 1e-9)):
+    if np.any(np.abs(g) > B * _NORM_SLACK):
         raise ValueError("1-bit quantizer input outside [-B, B]")
-    up = rng.random(size=g.shape) < (g + B) / (2.0 * B)
-    return np.where(up, B, -B)
+    return cuq_levels(cuq_round_with(np.clip(g, -B, B), B, 2, rng.random(g.shape)), B, 2)
 
 
 def l1_phase_scheme(
@@ -279,7 +280,6 @@ def l1_phase_scheme(
     B = oracle.B
     phases = max(1, (T * r) // d)
     queries = math.ceil(d / r)
-    eta = domain.diameter / (B * math.sqrt(phases))
 
     def phase_estimate(x, rng):
         sigma = rng.permutation(d)  # shared randomness, fresh per phase
@@ -292,5 +292,5 @@ def l1_phase_scheme(
 
     return _descent_engine(
         replace(oracle, query=phase_estimate), None, domain, phases, mirror_exponent(1.0, d),
-        eta, 0.0, seed, reps, x_init,
+        B, 0.0, seed, reps, x_init,
     )

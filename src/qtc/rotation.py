@@ -23,10 +23,8 @@ matmuls, and fl(sqrt(2^p)) = 2^floor(p/2) * fl(sqrt(2)).  Subnormal
 intermediates may round differently.
 `rotated_kernel` is the one home of the rotate, subsample and correct steps
 of the rotated codes (RATQ, RMQ and the RDAQ family): each of them gives it
-only its rule on the sent rotated coordinates.  A kernel fixes every
-per-dimension constant of that frame when it is built (the transform and
-its scaled pair, the sign-word count, whether rows are padded, the window
-indices), so a message pays only for its own arithmetic.
+only its rule on the sent rotated coordinates, and it runs this module's
+own steps (`sign_words`, `rotate_batch`, `unrotate_batch`) around that rule.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Kernel
+from .core import Kernel, next_pow2
 
 __all__ = [
     "next_pow2",
@@ -53,10 +51,6 @@ __all__ = [
 
 def _is_pow2(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def next_pow2(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
 
 
 def sign_words(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -255,13 +249,8 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
     subset's, and clients, drawing from their own streams, stay
     independent.
 
-    Every constant of the frame is fixed here, when the kernel is built,
-    not per message: d_pad, the sign-word count ceil(d_pad / 32), whether
-    rows need zero padding, the transform `_normalized_wht(d_pad)` (its
-    scaled Hadamard pair and whether an odd p divides by sqrt(2); the one
-    that `rotate_batch` and `unrotate_batch` use, so the same bits), and
-    with mu_d the `_ring_windows` view: a row's kept indices are row b of
-    it plus d_pad times the row's number.
+    With mu_d the kernel builds once the `_ring_windows` view: a row's kept
+    indices are row b of it plus d_pad times the row's number.
     """
     d_pad = next_pow2(d)
     if mu_d is not None:
@@ -271,18 +260,10 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
             raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d_pad}")
     width = d_pad if mu_d is None else mu_d
     mu = width / d_pad
-    n_words = -(-d_pad // 32)
-    padded = d != d_pad
-    transform = _normalized_wht(d_pad)
     windows = None if mu_d is None else _ring_windows(d_pad, mu_d)
 
-    def rotate(rows, signs):
-        if padded:
-            rows = pad_to_pow2(rows)[0]
-        return transform(rows * signs)
-
     def draw(rng, m):
-        return (rng.random((m, n_words)), None if mu_d is None else rng.random((m, 1)),
+        return (sign_words(rng, m, d_pad), None if mu_d is None else rng.random((m, 1)),
                 None if shared is None else shared(rng, (m, width)))
 
     def derive(draws):
@@ -299,20 +280,18 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
 
     def encode_rows(rows, drawn, u):
         signs, kept, v = drawn
-        xr = rotate(rows, signs)
+        xr = rotate_batch(pad_to_pow2(rows)[0], signs)
         return encode(xr, sent(xr, kept), v, u)
 
     def decode_rows(fields, side, drawn):
         signs, kept, v = drawn
-        yr = np.zeros(signs.shape) if side is None else rotate(side, signs)
+        yr = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
         corr = decode(fields, yr, sent(yr, kept), v)
         if kept is None:
             yr += corr
         else:
             yr.ravel()[kept] += corr.ravel() / mu
-        out = transform(yr)
-        out *= signs
-        return out[:, :d]
+        return unrotate_batch(yr, signs)[:, :d]
 
     return Kernel(
         d, row_elems, check_input, check_side, draw,

@@ -13,7 +13,6 @@ import numpy as np
 from .core import BitReader, BitString, _check_int
 
 __all__ = [
-    "UniformGrid",
     "ModuloParams",
     "OVERFLOW",
     "cuq_round_with",
@@ -34,6 +33,11 @@ OVERFLOW = -1
 
 def _spacing(M, k: int, signed: bool):
     return M * ((2.0 if signed else 1.0) / (k - 1))
+
+
+def _outside(y: np.ndarray, M, signed: bool) -> np.ndarray:
+    """Where y lies outside the CUQ range, [-M, M] or [0, M]."""
+    return (np.abs(y) > M) if signed else ((y > M) | (y < 0.0))
 
 
 def cuq_round_with(y: np.ndarray, M, k: int, u: np.ndarray, signed: bool = True) -> np.ndarray:
@@ -59,7 +63,7 @@ def cuq_round_with(y: np.ndarray, M, k: int, u: np.ndarray, signed: bool = True)
     sym += u < t
     del t
     np.clip(sym, 0, k - 1, out=sym)
-    sym[(np.abs(y) > M) if signed else ((y > M) | (y < 0.0))] = OVERFLOW
+    sym[_outside(y, M, signed)] = OVERFLOW
     return sym
 
 
@@ -72,71 +76,24 @@ def cuq_levels(symbols: np.ndarray, M, k: int, signed: bool = True) -> np.ndarra
     return out
 
 
-@dataclass(frozen=True)
-class UniformGrid:
-    """Uniform level grid: signed mode spans [-M, M], nonnegative mode [0, M].
-
-    Levels: signed  B(l) = -M + l * 2M/(k-1),  l = 0..k-1
-            nonneg  B(l) = l * M/(k-1)
-    A coordinate outside the range maps to the overflow symbol, decoded as 0.
-    M is a positive scalar or an array of per-coordinate ranges.
-    """
-
-    M: float | np.ndarray
-    k: int
-    mode: str = "signed"  # "signed" | "nonneg"
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"level count k must be >= 2, got {self.k}")
-        if not np.all(np.asarray(self.M) > 0):
-            raise ValueError(f"dynamic range M must be positive, got {self.M}")
-        if self.mode not in ("signed", "nonneg"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    @property
-    def signed(self) -> bool:
-        return self.mode == "signed"
-
-    @property
-    def lo(self):
-        return -self.M if self.signed else 0.0
-
-    @property
-    def spacing(self):
-        return _spacing(self.M, self.k, self.signed)
-
-    def level(self, symbols: np.ndarray) -> np.ndarray:
-        """Level values for symbols; OVERFLOW decodes to 0."""
-        return cuq_levels(np.asarray(symbols, dtype=float), self.M, self.k, self.signed)
-
-    @property
-    def symbol_bits(self) -> int:
-        return math.ceil(math.log2(self.k + 1))
-
-
-def cuq_expected_decode(y: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """Analytic E[decode(encode(y))]: equals y inside the range, 0 outside."""
+def cuq_expected_decode(y: np.ndarray, M, signed: bool = True) -> np.ndarray:
+    """Analytic E[decode(encode(y))] on the CUQ grid of range M: equals y
+    inside the range, 0 outside (any level count k)."""
     y = np.asarray(y, dtype=float)
-    if grid.mode == "signed":
-        over = np.abs(y) > grid.M
-    else:
-        over = (y > grid.M) | (y < 0.0)
-    return np.where(over, 0.0, y)
+    return np.where(_outside(y, M, signed), 0.0, y)
 
 
-def cuq_conditional_mse(y: np.ndarray, grid: UniformGrid) -> np.ndarray:
-    """Exact per-coordinate MSE of the two-branch rounding law (no overflow).
+def cuq_conditional_mse(y: np.ndarray, M, k: int, signed: bool = True) -> np.ndarray:
+    """Exact per-coordinate MSE of the two-branch rounding law (no overflow)
+    on the k-level CUQ grid of range M.
 
     For y in cell (B(l), B(l+1)]: E(Q-y)^2 = (y - B(l)) (B(l+1) - y).
     """
     y = np.asarray(y, dtype=float)
-    t = (y - grid.lo) / grid.spacing
-    lower = np.ceil(t) - 1
-    lower = np.clip(lower, 0, grid.k - 2)
-    lo_val = grid.lo + lower * grid.spacing
-    hi_val = lo_val + grid.spacing
-    return (y - lo_val) * (hi_val - y)
+    lo, spacing = (-M if signed else 0.0), _spacing(M, k, signed)
+    lower = np.clip(np.ceil((y - lo) / spacing) - 1, 0, k - 2)
+    lo_val = lo + lower * spacing
+    return (y - lo_val) * (lo_val + spacing - y)
 
 
 def write_cuq_symbols(bits: BitString, symbols: np.ndarray, k: int) -> BitString:
@@ -176,10 +133,6 @@ class ModuloParams:
             object.__setattr__(self, "eps", 2.0 * self.delta / (self.k - 2))
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"lattice spacing eps must be finite and positive, got {self.eps!r}")
-
-    @property
-    def symbol_bits(self) -> int:
-        return math.ceil(math.log2(self.k))
 
 
 def mq_encode_with(x: np.ndarray, params: ModuloParams, u: np.ndarray) -> np.ndarray:

@@ -8,11 +8,7 @@ anyone knowing it.  Each quantizer is declared once as a `core.Kernel`:
 its bit-exact codec runs the kernel on one row and `Quantizer.sample` on n.
 RMQ and the RDAQ family state only their rule on the sent rotated
 coordinates; `rotation.rotated_kernel` rotates, subsamples and moves the
-rotated side information by their correction.  Each kernel fixes, when it is
-built, the constants its messages need: the field widths and the largest
-legal values its reader checks (from `RmqConfig.symbol_bits` and the MQ
-parameters, or `RdaqConfig.index_bits`, `count_bits`, h and N), and the
-rotated frame's own constants (`rotation.rotated_kernel`).
+rotated side information by their correction.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ import numpy as np
 
 from .adaptive import Ladder, log_star
 from .core import (
+    _NORM_SLACK,
     Kernel,
     Quantizer,
     _check_int,
@@ -33,8 +30,9 @@ from .core import (
     check_config,
     check_vector,
     kernel_quantizer,
+    next_pow2,
 )
-from .rotation import next_pow2, rotated_kernel
+from .rotation import rotated_kernel
 from .scalar import ModuloParams, mq_decode, mq_encode_with
 
 __all__ = [
@@ -47,8 +45,6 @@ __all__ = [
     "wz_unknown_quantizer",
     "boosted_rdaq_sample",
 ]
-
-_BALL_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ def _check_side(side, d: int, name: str) -> np.ndarray:
 def _check_ball(v: np.ndarray, name: str, what: str = "input") -> np.ndarray:
     """The checked vector or rows `v`, or ValueError unless each lies in the
     unit l2 ball."""
-    if _l2_norm(v) > _BALL_SLACK:
+    if _l2_norm(v) > _NORM_SLACK:
         raise ValueError(f"{name} {what} must lie in the unit l2 ball")
     return v
 

@@ -25,6 +25,7 @@ from .adaptive import (
     log_star,
 )
 from .core import (
+    _NORM_SLACK,
     Kernel,
     MalformedStreamError,
     Quantizer,
@@ -32,11 +33,11 @@ from .core import (
     check_config,
     check_vector,
     kernel_quantizer,
+    next_pow2,
 )
-from .rotation import next_pow2, rotated_kernel
+from .rotation import rotated_kernel
 from .scalar import (
     OVERFLOW,
-    UniformGrid,
     _draw_source,
     cuq_levels,
     cuq_round_with,
@@ -61,8 +62,6 @@ __all__ = [
     "LpSplitConfig",
     "lp_split_quantizer",
 ]
-
-_NORM_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -524,10 +523,6 @@ class SimqPlusConfig:
         return self.B * self.d ** (1.0 / self.p)
 
     @property
-    def q(self) -> float:
-        return self.p / (self.p - 1.0) if self.p != math.inf else 1.0
-
-    @property
     def type_bits(self) -> int:
         return max(1, math.ceil(math.log2(math.comb(self.d + self.k, self.k))))
 
@@ -611,27 +606,29 @@ class LpSplitConfig:
         return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
     @property
+    def _inv_q(self) -> float:
+        return 0.0 if self.q == math.inf else 1.0 / self.q
+
+    @property
     def delta2(self) -> int:
         return RatqConfig._log_h(self.d)
 
     @property
     def delta1(self) -> int:
-        exp = 0.5 - (0.0 if self.q == math.inf else 1.0 / self.q)
+        exp = 0.5 - self._inv_q
         return math.ceil(
             math.log2(2 + math.sqrt(18 + 6 * math.log(max(1, self.delta2))) * self.d**exp)
         )
 
     @property
     def threshold(self) -> float:
-        if self.q == math.inf:
-            return self.B
-        return self.B * (self.delta1 / self.d) ** (1.0 / self.q)
+        return self.B * (self.delta1 / self.d) ** self._inv_q  # B itself at q = inf
 
     @property
-    def cuq_grid(self) -> UniformGrid:
-        inv_q = 0.0 if self.q == math.inf else 1.0 / self.q
-        k = (1 << math.ceil(math.log2(2 * math.sqrt(2) * self.delta1**inv_q + 2))) - 1
-        return UniformGrid(self.threshold, k, "signed")
+    def cuq_k(self) -> int:
+        """The level count of the small coordinates' CUQ, whose range is the
+        threshold."""
+        return (1 << math.ceil(math.log2(2 * math.sqrt(2) * self.delta1**self._inv_q + 2))) - 1
 
     @property
     def d_large(self) -> int:
@@ -639,18 +636,17 @@ class LpSplitConfig:
 
     @property
     def ratq_cfg(self) -> RatqConfig:
-        inv_q = 0.0 if self.q == math.inf else 1.0 / self.q
-        B2 = self.B * self.d ** (0.5 - inv_q)
+        B2 = self.B * self.d ** (0.5 - self._inv_q)
         return replace(RatqConfig.default(B2, self.d_large), k=(1 << self.delta1) - 1)
 
     @property
     def bit_budget(self) -> int:
-        return self.d * self.cuq_grid.symbol_bits + self.d + self.ratq_cfg.bit_budget
+        return self.d * math.ceil(math.log2(self.cuq_k + 1)) + self.d + self.ratq_cfg.bit_budget
 
     def analytic_budget(self) -> int:
         """Closed-form budget without the power-of-two framing overhead."""
-        inv_q = 0.0 if self.q == math.inf else 1.0 / self.q
-        return self.d * (math.ceil(math.log2(2 * math.sqrt(2) * self.delta1**inv_q + 2)) + 3) + self.delta2
+        cuq_bits = math.ceil(math.log2(2 * math.sqrt(2) * self.delta1**self._inv_q + 2))
+        return self.d * (cuq_bits + 3) + self.delta2
 
 
 def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
@@ -658,7 +654,7 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     one CUQ uniform per coordinate, then the RATQ uniforms of the zero-filled
     restriction to the large coordinates.  Each row's large coordinates fill
     the restriction in coordinate order, and go back from it the same way."""
-    grid = cfg.cuq_grid
+    M, k = cfg.threshold, cfg.cuq_k
     ratq_cfg = cfg.ratq_cfg
     ratq = _ratq_kernel(ratq_cfg)
 
@@ -670,8 +666,8 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
                           initial=0.0)
         if norm > cfg.B * _NORM_SLACK:
             raise ValueError(f"lq norm {norm:.6g} exceeds bound B={cfg.B}")
-        if np.max(np.count_nonzero(a > grid.M, axis=-1), initial=0) > ratq_cfg.d:
-            raise ValueError(f"more than {ratq_cfg.d} coordinates above the threshold {grid.M:.6g}")
+        if np.max(np.count_nonzero(a > M, axis=-1), initial=0) > ratq_cfg.d:
+            raise ValueError(f"more than {ratq_cfg.d} coordinates above the threshold {M:.6g}")
         return y
 
     def noise(rng, y, m):
@@ -687,15 +683,15 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     def encode(y, shared, noise):
         u, ratq_u = noise
         y = np.atleast_2d(y)
-        large = np.abs(y) > grid.M
-        sym = cuq_round_with(np.broadcast_to(np.where(large, 0.0, y), u.shape), grid.M, grid.k, u)
+        large = np.abs(y) > M
+        sym = cuq_round_with(np.broadcast_to(np.where(large, 0.0, y), u.shape), M, k, u)
         at, held = slots(large)
         restriction = np.where(held, np.take_along_axis(y, at, axis=1), 0.0)
         return sym, large, ratq.encode(restriction, shared, ratq_u)
 
     def decode(fields, side, shared):
         sym, large, ratq_fields = fields
-        out = grid.level(sym)
+        out = cuq_levels(sym, M, k)
         at, held = slots(np.broadcast_to(large, out.shape))
         r, s = np.nonzero(held)
         out[r, at[r, s]] += ratq.decode(ratq_fields, None, shared)[r, s]
@@ -703,11 +699,11 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
 
     def write(bits, fields):
         sym, large, ratq_fields = fields
-        write_cuq_symbols(bits, sym[0], grid.k)
+        write_cuq_symbols(bits, sym[0], k)
         return ratq.write(bits.write_fields(large, 1), ratq_fields)
 
     def read(reader):
-        sym = read_cuq_symbols(reader, cfg.d, grid.k)
+        sym = read_cuq_symbols(reader, cfg.d, k)
         large = reader.read_fields(cfg.d, 1).astype(bool)
         if large.sum() > ratq_cfg.d:
             raise MalformedStreamError(

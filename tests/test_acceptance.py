@@ -26,7 +26,7 @@ from qtc.aoi import (
 from qtc.core import SeedPath
 from qtc.dme import DmeInstance, configure_known_delta, configure_no_side_info, run_dme, theoretical_bound
 from qtc.optim import Domain, psgd_run, quadratic_oracle
-from qtc.scalar import ModuloParams, UniformGrid, gaussian_wz_run, mq_decode
+from qtc.scalar import ModuloParams, gaussian_wz_run, mq_decode
 from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample, wz_known_quantizer
 from qtc.vector import (
     RatqConfig,
@@ -53,13 +53,13 @@ def test_criterion_01_cuq_exact_unbiasedness():
     t0 = time.time()
     worst = 0.0
     for M, k in [(1.0, 2), (1.0, 5), (2.0, 9)]:
-        grid = UniformGrid(M, k)
+        lo, spacing = -M, 2 * M / (k - 1)
         ys = np.linspace(-M, M, 1000)
-        t = (ys - grid.lo) / grid.spacing
+        t = (ys - lo) / spacing
         lower = np.clip(np.ceil(t) - 1, 0, k - 2)
         p_up = t - lower
-        lo_val = grid.lo + lower * grid.spacing
-        expect = p_up * (lo_val + grid.spacing) + (1 - p_up) * lo_val
+        lo_val = lo + lower * spacing
+        expect = p_up * (lo_val + spacing) + (1 - p_up) * lo_val
         worst = max(worst, float(np.max(np.abs(expect - ys))))
     assert worst < 1e-12
     elapsed = time.time() - t0

@@ -46,6 +46,8 @@ def test_tetration_values():
     assert tetration(4) == math.inf
     with pytest.raises(OverflowError):
         tetration(6)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tetration(-1)
 
 
 def test_log_star_table():
@@ -53,6 +55,9 @@ def test_log_star_table():
     assert log_star(10.0) == 2
     assert log_star(1024 / 3) == 3
     assert log_star(math.e) == 1
+    for b in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive argument"):
+            log_star(b)
 
 
 def test_tetra_ladder_monotone():
@@ -62,6 +67,11 @@ def test_tetra_ladder_monotone():
     assert r[0] == pytest.approx(math.sqrt(0.5 + 0.3))
     with pytest.raises(ValueError):
         Ladder.tetra(0.5, 0.0, 9)
+    for m, m0 in ((0.0, 0.3), (-0.5, 0.3), (0.5, -0.1)):
+        with pytest.raises(ValueError, match="m > 0 and m0 >= 0"):
+            Ladder.tetra(m, m0, 4)
+    with pytest.raises(ValueError, match="h >= 1"):
+        Ladder(())
 
 
 def test_atuq_range_selection():
@@ -116,6 +126,9 @@ def test_geo_ladder_and_aguq():
     assert sym[2] == OVERFLOW and rec[2] == 0.0 and j[2] == lad.h - 1
     with pytest.raises(ValueError, match="nonnegative"):
         _aguq([0.5, -0.1], lad, np.full(3, 4), SeedPath(1).stream())
+    for a in (1.0, 0.5):
+        with pytest.raises(ValueError, match="growth ratio a must exceed 1"):
+            Ladder.geometric(1.0, a, 3)
     # a batch that overflows throughout draws nothing
     rng = SeedPath(1).stream()
     state = rng.bit_generator.state

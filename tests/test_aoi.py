@@ -40,6 +40,8 @@ def test_shannon_lengths():
     ell = shannon_lengths([0.6, 0.4], "integer")
     assert np.array_equal(ell, [1, 2]) and kraft_sum(ell) == 0.75
     assert kraft_sum(shannon_lengths(random_pmf(0, 20), "real")) <= 1 + 1e-9
+    with pytest.raises(ValueError, match="unknown mode 'ceil'"):
+        shannon_lengths([0.5, 0.5], "ceil")
 
 
 def test_prefix_code_canonical():
@@ -360,6 +362,11 @@ _BAD_SIM_INPUTS = {
     "fractional-skip": dict(lengths=[2, 2], theta=[1.0, 0.5], l_skip=2.5, **_HALVES),
     # 1000.5 slots would end in half a slot of age
     "fractional-horizon": dict(lengths=[1, 1], p=[0.5, 0.5], horizon=1000.5),
+    "erasure-one": dict(lengths=[1, 1], erasure=1.0, **_HALVES),
+    "erasure-negative": dict(lengths=[1, 1], erasure=-0.1, **_HALVES),
+    "never-transmits": dict(lengths=[2, 2], theta=[0.0, 0.0], l_skip=2, **_HALVES),
+    # both codewords of length 1 are sent, so a skip word does not fit
+    "randomized-kraft": dict(lengths=[1, 1], theta=[1.0, 0.5], l_skip=1, **_HALVES),
 }
 
 
@@ -398,6 +405,11 @@ def test_variational_formula_rejects_bad_q():
     for q in ([-0.2, 1.2], [0.5, 0.25, 0.25], [1.0]):
         with pytest.raises(ValueError):
             lp_norm_variational([1.0, 2.0], [0.5, 0.5], 2.0, q)
+    with pytest.raises(ValueError, match="absolutely continuous"):
+        lp_norm_variational([1.0, 2.0], [1.0, 0.0], 2.0, [0.5, 0.5])
+    for p in (1.0, 0.5):
+        with pytest.raises(ValueError, match="needs p > 1"):
+            lp_norm_variational([1.0, 2.0], [0.5, 0.5], p, [0.5, 0.5])
 
 
 def test_variational_rejects_values_of_another_shape():
@@ -406,6 +418,8 @@ def test_variational_rejects_values_of_another_shape():
             lp_norm_variational(values, [0.5, 0.5], 2.0, [0.5, 0.5])
         with pytest.raises(ValueError, match="values for 2 symbols"):
             variational_maximizer(values, [0.5, 0.5], 2.0)
+    with pytest.raises(ValueError, match="maximizer undefined"):
+        variational_maximizer([0.0, 0.0], [0.5, 0.5], 2.0)
 
 
 def test_zero_probability_symbol_gets_infinite_length():

@@ -5,6 +5,7 @@ import pytest
 from qtc.catalog import CATALOG
 from qtc.cli import ConfigError, _parser, main, parse_config
 from qtc.core import SeedPath
+from qtc.dme import theoretical_bound
 from qtc.scalar import gaussian_wz_params, gaussian_wz_run
 from qtc.vector import gaussian_rd_config, gaussian_rd_run
 
@@ -105,6 +106,21 @@ def test_cli_dme_bench_monotone(tmp_path):
     assert float(rows[0][5]) > float(rows[1][5])  # mse decreases in r
 
 
+def test_cli_dme_bench_known_delta_bound_follows_the_precision(tmp_path):
+    """Above r = d, `configure_known_delta` sends plain RMQ with k = 2^(r/d),
+    and the `mse_bound` column is that setting's bound."""
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("setting = known-delta\nn = 10\nd = 64\nr_list = 32 256\ndelta = 0.1\n")
+    code, text = run_cli(tmp_path, "dme-bench", "--config", str(cfg), "--seed", "4", "--trials", "50")
+    assert code == 0
+    small, large = [line.split(",") for line in text.strip().splitlines()[1:]]
+    deltas = [0.1] * 10
+    assert float(small[7]) == pytest.approx(theoretical_bound("known-delta", 10, 64, 32, deltas))
+    assert float(large[7]) == pytest.approx(
+        theoretical_bound("known-delta-large-r", 10, 64, 256, deltas))
+    assert float(large[5]) <= float(large[7])
+
+
 def test_cli_rd_and_sim(tmp_path):
     cfg = tmp_path / "r.cfg"
     cfg.write_text("d = 256\nblocks = 20\n")
@@ -181,7 +197,11 @@ def test_cli_rejects_empty_lists_and_floats_out_of_domain_naming_the_key(tmp_pat
              ("dme-bench", "setting = known-delta\ndelta = -0.1\n",
               "line 2: delta must be positive, got '-0.1'"),
              ("aoi-sim", "erasure = 1.0\n", "line 1: erasure must be below 1, got '1.0'"),
-             ("aoi-sim", "erasure = -0.1\n", "line 1: erasure must be non-negative, got '-0.1'")]
+             ("aoi-sim", "erasure = -0.1\n", "line 1: erasure must be non-negative, got '-0.1'"),
+             ("dme-bench", "setting = bogus\n", "unknown setting 'bogus'"),
+             ("rd-bench", "mode = bogus\n", "unknown mode 'bogus'"),
+             ("aoi-solve", "zipf_n = 8\nobjective = bogus\n", "unknown objective 'bogus'"),
+             ("aoi-sim", "zipf_n = 8\ncode = bogus\n", "unknown code 'bogus'")]
     cfg = tmp_path / "c.cfg"
     for command, text, message in cases:
         cfg.write_text(text)

@@ -230,4 +230,11 @@ def test_fields_reject_bad_values_and_leftovers():
     reader.read_fields(2, 2)
     with pytest.raises(ValueError, match="left over"):
         reader.finish()
+    for w in (0, 64):
+        with pytest.raises(ValueError, match=f"field width must be in 1..63, got {w}"):
+            BitString().write_fields([0], w)
+        with pytest.raises(ValueError, match=f"field width must be in 1..63, got {w}"):
+            BitReader(BitString().write_uint(0, 64)).read_fields(1, w)
+    with pytest.raises(ValueError, match="width must be >= 1, got 0"):
+        BitReader(BitString().write_uint(0, 4)).read_uint(0)
     assert issubclass(TruncatedStreamError, ValueError)

@@ -152,6 +152,8 @@ def test_bounds_evaluate():
     assert b2 == pytest.approx(2 * b1)
     with pytest.raises(ValueError):
         theoretical_bound("known-delta", 4, 16, 8)
+    with pytest.raises(ValueError, match="one delta per client"):
+        theoretical_bound("known-delta", 4, 16, 8, [0.1] * 3)
     with pytest.raises(ValueError):
         theoretical_bound("bogus", 4, 16, 8, [0.1] * 4)
 
@@ -277,6 +279,8 @@ def test_instance_and_quantizer_count_checked():
     xs = unit_rows(22, 3, d) * 0.5
     with pytest.raises(ValueError, match="expected \\(n, d\\)"):
         DmeInstance(xs[0], None, None, r=d)
+    with pytest.raises(ValueError, match="side information shape mismatch"):
+        DmeInstance(xs, xs[:, :4], np.full(3, 0.1), r=d)
     with pytest.raises(ValueError, match="expected \\(3,\\)"):
         DmeInstance(xs, xs, np.array([0.1]), r=d)
     with pytest.raises(ValueError, match="expected \\(3,\\)"):

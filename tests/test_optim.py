@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,30 @@ def test_domain_projection():
     assert np.allclose(box.project(np.array([2.0, -0.2])), [0.5, -0.2])
     with pytest.raises(ValueError):
         Domain("simplex", 1.0)
+    for radius in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            Domain("l2_ball", radius)
+
+
+def test_runs_reject_bad_parameters_before_drawing():
+    d = 4
+    oracle = quadratic_oracle(np.zeros(d), 0.3, 1.0)
+    dom = Domain("l2_ball", 1.0)
+    rng = SeedPath(17).stream()
+    state = rng.bit_generator.state
+    seed = SimpleNamespace(stream=lambda: rng)  # a SeedPath whose stream is rng
+    runs = [(lambda: psgd_run(oracle, None, dom, 0, seed=seed, x_init=np.zeros(d)),
+             "at least one step")]
+    for p in (0.5, 2.5):
+        runs.append((lambda p=p: mirror_descent_run(oracle, None, dom, 8, p, seed=seed,
+                                                    x_init=np.zeros(d)), "p in \\[1, 2\\]"))
+    for r in (0, d + 1):
+        runs.append((lambda r=r: l1_phase_scheme(oracle, r, 8, dom, seed=seed,
+                                                 x_init=np.zeros(d)), "r must lie in 1..d"))
+    for run, want in runs:
+        with pytest.raises(ValueError, match=want):
+            run()
+    assert rng.bit_generator.state == state
 
 
 def test_identity_psgd_classical_rate():

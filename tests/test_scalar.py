@@ -7,9 +7,10 @@ from qtc.core import BitReader, BitString, SeedPath
 from qtc.scalar import (
     OVERFLOW,
     ModuloParams,
-    UniformGrid,
+    _draw_source,
     cuq_conditional_mse,
     cuq_expected_decode,
+    cuq_levels,
     cuq_round_with,
     mq_decode,
     mq_encode_with,
@@ -18,13 +19,15 @@ from qtc.scalar import (
 )
 
 
-def two_branch_expectation(y, grid):
-    """Independent oracle: enumerate the two rounding branches."""
-    t = (y - grid.lo) / grid.spacing
-    lower = np.clip(np.ceil(t) - 1, 0, grid.k - 2)
+def two_branch_expectation(y, M, k):
+    """Independent oracle: enumerate the two rounding branches of the signed
+    k-level grid over [-M, M]."""
+    lo, spacing = -M, 2 * M / (k - 1)
+    t = (y - lo) / spacing
+    lower = np.clip(np.ceil(t) - 1, 0, k - 2)
     p_up = t - lower
-    lo_val = grid.lo + lower * grid.spacing
-    return p_up * (lo_val + grid.spacing) + (1 - p_up) * lo_val
+    lo_val = lo + lower * spacing
+    return p_up * (lo_val + spacing) + (1 - p_up) * lo_val
 
 
 def mq_decode_three_candidates(w, y, params):
@@ -40,39 +43,36 @@ def mq_decode_three_candidates(w, y, params):
 
 @pytest.mark.parametrize("M,k", [(1.0, 2), (1.0, 5), (2.0, 9)])
 def test_cuq_exact_unbiasedness(M, k):
-    grid = UniformGrid(M, k)
     ys = np.linspace(-M, M, 1001)
-    assert np.max(np.abs(two_branch_expectation(ys, grid) - ys)) < 1e-12
-    assert np.max(np.abs(cuq_expected_decode(ys, grid) - ys)) < 1e-12
+    assert np.max(np.abs(two_branch_expectation(ys, M, k) - ys)) < 1e-12
+    assert np.max(np.abs(cuq_expected_decode(ys, M) - ys)) < 1e-12
 
 
 def test_cuq_sampling_law():
-    grid = UniformGrid(1.0, 2)
     rng = SeedPath(0).stream()
-    sym = cuq_round_with(np.full(200_000, 0.5), grid.M, grid.k, rng.random(200_000))
+    sym = cuq_round_with(np.full(200_000, 0.5), 1.0, 2, rng.random(200_000))
     assert abs((sym == 1).mean() - 0.75) < 0.01
 
 
 def test_cuq_endpoints_deterministic():
-    grid = UniformGrid(1.0, 5)
+    M, k = 1.0, 5
     rng = SeedPath(1).stream()
-    assert np.all(cuq_round_with(np.full(100, -1.0), grid.M, grid.k, rng.random(100)) == 0)
-    assert np.all(cuq_round_with(np.full(100, 1.0), grid.M, grid.k, rng.random(100)) == 4)
+    assert np.all(cuq_round_with(np.full(100, -1.0), M, k, rng.random(100)) == 0)
+    assert np.all(cuq_round_with(np.full(100, 1.0), M, k, rng.random(100)) == 4)
     # an interior level is emitted exactly (half-open cells)
-    level1 = -1.0 + grid.spacing
-    assert np.all(cuq_round_with(np.full(100, level1), grid.M, grid.k, rng.random(100)) == 1)
+    level1 = -1.0 + 2 * M / (k - 1)
+    assert np.all(cuq_round_with(np.full(100, level1), M, k, rng.random(100)) == 1)
 
 
 def test_cuq_overflow_symbol():
-    grid = UniformGrid(1.0, 2)
     rng = SeedPath(2).stream()
-    assert np.all(cuq_round_with(np.array([1.5, -2.0]), grid.M, grid.k, rng.random(2)) == OVERFLOW)
-    assert grid.level(np.array([OVERFLOW]))[0] == 0.0
+    assert np.all(cuq_round_with(np.array([1.5, -2.0]), 1.0, 2, rng.random(2)) == OVERFLOW)
+    assert cuq_levels(np.array([OVERFLOW]), 1.0, 2)[0] == 0.0
 
 
 def test_cuq_decode_values():
-    assert UniformGrid(1.0, 2).level(np.array([1]))[0] == 1.0
-    assert UniformGrid(2.0, 5).level(np.array([2]))[0] == 0.0
+    assert cuq_levels(np.array([1]), 1.0, 2)[0] == 1.0
+    assert cuq_levels(np.array([2]), 2.0, 5)[0] == 0.0
     # a field above k (the overflow code) names no symbol
     with pytest.raises(ValueError):
         read_cuq_symbols(BitReader(BitString().write_uint(6, 3)), 1, 5)
@@ -81,20 +81,18 @@ def test_cuq_decode_values():
 def test_cuq_cell_error_bounds():
     # signed: conditional MSE <= M^2/(k-1)^2; nonneg: <= M^2/(4(k-1)^2)
     for M, k in [(1.0, 4), (2.0, 7), (0.5, 16)]:
-        grid = UniformGrid(M, k)
         ys = np.linspace(-M, M, 797)
-        assert np.max(cuq_conditional_mse(ys, grid)) <= M**2 / (k - 1) ** 2 + 1e-12
-        gridn = UniformGrid(M, k, "nonneg")
+        assert np.max(cuq_conditional_mse(ys, M, k)) <= M**2 / (k - 1) ** 2 + 1e-12
         ysn = np.linspace(0, M, 797)
-        assert np.max(cuq_conditional_mse(ysn, gridn)) <= M**2 / (4 * (k - 1) ** 2) + 1e-12
+        assert np.max(cuq_conditional_mse(ysn, M, k, signed=False)) <= M**2 / (4 * (k - 1) ** 2) + 1e-12
 
 
 def test_cuq_symbol_serialization():
-    grid = UniformGrid(1.0, 5)  # 6 symbols -> 3-bit fields
+    k = 5  # 6 symbols -> 3-bit fields
     sym = np.array([0, 4, OVERFLOW, 2])
-    bits = write_cuq_symbols(BitString(), sym, grid.k)
-    assert bits.nbits == 4 * grid.symbol_bits
-    back = read_cuq_symbols(BitReader(bits), 4, grid.k)
+    bits = write_cuq_symbols(BitString(), sym, k)
+    assert bits.nbits == 4 * math.ceil(math.log2(k + 1))
+    back = read_cuq_symbols(BitReader(bits), 4, k)
     assert np.array_equal(back, sym)
 
 
@@ -148,6 +146,14 @@ def test_modulo_params_reject_a_bad_field_when_built(case):
     build, field = _BAD_MODULO[case]
     with pytest.raises(ValueError, match=rf"(^|\s){field} "):
         build()
+
+
+def test_draw_source_rejects_an_unknown_source_before_drawing():
+    rng = SeedPath(5).stream()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown source 'cauchy'"):
+        _draw_source(rng, "cauchy", 1.0, (4,))
+    assert rng.bit_generator.state == state
 
 
 def test_mq_recovery_sweep_small():

@@ -5,6 +5,7 @@ import pytest
 
 from qtc.adaptive import Ladder
 from qtc.core import BitString, MalformedStreamError, SeedPath
+from qtc.scalar import cuq_levels, cuq_round_with
 from qtc.vector import (
     AratqConfig,
     LpSplitConfig,
@@ -14,6 +15,7 @@ from qtc.vector import (
     _unrank_composition,
     aratq_quantizer,
     atuq_vector_apply,
+    gaussian_rd_config,
     lp_split_quantizer,
     ratq_apply,
     ratq_quantizer,
@@ -107,6 +109,8 @@ def test_rcs_wrap_contract():
     for mu_d in (8.5, 8.0):  # a float would first fail in a round trip's partition
         with pytest.raises(ValueError, match="mu_d"):
             rcs_wrap(cfg, mu_d)
+    with pytest.raises(ValueError, match="unknown RCS mode 'bogus'"):
+        rcs_wrap(cfg, 4, mode="bogus")
     q = rcs_wrap(cfg, 4)
     assert q.bit_budget == 4 * (cfg.ladder.index_bits + 3)
 
@@ -352,6 +356,30 @@ def test_lp_split_zero_and_second_moment():
     assert np.mean(sq) <= 12.0
 
 
+@pytest.mark.parametrize("build, want", [
+    (lambda: SimqPlusConfig(1.0, 8, 1.5), "SimQ\\+ covers p in \\[2, inf\\]"),
+    (lambda: LpSplitConfig(1.0, 8, 0.5), "split quantizer covers p in \\[1, 2\\]"),
+    (lambda: LpSplitConfig(1.0, 8, 2.5), "split quantizer covers p in \\[1, 2\\]"),
+])
+def test_configs_reject_p_outside_their_range(build, want):
+    with pytest.raises(ValueError, match=want):
+        build()
+
+
+def test_lp_split_rejects_more_large_coordinates_than_the_restriction_holds():
+    """At p = 1 the threshold is B itself, so rows inside the norm slack may
+    put every coordinate above it: more than the RATQ restriction's d_large
+    slots, rejected before any draw."""
+    cfg = LpSplitConfig(1.0, 16, 1.0)
+    y = np.full(16, 1.0 + 5e-10)
+    rng = SeedPath(47).stream()
+    state = rng.bit_generator.state
+    want = f"more than {cfg.ratq_cfg.d} coordinates above the threshold 1"
+    with pytest.raises(ValueError, match=want):
+        lp_split_quantizer(cfg).sample(y, None, 2, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_lp_split_p1_pure_cuq():
     cfg = LpSplitConfig(1.0, 16, 1.0)
     assert cfg.threshold == 1.0  # q = inf: no coordinate can exceed it
@@ -382,6 +410,35 @@ def test_atuq_vector_apply_matches_variance_contract():
     rec = atuq_vector_apply(xs, cfg, SeedPath(45).stream())
     assert rec.shape == xs.shape
     assert ((rec - xs) ** 2).mean() < 0.01
+
+
+def _atuq_reference(ys, u, cfg):
+    """Unrotated ATUQ by its definition, one length-s subvector at a time,
+    the last one shorter when s does not divide d: the subvector's range is
+    the smallest finite ladder range that covers its largest |coordinate|
+    (the largest finite range when none does), and each coordinate rounds
+    on it with its own uniform."""
+    finite = [r for r in cfg.ladder.ranges if math.isfinite(r)]
+    out = np.empty_like(ys)
+    for row in range(len(ys)):
+        for lo in range(0, cfg.d, cfg.s):
+            sub = slice(lo, min(lo + cfg.s, cfg.d))
+            widest = np.abs(ys[row, sub]).max()
+            M = next((r for r in finite if r >= widest), finite[-1])
+            out[row, sub] = cuq_levels(cuq_round_with(ys[row, sub], M, cfg.k, u[row, sub]), M, cfg.k)
+    return out
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_atuq_vector_apply_pads_a_short_last_subvector(d):
+    """`gaussian_rd_config` picks s = 2 here, so the last subvector has one
+    coordinate; the kernel pads it with zeros, which change no range pick."""
+    cfg = gaussian_rd_config(1.0, 1 / 16, d)[0]
+    assert cfg.s == 2 and d % cfg.s
+    ys = SeedPath(48).stream().normal(scale=2.0, size=(300, d))
+    rec = atuq_vector_apply(ys, cfg, SeedPath(49).stream())
+    u = SeedPath(49).stream().random((300, d))  # the kernel's one noise draw
+    assert np.array_equal(rec, _atuq_reference(ys, u, cfg))
 
 
 def test_atuq_vector_apply_rejects_rows_of_another_length():
