@@ -55,6 +55,13 @@ def log_star(b: float) -> int:
     return i
 
 
+def _tetra_log_h(b: float) -> int:
+    """log2 h = ceil(log2(1 + log*(b))) of a tetra ladder: the fewest
+    power-of-two rungs h with e^^(h-1) >= b, so that the top range squared
+    reaches b times the bottom one (ATUQ, RDAQ and the no-side-info bound)."""
+    return math.ceil(math.log2(1 + log_star(b)))
+
+
 @dataclass(frozen=True)
 class Ladder:
     """An increasing ladder of ranges: every adaptive quantizer picks the

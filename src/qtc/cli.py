@@ -30,11 +30,10 @@ from .aoi import (
 )
 from .catalog import CATALOG
 from .core import SeedPath
-from .dme import DmeInstance, configure_known_delta, configure_no_side_info, run_dme, theoretical_bound
+from .dme import DmeInstance, configure, run_dme
 from .optim import Domain, psgd_run, quadratic_oracle
 from .scalar import gaussian_wz_run
-from .sideinfo import wz_known_quantizer
-from .vector import RatqConfig, gaussian_rd_run, ratq_apply, rcs_wrap
+from .vector import RatqConfig, gaussian_rd_run, ratq_apply
 
 __all__ = [
     "ConfigError",
@@ -162,35 +161,25 @@ def cmd_dme_bench(args) -> int:
     cfg = parse_config(args.config_text,
                        {"setting": "no-side-info", "n": 10, "d": 256, "r_list": [16, 32, 64],
                         "delta": 0.1})
-    n, d = cfg["n"], cfg["d"]
+    setting, n, d, delta = cfg["setting"], cfg["n"], cfg["d"], cfg["delta"]
+    # the inputs are unit vectors, and the unknown-distance codes need both
+    # input and side information inside the unit ball
+    if setting not in ("no-side-info", "known-delta"):
+        raise ConfigError(f"unknown setting {setting!r}")
     trials = args.trials or 1000
     root = SeedPath(args.seed)
-    rng = root.child("inputs").stream()
-    xs = rng.normal(size=(n, d))
+    xs = root.child("inputs").stream().normal(size=(n, d))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    ys = deltas = None
+    if setting == "known-delta":
+        u = root.child("side").stream().normal(size=(n, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        ys, deltas = xs + delta * u, np.full(n, delta)
     rows = []
     for r in cfg["r_list"]:
-        if cfg["setting"] == "no-side-info":
-            rcfg, mu_d = configure_no_side_info(n, d, r)
-            quants = [rcs_wrap(rcfg, mu_d)] * n
-            inst = DmeInstance(xs, None, None, r)
-            bound = theoretical_bound("no-side-info", n, d, r)
-        elif cfg["setting"] == "known-delta":
-            delta = cfg["delta"]
-            u = root.child("side").stream().normal(size=(n, d))
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            ys = xs + delta * u
-            deltas = [delta] * n
-            rcfgs, mu_d = configure_known_delta(n, d, r, deltas)
-            quants = [wz_known_quantizer(rcfgs[0], mu_d)] * n  # one delta, one quantizer
-            inst = DmeInstance(xs, ys, np.array(deltas), r)
-            bound = theoretical_bound("known-delta" if r <= d else "known-delta-large-r",
-                                      n, d, r, deltas)
-        else:
-            raise ConfigError(f"unknown setting {cfg['setting']!r}")
-        res = run_dme(inst, quants, root.child("run", r), trials)
-        rows.append([cfg["setting"], n, d, r, cfg["delta"], res.mse, res.band, bound,
-                     max(b for b in res.bits_per_client)])
+        quants, bound = configure(setting, n, d, r, deltas)
+        res = run_dme(DmeInstance(xs, ys, deltas, r), quants, root.child("run", r), trials)
+        rows.append([setting, n, d, r, delta, res.mse, res.band, bound, max(res.bits_per_client)])
     _emit(rows, ["setting", "n", "d", "r_bits", "delta", "empirical_mse", "band_3sigma",
                  "mse_bound", "bits_used"], args.out)
     return 0

@@ -1,11 +1,12 @@
 """n-client simultaneous-message distributed mean estimation.
 
 Each client quantizes its vector with an independently seeded stream; the
-server decodes against its side information and averages.  Parameter
-configuration helpers cover the no-side-information, known-distance, and
-unknown-distance settings in both the small- (r <= d) and large-precision
-regimes, and `theoretical_bound` evaluates the matching closed-form MSE
-bound for benchmark overlays.
+server decodes against its side information and averages.  `configure`
+builds the clients' quantizers and the closed-form MSE bound of the
+no-side-information, known-distance or unknown-distance setting; the
+precision r picks the regime, small (r <= d, subsampled) or large (r = m d,
+every rotated coordinate).  Its steps, the `configure_*` parameter helpers
+and `theoretical_bound`, are public too.
 """
 
 from __future__ import annotations
@@ -17,15 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptive import log_star
+from .adaptive import _tetra_log_h, log_star
 from .core import _NORM_SLACK, Quantizer, SeedPath, next_pow2
-from .sideinfo import RdaqConfig, RmqConfig
-from .vector import RatqConfig
+from .sideinfo import RdaqConfig, RmqConfig, rdaq_quantizer, wz_known_quantizer, wz_unknown_quantizer
+from .vector import RatqConfig, rcs_wrap
 
 __all__ = [
     "DmeInstance",
     "DmeResult",
     "run_dme",
+    "configure",
     "configure_no_side_info",
     "configure_known_delta",
     "configure_unknown_delta",
@@ -217,9 +219,10 @@ def theoretical_bound(
     r: int,
     deltas: Optional[Sequence[float]] = None,
 ) -> float:
-    """Closed-form worst-case protocol MSE bound for the given setting."""
+    """Closed-form worst-case protocol MSE bound for the given setting, in
+    the regime r picks: small precision for r <= d, large precision above."""
     if setting == "no-side-info":
-        c = 6 + 2 * math.ceil(math.log2(1 + log_star(d / 3.0)))
+        c = 6 + 2 * _tetra_log_h(d / 3.0)
         return c * sum((1.0 / n) * (d / (n * r)) for _ in range(n))
     if deltas is None:
         raise ValueError(f"setting {setting!r} needs per-client deltas")
@@ -227,16 +230,49 @@ def theoretical_bound(
     if len(deltas) != n:
         raise ValueError("need one delta per client")
     if setting == "known-delta":
-        c = 79 * _known_delta_log_k(n) + 26
-        return c * sum((delta**2 / n) * (d / (n * r)) for delta in deltas)
-    if setting == "unknown-delta":
-        c = 128 * math.sqrt(3) * (1 + log_star(d / 6.0))
-        return c * sum((delta / n) * (d / (n * r)) for delta in deltas)
-    if setting == "known-delta-large-r":
+        if r <= d:
+            c = 79 * _known_delta_log_k(n) + 26
+            return c * sum((delta**2 / n) * (d / (n * r)) for delta in deltas)
         c = 12 * math.log(n) + 24 * r / d + 154 / n + 166
         denom = n * (2 ** (r / d) - 2) ** 2
         return c * sum((delta**2 / n) * (1.0 / denom) for delta in deltas)
-    if setting == "unknown-delta-large-r":
+    if setting == "unknown-delta":
+        if r <= d:
+            c = 128 * math.sqrt(3) * (1 + log_star(d / 6.0))
+            return c * sum((delta / n) * (d / (n * r)) for delta in deltas)
         expo = r / (d * (2 + 2 * log_star(d / 6.0)))
         return sum((delta / n) * (64 * math.sqrt(3) / (n * 2**expo)) for delta in deltas)
     raise ValueError(f"unknown setting {setting!r}")
+
+
+def configure(
+    setting: str,
+    n: int,
+    d: int,
+    r: int,
+    deltas: Optional[Sequence[float]] = None,
+) -> tuple[list[Quantizer], float]:
+    """The n clients' quantizers for `setting` at precision r, and the
+    setting's `theoretical_bound`.
+
+    No side information: subsampled unit-ball RATQ (`rcs_wrap`).  Known
+    distance: RMQ (`wz_known_quantizer`), one quantizer per distinct delta,
+    shared by every client that declares it.  Unknown distance: subsampled
+    RDAQ (`wz_unknown_quantizer`) for r <= d, boosted RDAQ
+    (`rdaq_quantizer`) above.  Clients that share a quantizer share the
+    object, so `run_dme` runs them in one `Kernel.run`.  ValueError for an
+    unknown setting, missing or miscounted deltas, or an r the setting's
+    code cannot fit, before any quantizer is built.
+    """
+    bound = theoretical_bound(setting, n, d, r, deltas)
+    if setting == "no-side-info":
+        return [rcs_wrap(*configure_no_side_info(n, d, r))] * n, bound
+    if setting == "known-delta":
+        deltas = [float(x) for x in deltas]
+        distinct = list(dict.fromkeys(deltas))
+        cfgs, mu_d = configure_known_delta(n, d, r, distinct)
+        shared = {delta: wz_known_quantizer(cfg, mu_d) for delta, cfg in zip(distinct, cfgs)}
+        return [shared[delta] for delta in deltas], bound
+    cfg, mu_d = configure_unknown_delta(d, r)
+    q = rdaq_quantizer(cfg) if r > d else wz_unknown_quantizer(cfg, mu_d)
+    return [q] * n, bound

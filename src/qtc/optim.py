@@ -151,6 +151,11 @@ class RunResult:
         return float(self.final_gaps.mean())
 
 
+def _check_steps(T: int) -> None:
+    if T < 1:
+        raise ValueError("need at least one step")
+
+
 def _descent_engine(
     oracle: GradientOracle,
     qfun: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]],
@@ -163,8 +168,7 @@ def _descent_engine(
     reps: int,
     x_init: np.ndarray,
 ) -> RunResult:
-    if T < 1:
-        raise ValueError("need at least one step")
+    _check_steps(T)
     eta = domain.diameter / (alpha2 * math.sqrt(T))
     rng = seed.stream()
     x = np.tile(np.asarray(x_init, dtype=float), (reps, 1))
@@ -277,6 +281,7 @@ def l1_phase_scheme(
     d = np.asarray(x_init).size
     if r < 1 or r > d:
         raise ValueError("per-query budget r must lie in 1..d")
+    _check_steps(T)
     B = oracle.B
     phases = max(1, (T * r) // d)
     queries = math.ceil(d / r)

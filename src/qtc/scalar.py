@@ -179,15 +179,27 @@ def gaussian_wz_params(sigma_z: float, D: float) -> tuple[ModuloParams, int]:
     return ModuloParams(1 << log_k, delta_prime), log_k
 
 
+# The rate-distortion sources, by name: each draws `shape` values at scale
+# `scale`.  The normal has standard deviation `scale`; the Laplace shape has
+# scale `scale`/2 and is clipped to [-scale, scale] (bounded, hence
+# subgaussian, but with heavier near-tails).
+_SOURCES = {
+    "gaussian": lambda rng, scale, shape: rng.normal(scale=scale, size=shape),
+    "laplace": lambda rng, scale, shape: np.clip(
+        rng.laplace(scale=scale / 2.0, size=shape), -scale, scale),
+}
+
+
+def _source(source: str):
+    """The drawer of `source`; ValueError, before any draw, for an unknown name."""
+    if source not in _SOURCES:
+        raise ValueError(f"unknown source {source!r}")
+    return _SOURCES[source]
+
+
 def _draw_source(rng: np.random.Generator, source: str, scale: float, shape) -> np.ndarray:
-    """`shape` draws from `source`: normal with standard deviation `scale`,
-    or a Laplace shape of scale `scale`/2 clipped to [-scale, scale] (bounded,
-    hence subgaussian, but with heavier near-tails)."""
-    if source == "gaussian":
-        return rng.normal(scale=scale, size=shape)
-    if source == "laplace":
-        return np.clip(rng.laplace(scale=scale / 2.0, size=shape), -scale, scale)
-    raise ValueError(f"unknown source {source!r}")
+    """`shape` draws from the named source at scale `scale`."""
+    return _source(source)(rng, scale, shape)
 
 
 def gaussian_wz_run(
@@ -202,8 +214,9 @@ def gaussian_wz_run(
     scale sigma_z; MQ with decoder side information Y.  Returns (empirical
     per-dimension MSE, log2 k bits per dimension)."""
     params, log_k = gaussian_wz_params(sigma_z, D)
+    draw = _source(source)
     y = rng.normal(size=(blocks, d))
-    x = y + _draw_source(rng, source, sigma_z, (blocks, d))
+    x = y + draw(rng, sigma_z, (blocks, d))
     w = mq_encode_with(x, params, rng.random(x.shape))
     rec = mq_decode(w, y, params)
     mse = float(((rec - x) ** 2).mean())

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptive import Ladder, log_star
+from .adaptive import Ladder, _tetra_log_h
 from .core import (
     _NORM_SLACK,
     Kernel,
@@ -191,16 +191,16 @@ class RdaqConfig:
 
     @functools.cached_property
     def h(self) -> int:
-        return 1 << max(0, math.ceil(math.log2(1 + log_star(self.d / 6.0))))
+        return 1 << self.index_bits
 
     @functools.cached_property
     def ranges(self) -> np.ndarray:
         """The h scales M_j, worked out once per config; read-only."""
         return Ladder.tetra(6 / self.d, 0.0, self.h).ranges
 
-    @property
+    @functools.cached_property
     def index_bits(self) -> int:
-        return max(0, math.ceil(math.log2(self.h)))
+        return _tetra_log_h(self.d / 6.0)
 
     @property
     def count_bits(self) -> int:

@@ -19,10 +19,10 @@ import numpy as np
 
 from .adaptive import (
     Ladder,
+    _tetra_log_h,
     aguq_fields,
     aguq_levels,
     aguq_uniforms,
-    log_star,
 )
 from .core import (
     _NORM_SLACK,
@@ -78,14 +78,10 @@ class RatqConfig:
     def __post_init__(self):
         check_config(self.d, self.B)
 
-    @staticmethod
-    def _log_h(d: int) -> int:
-        return max(0, math.ceil(math.log2(1 + log_star(max(d, 1) / 3.0))))
-
     @classmethod
     def default(cls, B: float, d: int) -> "RatqConfig":
         check_config(d, B)
-        log_h = cls._log_h(d)
+        log_h = _tetra_log_h(d / 3.0)
         s = max(1, log_h)
         k = (1 << math.ceil(math.log2(2 + math.sqrt(9 + 3 * math.log(s))))) - 1
         ladder = Ladder.tetra(3 * B * B / d, (2 * B * B / d) * math.log(s), 1 << log_h)
@@ -94,7 +90,7 @@ class RatqConfig:
     @classmethod
     def for_subsampling(cls, B: float, d: int) -> "RatqConfig":
         check_config(d, B)
-        log_h = cls._log_h(d)
+        log_h = _tetra_log_h(d / 3.0)
         ladder = Ladder.tetra(3 * B * B / d, 0.0, 1 << log_h)
         return cls(B, d, 1, 7, ladder)  # log(k+1) = 3
 
@@ -263,7 +259,7 @@ def gaussian_rd_config(v: float, D: float, d: int) -> tuple[RatqConfig, float]:
     per-dimension distortion target D; returns (config, rate bits/dim)."""
     if not D < v / 4:
         raise ValueError("distortion target must satisfy D < v/4")
-    log_h = math.ceil(math.log2(1 + log_star(4.0 * math.log(8 * math.sqrt(2) * v / D) / 3.0)))
+    log_h = _tetra_log_h(4.0 * math.log(8 * math.sqrt(2) * v / D) / 3.0)
     s = min(max(1, log_h), d)
     k = (1 << math.ceil(math.log2(2 + math.sqrt((18 * v + 6 * v * math.log(s)) / D)))) - 1
     ladder = Ladder.tetra(3 * v, 2 * v * math.log(s), 1 << log_h)
@@ -611,7 +607,7 @@ class LpSplitConfig:
 
     @property
     def delta2(self) -> int:
-        return RatqConfig._log_h(self.d)
+        return _tetra_log_h(self.d / 3.0)
 
     @property
     def delta1(self) -> int:

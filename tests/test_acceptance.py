@@ -24,17 +24,16 @@ from qtc.aoi import (
     zipf_pmf,
 )
 from qtc.core import SeedPath
-from qtc.dme import DmeInstance, configure_known_delta, configure_no_side_info, run_dme, theoretical_bound
+from qtc.dme import DmeInstance, configure, run_dme
 from qtc.optim import Domain, psgd_run, quadratic_oracle
 from qtc.scalar import ModuloParams, gaussian_wz_run, mq_decode
-from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample, wz_known_quantizer
+from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample
 from qtc.vector import (
     RatqConfig,
     SimqPlusConfig,
     gaussian_rd_run,
     ratq_apply,
     ratq_quantizer,
-    rcs_wrap,
     simq_decode,
     simq_plus_quantizer,
 )
@@ -163,11 +162,9 @@ def test_criterion_06_wz_known_delta():
         us = SeedPath(6001).stream().normal(size=(n, d))
         us /= np.linalg.norm(us, axis=1, keepdims=True)
         ys = xs + delta * us
-        cfgs, mu_d = configure_known_delta(n, d, r, [delta] * n)
+        quants, bound = configure("known-delta", n, d, r, [delta] * n)
         inst = DmeInstance(xs, ys, np.full(n, delta), r)
-        res = run_dme(inst, [wz_known_quantizer(c, mu_d) for c in cfgs],
-                      SeedPath(6002), trials)
-        bound = theoretical_bound("known-delta", n, d, r, [delta] * n)
+        res = run_dme(inst, quants, SeedPath(6002), trials)
         assert res.mse <= bound + res.band
         print(f"  delta={delta}: mse={res.mse:.5f} bound={bound:.5f}")
     elapsed = time.time() - t0
@@ -219,11 +216,9 @@ def test_criterion_08_dme_no_side_info():
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     results = []
     for r in (16, 32, 64):
-        cfg, mu_d = configure_no_side_info(n, d, r)
+        quants, bound = configure("no-side-info", n, d, r)
         inst = DmeInstance(xs, None, None, r)
-        res = run_dme(inst, [rcs_wrap(cfg, mu_d)] * n,
-                      SeedPath(8001).child("r", r), trials)
-        bound = theoretical_bound("no-side-info", n, d, r)
+        res = run_dme(inst, quants, SeedPath(8001).child("r", r), trials)
         assert res.mse <= bound + res.band
         results.append((r, res.mse, res.band, bound))
     for (r1, m1, b1, _), (r2, m2, b2, _) in zip(results, results[1:]):

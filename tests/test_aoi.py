@@ -443,6 +443,7 @@ def test_tilted_pmf_cases():
     p = np.array([0.5, 0.5])
     assert np.allclose(tilted_pmf(0.0, [0.3, 0.7], p), p)
     assert tilted_pmf(2.0, [0.0, 1.0], p) is None  # g < 0 at the zero-Q symbol
+    assert tilted_pmf(math.sqrt(2.0), [0.0, 0.0], p) is None  # every g is 0
     u = np.full(4, 0.25)
     assert np.allclose(tilted_pmf(1.0, u, u), u)
     with pytest.raises(ValueError):

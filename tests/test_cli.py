@@ -117,7 +117,7 @@ def test_cli_dme_bench_known_delta_bound_follows_the_precision(tmp_path):
     deltas = [0.1] * 10
     assert float(small[7]) == pytest.approx(theoretical_bound("known-delta", 10, 64, 32, deltas))
     assert float(large[7]) == pytest.approx(
-        theoretical_bound("known-delta-large-r", 10, 64, 256, deltas))
+        theoretical_bound("known-delta", 10, 64, 256, deltas))
     assert float(large[5]) <= float(large[7])
 
 

@@ -4,13 +4,14 @@ import pytest
 from qtc.core import Quantizer, SeedPath
 from qtc.dme import (
     DmeInstance,
+    configure,
     configure_known_delta,
     configure_no_side_info,
     configure_unknown_delta,
     run_dme,
     theoretical_bound,
 )
-from qtc.sideinfo import daq_quantizer, rdaq_quantizer, wz_known_quantizer, wz_unknown_quantizer
+from qtc.sideinfo import daq_quantizer, wz_known_quantizer
 from qtc.vector import RatqConfig, rcs_wrap, simq_quantizer
 
 
@@ -108,29 +109,17 @@ def test_configure_unknown_delta():
 
 
 def test_configurations_fit_the_precision_they_are_given():
-    """Every configure_* call either raises ValueError or returns quantizers
+    """Every configure call either raises ValueError or returns quantizers
     whose budget fits r and that run_dme accepts, small or large precision."""
     n = 2
-
-    def no_side_info(d, r):
-        return rcs_wrap(*configure_no_side_info(n, d, r))
-
-    def known(d, r):
-        cfgs, mu_d = configure_known_delta(n, d, r, [0.2] * n)
-        return wz_known_quantizer(cfgs[0], mu_d)
-
-    def unknown(d, r):
-        cfg, mu_d = configure_unknown_delta(d, r)
-        return rdaq_quantizer(cfg) if cfg.N > 1 else wz_unknown_quantizer(cfg, mu_d)
-
     for d in (16, 64, 100, 256):
         xs = unit_rows(22, n, d) * 0.5
         ys = xs + 0.2 * unit_rows(23, n, d)
         for r in sorted({4, 8, 12, 16, 24, 30, 48, 64, 100, 128, 200, 300}
                         | {m * d for m in range(1, 21)}):
-            for configure in (no_side_info, known, unknown):
+            for setting in ("no-side-info", "known-delta", "unknown-delta"):
                 try:
-                    q = configure(d, r)
+                    q = configure(setting, n, d, r, [0.2] * n)[0][0]
                 except ValueError:
                     continue
                 assert q.bit_budget <= r, (d, r, q.name)
@@ -140,6 +129,33 @@ def test_configurations_fit_the_precision_they_are_given():
         configure_known_delta(n, 100, 300, [0.2] * n)
     with pytest.raises(ValueError, match="d_pad=128"):
         configure_unknown_delta(100, 1200)
+
+
+def test_configure_shares_one_quantizer_per_distinct_delta():
+    """Known distance: the clients that declare one delta share its RMQ,
+    and run_dme on the shared quantizers is the same bits as on one
+    quantizer per client.  The other settings share one quantizer among
+    all clients; unknown distance subsamples RDAQ up to r = d and boosts
+    it above.  The bound is the setting's theoretical_bound."""
+    n, d, r, trials = 4, 64, 32, 40
+    deltas = [0.1, 0.1, 0.2, 0.1]
+    qs, bound = configure("known-delta", n, d, r, deltas)
+    assert qs[0] is qs[1] is qs[3] and qs[2] is not qs[0]
+    assert bound == theoretical_bound("known-delta", n, d, r, deltas)
+    cfgs, mu_d = configure_known_delta(n, d, r, deltas)
+    xs = unit_rows(60, n, d) * 0.5
+    inst = DmeInstance(xs, xs + np.array(deltas)[:, None] * unit_rows(61, n, d), deltas, r)
+    own = run_dme(inst, [wz_known_quantizer(c, mu_d) for c in cfgs], SeedPath(62), trials)
+    assert run_dme(inst, qs, SeedPath(62), trials).mse == own.mse
+    for setting in ("no-side-info", "unknown-delta"):
+        qs, _ = configure(setting, n, d, r, deltas)
+        assert all(q is qs[0] for q in qs)
+    assert configure("unknown-delta", n, d, r, deltas)[0][0].name.startswith("wz-unknown")
+    assert configure("unknown-delta", n, d, 10 * d, deltas)[0][0].name.startswith("brdaq")
+    with pytest.raises(ValueError, match="unknown setting 'bogus'"):
+        configure("bogus", n, d, r, deltas)
+    with pytest.raises(ValueError, match="needs per-client deltas"):
+        configure("known-delta", n, d, r)
 
 
 def test_bounds_evaluate():
@@ -163,17 +179,15 @@ def test_side_information_helps():
     delta = 0.1
     xs = unit_rows(10, n, d)
     ys = xs + delta * unit_rows(11, n, d)
-    cfg_ns, mu_ns = configure_no_side_info(n, d, r)
     res_ns = run_dme(
         DmeInstance(xs, None, None, r),
-        [rcs_wrap(cfg_ns, mu_ns)] * n,
+        configure("no-side-info", n, d, r)[0],
         SeedPath(12),
         800,
     )
-    cfgs, mu_k = configure_known_delta(n, d, r, [delta] * n)
     res_k = run_dme(
         DmeInstance(xs, ys, np.full(n, delta), r),
-        [wz_known_quantizer(c, mu_k) for c in cfgs],
+        configure("known-delta", n, d, r, [delta] * n)[0],
         SeedPath(13),
         800,
     )
@@ -196,8 +210,7 @@ def test_sampled_run_draws_each_client_from_its_own_quantizer():
     xs = unit_rows(17, n, d) * 0.5
     ys = in_ball(xs + 0.2 * unit_rows(18, n, d))
     inst = DmeInstance(xs, ys, np.full(n, 0.2), r=64)
-    cfgs, mu_d = configure_known_delta(n, d, 64, [0.2] * n)
-    qs = [daq_quantizer(d), wz_known_quantizer(cfgs[1], mu_d)]
+    qs = [daq_quantizer(d), configure("known-delta", n, d, 64, [0.2] * n)[0][1]]
     res = run_dme(inst, qs, SeedPath(19), 50)
     acc = sum(q.sample(xs[i], ys[i], 50, SeedPath(19).child("client", i).stream())
               for i, q in enumerate(qs))
@@ -249,7 +262,12 @@ def test_kernel_less_codec_is_round_tripped_per_client_and_trial():
     assert res.band == 3.0 * sq.std(ddof=1) / np.sqrt(trials)
 
 
-@pytest.mark.parametrize("setting", ["rcs_wrap", "wz_known_quantizer", "wz_unknown_quantizer"])
+# the factory `configure` picks for each setting at r = 32 <= d
+_FACTORY_SETTING = {"rcs_wrap": "no-side-info", "wz_known_quantizer": "known-delta",
+                    "wz_unknown_quantizer": "unknown-delta"}
+
+
+@pytest.mark.parametrize("setting", list(_FACTORY_SETTING))
 @pytest.mark.parametrize("seed", [0, 1])
 def test_round_trips_and_kernel_agree_in_law(setting, seed):
     """run_dme on the kernels and on the same codecs rebuilt without them
@@ -262,12 +280,7 @@ def test_round_trips_and_kernel_agree_in_law(setting, seed):
     inst = DmeInstance(xs, ys, np.full(n, delta), r)
     if setting == "rcs_wrap":
         inst = DmeInstance(xs, None, None, r)
-        q = rcs_wrap(*configure_no_side_info(n, d, r))
-    elif setting == "wz_known_quantizer":
-        cfgs, mu_d = configure_known_delta(n, d, r, [delta] * n)
-        q = wz_known_quantizer(cfgs[0], mu_d)
-    else:
-        q = wz_unknown_quantizer(*configure_unknown_delta(d, r))
+    q = configure(_FACTORY_SETTING[setting], n, d, r, [delta] * n)[0][0]
     root = SeedPath(50 + seed).child(setting)
     sampled = run_dme(inst, [q] * n, root.child("kernel"), trials)
     packed = run_dme(inst, [codec_only(q)] * n, root.child("codec"), trials)

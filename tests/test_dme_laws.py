@@ -20,16 +20,7 @@ import numpy as np
 import pytest
 
 from qtc.core import SeedPath
-from qtc.dme import (
-    DmeInstance,
-    configure_known_delta,
-    configure_no_side_info,
-    configure_unknown_delta,
-    run_dme,
-    theoretical_bound,
-)
-from qtc.sideinfo import rdaq_quantizer, wz_known_quantizer, wz_unknown_quantizer
-from qtc.vector import rcs_wrap
+from qtc.dme import DmeInstance, configure, run_dme
 
 N, D, TRIALS = 10, 256, 300
 R_LIST = [16, 32, 64, 128, 256]
@@ -46,15 +37,9 @@ def _instance(setting, r, norm, delta, seed):
     xs *= norm / np.linalg.norm(xs, axis=1, keepdims=True)
     us = rng.normal(size=(N, D))
     ys = xs + delta * us / np.linalg.norm(us, axis=1, keepdims=True)
+    q = configure(setting, N, D, r, [delta] * N)[0][0]
     if setting == "no-side-info":
-        cfg, mu_d = configure_no_side_info(N, D, r)
-        return DmeInstance(xs, None, None, r), rcs_wrap(cfg, mu_d)
-    if setting == "known-delta":
-        cfgs, mu_d = configure_known_delta(N, D, r, [delta] * N)
-        q = wz_known_quantizer(cfgs[0], mu_d)
-    else:
-        cfg, mu_d = configure_unknown_delta(D, r)
-        q = wz_unknown_quantizer(cfg, mu_d)
+        return DmeInstance(xs, None, None, r), q
     return DmeInstance(xs, ys, np.full(N, delta), r), q
 
 
@@ -92,16 +77,11 @@ def test_large_precision_mse_within_the_bound(setting, d, m):
     xs *= 0.6 / np.linalg.norm(xs, axis=1, keepdims=True)
     us = rng.normal(size=(N, d))
     ys = xs + delta * us / np.linalg.norm(us, axis=1, keepdims=True)
-    if setting == "known-delta":
-        cfgs, mu_d = configure_known_delta(N, d, r, [delta] * N)
-        q = wz_known_quantizer(cfgs[0], mu_d)
-    else:
-        cfg, _ = configure_unknown_delta(d, r)
-        q = rdaq_quantizer(cfg)
+    quants, bound = configure(setting, N, d, r, [delta] * N)
+    q = quants[0]
     assert q.bit_budget <= r
     res = run_dme(DmeInstance(xs, ys, np.full(N, delta), r), [q] * N,
                   SeedPath(4400).child(setting).child("r", r), TRIALS)
-    bound = theoretical_bound(f"{setting}-large-r", N, d, r, [delta] * N)
     assert res.mse <= bound + res.band, (res, bound)
 
 

@@ -45,6 +45,9 @@ def test_runs_reject_bad_parameters_before_drawing():
     for r in (0, d + 1):
         runs.append((lambda r=r: l1_phase_scheme(oracle, r, 8, dom, seed=seed,
                                                  x_init=np.zeros(d)), "r must lie in 1..d"))
+    for T in (0, -5):
+        runs.append((lambda T=T: l1_phase_scheme(oracle, 2, T, dom, seed=seed,
+                                                 x_init=np.zeros(d)), "at least one step"))
     for run, want in runs:
         with pytest.raises(ValueError, match=want):
             run()

@@ -12,6 +12,7 @@ from qtc.scalar import (
     cuq_expected_decode,
     cuq_levels,
     cuq_round_with,
+    gaussian_wz_run,
     mq_decode,
     mq_encode_with,
     read_cuq_symbols,
@@ -153,6 +154,16 @@ def test_draw_source_rejects_an_unknown_source_before_drawing():
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="unknown source 'cauchy'"):
         _draw_source(rng, "cauchy", 1.0, (4,))
+    assert rng.bit_generator.state == state
+
+
+def test_wyner_ziv_run_rejects_an_unknown_source_before_drawing():
+    """The side information Y is drawn before the source, so the name is
+    checked before either."""
+    rng = SeedPath(6).stream()
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown source 'cauchy'"):
+        gaussian_wz_run(0.1, 0.1**2 / 400, 16, 4, rng, source="cauchy")
     assert rng.bit_generator.state == state
 
 

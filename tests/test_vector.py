@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qtc.adaptive import Ladder
-from qtc.core import BitString, MalformedStreamError, SeedPath
+from qtc.core import BitString, MalformedStreamError, Quantizer, SeedPath
 from qtc.scalar import cuq_levels, cuq_round_with
 from qtc.vector import (
     AratqConfig,
@@ -43,6 +43,13 @@ def test_ratq_budget_exact_every_message():
     for t in range(20):
         msg, _ = q.roundtrip(unit_vector(t, 256), None, SeedPath(50).child("t", t))
         assert msg.nbits == cfg.bit_budget
+
+
+def test_roundtrip_rejects_a_message_over_the_budget():
+    q = ratq_quantizer(RatqConfig.default(1.0, 16))
+    short = Quantizer(q.encode, q.decode, q.bit_budget - 1, "short")
+    with pytest.raises(AssertionError, match="short: emitted 64 bits > budget 63"):
+        short.roundtrip(unit_vector(0, 16), None, SeedPath(52))
 
 
 def test_ratq_zero_vector():
@@ -296,6 +303,16 @@ def test_simq_plus_exact_average_and_budget():
     # exact average of the k draws
     avg = simq_plus_quantizer(cfg).sample(y, None, 1, SeedPath(31).stream())[0]
     assert np.allclose(rec, avg, atol=1e-12)
+
+
+def test_lp_split_budget_within_the_analytic_budget_at_powers_of_two():
+    """With d a power of two there is no padding, and the framed budget
+    stays within the closed form; other d may exceed it (d = 100, p = 2:
+    656 > 602)."""
+    for d in (1 << e for e in range(1, 15)):
+        for p in (1 + i / 20 for i in range(21)):
+            cfg = LpSplitConfig(1.0, d, p)
+            assert cfg.bit_budget <= cfg.analytic_budget(), (d, p)
 
 
 def test_simq_plus_reduces_to_simq_at_k1():
