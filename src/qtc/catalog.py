@@ -2,8 +2,8 @@
 build it, its input domain, the distance of its side information and the
 thesis's bound on E||Q(x) - x||^2, which `quantize-bench` and the tests that
 run every quantizer read.  The bound is None where the library does not
-state it yet: centered subsampled RATQ, subsampled RMQ and RDAQ, A-RATQ and
-the split quantizer.
+state it yet: subsampled RATQ with side information, subsampled RMQ and
+RDAQ, A-RATQ and the split quantizer.
 """
 
 from __future__ import annotations
@@ -99,13 +99,10 @@ def _ratq(d, B, param=None):
     return ratq_quantizer(cfg), lambda x, side: cfg.alpha2**2
 
 
-def _rcs(mode):
-    def build(d, B, mu_d=None):
-        cfg, mu_d = RatqConfig.for_subsampling(B, d), _mu(d, mu_d)
-        q = rcs_wrap(cfg, mu_d, mode)
-        # zero-fill scales each sent coordinate by 1/mu = d_pad / mu_d
-        return q, None if mode == "center" else lambda x, side: cfg.d_pad / mu_d * cfg.alpha2**2
-    return build
+def _rcs(d, B, mu_d=None):
+    cfg, mu_d = RatqConfig.for_subsampling(B, d), _mu(d, mu_d)
+    # without side information each sent coordinate is scaled by 1/mu = d_pad / mu_d
+    return rcs_wrap(cfg, mu_d), lambda x, side: cfg.d_pad / mu_d * cfg.alpha2**2
 
 
 def _rmq(d, B, mu_d=None):
@@ -140,8 +137,10 @@ _KNOWN = dict(radius=math.inf, distance=0.4, bias=154 * 0.05**2)  # 154 delta_sm
 
 CATALOG: dict[str, Entry] = {e.name: e for e in (
     Entry("ratq", _ratq, _scaled),
-    Entry("rcs_ratq", _rcs("zero-fill"), _scaled),
-    Entry("rcs_ratq_center", _rcs("center"), _scaled, distance=0.4),
+    Entry("rcs_ratq", _rcs, _scaled),
+    # the same code, decoded around side information
+    Entry("rcs_ratq_center", lambda d, B, mu_d=None: (_rcs(d, B, mu_d)[0], None),
+          _scaled, distance=0.4),
     Entry("rmq", _rmq, _scaled, **_KNOWN),
     Entry("wz_known", lambda d, B, mu_d=None: _rmq(d, B, _mu(d, mu_d)), _scaled, **_KNOWN),
     Entry("daq", lambda d, B, param=None: (daq_quantizer(d), daq_exact_mse), _scaled, **_PAIR),

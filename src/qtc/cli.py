@@ -33,7 +33,7 @@ from .core import SeedPath
 from .dme import DmeInstance, configure, run_dme
 from .optim import Domain, psgd_run, quadratic_oracle
 from .scalar import gaussian_wz_run
-from .vector import RatqConfig, gaussian_rd_run, ratq_apply
+from .vector import RatqConfig, gaussian_rd_run, ratq_quantizer
 
 __all__ = [
     "ConfigError",
@@ -196,12 +196,13 @@ def cmd_opt_bench(args) -> int:
     x_init = np.zeros(d)
     x_init[min(1, d - 1)] = 0.9
     rcfg = RatqConfig.default(B, d)
+    ratq = ratq_quantizer(rcfg)
+    qfun = lambda g, rng: ratq.sample(g, None, len(g), rng)  # noqa: E731
     rows = []
     gaps_q = []
     for T in cfg["T_list"]:
         base = psgd_run(oracle, None, dom, T, seed=SeedPath(args.seed).child("id", T),
                         reps=cfg["reps"], x_init=x_init)
-        qfun = lambda g, rng: ratq_apply(g, rcfg, rng)
         quant = psgd_run(oracle, qfun, dom, T, seed=SeedPath(args.seed).child("q", T),
                          reps=cfg["reps"], x_init=x_init, alpha2=rcfg.alpha2)
         bound = math.sqrt(2) * dom.diameter * B / math.sqrt(T)

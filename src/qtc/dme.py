@@ -144,11 +144,15 @@ def _known_delta_log_k(n: int) -> int:
 
 def _subsample_count(cfg, r: int) -> int:
     """mu_d = floor(r / c) for a config sending c = bit_budget / d_pad bits per
-    kept coordinate; ValueError when r is below 2c."""
+    kept coordinate; ValueError when r is below 2c, or when mu_d would pass
+    d_pad, where the code would send d_pad c bits whatever r is."""
     per_coord = cfg.bit_budget // cfg.d_pad
     if r < 2 * per_coord:
         raise ValueError(f"precision r={r} below the minimum {2 * per_coord}")
-    return min(cfg.d_pad, r // per_coord)
+    if r // per_coord > cfg.d_pad:
+        raise ValueError(f"precision r={r} above the d_pad * c = {cfg.d_pad} * {per_coord} = "
+                         f"{cfg.d_pad * per_coord} bits this code can send")
+    return r // per_coord
 
 
 def _large_precision_m(d: int, r: int) -> int:
@@ -164,7 +168,8 @@ def _large_precision_m(d: int, r: int) -> int:
 
 def configure_no_side_info(n: int, d: int, r: int) -> tuple[RatqConfig, int]:
     """Subsampled unit-ball RATQ: s = 1, log(k+1) = 3, and mu_d = floor(r / c)
-    for the config's c = 3 + log h bits per kept coordinate."""
+    for the config's c = 3 + log h bits per kept coordinate.  The setting
+    has no large-precision code, so r must lie in 2c..d_pad c + c - 1."""
     cfg = RatqConfig.for_subsampling(1.0, d)
     return cfg, _subsample_count(cfg, r)
 

@@ -23,8 +23,9 @@ matmuls, and fl(sqrt(2^p)) = 2^floor(p/2) * fl(sqrt(2)).  Subnormal
 intermediates may round differently.
 `rotated_kernel` is the one home of the rotate, subsample and correct steps
 of the rotated codes (RATQ, RMQ and the RDAQ family): each of them gives it
-only its rule on the sent rotated coordinates, and it runs this module's
-own steps (`sign_words`, `rotate_batch`, `unrotate_batch`) around that rule.
+only its per-coordinate rule on the sent rotated coordinates, ``encode(xk,
+v, u)`` and ``decode(fields, yk, v)``, and it runs this module's own steps
+(`sign_words`, `rotate_batch`, `unrotate_batch`) around that rule.
 """
 
 from __future__ import annotations
@@ -215,13 +216,13 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
     shared signs, send the kept coordinates (all d_pad of them when mu_d is
     None, a shared window of mu_d otherwise) and move the rotated side
     information by a correction on the sent ones.  The code gives only its
-    rule on the rotated coordinates:
+    per-coordinate rule on the sent rotated coordinates:
 
-    - ``encode(xr, xk, v, u)``: the fields of the rotated rows xr, (m,
-      d_pad), from their sent coordinates xk, (m, width);
-    - ``decode(fields, yr, yk, v)``: the correction of each sent coordinate,
-      (m, width), against the rotated side information yr (zeros when there
-      is none) and its sent coordinates yk.
+    - ``encode(xk, v, u)``: the fields of the sent rotated coordinates xk,
+      (m, width);
+    - ``decode(fields, yk, v)``: the correction of each sent coordinate,
+      (m, width), against its rotated side information yk (zeros when there
+      is none).
 
     The estimate is yr + correction, or with mu_d yr with each sent entry
     moved by 1/mu = d_pad / mu_d times its correction, unrotated and cut to
@@ -280,13 +281,12 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
 
     def encode_rows(rows, drawn, u):
         signs, kept, v = drawn
-        xr = rotate_batch(pad_to_pow2(rows)[0], signs)
-        return encode(xr, sent(xr, kept), v, u)
+        return encode(sent(rotate_batch(pad_to_pow2(rows)[0], signs), kept), v, u)
 
     def decode_rows(fields, side, drawn):
         signs, kept, v = drawn
         yr = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
-        corr = decode(fields, yr, sent(yr, kept), v)
+        corr = decode(fields, sent(yr, kept), v)
         if kept is None:
             yr += corr
         else:

@@ -6,7 +6,7 @@ side information.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,26 +113,26 @@ def read_cuq_symbols(reader: BitReader, n: int, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModuloParams:
-    """Scalar lattice-modulo parameters.
+    """Scalar lattice-modulo parameters: k lattice classes and the known
+    bound delta on |x - y_side|.
 
-    Recovery needs k*eps >= 2*(eps + delta); the default eps = 2*delta/(k-2)
-    meets it with equality for k >= 4.
+    Recovery needs k*eps >= 2*(eps + delta); the lattice spacing eps =
+    2*delta/(k-2) meets it with equality.  A spacing eps is the lattice of
+    delta = eps*(k-2)/2.
     """
 
     k: int
-    delta: float  # known bound on |x - y_side|
-    eps: float = field(default=0.0)
+    delta: float
 
     def __post_init__(self):
-        _check_int(self.k, "level count k", 2)
-        if not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"distance bound delta must be finite and >= 0, got {self.delta!r}")
-        if self.eps == 0.0:
-            if self.k < 3:
-                raise ValueError("default eps rule needs k >= 3")
-            object.__setattr__(self, "eps", 2.0 * self.delta / (self.k - 2))
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"lattice spacing eps must be finite and positive, got {self.eps!r}")
+        _check_int(self.k, "level count k", 3)
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"distance bound delta must be finite and > 0, got {self.delta!r}")
+
+    @property
+    def eps(self) -> float:
+        """The lattice spacing 2*delta/(k-2)."""
+        return 2.0 * self.delta / (self.k - 2)
 
 
 def mq_encode_with(x: np.ndarray, params: ModuloParams, u: np.ndarray) -> np.ndarray:
@@ -195,11 +195,6 @@ def _source(source: str):
     if source not in _SOURCES:
         raise ValueError(f"unknown source {source!r}")
     return _SOURCES[source]
-
-
-def _draw_source(rng: np.random.Generator, source: str, scale: float, shape) -> np.ndarray:
-    """`shape` draws from the named source at scale `scale`."""
-    return _source(source)(rng, scale, shape)
 
 
 def gaussian_wz_run(

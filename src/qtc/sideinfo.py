@@ -120,8 +120,8 @@ def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
         cfg.d, mu_d, cfg.d_pad,
         check_input=lambda x: check_vector(x, cfg.d),
         check_side=lambda side: _check_side(side, cfg.d, "RMQ"),
-        encode=lambda xr, xk, v, u: mq_encode_with(xk, mq, u),
-        decode=lambda w, yr, yk, v: mq_decode(w, yk, mq) - yk,
+        encode=lambda xk, v, u: mq_encode_with(xk, mq, u),
+        decode=lambda w, yk, v: mq_decode(w, yk, mq) - yk,
         write=lambda bits, w: bits.write_fields(w, symbol_bits),
         read=lambda reader: reader.read_fields(width, symbol_bits, mq.k - 1)[None],
         noise=lambda rng, shape: rng.random(shape),
@@ -211,27 +211,27 @@ class RdaqConfig:
         return self.d_pad * (self.index_bits + self.h * self.count_bits)
 
 
-def _scale_index(rot: np.ndarray, sent: np.ndarray, ranges: np.ndarray) -> np.ndarray:
-    """The scale of each `sent` entry of the rotated `rot`, the index of the
-    smallest range >= |value|; every entry of `rot`, sent or not, must fit
-    the top one."""
-    if not (np.abs(rot) <= ranges[-1]).all():
-        raise ValueError("value escapes the top scale; inputs must be unit-ball")
+def _scale_index(sent: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """The scale of each sent rotated coordinate, the index of the smallest
+    range >= |value|; each must fit the top one.  An unsent coordinate
+    takes the side information's value and is given no scale."""
     a = np.abs(sent)
+    if not (a <= ranges[-1]).all():
+        raise ValueError("value escapes the top scale; inputs must be unit-ball")
     z = np.zeros(a.shape, dtype=np.intp)
     for r in ranges[:-1]:
         z += a > r
     return z
 
 
-def _rdaq_counts(cfg: RdaqConfig, xr, xk, v) -> tuple[np.ndarray, np.ndarray]:
+def _rdaq_counts(cfg: RdaqConfig, xk, v) -> tuple[np.ndarray, np.ndarray]:
     """The RDAQ rule at the encoder: the scale indices z of the sent rotated
     coordinates xk, (m, width), and their counts at every scale j, (h, m,
     width): how many of their N uniforms v, (m, width, N), have v M_j <=
     value.  Each repetition's products are compared against all h scales in
     one broadcast: the same products and comparisons as scale by scale."""
     ranges = cfg.ranges
-    z = _scale_index(xr, xk, ranges)
+    z = _scale_index(xk, ranges)
     counts = np.zeros((len(ranges),) + xk.shape, dtype=np.min_scalar_type(cfg.N))
     scales = ranges[:, None, None]
     for i in range(cfg.N):  # repetition i against every scale at once
@@ -239,12 +239,12 @@ def _rdaq_counts(cfg: RdaqConfig, xr, xk, v) -> tuple[np.ndarray, np.ndarray]:
     return z, counts
 
 
-def _rdaq_correction(cfg: RdaqConfig, fields, yr, yk, v) -> np.ndarray:
+def _rdaq_correction(cfg: RdaqConfig, fields, yk, v) -> np.ndarray:
     """The RDAQ rule at the decoder: each sent coordinate moves from the
     rotated side information by 2 M_z* (count - count(y)) / N at z* =
     max(z, z(y)), (m, width)."""
     z, counts = fields
-    z_star = np.maximum(z, _scale_index(yr, yk, cfg.ranges))
+    z_star = np.maximum(z, _scale_index(yk, cfg.ranges))
     m_sel = cfg.ranges[z_star]
     diff = counts[0].astype(np.intp)
     for j in range(1, cfg.h):
@@ -280,8 +280,8 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
         cfg.d, mu_d, cfg.d_pad * cfg.h * cfg.N,
         check_input=lambda x: _check_ball(check_vector(x, cfg.d), "RDAQ"),
         check_side=lambda y: _check_ball(_check_side(y, cfg.d, "RDAQ"), "RDAQ", "side information"),
-        encode=lambda xr, xk, v, u: _rdaq_counts(cfg, xr, xk, v),
-        decode=lambda fields, yr, yk, v: _rdaq_correction(cfg, fields, yr, yk, v),
+        encode=lambda xk, v, u: _rdaq_counts(cfg, xk, v),
+        decode=lambda fields, yk, v: _rdaq_correction(cfg, fields, yk, v),
         write=write,
         read=read,
         shared=lambda rng, shape: rng.uniform(-1.0, 1.0, size=shape + (cfg.N,)),

@@ -38,7 +38,7 @@ from .core import (
 from .rotation import rotated_kernel
 from .scalar import (
     OVERFLOW,
-    _draw_source,
+    _source,
     cuq_levels,
     cuq_round_with,
     read_cuq_symbols,
@@ -48,7 +48,6 @@ from .scalar import (
 __all__ = [
     "RatqConfig",
     "ratq_quantizer",
-    "ratq_apply",
     "atuq_vector_apply",
     "rcs_wrap",
     "gaussian_rd_config",
@@ -163,12 +162,12 @@ def _atuq_levels(fields: tuple[np.ndarray, np.ndarray], cfg: RatqConfig) -> np.n
     return cuq_levels(sym, _coord_ranges(cfg.ladder.ranges, j, cfg.s, sym.shape[1]), cfg.k)
 
 
-def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = False) -> Kernel:
-    """The RATQ kernel pair, subsampled with mu_d and, with `center`,
-    centered on the side information (on 0 without).  Ranges and CUQ
-    rounding run on the sent rotated coordinates, each with its own
-    rounding uniform, and each one's correction is its level minus the
-    rotated side information (`rotation.rotated_kernel`).  A message takes
+def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None) -> Kernel:
+    """The RATQ kernel pair, subsampled with mu_d.  Ranges and CUQ rounding
+    run on the sent rotated coordinates, each with its own rounding
+    uniform, and each one's correction is its level minus its rotated side
+    information (`rotation.rotated_kernel`): the decoder centres on the
+    side information when it is given, and on 0 without.  A message takes
     ceil(d_pad / 32) 64-bit outputs of the stream for the signs, one for
     the window (subsampled only) and width for the rounding."""
     width = cfg.d_pad if mu_d is None else mu_d
@@ -199,12 +198,12 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
         return y
 
     def check_side(side):
-        return check_vector(side, cfg.d, "side information") if center and side is not None else None
+        return None if side is None else check_vector(side, cfg.d, "side information")
 
     return rotated_kernel(
         cfg.d, mu_d, cfg.d_pad, check_input, check_side,
-        encode=lambda yr, yk, v, u: _atuq_fields(yk, u, cfg),
-        decode=lambda fields, sr, sk, v: _atuq_levels(fields, cfg) - sk,
+        encode=lambda xk, v, u: _atuq_fields(xk, u, cfg),
+        decode=lambda fields, yk, v: _atuq_levels(fields, cfg) - yk,
         write=write,
         read=read,
         noise=lambda rng, shape: rng.random(shape),
@@ -214,13 +213,6 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None, center: bool = Fal
 def ratq_quantizer(cfg: RatqConfig) -> Quantizer:
     """Unbiased fixed-length quantizer for the l2 ball of radius B."""
     return kernel_quantizer(_ratq_kernel(cfg), cfg.bit_budget, f"ratq(d={cfg.d},B={cfg.B:g})")
-
-
-def ratq_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
-    """Quantize each row of (n, d) once with independent randomness: (n, d).
-    ValueError, as the codec's, if a row lies outside the l2 ball of radius B."""
-    ys = np.atleast_2d(ys)
-    return _ratq_kernel(cfg).sample(ys, None, len(ys), rng)
 
 
 def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator) -> np.ndarray:
@@ -235,23 +227,19 @@ def atuq_vector_apply(ys: np.ndarray, cfg: RatqConfig, rng: np.random.Generator)
     return kernel.sample(ys, None, len(ys), rng)
 
 
-def rcs_wrap(cfg: RatqConfig, mu_d: int, mode: str = "zero-fill") -> Quantizer:
-    """Random coordinate sampling over a per-coordinate RATQ (s must be 1).
+def rcs_wrap(cfg: RatqConfig, mu_d: int) -> Quantizer:
+    """Random coordinate sampling over a per-coordinate RATQ (s must be 1):
+    mu_d sent rotated coordinates.
 
-    zero-fill: decoder outputs (1/mu) * decoded(i) on the sampled coordinates
-    and 0 elsewhere (before unrotation).  center: unsampled coordinates take
-    the rotated side-information value and sampled ones are centered on it;
-    with side = 0 (or None) the two modes coincide.
+    Without side information the decoder outputs (1/mu) * decoded(i) on the
+    sent coordinates and 0 elsewhere (before unrotation).  With side
+    information the unsent coordinates take its rotated value and the sent
+    ones are centred on it; side = 0 gives the zero-filled output.
     """
     if cfg.s != 1:
         raise ValueError("subsampling needs per-coordinate symbols: set s = 1")
-    if mode not in ("zero-fill", "center"):
-        raise ValueError(f"unknown RCS mode {mode!r}")
-    center = mode == "center"
-    return kernel_quantizer(
-        _ratq_kernel(cfg, mu_d, center), mu_d * (cfg.ladder.index_bits + cfg.symbol_bits),
-        f"rcs-ratq(d={cfg.d},mu_d={mu_d})", uses_side_info=center,
-    )
+    budget = mu_d * (cfg.ladder.index_bits + cfg.symbol_bits)
+    return kernel_quantizer(_ratq_kernel(cfg, mu_d), budget, f"rcs-ratq(d={cfg.d},mu_d={mu_d})")
 
 
 def gaussian_rd_config(v: float, D: float, d: int) -> tuple[RatqConfig, float]:
@@ -272,9 +260,10 @@ def gaussian_rd_run(
     v: float, D: float, d: int, blocks: int, rng: np.random.Generator, source: str = "gaussian"
 ) -> tuple[float, float]:
     """`atuq_vector_apply` at `gaussian_rd_config` on blocks of d draws from
-    `source`; returns (empirical per-dimension MSE, rate in bits/dim)."""
+    `source`; returns (empirical per-dimension MSE, rate in bits/dim).
+    ValueError for an unknown source, before any draw."""
     cfg, rate = gaussian_rd_config(v, D, d)
-    xs = _draw_source(rng, source, math.sqrt(v), (blocks, d))
+    xs = _source(source)(rng, math.sqrt(v), (blocks, d))
     rec = atuq_vector_apply(xs, cfg, rng)
     mse = float(((rec - xs) ** 2).mean())
     return mse, rate

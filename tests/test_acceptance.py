@@ -32,7 +32,6 @@ from qtc.vector import (
     RatqConfig,
     SimqPlusConfig,
     gaussian_rd_run,
-    ratq_apply,
     ratq_quantizer,
     simq_decode,
     simq_plus_quantizer,
@@ -264,7 +263,8 @@ def test_criterion_11_quantized_psgd():
     oracle = quadratic_oracle(x0, 0.5, B)
     dom = Domain("l2_ball", 1.0)
     cfg = RatqConfig.default(B, d)
-    qfun = lambda g, rng: ratq_apply(g, cfg, rng)
+    ratq = ratq_quantizer(cfg)
+    qfun = lambda g, rng: ratq.sample(g, None, len(g), rng)
     x_init = np.zeros(d)
     x_init[1] = 0.9
     conv = psgd_run(oracle, qfun, dom, T, seed=SeedPath(11_000), reps=reps,

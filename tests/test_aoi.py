@@ -84,6 +84,8 @@ def test_randomized_reduces_to_deterministic():
     assert full == pytest.approx(average_age(ell, p))
     with pytest.raises(ValueError):
         average_age_randomized(ell, np.zeros(6), 1.0, p)
+    with pytest.raises(ValueError, match="expected codeword length must be positive"):
+        average_age_randomized([-1.0, -1.0], [1.0, 1.0], 1.0, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("theta,l_skip", [
@@ -92,7 +94,8 @@ def test_randomized_reduces_to_deterministic():
     ([1.0, 0.5], math.nan),
     ([1.0, 0.5], math.inf),
     ([1.0, 0.5], -1.0),
-], ids=["theta-broadcast", "theta-nan", "skip-nan", "skip-inf", "skip-negative"])
+    ([1.0, 0.5], None),
+], ids=["theta-broadcast", "theta-nan", "skip-nan", "skip-inf", "skip-negative", "skip-missing"])
 def test_randomized_formula_rejects_out_of_domain(theta, l_skip):
     with pytest.raises(ValueError):
         average_age_randomized([2.0, 2.0], theta, l_skip, [0.5, 0.5])
@@ -116,6 +119,8 @@ def test_erasure_formulas():
     ell = shannon_lengths(p, "integer")
     gap = average_age_erasure_exact(ell, p, 0.5) - average_age_erasure(average_age(ell, p), 0.5)
     assert gap == pytest.approx(0.5 / (2 * 0.5))
+    with pytest.raises(ValueError):
+        average_age_erasure_exact(ell, p, 1.0)
 
 
 def test_simulator_constant_code():
@@ -507,6 +512,7 @@ def test_optimize_delay_contract():
         assert sol.certified
         assert delay_cost(sol.lengths, p, l_th) == pytest.approx(sol.value, abs=1e-6)
         assert kl_divergence(p, sol.p_star) <= math.log2(1 + 1 / math.sqrt(2)) + 1e-6
+    assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
 
 
 def test_optimize_delay_large_threshold_recovers_p():
@@ -520,6 +526,7 @@ def test_optimize_delay_infeasible():
     p = zipf_pmf(1.0, 16)
     with pytest.raises(ValueError):
         optimize_delay(p, entropy(p) + 0.5)
+    assert delay_cost([1, 1], [0.5, 0.5], 0.5) == math.inf  # E[L] = 1 >= L_th
 
 
 def test_zipf_pmf_and_validate():

@@ -29,7 +29,6 @@ from qtc import catalog, core, sideinfo, vector
 from qtc.catalog import CATALOG
 from qtc.core import SeedPath, _chunks
 from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample
-from qtc.vector import RatqConfig, ratq_apply
 
 INPUTS = 10
 D_SUB = 40  # the subsampled cases pad it to 64
@@ -40,7 +39,7 @@ CASES = {
     "ratq-d24": ("ratq", 24, None, 0.9),
     "ratq-d64": ("ratq", 64, None, 0.9),
     "ratq-d256": ("ratq", 256, None, 0.9),
-    "ratq-apply-d64": ("ratq", 64, None, 0.9),  # sampled by `ratq_apply`
+    "ratq-apply-d64": ("ratq", 64, None, 0.9),  # sampled on one row per repetition
     "rcs-mu1": ("rcs_ratq", D_SUB, 1, 0.9),
     "rcs-mu8": ("rcs_ratq", D_SUB, 8, 0.9),
     "rcs-mu-dpad": ("rcs_ratq", D_SUB, 64, 0.9),
@@ -70,7 +69,6 @@ CASES = {
 # kernel on rows of its own, and the case that checks it against a codec
 # (None: no codec sends it, and why).
 PUBLIC_SAMPLERS = {
-    "ratq_apply": "ratq-apply-d64",  # distinct rows per repetition (PSGD)
     "boosted_rdaq_sample": "boosted-rdaq-N4",  # `rdaq_quantizer(cfg).sample`
     "atuq_vector_apply": None,  # ATUQ without the rotation step
 }
@@ -84,8 +82,7 @@ def _case(name, rng):
     q = CATALOG[entry].build(d, 1.0, param)[0]
     sampler = q.sample
     if name == "ratq-apply-d64":
-        cfg = RatqConfig.default(1.0, d)
-        sampler = lambda x, y, n, g: ratq_apply(np.broadcast_to(x, (n, d)), cfg, g)  # noqa: E731
+        sampler = lambda x, y, n, g: q.sample(np.broadcast_to(x, (n, d)), None, n, g)  # noqa: E731
     elif entry in ("rdaq", "boosted_rdaq"):
         cfg = RdaqConfig(d, param)  # so the RDAQ cases name N
         sampler = lambda x, y, n, g: boosted_rdaq_sample(x, y, cfg, n, g)  # noqa: E731

@@ -8,6 +8,7 @@ def test_write_examples():
     assert BitString().write_uint(5, 3).to01() == "101"
     assert BitString().write_uint(0, 1).to01() == "0"
     assert BitString().write_uint(1, 1).write_uint(2, 2).to01() == "110"
+    assert repr(BitString().write_uint(5, 3)) == "BitString('101', nbits=3)"
 
 
 def test_roundtrip_all_widths():
@@ -34,7 +35,7 @@ def test_bit_accounting_is_exact():
     for width in (1, 3, 7, 31, 32, 33, 64, 5):
         bs.write_uint(0, width)
         total += width
-        assert bs.nbits == total
+        assert bs.nbits == len(bs) == total
 
 
 def test_value_out_of_range_rejected():
@@ -72,6 +73,7 @@ def test_leading_zeros_live_in_the_length():
         bs.write_uint(value, width)
     assert bs.nbits == 73
     assert bs.to01() == "0" * 43 + "1" + "0" * 17 + "101" + "0" * 9
+    assert repr(bs) == f"BitString('{'0' * 43 + '1' + '0' * 17 + '101'}...', nbits=73)"
     reader = BitReader(bs)
     assert [reader.read_uint(width) for _, width in fields] == [v for v, _ in fields]
     reader.finish()

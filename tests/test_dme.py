@@ -83,6 +83,25 @@ def test_configure_no_side_info():
         configure_no_side_info(10, 256, 4)
 
 
+def test_no_side_info_rejects_a_precision_its_code_cannot_use(monkeypatch):
+    """Subsampled RATQ sends at most d_pad c bits, c = 3 + log h per kept
+    coordinate: 256 * 5 = 1280 at d = 256.  Up to floor(r / c) = d_pad it
+    fits r; above, it would send 1280 bits while the bound falls as 1/r, so
+    r is rejected before any quantizer is built."""
+    for r in (1280, 1284):
+        cfg, mu_d = configure_no_side_info(10, 256, r)
+        assert mu_d == 256 and rcs_wrap(cfg, mu_d).bit_budget == 1280
+        assert configure("no-side-info", 10, 256, r)[0][0].bit_budget == 1280
+    built = []
+    monkeypatch.setattr("qtc.dme.rcs_wrap", lambda *a: built.append(a))
+    for r in (1285, 51200):
+        with pytest.raises(ValueError, match=rf"r={r} above .* = 1280 bits"):
+            configure_no_side_info(10, 256, r)
+        with pytest.raises(ValueError, match=rf"r={r} above .* = 1280 bits"):
+            configure("no-side-info", 10, 256, r)
+    assert built == []
+
+
 def test_configure_known_delta_small_and_large():
     cfgs, mu_d = configure_known_delta(100, 64, 32, [0.5] * 100)
     assert cfgs[0].symbol_bits == 4  # ceil(log2(2 + sqrt(12 ln 100))) = 4

@@ -15,7 +15,7 @@ from qtc.optim import (
     psgd_run,
     quadratic_oracle,
 )
-from qtc.vector import RatqConfig, ratq_apply
+from qtc.vector import RatqConfig, ratq_quantizer
 
 
 def test_domain_projection():
@@ -72,7 +72,8 @@ def test_quantized_psgd_within_stated_bound():
     oracle = quadratic_oracle(x0, 0.5, B)
     dom = Domain("l2_ball", 1.0)
     cfg = RatqConfig.default(B, d)
-    res = psgd_run(oracle, lambda g, rng: ratq_apply(g, cfg, rng), dom, T,
+    ratq = ratq_quantizer(cfg)
+    res = psgd_run(oracle, lambda g, rng: ratq.sample(g, None, len(g), rng), dom, T,
                    seed=SeedPath(1), reps=8, x_init=np.eye(d)[1] * 0.9, alpha2=cfg.alpha2)
     assert res.mean_final_gap <= math.sqrt(2) * dom.diameter * B / math.sqrt(T)
 
@@ -204,7 +205,8 @@ def test_quantizer_composition_preserves_unbiasedness():
     g_fixed = SeedPath(14).stream().normal(size=d)
     g_fixed /= np.linalg.norm(g_fixed)
     cfg = RatqConfig.default(1.0, d)
-    outs = ratq_apply(np.tile(g_fixed, (40_000, 1)), cfg, SeedPath(15).stream())
+    outs = ratq_quantizer(cfg).sample(np.tile(g_fixed, (40_000, 1)), None, 40_000,
+                                      SeedPath(15).stream())
     se = outs.std(axis=0) / math.sqrt(len(outs))
     assert np.all(np.abs(outs.mean(axis=0) - g_fixed) <= 5 * se + 1e-12)
 

@@ -7,7 +7,6 @@ from qtc.core import BitReader, BitString, SeedPath
 from qtc.scalar import (
     OVERFLOW,
     ModuloParams,
-    _draw_source,
     cuq_conditional_mse,
     cuq_expected_decode,
     cuq_levels,
@@ -18,6 +17,7 @@ from qtc.scalar import (
     read_cuq_symbols,
     write_cuq_symbols,
 )
+from qtc.vector import gaussian_rd_run
 
 
 def two_branch_expectation(y, M, k):
@@ -29,6 +29,12 @@ def two_branch_expectation(y, M, k):
     p_up = t - lower
     lo_val = lo + lower * spacing
     return p_up * (lo_val + spacing) + (1 - p_up) * lo_val
+
+
+def modulo_params(k, eps, delta=1.3):
+    """The MQ parameters of lattice spacing eps, delta = eps (k - 2) / 2; of
+    `delta` itself for eps = 0."""
+    return ModuloParams(k, delta if eps == 0.0 else eps * (k - 2) / 2)
 
 
 def mq_decode_three_candidates(w, y, params):
@@ -98,7 +104,7 @@ def test_cuq_symbol_serialization():
 
 
 def test_mq_example():
-    params = ModuloParams(4, 1.0, eps=1.0)
+    params = ModuloParams(4, 1.0)
     ups = downs = 0
     for i in range(4000):
         w = mq_encode_with(np.array([2.3]), params, SeedPath(i).stream().random(1))
@@ -110,7 +116,7 @@ def test_mq_example():
 
 
 def test_mq_lattice_point_degenerate():
-    params = ModuloParams(4, 1.0, eps=1.0)
+    params = ModuloParams(4, 1.0)
     w = mq_encode_with(np.array([5.0]), params, SeedPath(0).stream().random(1))
     assert w[0] == 1 and mq_decode(w, np.array([4.7]), params)[0] == 5.0
 
@@ -133,27 +139,27 @@ def test_mq_default_eps_rule():
 _BAD_MODULO = {
     "delta-inf": (lambda: ModuloParams(8, math.inf), "delta"),
     "delta-nan": (lambda: ModuloParams(8, math.nan), "delta"),
+    "delta-zero": (lambda: ModuloParams(8, 0.0), "delta"),
     "k-float": (lambda: ModuloParams(5.5, 0.1), "k"),
-    "k-bool": (lambda: ModuloParams(True, 0.1, eps=0.5), "k"),
-    "eps-inf": (lambda: ModuloParams(8, 0.1, eps=math.inf), "eps"),
-    "eps-nan": (lambda: ModuloParams(8, 0.1, eps=math.nan), "eps"),
+    "k-bool": (lambda: ModuloParams(True, 0.1), "k"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_MODULO))
 def test_modulo_params_reject_a_bad_field_when_built(case):
-    """A non-finite distance bound or spacing, or a level count that is no
-    integer, would build and then decode to NaN or round on np.mod(z, k)."""
+    """A non-finite or zero distance bound (so spacing), or a level count
+    that is no integer, would build and then decode to NaN or round on
+    np.mod(z, k)."""
     build, field = _BAD_MODULO[case]
     with pytest.raises(ValueError, match=rf"(^|\s){field} "):
         build()
 
 
-def test_draw_source_rejects_an_unknown_source_before_drawing():
+def test_rate_distortion_run_rejects_an_unknown_source_before_drawing():
     rng = SeedPath(5).stream()
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="unknown source 'cauchy'"):
-        _draw_source(rng, "cauchy", 1.0, (4,))
+        gaussian_rd_run(1.0, 0.01, 16, 4, rng, source="cauchy")
     assert rng.bit_generator.state == state
 
 
@@ -196,7 +202,7 @@ def test_mq_boundedness_under_violation():
 
 def test_mq_tie_breaks_to_smaller():
     # candidates equidistant from y: pick the smaller lattice value
-    params = ModuloParams(4, 1.0, eps=1.0)
+    params = ModuloParams(4, 1.0)
     rec = mq_decode(np.array([0]), np.array([2.0]), params)  # lattice {0, 4, 8...}
     assert rec[0] == 0.0
 
@@ -204,8 +210,8 @@ def test_mq_tie_breaks_to_smaller():
 @pytest.mark.parametrize("k", [3, 4, 5, 8, 16, 33])
 @pytest.mark.parametrize("eps", [0.0, 0.37])
 def test_mq_decode_matches_three_candidate_reference(k, eps):
-    # 12 cases x 45k coordinates = 540k; eps = 0.0 selects the default rule
-    params = ModuloParams(k, 1.3, eps=eps)
+    # 12 cases x 45k coordinates = 540k; eps = 0.0 keeps delta = 1.3
+    params = modulo_params(k, eps)
     rng = SeedPath(k).child("mq", int(eps * 100)).stream()
     n = 45_000
     w = rng.integers(0, k, size=n)
@@ -219,14 +225,14 @@ def test_mq_decode_midpoints(k):
     w = np.arange(k)[None, :]
     for eps in (1.0, 0.25):
         # binary eps: the midpoint between z and z + 1 is exact, so it must go to z
-        params = ModuloParams(k, 1.0, eps=eps)
+        params = modulo_params(k, eps)
         lower = (z * k + w) * eps
         mid = ((z + 0.5) * k + w) * eps
         assert np.array_equal(mq_decode(w, mid, params), lower)
         assert np.array_equal(mq_decode_three_candidates(w, mid, params), lower)
     for eps in (0.0, 0.1, 0.37):
         # near a midpoint the result is one of the two nearest lattice points
-        params = ModuloParams(k, 1.3, eps=eps)
+        params = modulo_params(k, eps)
         lower = (z * k + w) * params.eps
         upper = ((z + 1) * k + w) * params.eps
         mid = ((z + 0.5) * k + w) * params.eps

@@ -20,7 +20,6 @@ from qtc.vector import (
     RatqConfig,
     aratq_quantizer,
     atuq_vector_apply,
-    ratq_apply,
     ratq_quantizer,
     rcs_wrap,
 )
@@ -200,7 +199,7 @@ def test_rdaq_counts_equal_the_per_scale_per_repetition_loop(N):
     for jj, r in enumerate(cfg.ranges):
         for ii in range(N):
             ref[jj] += v[..., ii] * r <= xk
-    counts = _rdaq_counts(cfg, xk, xk, v)[1]
+    counts = _rdaq_counts(cfg, xk, v)[1]
     assert counts.shape == ref.shape and np.array_equal(counts, ref)
     assert ref[j[tie], np.nonzero(tie)[0], np.nonzero(tie)[1]].min() >= 1
 
@@ -332,13 +331,14 @@ _REJECTED = {
                         _sample(lambda: wz_unknown_quantizer(RdaqConfig(_D), 65), _X, _Y)),
     "wz-unknown-N2": (lambda: wz_unknown_quantizer(RdaqConfig(_D, N=2), 8),
                       _sample(lambda: wz_unknown_quantizer(RdaqConfig(_D, N=2), 8), _X, _Y)),
-    # the wrappers, which are no catalog code: input the RATQ codec rejects,
-    # non-finite entries or (ratq-apply-shape) a row one short, which pads
-    # to the same power of two
+    # samplers on distinct rows and the unrotated ATUQ, which no catalog case
+    # runs: input the RATQ codec rejects, non-finite entries or
+    # (ratq-apply-shape) a row one short, which pads to the same power of two
     "ratq-apply-nan": (_encode(ratq_quantizer(_RATQ), _X_NAN),
-                       lambda g: ratq_apply(np.stack([_X, _X_NAN]), _RATQ, g)),
+                       lambda g: ratq_quantizer(_RATQ).sample(np.stack([_X, _X_NAN]), None, 2, g)),
     "ratq-apply-shape": (_encode(ratq_quantizer(_RATQ), _X[:-1]),
-                         lambda g: ratq_apply(np.stack([_X[:-1], _X[:-1]]), _RATQ, g)),
+                         lambda g: ratq_quantizer(_RATQ).sample(np.stack([_X[:-1], _X[:-1]]),
+                                                                None, 2, g)),
     "atuq-apply-nan": (None, lambda g: atuq_vector_apply(np.stack([_X, _X_NAN]), _RATQ, g)),
     # bad side information: non-finite, or (the DAQ and RDAQ codecs) outside
     # the unit ball, where _X lies on the sphere

@@ -17,7 +17,6 @@ from qtc.vector import (
     atuq_vector_apply,
     gaussian_rd_config,
     lp_split_quantizer,
-    ratq_apply,
     ratq_quantizer,
     rcs_wrap,
     simq_decode,
@@ -59,17 +58,17 @@ def test_ratq_zero_vector():
 
 
 def test_ratq_rejects_out_of_ball():
-    """The codec and `ratq_apply`, on every row, with one message."""
+    """The codec and the sampler on rows, on every row, with one message."""
     cfg = RatqConfig.default(1.0, 16)
     want = r"^input norm 4 exceeds bound B=1\.0$"
     with pytest.raises(ValueError, match=want):
         ratq_quantizer(cfg).encode(np.full(16, 1.0), None, SeedPath(1).stream())
     with pytest.raises(ValueError, match=want):
-        ratq_apply(np.ones((3, 16)), cfg, SeedPath(1).stream())
+        ratq_quantizer(cfg).sample(np.ones((3, 16)), None, 3, SeedPath(1).stream())
     ys = np.zeros((3, 16))
     ys[2, 5] = 1.5  # the last row alone lies outside
     with pytest.raises(ValueError, match=r"^input norm 1\.5 exceeds bound B=1\.0$"):
-        ratq_apply(ys, cfg, SeedPath(1).stream())
+        ratq_quantizer(cfg).sample(ys, None, 3, SeedPath(1).stream())
 
 
 def test_ratq_unbiased_and_bounded_second_moment():
@@ -116,8 +115,6 @@ def test_rcs_wrap_contract():
     for mu_d in (8.5, 8.0):  # a float would first fail in a round trip's partition
         with pytest.raises(ValueError, match="mu_d"):
             rcs_wrap(cfg, mu_d)
-    with pytest.raises(ValueError, match="unknown RCS mode 'bogus'"):
-        rcs_wrap(cfg, 4, mode="bogus")
     q = rcs_wrap(cfg, 4)
     assert q.bit_budget == 4 * (cfg.ladder.index_bits + 3)
 
@@ -150,9 +147,8 @@ def test_rcs_roundtrip_budget():
     y = unit_vector(16, 64)
     msg, rec = q.roundtrip(y, None, SeedPath(17))
     assert msg.nbits == q.bit_budget
-    # center mode agrees with zero-fill at side = 0
-    qc = rcs_wrap(cfg, 5, mode="center")
-    _, rec_center = qc.roundtrip(y, np.zeros(64), SeedPath(17))
+    # centred on side = 0, the output is the zero-filled one
+    _, rec_center = q.roundtrip(y, np.zeros(64), SeedPath(17))
     assert np.allclose(rec, rec_center)
 
 

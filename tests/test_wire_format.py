@@ -16,7 +16,7 @@ import pytest
 from qtc.catalog import CATALOG
 from qtc.core import BitString, SeedPath
 from qtc.sideinfo import RdaqConfig, boosted_rdaq_sample
-from qtc.vector import RatqConfig, atuq_vector_apply, ratq_apply
+from qtc.vector import RatqConfig, atuq_vector_apply, ratq_quantizer
 
 TRIALS = 4
 
@@ -94,8 +94,8 @@ MESSAGES = {
 }
 
 SAMPLERS = {
-    "ratq_apply": lambda rng: ratq_apply(
-        np.stack([_vec(40 + i, 48, 0.5 + 0.1 * i) for i in range(6)]), RatqConfig.default(1.0, 48), rng),
+    "ratq_apply": lambda rng: ratq_quantizer(RatqConfig.default(1.0, 48)).sample(
+        np.stack([_vec(40 + i, 48, 0.5 + 0.1 * i) for i in range(6)]), None, 6, rng),
     "atuq_vector_apply": lambda rng: atuq_vector_apply(
         SeedPath(41).stream().normal(size=(50, 64)) * 0.05,
         RatqConfig(1.0, 64, 2, 7, RatqConfig.default(1.0, 64).ladder), rng),
