@@ -10,7 +10,10 @@ Conventions used by every encoder/decoder pair in this package:
   takes the block's largest legal value and makes one `max` over it.
 * Encoder and decoder are driven by streams derived from the same SeedPath.
   A path's 64-bit key is derived once, when the path is made (a child's from
-  its parent's key), so seeding a stream costs the same at any depth.
+  its parent's key), so seeding a stream costs the same at any depth.  A
+  round trip derives the path's PCG64 seed words once and builds two fresh
+  generators from them, one for the encoder and one for the decoder; each
+  starts where ``path.stream()`` does, and nothing is rewound.
   Shared randomness (rotation signs, sampled windows, dither uniforms that the
   decoder must regenerate) is always drawn *first* and in the same order on
   both sides; encoder-private randomness (randomized rounding) is drawn after
@@ -332,6 +335,25 @@ class SeedPath:
         return np.random.Generator(np.random.PCG64(self._key))
 
 
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """The PCG64 seed words of one key, derived once: ``PCG64(key)`` asks
+    ``SeedSequence(key)`` for these four uint64 words, so a PCG64 seeded
+    from this object starts in the same state, and several can be seeded
+    for the cost of one derivation."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, key: int) -> None:
+        self._words = np.random.SeedSequence(key).generate_state(4, np.uint64)
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self._words
+
+    def stream(self) -> np.random.Generator:
+        """A fresh generator, in the state of ``SeedPath.stream()``."""
+        return np.random.Generator(np.random.PCG64(self))
+
+
 EncodeFn = Callable[[np.ndarray, Optional[np.ndarray], np.random.Generator], BitString]
 DecodeFn = Callable[[BitString, Optional[np.ndarray], np.random.Generator], np.ndarray]
 
@@ -516,20 +538,19 @@ class Quantizer:
     ) -> Tuple[BitString, np.ndarray]:
         """Encode then decode with identically derived streams.
 
-        One stream is seeded from `path`; its state is saved before the
-        encode and restored before the decode, so the decoder starts where a
-        fresh ``path.stream()`` would and makes every shared draw itself.
-        Returns (message, reconstruction) and asserts the fixed-length budget.
+        The path's PCG64 seed words are derived once, and two fresh
+        generators are built from them, one for the encoder and one for the
+        decoder: each starts where a fresh ``path.stream()`` would, so the
+        decoder makes every shared draw itself.  Returns (message,
+        reconstruction) and asserts the fixed-length budget.
         """
-        rng = path.stream()
-        start = rng.bit_generator.state
-        msg = self.encode(np.asarray(x, dtype=float), side, rng)
+        seed = _SeedWords(path._key)
+        msg = self.encode(np.asarray(x, dtype=float), side, seed.stream())
         if check_budget and self.bit_budget is not None and msg.nbits > self.bit_budget:
             raise AssertionError(
                 f"{self.name}: emitted {msg.nbits} bits > budget {self.bit_budget}"
             )
-        rng.bit_generator.state = start
-        xhat = self.decode(msg, side, rng)
+        xhat = self.decode(msg, side, seed.stream())
         return msg, xhat
 
     def sample(

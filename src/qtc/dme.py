@@ -225,8 +225,12 @@ def theoretical_bound(
     deltas: Optional[Sequence[float]] = None,
 ) -> float:
     """Closed-form worst-case protocol MSE bound for the given setting, in
-    the regime r picks: small precision for r <= d, large precision above."""
+    the regime r picks: small precision for r <= d, large precision above.
+    ValueError, with `configure`'s message, for an r the setting's code
+    cannot run at: the setting's `configure_*` helper makes its precision
+    checks before any arithmetic (after the deltas checks)."""
     if setting == "no-side-info":
+        configure_no_side_info(n, d, r)
         c = 6 + 2 * _tetra_log_h(d / 3.0)
         return c * sum((1.0 / n) * (d / (n * r)) for _ in range(n))
     if deltas is None:
@@ -235,6 +239,7 @@ def theoretical_bound(
     if len(deltas) != n:
         raise ValueError("need one delta per client")
     if setting == "known-delta":
+        configure_known_delta(n, d, r, [1.0])  # its precision checks read no delta
         if r <= d:
             c = 79 * _known_delta_log_k(n) + 26
             return c * sum((delta**2 / n) * (d / (n * r)) for delta in deltas)
@@ -242,6 +247,7 @@ def theoretical_bound(
         denom = n * (2 ** (r / d) - 2) ** 2
         return c * sum((delta**2 / n) * (1.0 / denom) for delta in deltas)
     if setting == "unknown-delta":
+        configure_unknown_delta(d, r)
         if r <= d:
             c = 128 * math.sqrt(3) * (1 + log_star(d / 6.0))
             return c * sum((delta / n) * (d / (n * r)) for delta in deltas)

@@ -216,10 +216,11 @@ def test_kernel_rejects_a_bad_row_before_any_draw(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_round_trip_equals_separate_encode_and_decode(name):
-    """`roundtrip` seeds one stream and rewinds it for the decoder; the result
-    is that of an encode and a decode each on a fresh ``path.stream()``.  The
-    cases include encoders with private draws after the shared ones (RATQ,
-    A-RATQ) and decoders with side information (subsampled RMQ and RDAQ)."""
+    """`roundtrip` builds its encoder's and its decoder's generators from
+    one seed derivation; the result is that of an encode and a decode each
+    on a fresh ``path.stream()``.  The cases include encoders with private
+    draws after the shared ones (RATQ, A-RATQ) and decoders with side
+    information (subsampled RMQ and RDAQ)."""
     q, _, draw = _case(name, SeedPath(92).child(name).stream())
     for i in range(INPUTS):
         x, side = draw()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtc.core import BitReader, BitString, SeedPath, TruncatedStreamError
+from qtc.core import BitReader, BitString, Quantizer, SeedPath, TruncatedStreamError
 
 
 def test_write_examples():
@@ -158,6 +158,53 @@ def test_seedpath_keys_are_pinned():
     }
     for (root_seed, labels), key in pinned.items():
         assert SeedPath(root_seed, labels).mixed() == key
+
+
+def _path_with_key(key):
+    """A SeedPath whose stored stream key is `key`."""
+    path = SeedPath(0)
+    object.__setattr__(path, "_key", key)
+    return path
+
+
+def _recording_quantizer():
+    """A Quantizer from a bare encode/decode pair that records, for each
+    generator it is handed, its state on arrival and its first 64 draws."""
+    seen = []
+
+    def encode(x, side, rng):
+        seen.append((rng.bit_generator.state, rng.random(64)))
+        return BitString().write_uint(0, 1)
+
+    def decode(bits, side, rng):
+        seen.append((rng.bit_generator.state, rng.random(64)))
+        return np.zeros(1)
+
+    return Quantizer(encode, decode, 1, "recorder"), seen
+
+
+# one and two SeedSequence entropy words, and the ends of the 64-bit range
+SEED_KEYS = [0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 64) - 1]
+
+
+@pytest.mark.parametrize("paths", [
+    pytest.param([_path_with_key(key) for key in SEED_KEYS], id="edge-keys"),
+    pytest.param([SeedPath(33).child("msg", i) for i in range(200)], id="seedpath-keys"),
+])
+def test_round_trip_generators_start_where_a_fresh_stream_does(paths):
+    """`roundtrip` hands its encoder and its decoder each a fresh generator
+    in the state of ``path.stream()``: the same bit-generator state and the
+    same first draws, whatever the encoder drew first."""
+    q, seen = _recording_quantizer()
+    for path in paths:
+        seen.clear()
+        q.roundtrip(np.zeros(1), None, path)
+        fresh = path.stream()
+        state, draws = fresh.bit_generator.state, fresh.random(64)
+        assert len(seen) == 2
+        for got_state, got_draws in seen:
+            assert got_state == state
+            assert np.array_equal(got_draws, draws)
 
 
 def test_sibling_labels_differ():

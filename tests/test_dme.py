@@ -193,6 +193,30 @@ def test_bounds_evaluate():
         theoretical_bound("bogus", 4, 16, 8, [0.1] * 4)
 
 
+# (setting, n, d, r, deltas, the configure_* helper's message): precisions
+# no code of the setting runs at, below and above its range
+_NO_CODE_AT = [
+    ("no-side-info", 10, 256, 51200, None, "above the d_pad"),
+    ("no-side-info", 10, 256, 4, None, "below the minimum"),
+    ("known-delta", 10, 256, 300, [0.1] * 10, "r = m\\*d"),
+    ("known-delta", 10, 256, 2, [0.1] * 10, "below the minimum"),
+    ("unknown-delta", 10, 256, 300, [0.1] * 10, "r = m\\*d"),
+    ("unknown-delta", 10, 256, 512, [0.1] * 10, "below h \\+ log h"),
+]
+
+
+@pytest.mark.parametrize("setting,n,d,r,deltas,message", _NO_CODE_AT,
+                         ids=[f"{case[0]}-r{case[3]}" for case in _NO_CODE_AT])
+def test_bound_rejects_a_precision_no_code_runs_at(setting, n, d, r, deltas, message):
+    """`theoretical_bound` quotes no bound where `configure` builds no code:
+    both raise the setting's own precision error."""
+    with pytest.raises(ValueError, match=message) as built:
+        configure(setting, n, d, r, deltas)
+    with pytest.raises(ValueError, match=message) as bound:
+        theoretical_bound(setting, n, d, r, deltas)
+    assert str(bound.value) == str(built.value)
+
+
 def test_side_information_helps():
     n, d, r = 10, 64, 30
     delta = 0.1

@@ -11,6 +11,8 @@ exactly: the kept-coordinate arithmetic is the same per element, only the
 discarded work is gone.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -179,3 +181,30 @@ def test_boosted_rdaq_sample_matches_full_width(N, d):
     n = _past_one_chunk(cfg.d_pad * cfg.h * N)
     _same(lambda g: boosted_rdaq_sample(x, y, cfg, n, g),
           lambda g: _rdaq_reference(x, y, cfg, n, g), 400 + N)
+
+
+@pytest.mark.parametrize("d", [8, 200])
+@pytest.mark.parametrize("code", ["rmq", "rcs", "rdaq"])
+def test_round_trip_matches_full_width(code, d):
+    """A codec's round trip under a path is the one row its full-width
+    reference draws from that path's stream: the window's sent coordinates
+    and their corrections land where the reference puts them, both with d =
+    d_pad (no padding) and with d = 200 padded to 256.  mu_d = 5 makes
+    windows that wrap around the end of the rotated vector."""
+    mu_d = 5
+    x, y = _rdaq_pair(d) if code == "rdaq" else _pair(4, d, 0.3)
+    if code == "rmq":
+        cfg = RmqConfig(d, 0.5, 0.05, 16)
+        q, side = wz_known_quantizer(cfg, mu_d), y
+        ref = functools.partial(_wz_known_reference, x, y, cfg, mu_d, 1)
+    elif code == "rcs":
+        cfg = RatqConfig.for_subsampling(1.0, d)
+        q, side = rcs_wrap(cfg, mu_d), None
+        ref = functools.partial(_rcs_reference, x, cfg, mu_d, 1)
+    else:
+        cfg = RdaqConfig(d)
+        q, side = wz_unknown_quantizer(cfg, mu_d), y
+        ref = functools.partial(_rdaq_reference, x, y, cfg, 1, mu_d=mu_d)
+    for i in range(24):
+        path = SeedPath(500).child(code, d).child("trial", i)
+        np.testing.assert_array_equal(q.roundtrip(x, side, path)[1], ref(path.stream())[0])
