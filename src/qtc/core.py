@@ -347,6 +347,8 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         self._words = np.random.SeedSequence(key).generate_state(4, np.uint64)
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"seed words hold 4 uint64, not {n_words} {np.dtype(dtype)}")
         return self._words
 
     def stream(self) -> np.random.Generator:

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import _BLOCK_ELEMS, Kernel, next_pow2
+from .core import Kernel, next_pow2
 
 __all__ = [
     "next_pow2",
@@ -81,8 +81,7 @@ def _signs_of(words: np.ndarray, d: int) -> np.ndarray:
     bytes are little-endian on every host, so the bit order does not
     depend on the machine; each byte looks up its eight signs."""
     octets = (words * 2.0**32).astype("<u4").view(np.uint8)
-    signs = _BYTE_SIGNS.take(octets, axis=0).reshape(len(words), 8 * octets.shape[1])
-    return signs if signs.shape[1] == d else signs[:, :d]
+    return _BYTE_SIGNS.take(octets, axis=0).reshape(len(words), 8 * octets.shape[1])[:, :d]
 
 
 def sample_signs_batch(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -251,14 +250,9 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
     subset's, and clients, drawing from their own streams, stay
     independent.
 
-    The kernel fixes its frame constants when built: whether rows need
-    padding to d_pad (they do not when d is a power of two, and the checks
-    already return float arrays), and with mu_d the `_ring_windows` view
-    and a read-only column of row offsets 0, d_pad, 2 d_pad, ... for a
-    block's `_BLOCK_ELEMS // d_pad` rows.  A row's kept indices are row b
-    of the view plus its row's offset: a codec's one row takes row b itself,
-    and a draw of more rows than a block, which only a direct caller makes,
-    builds its own column.
+    With mu_d the kernel builds once the `_ring_windows` view: a row's kept
+    indices are row b of it plus d_pad times the row's number, so a codec's
+    one row takes row b itself, a view.
     """
     d_pad = next_pow2(d)
     if mu_d is not None:
@@ -268,11 +262,7 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
             raise ValueError(f"sample count mu_d = {mu_d} outside 1..{d_pad}")
     width = d_pad if mu_d is None else mu_d
     mu = width / d_pad
-    pad = (lambda a: a) if d == d_pad else (lambda a: pad_to_pow2(a)[0])
-    if mu_d is not None:
-        windows = _ring_windows(d_pad, mu_d)
-        offsets = np.arange(0, d_pad * max(1, _BLOCK_ELEMS // d_pad), d_pad)[:, None]
-        offsets.flags.writeable = False
+    windows = None if mu_d is None else _ring_windows(d_pad, mu_d)
 
     def draw(rng, m):
         return (sign_words(rng, m, d_pad), None if mu_d is None else rng.random((m, 1)),
@@ -282,12 +272,11 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
         words, u, v = draws
         kept = None
         if u is not None:  # flat indices of each row's window, in window order
-            m = len(u)
-            if m == 1:  # a codec's one row: its window, a view, at offset 0
+            if len(u) == 1:  # a codec's one row: its window, a view, at offset 0
                 kept = windows[int(u[0, 0] * d_pad)]
             else:
                 kept = windows[(u[:, 0] * d_pad).astype(np.intp)]
-                kept += offsets[:m] if m <= len(offsets) else np.arange(0, d_pad * m, d_pad)[:, None]
+                kept += np.arange(0, d_pad * len(u), d_pad)[:, None]
                 kept = kept.ravel()
         return _signs_of(words, d_pad), kept, v
 
@@ -296,11 +285,11 @@ def rotated_kernel(d: int, mu_d: Optional[int], row_elems: int, check_input, che
 
     def encode_rows(rows, drawn, u):
         signs, kept, v = drawn
-        return encode(sent(rotate_batch(pad(rows), signs), kept), v, u)
+        return encode(sent(rotate_batch(pad_to_pow2(rows)[0], signs), kept), v, u)
 
     def decode_rows(fields, side, drawn):
         signs, kept, v = drawn
-        yr = np.zeros(signs.shape) if side is None else rotate_batch(pad(side), signs)
+        yr = np.zeros(signs.shape) if side is None else rotate_batch(pad_to_pow2(side)[0], signs)
         corr = decode(fields, sent(yr, kept), v)
         if kept is None:
             yr += corr

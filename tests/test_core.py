@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtc.core import BitReader, BitString, Quantizer, SeedPath, TruncatedStreamError
+from qtc.core import BitReader, BitString, Quantizer, SeedPath, TruncatedStreamError, _SeedWords
 
 
 def test_write_examples():
@@ -205,6 +205,14 @@ def test_round_trip_generators_start_where_a_fresh_stream_does(paths):
         for got_state, got_draws in seen:
             assert got_state == state
             assert np.array_equal(got_draws, draws)
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64)])
+def test_seed_words_refuse_a_request_other_than_pcg64s(n_words, dtype):
+    """The round trip's seed words are the four uint64 words PCG64 asks
+    for; any other request raises instead of seeding from the wrong words."""
+    with pytest.raises(ValueError, match="4 uint64"):
+        _SeedWords(5).generate_state(n_words, dtype)
 
 
 def test_sibling_labels_differ():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qtc.core import _BLOCK_ELEMS, SeedPath
+from qtc.core import SeedPath
 from qtc.rotation import (
     _hadamard,
     _scaled_factors,
@@ -74,15 +74,11 @@ def test_window_keeps_each_coordinate_with_chance_mu_d_over_d_pad(d_pad, mu_d):
 
 
 @pytest.mark.parametrize("d_pad", [1, 2, 8, 256])
-@pytest.mark.parametrize("m", [0, 1, 3, 64, "block", "block+1"])
+@pytest.mark.parametrize("m", [0, 1, 3, 64])
 def test_window_indices_are_the_modular_formula_for_every_start(d_pad, m):
     """`derive` reads each row's window off a fixed view of the ring; its
     flat indices are (b + arange(mu_d)) % d_pad + d_pad * row, for every
-    start b and every row of the block.  "block" is the most rows of one
-    sampler block, which the kernel's fixed column of row offsets covers;
-    one more is a longer draw, whose offsets are built for the call."""
-    rows = _BLOCK_ELEMS // d_pad
-    m = {"block": rows, "block+1": rows + 1}.get(m, m)
+    start b and every row of the block."""
     rng = SeedPath(28).child("d", d_pad).child("m", m).stream()
     words = rng.random((m, -(-d_pad // 32)))
     for mu_d in sorted({1, max(1, d_pad // 2), d_pad}):
