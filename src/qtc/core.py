@@ -13,7 +13,11 @@ Conventions used by every encoder/decoder pair in this package:
   its parent's key), so seeding a stream costs the same at any depth.  A
   round trip derives the path's PCG64 seed words once and builds two fresh
   generators from them, one for the encoder and one for the decoder; each
-  starts where ``path.stream()`` does, and nothing is rewound.
+  starts where ``path.stream()`` does, and nothing is rewound.  The streams
+  of many children of one path are derived together
+  (`SeedPath.child_streams`, which `run_dme` calls for its client
+  streams): their keys and numpy's SeedSequence seed words are worked out
+  as arrays, each generator in the state of ``path.child(role, i).stream()``.
   Shared randomness (rotation signs, sampled windows, dither uniforms that the
   decoder must regenerate) is always drawn *first* and in the same order on
   both sides; encoder-private randomness (randomized rounding) is drawn after
@@ -123,12 +127,13 @@ _NORM_SLACK = 1.0 + 1e-9
 def _l2_norm(x: np.ndarray) -> float:
     """The l2 norm of one vector, or the largest of (m, d) rows (0 for no
     rows); inf, without a warning, where the sum of squares overflows.  A
-    vector takes one `dot`: a codec checks one vector a message, and a row
-    reduction costs it three times as much."""
-    with np.errstate(over="ignore"):
-        if x.ndim == 1:
-            return math.sqrt(x.dot(x))
-        return math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
+    vector takes one `vdot`: a codec checks one vector a message, and a row
+    reduction costs it three times as much.  Neither `vdot` nor `einsum`
+    reports a floating-point overflow (`dot` and `matmul` do), so no error
+    state is switched."""
+    if x.ndim == 1:
+        return math.sqrt(np.vdot(x, x))
+    return math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
 
 
 class BitString:
@@ -290,6 +295,84 @@ def _mix_label(h: int, role: str, index: int) -> int:
     return _splitmix64(_splitmix64(h ^ _fnv64(role)) ^ (index & _MASK64))
 
 
+def _mix_labels(h: int, role: str, indices: np.ndarray) -> np.ndarray:
+    """`_mix_label` of each of a uint64 array of indices (already masked to
+    64 bits), as a uint64 array; the products wrap mod 2^64 as they do
+    there."""
+    x = indices ^ np.uint64(_splitmix64(h ^ _fnv64(role)))
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """init, init * mult, ..., init * mult^n mod 2^32, as uint32."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# numpy's SeedSequence with its pool of 4 uint32 words, on arrays of keys.
+# Its hash multipliers do not depend on the data: the k-th hash of a pool
+# word XORs in _SS_POOL[k] and multiplies by _SS_POOL[k + 1] (4 fills, then
+# 3 mixes from each of the 4 source words), and output word j XORs in
+# _SS_OUT[j] and multiplies by _SS_OUT[j + 1].
+_SS_POOL = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_SS_OUT = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_SS_MIX_L, _SS_MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SS_SHIFT = np.uint32(16)
+
+
+def _mix_consts(s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The XOR and multiply constants of mixing from source word s, by
+    destination word: the other three in order, each once, and 0 at s
+    itself, whose result `_seed_words_of` puts back."""
+    dst, k = [d for d in range(4) if d != s], 4 + 3 * s
+    xor, mul = np.zeros(4, dtype=np.uint32), np.zeros(4, dtype=np.uint32)
+    xor[dst], mul[dst] = _SS_POOL[k : k + 3], _SS_POOL[k + 1 : k + 4]
+    return xor, mul
+
+
+_SS_MIX = [_mix_consts(s) for s in range(4)]
+
+
+def _seed_words_of(keys: np.ndarray) -> np.ndarray:
+    """The (m, 4) uint64 words ``SeedSequence(k).generate_state(4,
+    np.uint64)`` of each of m 64-bit keys, which is what ``PCG64(k)`` seeds
+    from: numpy's algorithm on uint32 arrays, each of its steps one array
+    operation over every key.
+
+    A key is the entropy words (low, high); numpy hashes the absent high
+    word of a key below 2^32 as it hashes 0.  The 8 uint32 output words of
+    a key are viewed as 4 little-endian uint64, as numpy lays them out."""
+    keys = np.ascontiguousarray(keys, dtype="<u8")
+    pool = np.zeros((keys.size, 4), dtype=np.uint32)
+    pool[:, :2] = keys.view("<u4").reshape(-1, 2)
+    pool ^= _SS_POOL[:4]
+    pool *= _SS_POOL[1:5]
+    pool ^= pool >> _SS_SHIFT
+    for s, (xor, mul) in enumerate(_SS_MIX):
+        h = pool[:, s, None] ^ xor
+        h *= mul
+        h ^= h >> _SS_SHIFT
+        h *= _SS_MIX_R
+        mixed = pool * _SS_MIX_L
+        mixed -= h
+        mixed ^= mixed >> _SS_SHIFT
+        mixed[:, s] = pool[:, s]
+        pool = mixed
+    out = np.concatenate((pool, pool), axis=1)
+    out ^= _SS_OUT[:8]
+    out *= _SS_OUT[1:9]
+    out ^= out >> _SS_SHIFT
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
 Label = Tuple[str, int]
 
 
@@ -334,6 +417,19 @@ class SeedPath:
         are 53-bit mantissa draws in [0, 1))."""
         return np.random.Generator(np.random.PCG64(self._key))
 
+    def child_streams(self, role: str, indices) -> list:
+        """The streams of ``self.child(role, i)`` for each i of `indices`,
+        each generator in the state of ``self.child(role, i).stream()``.
+
+        The children's keys and their PCG64 seed words are derived together,
+        as arrays (`_seed_words_of`), so m streams cost one derivation and m
+        generators; `stream()` keeps numpy's own derivation, faster for one."""
+        indices = np.array([int(i) & _MASK64 for i in indices], dtype=np.uint64)
+        if indices.size == 0:
+            return []
+        words = _seed_words_of(_mix_labels(self._key, role, indices))
+        return [_SeedWords.of_words(row).stream() for row in words]
+
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """The PCG64 seed words of one key, derived once: ``PCG64(key)`` asks
@@ -345,6 +441,14 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
     def __init__(self, key: int) -> None:
         self._words = np.random.SeedSequence(key).generate_state(4, np.uint64)
+
+    @classmethod
+    def of_words(cls, words: np.ndarray) -> "_SeedWords":
+        """Seed words already derived: 4 contiguous uint64, as from
+        `_seed_words_of`."""
+        seed = cls.__new__(cls)
+        seed._words = words
+        return seed
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         if n_words != 4 or np.dtype(dtype) != np.uint64:
@@ -459,16 +563,17 @@ class Kernel:
         every client or for none; likewise one vector or n rows) and the
         client's own stream.  `run` checks every client's input and side
         information (`check_input`, `check_side`, n rows each where rows
-        are given) before any client draws, so on a ValueError no stream
-        has moved.  Each client draws chunk by chunk (`_chunks` of
-        `row_elems`): the shared draws, then the noise of the chunk's rows.
-        The arithmetic runs on blocks of at most `_BLOCK_ELEMS // d_pad`
-        rows, filled in turn: a block joins the chunks of consecutive
-        clients (never two of one client), and a chunk too large for one
-        block is cut across several.  Each row is worked out the same way
-        in any block, so a client's rows are the same bits whichever
-        clients share its blocks.
+        are given), and that n is an integer >= 0, before any client draws,
+        so on a ValueError no stream has moved.  Each client draws chunk by
+        chunk (`_chunks` of `row_elems`): the shared draws, then the noise
+        of the chunk's rows.  The arithmetic runs on blocks of at most
+        `_BLOCK_ELEMS // d_pad` rows, filled in turn: a block joins the
+        chunks of consecutive clients (never two of one client), and a chunk
+        too large for one block is cut across several.  Each row is worked
+        out the same way in any block, so a client's rows are the same bits
+        whichever clients share its blocks.
         """
+        _check_int(n, "repetitions n", 0)
         clients = [(self.check_input(x), self.check_side(side), rng) for x, side, rng in clients]
         wrong = {len(v) for c in clients for v in c[:2] if v is not None and v.ndim == 2} - {n}
         if wrong:
@@ -506,6 +611,7 @@ class Kernel:
     def sample(self, rows: np.ndarray, side: Optional[np.ndarray], n: int,
                rng: np.random.Generator) -> np.ndarray:
         """`run` on one client: its n reconstructions, (n, d)."""
+        _check_int(n, "repetitions n", 0)
         out = np.empty((n, self.d))
         for _, lo, hi, recs in self.run([(rows, side, rng)], n):
             out[lo:hi] = recs

@@ -88,10 +88,13 @@ def run_dme(
 
     Each run of consecutive clients that share one quantizer object takes
     one path, chosen by the kind of quantizer.  With a kernel (every qtc
-    quantizer), the run goes to one `Kernel.run`, client i drawing from
-    ``root.child("client", i).stream()``: the codec's checks, draws and
-    arithmetic without packing any message, few-trial clients joined into
-    arithmetic blocks.  A codec built without a kernel is round-tripped
+    quantizer), the run goes to one `Kernel.run`, client i drawing from a
+    generator in the state of ``root.child("client", i).stream()``: the
+    codec's checks, draws and arithmetic without packing any message,
+    few-trial clients joined into arithmetic blocks.  The streams of every
+    kernel client are derived together, before the first run, in one
+    `SeedPath.child_streams` call, so a run of one client pays no fixed
+    cost of its own.  A codec built without a kernel is round-tripped
     once per (client, trial), client by client, under
     ``root.child("client", i).child("trial", t)``; a caller who wants every
     message packed passes such codecs.  Rows are added into the sum in
@@ -116,6 +119,8 @@ def run_dme(
 
     acc = np.zeros((trials, d))
     ys = instance.ys if instance.ys is not None else [None] * n
+    streams = iter(root.child_streams(
+        "client", [i for i, q in enumerate(quantizers) if q.kernel is not None]))
     for _, run in itertools.groupby(range(n), key=lambda i: id(quantizers[i])):
         run = list(run)
         q = quantizers[run[0]]
@@ -126,7 +131,7 @@ def run_dme(
                 for t in range(trials):
                     acc[t] += q.roundtrip(instance.xs[i], ys[i], client.child("trial", t))[1]
             continue
-        clients = [(instance.xs[i], ys[i], root.child("client", i).stream()) for i in run]
+        clients = [(instance.xs[i], ys[i], next(streams)) for i in run]
         for _, lo, hi, recs in k.run(clients, trials):
             acc[lo:hi] += recs
     acc /= n  # the error, in place: no (trials, d) temporaries

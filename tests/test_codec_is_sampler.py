@@ -214,6 +214,24 @@ def test_kernel_rejects_a_bad_row_before_any_draw(name):
         assert stream.bit_generator.state == state
 
 
+@pytest.mark.parametrize("n", [-1, -3, True, False, 2.0, "3", None])
+@pytest.mark.parametrize("name", ["ratq-d64", "wz-known-mu8"])
+def test_kernel_rejects_a_bad_repetition_count_before_any_draw(name, n):
+    """`Kernel.run` and `Quantizer.sample` raise ValueError, naming n, for a
+    repetition count that is negative, a bool or not an integer, and leave
+    the stream where it was: a negative n used to yield no rows."""
+    q, _, draw = _case(name, SeedPath(98).child(name).stream())
+    x, side = draw()
+    calls = [lambda rng: list(q.kernel.run([(x, side, rng)], n)),
+             lambda rng: q.sample(x, side, n, rng)]
+    for call in calls:
+        stream = SeedPath(99).child(name).stream()
+        state = stream.bit_generator.state
+        with pytest.raises(ValueError, match=f"repetitions n must be an integer >= 0, got {n!r}"):
+            call(stream)
+        assert stream.bit_generator.state == state
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_round_trip_equals_separate_encode_and_decode(name):
     """`roundtrip` builds its encoder's and its decoder's generators from

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qtc.core import BitReader, BitString, Quantizer, SeedPath, TruncatedStreamError, _SeedWords
+from qtc.core import (BitReader, BitString, Quantizer, SeedPath, TruncatedStreamError, _SeedWords,
+                      _seed_words_of)
 
 
 def test_write_examples():
@@ -93,8 +94,8 @@ def test_seedpath_determinism():
 
 def test_seedpath_streams_distinct():
     seen = set()
-    for i in range(10_000):
-        word = int(SeedPath(9).child("rep", i).stream().integers(0, 1 << 63))
+    for stream in SeedPath(9).child_streams("rep", range(10_000)):
+        word = int(stream.integers(0, 1 << 63))
         seen.add(word)
     assert len(seen) == 10_000  # no identical first words among 1e4 streams
 
@@ -205,6 +206,43 @@ def test_round_trip_generators_start_where_a_fresh_stream_does(paths):
         for got_state, got_draws in seen:
             assert got_state == state
             assert np.array_equal(got_draws, draws)
+
+
+def test_seed_words_of_keys_are_numpys():
+    """`_seed_words_of` gives each key the four uint64 words that numpy's
+    own SeedSequence derives, which is what ``PCG64(key)`` seeds from: the
+    edge keys, 1000 random ones, and none."""
+    random_keys = np.random.default_rng(35).integers(0, 1 << 64, 1000, dtype=np.uint64,
+                                                     endpoint=False)
+    for keys in (SEED_KEYS, [int(k) for k in random_keys]):
+        want = np.array([np.random.SeedSequence(k).generate_state(4, np.uint64) for k in keys])
+        got = _seed_words_of(np.array(keys, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(keys), 4)
+        assert np.array_equal(got, want)
+    assert _seed_words_of(np.zeros(0, dtype=np.uint64)).shape == (0, 4)
+
+
+# every index of KEY_CASES: negative, at and past 2^64, and 1 << 200
+KEY_INDICES = list(dict.fromkeys(index for _, labels in KEY_CASES for _, index in labels))
+
+
+@pytest.mark.parametrize("root, role, indices", [
+    pytest.param(SeedPath(41), "client", KEY_INDICES, id="key-case-indices"),
+    pytest.param(SeedPath(-5, (("msg", -1),)), "été", KEY_INDICES[::-1], id="deep-reversed"),
+    pytest.param(SeedPath(18).child("run", 32), "client", range(100), id="dme-clients"),
+    pytest.param(SeedPath(7), "client", [3], id="one"),
+    pytest.param(SeedPath(7), "client", [], id="none"),
+])
+def test_child_streams_start_where_each_child_stream_does(root, role, indices):
+    """Each generator of `child_streams` has the bit-generator state and
+    the first draws of ``root.child(role, i).stream()``, in index order."""
+    streams = root.child_streams(role, indices)
+    assert len(streams) == len(indices)
+    for i, got in zip(indices, streams):
+        fresh = root.child(role, i).stream()
+        assert got.bit_generator.state == fresh.bit_generator.state
+        assert np.array_equal(got.random(64), fresh.random(64))
+        assert np.array_equal(got.integers(0, 1 << 63, 8), fresh.integers(0, 1 << 63, 8))
 
 
 @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64)])
