@@ -752,6 +752,8 @@ def optimize_age(p: Sequence[float], tol: float = 1e-6) -> TiltSolution:
 
 def optimize_delay(p: Sequence[float], l_th: float, tol: float = 1e-6) -> TiltSolution:
     """Minimum average-waiting-time code via the same tilt machinery."""
+    if not math.isfinite(l_th):
+        raise ValueError(f"threshold L_th must be finite, got {l_th!r}")
     p = np.asarray(p, dtype=float)
     h = entropy(validate_pmf(p))
     if h + math.log2(1 + 1 / math.sqrt(2)) >= l_th:

@@ -35,12 +35,18 @@ draws for n = 1 from that path's stream.  The sampler draws in large chunks
 and does the arithmetic in blocks of at most `_BLOCK_ELEMS // d_pad` rows,
 which join the chunks of several clients or cut one chunk into several;
 every row comes out the same bits either way.
+
+A kernel's input check is `check_vector` where its domain is every finite
+vector, and otherwise one `check_ball` call, which states its norm ball
+(order and radius) and rejects a norm above it, or one that overflows, in
+one message form and with no floating-point warning.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
@@ -56,6 +62,7 @@ __all__ = [
     "MalformedStreamError",
     "TruncatedStreamError",
     "check_vector",
+    "check_ball",
     "check_config",
     "next_pow2",
 ]
@@ -82,21 +89,79 @@ class TruncatedStreamError(MalformedStreamError):
     """Raised when a read runs past the end of a BitString."""
 
 
-def check_vector(x, d: int, what: str = "input") -> np.ndarray:
-    """`x` as a float vector of length d or as (m, d) rows; raises
-    ValueError if it has another shape or a NaN or infinite entry.
-
-    Kernels call this in their input and side-information checks, which
-    `Kernel.run` and the codec make before their first draw.
-    """
+def _shaped(x, d: int, what: str) -> np.ndarray:
+    """`x` as a float vector of length d or as (m, d) rows; ValueError for
+    another shape."""
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):  # a codec's one vector pays one comparison
         if x.ndim != 2:
             raise ValueError(f"{what} has shape {x.shape}, expected ({d},)")
         if x.shape[1] != d:
             raise ValueError(f"{what} rows have length {x.shape[1]}, expected {d}")
+    return x
+
+
+def check_vector(x, d: int, what: str = "input") -> np.ndarray:
+    """`x` as a float vector of length d or as (m, d) rows; raises
+    ValueError if it has another shape or a NaN or infinite entry.
+
+    Kernels whose domain is every finite vector call this in their input
+    and side-information checks, which `Kernel.run` and the codec make
+    before their first draw; the others call `check_ball`.
+    """
+    x = _shaped(x, d, what)
     if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
+    return x
+
+
+# The relative slack every norm-bound check allows: a vector scaled to norm
+# exactly B may land a rounding step above it.
+_NORM_SLACK = 1.0 + 1e-9
+
+
+def _l2_norm(x: np.ndarray) -> float:
+    """The l2 norm of one vector, or the largest of (m, d) rows (0 for no
+    rows); inf, without a warning, where the sum of squares overflows.  A
+    vector takes one `vdot`: a codec checks one vector a message, and a row
+    reduction costs it three times as much.  Neither `vdot` nor `einsum`
+    reports a floating-point overflow (`dot` and `matmul` do), so no error
+    state is switched."""
+    if x.ndim == 1:
+        return math.sqrt(np.vdot(x, x))
+    return math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
+
+
+def check_ball(x, d: int, bound: float = math.inf, ord: float = 2,
+               what: str = "input") -> np.ndarray:
+    """What `check_vector` checks, and ValueError unless the l_ord norm of
+    the vector, or of each of its rows, is finite and at most `bound` (up
+    to `_NORM_SLACK`); ord is 1, 2, a real q > 2 or inf.  Every kernel
+    whose domain is a norm ball states it in this one call.
+
+    No norm raises a floating-point warning, and one that overflows is inf:
+    l2 is `_l2_norm`; l1 an `einsum` sum of |x|, which (unlike `sum`) does
+    not report an overflow; l_inf the largest |entry|, and l_q that entry
+    times the l_q norm of |x| over it, whose entries lie in [0, 1] and, in
+    the largest row, include a 1.  A NaN or infinite entry makes the norm
+    NaN or inf, so the entries are checked only for a norm that fails."""
+    x = _shaped(x, d, what)
+    if ord == 2:
+        norm = _l2_norm(x)
+    elif ord == 1:
+        norm = float(np.einsum("...i->...", np.abs(x)).max(initial=0.0))
+    else:
+        a = np.abs(x)
+        norm = float(a.max(initial=0.0))
+        if ord != math.inf and 0 < norm < math.inf:
+            scale = max(norm, sys.float_info.min)  # whose inverse is finite
+            np.power(np.multiply(a, 1 / scale, out=a), ord, out=a)
+            norm = scale * float(np.einsum("...i->...", a).max()) ** (1 / ord)
+    if not norm <= bound * _NORM_SLACK or norm == math.inf:
+        check_vector(x, d, what)
+        if norm == math.inf:
+            raise ValueError(f"{what} l{ord:g} norm overflows double precision")
+        raise ValueError(f"{what} l{ord:g} norm {norm:.6g} exceeds bound {bound:.6g}")
     return x
 
 
@@ -117,23 +182,6 @@ def check_config(d, B: Optional[float] = None) -> None:
 
 def next_pow2(n: int) -> int:
     return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
-
-# The relative slack every norm-bound check allows: a vector scaled to norm
-# exactly B may land a rounding step above it.
-_NORM_SLACK = 1.0 + 1e-9
-
-
-def _l2_norm(x: np.ndarray) -> float:
-    """The l2 norm of one vector, or the largest of (m, d) rows (0 for no
-    rows); inf, without a warning, where the sum of squares overflows.  A
-    vector takes one `vdot`: a codec checks one vector a message, and a row
-    reduction costs it three times as much.  Neither `vdot` nor `einsum`
-    reports a floating-point overflow (`dot` and `matmul` do), so no error
-    state is switched."""
-    if x.ndim == 1:
-        return math.sqrt(np.vdot(x, x))
-    return math.sqrt(np.einsum("ij,ij->i", x, x).max(initial=0.0))
 
 
 class BitString:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .adaptive import _tetra_log_h, log_star
-from .core import _NORM_SLACK, Quantizer, SeedPath, next_pow2
+from .core import _NORM_SLACK, Quantizer, SeedPath, _check_int, next_pow2
 from .sideinfo import RdaqConfig, RmqConfig, rdaq_quantizer, wz_known_quantizer, wz_unknown_quantizer
 from .vector import RatqConfig, rcs_wrap
 
@@ -101,8 +101,7 @@ def run_dme(
     client order, so the result is the same bits as client by client.
     """
     n, d = instance.n, instance.d
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, not {trials}")
+    _check_int(trials, "trials", 1)
     if len(quantizers) != n:
         raise ValueError(f"{len(quantizers)} quantizers for {n} clients")
     bits = []

@@ -8,7 +8,9 @@ anyone knowing it.  Each quantizer is declared once as a `core.Kernel`:
 its bit-exact codec runs the kernel on one row and `Quantizer.sample` on n.
 RMQ and the RDAQ family state only their rule on the sent rotated
 coordinates; `rotation.rotated_kernel` rotates, subsamples and moves the
-rotated side information by their correction.
+rotated side information by their correction.  DAQ and the RDAQ family
+take x and y in the unit l2 ball (`core.check_ball`); RMQ takes any finite
+pair.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ import numpy as np
 
 from .adaptive import Ladder, _tetra_log_h
 from .core import (
-    _NORM_SLACK,
     Kernel,
     Quantizer,
     _check_int,
-    _l2_norm,
+    check_ball,
     check_config,
     check_vector,
     kernel_quantizer,
@@ -89,18 +90,14 @@ class RmqConfig:
         return self.d_pad * self.symbol_bits
 
 
-def _check_side(side, d: int, name: str) -> np.ndarray:
+def _check_side(side, d: int, name: str, bound: Optional[float] = None) -> np.ndarray:
+    """The side information: any finite vector or rows for RMQ, one in the
+    l2 ball of radius `bound` for DAQ and the RDAQ family."""
     if side is None:
         raise ValueError(f"{name} decoding requires side information")
-    return check_vector(side, d, "side information")
-
-
-def _check_ball(v: np.ndarray, name: str, what: str = "input") -> np.ndarray:
-    """The checked vector or rows `v`, or ValueError unless each lies in the
-    unit l2 ball."""
-    if _l2_norm(v) > _NORM_SLACK:
-        raise ValueError(f"{name} {what} must lie in the unit l2 ball")
-    return v
+    if bound is None:
+        return check_vector(side, d, "side information")
+    return check_ball(side, d, bound, what="side information")
 
 
 def wz_known_quantizer(cfg: RmqConfig, mu_d: Optional[int]) -> Quantizer:
@@ -137,8 +134,8 @@ def daq_quantizer(d: int) -> Quantizer:
     check_config(d)
     kernel = Kernel(
         d, d,
-        check_input=lambda x: _check_ball(check_vector(x, d), "DAQ"),
-        check_side=lambda side: _check_ball(_check_side(side, d, "DAQ"), "DAQ", "side information"),
+        check_input=lambda x: check_ball(x, d, 1.0),
+        check_side=lambda side: _check_side(side, d, "DAQ", 1.0),
         draw=lambda rng, m: rng.uniform(-1.0, 1.0, size=(m, d)),
         noise=lambda rng, x, m: None,
         derive=lambda u: u,
@@ -259,7 +256,7 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
     scale-index block, then the counts scale by scale (plane-major).  A
     message takes ceil(d_pad / 32) 64-bit outputs of the stream for the
     signs, one for the window (subsampled only) and N width for v."""
-    width = cfg.d_pad if mu_d is None else mu_d
+    d, width = cfg.d, cfg.d_pad if mu_d is None else mu_d
     h, index_bits, count_bits, N = cfg.h, cfg.index_bits, cfg.count_bits, cfg.N
 
     def write(bits, fields):
@@ -277,9 +274,9 @@ def _rdaq_kernel(cfg: RdaqConfig, mu_d: Optional[int]) -> Kernel:
         return z[None], counts.reshape(h, 1, width)
 
     return rotated_kernel(
-        cfg.d, mu_d, cfg.d_pad * cfg.h * cfg.N,
-        check_input=lambda x: _check_ball(check_vector(x, cfg.d), "RDAQ"),
-        check_side=lambda y: _check_ball(_check_side(y, cfg.d, "RDAQ"), "RDAQ", "side information"),
+        d, mu_d, cfg.d_pad * cfg.h * cfg.N,
+        check_input=lambda x: check_ball(x, d, 1.0),
+        check_side=lambda y: _check_side(y, d, "RDAQ", 1.0),
         encode=lambda xk, v, u: _rdaq_counts(cfg, xk, v),
         decode=lambda fields, yk, v: _rdaq_correction(cfg, fields, yk, v),
         write=write,

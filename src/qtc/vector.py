@@ -6,6 +6,10 @@ SimQ / SimQ+ over l1-ball corner points, and the small/large-coordinate split
 quantizer for lq-bounded inputs.  RATQ and its subsampled variant state
 their ATUQ rule on the sent rotated coordinates and leave the rotation, the
 window of kept coordinates and the correction to `rotation.rotated_kernel`.
+Each states its input domain in one `core.check_ball` call: the l2 ball of
+radius B (RATQ), any l2 norm that does not overflow (A-RATQ), the l1 ball
+of radius B (SimQ) or B d^(1/p) (SimQ+), and the lq ball of radius B (the
+split quantizer, which also bounds its count of large coordinates).
 """
 
 from __future__ import annotations
@@ -25,11 +29,11 @@ from .adaptive import (
     aguq_uniforms,
 )
 from .core import (
-    _NORM_SLACK,
     Kernel,
     MalformedStreamError,
     Quantizer,
-    _l2_norm,
+    _check_int,
+    check_ball,
     check_config,
     check_vector,
     kernel_quantizer,
@@ -76,6 +80,8 @@ class RatqConfig:
 
     def __post_init__(self):
         check_config(self.d, self.B)
+        _check_int(self.s, "subvector length s", 1)
+        _check_int(self.k, "RATQ level count k", 2)
 
     @classmethod
     def default(cls, B: float, d: int) -> "RatqConfig":
@@ -190,18 +196,13 @@ def _ratq_kernel(cfg: RatqConfig, mu_d: Optional[int] = None) -> Kernel:
             j = np.zeros(n_sub, dtype=np.int64)
         return j[None], read_cuq_symbols(reader, width, k)[None]
 
-    def check_input(y):
-        y = check_vector(y, cfg.d)
-        norm = _l2_norm(y)
-        if norm > cfg.B * _NORM_SLACK:
-            raise ValueError(f"input norm {norm:.6g} exceeds bound B={cfg.B}")
-        return y
+    d, B = cfg.d, cfg.B
 
     def check_side(side):
-        return None if side is None else check_vector(side, cfg.d, "side information")
+        return None if side is None else check_vector(side, d, "side information")
 
     return rotated_kernel(
-        cfg.d, mu_d, cfg.d_pad, check_input, check_side,
+        d, mu_d, cfg.d_pad, lambda y: check_ball(y, d, B), check_side,
         encode=lambda xk, v, u: _atuq_fields(xk, u, cfg),
         decode=lambda fields, yk, v: _atuq_levels(fields, cfg) - yk,
         write=write,
@@ -378,13 +379,8 @@ def aratq_quantizer(cfg: AratqConfig) -> Quantizer:
             sym = int(read_cuq_symbols(reader, 1, k[j])[0])
         return (np.array([j]), np.array([sym])), shape.read(reader)
 
-    def check_input(y):
-        y = check_vector(y, cfg.d)
-        if not math.isfinite(_l2_norm(y)):
-            raise ValueError("input norm overflows double precision")
-        return y
-
-    kernel = Kernel(cfg.d, cfg.shape.d_pad, check_input, lambda side: None,
+    d = cfg.d
+    kernel = Kernel(d, cfg.shape.d_pad, lambda y: check_ball(y, d), lambda side: None,
                     shape.draw, noise, shape.derive, encode, decode, write, read)
     return kernel_quantizer(kernel, cfg.bit_budget, f"aratq(d={cfg.d},B={cfg.B:g},{cfg.gain_mode})")
 
@@ -408,13 +404,6 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
     check_config(d, B)
     width = math.ceil(math.log2(2 * d + 1))
 
-    def check_input(y):
-        y = check_vector(y, d)
-        l1 = np.max(np.abs(y).sum(axis=-1), initial=0.0)
-        if l1 > B * _NORM_SLACK:
-            raise ValueError(f"l1 norm {l1:.6g} exceeds bound B = {B:.6g}")
-        return y
-
     def encode(y, shared, u):
         idx = np.count_nonzero(np.cumsum(np.abs(y), axis=-1) <= u[:, None] * B, axis=-1)
         hit = idx < d
@@ -431,7 +420,7 @@ def simq_quantizer(B: float, d: int) -> Quantizer:
             raise MalformedStreamError(f"malformed stream: SimQ code {code} above 2d = {2 * d}")
         return np.array([code if code <= d else d - code])
 
-    kernel = Kernel(d, d, check_input, lambda side: None, lambda rng, m: None,
+    kernel = Kernel(d, d, lambda y: check_ball(y, d, B, 1), lambda side: None, lambda rng, m: None,
                     lambda rng, y, m: rng.random(m), lambda draws: None, encode,
                     lambda symbols, side, shared: simq_decode(symbols, B, d), write, read)
     return kernel_quantizer(kernel, width, f"simq(d={d},B={B:g})")
@@ -496,10 +485,9 @@ class SimqPlusConfig:
 
     def __post_init__(self):
         check_config(self.d, self.B)
-        if self.p < 2:
-            raise ValueError("SimQ+ covers p in [2, inf]")
-        if self.k < 0:
-            raise ValueError(f"SimQ+ draw count k must be >= 0 (0: d^(2/p)), got {self.k}")
+        if not self.p >= 2:
+            raise ValueError(f"SimQ+ covers p in [2, inf], got p = {self.p!r}")
+        _check_int(self.k, "SimQ+ draw count k (0: d^(2/p))", 0)
         if self.k == 0:
             object.__setattr__(self, "k", max(1, round(self.d ** (2.0 / self.p))))
 
@@ -526,14 +514,7 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
     repetition's type, the counts of k SimQ draws over the indices 0 (no
     corner) and 1..d, drawn as one multinomial, and the message carries the
     signs of the drawn indices."""
-
-    def check_input(y):
-        y = check_vector(y, cfg.d)
-        l1 = np.max(np.abs(y).sum(axis=-1), initial=0.0)
-        if l1 > cfg.scale * _NORM_SLACK:
-            raise ValueError(
-                f"l1 norm {l1:.6g} exceeds bound B d^(1/p) = {cfg.scale:.6g} (B = {cfg.B:.6g})")
-        return y
+    d, scale = cfg.d, cfg.scale
 
     def noise(rng, y, m):
         probs = np.empty(y.shape[:-1] + (cfg.d + 1,))
@@ -561,8 +542,8 @@ def simq_plus_quantizer(cfg: SimqPlusConfig) -> Quantizer:
         positive[nz] = reader.read_fields(len(nz), 1)
         return counts[None], positive
 
-    kernel = Kernel(cfg.d, cfg.d + 1, check_input, lambda side: None, lambda rng, m: None,
-                    noise, lambda draws: None, encode, decode, write, read)
+    kernel = Kernel(d, d + 1, lambda y: check_ball(y, d, scale, 1), lambda side: None,
+                    lambda rng, m: None, noise, lambda draws: None, encode, decode, write, read)
     return kernel_quantizer(kernel, cfg.bit_budget, f"simq+(d={cfg.d},k={cfg.k})")
 
 
@@ -644,14 +625,8 @@ def lp_split_quantizer(cfg: LpSplitConfig) -> Quantizer:
     ratq = _ratq_kernel(ratq_cfg)
 
     def check_input(y):
-        y = check_vector(y, cfg.d)
-        a, q = np.abs(y), cfg.q
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
-            norm = np.max(a.max(axis=-1) if q == math.inf else (a**q).sum(axis=-1) ** (1 / q),
-                          initial=0.0)
-        if norm > cfg.B * _NORM_SLACK:
-            raise ValueError(f"lq norm {norm:.6g} exceeds bound B={cfg.B}")
-        if np.max(np.count_nonzero(a > M, axis=-1), initial=0) > ratq_cfg.d:
+        y = check_ball(y, cfg.d, cfg.B, cfg.q)
+        if np.max(np.count_nonzero(np.abs(y) > M, axis=-1), initial=0) > ratq_cfg.d:
             raise ValueError(f"more than {ratq_cfg.d} coordinates above the threshold {M:.6g}")
         return y
 

@@ -529,6 +529,12 @@ def test_optimize_delay_infeasible():
     assert delay_cost([1, 1], [0.5, 0.5], 0.5) == math.inf  # E[L] = 1 >= L_th
 
 
+@pytest.mark.parametrize("l_th", [math.nan, math.inf])
+def test_optimize_delay_rejects_a_non_finite_threshold(l_th):
+    with pytest.raises(ValueError, match="L_th"):
+        optimize_delay(zipf_pmf(1.0, 8), l_th)
+
+
 def test_zipf_pmf_and_validate():
     p = zipf_pmf(0.0, 10)
     assert np.allclose(p, 0.1)

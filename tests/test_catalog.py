@@ -100,10 +100,17 @@ _MEANINGLESS = {
     "simq-plus-B0": (lambda: SimqPlusConfig(0.0, 4, 2.0), "B"),
     "simq-plus-B-1": (lambda: SimqPlusConfig(-1.0, 4, 2.0), "B"),
     "simq-plus-k-3": (lambda: SimqPlusConfig(1.0, 4, 2.0, -3), "k"),
+    "simq-plus-k-float": (lambda: SimqPlusConfig(1.0, 16, 2.0, 2.5), "k"),
+    "simq-plus-k-true": (lambda: SimqPlusConfig(1.0, 16, 2.0, True), "k"),
+    "simq-plus-p-nan": (lambda: SimqPlusConfig(1.0, 16, math.nan), "p"),
     "ratq-B-1": (lambda: RatqConfig.default(-1.0, 4), "B"),
     "ratq-B-nan": (lambda: RatqConfig.for_subsampling(math.nan, 4), "B"),
     "ratq-d0": (lambda: RatqConfig.default(1.0, 0), "d"),
     "ratq-d0-direct": (lambda: RatqConfig(1.0, 0, 1, 7, _RCS.ladder), "d"),
+    "ratq-s0": (lambda: RatqConfig(1.0, 16, 0, 7, _RCS.ladder), "s"),
+    "ratq-s-float": (lambda: RatqConfig(1.0, 16, 2.5, 7, _RCS.ladder), "s"),
+    "ratq-k1": (lambda: RatqConfig(1.0, 16, 1, 1, _RCS.ladder), "k"),
+    "ratq-k-true": (lambda: RatqConfig(1.0, 16, 1, True, _RCS.ladder), "k"),
     "simq-B-1": (lambda: simq_quantizer(-1.0, 4), "B"),
     "simq-d0": (lambda: simq_quantizer(1.0, 0), "d"),
     "lp-split-B-1": (lambda: LpSplitConfig(-1.0, 8, 1.5), "B"),

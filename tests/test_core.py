@@ -1,8 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from qtc.core import (BitReader, BitString, Quantizer, SeedPath, TruncatedStreamError, _SeedWords,
-                      _seed_words_of)
+                      _seed_words_of, check_ball)
 
 
 def test_write_examples():
@@ -333,3 +336,60 @@ def test_fields_reject_bad_values_and_leftovers():
     with pytest.raises(ValueError, match="width must be >= 1, got 0"):
         BitReader(BitString().write_uint(0, 4)).read_uint(0)
     assert issubclass(TruncatedStreamError, ValueError)
+
+
+def _largest_norm(x, ord):
+    """numpy's l_ord norm of the vector x, or the largest of its rows, worked
+    out on x over its largest entry, where no power overflows."""
+    top = np.max(np.abs(x), initial=0.0)
+    if top == 0:
+        return 0.0
+    return top * float(np.max(np.linalg.norm(np.atleast_2d(x) / top, ord, axis=1)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ord", [1, 2, 3, math.inf])
+def test_check_ball_takes_numpys_norm(ord):
+    """On a vector and on rows, a zero row, zero rows and unit vectors among
+    them: numpy's norm as the bound is accepted (a norm exactly at the
+    bound passes), a bound 1e-8 below it is not, and the message names the
+    norm."""
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(5, 9)) * np.array([[1e-3], [1.0], [0.0], [40.0], [1e150]])
+    for x in (rows[1], rows[3], rows[:4], rows, np.zeros(9), np.zeros((2, 9)), np.zeros((0, 9)),
+              np.eye(9)[4], -np.eye(9)):
+        norm = _largest_norm(x, ord)
+        assert check_ball(x, 9, norm, ord) is x
+        if norm == 0:
+            continue
+        with pytest.raises(ValueError) as err:
+            check_ball(x, 9, norm * (1 - 1e-8), ord, "side information")
+        said = re.fullmatch(rf"side information l{ord:g} norm (\S+) exceeds bound (\S+)",
+                            str(err.value))
+        assert float(said[1]) == pytest.approx(norm, rel=1e-5)
+        assert float(said[2]) == pytest.approx(norm, rel=1e-5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_ball_overflow_and_bad_entries():
+    """Two entries of 1e308: the l1 and l2 norms overflow, with no warning,
+    even against no bound; the l3 and l_inf norms are finite."""
+    two = np.where(np.arange(8) < 2, 1e308, 0.0)
+    for ord in (1, 2):
+        for x in (two, np.stack([np.zeros(8), two])):
+            want = rf"^input l{ord} norm overflows double precision$"
+            with pytest.raises(ValueError, match=want):
+                check_ball(x, 8, ord=ord)
+    assert check_ball(two, 8, ord=math.inf) is two
+    assert check_ball(two, 8, ord=3) is two
+    with pytest.raises(ValueError, match=r"^input l3 norm 1\.25992e\+308 exceeds bound 1$"):
+        check_ball(two, 8, 1.0, 3)
+    with pytest.raises(ValueError, match=r"^input l3 norm overflows double precision$"):
+        check_ball(np.full(8, 1e308), 8, ord=3)
+    # a non-finite entry and a wrong shape are named as check_vector names them
+    for ord in (1, 2, 3, math.inf):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"^input has non-finite entries$"):
+                check_ball(np.where(np.arange(8) == 3, bad, 0.0), 8, 1.0, ord)
+        with pytest.raises(ValueError, match=r"^input has shape \(7,\), expected \(8,\)$"):
+            check_ball(np.zeros(7), 8, 1.0, ord)

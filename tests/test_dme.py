@@ -348,7 +348,7 @@ def test_instance_and_quantizer_count_checked():
 
 
 @pytest.mark.parametrize("kernel", [False, True])
-@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("trials", [0, -1, True, 2.5, 3.0])
 def test_run_needs_a_trial(trials, kernel):
     d = 8
     inst = DmeInstance(unit_rows(24, 2, d) * 0.5, None, None, r=d)

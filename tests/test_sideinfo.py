@@ -17,11 +17,16 @@ from qtc.sideinfo import (
 )
 from qtc.vector import (
     AratqConfig,
+    LpSplitConfig,
     RatqConfig,
+    SimqPlusConfig,
     aratq_quantizer,
     atuq_vector_apply,
+    lp_split_quantizer,
     ratq_quantizer,
     rcs_wrap,
+    simq_plus_quantizer,
+    simq_quantizer,
 )
 
 
@@ -311,6 +316,10 @@ _RDAQ = lambda: rdaq_quantizer(RdaqConfig(_D, N=2))  # noqa: E731
 _WZ_UNKNOWN = lambda: wz_unknown_quantizer(RdaqConfig(_D), 8)  # noqa: E731
 _ARATQ = lambda: aratq_quantizer(AratqConfig.default(1.0, _D, T=1024))  # noqa: E731
 _X_HUGE = np.full(_D, 1e160)  # every entry finite, its squared norm not
+_X_TWO_HUGE = np.where(np.arange(_D) < 2, 1e308, 0.0)  # its l1 and l2 norms overflow
+_SIMQ = lambda: simq_quantizer(1.0, _D)  # noqa: E731
+_SIMQ_PLUS = lambda: simq_plus_quantizer(SimqPlusConfig(1.0, _D, 2.0))  # noqa: E731
+_SPLIT = lambda p: lp_split_quantizer(LpSplitConfig(1.0, _D, p))  # noqa: E731
 
 # case -> (a call the codec rejects, or None for a sampler without a codec;
 #          the sampler's call on the same input, given a stream): what no test
@@ -357,17 +366,35 @@ _REJECTED = {
     # for it are non-finite only; the sampler gets rows
     "aratq-norm-overflow": (_encode(_ARATQ(), _X_HUGE),
                             lambda g: _ARATQ().kernel.sample(np.stack([_X, _X_HUGE]), None, 2, g)),
+    # two entries of 1e308: a norm that overflows, or (the split's l3 and
+    # l_inf norms) one that is finite and above the bound, with no warning
+    "simq-overflow": (_encode(_SIMQ(), _X_TWO_HUGE), _sample(_SIMQ, _X_TWO_HUGE)),
+    "simq-plus-overflow": (_encode(_SIMQ_PLUS(), _X_TWO_HUGE), _sample(_SIMQ_PLUS, _X_TWO_HUGE)),
+    "lp-split-p1.5-overflow": (_encode(_SPLIT(1.5), _X_TWO_HUGE),
+                               _sample(lambda: _SPLIT(1.5), _X_TWO_HUGE)),
+    "lp-split-p1-overflow": (_encode(_SPLIT(1.0), _X_TWO_HUGE),
+                             _sample(lambda: _SPLIT(1.0), _X_TWO_HUGE)),
+    "ratq-overflow": (_encode(ratq_quantizer(_RATQ), _X_TWO_HUGE),
+                      _sample(lambda: ratq_quantizer(_RATQ), _X_TWO_HUGE)),
+    "aratq-overflow": (_encode(_ARATQ(), _X_TWO_HUGE), _sample(_ARATQ, _X_TWO_HUGE)),
+    "daq-overflow-y": (_decode(daq_quantizer(_D), _X, _X_TWO_HUGE), _sample(_DAQ, _X, _X_TWO_HUGE)),
+    "rdaq-overflow-y": (_decode(_RDAQ(), _X, _X_TWO_HUGE),
+                        lambda g: boosted_rdaq_sample(_X, _X_TWO_HUGE, RdaqConfig(_D, N=2), 4, g)),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(_REJECTED))
 def test_samplers_reject_what_their_codecs_reject_before_drawing(case):
+    """With a RuntimeWarning an error: a check that warns fails here, on
+    every numpy."""
     codec, sampler = _REJECTED[case]
+    match = "non-finite" if "nan" in case else " norm " if "overflow" in case else None
     if codec is not None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=match):
             codec()
     rng = SeedPath(8).stream()
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="non-finite" if "nan" in case else None):
+    with pytest.raises(ValueError, match=match):
         sampler(rng)
     assert rng.bit_generator.state == state
